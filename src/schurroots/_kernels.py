@@ -1,10 +1,9 @@
-"""Pure-NumPy quadrature kernels.
+"""Quadrature kernels.
 
 Every function receives precomputed density values `kvals` of shape
 (M, r, c) together with the M quadrature nodes and weights, and reduces
 them to a single matrix. These six reductions are the hot path of the
-whole package; the compiled backend in _speedups.pyx implements the same
-signatures.
+whole package.
 
 Conventions: nodes and weights may be complex (contour quadrature),
 `zmat` arguments are square complex matrices, resolvents are taken of
@@ -12,6 +11,11 @@ Conventions: nodes and weights may be complex (contour quadrature),
 """
 
 import numpy as np
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, recorded in report provenance."""
+    return "numpy"
 
 
 def polyval_matrix(coeffs, mus):
@@ -42,12 +46,19 @@ def cauchy_sum_many(kvals, nodes, weights, zs):
     return np.einsum("pm,mij->pij", factors, kvals)
 
 
+def _shifted_solve(a, nodes, rhs):
+    # inv(a - mu_k) @ rhs_k for every node; for 1x1 `a` a plain division,
+    # which skips the per-call overhead of the batched solve
+    if a.shape[0] == 1:
+        return rhs / (a[0, 0] - nodes)[:, None, None]
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    shifted = a[None, :, :] - nodes[:, None, None] * eye[None, :, :]
+    return np.linalg.solve(shifted, rhs)
+
+
 def _right_resolvent_products(kvals, nodes, zmat):
     # T_k = K_k @ inv(zmat - mu_k), done as one batched solve on transposes
-    n = zmat.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    a = zmat[None, :, :] - nodes[:, None, None] * eye[None, :, :]
-    t = np.linalg.solve(np.swapaxes(a, 1, 2), np.swapaxes(kvals, 1, 2))
+    t = _shifted_solve(zmat.T, nodes, np.swapaxes(kvals, 1, 2))
     return np.swapaxes(t, 1, 2)
 
 
@@ -65,9 +76,6 @@ def resolvent_cauchy_sum(kvals, nodes, weights, zmat, z):
 
 def sandwich_sum(kvals, nodes, weights, zleft, zright):
     """sum_k w_k inv(zleft - mu_k) @ K_k @ inv(zright - mu_k)."""
-    nl = zleft.shape[0]
-    eye_l = np.eye(nl, dtype=np.complex128)
-    al = zleft[None, :, :] - nodes[:, None, None] * eye_l[None, :, :]
-    left = np.linalg.solve(al, kvals)
+    left = _shifted_solve(zleft, nodes, kvals)
     t = _right_resolvent_products(left, nodes, zright)
     return np.einsum("m,mij->ij", weights, t)

@@ -173,18 +173,11 @@ def _point_segment_distance(p: complex, q: complex, x: complex) -> float:
     return abs(x - (p + t * d))
 
 
-def _dense_distance(contour: Contour, lam: float, num: int = 10000) -> float:
-    # sampling fallback, kept as the oracle for the closed forms
-    idx = np.linspace(0, contour.num_nodes - 1, min(num, contour.num_nodes)).astype(int)
-    return float(np.min(np.abs(contour.nodes[idx] - lam)))
-
-
 def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
     """dist(sigma1, contour) by exact per-kind geometry.
 
     Semicircle: | |lam - center| - radius |. Rectangle: minimum over the
-    three segments of the point-segment distance. A dense-sampling
-    fallback covers any future kind and doubles as the test oracle.
+    three segments of the point-segment distance.
     """
     a, b = contour.endpoints
     dists = []
@@ -201,7 +194,7 @@ def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
                 for p, q in zip(corners[:-1], corners[1:])
             ))
         else:
-            dists.append(_dense_distance(contour, lam))
+            raise ValueError(f"unknown contour kind {contour.kind!r}")
     return float(min(dists))
 
 

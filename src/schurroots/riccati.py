@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import resolvent_sum, sandwich_sum
+from ._kernels import resolvent_cauchy_sum, resolvent_sum, sandwich_sum
 from ._quad import adaptive_quad
-from .contour import Contour, admissibility
+from .contour import Contour, admissibility, distance_to_sigma1
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
-from .rootsolver import RootSolution
-from .schur import m1_continued_many
+from .rootsolver import RootSolution, _require_clear_of_nodes
+from .schur import _too_close, m1_continued_many
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,14 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     breaks = _pole_breaks(sol.z_op, interval)
     z = sol.z_op
     zh = np.conj(z.T)
-    kcoeffs = sm.kprime.coefficients
 
     def gram_panel(nodes, weights):
-        kv = np.asarray(
-            _polyval(kcoeffs, nodes), dtype=np.complex128)
+        kv = sm.kprime_values(nodes)
         return sandwich_sum(kv, nodes.astype(np.complex128),
                             weights.astype(np.complex128), zh, z)
 
     def bstar_panel(nodes, weights):
-        kv = np.asarray(
-            _polyval(kcoeffs, nodes), dtype=np.complex128)
+        kv = sm.kprime_values(nodes)
         return resolvent_sum(kv, nodes.astype(np.complex128),
                              weights.astype(np.complex128), z)
 
@@ -154,12 +151,6 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
         raise NumericsError(f"Gram matrix not PSD (min eigenvalue {geigs[0]:.3e})")
     y_norm = float(np.sqrt(max(float(geigs[-1]), 0.0)))
     return RiccatiSolution(sol.side, y_repr, gram, y_norm, bstar_y, interval)
-
-
-def _polyval(coeffs, mus):
-    from ._kernels import polyval_matrix
-
-    return polyval_matrix(coeffs, np.asarray(mus, dtype=np.complex128))
 
 
 def check_ZAY(model: SpectralModel, sol: RootSolution,
@@ -264,11 +255,7 @@ def compute_Omega(model: SpectralModel, contour: Contour,
 
     def omega_on(cont: Contour, zl: np.ndarray, zr: np.ndarray) -> np.ndarray:
         for zz in (zl, zr):
-            eigs = np.linalg.eigvals(zz)
-            gap = np.min(np.abs(eigs[:, None] - cont.nodes[None, :]))
-            if gap <= 1e-6:
-                raise NumericsError(
-                    f"spectrum-on-contour violation (gap {gap:.3e})")
+            _require_clear_of_nodes(zz, cont.nodes)
         kv = sm.kprime_values(cont.nodes)
         return sandwich_sum(kv, cont.nodes, cont.weights, zl, zr)
 
@@ -305,10 +292,9 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     zr = sol_l.z_op
     breaks = tuple(sorted(set(_pole_breaks(zl, model.interval))
                           | set(_pole_breaks(zr, model.interval))))
-    kcoeffs = sm.kprime.coefficients
 
     def panel(nodes, weights):
-        kv = _polyval(kcoeffs, nodes)
+        kv = sm.kprime_values(nodes)
         return sandwich_sum(kv, nodes.astype(np.complex128),
                             weights.astype(np.complex128), zl, zr)
 
@@ -323,10 +309,9 @@ def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
     z = ric.z_op
     n = z.shape[0]
     breaks = _pole_breaks(z, ric.interval)
-    kcoeffs = (ric.y_repr.b.sharp().coefficients, ric.y_repr.b.coefficients)
 
     def panel(nodes, weights):
-        bv = _polyval(kcoeffs[1], nodes)
+        bv = ric.y_repr.b(nodes)
         kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
         knorms = np.linalg.norm(kv, ord=2, axis=(1, 2))
         aa = z[None] - nodes[:, None, None] * np.eye(n)[None]
@@ -345,9 +330,6 @@ def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
     both sides are defined; F1 is invertible on the d/2-neighborhood of
     sigma1.
     """
-    from ._kernels import resolvent_cauchy_sum
-    from .schur import _too_close
-
     z = complex(z)
     if _too_close(contour, z):
         raise ValueError(f"z={z} too close to the contour for quadrature")
@@ -369,8 +351,6 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     (center, radius); the circle must enclose spec(Z) and stay inside the
     d/2-neighborhood of sigma1.
     """
-    from .contour import distance_to_sigma1
-
     d = distance_to_sigma1(model, contour)
     eigs = np.linalg.eigvals(sol.z_op)
     if gamma_spec is None:

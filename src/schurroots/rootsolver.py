@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._kernels import resolvent_sum
 from .contour import Contour, admissibility, require_admissible
@@ -19,6 +18,17 @@ from .model import SpectralModel
 from .schur import m1_physical
 
 _SPEC_GUARD = 1e-6
+
+
+def _require_clear_of_nodes(zmat: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise NumericsError when spec(zmat) comes within _SPEC_GUARD of a
+    quadrature node, where the resolvent blows through the rule."""
+    eigs = np.linalg.eigvals(zmat)
+    gap = np.min(np.abs(eigs[:, None] - nodes[None, :]))
+    if gap <= _SPEC_GUARD:
+        raise NumericsError(
+            f"spectrum-on-contour violation: eigenvalue within {gap:.3e} of a node"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,12 +71,7 @@ def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
     (distance > 1e-6), otherwise the resolvent blows through the rule.
     """
     zmat = np.asarray(zmat, dtype=np.complex128)
-    eigs = np.linalg.eigvals(zmat)
-    gap = np.min(np.abs(eigs[:, None] - contour.nodes[None, :]))
-    if gap <= _SPEC_GUARD:
-        raise NumericsError(
-            f"spectrum-on-contour violation: eigenvalue within {gap:.3e} of a node"
-        )
+    _require_clear_of_nodes(zmat, contour.nodes)
     kvals = model.kprime_values(contour.nodes)
     return -resolvent_sum(kvals, contour.nodes, contour.weights, zmat)
 
@@ -83,12 +88,7 @@ def _picard(model: SpectralModel, contour: Contour, t: float,
     step = np.inf
     for it in range(1, max_iter + 1):
         z = a1 + x
-        eigs = np.linalg.eigvals(z)
-        gap = np.min(np.abs(eigs[:, None] - nodes[None, :]))
-        if gap <= _SPEC_GUARD:
-            raise NumericsError(
-                f"spectrum-on-contour violation during iteration (gap {gap:.3e})"
-            )
+        _require_clear_of_nodes(z, nodes)
         xn = -resolvent_sum(kvals, nodes, weights, z)
         step = float(np.linalg.norm(xn - x, 2))
         x = xn
@@ -179,6 +179,10 @@ def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
 
 
 def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
+    # imported here: scipy.optimize costs more at import than the rest of
+    # the package, and only the homotopy driver pairs eigenvalues
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(curr[None, :] - prev[:, None])
     _, perm = linear_sum_assignment(cost)
     return perm

@@ -110,10 +110,8 @@ def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarr
 def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     """Batched m1_continued over a 1-d array of points."""
     zs = np.asarray(zs, dtype=np.complex128)
-    dmin = np.abs(contour.nodes[None, :] - zs[:, None])
-    ks = np.argmin(dmin, axis=1)
-    for z, k, d in zip(zs, ks, dmin[np.arange(zs.shape[0]), ks]):
-        if d < 10.0 * contour.local_spacing(int(k)):
+    for z in zs:
+        if _too_close(contour, z):
             raise ValueError(f"z={z} too close to the contour for quadrature")
     kvals = model.kprime_values(contour.nodes)
     w1 = cauchy_sum_many(kvals, contour.nodes, contour.weights, zs)

@@ -36,7 +36,7 @@ def test_solve_ok(tmp_path, capsys):
     lam = rep["solutions"]["+1"]["eigenvalues"][0]
     assert lam["label"] == "physical-complex"
     assert abs(lam["eigenvalue"][1] + 0.11639390461355939) < 1e-9
-    assert rep["provenance"]["kernel_backend"] in ("compiled", "numpy")
+    assert rep["provenance"]["kernel_backend"] == "numpy"
 
 
 def test_solve_out_file(tmp_path, capsys):

@@ -6,6 +6,8 @@ r_min = 1/2 - sqrt(1/4 - 0.04 pi) = 0.14738648089387119
 r_max = 1 - sqrt(0.04 pi)         = 0.6455092298188968
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,12 @@ def test_distance_matches_dense_sampling(friedrichs_model):
         # node sampling can only overestimate, and not by much
         assert d <= dense + 1e-12
         assert dense - d < 5e-3
+
+
+def test_distance_unknown_kind(friedrichs_model, friedrichs_contours):
+    with pytest.raises(ValueError, match="unknown contour kind"):
+        sr.distance_to_sigma1(friedrichs_model,
+                              dataclasses.replace(friedrichs_contours[1], kind="ellipse"))
 
 
 def test_variation_node_doubling():

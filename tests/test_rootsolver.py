@@ -7,6 +7,9 @@ alpha = 1, b = 0.2 is below; the generic solver must land on -i y (side
 +1) and +i y (side -1).
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -208,3 +211,13 @@ def test_transformator_gap_guard(friedrichs_model, friedrichs_contours):
     node = complex(c.nodes[len(c.nodes) // 2])
     with pytest.raises(sr.NumericsError):
         transformator(friedrichs_model, c, np.array([[node]]))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported lazily by the homotopy pairing only
+    src = os.path.dirname(os.path.dirname(sr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, schurroots; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
