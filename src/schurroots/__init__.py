@@ -12,8 +12,8 @@ and cross-checks every operator identity by independent quadrature.
 
 from ._kernels import backend_name
 from .contour import (AdmissibilityReport, Contour, admissibility,
-                      distance_to_sigma1, make_contour, optimize_r0,
-                      require_admissible, variation)
+                      admissibility_at, distance_to_sigma1, make_contour,
+                      optimize_r0, require_admissible, variation)
 from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
 from .friedrichs import FriedrichsParams, closed_m1, oracle_solution, solve_y
@@ -39,7 +39,8 @@ __all__ = [
     "MatrixPolynomial", "ModelError", "NumericsError", "OmegaOperator",
     "OneInSpectrumVerdict", "RiccatiSolution", "RootSolution",
     "SchurEvaluation", "SchurRootsError", "SpectralModel",
-    "SpectrumClassification", "admissibility", "backend_name", "build_model",
+    "SpectrumClassification", "admissibility", "admissibility_at",
+    "backend_name", "build_model",
     "check_ZAY", "check_one_in_spectrum", "check_semibounded_density",
     "classify", "closed_m1", "compute_Omega", "compute_Y",
     "distance_to_sigma1", "factor_F1", "homotopy_path", "j_orthogonality",

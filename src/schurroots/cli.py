@@ -42,12 +42,19 @@ def _contours(model, cfg, sides):
     }
 
 
-def _r0_family(cfg, model):
+def _r0(cfg, model, side, rep) -> float:
+    """r0_upper_bound for the report, given rep for the side's contour.
+
+    The semicircle family has one member, the contour rep was computed on,
+    so r0 is its r_min. For rectangles optimize_r0 searches the depth.
+    """
     if cfg.contour_kind == "semicircle":
-        return "semicircle"
+        return rep.r_min
     lo, hi = model.interval
-    length = hi - lo
-    return ("rectangle", (0.5 * cfg.depth, min(2.0 * cfg.depth, length)))
+    family = ("rectangle", (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo)))
+    _, r0 = optimize_r0(model, side, family, nodes_per_unit=cfg.nodes_per_unit,
+                        coupling_scale=cfg.coupling_scale)
+    return r0
 
 
 def _base_report(command, cfg, model, contours):
@@ -76,20 +83,20 @@ def cmd_solve(cfg: RunConfig) -> dict:
     contours = _contours(model, cfg, cfg.sides)
     report = _base_report("solve", cfg, model, contours)
 
-    rep = admissibility(model, contours[cfg.sides[0]], cfg.coupling_scale)
+    reps = {side: admissibility(model, contour, cfg.coupling_scale)
+            for side, contour in contours.items()}
+    first = cfg.sides[0]
+    rep = reps[first]
     if not rep.admissible:
         report["status"] = "inadmissible"
         report["admissibility"] = admissibility_block(rep)
         return _finish(report, start)
-
-    _, r0 = optimize_r0(model, cfg.sides[0], _r0_family(cfg, model),
-                        nodes_per_unit=cfg.nodes_per_unit,
-                        coupling_scale=cfg.coupling_scale)
-    report["admissibility"] = admissibility_block(rep, r0=r0)
+    report["admissibility"] = admissibility_block(rep, r0=_r0(cfg, model, first, rep))
 
     report["solutions"] = {}
     for side, contour in contours.items():
-        sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol, cfg.max_iter)
+        sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol, cfg.max_iter,
+                          report=reps[side])
         cls = classify(model, contour, sol, cfg.tau_real)
         report["solutions"][f"{side:+d}"] = solution_block(sol, cls)
     return _finish(report, start)
@@ -130,14 +137,19 @@ def _near_sigma_points(rng, model, d, count):
     return pts
 
 
-def _identity_table(cfg, model, contours, rng) -> tuple:
-    """Build the identity rows plus per-side solution and Riccati blocks."""
+def _identity_table(cfg, model, contours, rng, reps) -> tuple:
+    """Build the identity rows plus per-side solution and Riccati blocks.
+
+    reps maps each side to its admissibility report at the configured
+    coupling.
+    """
     t = cfg.coupling_scale
     sm = model.scaled(t)
     sides = (1, -1)
     sols, rics, clss, omegas = {}, {}, {}, {}
     for side in sides:
-        sol = solve_basic(model, contours[side], t, cfg.tol, cfg.max_iter)
+        sol = solve_basic(model, contours[side], t, cfg.tol, cfg.max_iter,
+                          report=reps[side])
         sols[side] = _corrupt(sol, cfg.corrupt_z)
         clss[side] = classify(model, contours[side], sols[side], cfg.tau_real)
         rics[side] = compute_Y(model, sols[side], cfg.quad_tol)
@@ -167,7 +179,7 @@ def _identity_table(cfg, model, contours, rng) -> tuple:
 
     add_row("sheets-crosspath", 1e-9, sheets_row)
 
-    d = admissibility(model, contours[1], t).distance
+    d = reps[1].distance
 
     def factor_row():
         worst = 0.0
@@ -371,18 +383,17 @@ def cmd_verify(cfg: RunConfig) -> dict:
     contours = _contours(model, cfg, (1, -1))
     report = _base_report("verify", cfg, model, contours)
 
-    rep = admissibility(model, contours[1], cfg.coupling_scale)
+    reps = {side: admissibility(model, contours[side], cfg.coupling_scale)
+            for side in (1, -1)}
+    rep = reps[1]
     if not rep.admissible:
         report["status"] = "inadmissible"
         report["admissibility"] = admissibility_block(rep)
         return _finish(report, start)
-    _, r0 = optimize_r0(model, 1, _r0_family(cfg, model),
-                        nodes_per_unit=cfg.nodes_per_unit,
-                        coupling_scale=cfg.coupling_scale)
-    report["admissibility"] = admissibility_block(rep, r0=r0)
+    report["admissibility"] = admissibility_block(rep, r0=_r0(cfg, model, 1, rep))
 
     rng = np.random.default_rng(cfg.seed)
-    rows, sols, rics, clss = _identity_table(cfg, model, contours, rng)
+    rows, sols, rics, clss = _identity_table(cfg, model, contours, rng, reps)
     report["identities"] = rows
     report["solutions"] = {}
     report["riccati"] = {}

@@ -80,17 +80,25 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        """Parse and validate; every malformed value raises ConfigError."""
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
         try:
-            model = data["model"]
-            interval = tuple(float(x) for x in model["interval"])
-            if len(interval) != 2:
-                raise ConfigError("interval must be [lo, hi]")
-            a1 = matrix_from_lists(model["a1"])
-            coeffs = tuple(matrix_from_lists(c) for c in model["b"])
+            return RunConfig._parse(data)
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            # a value of the wrong type or form, e.g. int("a") for a side
+            raise ConfigError(f"malformed config value: {exc}") from exc
+
+    @staticmethod
+    def _parse(data: dict) -> "RunConfig":
+        model = data["model"]
+        interval = tuple(float(x) for x in model["interval"])
+        if len(interval) != 2:
+            raise ConfigError("interval must be [lo, hi]")
+        a1 = matrix_from_lists(model["a1"])
+        coeffs = tuple(matrix_from_lists(c) for c in model["b"])
         if not coeffs:
             raise ConfigError("coupling needs at least one coefficient matrix")
         shapes = {c.shape for c in coeffs}
@@ -118,6 +126,12 @@ class RunConfig:
             raise ConfigError("nodes_per_unit must be positive")
         if kind == "rectangle" and depth is None:
             raise ConfigError("rectangle contour requires a depth")
+        rho = 0.5 * (interval[1] - interval[0])
+        if (kind == "semicircle" and depth is not None
+                and abs(depth - rho) > 1e-12 * (1.0 + abs(rho))):
+            raise ConfigError(
+                f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
+            )
 
         solver = data.get("solver", {})
         tol = float(solver.get("tol", 1e-12))
@@ -135,8 +149,15 @@ class RunConfig:
         sweep = data.get("sweep", {})
         t_grid = tuple(float(t) for t in sweep.get("t_grid", []))
         _require_finite("t_grid", *t_grid) if t_grid else None
+        if any(tb <= ta for ta, tb in zip(t_grid[:-1], t_grid[1:])):
+            raise ConfigError("sweep.t_grid must be strictly increasing")
+        if t_grid and (t_grid[0] < 0.0 or t_grid[-1] > 1.0):
+            raise ConfigError("sweep.t_grid must lie in [0, 1]")
 
         verify = data.get("verify", {})
+        seed = int(verify.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"verify.seed must be nonnegative, got {seed}")
         out = data.get("output", {})
         return RunConfig(
             interval=interval,
@@ -151,7 +172,7 @@ class RunConfig:
             tau_real=tau_real,
             coupling_scale=scale,
             t_grid=t_grid,
-            seed=int(verify.get("seed", 0)),
+            seed=seed,
             lens_points=int(verify.get("lens_points", 50)),
             factor_points=int(verify.get("factor_points", 30)),
             boundary_points=int(verify.get("boundary_points", 50)),

@@ -17,6 +17,11 @@ from .model import SpectralModel
 
 _LEG_CACHE: dict = {}
 
+# Largest Gauss-Legendre rule built for one segment. leggauss is O(N^3) in
+# the rule size, so an unbounded count (a deep rectangle, a huge
+# nodes_per_unit) would stall before admissibility could reject it.
+MAX_SEGMENT_NODES = 4096
+
 
 def _leggauss(n):
     if n not in _LEG_CACHE:
@@ -83,9 +88,20 @@ class Contour:
         )
 
 
+def _node_count(nodes_per_unit, arclength):
+    """max(200, nodes_per_unit * arclength), refused above MAX_SEGMENT_NODES
+    before any rule is built."""
+    wanted = nodes_per_unit * arclength
+    if not wanted <= MAX_SEGMENT_NODES:
+        raise ModelError(
+            f"contour segment needs {wanted:.0f} quadrature nodes, above the "
+            f"cap of {MAX_SEGMENT_NODES}"
+        )
+    return max(200, int(math.ceil(wanted)))
+
+
 def _segment_nodes(p, q, nodes_per_unit):
-    length = abs(q - p)
-    count = max(200, int(math.ceil(nodes_per_unit * length)))
+    count = _node_count(nodes_per_unit, abs(q - p))
     x, w = _leggauss(count)
     mid = 0.5 * (p + q)
     half = 0.5 * (q - p)
@@ -96,7 +112,8 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
                  depth=None, nodes_per_unit: int = 200) -> Contour:
     """Build the side-l contour with Gauss-Legendre quadrature.
 
-    Per segment the node count is max(200, nodes_per_unit * arclength).
+    Per segment the node count is max(200, nodes_per_unit * arclength);
+    a segment that would need more than MAX_SEGMENT_NODES raises ModelError.
     The weight sum is checked against the exact path integral of dmu,
     which equals the interval length.
     """
@@ -112,8 +129,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
                 f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
             )
         c = 0.5 * (a + b)
-        arclen = math.pi * rho
-        count = max(200, int(math.ceil(nodes_per_unit * arclen)))
+        count = _node_count(nodes_per_unit, math.pi * rho)
         x, w = _leggauss(count)
         theta = 0.5 * math.pi * (1.0 - x)
         phase = np.exp(1j * theta)
@@ -156,11 +172,39 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
                    "left-to-right", tuple(slices))
 
 
+def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
+    """Largest singular value of each n x n matrix in a (N, n, n) stack.
+
+    n = 1 and n = 2 use closed forms; a batched SVD of such small matrices
+    is almost all per-matrix overhead. For n = 2 the root is taken of the
+    larger eigenvalue of the Gram matrix G = K^H K written as
+    (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|), which keeps full relative
+    accuracy when K is close to a multiple of the identity (the form
+    F/2 + sqrt(F^2/4 - |det K|^2) cancels there). n >= 3 uses the SVD.
+    """
+    n = kvals.shape[1]
+    if n == 1:
+        return np.abs(kvals[:, 0, 0])
+    if n == 2:
+        c1, c2 = kvals[:, :, 0], kvals[:, :, 1]
+        g11 = np.sum(c1.real ** 2 + c1.imag ** 2, axis=1)
+        g22 = np.sum(c2.real ** 2 + c2.imag ** 2, axis=1)
+        g12 = np.abs(np.sum(np.conj(c1) * c2, axis=1))
+        return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
+    return np.linalg.norm(kvals, ord=2, axis=(1, 2))
+
+
 def variation(model: SpectralModel, contour: Contour) -> float:
-    """V0 = integral over the contour of ||K'(mu)|| |dmu| (spectral norm)."""
+    """V0 = integral over the contour of ||K'(mu)|| |dmu|.
+
+    ||.|| is the spectral norm at each quadrature node, evaluated in
+    closed form for n <= 2 and by SVD otherwise (see _spectral_norms).
+    This is the only quadrature in the admissibility test; callers that
+    need the test at several couplings evaluate it once and rescale
+    with admissibility_at.
+    """
     kvals = model.kprime_values(contour.nodes)
-    norms = np.linalg.norm(kvals, ord=2, axis=(1, 2))
-    return float(np.sum(np.abs(contour.weights) * norms))
+    return float(np.sum(np.abs(contour.weights) * _spectral_norms(kvals)))
 
 
 def _point_segment_distance(p: complex, q: complex, x: complex) -> float:
@@ -208,37 +252,55 @@ class AdmissibilityReport:
     r_max: float | None
 
 
+def admissibility_at(v0: float, distance: float,
+                     coupling_scale: float = 1.0) -> AdmissibilityReport:
+    """The report of admissibility at coupling t, from V0 and d at t = 1.
+
+    Pure arithmetic with no quadrature: V0 -> t^2 V0, then the test and the
+    radii. admissibility(model, contour, t) is admissibility_at(
+    variation(model, contour), distance_to_sigma1(model, contour), t).
+    """
+    t = float(coupling_scale)
+    v0 = v0 * t * t
+    omega = distance * distance - 4.0 * v0
+    admissible = omega > 0.0
+    if admissible:
+        r_min = 0.5 * distance - math.sqrt(0.25 * distance * distance - v0)
+        r_max = distance - math.sqrt(v0)
+    else:
+        r_min = None
+        r_max = None
+    return AdmissibilityReport(v0, distance, omega, admissible, r_min, r_max)
+
+
 def admissibility(model: SpectralModel, contour: Contour,
                   coupling_scale: float = 1.0) -> AdmissibilityReport:
     """Contraction test V0 < d^2/4 and the two enclosure radii.
 
     r_min = d/2 - sqrt(d^2/4 - V0) bounds how far roots move from sigma1,
     r_max = d - sqrt(V0) bounds the enclosure from above. The coupling
-    scale t enters through V0 -> t^2 V0.
+    scale t enters through V0 -> t^2 V0. Evaluates V0 (one quadrature,
+    see variation) and d (exact geometry); a caller that needs the report
+    at several couplings for one contour should call this once at t = 1
+    and pass its variation and distance to admissibility_at for each t.
     """
-    t = float(coupling_scale)
-    v0 = variation(model, contour) * t * t
-    d = distance_to_sigma1(model, contour)
-    omega = d * d - 4.0 * v0
-    admissible = omega > 0.0
-    if admissible:
-        r_min = 0.5 * d - math.sqrt(0.25 * d * d - v0)
-        r_max = d - math.sqrt(v0)
-    else:
-        r_min = None
-        r_max = None
-    return AdmissibilityReport(v0, d, omega, admissible, r_min, r_max)
+    return admissibility_at(variation(model, contour),
+                            distance_to_sigma1(model, contour), coupling_scale)
 
 
-def require_admissible(model: SpectralModel, contour: Contour,
-                       coupling_scale: float = 1.0) -> AdmissibilityReport:
-    rep = admissibility(model, contour, coupling_scale)
+def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
+    """Return rep, or raise AdmissibilityError carrying it."""
     if not rep.admissible:
         raise AdmissibilityError(
             f"contour not admissible: V0={rep.variation:.6g} >= d^2/4={rep.distance ** 2 / 4:.6g}",
             report=rep,
         )
     return rep
+
+
+def require_admissible(model: SpectralModel, contour: Contour,
+                       coupling_scale: float = 1.0) -> AdmissibilityReport:
+    return ensure_admissible(admissibility(model, contour, coupling_scale))
 
 
 def optimize_r0(model: SpectralModel, side: int, family,

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import resolvent_sum
-from .contour import Contour, admissibility, require_admissible
+from .contour import (AdmissibilityReport, Contour, admissibility,
+                      admissibility_at, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
 from .schur import m1_physical
@@ -76,10 +77,10 @@ def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
     return -resolvent_sum(kvals, contour.nodes, contour.weights, zmat)
 
 
-def _picard(model: SpectralModel, contour: Contour, t: float,
-            tol: float, max_iter: int, x0: np.ndarray) -> RootSolution:
-    rep = require_admissible(model, contour, t)
-    n = model.n
+def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
+            t: float, tol: float, max_iter: int, x0: np.ndarray) -> RootSolution:
+    """Picard iteration from x0; rep is the admissible report of contour at
+    coupling t and supplies the r_min / r_max containment checks."""
     kvals = model.kprime_values(contour.nodes) * (t * t)
     nodes, weights = contour.nodes, contour.weights
     a1 = model.a1.astype(np.complex128)
@@ -117,17 +118,23 @@ def _picard(model: SpectralModel, contour: Contour, t: float,
 
 
 def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
-                tol: float = 1e-12, max_iter: int = 500) -> RootSolution:
+                tol: float = 1e-12, max_iter: int = 500, *,
+                report: AdmissibilityReport | None = None) -> RootSolution:
     """Solve X = t^2 W1(A1 + X, Gamma) by Picard iteration from X = 0.
 
     Requires admissibility at coupling scale t. Convergence is geometric;
     the result is confirmed by an independent residual evaluation and the
-    containment ||X|| <= r_min.
+    containment ||X|| <= r_min. A caller that already holds
+    admissibility(model, contour, t) passes it as report, so V0 is not
+    evaluated again.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"coupling scale t={t} outside [0, 1]")
+    if report is None:
+        report = admissibility(model, contour, t)
     x0 = np.zeros((model.n, model.n), dtype=np.complex128)
-    return _picard(model, contour, float(t), tol, max_iter, x0)
+    return _picard(model, contour, ensure_admissible(report), float(t),
+                   tol, max_iter, x0)
 
 
 def _label_for(lam: complex, side: int, tau: float) -> str:
@@ -207,7 +214,9 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
         raise ValueError("t grid must be strictly increasing")
     if ts[0] < 0.0 or ts[-1] > 1.0:
         raise ValueError("t grid must lie in [0, 1]")
-    require_admissible(model, contour, ts[-1])
+    # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
+    base = admissibility(model, contour)
+    ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
 
     a_norm = float(np.linalg.norm(model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
@@ -218,7 +227,8 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     lipschitz = 0.0
     t_prev = None
     for t in ts:
-        sol = _picard(model, contour, t, tol, max_iter, x_prev)
+        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
+        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
         eigs = np.linalg.eigvals(sol.z_op)
         if eigs_prev is None:
             eigs = np.sort_complex(eigs)

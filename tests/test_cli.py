@@ -160,6 +160,49 @@ def test_config_errors_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+def _with(section, values):
+    return {**BASE, section: values}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("verify", _with("verify", {"seed": -1})),
+    ("solve", _with("contour", {"sides": "ab"})),
+    ("sweep", _with("sweep", {"t_grid": [1.0, 0.5]})),
+    ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]})),
+    ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7})),
+    ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0})),
+], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
+        "t-grid-above-1", "semicircle-depth", "rectangle-node-cap"])
+def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
+    argv = [command, "--config", write_cfg(tmp_path, data)]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
+    import schurroots.contour as contour_mod
+
+    calls = []
+    original = contour_mod.variation
+
+    def counting(model, contour):
+        calls.append(contour.side)
+        return original(model, contour)
+
+    monkeypatch.setattr(contour_mod, "variation", counting)
+    for sides in ([1, -1], [-1]):
+        calls.clear()
+        cfg = write_cfg(tmp_path, _with("contour", {"sides": sides}))
+        code, _ = run(capsys, ["solve", "--config", cfg])
+        assert code == 0
+        assert sorted(calls) == sorted(sides)
+
+
 def test_report_path_from_config(tmp_path, capsys):
     data = dict(BASE)
     data["output"] = {"report": str(tmp_path / "via_cfg.json")}

@@ -7,11 +7,13 @@ r_max = 1 - sqrt(0.04 pi)         = 0.6455092298188968
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import schurroots as sr
+from schurroots.contour import _spectral_norms
 from schurroots.errors import AdmissibilityError, ModelError
 
 R_MIN_ORACLE = 0.14738648089387119
@@ -170,3 +172,55 @@ def test_admissibility_radii_identities_random(model_zoo):
         assert abs((d / 2 - rep.r_min) ** 2 - (d * d / 4 - v0)) < 1e-12
         assert abs((d - rep.r_max) ** 2 - v0) < 1e-12
         assert 0 < rep.r_min < rep.r_max < d
+
+
+def _svd_norms(kvals):
+    return np.linalg.norm(kvals, ord=2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectral_norms_match_svd(n):
+    rng = np.random.default_rng(100 + n)
+    shape = (64, n, n)
+    stacks = [
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        # K' of the zoo is close to c I: the cancelling 2 x 2 form
+        # F/2 + sqrt(F^2/4 - |det|^2) loses about half the digits here
+        0.0064 * np.eye(n) + 1e-10 * (rng.normal(size=shape)
+                                      + 1j * rng.normal(size=shape)),
+    ]
+    for kvals in stacks:
+        ref = _svd_norms(kvals)
+        got = _spectral_norms(kvals)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_variation_matches_svd_on_zoo(model_zoo):
+    for model in model_zoo:
+        for side in (1, -1):
+            for kind, depth in (("semicircle", None), ("rectangle", 0.5)):
+                c = sr.make_contour(model, side, kind, depth)
+                ref = float(np.sum(np.abs(c.weights)
+                                   * _svd_norms(model.kprime_values(c.nodes))))
+                assert abs(sr.variation(model, c) - ref) <= 1e-14 * ref
+
+
+def test_admissibility_at_rescales_exactly(friedrichs_model, friedrichs_contours):
+    c = friedrichs_contours[-1]
+    base = sr.admissibility(friedrichs_model, c)
+    for t in (0.0, 0.3, 0.7, 1.0):
+        assert (sr.admissibility_at(base.variation, base.distance, t)
+                == sr.admissibility(friedrichs_model, c, t))
+
+
+def test_node_cap_refuses_before_building(friedrichs_model):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=r"200000000 quadrature nodes.*4096"):
+            sr.make_contour(friedrichs_model, 1, "rectangle", depth=1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # no rule was built
+    with pytest.raises(ModelError, match="quadrature nodes"):
+        sr.make_contour(friedrichs_model, 1, nodes_per_unit=10 ** 6)

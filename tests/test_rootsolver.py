@@ -206,6 +206,43 @@ def test_homotopy_inadmissible():
     assert len(path) == 2
 
 
+def _count_variation(monkeypatch):
+    calls = []
+    original = sr.contour.variation
+
+    def counting(model, contour):
+        calls.append(contour)
+        return original(model, contour)
+
+    monkeypatch.setattr(sr.contour, "variation", counting)
+    return calls
+
+
+def test_homotopy_evaluates_variation_once(monkeypatch, friedrichs_model,
+                                           friedrichs_contours):
+    calls = _count_variation(monkeypatch)
+    grid = np.linspace(0.3, 1.0, 8)
+    for side in (1, -1):
+        path = sr.homotopy_path(friedrichs_model, friedrichs_contours[side], grid)
+        assert len(path) == 8
+    assert [c.side for c in calls] == [1, -1]
+
+
+def test_solve_basic_reuses_report(monkeypatch, friedrichs_model,
+                                   friedrichs_contours):
+    c = friedrichs_contours[1]
+    rep = sr.admissibility(friedrichs_model, c, 0.8)
+    calls = _count_variation(monkeypatch)
+    reused = sr.solve_basic(friedrichs_model, c, 0.8, report=rep)
+    assert calls == []
+    fresh = sr.solve_basic(friedrichs_model, c, 0.8)
+    assert len(calls) == 1
+    assert np.array_equal(reused.x, fresh.x)
+    bad = sr.admissibility_at(rep.variation, rep.distance, 10.0)
+    with pytest.raises(AdmissibilityError):
+        sr.solve_basic(friedrichs_model, c, 0.8, report=bad)
+
+
 def test_transformator_gap_guard(friedrichs_model, friedrichs_contours):
     c = friedrichs_contours[1]
     node = complex(c.nodes[len(c.nodes) // 2])
