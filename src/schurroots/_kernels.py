@@ -69,9 +69,14 @@ def resolvent_sum(kvals, nodes, weights, zmat):
 
 
 def resolvent_cauchy_sum(kvals, nodes, weights, zmat, z):
-    """sum_k w_k K_k @ inv(zmat - mu_k) / (mu_k - z) -> (r, n)."""
+    """sum_k w_k K_k @ inv(zmat - mu_k) / (mu_k - z) -> (r, n).
+
+    z may also be a 1-d array of P points -> (P, r, n); the resolvent
+    products do not depend on z, so they are solved once for all points.
+    """
     t = _right_resolvent_products(kvals, nodes, zmat)
-    return np.einsum("m,mij->ij", weights / (nodes - z), t)
+    factors = weights / (nodes - np.asarray(z)[..., None])
+    return np.einsum("...m,mij->...ij", factors, t)
 
 
 def sandwich_sum(kvals, nodes, weights, zleft, zright):

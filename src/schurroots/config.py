@@ -17,6 +17,10 @@ from .errors import ConfigError
 
 _VALID_KINDS = ("semicircle", "rectangle")
 
+# Upper limit of every verify sample count; it also bounds the width of
+# the stacked J-orthogonality integrand.
+MAX_VERIFY_SAMPLES = 10_000
+
 
 def pair_to_complex(val) -> complex:
     if isinstance(val, (int, float)):
@@ -51,6 +55,15 @@ def _require_finite(name, *values):
             ok = math.isfinite(v)
         if not ok:
             raise ConfigError(f"non-finite value in {name}: {v!r}")
+
+
+def _sample_count(section: dict, key: str, default: int) -> int:
+    val = section.get(key, default)
+    if (isinstance(val, bool) or not isinstance(val, int)
+            or not 1 <= val <= MAX_VERIFY_SAMPLES):
+        raise ConfigError(
+            f"verify.{key} must be an integer in [1, {MAX_VERIFY_SAMPLES}], got {val!r}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -173,11 +186,11 @@ class RunConfig:
             coupling_scale=scale,
             t_grid=t_grid,
             seed=seed,
-            lens_points=int(verify.get("lens_points", 50)),
-            factor_points=int(verify.get("factor_points", 30)),
-            boundary_points=int(verify.get("boundary_points", 50)),
-            riccati_samples=int(verify.get("riccati_samples", 50)),
-            trial_count=int(verify.get("trial_count", 20)),
+            lens_points=_sample_count(verify, "lens_points", 50),
+            factor_points=_sample_count(verify, "factor_points", 30),
+            boundary_points=_sample_count(verify, "boundary_points", 50),
+            riccati_samples=_sample_count(verify, "riccati_samples", 50),
+            trial_count=_sample_count(verify, "trial_count", 20),
             corrupt_z=float(verify.get("corrupt_z", 0.0)),
             quad_tol=quad_tol,
             report_path=out.get("report"),

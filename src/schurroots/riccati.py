@@ -13,7 +13,8 @@ import numpy as np
 
 from ._kernels import resolvent_cauchy_sum, resolvent_sum, sandwich_sum
 from ._quad import adaptive_quad
-from .contour import Contour, admissibility, distance_to_sigma1
+from .contour import (AdmissibilityReport, Contour, admissibility,
+                      distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
 from .rootsolver import RootSolution, _require_clear_of_nodes
@@ -170,7 +171,6 @@ def riccati_residual(model: SpectralModel, ric: RiccatiSolution,
     mus = np.asarray(list(sample_mus), dtype=np.float64)
     a1 = model.a1.astype(np.complex128)
     bsy = ric.bstar_y
-    worst = 0.0
     if not adjoint:
         yv = ric.y_values(mus)
         bv = ric.y_repr.b(mus)
@@ -180,14 +180,33 @@ def riccati_residual(model: SpectralModel, ric: RiccatiSolution,
         bs = ric.y_repr.b.sharp()(mus)
         coef = a1 - np.conj(bsy.T)
         res = mus[:, None, None] * yt - coef @ yt + bs
-    for r in res:
-        worst = max(worst, float(np.linalg.norm(r, 2)))
-    return worst
+    return float(np.max(np.linalg.norm(res, 2, axis=(1, 2))))
+
+
+@dataclass(frozen=True, eq=False)
+class RationalTrial:
+    """Trial function x0(mu) = c / (mu - pole), pole off the real axis."""
+
+    pole: complex
+    c: np.ndarray
+
+    def __call__(self, mus) -> np.ndarray:
+        mus = np.atleast_1d(np.asarray(mus, dtype=np.complex128))
+        return self.c[None, :] / (mus[:, None] - self.pole)
+
+    def l2_norm(self, interval) -> float:
+        """Norm in L2(interval), in closed form: its square is
+        ||c||^2 / h * [atan((mu - Re pole) / h)] from a to b, h = |Im pole|."""
+        a, b = interval
+        h = abs(self.pole.imag)
+        arc = np.arctan((b - self.pole.real) / h) - np.arctan((a - self.pole.real) / h)
+        return float(np.linalg.norm(self.c) * np.sqrt(arc / h))
 
 
 def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
     """Random rational trial pairs (x0 function, x1 vector) for the
-    J-orthogonality check. Poles sit a fixed distance off the interval."""
+    J-orthogonality check. Poles sit a fixed distance off the interval;
+    each x0 is a RationalTrial with unit c and each x1 a unit vector."""
     rng = np.random.default_rng(seed)
     a, b = ric.interval
     m = ric.y_repr.b.rows
@@ -200,51 +219,82 @@ def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
         c /= np.linalg.norm(c)
         x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         x1 /= np.linalg.norm(x1)
-
-        def x0(mus, pole=pole, c=c):
-            mus = np.atleast_1d(np.asarray(mus, dtype=np.complex128))
-            return c[None, :] / (mus[:, None] - pole)
-
-        trials.append((x0, x1))
+        trials.append((RationalTrial(pole, c), x1))
     return trials
+
+
+_JORTH_RTOL = 1e-11
+
+
+def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
+    """(lhs, rhs) with lhs_t = <x0_t, Y x1_t> and rhs_t = <Y^* x0_t, x1_t>.
+
+    Two adaptive quadratures over the interval serve every trial: one of
+    the stacked <x0_t, Y x1_t> through y(mu), one of the stacked Y^* x0_t
+    through ytilde(mu), so y and ytilde are evaluated once per panel.
+
+    A stacked quadrature stops when the summed panel error of the whole
+    stack, which bounds each trial's own, is at most
+    rtol * max(1, ||stacked value||). Both stacked values are at most
+    B = ||Y|| sqrt(sum_t ||x0_t||^2 max(1, ||x1_t||)^2), so the stacked
+    rtol is _JORTH_RTOL / max(1, B): no trial stops looser than at
+    _JORTH_RTOL * max(1, |its value|), the rule of one quadrature per trial.
+    """
+    a, b = ric.interval
+    breaks = _pole_breaks(ric.z_op, ric.interval)
+    x0s = [x0 for x0, _ in trial_vectors]
+    poles = np.array([x0.pole for x0 in x0s], dtype=np.complex128)
+    cs = np.array([x0.c for x0 in x0s], dtype=np.complex128)
+    x1s = np.array([x1 for _, x1 in trial_vectors], dtype=np.complex128)
+    x0_norms = np.array([x0.l2_norm(ric.interval) for x0 in x0s])
+    x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
+    bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
+    rtol = _JORTH_RTOL / max(1.0, bound)
+
+    def x0_values(nodes):
+        # every trial's x0 at every node: (M, T, m)
+        return cs[None] / (nodes.astype(np.complex128)[:, None, None]
+                           - poles[None, :, None])
+
+    def lhs_panel(nodes, weights):
+        yx1 = ric.y_values(nodes) @ x1s.T  # (M, m, T)
+        vals = np.einsum("mti,mit->mt", np.conj(x0_values(nodes)), yx1)
+        return weights @ vals
+
+    def rhs_panel(nodes, weights):
+        yt = ric.y_repr.adjoint_values(nodes)
+        ytx0 = np.einsum("mij,mtj->mti", yt, x0_values(nodes))
+        return np.einsum("m,mti->ti", weights, ytx0)
+
+    lhs, _ = adaptive_quad(lhs_panel, a, b, rtol=rtol, breaks=breaks)
+    ystar_x0, _ = adaptive_quad(rhs_panel, a, b, rtol=rtol, breaks=breaks)
+    return lhs, np.einsum("ti,ti->t", np.conj(ystar_x0), x1s)
 
 
 def j_orthogonality(ric: RiccatiSolution, trial_vectors) -> float:
     """max over trials of |<x0, Y x1> - <Y^* x0, x1>|.
 
     Vanishing of this adjointness defect is what makes the two graph
-    subspaces J-orthogonal; both sides are adaptive quadratures over the
-    interval.
+    subspaces J-orthogonal. The trials are (RationalTrial, vector) pairs
+    as rational_trials draws them. All trials share one stacked adaptive
+    quadrature per side of the pairing (see _j_pairings), 2 in all.
     """
-    a, b = ric.interval
-    breaks = _pole_breaks(ric.z_op, ric.interval)
-    worst = 0.0
-    for x0, x1 in trial_vectors:
-        def lhs_panel(nodes, weights):
-            yv = ric.y_values(nodes)
-            yx1 = yv @ x1
-            vals = np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
-            return np.asarray(np.sum(weights * vals))
-
-        def rhs_panel(nodes, weights):
-            yt = ric.y_repr.adjoint_values(nodes)
-            ytx0 = np.einsum("mij,mj->mi", yt, x0(nodes))
-            return np.einsum("m,mi->i", weights, ytx0)
-
-        lhs, _ = adaptive_quad(lhs_panel, a, b, breaks=breaks)
-        ystar_x0, _ = adaptive_quad(rhs_panel, a, b, breaks=breaks)
-        rhs = complex(np.vdot(ystar_x0, x1))
-        worst = max(worst, abs(complex(lhs) - rhs))
-    return worst
+    if not trial_vectors:
+        return 0.0
+    lhs, rhs = _j_pairings(ric, trial_vectors)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def compute_Omega(model: SpectralModel, contour: Contour,
-                  sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperator:
+                  sol_l: RootSolution, sol_minus_l: RootSolution, *,
+                  report: AdmissibilityReport | None = None) -> OmegaOperator:
     """Omega for side l by contour quadrature, with its two contracts.
 
     Omega = integral over Gamma^l of (Z^(-l)* - mu)^{-1} K'(mu)
     (Z^(l) - mu)^{-1} dmu. Checks the norm bound V0 / (d^2/4) and the
-    adjoint relation against the mirror-contour value for side -l.
+    adjoint relation against the mirror-contour value for side -l. A
+    caller that already holds admissibility(model, contour, t) passes it
+    as report, so V0 is not evaluated again.
     """
     if sol_l.side != contour.side or sol_minus_l.side != -contour.side:
         raise ValueError("solution sides must be (l, -l) for the side-l contour")
@@ -262,7 +312,7 @@ def compute_Omega(model: SpectralModel, contour: Contour,
     zl_h = np.conj(sol_minus_l.z_op.T)
     omega = omega_on(contour, zl_h, sol_l.z_op)
 
-    rep = admissibility(model, contour, t)
+    rep = admissibility(model, contour, t) if report is None else report
     bound = rep.variation / (0.25 * rep.distance ** 2)
     norm = float(np.linalg.norm(omega, 2))
     if norm >= bound:
@@ -323,19 +373,22 @@ def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
 
 
 def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
-              z: complex) -> np.ndarray:
+              z) -> np.ndarray:
     """F1(z, Gamma) = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1} dmu.
 
     The factorization M1(z, Gamma) = F1(z, Gamma)(Z - z) holds wherever
     both sides are defined; F1 is invertible on the d/2-neighborhood of
-    sigma1.
+    sigma1. z is one point -> (n, n), or a 1-d array of P points ->
+    (P, n, n); the resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved
+    once for all of them.
     """
-    z = complex(z)
-    if _too_close(contour, z):
-        raise ValueError(f"z={z} too close to the contour for quadrature")
+    zs = np.asarray(z, dtype=np.complex128)
+    for zz in np.atleast_1d(zs):
+        if _too_close(contour, zz):
+            raise ValueError(f"z={complex(zz)} too close to the contour for quadrature")
     sm = model.scaled(sol.coupling_scale)
     kv = sm.kprime_values(contour.nodes)
-    acc = resolvent_cauchy_sum(kv, contour.nodes, contour.weights, sol.z_op, z)
+    acc = resolvent_cauchy_sum(kv, contour.nodes, contour.weights, sol.z_op, zs)
     return np.eye(model.n, dtype=np.complex128) + acc
 
 

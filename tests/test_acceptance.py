@@ -22,10 +22,11 @@ R_MAX_ORACLE = 0.6455092298188968
 IDENTITY_ROWS_4 = {
     "a": ("sheets-crosspath",),
     "b": ("factorization", "factor-conditioning"),
-    "c": ("omega-bound", "omega-adjoint"),
+    "c": ("omega-bound", "omega-adjoint", "omega-two-path"),
     "d": ("projection-inverse", "moment-similarity", "root-reconstruction"),
     "e": ("root-equation", "riccati-pointwise", "riccati-adjoint"),
     "f": ("boundary-imag",),
+    "g": ("j-orthogonality",),
 }
 
 
@@ -111,8 +112,8 @@ def test_criterion_4_identity_suite(suite):
                     failures.append((entry["tag"], part, name,
                                      row["residual"]))
     ok = not failures
-    _line(4, ok, "sheets/factorization/Omega/reconstruction/Riccati/boundary "
-                 f"identities on 21 models x 2 sides"
+    _line(4, ok, "sheets/factorization/Omega/reconstruction/Riccati/boundary/"
+                 f"J-orthogonality identities on 21 models x 2 sides"
                  + (f"; failures: {failures}" if failures else ""))
     assert ok, failures
 

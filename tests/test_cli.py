@@ -171,8 +171,20 @@ def _with(section, values):
     ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]})),
     ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7})),
     ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0})),
+    ("verify", _with("verify", {"riccati_samples": 0})),
+    ("verify", _with("verify", {"lens_points": 0})),
+    ("verify", _with("verify", {"trial_count": 0})),
+    ("verify", _with("verify", {"boundary_points": 0})),
+    ("verify", _with("verify", {"factor_points": -3})),
+    ("verify", _with("verify", {"trial_count": 10_001})),
+    ("verify", _with("verify", {"lens_points": 2.5})),
+    ("verify", _with("verify", {"factor_points": "30"})),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
-        "t-grid-above-1", "semicircle-depth", "rectangle-node-cap"])
+        "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
+        "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
+        "zero-boundary-points", "negative-factor-points",
+        "trial-count-above-cap", "fractional-lens-points",
+        "string-factor-points"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
@@ -201,6 +213,51 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
         code, _ = run(capsys, ["solve", "--config", cfg])
         assert code == 0
         assert sorted(calls) == sorted(sides)
+
+
+def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
+    # one V0 per side, and 12 adaptive quadratures: Gram and B^*Y (2 per
+    # side), the deformed Omega, the norm-ceiling integral and the two
+    # stacked J-orthogonality pairings (1, 1 and 2 per side)
+    import schurroots.contour as contour_mod
+    import schurroots.riccati as riccati_mod
+
+    variations, quads = [], []
+    original_variation = contour_mod.variation
+    original_quad = riccati_mod.adaptive_quad
+
+    def counting_variation(model, contour):
+        variations.append(contour.side)
+        return original_variation(model, contour)
+
+    def counting_quad(*args, **kwargs):
+        quads.append(1)
+        return original_quad(*args, **kwargs)
+
+    monkeypatch.setattr(contour_mod, "variation", counting_variation)
+    monkeypatch.setattr(riccati_mod, "adaptive_quad", counting_quad)
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
+    assert code == 0
+    assert json.loads(out)["all_identities_pass"] is True
+    assert sorted(variations) == [-1, 1]
+    assert len(quads) == 12
+
+
+def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
+    # a 2x2 model whose roots sit well inside the r_min disks and whose
+    # ||Y||^2 stays well below the norm-ceiling integral: both rows report
+    # the room left as a negative residual instead of a clamped 0.0
+    model = next(m for m in model_zoo if m.n == 2)
+    data = {"model": {"interval": list(model.interval),
+                      "a1": np.real(model.a1).tolist(),
+                      "b": [np.real(c).tolist() for c in model.b.coefficients]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    assert len(rows) == 17
+    for name in ("localization", "y-norm-ceiling"):
+        assert rows[name]["passed"]
+        assert rows[name]["residual"] < -1e-3, rows[name]
 
 
 def test_report_path_from_config(tmp_path, capsys):

@@ -41,6 +41,9 @@ def test_kernels_match_naive_loop(n):
     resolvent = sum(wk * k @ r for wk, k, r in zip(w, kv, inv_r))
     resolvent_cauchy = sum(wk * k @ r / (mu - z)
                            for wk, k, r, mu in zip(w, kv, inv_r, mus))
+    resolvent_cauchy_many = np.array([sum(wk * k @ r / (mu - zp)
+                                          for wk, k, r, mu in zip(w, kv, inv_r, mus))
+                                      for zp in zs])
     sandwich = sum(wk * left @ k @ r for wk, k, left, r in zip(w, kv, inv_l, inv_r))
 
     assert _rel(poly, knp.polyval_matrix(coeffs, mus)) < 1e-13
@@ -49,6 +52,14 @@ def test_kernels_match_naive_loop(n):
     assert _rel(resolvent, knp.resolvent_sum(kv, mus, w, zm)) < 1e-12
     assert _rel(resolvent_cauchy, knp.resolvent_cauchy_sum(kv, mus, w, zm, z)) < 1e-12
     assert _rel(sandwich, knp.sandwich_sum(kv, mus, w, zl, zm)) < 1e-12
+
+    # a 1-d array of points: one batched call agrees with the naive loop
+    # and with one call per point
+    batched = knp.resolvent_cauchy_sum(kv, mus, w, zm, zs)
+    per_point = np.array([knp.resolvent_cauchy_sum(kv, mus, w, zm, zp) for zp in zs])
+    assert batched.shape == (len(zs), n, n)
+    assert _rel(resolvent_cauchy_many, batched) < 1e-12
+    assert _rel(per_point, batched) < 1e-14
 
 
 def test_numpy_resolvent_identity():

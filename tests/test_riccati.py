@@ -10,7 +10,9 @@ import pytest
 
 import schurroots as sr
 from schurroots.errors import NumericsError
-from schurroots.riccati import factor_F1, rational_trials, ysn_integral
+from schurroots._quad import adaptive_quad
+from schurroots.riccati import (_j_pairings, _pole_breaks, factor_F1,
+                                rational_trials, ysn_integral)
 
 
 def dense_gram(ric, nodes=1_000_001):
@@ -88,6 +90,87 @@ def test_j_orthogonality(matrix_case):
         assert sr.j_orthogonality(rics[side], trials) < 1e-10
 
 
+def _per_trial_pairings(ric, trials):
+    # reference: one pair of adaptive quadratures per trial, each at the
+    # default rtol (the J-orthogonality loop before the trials were stacked)
+    a, b = ric.interval
+    breaks = _pole_breaks(ric.z_op, ric.interval)
+    lhs_all, rhs_all = [], []
+    for x0, x1 in trials:
+        def lhs_panel(nodes, weights):
+            yx1 = ric.y_values(nodes) @ x1
+            vals = np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
+            return np.asarray(np.sum(weights * vals))
+
+        def rhs_panel(nodes, weights):
+            yt = ric.y_repr.adjoint_values(nodes)
+            ytx0 = np.einsum("mij,mj->mi", yt, x0(nodes))
+            return np.einsum("m,mi->i", weights, ytx0)
+
+        lhs, _ = adaptive_quad(lhs_panel, a, b, breaks=breaks)
+        ystar_x0, _ = adaptive_quad(rhs_panel, a, b, breaks=breaks)
+        lhs_all.append(complex(lhs))
+        rhs_all.append(complex(np.vdot(ystar_x0, x1)))
+    return np.array(lhs_all), np.array(rhs_all)
+
+
+def test_stacked_j_orthogonality_matches_per_trial_loop(
+        matrix_case, friedrichs_model, friedrichs_contours):
+    _, _, _, rics = matrix_case
+    cases = [rics[side] for side in (1, -1)]
+    for side in (1, -1):
+        sol = sr.solve_basic(friedrichs_model, friedrichs_contours[side])
+        cases.append(sr.compute_Y(friedrichs_model, sol))
+    for ric in cases:
+        trials = rational_trials(ric, 20, seed=3)
+        ref_lhs, ref_rhs = _per_trial_pairings(ric, trials)
+        lhs, rhs = _j_pairings(ric, trials)
+        assert lhs.shape == rhs.shape == (20,)
+        assert np.max(np.abs(lhs - ref_lhs)) <= 1e-12
+        assert np.max(np.abs(rhs - ref_rhs)) <= 1e-12
+        reference = float(np.max(np.abs(ref_lhs - ref_rhs)))
+        assert abs(sr.j_orthogonality(ric, trials) - reference) <= 1e-12
+
+
+def test_stacked_stop_no_looser_than_per_trial(monkeypatch, matrix_case,
+                                               friedrichs_model,
+                                               friedrichs_contours):
+    # A stacked quadrature stops at rtol * max(1, ||stacked value||) on a
+    # summed panel error that bounds every trial's own. That threshold, and
+    # the error reached, must meet each trial's per-trial rule
+    # 1e-11 * max(1, |value_t|).
+    stops = []
+    original = sr.riccati.adaptive_quad
+
+    def recording(*args, **kwargs):
+        value, info = original(*args, **kwargs)
+        stops.append((value, info["error"], kwargs["rtol"]))
+        return value, info
+
+    monkeypatch.setattr(sr.riccati, "adaptive_quad", recording)
+    _, _, _, rics = matrix_case
+    sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
+    for ric in (rics[1], rics[-1], sr.compute_Y(friedrichs_model, sol)):
+        stops.clear()
+        _j_pairings(ric, rational_trials(ric, 20, seed=0))
+        assert len(stops) == 2
+        for value, err, rtol in stops:
+            per_trial = np.abs(value) if value.ndim == 1 else np.linalg.norm(value, axis=1)
+            rule = 1e-11 * np.min(np.maximum(1.0, per_trial))
+            assert rtol * max(1.0, np.linalg.norm(value)) <= rule
+            assert err <= rule
+
+
+def test_trial_l2_norm_closed_form(matrix_case):
+    _, _, _, rics = matrix_case
+    ric = rics[1]
+    a, b = ric.interval
+    grid = np.linspace(a, b, 200_001)
+    for x0, _ in rational_trials(ric, 5, seed=11):
+        dense = np.sqrt(np.trapezoid(np.sum(np.abs(x0(grid)) ** 2, axis=1), grid))
+        assert abs(x0.l2_norm(ric.interval) - dense) <= 1e-8 * dense
+
+
 def test_rational_trials_reproducible(matrix_case):
     _, _, _, rics = matrix_case
     t1 = rational_trials(rics[1], 3, seed=9)
@@ -123,6 +206,25 @@ def test_omega_properties(matrix_case):
         oms[side] = om
     # mirror relation between the two sides
     assert np.max(np.abs(oms[-1].omega - np.conj(oms[1].omega.T))) < 1e-10
+
+
+def test_omega_reuses_report(monkeypatch, matrix_case):
+    model, contours, sols, _ = matrix_case
+    rep = sr.admissibility(model, contours[1])
+    calls = []
+    original = sr.contour.variation
+
+    def counting(model, contour):
+        calls.append(contour.side)
+        return original(model, contour)
+
+    monkeypatch.setattr(sr.contour, "variation", counting)
+    reused = sr.compute_Omega(model, contours[1], sols[1], sols[-1], report=rep)
+    assert calls == []
+    fresh = sr.compute_Omega(model, contours[1], sols[1], sols[-1])
+    assert calls == [1]
+    assert np.array_equal(reused.omega, fresh.omega)
+    assert reused.bound == fresh.bound
 
 
 def test_omega_two_path(matrix_case):
@@ -195,3 +297,30 @@ def test_factorization(matrix_case):
             prod = f1 @ (sol.z_op - z * np.eye(model.n))
             assert np.linalg.norm(m1 - prod, 2) < 1e-9 * (1 + np.linalg.norm(m1, 2))
             assert np.isfinite(np.linalg.cond(f1))
+
+
+def _square_model(n, rng):
+    # the conftest recipe at size n x n: clustered interior spectrum and
+    # a coupling with orthonormal columns, admissible on both sides
+    pert = 0.03 * rng.normal(size=(n, n))
+    a1 = 0.1 * np.eye(n) + 0.5 * (pert + pert.T)
+    q, _ = np.linalg.qr(rng.normal(size=(n + 1, n)))
+    return sr.build_model((-1.0, 1.0), a1, [0.08 * q, 0.015 * rng.normal(size=(n + 1, n))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_F1_batched_matches_per_point(n):
+    rng = np.random.default_rng(700 + n)
+    model = _square_model(n, rng)
+    for side in (1, -1):
+        contour = sr.make_contour(model, side)
+        rep = sr.admissibility(model, contour)
+        assert rep.admissible
+        sol = sr.solve_basic(model, contour, report=rep)
+        lam = rng.choice(model.sigma1, size=9)
+        zs = lam + rng.uniform(0.05, 0.45, size=9) * rep.distance * np.exp(
+            2j * np.pi * rng.uniform(size=9))
+        batched = factor_F1(model, contour, sol, zs)
+        single = np.array([factor_F1(model, contour, sol, complex(z)) for z in zs])
+        assert batched.shape == (9, n, n)
+        assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
