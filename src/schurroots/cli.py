@@ -3,6 +3,14 @@
 All workflows consume a JSON RunConfig and emit a JSON report (plus CSV
 for sweep). Exit codes: 0 success, 2 inadmissible input, 3 numerical
 failure, 4 config error.
+
+solve, verify and sweep share one prologue (_prologue): the model, one
+contour per side, the base report, and admissibility evaluated once per
+side at t = 1 and rescaled to the command's coupling. Every object of
+the construction comes as a +-l pair (one contour, root Z, angular
+operator Y and Omega per side), so verify checks each identity once per
+side: a row is a function of one side, and the row's residual is the
+largest of its per-side values (_worst).
 """
 
 import argparse
@@ -15,7 +23,7 @@ import numpy as np
 from . import friedrichs as fr
 from ._kernels import backend_name
 from .config import RunConfig, build_model_from_config
-from .contour import admissibility, make_contour, optimize_r0
+from .contour import admissibility, admissibility_at, make_contour, optimize_r0
 from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
 from .report import (admissibility_block, atomic_write, config_sha256,
@@ -33,13 +41,47 @@ EXIT_INADMISSIBLE = 2
 EXIT_NUMERICS = 3
 EXIT_CONFIG = 4
 
+# The failures an identity row (or a per-side value it reads) turns into a
+# failed row with a note instead of aborting verify; np.linalg.LinAlgError
+# is a ValueError.
+_ROW_ERRORS = (SchurRootsError, ValueError)
 
-def _contours(model, cfg, sides):
-    return {
+
+def _prologue(command, cfg, sides, t) -> tuple:
+    """The shared start of solve, verify and sweep.
+
+    Builds the model, one contour per side and the base report. V0 and d
+    are evaluated once per side at t = 1 (admissibility) and rescaled to
+    coupling t (admissibility_at). The report's admissibility block is the
+    first side's at t, and the report is marked inadmissible when that
+    block fails. Returns (model, contours, report, at_one, at_t), the last
+    two mapping each side to its report at t = 1 and at t.
+    """
+    model = build_model_from_config(cfg)
+    contours = {
         side: make_contour(model, side, cfg.contour_kind, cfg.depth,
                            cfg.nodes_per_unit)
         for side in sides
     }
+    at_one = {side: admissibility(model, contour)
+              for side, contour in contours.items()}
+    at_t = {side: admissibility_at(rep.variation, rep.distance, t)
+            for side, rep in at_one.items()}
+    first = at_t[sides[0]]
+    report = {
+        "command": command,
+        "status": "ok" if first.admissible else "inadmissible",
+        "feshbach": model.feshbach,
+        "sides": list(contours),
+        "identities": [],
+        "admissibility": admissibility_block(first),
+        "provenance": {
+            "config_sha256": config_sha256(cfg),
+            "kernel_backend": backend_name(),
+            "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
+        },
+    }
+    return model, contours, report, at_one, at_t
 
 
 def _r0(cfg, model, side, rep) -> float:
@@ -57,21 +99,6 @@ def _r0(cfg, model, side, rep) -> float:
     return r0
 
 
-def _base_report(command, cfg, model, contours):
-    return {
-        "command": command,
-        "status": "ok",
-        "feshbach": model.feshbach,
-        "sides": list(contours.keys()),
-        "identities": [],
-        "provenance": {
-            "config_sha256": config_sha256(cfg),
-            "kernel_backend": backend_name(),
-            "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
-        },
-    }
-
-
 def _finish(report, start) -> dict:
     report["provenance"]["wall_time_s"] = time.perf_counter() - start
     return sanitize(report)
@@ -79,19 +106,12 @@ def _finish(report, start) -> dict:
 
 def cmd_solve(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model = build_model_from_config(cfg)
-    contours = _contours(model, cfg, cfg.sides)
-    report = _base_report("solve", cfg, model, contours)
-
-    reps = {side: admissibility(model, contour, cfg.coupling_scale)
-            for side, contour in contours.items()}
-    first = cfg.sides[0]
-    rep = reps[first]
-    if not rep.admissible:
-        report["status"] = "inadmissible"
-        report["admissibility"] = admissibility_block(rep)
+    model, contours, report, _, reps = _prologue("solve", cfg, cfg.sides,
+                                                 cfg.coupling_scale)
+    if report["status"] != "ok":
         return _finish(report, start)
-    report["admissibility"] = admissibility_block(rep, r0=_r0(cfg, model, first, rep))
+    first = cfg.sides[0]
+    report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, first, reps[first])
 
     report["solutions"] = {}
     for side, contour in contours.items():
@@ -144,171 +164,146 @@ def _worst_relative_gap(ref, other) -> float:
     return float(np.max(norms[0] / (1.0 + norms[1])))
 
 
+def _relative_gap(gap, ref) -> float:
+    """||gap|| / (1 + ||ref||) in the spectral norm."""
+    return float(np.linalg.norm(gap, 2)) / (1.0 + float(np.linalg.norm(ref, 2)))
+
+
+def _worst(per_side, sides) -> float:
+    """The largest per_side(side) over sides, 0.0 when there is no side.
+
+    The sides are evaluated in the order given (+1 before -1), which fixes
+    the order in which the rows draw their sample points from the shared
+    rng. A NaN value makes the result NaN, so the row fails.
+    """
+    values = [float(per_side(side)) for side in sides]
+    return float(np.max(values)) if values else 0.0
+
+
+def _capture(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the _ROW_ERRORS exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except _ROW_ERRORS as exc:
+        return exc
+
+
+def _captured(value):
+    """A _capture result, with a captured failure raised as NumericsError
+    carrying the same message."""
+    if isinstance(value, Exception):
+        raise NumericsError(str(value))
+    return value
+
+
 def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     """Build the identity rows plus per-side solution and Riccati blocks.
 
     reps maps each side to its admissibility report at the configured
-    coupling.
+    coupling. Returns (rows, sols, rics, clss), the last three keyed by
+    side.
     """
     t = cfg.coupling_scale
     sm = model.scaled(t)
     sides = (1, -1)
-    sols, rics, clss, omegas = {}, {}, {}, {}
+    sols, rics, clss = {}, {}, {}
     for side in sides:
         sol = solve_basic(model, contours[side], t, cfg.tol, cfg.max_iter,
                           report=reps[side])
         sols[side] = _corrupt(sol, cfg.corrupt_z)
         clss[side] = classify(model, contours[side], sols[side], cfg.tau_real)
         rics[side] = compute_Y(model, sols[side], cfg.quad_tol)
+    omegas = {side: _capture(compute_Omega, model, contours[side], sols[side],
+                             sols[-side], report=reps[side])
+              for side in sides}
+    recon = {side: _capture(reconstruct_from_contour, model, contours[side],
+                            sols[side])
+             for side in sides}
 
     rows = []
 
-    def add_row(name, tolerance, fn):
+    def add_row(name, tolerance, compute):
         try:
-            resid = float(fn())
-        except (SchurRootsError, ValueError, np.linalg.LinAlgError) as exc:
-            rows.append({"name": name, "residual": float("inf"),
-                         "tolerance": float(tolerance), "passed": False,
+            resid = float(compute())
+        except _ROW_ERRORS as exc:
+            rows.append({**identity_row(name, float("inf"), tolerance),
                          "note": str(exc)})
-            return
-        rows.append(identity_row(name, resid, tolerance))
+        else:
+            rows.append(identity_row(name, resid, tolerance))
 
-    def sheets_row():
-        worst = 0.0
-        for side in sides:
-            contour = contours[side]
-            pts = _lens_points(rng, contour, cfg.lens_points)
-            mc = m1_continued_many(sm, contour, pts)
-            sv = np.array([sheets_value(sm, z, side, contour) for z in pts])
-            worst = max(worst, _worst_relative_gap(mc, sv))
-        return worst
+    def over_sides(per_side, row_sides=sides):
+        return lambda: _worst(per_side, row_sides)
 
-    add_row("sheets-crosspath", 1e-9, sheets_row)
+    def sheets(side):
+        contour = contours[side]
+        pts = _lens_points(rng, contour, cfg.lens_points)
+        mc = m1_continued_many(sm, contour, pts)
+        sv = np.array([sheets_value(sm, z, side, contour) for z in pts])
+        return _worst_relative_gap(mc, sv)
+
+    add_row("sheets-crosspath", 1e-9, over_sides(sheets))
 
     d = reps[1].distance
 
-    def factor_row():
-        worst = 0.0
-        for side in sides:
-            contour, sol = contours[side], sols[side]
-            zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
-            f1 = factor_F1(model, contour, sol, zs)
-            mc = m1_continued_many(sm, contour, zs)
-            prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
-            worst = max(worst, _worst_relative_gap(mc, prod))
-        return worst
+    def factorization(side):
+        contour, sol = contours[side], sols[side]
+        zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
+        f1 = factor_F1(model, contour, sol, zs)
+        mc = m1_continued_many(sm, contour, zs)
+        prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
+        return _worst_relative_gap(mc, prod)
 
-    add_row("factorization", 1e-9, factor_row)
+    add_row("factorization", 1e-9, over_sides(factorization))
 
-    def conditioning_row():
-        worst = 0.0
-        for side in sides:
-            contour, sol = contours[side], sols[side]
-            zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
-            worst = max(worst, float(np.max(np.linalg.cond(
-                factor_F1(model, contour, sol, zs)))))
-        return worst
+    def conditioning(side):
+        zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
+        return np.max(np.linalg.cond(factor_F1(model, contours[side], sols[side], zs)))
 
-    add_row("factor-conditioning", 1e8, conditioning_row)
+    add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
-    for side in sides:
-        try:
-            omegas[side] = compute_Omega(model, contours[side],
-                                         sols[side], sols[-side],
-                                         report=reps[side])
-        except (SchurRootsError, ValueError) as exc:
-            omegas[side] = exc
+    def omega_bound(side):
+        om = _captured(omegas[side])
+        return om.norm - om.bound
 
-    def omega_bound_row():
-        worst = -np.inf
-        for side in sides:
-            om = omegas[side]
-            if isinstance(om, Exception):
-                raise NumericsError(str(om))
-            worst = max(worst, om.norm - om.bound)
-        return worst
+    add_row("omega-bound", 0.0, over_sides(omega_bound))
 
-    add_row("omega-bound", 0.0, omega_bound_row)
+    def omega_adjoint(side):
+        om = _captured(omegas[side])
+        return om.adjoint_residual / (1.0 + om.norm)
 
-    def omega_adjoint_row():
-        worst = 0.0
-        for side in sides:
-            om = omegas[side]
-            if isinstance(om, Exception):
-                raise NumericsError(str(om))
-            worst = max(worst, om.adjoint_residual / (1.0 + om.norm))
-        return worst
+    add_row("omega-adjoint", 1e-10, over_sides(omega_adjoint))
 
-    add_row("omega-adjoint", 1e-10, omega_adjoint_row)
+    def omega_two_path(side):
+        om = _captured(omegas[side])
+        alt = omega_by_deformation(model, sols[side], sols[-side], cfg.quad_tol)
+        return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
 
-    def omega_two_path_row():
-        worst = 0.0
-        for side in sides:
-            om = omegas[side]
-            if isinstance(om, Exception):
-                raise NumericsError(str(om))
-            alt = omega_by_deformation(model, sols[side], sols[-side], cfg.quad_tol)
-            worst = max(worst, float(np.linalg.norm(alt - om.omega, 2))
-                        / (1.0 + om.norm))
-        return worst
+    add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
 
-    add_row("omega-two-path", 1e-9, omega_two_path_row)
+    def projection(side):
+        h0 = _captured(recon[side])[0]
+        target = np.linalg.inv(np.eye(model.n) - _captured(omegas[side]).omega)
+        return _relative_gap(h0 - target, h0)
 
-    recon = {}
-    for side in sides:
-        try:
-            recon[side] = reconstruct_from_contour(model, contours[side], sols[side])
-        except (SchurRootsError, ValueError, np.linalg.LinAlgError) as exc:
-            recon[side] = exc
+    add_row("projection-inverse", 1e-8, over_sides(projection))
 
-    def projection_row():
-        worst = 0.0
-        for side in sides:
-            rec, om = recon[side], omegas[side]
-            if isinstance(rec, Exception):
-                raise NumericsError(str(rec))
-            if isinstance(om, Exception):
-                raise NumericsError(str(om))
-            target = np.linalg.inv(np.eye(model.n) - om.omega)
-            h0 = rec[0]
-            worst = max(worst, float(np.linalg.norm(h0 - target, 2))
-                        / (1.0 + float(np.linalg.norm(h0, 2))))
-        return worst
+    def similarity(side):
+        inv = np.linalg.inv(np.eye(model.n) - _captured(omegas[side]).omega)
+        zmh = np.conj(sols[-side].z_op.T)
+        z = sols[side].z_op
+        return _relative_gap(inv @ zmh - z @ inv, z)
 
-    add_row("projection-inverse", 1e-8, projection_row)
+    add_row("moment-similarity", 1e-9, over_sides(similarity))
 
-    def similarity_row():
-        worst = 0.0
-        for side in sides:
-            om = omegas[side]
-            if isinstance(om, Exception):
-                raise NumericsError(str(om))
-            inv = np.linalg.inv(np.eye(model.n) - om.omega)
-            zmh = np.conj(sols[-side].z_op.T)
-            z = sols[side].z_op
-            gap = inv @ zmh - z @ inv
-            worst = max(worst, float(np.linalg.norm(gap, 2))
-                        / (1.0 + float(np.linalg.norm(z, 2))))
-        return worst
+    def reconstruction(side):
+        z = sols[side].z_op
+        return _relative_gap(_captured(recon[side])[2] - z, z)
 
-    add_row("moment-similarity", 1e-9, similarity_row)
-
-    def reconstruction_row():
-        worst = 0.0
-        for side in sides:
-            rec = recon[side]
-            if isinstance(rec, Exception):
-                raise NumericsError(str(rec))
-            z = sols[side].z_op
-            worst = max(worst, float(np.linalg.norm(rec[2] - z, 2))
-                        / (1.0 + float(np.linalg.norm(z, 2))))
-        return worst
-
-    add_row("root-reconstruction", 1e-8, reconstruction_row)
+    add_row("root-reconstruction", 1e-8, over_sides(reconstruction))
 
     a_scale = 1.0 + float(np.linalg.norm(model.a1, 2))
-    add_row("root-equation", 1e-8, lambda: max(
-        check_ZAY(model, sols[s], rics[s]) for s in sides) / a_scale)
+    add_row("root-equation", 1e-8, over_sides(
+        lambda s: check_ZAY(model, sols[s], rics[s]) / a_scale))
 
     lo, hi = model.interval
     margin = 0.01 * (hi - lo)
@@ -316,55 +311,35 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     b_scale = 1.0 + max(
         float(np.max(np.linalg.norm(sm.b(samples), axis=(1, 2)))), 0.0)
 
-    add_row("riccati-pointwise", 1e-8, lambda: max(
-        riccati_residual(model, rics[s], samples) for s in sides) / b_scale)
-    add_row("riccati-adjoint", 1e-8, lambda: max(
-        riccati_residual(model, rics[s], samples, adjoint=True)
-        for s in sides) / b_scale)
+    add_row("riccati-pointwise", 1e-8, over_sides(
+        lambda s: riccati_residual(model, rics[s], samples) / b_scale))
+    add_row("riccati-adjoint", 1e-8, over_sides(
+        lambda s: riccati_residual(model, rics[s], samples, adjoint=True) / b_scale))
 
-    def jorth_row():
-        worst = 0.0
-        for side in sides:
-            trials = rational_trials(rics[side], cfg.trial_count, cfg.seed)
-            worst = max(worst, j_orthogonality(rics[side], trials)
-                        / (1.0 + rics[side].y_norm))
-        return worst
+    def jorth(side):
+        trials = rational_trials(rics[side], cfg.trial_count, cfg.seed)
+        return j_orthogonality(rics[side], trials) / (1.0 + rics[side].y_norm)
 
-    add_row("j-orthogonality", 1e-10, jorth_row)
+    add_row("j-orthogonality", 1e-10, over_sides(jorth))
 
     # The margin rows report a signed margin: the largest of their per-side
     # (or per-eigenvalue) values, negative when every one has room left.
-    def floor_row():
-        nonreal = [side for side in sides
-                   if any(e.label != "real" for e in clss[side].entries)]
-        if not nonreal:
-            return 0.0
-        return max(1.0 - rics[side].y_norm for side in nonreal)
+    # y-norm-floor applies only to the sides with a non-real eigenvalue.
+    nonreal = [side for side in sides
+               if any(e.label != "real" for e in clss[side].entries)]
+    add_row("y-norm-floor", 1e-8, over_sides(lambda s: 1.0 - rics[s].y_norm, nonreal))
+    add_row("y-norm-ceiling", 1e-8, over_sides(
+        lambda s: rics[s].y_norm ** 2 - ysn_integral(model, rics[s])))
 
-    add_row("y-norm-floor", 1e-8, floor_row)
+    def localization(side):
+        sol = sols[side]
+        return max(float(np.min(np.abs(lam - model.sigma1))) - sol.r_min
+                   for lam in np.linalg.eigvals(sol.z_op))
 
-    def ceiling_row():
-        worst = -np.inf
-        for side in sides:
-            bound = ysn_integral(model, rics[side])
-            worst = max(worst, rics[side].y_norm ** 2 - bound)
-        return worst
+    add_row("localization", 1e-9, over_sides(localization))
 
-    add_row("y-norm-ceiling", 1e-8, ceiling_row)
-
-    def localization_row():
-        worst = -np.inf
-        for side in sides:
-            sol = sols[side]
-            eigs = np.linalg.eigvals(sol.z_op)
-            for lam in eigs:
-                dist = float(np.min(np.abs(lam - model.sigma1)))
-                worst = max(worst, dist - sol.r_min)
-        return worst
-
-    add_row("localization", 1e-9, localization_row)
-
-    def boundary_row():
+    def boundary_imag():
+        # side-free: both boundary approaches share one set of points
         pts = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
                           size=cfg.boundary_points)
         kps = np.array([sm.kprime(float(lam)) for lam in pts])
@@ -376,25 +351,18 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))
         return float(np.max(norms[:2] / (1.0 + norms[2])))
 
-    add_row("boundary-imag", 1e-10, boundary_row)
+    add_row("boundary-imag", 1e-10, boundary_imag)
 
     return rows, sols, rics, clss
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model = build_model_from_config(cfg)
-    contours = _contours(model, cfg, (1, -1))
-    report = _base_report("verify", cfg, model, contours)
-
-    reps = {side: admissibility(model, contours[side], cfg.coupling_scale)
-            for side in (1, -1)}
-    rep = reps[1]
-    if not rep.admissible:
-        report["status"] = "inadmissible"
-        report["admissibility"] = admissibility_block(rep)
+    model, contours, report, _, reps = _prologue("verify", cfg, (1, -1),
+                                                 cfg.coupling_scale)
+    if report["status"] != "ok":
         return _finish(report, start)
-    report["admissibility"] = admissibility_block(rep, r0=_r0(cfg, model, 1, rep))
+    report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, 1, reps[1])
 
     rng = np.random.default_rng(cfg.seed)
     rows, sols, rics, clss = _identity_table(cfg, model, contours, rng, reps)
@@ -414,28 +382,22 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     start = time.perf_counter()
     if not cfg.t_grid:
         raise ConfigError("sweep requires a nonempty t_grid")
-    model = build_model_from_config(cfg)
-    contours = _contours(model, cfg, cfg.sides)
-    report = _base_report("sweep", cfg, model, contours)
-
-    rep = admissibility(model, contours[cfg.sides[0]], max(cfg.t_grid))
-    if not rep.admissible:
-        report["status"] = "inadmissible"
-        report["admissibility"] = admissibility_block(rep)
+    model, contours, report, at_one, _ = _prologue("sweep", cfg, cfg.sides,
+                                                   max(cfg.t_grid))
+    if report["status"] != "ok":
         return _finish(report, start), []
-    report["admissibility"] = admissibility_block(rep)
 
     rows = []
     offset = 0
     report["solutions"] = {}
-    for side in cfg.sides:
-        path = homotopy_path(model, contours[side], cfg.t_grid,
-                             cfg.tol, cfg.max_iter, cfg.tau_real)
+    for side, contour in contours.items():
+        path = homotopy_path(model, contour, cfg.t_grid, cfg.tol, cfg.max_iter,
+                             cfg.tau_real, report=at_one[side])
         for t, _, cls in path:
             for i, entry in enumerate(cls.entries):
                 rows.append((t, offset + i, entry.eigenvalue.real,
                              entry.eigenvalue.imag, entry.label))
-        t_end, sol_end, cls_end = path[-1]
+        _, sol_end, cls_end = path[-1]
         report["solutions"][f"{side:+d}"] = solution_block(sol_end, cls_end)
         offset += model.n
     report["rows"] = len(rows)

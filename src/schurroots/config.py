@@ -57,13 +57,28 @@ def _require_finite(name, *values):
             raise ConfigError(f"non-finite value in {name}: {v!r}")
 
 
-def _sample_count(section: dict, key: str, default: int) -> int:
-    val = section.get(key, default)
-    if (isinstance(val, bool) or not isinstance(val, int)
-            or not 1 <= val <= MAX_VERIFY_SAMPLES):
-        raise ConfigError(
-            f"verify.{key} must be an integer in [1, {MAX_VERIFY_SAMPLES}], got {val!r}")
+def _integer(val, name: str, lo: int, hi: int | None = None) -> int:
+    """val as an int in [lo, hi] (hi None: no upper limit); anything else,
+    a float or a bool included, raises ConfigError."""
+    if (isinstance(val, bool) or not isinstance(val, int) or val < lo
+            or (hi is not None and val > hi)):
+        limits = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"{name} must be an integer {limits}, got {val!r}")
     return val
+
+
+def _real(val, name: str) -> float:
+    """val as a finite float; a string, a bool, NaN or an infinity raises
+    ConfigError."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not math.isfinite(val)):
+        raise ConfigError(f"{name} must be a finite real number, got {val!r}")
+    return float(val)
+
+
+def _sample_count(section: dict, key: str, default: int) -> int:
+    return _integer(section.get(key, default), f"verify.{key}", 1,
+                    MAX_VERIFY_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -107,7 +122,7 @@ class RunConfig:
     @staticmethod
     def _parse(data: dict) -> "RunConfig":
         model = data["model"]
-        interval = tuple(float(x) for x in model["interval"])
+        interval = tuple(_real(x, "model.interval") for x in model["interval"])
         if len(interval) != 2:
             raise ConfigError("interval must be [lo, hi]")
         a1 = matrix_from_lists(model["a1"])
@@ -118,7 +133,6 @@ class RunConfig:
         if len(shapes) != 1:
             raise ConfigError(f"coefficient shapes disagree: {sorted(shapes)}")
 
-        _require_finite("interval", *interval)
         _require_finite("a1", *a1.ravel().tolist())
         for c in coeffs:
             _require_finite("b", *c.ravel().tolist())
@@ -127,16 +141,13 @@ class RunConfig:
         kind = contour.get("kind", "semicircle")
         if kind not in _VALID_KINDS:
             raise ConfigError(f"unknown contour kind {kind!r}")
-        sides = tuple(int(s) for s in contour.get("sides", [1, -1]))
-        if not sides or any(s not in (1, -1) for s in sides):
+        sides = tuple(_integer(s, "contour.sides", -1, 1)
+                      for s in contour.get("sides", [1, -1]))
+        if not sides or 0 in sides or len(set(sides)) != len(sides):
             raise ConfigError(f"sides must be a nonempty subset of [1, -1], got {sides}")
         depth = contour.get("depth")
-        depth = None if depth is None else float(depth)
-        if depth is not None:
-            _require_finite("depth", depth)
-        npu = int(contour.get("nodes_per_unit", 200))
-        if npu <= 0:
-            raise ConfigError("nodes_per_unit must be positive")
+        depth = None if depth is None else _real(depth, "contour.depth")
+        npu = _integer(contour.get("nodes_per_unit", 200), "contour.nodes_per_unit", 1)
         if kind == "rectangle" and depth is None:
             raise ConfigError("rectangle contour requires a depth")
         rho = 0.5 * (interval[1] - interval[0])
@@ -147,30 +158,28 @@ class RunConfig:
             )
 
         solver = data.get("solver", {})
-        tol = float(solver.get("tol", 1e-12))
-        max_iter = int(solver.get("max_iter", 500))
+        tol = _real(solver.get("tol", 1e-12), "solver.tol")
+        max_iter = _integer(solver.get("max_iter", 500), "solver.max_iter", 1)
         tau_real = solver.get("tau_real")
-        tau_real = None if tau_real is None else float(tau_real)
-        scale = float(solver.get("coupling_scale", 1.0))
-        quad_tol = float(solver.get("quad_tol", 1e-11))
-        _require_finite("solver", tol, scale, quad_tol)
+        tau_real = None if tau_real is None else _real(tau_real, "solver.tau_real")
+        scale = _real(solver.get("coupling_scale", 1.0), "solver.coupling_scale")
+        quad_tol = _real(solver.get("quad_tol", 1e-11), "solver.quad_tol")
         if not 0.0 <= scale <= 1.0:
             raise ConfigError(f"coupling_scale must be in [0, 1], got {scale}")
-        if tol <= 0 or max_iter <= 0 or quad_tol <= 0:
-            raise ConfigError("tol, max_iter and quad_tol must be positive")
+        if tol <= 0 or quad_tol <= 0:
+            raise ConfigError("tol and quad_tol must be positive")
+        if tau_real is not None and tau_real < 0:
+            raise ConfigError(f"solver.tau_real must be nonnegative, got {tau_real}")
 
         sweep = data.get("sweep", {})
-        t_grid = tuple(float(t) for t in sweep.get("t_grid", []))
-        _require_finite("t_grid", *t_grid) if t_grid else None
+        t_grid = tuple(_real(t, "sweep.t_grid") for t in sweep.get("t_grid", []))
         if any(tb <= ta for ta, tb in zip(t_grid[:-1], t_grid[1:])):
             raise ConfigError("sweep.t_grid must be strictly increasing")
         if t_grid and (t_grid[0] < 0.0 or t_grid[-1] > 1.0):
             raise ConfigError("sweep.t_grid must lie in [0, 1]")
 
         verify = data.get("verify", {})
-        seed = int(verify.get("seed", 0))
-        if seed < 0:
-            raise ConfigError(f"verify.seed must be nonnegative, got {seed}")
+        seed = _integer(verify.get("seed", 0), "verify.seed", 0)
         out = data.get("output", {})
         return RunConfig(
             interval=interval,
@@ -191,7 +200,7 @@ class RunConfig:
             boundary_points=_sample_count(verify, "boundary_points", 50),
             riccati_samples=_sample_count(verify, "riccati_samples", 50),
             trial_count=_sample_count(verify, "trial_count", 20),
-            corrupt_z=float(verify.get("corrupt_z", 0.0)),
+            corrupt_z=_real(verify.get("corrupt_z", 0.0), "verify.corrupt_z"),
             quad_tol=quad_tol,
             report_path=out.get("report"),
             csv_path=out.get("csv"),

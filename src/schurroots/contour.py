@@ -9,6 +9,7 @@ interval length) and a three-segment rectangle of adjustable depth.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,18 +49,19 @@ class Contour:
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def local_spacing(self, k: int) -> float:
-        """Distance from node k to its nearest neighbor within the same
-        segment, used by the quadrature-degeneracy guards."""
+    @cached_property
+    def node_spacing(self) -> np.ndarray:
+        """Per node, the larger of its gaps to its neighbors within the same
+        segment, used by the quadrature-degeneracy guard; computed once per
+        contour."""
+        spacing = np.zeros(self.num_nodes)
         for sl in self.segment_slices:
-            if sl.start <= k < sl.stop:
-                gaps = []
-                if k > sl.start:
-                    gaps.append(abs(self.nodes[k] - self.nodes[k - 1]))
-                if k + 1 < sl.stop:
-                    gaps.append(abs(self.nodes[k + 1] - self.nodes[k]))
-                return max(gaps)
-        raise IndexError(k)
+            gaps = np.abs(np.diff(self.nodes[sl]))
+            spacing[sl.start:sl.stop - 1] = gaps
+            spacing[sl.start + 1:sl.stop] = np.maximum(
+                spacing[sl.start + 1:sl.stop], gaps)
+        spacing.setflags(write=False)
+        return spacing
 
     def contains_in_lens(self, z: complex) -> bool:
         """Whether z lies strictly between the interval and the contour."""

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import resolvent_cauchy_sum, resolvent_sum, sandwich_sum
+from ._kernels import (_right_resolvent_products, _shifted_solve,
+                       resolvent_cauchy_sum, resolvent_sum, sandwich_sum)
 from ._quad import adaptive_quad
 from .contour import (AdmissibilityReport, Contour, admissibility,
                       distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
 from .rootsolver import RootSolution, _require_clear_of_nodes
-from .schur import _too_close, m1_continued_many
+from .schur import _require_off_contour, m1_continued_many
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,7 @@ class RationalAngular:
         mus = np.asarray(mus, dtype=np.complex128)
         squeeze = mus.ndim == 0
         mus = np.atleast_1d(mus)
-        n = self.z.shape[0]
-        a = self.z[None] - mus[:, None, None] * np.eye(n)[None]
-        bv = self.b(mus)
-        out = np.swapaxes(
-            np.linalg.solve(np.swapaxes(a, 1, 2), np.swapaxes(bv, 1, 2)), 1, 2
-        )
+        out = _right_resolvent_products(self.b(mus), mus, self.z)
         return out[0] if squeeze else out
 
     def adjoint_values(self, mus) -> np.ndarray:
@@ -46,11 +42,7 @@ class RationalAngular:
         mus = np.asarray(mus, dtype=np.complex128)
         squeeze = mus.ndim == 0
         mus = np.atleast_1d(mus)
-        n = self.z.shape[0]
-        zh = np.conj(self.z.T)
-        a = zh[None] - mus[:, None, None] * np.eye(n)[None]
-        bs = self.b.sharp()(mus)
-        out = np.linalg.solve(a, bs)
+        out = _shifted_solve(np.conj(self.z.T), mus, self.b.sharp()(mus))
         return out[0] if squeeze else out
 
 
@@ -383,9 +375,7 @@ def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
     once for all of them.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    for zz in np.atleast_1d(zs):
-        if _too_close(contour, zz):
-            raise ValueError(f"z={complex(zz)} too close to the contour for quadrature")
+    _require_off_contour(contour, zs)
     sm = model.scaled(sol.coupling_scale)
     kv = sm.kprime_values(contour.nodes)
     acc = resolvent_cauchy_sum(kv, contour.nodes, contour.weights, sol.z_op, zs)
@@ -409,7 +399,7 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     if gamma_spec is None:
         center = complex(np.mean(eigs))
         spread = float(np.max(np.abs(eigs - center)))
-        cap = 0.5 * d - _segment_eig_distance(center, model.sigma1)
+        cap = 0.5 * d - float(np.min(np.abs(center - model.sigma1)))
         if cap <= 0:
             raise ValueError(
                 "no default circle fits the d/2-neighborhood; pass gamma_spec")
@@ -425,7 +415,8 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
 
     theta = 2.0 * np.pi * np.arange(num_nodes) / num_nodes
     ring = center + radius * np.exp(1j * theta)
-    worst = max(_segment_eig_distance(complex(zz), model.sigma1) for zz in ring)
+    # farthest any ring point gets from its nearest point of sigma1
+    worst = float(np.max(np.min(np.abs(ring[:, None] - model.sigma1[None, :]), axis=1)))
     if worst > 0.5 * d + 1e-12:
         raise ValueError(
             f"circle violates containment: reaches {worst:.6g} > d/2 = {0.5 * d:.6g}")
@@ -444,10 +435,6 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"h0 singular: {exc}") from exc
     return h0, h1, z_rec
-
-
-def _segment_eig_distance(z: complex, sigma1) -> float:
-    return float(min(abs(z - complex(lam)) for lam in np.atleast_1d(sigma1)))
 
 
 def check_one_in_spectrum(ric: RiccatiSolution, tol: float = 1e-8) -> OneInSpectrumVerdict:

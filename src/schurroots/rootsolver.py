@@ -197,7 +197,8 @@ def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
 
 def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
                   tol: float = 1e-12, max_iter: int = 500,
-                  tau_real: float | None = None) -> list:
+                  tau_real: float | None = None, *,
+                  report: AdmissibilityReport | None = None) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
     Each solve warm-starts from the previous X. Returned entries are
@@ -205,7 +206,9 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     in trajectory order: entry i at each t continues entry i at the
     previous t (matched by global nearest-neighbor assignment, no
     multiplicity grouping). Suspicious jumps and ambiguous pairings are
-    reported as warnings, never as errors.
+    reported as warnings, never as errors. A caller that already holds
+    admissibility(model, contour) at t = 1 passes it as report, so V0 is
+    not evaluated again; each t rescales it.
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -215,7 +218,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     if ts[0] < 0.0 or ts[-1] > 1.0:
         raise ValueError("t grid must lie in [0, 1]")
     # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
-    base = admissibility(model, contour)
+    base = admissibility(model, contour) if report is None else report
     ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
 
     a_norm = float(np.linalg.norm(model.a1, 2))

@@ -86,10 +86,19 @@ def m1_physical(model: SpectralModel, z: complex) -> np.ndarray:
     return model.a1 - z * eye + w1_physical(model, z)
 
 
-def _too_close(contour: Contour, z: complex):
-    k = int(np.argmin(np.abs(contour.nodes - z)))
-    dmin = abs(contour.nodes[k] - z)
-    return dmin < 10.0 * contour.local_spacing(k)
+def _require_off_contour(contour: Contour, zs) -> None:
+    """Raise ValueError when a point of zs (one point or a 1-d array) lies
+    within 10 local node spacings of its nearest quadrature node (the
+    first of equally near ones), where the rule degenerates. The message
+    names the first such point."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    dist = np.abs(zs[:, None] - contour.nodes[None, :])
+    nearest = np.argmin(dist, axis=1)
+    close = (dist[np.arange(zs.shape[0]), nearest]
+             < 10.0 * contour.node_spacing[nearest])
+    if np.any(close):
+        z = complex(zs[np.argmax(close)])
+        raise ValueError(f"z={z} too close to the contour for quadrature")
 
 
 def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
@@ -100,8 +109,7 @@ def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarr
     10 local node spacings away from the quadrature nodes.
     """
     z = complex(z)
-    if _too_close(contour, z):
-        raise ValueError(f"z={z} too close to the contour for quadrature")
+    _require_off_contour(contour, z)
     kvals = model.kprime_values(contour.nodes)
     w1 = cauchy_sum(kvals, contour.nodes, contour.weights, z)
     return model.a1 - z * np.eye(model.n) + w1
@@ -110,9 +118,7 @@ def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarr
 def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     """Batched m1_continued over a 1-d array of points."""
     zs = np.asarray(zs, dtype=np.complex128)
-    for z in zs:
-        if _too_close(contour, z):
-            raise ValueError(f"z={z} too close to the contour for quadrature")
+    _require_off_contour(contour, zs)
     kvals = model.kprime_values(contour.nodes)
     w1 = cauchy_sum_many(kvals, contour.nodes, contour.weights, zs)
     eye = np.eye(model.n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schurroots.cli import main
+from schurroots.errors import NumericsError
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -179,12 +180,25 @@ def _with(section, values):
     ("verify", _with("verify", {"trial_count": 10_001})),
     ("verify", _with("verify", {"lens_points": 2.5})),
     ("verify", _with("verify", {"factor_points": "30"})),
+    ("solve", _with("solver", {"max_iter": 2.7})),
+    ("solve", _with("contour", {"nodes_per_unit": 250.9})),
+    ("verify", _with("verify", {"seed": 1.9})),
+    ("verify", _with("verify", {"corrupt_z": float("nan")})),
+    ("verify", _with("verify", {"corrupt_z": float("inf")})),
+    ("verify", _with("verify", {"corrupt_z": "0.1"})),
+    ("solve", _with("solver", {"tau_real": float("nan")})),
+    ("solve", _with("solver", {"tau_real": -1e-3})),
+    ("sweep", {**BASE, "contour": {"sides": [1, 1]},
+               "sweep": {"t_grid": [0.5, 1.0]}}),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
         "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
         "zero-boundary-points", "negative-factor-points",
         "trial-count-above-cap", "fractional-lens-points",
-        "string-factor-points"])
+        "string-factor-points", "fractional-max-iter",
+        "fractional-nodes-per-unit", "fractional-seed", "nan-corrupt-z",
+        "infinite-corrupt-z", "string-corrupt-z", "nan-tau-real",
+        "negative-tau-real", "repeated-side"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
@@ -213,6 +227,57 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
         code, _ = run(capsys, ["solve", "--config", cfg])
         assert code == 0
         assert sorted(calls) == sorted(sides)
+
+
+def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
+    # the t = 1 report of the prologue feeds homotopy_path, which rescales
+    # it for every t of the grid
+    import schurroots.contour as contour_mod
+
+    calls = []
+    original = contour_mod.variation
+
+    def counting(model, contour):
+        calls.append(contour.side)
+        return original(model, contour)
+
+    monkeypatch.setattr(contour_mod, "variation", counting)
+    cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))
+    code, _ = run(capsys, ["sweep", "--config", cfg,
+                           "--out-csv", str(tmp_path / "t.csv")])
+    assert code == 0
+    assert sorted(calls) == [-1, 1]
+
+
+@pytest.mark.parametrize("exc_type", [NumericsError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("name, failed", [
+    ("compute_Omega", {"omega-bound", "omega-adjoint", "omega-two-path",
+                       "projection-inverse", "moment-similarity"}),
+    ("reconstruct_from_contour", {"projection-inverse", "root-reconstruction"}),
+])
+def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
+                                            name, failed, exc_type):
+    # a per-side value that fails on side -1 only fails exactly the rows
+    # that read it, each with the failure as its note, in a written report
+    import schurroots.cli as cli_mod
+
+    original = getattr(cli_mod, name)
+    message = f"injected {name} failure"
+
+    def failing(model, contour, *args, **kwargs):
+        if contour.side == -1:
+            raise exc_type(message)
+        return original(model, contour, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, name, failing)
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
+    assert code == 3
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    assert len(rows) == 17
+    assert {n for n, r in rows.items() if not r["passed"]} == failed
+    for n in failed:
+        assert rows[n]["note"] == message
+        assert rows[n]["residual"] == "inf"
 
 
 def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):

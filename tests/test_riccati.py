@@ -11,8 +11,8 @@ import pytest
 import schurroots as sr
 from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
-from schurroots.riccati import (_j_pairings, _pole_breaks, factor_F1,
-                                rational_trials, ysn_integral)
+from schurroots.riccati import (RationalAngular, _j_pairings, _pole_breaks,
+                                factor_F1, rational_trials, ysn_integral)
 
 
 def dense_gram(ric, nodes=1_000_001):
@@ -81,6 +81,26 @@ def test_adjoint_values_consistent(matrix_case):
     yv = ric.y_values(mus)
     yt = ric.y_repr.adjoint_values(mus)
     assert np.max(np.abs(yt - np.conj(np.swapaxes(yv, 1, 2)))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_angular_values_match_pointwise_inverse(n):
+    # y(mu) = b(mu) inv(Z - mu) and ytilde(mu) = inv(Z^* - mu) b#(mu)
+    # against explicit per-point inverses, off the axis as well as on it
+    rng = np.random.default_rng(40 + n)
+    coeffs = [rng.normal(size=(n + 1, n)) for _ in range(2)]
+    model = sr.build_model((-1.0, 1.0), np.zeros((n, n)), coeffs)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) - 0.5j * np.eye(n)
+    y = RationalAngular(model.b, z)
+    mus = np.concatenate([np.linspace(-0.9, 0.9, 7), [0.3 + 0.2j, -0.4 - 0.7j]])
+    yv, yt = y(mus), y.adjoint_values(mus)
+    eye = np.eye(n)
+    for k, mu in enumerate(mus):
+        ref = model.b(np.array([mu]))[0] @ np.linalg.inv(z - mu * eye)
+        ref_t = np.linalg.inv(np.conj(z.T) - mu * eye) @ model.b.sharp()(np.array([mu]))[0]
+        assert np.allclose(yv[k], ref, rtol=1e-12, atol=1e-13)
+        assert np.allclose(yt[k], ref_t, rtol=1e-12, atol=1e-13)
+    assert np.allclose(y(mus[2]), yv[2], rtol=0, atol=0)
 
 
 def test_j_orthogonality(matrix_case):
