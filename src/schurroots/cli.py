@@ -33,7 +33,7 @@ from .riccati import (check_ZAY, check_one_in_spectrum, compute_Omega,
                       compute_Y, factor_F1, j_orthogonality, omega_by_deformation,
                       rational_trials, reconstruct_from_contour, riccati_residual,
                       ysn_integral)
-from .rootsolver import classify, homotopy_path, solve_basic
+from .rootsolver import classify, homotopy_path, solve_basic, transformator
 from .schur import m1_continued_many, sheets_value, w1_boundary
 
 EXIT_OK = 0
@@ -52,10 +52,11 @@ def _prologue(command, cfg, sides, t) -> tuple:
 
     Builds the model, one contour per side and the base report. V0 and d
     are evaluated once per side at t = 1 (admissibility) and rescaled to
-    coupling t (admissibility_at). The report's admissibility block is the
-    first side's at t, and the report is marked inadmissible when that
-    block fails. Returns (model, contours, report, at_one, at_t), the last
-    two mapping each side to its report at t = 1 and at t.
+    coupling t (admissibility_at). The report is marked inadmissible when
+    any side fails at t; its admissibility block is that of the first
+    failing side, or the first side's when none fails. Returns (model,
+    contours, report, at_one, at_t), the last two mapping each side to its
+    report at t = 1 and at t.
     """
     model = build_model_from_config(cfg)
     contours = {
@@ -67,14 +68,15 @@ def _prologue(command, cfg, sides, t) -> tuple:
               for side, contour in contours.items()}
     at_t = {side: admissibility_at(rep.variation, rep.distance, t)
             for side, rep in at_one.items()}
-    first = at_t[sides[0]]
+    failing = [side for side in sides if not at_t[side].admissible]
+    shown = at_t[failing[0] if failing else sides[0]]
     report = {
         "command": command,
-        "status": "ok" if first.admissible else "inadmissible",
+        "status": "inadmissible" if failing else "ok",
         "feshbach": model.feshbach,
         "sides": list(contours),
         "identities": [],
-        "admissibility": admissibility_block(first),
+        "admissibility": admissibility_block(shown),
         "provenance": {
             "config_sha256": config_sha256(cfg),
             "kernel_backend": backend_name(),
@@ -300,6 +302,14 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         return _relative_gap(_captured(recon[side])[2] - z, z)
 
     add_row("root-reconstruction", 1e-8, over_sides(reconstruction))
+
+    def root_contour(side):
+        # the closed-form root against the contour sum over Gamma
+        sol = sols[side]
+        return _relative_gap(sol.x - transformator(sm, contours[side], sol.z_op),
+                             sol.x)
+
+    add_row("root-contour", 1e-10, over_sides(root_contour))
 
     a_scale = 1.0 + float(np.linalg.norm(model.a1, 2))
     add_row("root-equation", 1e-8, over_sides(

@@ -45,6 +45,7 @@ def solution_block(sol, cls) -> dict:
     return {
         "eigenvalues": entries,
         "iterations": sol.iterations,
+        "contour_fallbacks": sol.contour_fallbacks,
         "final_step_norm": sol.final_step_norm,
         "residual": sol.residual,
         "x_norm": float(np.linalg.norm(sol.x, 2)),

@@ -14,8 +14,8 @@ import numpy as np
 from ._kernels import (_right_resolvent_products, _shifted_solve,
                        resolvent_cauchy_sum, resolvent_sum, sandwich_sum)
 from ._quad import adaptive_quad
-from .contour import (AdmissibilityReport, Contour, admissibility,
-                      distance_to_sigma1)
+from .contour import (AdmissibilityReport, Contour, _spectral_norms,
+                      admissibility, distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
 from .rootsolver import RootSolution, _require_clear_of_nodes
@@ -297,7 +297,7 @@ def compute_Omega(model: SpectralModel, contour: Contour,
 
     def omega_on(cont: Contour, zl: np.ndarray, zr: np.ndarray) -> np.ndarray:
         for zz in (zl, zr):
-            _require_clear_of_nodes(zz, cont.nodes)
+            _require_clear_of_nodes(np.linalg.eigvals(zz), cont.nodes)
         kv = sm.kprime_values(cont.nodes)
         return sandwich_sum(kv, cont.nodes, cont.weights, zl, zr)
 
@@ -344,21 +344,41 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     return omega
 
 
+def _smallest_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each n x n matrix in a (N, n, n) stack.
+
+    n = 1 takes |entry|. n = 2 takes |det| / sigma_max, since the two
+    singular values multiply to |det|, with sigma_max in closed form from
+    contour._spectral_norms. n >= 3 uses the batched SVD.
+    """
+    n = mats.shape[1]
+    if n == 1:
+        return np.abs(mats[:, 0, 0])
+    if n == 2:
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return np.abs(det) / _spectral_norms(mats)
+    return np.linalg.svd(mats, compute_uv=False)[:, -1]
+
+
+def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
+    """||K'(mu)|| / smin(Z - mu)^2 = ||K'(mu)|| ||(Z - mu)^{-1}||^2 at each
+    node, both norms without an SVD for n <= 2."""
+    bv = b(nodes)
+    kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
+    eye = np.eye(z.shape[0])
+    shifted = z[None] - nodes[:, None, None] * eye[None]
+    return _spectral_norms(kv) / _smallest_singular_values(shifted) ** 2
+
+
 def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
                  rtol: float = 1e-9) -> float:
     """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu."""
     a, b = ric.interval
     z = ric.z_op
-    n = z.shape[0]
     breaks = _pole_breaks(z, ric.interval)
 
     def panel(nodes, weights):
-        bv = ric.y_repr.b(nodes)
-        kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
-        knorms = np.linalg.norm(kv, ord=2, axis=(1, 2))
-        aa = z[None] - nodes[:, None, None] * np.eye(n)[None]
-        smin = np.linalg.svd(aa, compute_uv=False)[:, -1]
-        return np.asarray(np.sum(weights * knorms / smin ** 2))
+        return np.asarray(np.sum(weights * _ysn_integrand(ric.y_repr.b, z, nodes)))
 
     val, _ = adaptive_quad(panel, a, b, rtol=rtol, breaks=breaks)
     return float(np.real(val))

@@ -4,6 +4,13 @@ The root is the solution of X = t^2 W1(A1 + X, Gamma) for the side-l
 contour Gamma; Z = A1 + X then carries the spectral points that moved off
 the interval. Everything here is a contraction-mapping argument made
 concrete: admissibility gives the ball, Picard iterates inside it.
+
+K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
+primary matrix functions sum_s C_s g_s(Z), with g_s the side-l moments of
+schur._cut_moments. The Picard map evaluates that sum in closed form
+(_PicardMap); by Cauchy's theorem it is the contour integral without its
+quadrature error. The contour sum (transformator) stays as the fallback
+of that map and as the independent path verify checks the root against.
 """
 
 import warnings
@@ -16,15 +23,20 @@ from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
-from .schur import m1_physical
+from .schur import _cut_moments, m1_physical
 
 _SPEC_GUARD = 1e-6
 
+# Largest condition number of the eigenvector matrix V of Z for which the
+# Picard map is evaluated in the eigenbasis; the error of that evaluation
+# grows like cond(V) times the unit roundoff.
+_COND_LIMIT = 1e2
 
-def _require_clear_of_nodes(zmat: np.ndarray, nodes: np.ndarray) -> None:
-    """Raise NumericsError when spec(zmat) comes within _SPEC_GUARD of a
-    quadrature node, where the resolvent blows through the rule."""
-    eigs = np.linalg.eigvals(zmat)
+
+def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise NumericsError when an eigenvalue in eigs comes within
+    _SPEC_GUARD of a quadrature node, where the resolvent blows through
+    the rule."""
     gap = np.min(np.abs(eigs[:, None] - nodes[None, :]))
     if gap <= _SPEC_GUARD:
         raise NumericsError(
@@ -43,6 +55,9 @@ class RootSolution:
     r_min: float
     r_max: float
     residual: float
+    # evaluations of the Picard map (steps and the residual check) that
+    # took the contour-sum fallback of _PicardMap
+    contour_fallbacks: int = 0
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.z_op)
@@ -66,31 +81,86 @@ class SpectrumClassification:
 
 
 def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
-    """W1(Z, Gamma) = -integral over Gamma of K'(mu) (Z - mu)^{-1} dmu.
+    """W1(Z, Gamma) = -integral over Gamma of K'(mu) (Z - mu)^{-1} dmu,
+    by the contour quadrature sum.
 
-    The spectrum of zmat must stay clear of the quadrature nodes
-    (distance > 1e-6), otherwise the resolvent blows through the rule.
+    The Picard iteration evaluates the same map in closed form
+    (_PicardMap) and comes here only as its fallback; verify uses this
+    sum as the independent path of its root-contour row. The spectrum of
+    zmat must stay clear of the quadrature nodes (distance > 1e-6),
+    otherwise the resolvent blows through the rule.
     """
     zmat = np.asarray(zmat, dtype=np.complex128)
-    _require_clear_of_nodes(zmat, contour.nodes)
+    _require_clear_of_nodes(np.linalg.eigvals(zmat), contour.nodes)
     kvals = model.kprime_values(contour.nodes)
     return -resolvent_sum(kvals, contour.nodes, contour.weights, zmat)
+
+
+class _PicardMap:
+    """The map Z -> t^2 W1(Z, Gamma) of one side, as t^2 sum_s C_s g_s(Z).
+
+    n = 1 evaluates the scalar moments at the one entry of Z. For n >= 2
+    the moments are taken in the eigenbasis Z = V D V^{-1}, as
+    (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. The closed form
+    is the contour integral only where the side-l moments are (see
+    schur._cut_moments), so a step falls back to the contour sum over the
+    side's own contour when an eigenvalue of Z lies elsewhere (outside the
+    lens on side l, or on the real axis off the interval) or when
+    cond(V) > _COND_LIMIT. fallbacks counts those steps. Either way the
+    spectrum of Z must clear the contour nodes by _SPEC_GUARD, the rule of
+    the contour sum.
+    """
+
+    def __init__(self, model: SpectralModel, contour: Contour, t: float):
+        self.model = model
+        self.contour = contour
+        self.scale = t * t
+        self.coeffs = model.kprime.coefficients * self.scale
+        self.fallbacks = 0
+        self._kvals = None  # t^2 K' at the nodes, built by the first fallback
+
+    def _covered(self, eigs: np.ndarray) -> bool:
+        # where the side-l moments equal the contour integral
+        contour = self.contour
+        a, b = contour.endpoints
+        return all(contour.side * lam.imag < 0.0
+                   or (lam.imag == 0.0 and a < lam.real < b)
+                   or contour.contains_in_lens(complex(lam))
+                   for lam in eigs)
+
+    def __call__(self, zmat: np.ndarray) -> np.ndarray:
+        nodes = self.contour.nodes
+        if zmat.shape[0] == 1:
+            eigs, vecs = zmat[0], None
+        else:
+            eigs, vecs = np.linalg.eig(zmat)
+        _require_clear_of_nodes(eigs, nodes)
+        if self._covered(eigs):
+            a, b = self.contour.endpoints
+            moments = _cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
+                                   self.contour.side)
+            if vecs is None:
+                return np.einsum("s,sij->ij", moments[0], self.coeffs)
+            if np.linalg.cond(vecs) <= _COND_LIMIT:
+                scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
+                return np.linalg.solve(vecs.T, scaled.T).T
+        self.fallbacks += 1
+        if self._kvals is None:
+            self._kvals = self.model.kprime_values(nodes) * self.scale
+        return -resolvent_sum(self._kvals, nodes, self.contour.weights, zmat)
 
 
 def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
             t: float, tol: float, max_iter: int, x0: np.ndarray) -> RootSolution:
     """Picard iteration from x0; rep is the admissible report of contour at
     coupling t and supplies the r_min / r_max containment checks."""
-    kvals = model.kprime_values(contour.nodes) * (t * t)
-    nodes, weights = contour.nodes, contour.weights
+    step_map = _PicardMap(model, contour, t)
     a1 = model.a1.astype(np.complex128)
 
     x = np.asarray(x0, dtype=np.complex128).copy()
     step = np.inf
     for it in range(1, max_iter + 1):
-        z = a1 + x
-        _require_clear_of_nodes(z, nodes)
-        xn = -resolvent_sum(kvals, nodes, weights, z)
+        xn = step_map(a1 + x)
         step = float(np.linalg.norm(xn - x, 2))
         x = xn
         norm_x = float(np.linalg.norm(x, 2))
@@ -103,9 +173,8 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     else:
         raise NumericsError(f"no convergence in {max_iter} iterations (step {step:.3e})")
 
-    # independent residual confirmation at the converged point
-    resid_mat = x + resolvent_sum(kvals, nodes, weights, a1 + x)
-    residual = float(np.linalg.norm(resid_mat, 2))
+    # residual confirmation at the converged point, through the same map
+    residual = float(np.linalg.norm(x - step_map(a1 + x), 2))
     norm_x = float(np.linalg.norm(x, 2))
     if residual > max(2.0 * tol, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
@@ -114,7 +183,7 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
             f"solution left the r_min ball ({norm_x:.6g} > {rep.r_min:.6g})"
         )
     return RootSolution(contour.side, x, a1 + x, float(t), it, step,
-                        rep.r_min, rep.r_max, residual)
+                        rep.r_min, rep.r_max, residual, step_map.fallbacks)
 
 
 def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
@@ -122,11 +191,14 @@ def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
                 report: AdmissibilityReport | None = None) -> RootSolution:
     """Solve X = t^2 W1(A1 + X, Gamma) by Picard iteration from X = 0.
 
-    Requires admissibility at coupling scale t. Convergence is geometric;
-    the result is confirmed by an independent residual evaluation and the
-    containment ||X|| <= r_min. A caller that already holds
-    admissibility(model, contour, t) passes it as report, so V0 is not
-    evaluated again.
+    Each step evaluates W1 in closed form as sum_s C_s g_s(Z) (see
+    _PicardMap), falling back to the contour sum over Gamma only where
+    that form does not apply; RootSolution.contour_fallbacks counts those
+    steps. Requires admissibility at coupling scale t. Convergence is
+    geometric; the result is confirmed by a residual evaluation of the
+    same map and the containment ||X|| <= r_min. A caller that already
+    holds admissibility(model, contour, t) passes it as report, so V0 is
+    not evaluated again.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"coupling scale t={t} outside [0, 1]")

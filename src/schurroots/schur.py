@@ -28,26 +28,39 @@ def _on_cut(model: SpectralModel, z: complex) -> bool:
     return z.imag == 0.0 and a <= z.real <= b
 
 
-def _cut_moments(a: float, b: float, z: complex, degree: int, pv: bool = False):
-    """Moments integral of mu^s/(mu - z) over [a, b] for s = 0..degree.
+def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
+    """Moments g_s(z) = integral of mu^s/(mu - z) over [a, b], s = 0..degree,
+    at each point of zs (one point or a 1-d array) -> (P, degree + 1).
 
-    Written as the exact division polynomial plus z^s times the logarithm
-    of the single ratio (b - z)/(a - z); the principal branch then puts
-    the cut exactly on [a, b]. With pv=True (z real inside) the log is
-    replaced by the real principal value ln((b - z)/(z - a)).
+    Written as z^s L(z) plus the exact division polynomial q_s(z), built
+    by q_s = z q_(s-1) + (b^s - a^s)/s from q_0 = 0, with the logarithm L
+    chosen by branch:
+
+    - "physical": L = Log((b - z)/(a - z)); the principal branch puts the
+      cut exactly on [a, b].
+    - "pv": z real inside (a, b), L = ln((b - z)/(z - a)), the principal
+      value.
+    - a side l = +1 or -1: L = Log(b - z) - Log(z - a) - i*pi*l, the
+      continuation of the physical moment from the half-plane of sign -l
+      through the cut, analytic off (-inf, a] and [b, inf). It equals the
+      integral over the side-l contour for z in the open half-plane of
+      sign -l, on the open interval and in the lens between the interval
+      and the contour, but not elsewhere.
     """
-    if pv:
-        log_term = np.log((b - z.real) / (z.real - a)) + 0j
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    if branch == "physical":
+        log_term = np.log((b - zs) / (a - zs))
+    elif branch == "pv":
+        log_term = np.log((b - zs.real) / (zs.real - a)) + 0j
+    elif branch in (1, -1):
+        log_term = np.log(b - zs) - np.log(zs - a) - 1j * np.pi * branch
     else:
-        log_term = np.log((b - z) / (a - z))
-    out = np.empty(degree + 1, dtype=np.complex128)
-    zp = 1.0 + 0j  # z^s
-    for s in range(degree + 1):
-        q = 0.0 + 0j
-        for j in range(s):
-            q += z ** (s - 1 - j) * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
-        out[s] = q + zp * log_term
-        zp *= z
+        raise ValueError(f"unknown moment branch {branch!r}")
+    out = zs[:, None] ** np.arange(degree + 1) * log_term[:, None]
+    q = 0.0
+    for s in range(1, degree + 1):
+        q = zs * q + (b ** s - a ** s) / s
+        out[:, s] += q
     return out
 
 
@@ -58,7 +71,7 @@ def w1_physical(model: SpectralModel, z: complex) -> np.ndarray:
         raise ValueError(f"z={z} lies on the cut; use w1_boundary")
     a, b = model.interval
     coeffs = model.kprime.coefficients
-    moments = _cut_moments(a, b, z, coeffs.shape[0] - 1)
+    moments = _cut_moments(a, b, z, coeffs.shape[0] - 1)[0]
     return np.einsum("s,sij->ij", moments, coeffs)
 
 
@@ -74,7 +87,7 @@ def w1_boundary(model: SpectralModel, lam: float, approach: int) -> np.ndarray:
     if not (a < lam < b):
         raise ValueError(f"lambda={lam} not strictly inside ({a}, {b})")
     coeffs = model.kprime.coefficients
-    moments = _cut_moments(a, b, complex(lam), coeffs.shape[0] - 1, pv=True)
+    moments = _cut_moments(a, b, lam, coeffs.shape[0] - 1, "pv")[0]
     pv = np.einsum("s,sij->ij", moments, coeffs)
     return pv + 1j * np.pi * approach * model.kprime(lam)
 

@@ -24,7 +24,8 @@ IDENTITY_ROWS_4 = {
     "b": ("factorization", "factor-conditioning"),
     "c": ("omega-bound", "omega-adjoint", "omega-two-path"),
     "d": ("projection-inverse", "moment-similarity", "root-reconstruction"),
-    "e": ("root-equation", "riccati-pointwise", "riccati-adjoint"),
+    "e": ("root-contour", "root-equation", "riccati-pointwise",
+          "riccati-adjoint"),
     "f": ("boundary-imag",),
     "g": ("j-orthogonality",),
 }

@@ -273,7 +273,7 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 3
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
-    assert len(rows) == 17
+    assert len(rows) == 18
     assert {n for n, r in rows.items() if not r["passed"]} == failed
     for n in failed:
         assert rows[n]["note"] == message
@@ -319,7 +319,7 @@ def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     assert code == 0
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
-    assert len(rows) == 17
+    assert len(rows) == 18
     for name in ("localization", "y-norm-ceiling"):
         assert rows[name]["passed"]
         assert rows[name]["residual"] < -1e-3, rows[name]
@@ -333,3 +333,88 @@ def test_report_path_from_config(tmp_path, capsys):
     assert code == 0
     rep = json.loads((tmp_path / "via_cfg.json").read_text())
     assert rep["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_one_inadmissible_side_marks_the_report(tmp_path, capsys, monkeypatch,
+                                                command):
+    # only side -1 fails admissibility: the report is inadmissible and
+    # shows side -1's block, the command exits 2 with no traceback
+    import schurroots.cli as cli_mod
+
+    original = cli_mod.admissibility
+
+    def one_side_fails(model, contour, *args):
+        rep = original(model, contour, *args)
+        if contour.side == -1:
+            rep = cli_mod.admissibility_at(rep.distance ** 2, rep.distance)
+        return rep
+
+    monkeypatch.setattr(cli_mod, "admissibility", one_side_fails)
+    argv = [command, "--config", write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    rep = json.loads(captured.out)
+    assert rep["status"] == "inadmissible"
+    assert rep["admissibility"]["admissible"] is False
+    assert "solutions" not in rep
+    assert not (tmp_path / "t.csv").exists()
+
+
+def _zoo_config(model_zoo):
+    model = next(m for m in model_zoo if m.n == 2)
+    return {"model": {"interval": list(model.interval),
+                      "a1": np.real(model.a1).tolist(),
+                      "b": [np.real(c).tolist() for c in model.b.coefficients]},
+            "sweep": {"t_grid": [0.5, 1.0]}}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_solve_and_sweep_make_no_contour_sum_call(tmp_path, capsys, monkeypatch,
+                                                  model_zoo):
+    # the Picard map is evaluated in closed form, so the contour sum that
+    # used to run once per step never runs, and no step falls back
+    import schurroots.rootsolver as rootsolver_mod
+
+    calls = _count_calls(monkeypatch, rootsolver_mod, "resolvent_sum")
+    for data in (_with("sweep", {"t_grid": [0.5, 1.0]}), _zoo_config(model_zoo)):
+        cfg = write_cfg(tmp_path, data)
+        code, out = run(capsys, ["solve", "--config", cfg])
+        assert code == 0
+        for block in json.loads(out)["solutions"].values():
+            assert block["contour_fallbacks"] == 0
+        code, out = run(capsys, ["sweep", "--config", cfg,
+                                 "--out-csv", str(tmp_path / "t.csv")])
+        assert code == 0
+        for block in json.loads(out)["solutions"].values():
+            assert block["contour_fallbacks"] == 0
+    assert calls == []
+
+
+def test_verify_calls_transformator_once_per_side(tmp_path, capsys, monkeypatch,
+                                                 model_zoo):
+    # the root-contour row is the only contour sum of the root
+    import schurroots.cli as cli_mod
+
+    for data in (BASE, _zoo_config(model_zoo)):
+        calls = _count_calls(monkeypatch, cli_mod, "transformator")
+        code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["identities"]}
+        assert rows["root-contour"]["passed"]
+        assert len(calls) == 2

@@ -12,7 +12,8 @@ import schurroots as sr
 from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
 from schurroots.riccati import (RationalAngular, _j_pairings, _pole_breaks,
-                                factor_F1, rational_trials, ysn_integral)
+                                _ysn_integrand, factor_F1, rational_trials,
+                                ysn_integral)
 
 
 def dense_gram(ric, nodes=1_000_001):
@@ -344,3 +345,23 @@ def test_factor_F1_batched_matches_per_point(n):
         single = np.array([factor_F1(model, contour, sol, complex(z)) for z in zs])
         assert batched.shape == (9, n, n)
         assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def test_ysn_integrand_matches_svd_form(friedrichs_model, zoo_solutions):
+    # ||K'(mu)|| and smin(Z - mu) in closed form for n <= 2, against the
+    # two batched SVDs they replace, on the interval and at its ends
+    nodes = np.linspace(-1.0, 1.0, 401)
+    cases = [(friedrichs_model, {s: sr.solve_basic(
+        friedrichs_model, sr.make_contour(friedrichs_model, s)) for s in (1, -1)})]
+    cases += [(model, sols) for model, _, sols in zoo_solutions]
+    worst = 0.0
+    for model, sols in cases:
+        for sol in sols.values():
+            bv = model.b(nodes)
+            kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
+            shifted = sol.z_op[None] - nodes[:, None, None] * np.eye(model.n)[None]
+            ref = (np.linalg.norm(kv, ord=2, axis=(1, 2))
+                   / np.linalg.svd(shifted, compute_uv=False)[:, -1] ** 2)
+            got = _ysn_integrand(model.b, sol.z_op, nodes)
+            worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst <= 1e-12, worst

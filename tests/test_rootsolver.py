@@ -7,17 +7,21 @@ alpha = 1, b = 0.2 is below; the generic solver must land on -i y (side
 +1) and +i y (side -1).
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 import schurroots as sr
+from schurroots import rootsolver
 from schurroots.errors import AdmissibilityError
-from schurroots.rootsolver import RootSolution, transformator
+from schurroots.rootsolver import RootSolution, _PicardMap, transformator
 
 Y_ORACLE = 0.11639390461355939
 
@@ -258,3 +262,122 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _wide_models():
+    # the benchmark's seeded n = 4, 8, 16 models (wide-sweep, seed 1)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.wide_models(sr, 1)
+
+
+def logm_picard_map(model, side, z, t=1.0):
+    """t^2 sum_s C_s g_s(Z) with the matrix functions taken directly:
+    q_s(Z) by matrix Horner and the logarithms by scipy.linalg.logm."""
+    a, b = model.interval
+    eye = np.eye(z.shape[0])
+    log = logm(b * eye - z) - logm(z - a * eye) - 1j * np.pi * side * eye
+    out = np.zeros_like(z, dtype=np.complex128)
+    q = np.zeros_like(out)
+    zp = eye.astype(np.complex128)
+    for s, c in enumerate(model.kprime.coefficients * (t * t)):
+        out += c @ (q + zp @ log)
+        q = z @ q + (b ** (s + 1) - a ** (s + 1)) / (s + 1) * eye
+        zp = zp @ z
+    return out
+
+
+def test_closed_map_matches_logm_reference(model_zoo):
+    # at each converged root, on both contour kinds: the eigenbasis (n >= 2)
+    # and scalar (n = 1) evaluations against an independent matrix-function
+    # route; the contour sum itself only reaches about 2e-14 here
+    worst = 0.0
+    for model in model_zoo + _wide_models():
+        for kind, depth in (("semicircle", None), ("rectangle", 0.5)):
+            for side in (1, -1):
+                contour = sr.make_contour(model, side, kind, depth)
+                sol = sr.solve_basic(model, contour)
+                assert sol.contour_fallbacks == 0
+                ref = logm_picard_map(model, side, sol.z_op)
+                got = _PicardMap(model, contour, 1.0)(sol.z_op)
+                worst = max(worst, np.linalg.norm(got - ref, 2)
+                            / np.linalg.norm(ref, 2))
+    assert worst <= 1e-14, worst
+
+
+def test_closed_form_root_is_contour_free(friedrichs_model, zoo_solutions):
+    # the closed map reads the contour only through its side: a semicircle
+    # and a rectangle give the same root, bit for bit, and the scalar path
+    # lands on the Friedrichs oracle up to the Picard stopping error
+    for side in (1, -1):
+        semi = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, side))
+        rect = sr.solve_basic(friedrichs_model, sr.make_contour(
+            friedrichs_model, side, "rectangle", 0.9))
+        assert np.array_equal(semi.x, rect.x)
+        assert abs(semi.z_op[0, 0] - (-1j * side * Y_ORACLE)) <= 1e-13
+        tight = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, side),
+                               tol=1e-15)
+        assert abs(tight.z_op[0, 0] - (-1j * side * Y_ORACLE)) <= 1e-15
+    for model, contours, sols in zoo_solutions[:6]:
+        rect = sr.make_contour(model, 1, "rectangle", 0.5)
+        assert np.array_equal(sr.solve_basic(model, rect).x, sols[1].x)
+
+
+def test_contour_sum_reproduces_closed_form_root(friedrichs_model, zoo_solutions):
+    # solve no longer touches the contour, so the contour sum on either kind
+    # is an independent check of the root it returns
+    cases = [(friedrichs_model, 0.9)] + [(m, 0.5) for m, _, _ in zoo_solutions]
+    worst = 0.0
+    for model, depth in cases:
+        for side in (1, -1):
+            sol = sr.solve_basic(model, sr.make_contour(model, side))
+            for kind, d in (("semicircle", None), ("rectangle", depth)):
+                w = transformator(model, sr.make_contour(model, side, kind, d), sol.z_op)
+                worst = max(worst, np.linalg.norm(w - sol.x, 2))
+    assert worst <= 1e-12, worst
+
+
+def _outside_model():
+    # sigma1 = {1.5} lies right of the interval; admissible on both sides
+    return sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
+
+
+@pytest.mark.parametrize("case", ["near-defective", "outside-lens", "real-off-interval"])
+def test_map_falls_back_to_the_contour_sum(model_zoo, case):
+    # where the closed form does not apply, the map is the contour sum
+    if case == "near-defective":
+        # an eigenvector matrix with cond(V) ~ 1e9
+        model = next(m for m in model_zoo if m.n == 2)
+        lam = 0.1 + 0.05j
+        z = np.array([[lam, 1.0], [0.0, lam + 1e-9]])
+    else:
+        # the side-l moments would jump by 2 pi i on these points
+        model = _outside_model()
+        z = np.array([[1.5 + 1e-3j if case == "outside-lens" else 1.5 + 0j]])
+    contour = sr.make_contour(model, 1)
+    step_map = _PicardMap(model, contour, 1.0)
+    got = step_map(z)
+    assert step_map.fallbacks == 1
+    assert np.array_equal(got, transformator(model, contour, z))
+
+
+def test_fallback_steps_are_counted(monkeypatch, model_zoo):
+    model = next(m for m in model_zoo if m.n == 2)
+    contour = sr.make_contour(model, 1)
+    closed = sr.solve_basic(model, contour)
+    assert closed.contour_fallbacks == 0
+    monkeypatch.setattr(rootsolver, "_COND_LIMIT", 0.0)
+    summed = sr.solve_basic(model, contour)
+    # every step plus the residual check took the contour sum
+    assert summed.contour_fallbacks == summed.iterations + 1
+    assert summed.iterations == closed.iterations
+    assert np.linalg.norm(summed.x - closed.x, 2) <= 1e-13 * np.linalg.norm(closed.x, 2)
+    # sigma1 outside the interval: the first step (Z = A1, real) falls back
+    outside = _outside_model()
+    for side in (1, -1):
+        sol = sr.solve_basic(outside, sr.make_contour(outside, side))
+        assert sol.contour_fallbacks >= 1
+        fx = transformator(outside, sr.make_contour(outside, side), sol.z_op)
+        assert np.linalg.norm(fx - sol.x, 2) <= 1e-12

@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 import schurroots as sr
-from schurroots.schur import (_require_off_contour, m1_continued_many,
-                              w1_boundary, w1_physical)
+from schurroots.schur import (_cut_moments, _require_off_contour,
+                              m1_continued_many, w1_boundary, w1_physical)
 
 
 def quad_w1(model, z, entry=(0, 0)):
@@ -188,3 +188,31 @@ def test_evaluate_paths(friedrichs_model, friedrichs_contours):
     with pytest.raises(ValueError):
         sr.evaluate(friedrichs_model, 0.4j, path="nope")
     assert np.max(np.abs(ev.value - sr.m1_physical(friedrichs_model, 0.4 + 0.3j))) == 0
+
+
+@pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_continued_moments_equal_the_contour_integral(friedrichs_model, kind,
+                                                      depth, side):
+    # the side-l branch is the contour integral of mu^s/(mu - z) in the
+    # lens, on the open interval and in the opposite half-plane, where it
+    # also equals the physical branch; one batched call equals the
+    # point-by-point calls
+    contour = sr.make_contour(friedrichs_model, side, kind, depth)
+    lens = np.array([0.3 + 0.2j, -0.5 + 0.05j, 0.1 + 0.4j])
+    opposite = np.array([0.2 + 0.3j, 1.7 + 0.1j, -2.0 + 1.5j])
+    lens = lens.real + 1j * side * lens.imag
+    opposite = opposite.real - 1j * side * opposite.imag
+    axis = np.array([-0.4 + 0j, 0.7 + 0j])
+    zs = np.concatenate([lens, axis, opposite])
+    got = _cut_moments(-1.0, 1.0, zs, 4, side)
+    assert got.shape == (zs.size, 5)
+    powers = contour.nodes[:, None] ** np.arange(5)[None, :]
+    for z, row in zip(zs, got):
+        ref = np.sum(contour.weights[:, None] * powers / (contour.nodes - z)[:, None], axis=0)
+        assert np.max(np.abs(row - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+        assert np.array_equal(row, _cut_moments(-1.0, 1.0, z, 4, side)[0])
+    physical = _cut_moments(-1.0, 1.0, opposite, 4)
+    assert np.max(np.abs(physical - got[-3:])) <= 1e-14 * np.max(np.abs(physical))
+    with pytest.raises(ValueError):
+        _cut_moments(-1.0, 1.0, zs, 4, 2)
