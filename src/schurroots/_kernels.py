@@ -79,8 +79,13 @@ def resolvent_cauchy_sum(kvals, nodes, weights, zmat, z):
     return np.einsum("...m,mij->...ij", factors, t)
 
 
+def _sandwich_products(kvals, nodes, zleft, zright):
+    # inv(zleft - mu_k) @ K_k @ inv(zright - mu_k) for every node
+    left = _shifted_solve(zleft, nodes, kvals)
+    return _right_resolvent_products(left, nodes, zright)
+
+
 def sandwich_sum(kvals, nodes, weights, zleft, zright):
     """sum_k w_k inv(zleft - mu_k) @ K_k @ inv(zright - mu_k)."""
-    left = _shifted_solve(zleft, nodes, kvals)
-    t = _right_resolvent_products(left, nodes, zright)
+    t = _sandwich_products(kvals, nodes, zleft, zright)
     return np.einsum("m,mij->ij", weights, t)

@@ -238,9 +238,9 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def sheets(side):
         contour = contours[side]
-        pts = _lens_points(rng, contour, cfg.lens_points)
+        pts = np.array(_lens_points(rng, contour, cfg.lens_points))
         mc = m1_continued_many(sm, contour, pts)
-        sv = np.array([sheets_value(sm, z, side, contour) for z in pts])
+        sv = sheets_value(sm, pts, side, contour)
         return _worst_relative_gap(mc, sv)
 
     add_row("sheets-crosspath", 1e-9, over_sides(sheets))
@@ -352,10 +352,10 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         # side-free: both boundary approaches share one set of points
         pts = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
                           size=cfg.boundary_points)
-        kps = np.array([sm.kprime(float(lam)) for lam in pts])
+        kps = sm.kprime_values(pts)
         gaps = []
         for approach in (1, -1):
-            w = np.array([w1_boundary(sm, float(lam), approach) for lam in pts])
+            w = w1_boundary(sm, pts, approach)
             im_part = (w - np.conj(np.swapaxes(w, 1, 2))) / 2j
             gaps.append(im_part - approach * np.pi * kps)
         norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))

@@ -63,18 +63,23 @@ class Contour:
         spacing.setflags(write=False)
         return spacing
 
-    def contains_in_lens(self, z: complex) -> bool:
-        """Whether z lies strictly between the interval and the contour."""
+    def contains_in_lens(self, z):
+        """Whether z lies strictly between the interval and the contour.
+
+        z is one point -> bool, or an array of points -> a bool array.
+        """
         a, b = self.endpoints
-        x, y = z.real, z.imag
-        if self.side * y <= 0:
-            return False
+        # one expression serves both; a point stays a Python complex, which
+        # keeps the per-eigenvalue calls of the root solver cheap
+        zs = np.asarray(z, dtype=np.complex128) if getattr(z, "ndim", 0) else complex(z)
+        x, y = zs.real, zs.imag
         if self.kind == "semicircle":
-            c = 0.5 * (a + b)
-            return abs(z - c) < self.depth
-        if self.kind == "rectangle":
-            return a < x < b and self.side * y < self.depth
-        raise ValueError(f"unknown contour kind {self.kind!r}")
+            inside = abs(zs - 0.5 * (a + b)) < self.depth
+        elif self.kind == "rectangle":
+            inside = (a < x) & (x < b) & (self.side * y < self.depth)
+        else:
+            raise ValueError(f"unknown contour kind {self.kind!r}")
+        return inside & (self.side * y > 0)
 
     def mirror(self) -> "Contour":
         """The reflected contour for the opposite side."""

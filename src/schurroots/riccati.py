@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_right_resolvent_products, _shifted_solve,
-                       resolvent_cauchy_sum, resolvent_sum, sandwich_sum)
+from ._kernels import (_right_resolvent_products, _sandwich_products,
+                       _shifted_solve, resolvent_cauchy_sum, sandwich_sum)
 from ._quad import adaptive_quad
 from .contour import (AdmissibilityReport, Contour, _spectral_norms,
                       admissibility, distance_to_sigma1)
@@ -124,18 +124,16 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     z = sol.z_op
     zh = np.conj(z.T)
 
-    def gram_panel(nodes, weights):
-        kv = sm.kprime_values(nodes)
-        return sandwich_sum(kv, nodes.astype(np.complex128),
-                            weights.astype(np.complex128), zh, z)
+    def gram_values(nodes):
+        mus = nodes.astype(np.complex128)
+        return _sandwich_products(sm.kprime_values(mus), mus, zh, z)
 
-    def bstar_panel(nodes, weights):
-        kv = sm.kprime_values(nodes)
-        return resolvent_sum(kv, nodes.astype(np.complex128),
-                             weights.astype(np.complex128), z)
+    def bstar_values(nodes):
+        mus = nodes.astype(np.complex128)
+        return _right_resolvent_products(sm.kprime_values(mus), mus, z)
 
-    gram, _ = adaptive_quad(gram_panel, a, b, rtol=quad_tol, breaks=breaks)
-    bstar_y, _ = adaptive_quad(bstar_panel, a, b, rtol=quad_tol, breaks=breaks)
+    gram, _ = adaptive_quad(gram_values, a, b, rtol=quad_tol, breaks=breaks)
+    bstar_y, _ = adaptive_quad(bstar_values, a, b, rtol=quad_tol, breaks=breaks)
 
     gram = 0.5 * (gram + np.conj(gram.T))
     geigs = np.linalg.eigvalsh(gram)
@@ -248,18 +246,16 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
         return cs[None] / (nodes.astype(np.complex128)[:, None, None]
                            - poles[None, :, None])
 
-    def lhs_panel(nodes, weights):
+    def lhs_values(nodes):
         yx1 = ric.y_values(nodes) @ x1s.T  # (M, m, T)
-        vals = np.einsum("mti,mit->mt", np.conj(x0_values(nodes)), yx1)
-        return weights @ vals
+        return np.einsum("mti,mit->mt", np.conj(x0_values(nodes)), yx1)
 
-    def rhs_panel(nodes, weights):
+    def rhs_values(nodes):
         yt = ric.y_repr.adjoint_values(nodes)
-        ytx0 = np.einsum("mij,mtj->mti", yt, x0_values(nodes))
-        return np.einsum("m,mti->ti", weights, ytx0)
+        return np.einsum("mij,mtj->mti", yt, x0_values(nodes))
 
-    lhs, _ = adaptive_quad(lhs_panel, a, b, rtol=rtol, breaks=breaks)
-    ystar_x0, _ = adaptive_quad(rhs_panel, a, b, rtol=rtol, breaks=breaks)
+    lhs, _ = adaptive_quad(lhs_values, a, b, rtol=rtol, breaks=breaks)
+    ystar_x0, _ = adaptive_quad(rhs_values, a, b, rtol=rtol, breaks=breaks)
     return lhs, np.einsum("ti,ti->t", np.conj(ystar_x0), x1s)
 
 
@@ -335,12 +331,11 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     breaks = tuple(sorted(set(_pole_breaks(zl, model.interval))
                           | set(_pole_breaks(zr, model.interval))))
 
-    def panel(nodes, weights):
-        kv = sm.kprime_values(nodes)
-        return sandwich_sum(kv, nodes.astype(np.complex128),
-                            weights.astype(np.complex128), zl, zr)
+    def values(nodes):
+        mus = nodes.astype(np.complex128)
+        return _sandwich_products(sm.kprime_values(mus), mus, zl, zr)
 
-    omega, _ = adaptive_quad(panel, a, b, rtol=quad_tol, breaks=breaks)
+    omega, _ = adaptive_quad(values, a, b, rtol=quad_tol, breaks=breaks)
     return omega
 
 
@@ -377,10 +372,8 @@ def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
     z = ric.z_op
     breaks = _pole_breaks(z, ric.interval)
 
-    def panel(nodes, weights):
-        return np.asarray(np.sum(weights * _ysn_integrand(ric.y_repr.b, z, nodes)))
-
-    val, _ = adaptive_quad(panel, a, b, rtol=rtol, breaks=breaks)
+    val, _ = adaptive_quad(lambda nodes: _ysn_integrand(ric.y_repr.b, z, nodes),
+                           a, b, rtol=rtol, breaks=breaks)
     return float(np.real(val))
 
 

@@ -215,10 +215,17 @@ def _label_for(lam: complex, side: int, tau: float) -> str:
     return "resonance" if (lam.imag > 0) == (side > 0) else "physical-complex"
 
 
-def _physical_residual(model: SpectralModel, t: float, lam: complex) -> float:
-    scaled = model.scaled(t)
-    svals = np.linalg.svd(m1_physical(scaled, lam), compute_uv=False)
-    return float(svals[-1])
+def _physical_residuals(model: SpectralModel, t: float, lams, labels) -> list:
+    """Per eigenvalue, the smallest singular value of the physical-sheet
+    M1(lam) when labelled physical-complex, else None; all of them from
+    one batched M1 evaluation and one batched SVD."""
+    hits = [k for k, label in enumerate(labels) if label == "physical-complex"]
+    out = [None] * len(lams)
+    if hits:
+        mats = m1_physical(model.scaled(t), np.array([lams[k] for k in hits]))
+        for k, sval in zip(hits, np.linalg.svd(mats, compute_uv=False)[:, -1]):
+            out[k] = float(sval)
+    return out
 
 
 def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
@@ -246,15 +253,12 @@ def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
         else:
             clusters.append([lam])
 
-    entries = []
-    for group in clusters:
-        lam = complex(np.mean(group))
-        label = _label_for(lam, contour.side, tau)
-        resid = None
-        if label == "physical-complex":
-            resid = _physical_residual(model, sol.coupling_scale, lam)
-        entries.append(ClassifiedEigenvalue(lam, len(group), label, resid))
-    return SpectrumClassification(tuple(entries))
+    lams = [complex(np.mean(group)) for group in clusters]
+    labels = [_label_for(lam, contour.side, tau) for lam in lams]
+    resids = _physical_residuals(model, sol.coupling_scale, lams, labels)
+    return SpectrumClassification(tuple(
+        ClassifiedEigenvalue(lam, len(group), label, resid)
+        for lam, group, label, resid in zip(lams, clusters, labels, resids)))
 
 
 def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
@@ -325,15 +329,13 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
         if np.any(ambiguous_mask) and eigs_prev is not None:
             warnings.warn(f"ambiguous trajectory pairing at t={t}", RuntimeWarning)
 
-        entries = []
-        for lam, amb in zip(eigs, ambiguous_mask):
-            lam = complex(lam)
-            label = _label_for(lam, contour.side, tau)
-            resid = None
-            if label == "physical-complex":
-                resid = _physical_residual(model, t, lam)
-            entries.append(ClassifiedEigenvalue(lam, 1, label, resid, bool(amb)))
-        out.append((t, sol, SpectrumClassification(tuple(entries))))
+        lams = [complex(lam) for lam in eigs]
+        labels = [_label_for(lam, contour.side, tau) for lam in lams]
+        resids = _physical_residuals(model, t, lams, labels)
+        entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid, bool(amb))
+                        for lam, label, resid, amb
+                        in zip(lams, labels, resids, ambiguous_mask))
+        out.append((t, sol, SpectrumClassification(entries)))
 
         x_prev = sol.x
         eigs_prev = eigs

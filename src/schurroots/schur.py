@@ -23,11 +23,6 @@ class SchurEvaluation:
     path: str  # closed-form | contour-quadrature | sheets-formula
 
 
-def _on_cut(model: SpectralModel, z: complex) -> bool:
-    a, b = model.interval
-    return z.imag == 0.0 and a <= z.real <= b
-
-
 def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     """Moments g_s(z) = integral of mu^s/(mu - z) over [a, b], s = 0..degree,
     at each point of zs (one point or a 1-d array) -> (P, degree + 1).
@@ -64,39 +59,63 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     return out
 
 
-def w1_physical(model: SpectralModel, z: complex) -> np.ndarray:
-    """W1(z) = integral of K'(mu)/(mu - z) over the interval, closed form."""
-    z = complex(z)
-    if _on_cut(model, z):
-        raise ValueError(f"z={z} lies on the cut; use w1_boundary")
+def _points(z):
+    """(points as a 1-d complex array, whether z was one point)."""
+    zs = np.asarray(z, dtype=np.complex128)
+    return np.atleast_1d(zs), zs.ndim == 0
+
+
+def _moment_sum(model: SpectralModel, zs, branch) -> np.ndarray:
+    # sum_s g_s(z) C_s over the K' coefficients C_s -> (P, n, n)
     a, b = model.interval
     coeffs = model.kprime.coefficients
-    moments = _cut_moments(a, b, z, coeffs.shape[0] - 1)[0]
-    return np.einsum("s,sij->ij", moments, coeffs)
+    moments = _cut_moments(a, b, zs, coeffs.shape[0] - 1, branch)
+    return np.einsum("ps,sij->pij", moments, coeffs)
 
 
-def w1_boundary(model: SpectralModel, lam: float, approach: int) -> np.ndarray:
+def w1_physical(model: SpectralModel, z) -> np.ndarray:
+    """W1(z) = integral of K'(mu)/(mu - z) over the interval, closed form.
+
+    z is one point -> (n, n), or a 1-d array of P points -> (P, n, n).
+    """
+    zs, single = _points(z)
+    a, b = model.interval
+    real = zs.real[zs.imag == 0.0]
+    on_cut = real[(a <= real) & (real <= b)]
+    if on_cut.size:
+        raise ValueError(f"z={complex(on_cut[0])} lies on the cut; use w1_boundary")
+    w1 = _moment_sum(model, zs, "physical")
+    return w1[0] if single else w1
+
+
+def w1_boundary(model: SpectralModel, lam, approach: int) -> np.ndarray:
     """Boundary values W1(lam + i*approach*0) on the open interval.
 
     Principal value in closed form plus the jump i*pi*approach*K'(lam).
+    lam is one point -> (n, n), or a 1-d array of P points -> (P, n, n).
     """
     if approach not in (1, -1):
         raise ValueError("approach must be +1 or -1")
     a, b = model.interval
-    lam = float(lam)
-    if not (a < lam < b):
+    lams = np.asarray(lam, dtype=np.float64)
+    single = lams.ndim == 0
+    lams = np.atleast_1d(lams)
+    outside = ~((a < lams) & (lams < b))
+    if np.any(outside):
+        lam = float(lams[np.argmax(outside)])
         raise ValueError(f"lambda={lam} not strictly inside ({a}, {b})")
-    coeffs = model.kprime.coefficients
-    moments = _cut_moments(a, b, lam, coeffs.shape[0] - 1, "pv")[0]
-    pv = np.einsum("s,sij->ij", moments, coeffs)
-    return pv + 1j * np.pi * approach * model.kprime(lam)
+    w1 = (_moment_sum(model, lams, "pv")
+          + 1j * np.pi * approach * model.kprime_values(lams))
+    return w1[0] if single else w1
 
 
-def m1_physical(model: SpectralModel, z: complex) -> np.ndarray:
-    """M1(z) = a1 - z + W1(z) on the physical sheet."""
-    z = complex(z)
+def m1_physical(model: SpectralModel, z) -> np.ndarray:
+    """M1(z) = a1 - z + W1(z) on the physical sheet, for one point or a
+    1-d array of points (as w1_physical)."""
+    zs, single = _points(z)
     eye = np.eye(model.n)
-    return model.a1 - z * eye + w1_physical(model, z)
+    out = model.a1[None] - zs[:, None, None] * eye[None] + w1_physical(model, zs)
+    return out[0] if single else out
 
 
 def _require_off_contour(contour: Contour, zs) -> None:
@@ -138,27 +157,32 @@ def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     return model.a1[None] - zs[:, None, None] * eye[None] + w1
 
 
-def sheets_value(model: SpectralModel, z: complex, side: int,
+def sheets_value(model: SpectralModel, z, side: int,
                  contour: Contour | None = None) -> np.ndarray:
     """Continuation into the side-l lens via the jump of the density:
     value = M1(z) - 2*pi*i*l*K'(z).
 
     Independent of quadrature, so it cross-checks m1_continued. When a
     contour is supplied the lens membership is enforced strictly;
-    otherwise only the half-plane is checked.
+    otherwise only the half-plane is checked. z is one point -> (n, n),
+    or a 1-d array of P points -> (P, n, n); the message of a rejection
+    names the first point outside.
     """
-    z = complex(z)
+    zs, single = _points(z)
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     if contour is not None:
         if contour.side != side:
             raise ValueError("contour side disagrees with requested side")
-        if not contour.contains_in_lens(z):
-            raise ValueError(f"z={z} outside the side {side:+d} lens")
-    elif side * z.imag <= 0:
-        raise ValueError(f"z={z} not in the open half-plane of side {side:+d}")
-    jump = -2j * np.pi * side * model.kprime(z)
-    return m1_physical(model, z) + jump
+        outside = ~contour.contains_in_lens(zs)
+        where = f"outside the side {side:+d} lens"
+    else:
+        outside = side * zs.imag <= 0
+        where = f"not in the open half-plane of side {side:+d}"
+    if np.any(outside):
+        raise ValueError(f"z={complex(zs[np.argmax(outside)])} {where}")
+    value = m1_physical(model, zs) - 2j * np.pi * side * model.kprime_values(zs)
+    return value[0] if single else value
 
 
 def evaluate(model: SpectralModel, z: complex, path: str = "closed-form",

@@ -1,34 +1,38 @@
-"""Adaptive panel quadrature against closed-form integrals."""
+"""Adaptive panel quadrature against closed-form integrals and against
+the sequential scheme it replaced."""
+
+import heapq
 
 import numpy as np
 import pytest
 
-from schurroots._quad import adaptive_quad
+import schurroots as sr
+from schurroots import riccati
+from schurroots._quad import _rule, _split_points, adaptive_quad
 from schurroots.errors import NumericsError
 
 
 def test_cubic_exact():
-    val, stats = adaptive_quad(lambda x, w: np.sum(w * x ** 3), 0.0, 1.0)
+    val, stats = adaptive_quad(lambda x: x ** 3, 0.0, 1.0)
     assert abs(val - 0.25) < 1e-13
     assert stats["panels"] >= 1
 
 
 def test_exponential():
-    val, _ = adaptive_quad(lambda x, w: np.sum(w * np.exp(x)), -1.0, 1.0)
+    val, _ = adaptive_quad(lambda x: np.exp(x), -1.0, 1.0)
     assert abs(val - (np.e - 1.0 / np.e)) < 1e-12
 
 
 def test_oscillatory():
     # int_0^pi sin(7x) dx = 2/7
-    val, _ = adaptive_quad(lambda x, w: np.sum(w * np.sin(7 * x)), 0.0, np.pi,
+    val, _ = adaptive_quad(lambda x: np.sin(7 * x), 0.0, np.pi,
                            rtol=1e-12)
     assert abs(val - 2.0 / 7.0) < 1e-11
 
 
 def test_matrix_valued():
-    def f(x, w):
-        vals = np.stack([np.ones_like(x), x, x ** 2, x ** 3]).reshape(2, 2, -1)
-        return np.sum(w * vals, axis=-1)
+    def f(x):
+        return np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=-1).reshape(-1, 2, 2)
 
     val, _ = adaptive_quad(f, 0.0, 2.0)
     expect = np.array([[2.0, 2.0], [8.0 / 3.0, 4.0]])
@@ -37,7 +41,7 @@ def test_matrix_valued():
 
 def test_break_at_kink():
     # |x| on [-1, 1]: a break at 0 makes each panel smooth
-    f = lambda x, w: np.sum(w * np.abs(x))
+    f = lambda x: np.abs(x)
     val, stats = adaptive_quad(f, -1.0, 1.0, breaks=(0.0,))
     assert abs(val - 1.0) < 1e-12
     # the kink never sits inside a panel, so few panels suffice
@@ -46,11 +50,148 @@ def test_break_at_kink():
 
 def test_budget_exhaustion():
     # needle too sharp for two panels
-    f = lambda x, w: np.sum(w / (1e-8 + x ** 2))
+    f = lambda x: 1.0 / (1e-8 + x ** 2)
     with pytest.raises(NumericsError):
         adaptive_quad(f, -1.0, 1.0, rtol=1e-13, max_panels=2)
 
 
 def test_complex_integrand():
-    val, _ = adaptive_quad(lambda x, w: np.sum(w * np.exp(1j * x)), 0.0, np.pi)
+    val, _ = adaptive_quad(lambda x: np.exp(1j * x), 0.0, np.pi)
     assert abs(val - 2j) < 1e-12
+
+
+def test_round_and_panel_counts():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape[0])
+        return np.sin(7 * x)
+
+    _, info = adaptive_quad(f, 0.0, np.pi, rtol=1e-12)
+    # one call per round, each on the 48 nodes (16 + 32) of every new panel
+    assert len(calls) == info["rounds"] < info["panels"]
+    assert sum(calls) == 48 * info["panels"]
+    _, info = adaptive_quad(lambda x: x ** 3, 0.0, 1.0)
+    assert info["rounds"] == 1 and info["panels"] == 1
+
+
+def test_budget_refused_before_evaluating():
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return 1.0 / (1e-8 + x ** 2)
+
+    # the first bisection would make 3 panels out of a budget of 2
+    with pytest.raises(NumericsError, match="exhausted 2 panels"):
+        adaptive_quad(f, -1.0, 1.0, rtol=1e-13, max_panels=2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("weighted", [
+    lambda x: np.sum(np.exp(x)),
+    lambda x: np.eye(2) * np.sum(x),
+    lambda x: np.exp(x)[:16],
+])
+def test_weighted_panel_sum_rejected(weighted):
+    # a caller still written for f(nodes, weights) -> panel sum must fail
+    # loudly rather than broadcast into a wrong value
+    with pytest.raises(ValueError, match="one unweighted value per node"):
+        adaptive_quad(weighted, 0.0, 1.0)
+
+
+def _reference_quad(f, a, b, rtol=1e-11, breaks=(), max_panels=4000):
+    """The sequential scheme the batched one replaced: two calls of f per
+    panel, one panel bisected at a time, worst first out of a heap."""
+
+    def panel_value(lo, hi, n):
+        x, w = _rule(n)
+        half = 0.5 * (hi - lo)
+        return np.tensordot(half * w, f(0.5 * (lo + hi) + half * x), axes=1)
+
+    counter = 0
+    heap = []
+    total = None
+    err_by_id = {}
+
+    def push(lo, hi):
+        nonlocal counter, total
+        coarse = panel_value(lo, hi, 16)
+        fine = panel_value(lo, hi, 32)
+        err = float(np.linalg.norm(np.ravel(fine - coarse)))
+        total = fine if total is None else total + fine
+        heapq.heappush(heap, (-err, counter, lo, hi, fine))
+        err_by_id[counter] = err
+        counter += 1
+
+    pts = _split_points(a, b, breaks)
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        push(lo, hi)
+
+    while True:
+        est = sum(err_by_id.values())
+        scale = max(1.0, float(np.linalg.norm(np.ravel(total))))
+        if est <= rtol * scale:
+            return total, {"panels": counter, "error": est}
+        if counter >= max_panels:
+            raise NumericsError(f"adaptive quadrature exhausted {max_panels} panels")
+        _, cid, lo, hi, fine = heapq.heappop(heap)
+        del err_by_id[cid]
+        total = total - fine
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+
+
+_FAMILIES = ("gram", "bstar_y", "omega", "ysn", "j-lhs", "j-rhs")
+
+
+@pytest.fixture(scope="module")
+def riccati_integrands(friedrichs_model, friedrichs_contours, zoo_solutions):
+    """(family, f, a, b, rtol, breaks) of every interval quadrature that
+    compute_Y, omega_by_deformation, ysn_integral and the stacked
+    J-pairings make, for the Friedrichs model and the zoo on both sides."""
+    friedrichs = {s: sr.solve_basic(friedrichs_model, friedrichs_contours[s])
+                  for s in (1, -1)}
+    cases = [(friedrichs_model, friedrichs)] + [
+        (model, sols) for model, _, sols in zoo_solutions]
+    captured = []
+
+    def recording(f, a, b, rtol=1e-11, breaks=()):
+        captured.append((f, a, b, rtol, breaks))
+        return adaptive_quad(f, a, b, rtol=rtol, breaks=breaks)
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riccati, "adaptive_quad", recording)
+        for model, sols in cases:
+            for side in (1, -1):
+                captured.clear()
+                ric = sr.compute_Y(model, sols[side])
+                sr.omega_by_deformation(model, sols[side], sols[-side])
+                sr.ysn_integral(model, ric)
+                riccati._j_pairings(ric, riccati.rational_trials(ric, 20, seed=0))
+                assert len(captured) == len(_FAMILIES)
+                out.extend(zip(_FAMILIES, *zip(*captured)))
+    return out
+
+
+def test_batched_matches_sequential_reference(riccati_integrands):
+    panels = {name: [0, 0] for name in _FAMILIES}
+    for family, f, a, b, rtol, breaks in riccati_integrands:
+        calls = []
+
+        def counted(nodes, f=f):
+            calls.append(1)
+            return f(nodes)
+
+        value, info = adaptive_quad(counted, a, b, rtol=rtol, breaks=breaks)
+        ref, ref_info = _reference_quad(f, a, b, rtol=rtol, breaks=breaks)
+        tol = rtol * max(1.0, float(np.linalg.norm(np.ravel(value))))
+        assert info["error"] <= tol, family
+        assert float(np.linalg.norm(np.ravel(value - ref))) <= tol, family
+        assert len(calls) == info["rounds"] < info["panels"], family
+        panels[family][0] += info["panels"]
+        panels[family][1] += ref_info["panels"]
+    for family, (batched, reference) in panels.items():
+        assert batched <= 1.1 * reference, (family, batched, reference)

@@ -118,15 +118,13 @@ def _per_trial_pairings(ric, trials):
     breaks = _pole_breaks(ric.z_op, ric.interval)
     lhs_all, rhs_all = [], []
     for x0, x1 in trials:
-        def lhs_panel(nodes, weights):
+        def lhs_panel(nodes):
             yx1 = ric.y_values(nodes) @ x1
-            vals = np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
-            return np.asarray(np.sum(weights * vals))
+            return np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
 
-        def rhs_panel(nodes, weights):
+        def rhs_panel(nodes):
             yt = ric.y_repr.adjoint_values(nodes)
-            ytx0 = np.einsum("mij,mj->mi", yt, x0(nodes))
-            return np.einsum("m,mi->i", weights, ytx0)
+            return np.einsum("mij,mj->mi", yt, x0(nodes))
 
         lhs, _ = adaptive_quad(lhs_panel, a, b, breaks=breaks)
         ystar_x0, _ = adaptive_quad(rhs_panel, a, b, breaks=breaks)

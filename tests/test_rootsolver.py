@@ -163,6 +163,22 @@ def test_classify_multiplicity(friedrichs_model, friedrichs_contours):
     assert sum(e.multiplicity for e in cls.entries) == 3
 
 
+def test_classify_residuals_follow_their_labels(friedrichs_model,
+                                                friedrichs_contours):
+    # one batched M1 evaluation serves every physical-complex entry, each
+    # with its own point's residual, and the other entries get None
+    z = np.diag([0.1 - 0.05j, 0.2 + 0.1j, -0.3 - 0.2j])
+    cls = sr.classify(friedrichs_model, friedrichs_contours[1], _fake_solution(z, 1))
+    labels = [e.label for e in cls.entries]
+    assert labels.count("physical-complex") == 2 and labels.count("resonance") == 1
+    for e in cls.entries:
+        if e.label == "physical-complex":
+            m1 = sr.m1_physical(friedrichs_model, e.eigenvalue)
+            assert e.physical_residual == np.linalg.svd(m1, compute_uv=False)[-1]
+        else:
+            assert e.physical_residual is None
+
+
 def test_classify_side_mismatch(friedrichs_model, friedrichs_contours):
     sol = _fake_solution([[0.1j]], 1)
     with pytest.raises(ValueError):

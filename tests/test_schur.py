@@ -216,3 +216,40 @@ def test_continued_moments_equal_the_contour_integral(friedrichs_model, kind,
     assert np.max(np.abs(physical - got[-3:])) <= 1e-14 * np.max(np.abs(physical))
     with pytest.raises(ValueError):
         _cut_moments(-1.0, 1.0, zs, 4, 2)
+
+
+@pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_point_functions_accept_arrays(kind, depth, side):
+    # one call on a 1-d array of points equals the point-by-point calls,
+    # and a rejection names the first offending point
+    rng = np.random.default_rng(24)
+    coeffs = [0.3 * rng.normal(size=(3, 2)) for _ in range(2)]
+    model = sr.build_model((-1.0, 1.0), np.zeros((2, 2)), coeffs)
+    contour = sr.make_contour(model, side, kind, depth)
+    zs = np.array([0.3 + 0.2j, -0.5 + 0.05j, 0.1 + 0.4j])
+    zs = zs.real + 1j * side * zs.imag
+    lams = np.array([-0.5, 0.11, 0.74])
+    for fn, args in ((sr.sheets_value, (side, contour)), (sr.sheets_value, (side,)),
+                     (sr.m1_physical, ()), (w1_physical, ())):
+        many = fn(model, zs, *args)
+        assert many.shape == (3, 2, 2)
+        for z, value in zip(zs, many):
+            assert np.allclose(value, fn(model, complex(z), *args), rtol=0, atol=1e-15)
+    for approach in (1, -1):
+        many = w1_boundary(model, lams, approach)
+        for lam, value in zip(lams, many):
+            assert np.allclose(value, w1_boundary(model, float(lam), approach),
+                               rtol=0, atol=1e-15)
+    inside = contour.contains_in_lens(zs)
+    assert inside.tolist() == [contour.contains_in_lens(complex(z)) for z in zs]
+
+    bad = np.concatenate([zs[:1], np.conj(zs[1:])])
+    with pytest.raises(ValueError, match=re.escape(f"z={complex(bad[1])} outside")):
+        sr.sheets_value(model, bad, side, contour)
+    with pytest.raises(ValueError, match=re.escape(f"z={complex(bad[1])} not in")):
+        sr.sheets_value(model, bad, side)
+    with pytest.raises(ValueError, match=re.escape("z=(0.2+0j) lies on the cut")):
+        w1_physical(model, np.array([1.5 + 0j, 0.2 + 0j, 0.3 + 0j]))
+    with pytest.raises(ValueError, match=re.escape("lambda=1.0 not strictly")):
+        w1_boundary(model, np.array([0.2, 1.0, 1.5]), 1)
