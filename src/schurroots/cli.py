@@ -6,11 +6,16 @@ failure, 4 config error.
 
 solve, verify and sweep share one prologue (_prologue): the model, one
 contour per side, the base report, and admissibility evaluated once per
-side at t = 1 and rescaled to the command's coupling. Every object of
-the construction comes as a +-l pair (one contour, root Z, angular
-operator Y and Omega per side), so verify checks each identity once per
-side: a row is a function of one side, and the row's residual is the
-largest of its per-side values (_worst).
+side at t = 1 and rescaled to the command's coupling. The objects of the
+construction come as a +-l pair (one contour, root Z, angular operator Y
+and Omega per side). For a real model (SpectralModel.is_real) the pair
+is conjugate: Z(-l) = conj Z(l). So when both sides are requested, the
+second side's contour is the mirror of the first's and shares its
+admissibility report, and solve and sweep take its root and path as the
+conjugate of the first side's (provenance.derived_sides). verify still
+solves both roots and checks each identity once per side, which makes it
+the independent check of that symmetry: a row is a function of one side,
+and the row's residual is the largest of its per-side values (_worst).
 """
 
 import argparse
@@ -33,7 +38,8 @@ from .riccati import (check_ZAY, check_one_in_spectrum, compute_Omega,
                       compute_Y, factor_F1, j_orthogonality, omega_by_deformation,
                       rational_trials, reconstruct_from_contour, riccati_residual,
                       ysn_integral)
-from .rootsolver import classify, homotopy_path, solve_basic, transformator
+from .rootsolver import (classify, conjugate_path, homotopy_path, solve_basic,
+                         transformator)
 from .schur import m1_continued_many, sheets_value, w1_boundary
 
 EXIT_OK = 0
@@ -52,20 +58,26 @@ def _prologue(command, cfg, sides, t) -> tuple:
 
     Builds the model, one contour per side and the base report. V0 and d
     are evaluated once per side at t = 1 (admissibility) and rescaled to
-    coupling t (admissibility_at). The report is marked inadmissible when
-    any side fails at t; its admissibility block is that of the first
-    failing side, or the first side's when none fails. Returns (model,
-    contours, report, at_one, at_t), the last two mapping each side to its
-    report at t = 1 and at t.
+    coupling t (admissibility_at). When the model is real and both sides
+    are requested, the second side is derived from the first: its contour
+    is the mirror image and its report the same object, V0 and d being
+    conjugation-invariant. The report is marked inadmissible when any side
+    fails at t; its admissibility block is that of the first failing side,
+    or the first side's when none fails. Returns (model, contours, report,
+    at_one, at_t, derived): at_one and at_t map each side to its report at
+    t = 1 and at t, derived maps the derived side (if any) to its source.
     """
     model = build_model_from_config(cfg)
-    contours = {
-        side: make_contour(model, side, cfg.contour_kind, cfg.depth,
-                           cfg.nodes_per_unit)
-        for side in sides
-    }
-    at_one = {side: admissibility(model, contour)
-              for side, contour in contours.items()}
+    derived = {sides[1]: sides[0]} if len(sides) == 2 and model.is_real else {}
+    contours, at_one = {}, {}
+    for side in sides:
+        if side in derived:
+            contours[side] = contours[derived[side]].mirror()
+            at_one[side] = at_one[derived[side]]
+        else:
+            contours[side] = make_contour(model, side, cfg.contour_kind,
+                                          cfg.depth, cfg.nodes_per_unit)
+            at_one[side] = admissibility(model, contours[side])
     at_t = {side: admissibility_at(rep.variation, rep.distance, t)
             for side, rep in at_one.items()}
     failing = [side for side in sides if not at_t[side].admissible]
@@ -83,7 +95,7 @@ def _prologue(command, cfg, sides, t) -> tuple:
             "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
         },
     }
-    return model, contours, report, at_one, at_t
+    return model, contours, report, at_one, at_t, derived
 
 
 def _r0(cfg, model, side, rep) -> float:
@@ -101,6 +113,12 @@ def _r0(cfg, model, side, rep) -> float:
     return r0
 
 
+def _derived_sides(derived) -> dict:
+    """The provenance.derived_sides block of solve and sweep."""
+    return {f"{side:+d}": f"conjugate of {source:+d}"
+            for side, source in derived.items()}
+
+
 def _finish(report, start) -> dict:
     report["provenance"]["wall_time_s"] = time.perf_counter() - start
     return sanitize(report)
@@ -108,17 +126,23 @@ def _finish(report, start) -> dict:
 
 def cmd_solve(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model, contours, report, _, reps = _prologue("solve", cfg, cfg.sides,
-                                                 cfg.coupling_scale)
+    model, contours, report, _, reps, derived = _prologue(
+        "solve", cfg, cfg.sides, cfg.coupling_scale)
+    report["provenance"]["derived_sides"] = _derived_sides(derived)
     if report["status"] != "ok":
         return _finish(report, start)
     first = cfg.sides[0]
     report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, first, reps[first])
 
     report["solutions"] = {}
+    sols = {}
     for side, contour in contours.items():
-        sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol, cfg.max_iter,
-                          report=reps[side])
+        if side in derived:
+            sol = sols[derived[side]].conjugate()
+        else:
+            sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol,
+                              cfg.max_iter, report=reps[side])
+        sols[side] = sol
         cls = classify(model, contour, sol, cfg.tau_real)
         report["solutions"][f"{side:+d}"] = solution_block(sol, cls)
     return _finish(report, start)
@@ -368,8 +392,8 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
 def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model, contours, report, _, reps = _prologue("verify", cfg, (1, -1),
-                                                 cfg.coupling_scale)
+    model, contours, report, _, reps, _ = _prologue("verify", cfg, (1, -1),
+                                                    cfg.coupling_scale)
     if report["status"] != "ok":
         return _finish(report, start)
     report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, 1, reps[1])
@@ -392,17 +416,23 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     start = time.perf_counter()
     if not cfg.t_grid:
         raise ConfigError("sweep requires a nonempty t_grid")
-    model, contours, report, at_one, _ = _prologue("sweep", cfg, cfg.sides,
-                                                   max(cfg.t_grid))
+    model, contours, report, at_one, _, derived = _prologue(
+        "sweep", cfg, cfg.sides, max(cfg.t_grid))
+    report["provenance"]["derived_sides"] = _derived_sides(derived)
     if report["status"] != "ok":
         return _finish(report, start), []
 
     rows = []
     offset = 0
     report["solutions"] = {}
+    paths = {}
     for side, contour in contours.items():
-        path = homotopy_path(model, contour, cfg.t_grid, cfg.tol, cfg.max_iter,
-                             cfg.tau_real, report=at_one[side])
+        if side in derived:
+            path = conjugate_path(model, paths[derived[side]], cfg.tau_real)
+        else:
+            path = homotopy_path(model, contour, cfg.t_grid, cfg.tol,
+                                 cfg.max_iter, cfg.tau_real, report=at_one[side])
+        paths[side] = path
         for t, _, cls in path:
             for i, entry in enumerate(cls.entries):
                 rows.append((t, offset + i, entry.eigenvalue.real,

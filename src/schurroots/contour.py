@@ -69,17 +69,16 @@ class Contour:
         z is one point -> bool, or an array of points -> a bool array.
         """
         a, b = self.endpoints
-        # one expression serves both; a point stays a Python complex, which
-        # keeps the per-eigenvalue calls of the root solver cheap
-        zs = np.asarray(z, dtype=np.complex128) if getattr(z, "ndim", 0) else complex(z)
+        zs = np.asarray(z, dtype=np.complex128)
         x, y = zs.real, zs.imag
         if self.kind == "semicircle":
-            inside = abs(zs - 0.5 * (a + b)) < self.depth
+            inside = np.abs(zs - 0.5 * (a + b)) < self.depth
         elif self.kind == "rectangle":
             inside = (a < x) & (x < b) & (self.side * y < self.depth)
         else:
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        return inside & (self.side * y > 0)
+        inside = inside & (self.side * y > 0)
+        return inside if inside.ndim else bool(inside)
 
     def mirror(self) -> "Contour":
         """The reflected contour for the opposite side."""
@@ -142,9 +141,6 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         phase = np.exp(1j * theta)
         nodes = c + rho * phase
         weights = w * (1j * rho * phase) * (-0.5 * math.pi)
-        if side == -1:
-            nodes = np.conj(nodes)
-            weights = np.conj(weights)
         slices = (slice(0, count),)
         depth_val = rho
     elif kind == "rectangle":
@@ -153,7 +149,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         h = float(depth)
         if h <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        top = 1j * side * h
+        top = 1j * h
         corners = [a, a + top, b + top, b]
         node_parts, weight_parts, slices = [], [], []
         start = 0
@@ -168,6 +164,11 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         depth_val = h
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
+    if side == -1:
+        # the side -1 rule is the mirror image of the side +1 rule, bit for
+        # bit, so it equals make_contour(model, 1, ...).mirror()
+        nodes = np.conj(nodes)
+        weights = np.conj(weights)
 
     total = complex(np.sum(weights))
     if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * depth_val):

@@ -124,6 +124,16 @@ class SpectralModel:
     def kprime(self) -> CouplingDensity:
         return kprime_of(self)
 
+    @property
+    def is_real(self) -> bool:
+        """Whether a1 and every coupling coefficient are real.
+
+        Then K'(conj mu) = conj K'(mu), so M1(conj z, conj Gamma) =
+        conj M1(z, Gamma): the side -1 contour, admissibility report and
+        root are the complex conjugates of the side +1 ones.
+        """
+        return not (np.any(np.imag(self.a1)) or np.any(self.b.coefficients.imag))
+
     def kprime_values(self, mus) -> np.ndarray:
         return polyval_matrix(self.kprime.coefficients, np.asarray(mus, dtype=np.complex128))
 
@@ -197,7 +207,7 @@ def _validate_density(model: SpectralModel, grid_points: int = 1000) -> None:
     mus = np.linspace(lo, hi, grid_points)
     kvals = model.kprime_values(mus)
     bvals = model.b(mus)
-    direct = np.einsum("mij,mik->mjk", np.conj(bvals), bvals)
+    direct = np.conj(np.swapaxes(bvals, 1, 2)) @ bvals
     scale = 1.0 + np.max(np.einsum("mij,mij->m", np.conj(bvals), bvals).real)
     if np.max(np.abs(kvals - direct)) > _HERM_TOL * scale:
         raise ModelError("derived density disagrees with b(mu)^* b(mu) on the axis")

@@ -11,10 +11,14 @@ schur._cut_moments. The Picard map evaluates that sum in closed form
 (_PicardMap); by Cauchy's theorem it is the contour integral without its
 quadrature error. The contour sum (transformator) stays as the fallback
 of that map and as the independent path verify checks the root against.
+
+For a real model the roots of the two sides are complex conjugates, so
+the opposite side's root and homotopy path follow from one side's without
+a second Picard iteration (RootSolution.conjugate, conjugate_path).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +65,17 @@ class RootSolution:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.z_op)
+
+    def conjugate(self) -> "RootSolution":
+        """The root of the opposite side of a real model: X and Z
+        conjugated, the side flipped and every scalar field kept.
+
+        For a real model (SpectralModel.is_real) the Picard map of the
+        mirrored contour is the conjugate of this side's map, so the same
+        iteration from X = 0 runs through the conjugated iterates.
+        """
+        return replace(self, side=-self.side, x=np.conj(self.x),
+                       z_op=np.conj(self.z_op))
 
 
 @dataclass(frozen=True)
@@ -123,10 +138,10 @@ class _PicardMap:
         # where the side-l moments equal the contour integral
         contour = self.contour
         a, b = contour.endpoints
-        return all(contour.side * lam.imag < 0.0
-                   or (lam.imag == 0.0 and a < lam.real < b)
-                   or contour.contains_in_lens(complex(lam))
-                   for lam in eigs)
+        x, y = eigs.real, eigs.imag
+        return bool(np.all((contour.side * y < 0.0)
+                           | ((y == 0.0) & (a < x) & (x < b))
+                           | contour.contains_in_lens(eigs)))
 
     def __call__(self, zmat: np.ndarray) -> np.ndarray:
         nodes = self.contour.nodes
@@ -175,7 +190,6 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
 
     # residual confirmation at the converged point, through the same map
     residual = float(np.linalg.norm(x - step_map(a1 + x), 2))
-    norm_x = float(np.linalg.norm(x, 2))
     if residual > max(2.0 * tol, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
     if norm_x > rep.r_min + 1e-9:
@@ -297,17 +311,47 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     base = admissibility(model, contour) if report is None else report
     ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
 
+    solved = []
+    x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
+    for t in ts:
+        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
+        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
+        solved.append((t, sol))
+        x_prev = sol.x
+    return _track(model, solved, tau_real)
+
+
+def conjugate_path(model: SpectralModel, path: list,
+                   tau_real: float | None = None) -> list:
+    """The homotopy path of the opposite side of a real model, from path.
+
+    path is a homotopy_path result on one side. For a real model
+    (SpectralModel.is_real) the root at each t on the mirrored contour is
+    the conjugate of the root in path (RootSolution.conjugate), so no
+    Picard iteration runs: only the tracking step of homotopy_path
+    (eigenvalues, pairing, labels and residuals) runs again, on the
+    conjugated roots. The result is homotopy_path on the mirrored contour.
+    """
+    if not model.is_real:
+        raise ValueError("a path is conjugated only for a real model")
+    return _track(model, [(t, sol.conjugate()) for t, sol, _ in path], tau_real)
+
+
+def _track(model: SpectralModel, solved: list, tau_real: float | None) -> list:
+    """The tracking step of homotopy_path over its (t, RootSolution) pairs.
+
+    Orders each t's eigenvalues as continuations of the previous t's,
+    warns on suspicious jumps and ambiguous pairings, and labels them;
+    returns the (t, RootSolution, SpectrumClassification) entries.
+    """
     a_norm = float(np.linalg.norm(model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
 
     out = []
-    x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
     eigs_prev = None
     lipschitz = 0.0
     t_prev = None
-    for t in ts:
-        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
-        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
+    for t, sol in solved:
         eigs = np.linalg.eigvals(sol.z_op)
         if eigs_prev is None:
             eigs = np.sort_complex(eigs)
@@ -330,14 +374,13 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
             warnings.warn(f"ambiguous trajectory pairing at t={t}", RuntimeWarning)
 
         lams = [complex(lam) for lam in eigs]
-        labels = [_label_for(lam, contour.side, tau) for lam in lams]
+        labels = [_label_for(lam, sol.side, tau) for lam in lams]
         resids = _physical_residuals(model, t, lams, labels)
         entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid, bool(amb))
                         for lam, label, resid, amb
                         in zip(lams, labels, resids, ambiguous_mask))
         out.append((t, sol, SpectrumClassification(entries)))
 
-        x_prev = sol.x
         eigs_prev = eigs
         t_prev = t
     return out

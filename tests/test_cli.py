@@ -7,6 +7,7 @@ import pytest
 
 from schurroots.cli import main
 from schurroots.errors import NumericsError
+from schurroots.model import SpectralModel
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -211,6 +212,8 @@ def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
 
 
 def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
+    # a real model's second side shares the first side's report, so V0 is
+    # evaluated once, for the first side requested
     import schurroots.contour as contour_mod
 
     calls = []
@@ -226,12 +229,12 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, _with("contour", {"sides": sides}))
         code, _ = run(capsys, ["solve", "--config", cfg])
         assert code == 0
-        assert sorted(calls) == sorted(sides)
+        assert calls == sides[:1]
 
 
 def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     # the t = 1 report of the prologue feeds homotopy_path, which rescales
-    # it for every t of the grid
+    # it for every t of the grid; side -1 shares the report of side +1
     import schurroots.contour as contour_mod
 
     calls = []
@@ -246,7 +249,7 @@ def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, ["sweep", "--config", cfg,
                            "--out-csv", str(tmp_path / "t.csv")])
     assert code == 0
-    assert sorted(calls) == [-1, 1]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("exc_type", [NumericsError, np.linalg.LinAlgError])
@@ -281,7 +284,8 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
 
 
 def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
-    # one V0 per side, and 12 adaptive quadratures: Gram and B^*Y (2 per
+    # one V0, shared by the mirrored side -1 contour of this real model,
+    # and 12 adaptive quadratures: Gram and B^*Y (2 per
     # side), the deformed Omega, the norm-ceiling integral and the two
     # stacked J-orthogonality pairings (1, 1 and 2 per side)
     import schurroots.contour as contour_mod
@@ -304,7 +308,7 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 0
     assert json.loads(out)["all_identities_pass"] is True
-    assert sorted(variations) == [-1, 1]
+    assert variations == [1]
     assert len(quads) == 12
 
 
@@ -339,8 +343,12 @@ def test_report_path_from_config(tmp_path, capsys):
 def test_one_inadmissible_side_marks_the_report(tmp_path, capsys, monkeypatch,
                                                 command):
     # only side -1 fails admissibility: the report is inadmissible and
-    # shows side -1's block, the command exits 2 with no traceback
+    # shows side -1's block, the command exits 2 with no traceback. A real
+    # model's side -1 shares the report of side +1, so the model is taken
+    # as complex here to evaluate side -1 on its own.
     import schurroots.cli as cli_mod
+
+    monkeypatch.setattr(SpectralModel, "is_real", property(lambda self: False))
 
     original = cli_mod.admissibility
 
@@ -418,3 +426,56 @@ def test_verify_calls_transformator_once_per_side(tmp_path, capsys, monkeypatch,
         rows = {r["name"]: r for r in json.loads(out)["identities"]}
         assert rows["root-contour"]["passed"]
         assert len(calls) == 2
+
+
+def _run_report(tmp_path, capsys, command, data, name):
+    """The report and CSV text of one command run, with the wall time
+    dropped."""
+    argv = [command, "--config", write_cfg(tmp_path, data, f"{name}.json")]
+    csv_path = tmp_path / f"{name}.csv"
+    if command == "sweep":
+        argv += ["--out-csv", str(csv_path)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    rep = json.loads(out)
+    rep["provenance"].pop("wall_time_s")
+    return rep, csv_path.read_text() if command == "sweep" else None
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_side_order_gives_the_same_blocks(tmp_path, capsys, model_zoo, command):
+    # side -1 alone is solved; [-1, 1] derives +1 from -1 and [1, -1]
+    # derives -1 from +1: every side's block is the same in all of them
+    data = _zoo_config(model_zoo)
+    reps = {}
+    for sides in ([1], [-1], [1, -1], [-1, 1]):
+        cfg = {**data, "contour": {"sides": sides}}
+        reps[tuple(sides)], _ = _run_report(tmp_path, capsys, command, cfg,
+                                            "".join(map(str, sides)))
+    assert reps[(1, -1)]["provenance"]["derived_sides"] == {"-1": "conjugate of +1"}
+    assert reps[(-1, 1)]["provenance"]["derived_sides"] == {"+1": "conjugate of -1"}
+    assert reps[(-1,)]["provenance"]["derived_sides"] == {}
+    for key in ("+1", "-1"):
+        blocks = [rep["solutions"][key] for rep in reps.values()
+                  if key in rep["solutions"]]
+        assert len(blocks) == 3
+        assert all(block == blocks[0] for block in blocks)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_derived_side_matches_the_solved_side(tmp_path, capsys, monkeypatch,
+                                              model_zoo, command):
+    # with the realness predicate forced off every side is solved on its
+    # own; the report and CSV differ from the derived run only in
+    # provenance.derived_sides
+    data = _zoo_config(model_zoo)
+    derived, derived_csv = _run_report(tmp_path, capsys, command, data, "derived")
+    monkeypatch.setattr(SpectralModel, "is_real", property(lambda self: False))
+    solved, solved_csv = _run_report(tmp_path, capsys, command, data, "solved")
+    if command == "verify":
+        assert "derived_sides" not in derived["provenance"]
+    else:
+        assert derived["provenance"].pop("derived_sides") == {"-1": "conjugate of +1"}
+        assert solved["provenance"].pop("derived_sides") == {}
+    assert json.dumps(derived, sort_keys=True) == json.dumps(solved, sort_keys=True)
+    assert derived_csv == solved_csv

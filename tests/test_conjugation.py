@@ -1,0 +1,94 @@
+"""Side -1 of a real model is the complex conjugate of side +1.
+
+solve and sweep derive the second side of a real model from the first
+(cli._prologue, RootSolution.conjugate, rootsolver.conjugate_path) instead
+of solving it. These tests solve side -1 directly and require the
+derivation to reproduce it bit for bit, on every model the benchmark runs
+(the Friedrichs model, the test zoo and the wide-sweep models of seeds 1
+and 2) and for both contour kinds.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import schurroots as sr
+from schurroots.rootsolver import conjugate_path
+
+from conftest import RECT_DEPTH
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+KINDS = (("semicircle", None), ("rectangle", RECT_DEPTH))
+GRID = [k / 8 for k in range(1, 9)]
+
+
+def _wide_models():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [model for seed in (1, 2) for model in module.wide_models(sr, seed)]
+
+
+@pytest.fixture(scope="module")
+def real_models(friedrichs_model, model_zoo):
+    return [friedrichs_model] + list(model_zoo) + _wide_models()
+
+
+def _bits(arr) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def _assert_same_solution(direct, derived):
+    assert _bits(direct.x) == _bits(derived.x)
+    assert _bits(direct.z_op) == _bits(derived.z_op)
+    for name in ("side", "coupling_scale", "iterations", "final_step_norm",
+                 "r_min", "r_max", "residual", "contour_fallbacks"):
+        assert getattr(direct, name) == getattr(derived, name), name
+
+
+def test_side_minus_one_is_the_conjugate(real_models):
+    for model in real_models:
+        assert model.is_real
+        for kind, depth in KINDS:
+            plus = sr.make_contour(model, 1, kind, depth)
+            minus = sr.make_contour(model, -1, kind, depth)
+            mirror = plus.mirror()
+            assert _bits(minus.nodes) == _bits(mirror.nodes)
+            assert _bits(minus.weights) == _bits(mirror.weights)
+            for name in ("side", "kind", "depth", "endpoints", "orientation",
+                         "segment_slices"):
+                assert getattr(minus, name) == getattr(mirror, name), name
+
+            rep = sr.admissibility(model, plus)
+            assert sr.admissibility(model, minus) == rep
+            if not rep.admissible:
+                # the Friedrichs model on the rectangle: both sides refuse
+                continue
+
+            sol = sr.solve_basic(model, plus, report=rep)
+            _assert_same_solution(sr.solve_basic(model, minus, report=rep),
+                                  sol.conjugate())
+
+            path = sr.homotopy_path(model, plus, GRID, report=rep)
+            direct = sr.homotopy_path(model, minus, GRID, report=rep)
+            derived = conjugate_path(model, path)
+            assert len(direct) == len(derived) == len(GRID)
+            for (t_d, sol_d, cls_d), (t_c, sol_c, cls_c) in zip(direct, derived):
+                assert t_d == t_c
+                _assert_same_solution(sol_d, sol_c)
+                assert cls_d == cls_c
+
+
+def test_is_real_reads_the_data(friedrichs_model):
+    # the predicate looks at a1 and the coupling coefficients, so a model
+    # with a complex coefficient (built around build_model's realness
+    # check) is solved on each side instead of conjugated
+    assert friedrichs_model.is_real
+    complex_b = sr.MatrixPolynomial(np.array([[[0.2 + 0.1j]]]))
+    model = sr.SpectralModel(friedrichs_model.delta0, friedrichs_model.a1,
+                             complex_b, True)
+    assert not model.is_real
+    with pytest.raises(ValueError, match="real model"):
+        conjugate_path(model, [])

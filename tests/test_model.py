@@ -11,7 +11,8 @@ import pytest
 
 import schurroots as sr
 from schurroots.errors import ModelError
-from schurroots.model import MatrixPolynomial
+from schurroots.model import (_HERM_TOL, CouplingDensity, MatrixPolynomial,
+                              _validate_density)
 
 CUMULATIVE_ORACLE = 8.0 / 3.0
 
@@ -114,6 +115,26 @@ def test_build_model_validation():
     assert not model.feshbach
     model = sr.build_model((-1.0, 1.0), [[2.0]], [[[0.2]]])
     assert not model.feshbach
+
+
+# b = [1, -1] is constant, so b^* b = [[1, -1], [-1, 1]] exactly, with the
+# null vector (1, 1), and the density check's scale 1 + max ||b||_F^2 is 3.
+# Each corruption of the cached K' coefficient stays within the agreement
+# tolerance except the first, so each trips exactly one of the three checks.
+_DENSITY_SLACK = 0.9 * _HERM_TOL * 3.0
+
+
+@pytest.mark.parametrize("corruption, message", [
+    (1e-3 * np.eye(2), "disagrees with b"),
+    (_DENSITY_SLACK * np.array([[0.0, 1.0], [-1.0, 0.0]]), "not Hermitian"),
+    (-_DENSITY_SLACK * np.ones((2, 2)), "not PSD"),
+], ids=["wrong-coefficient", "non-hermitian", "negative-definite"])
+def test_density_validation_catches_a_corrupted_kprime(corruption, message):
+    model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
+    coeffs = model.kprime.coefficients + corruption
+    model.__dict__["kprime"] = CouplingDensity(MatrixPolynomial(coeffs))
+    with pytest.raises(ModelError, match=message):
+        _validate_density(model)
 
 
 def test_sigma1_sorted():

@@ -360,7 +360,8 @@ def _outside_model():
     return sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
 
 
-@pytest.mark.parametrize("case", ["near-defective", "outside-lens", "real-off-interval"])
+@pytest.mark.parametrize("case", ["near-defective", "outside-lens", "real-off-interval",
+                                  "one-of-two-outside-lens"])
 def test_map_falls_back_to_the_contour_sum(model_zoo, case):
     # where the closed form does not apply, the map is the contour sum
     if case == "near-defective":
@@ -368,6 +369,11 @@ def test_map_falls_back_to_the_contour_sum(model_zoo, case):
         model = next(m for m in model_zoo if m.n == 2)
         lam = 0.1 + 0.05j
         z = np.array([[lam, 1.0], [0.0, lam + 1e-9]])
+    elif case == "one-of-two-outside-lens":
+        # a well-conditioned Z whose first eigenvalue the moments cover (the
+        # other half-plane) and whose second lies beyond the semicircle
+        model = next(m for m in model_zoo if m.n == 2)
+        z = np.diag([0.1 - 0.05j, 1.5 + 1e-3j])
     else:
         # the side-l moments would jump by 2 pi i on these points
         model = _outside_model()
