@@ -13,13 +13,12 @@ and cross-checks every operator identity by independent quadrature.
 from ._kernels import backend_name
 from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, distance_to_sigma1, make_contour,
-                      optimize_r0, require_admissible, variation)
+                      optimize_r0, variation)
 from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
 from .friedrichs import FriedrichsParams, closed_m1, oracle_solution, solve_y
-from .model import (CouplingDensity, MatrixPolynomial, SpectralModel,
-                    build_model, check_semibounded_density, kb_cumulative,
-                    kprime_of)
+from .model import (MatrixPolynomial, SpectralModel, build_model,
+                    check_semibounded_density, kb_cumulative, kprime_of)
 from .riccati import (OmegaOperator, OneInSpectrumVerdict, RiccatiSolution,
                       check_ZAY, check_one_in_spectrum, compute_Omega,
                       compute_Y, factor_F1, j_orthogonality,
@@ -28,25 +27,23 @@ from .riccati import (OmegaOperator, OneInSpectrumVerdict, RiccatiSolution,
 from .rootsolver import (ClassifiedEigenvalue, RootSolution,
                          SpectrumClassification, classify, homotopy_path,
                          solve_basic, transformator)
-from .schur import (SchurEvaluation, evaluate, m1_continued, m1_continued_many,
-                    m1_physical, sheets_value, w1_boundary, w1_physical)
+from .schur import (m1_continued, m1_continued_many, m1_physical, sheets_value,
+                    w1_boundary, w1_physical)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "AdmissibilityReport", "ClassifiedEigenvalue",
-    "ConfigError", "Contour", "CouplingDensity", "FriedrichsParams",
-    "MatrixPolynomial", "ModelError", "NumericsError", "OmegaOperator",
-    "OneInSpectrumVerdict", "RiccatiSolution", "RootSolution",
-    "SchurEvaluation", "SchurRootsError", "SpectralModel",
+    "ConfigError", "Contour", "FriedrichsParams", "MatrixPolynomial",
+    "ModelError", "NumericsError", "OmegaOperator", "OneInSpectrumVerdict",
+    "RiccatiSolution", "RootSolution", "SchurRootsError", "SpectralModel",
     "SpectrumClassification", "admissibility", "admissibility_at",
     "backend_name", "build_model",
     "check_ZAY", "check_one_in_spectrum", "check_semibounded_density",
     "classify", "closed_m1", "compute_Omega", "compute_Y",
     "distance_to_sigma1", "factor_F1", "homotopy_path", "j_orthogonality",
-    "kb_cumulative", "kprime_of", "evaluate", "m1_continued", "m1_continued_many", "m1_physical",
+    "kb_cumulative", "kprime_of", "m1_continued", "m1_continued_many", "m1_physical",
     "make_contour", "omega_by_deformation", "optimize_r0", "oracle_solution",
-    "require_admissible",
     "rational_trials", "reconstruct_from_contour", "riccati_residual",
     "sheets_value", "solve_basic", "solve_y", "transformator", "variation",
     "w1_boundary", "w1_physical", "ysn_integral",

@@ -25,6 +25,8 @@ _RULES: dict = {}
 
 
 def _rule(n):
+    """The n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], built
+    once per n; the contour segments take their rules from here too."""
     if n not in _RULES:
         _RULES[n] = np.polynomial.legendre.leggauss(n)
     return _RULES[n]

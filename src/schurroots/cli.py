@@ -11,15 +11,19 @@ construction come as a +-l pair (one contour, root Z, angular operator Y
 and Omega per side). For a real model (SpectralModel.is_real) the pair
 is conjugate: Z(-l) = conj Z(l). So when both sides are requested, the
 second side's contour is the mirror of the first's and shares its
-admissibility report, and solve and sweep take its root and path as the
-conjugate of the first side's (provenance.derived_sides). verify still
-solves both roots and checks each identity once per side, which makes it
-the independent check of that symmetry: a row is a function of one side,
-and the row's residual is the largest of its per-side values (_worst).
+admissibility report, and solve and sweep take its root, classification
+and path as the conjugate of the first side's, in the first side's order
+(provenance.derived_sides). verify still solves both roots and checks
+each identity once per side, which makes it the independent check of
+that symmetry: a row is a function of one side, and the row's residual
+is the largest of its per-side values (_worst). Each side's Omega is
+computed once, and the omega-adjoint row reads the pair Omega(-l),
+Omega(l)^*.
 """
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -40,7 +44,7 @@ from .riccati import (check_ZAY, check_one_in_spectrum, compute_Omega,
                       ysn_integral)
 from .rootsolver import (classify, conjugate_path, homotopy_path, solve_basic,
                          transformator)
-from .schur import m1_continued_many, sheets_value, w1_boundary
+from .schur import m1_continued_many, sheets_value, w1_physical
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -135,15 +139,16 @@ def cmd_solve(cfg: RunConfig) -> dict:
     report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, first, reps[first])
 
     report["solutions"] = {}
-    sols = {}
+    solved = {}
     for side, contour in contours.items():
         if side in derived:
-            sol = sols[derived[side]].conjugate()
+            sol, cls = solved[derived[side]]
+            sol, cls = sol.conjugate(), cls.conjugate()
         else:
             sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol,
                               cfg.max_iter, report=reps[side])
-        sols[side] = sol
-        cls = classify(model, contour, sol, cfg.tau_real)
+            cls = classify(model, contour, sol, cfg.tau_real)
+        solved[side] = sol, cls
         report["solutions"][f"{side:+d}"] = solution_block(sol, cls)
     return _finish(report, start)
 
@@ -195,6 +200,28 @@ def _relative_gap(gap, ref) -> float:
     return float(np.linalg.norm(gap, 2)) / (1.0 + float(np.linalg.norm(ref, 2)))
 
 
+# The offsets eps of _boundary_limit: three halvings from 1e-5.
+_BOUNDARY_EPS = 1e-5 * 0.5 ** np.arange(3)
+
+
+def _boundary_limit(model, lams, approach) -> np.ndarray:
+    """W1(lam + i*approach*0) at each point of lams, (P, n, n), as the
+    Richardson limit of the closed-form W1(lam + i*approach*eps) over
+    _BOUNDARY_EPS.
+
+    W1 continues analytically across the interval from either half-plane,
+    so W1(lam + i*approach*eps) is a power series in eps; two Richardson
+    steps remove its eps and eps^2 terms. The limit is taken from values
+    off the cut only, so it is independent of the principal value and of
+    the jump K'(lam) that w1_boundary adds to it.
+    """
+    zs = lams[None, :] + 1j * approach * _BOUNDARY_EPS[:, None]
+    vals = w1_physical(model, zs.ravel()).reshape(zs.shape + (model.n, model.n))
+    for j in (1, 2):
+        vals = (2 ** j * vals[1:] - vals[:-1]) / (2 ** j - 1)
+    return vals[0]
+
+
 def _worst(per_side, sides) -> float:
     """The largest per_side(side) over sides, 0.0 when there is no side.
 
@@ -204,22 +231,6 @@ def _worst(per_side, sides) -> float:
     """
     values = [float(per_side(side)) for side in sides]
     return float(np.max(values)) if values else 0.0
-
-
-def _capture(fn, *args, **kwargs):
-    """fn(*args, **kwargs), or the _ROW_ERRORS exception it raised."""
-    try:
-        return fn(*args, **kwargs)
-    except _ROW_ERRORS as exc:
-        return exc
-
-
-def _captured(value):
-    """A _capture result, with a captured failure raised as NumericsError
-    carrying the same message."""
-    if isinstance(value, Exception):
-        raise NumericsError(str(value))
-    return value
 
 
 def _identity_table(cfg, model, contours, rng, reps) -> tuple:
@@ -239,12 +250,18 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         sols[side] = _corrupt(sol, cfg.corrupt_z)
         clss[side] = classify(model, contours[side], sols[side], cfg.tau_real)
         rics[side] = compute_Y(model, sols[side], cfg.quad_tol)
-    omegas = {side: _capture(compute_Omega, model, contours[side], sols[side],
-                             sols[-side], report=reps[side])
-              for side in sides}
-    recon = {side: _capture(reconstruct_from_contour, model, contours[side],
-                            sols[side])
-             for side in sides}
+
+    # computed on first use, once per side. A failure is not cached: each
+    # row that reads the value raises it again and fails with its message
+    # as the row's note
+    @functools.cache
+    def omega(side):
+        return compute_Omega(model, contours[side], sols[side], sols[-side],
+                             report=reps[side])
+
+    @functools.cache
+    def recon(side):
+        return reconstruct_from_contour(model, contours[side], sols[side])
 
     rows = []
 
@@ -288,33 +305,35 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
     def omega_bound(side):
-        om = _captured(omegas[side])
+        om = omega(side)
         return om.norm - om.bound
 
     add_row("omega-bound", 0.0, over_sides(omega_bound))
 
     def omega_adjoint(side):
-        om = _captured(omegas[side])
-        return om.adjoint_residual / (1.0 + om.norm)
+        # the adjoint relation that pairs the two sides: Omega(-l) = Omega(l)^*
+        om = omega(side)
+        gap = omega(-side).omega - np.conj(om.omega.T)
+        return float(np.linalg.norm(gap, 2)) / (1.0 + om.norm)
 
     add_row("omega-adjoint", 1e-10, over_sides(omega_adjoint))
 
     def omega_two_path(side):
-        om = _captured(omegas[side])
+        om = omega(side)
         alt = omega_by_deformation(model, sols[side], sols[-side], cfg.quad_tol)
         return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
 
     add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
 
     def projection(side):
-        h0 = _captured(recon[side])[0]
-        target = np.linalg.inv(np.eye(model.n) - _captured(omegas[side]).omega)
+        h0 = recon(side)[0]
+        target = np.linalg.inv(np.eye(model.n) - omega(side).omega)
         return _relative_gap(h0 - target, h0)
 
     add_row("projection-inverse", 1e-8, over_sides(projection))
 
     def similarity(side):
-        inv = np.linalg.inv(np.eye(model.n) - _captured(omegas[side]).omega)
+        inv = np.linalg.inv(np.eye(model.n) - omega(side).omega)
         zmh = np.conj(sols[-side].z_op.T)
         z = sols[side].z_op
         return _relative_gap(inv @ zmh - z @ inv, z)
@@ -323,7 +342,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def reconstruction(side):
         z = sols[side].z_op
-        return _relative_gap(_captured(recon[side])[2] - z, z)
+        return _relative_gap(recon(side)[2] - z, z)
 
     add_row("root-reconstruction", 1e-8, over_sides(reconstruction))
 
@@ -379,7 +398,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         kps = sm.kprime_values(pts)
         gaps = []
         for approach in (1, -1):
-            w = w1_boundary(sm, pts, approach)
+            w = _boundary_limit(sm, pts, approach)
             im_part = (w - np.conj(np.swapaxes(w, 1, 2))) / 2j
             gaps.append(im_part - approach * np.pi * kps)
         norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))
@@ -428,7 +447,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     paths = {}
     for side, contour in contours.items():
         if side in derived:
-            path = conjugate_path(model, paths[derived[side]], cfg.tau_real)
+            path = conjugate_path(model, paths[derived[side]])
         else:
             path = homotopy_path(model, contour, cfg.t_grid, cfg.tol,
                                  cfg.max_iter, cfg.tau_real, report=at_one[side])

@@ -13,21 +13,14 @@ from functools import cached_property
 
 import numpy as np
 
+from ._quad import _rule
 from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
-
-_LEG_CACHE: dict = {}
 
 # Largest Gauss-Legendre rule built for one segment. leggauss is O(N^3) in
 # the rule size, so an unbounded count (a deep rectangle, a huge
 # nodes_per_unit) would stall before admissibility could reject it.
 MAX_SEGMENT_NODES = 4096
-
-
-def _leggauss(n):
-    if n not in _LEG_CACHE:
-        _LEG_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEG_CACHE[n]
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ def _node_count(nodes_per_unit, arclength):
 
 def _segment_nodes(p, q, nodes_per_unit):
     count = _node_count(nodes_per_unit, abs(q - p))
-    x, w = _leggauss(count)
+    x, w = _rule(count)
     mid = 0.5 * (p + q)
     half = 0.5 * (q - p)
     return mid + half * x, w * half
@@ -136,7 +129,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
             )
         c = 0.5 * (a + b)
         count = _node_count(nodes_per_unit, math.pi * rho)
-        x, w = _leggauss(count)
+        x, w = _rule(count)
         theta = 0.5 * math.pi * (1.0 - x)
         phase = np.exp(1j * theta)
         nodes = c + rho * phase
@@ -304,11 +297,6 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
             report=rep,
         )
     return rep
-
-
-def require_admissible(model: SpectralModel, contour: Contour,
-                       coupling_scale: float = 1.0) -> AdmissibilityReport:
-    return ensure_admissible(admissibility(model, contour, coupling_scale))
 
 
 def optimize_r0(model: SpectralModel, side: int, family,

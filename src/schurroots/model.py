@@ -75,21 +75,6 @@ class MatrixPolynomial:
         return MatrixPolynomial(np.concatenate([zero, body], axis=0))
 
 
-@dataclass(frozen=True)
-class CouplingDensity:
-    """The derived density K'(mu), a matrix polynomial with Hermitian
-    coefficients, PSD for real mu."""
-
-    kprime: MatrixPolynomial
-
-    def __call__(self, mu):
-        return self.kprime(mu)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.kprime.coefficients
-
-
 def _as_matrix_polynomial(b) -> MatrixPolynomial:
     if isinstance(b, MatrixPolynomial):
         return b
@@ -121,7 +106,9 @@ class SpectralModel:
         return np.sort(np.linalg.eigvalsh(self.a1))
 
     @cached_property
-    def kprime(self) -> CouplingDensity:
+    def kprime(self) -> MatrixPolynomial:
+        """The derived density K'(mu), a matrix polynomial with Hermitian
+        coefficients, PSD for real mu."""
         return kprime_of(self)
 
     @property
@@ -184,7 +171,7 @@ def build_model(delta0, a1, b) -> SpectralModel:
     return model
 
 
-def kprime_of(model: SpectralModel) -> CouplingDensity:
+def kprime_of(model: SpectralModel) -> MatrixPolynomial:
     """K'(mu) = b#(mu) b(mu) as an explicit matrix polynomial.
 
     Coefficient s is sum over k+j=s of C_k^* C_j, Hermitian by symmetry of
@@ -199,7 +186,7 @@ def kprime_of(model: SpectralModel) -> CouplingDensity:
         for j in range(deg + 1):
             out[k + j] += ck @ c[j]
     out = 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
-    return CouplingDensity(MatrixPolynomial(out))
+    return MatrixPolynomial(out)
 
 
 def _validate_density(model: SpectralModel, grid_points: int = 1000) -> None:
@@ -225,7 +212,7 @@ def kb_cumulative(model: SpectralModel, mu: float) -> np.ndarray:
     lo, hi = model.interval
     if not (lo <= mu <= hi):
         raise ModelError(f"mu={mu} outside [{lo}, {hi}]")
-    anti = model.kprime.kprime.antiderivative()
+    anti = model.kprime.antiderivative()
     out = anti(complex(mu)) - anti(complex(lo))
     return 0.5 * (out + np.conj(out.T))
 

@@ -13,8 +13,10 @@ quadrature error. The contour sum (transformator) stays as the fallback
 of that map and as the independent path verify checks the root against.
 
 For a real model the roots of the two sides are complex conjugates, so
-the opposite side's root and homotopy path follow from one side's without
-a second Picard iteration (RootSolution.conjugate, conjugate_path).
+the opposite side's root, classification and homotopy path are one side's
+conjugated, entry for entry and in the same order: no second Picard
+iteration, classification or tracking step runs (RootSolution.conjugate,
+SpectrumClassification.conjugate, conjugate_path).
 """
 
 import warnings
@@ -93,6 +95,18 @@ class SpectrumClassification:
 
     def count(self, label: str) -> int:
         return sum(e.multiplicity for e in self.entries if e.label == label)
+
+    def conjugate(self) -> "SpectrumClassification":
+        """The classification of the conjugated root (RootSolution.conjugate)
+        of a real model: each eigenvalue conjugated, in the same order, with
+        its label, multiplicity, physical residual and ambiguity flag kept.
+
+        Conjugation flips both the sign of Im(lam) and the side, so the
+        label is unchanged, and the physical-sheet M1 at conj(lam) is the
+        conjugate of M1 at lam, with the same singular values.
+        """
+        return SpectrumClassification(tuple(
+            replace(e, eigenvalue=e.eigenvalue.conjugate()) for e in self.entries))
 
 
 def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
@@ -310,48 +324,19 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
     base = admissibility(model, contour) if report is None else report
     ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
-
-    solved = []
-    x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
-    for t in ts:
-        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
-        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
-        solved.append((t, sol))
-        x_prev = sol.x
-    return _track(model, solved, tau_real)
-
-
-def conjugate_path(model: SpectralModel, path: list,
-                   tau_real: float | None = None) -> list:
-    """The homotopy path of the opposite side of a real model, from path.
-
-    path is a homotopy_path result on one side. For a real model
-    (SpectralModel.is_real) the root at each t on the mirrored contour is
-    the conjugate of the root in path (RootSolution.conjugate), so no
-    Picard iteration runs: only the tracking step of homotopy_path
-    (eigenvalues, pairing, labels and residuals) runs again, on the
-    conjugated roots. The result is homotopy_path on the mirrored contour.
-    """
-    if not model.is_real:
-        raise ValueError("a path is conjugated only for a real model")
-    return _track(model, [(t, sol.conjugate()) for t, sol, _ in path], tau_real)
-
-
-def _track(model: SpectralModel, solved: list, tau_real: float | None) -> list:
-    """The tracking step of homotopy_path over its (t, RootSolution) pairs.
-
-    Orders each t's eigenvalues as continuations of the previous t's,
-    warns on suspicious jumps and ambiguous pairings, and labels them;
-    returns the (t, RootSolution, SpectrumClassification) entries.
-    """
     a_norm = float(np.linalg.norm(model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
 
     out = []
+    x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
     eigs_prev = None
     lipschitz = 0.0
     t_prev = None
-    for t, sol in solved:
+    for t in ts:
+        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
+        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
+        x_prev = sol.x
+
         eigs = np.linalg.eigvals(sol.z_op)
         if eigs_prev is None:
             eigs = np.sort_complex(eigs)
@@ -384,3 +369,18 @@ def _track(model: SpectralModel, solved: list, tau_real: float | None) -> list:
         eigs_prev = eigs
         t_prev = t
     return out
+
+
+def conjugate_path(model: SpectralModel, path: list) -> list:
+    """The homotopy path of the opposite side of a real model, from path.
+
+    path is a homotopy_path result on one side. For a real model
+    (SpectralModel.is_real) the root at each t on the mirrored contour is
+    the conjugate of the root in path, and so is its classification
+    (RootSolution.conjugate, SpectrumClassification.conjugate). Nothing
+    is solved, paired or labelled again: trajectory k of the result is
+    the conjugate of trajectory k of path.
+    """
+    if not model.is_real:
+        raise ValueError("a path is conjugated only for a real model")
+    return [(t, sol.conjugate(), cls.conjugate()) for t, sol, cls in path]

@@ -7,20 +7,11 @@ interval), and the jump formula value = physical - 2*pi*i*l*K'(z) inside
 the lens between the interval and the contour.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import cauchy_sum, cauchy_sum_many
 from .contour import Contour
 from .model import SpectralModel
-
-
-@dataclass(frozen=True)
-class SchurEvaluation:
-    z: complex
-    value: np.ndarray
-    path: str  # closed-form | contour-quadrature | sheets-formula
 
 
 def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
@@ -184,20 +175,3 @@ def sheets_value(model: SpectralModel, z, side: int,
     value = m1_physical(model, zs) - 2j * np.pi * side * model.kprime_values(zs)
     return value[0] if single else value
 
-
-def evaluate(model: SpectralModel, z: complex, path: str = "closed-form",
-             contour: Contour | None = None) -> SchurEvaluation:
-    """Tagged evaluation record; path selects the computation route."""
-    if path == "closed-form":
-        value = m1_physical(model, z)
-    elif path == "contour-quadrature":
-        if contour is None:
-            raise ValueError("contour-quadrature path needs a contour")
-        value = m1_continued(model, contour, z)
-    elif path == "sheets-formula":
-        if contour is None:
-            raise ValueError("sheets-formula path needs a contour")
-        value = sheets_value(model, z, contour.side, contour)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    return SchurEvaluation(complex(z), value, path)

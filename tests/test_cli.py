@@ -12,6 +12,11 @@ from schurroots.model import SpectralModel
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
                           "b": [[[float(np.sqrt(0.1))]]]}}
+# two decoupled Friedrichs channels (b = 0.2 and 0.15): the eigenvalues of
+# each side share the real part 0 exactly
+DECOUPLED = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0, 0.0], [0.0, 0.0]],
+                       "b": [[[0.2, 0.0], [0.0, 0.15]]]},
+             "sweep": {"t_grid": [0.5, 1.0]}}
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -212,8 +217,10 @@ def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
 
 
 def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
-    # a real model's second side shares the first side's report, so V0 is
-    # evaluated once, for the first side requested
+    # a real model's second side shares the first side's report and takes
+    # the conjugate of its classification, so V0 is evaluated and the
+    # spectrum classified once, for the first side requested
+    import schurroots.cli as cli_mod
     import schurroots.contour as contour_mod
 
     calls = []
@@ -224,18 +231,23 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
         return original(model, contour)
 
     monkeypatch.setattr(contour_mod, "variation", counting)
+    classified = _count_calls(monkeypatch, cli_mod, "classify")
     for sides in ([1, -1], [-1]):
         calls.clear()
+        classified.clear()
         cfg = write_cfg(tmp_path, _with("contour", {"sides": sides}))
         code, _ = run(capsys, ["solve", "--config", cfg])
         assert code == 0
         assert calls == sides[:1]
+        assert len(classified) == 1
 
 
 def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     # the t = 1 report of the prologue feeds homotopy_path, which rescales
-    # it for every t of the grid; side -1 shares the report of side +1
+    # it for every t of the grid; side -1 shares the report of side +1 and
+    # takes its path as the conjugate of side +1's, with no tracking step
     import schurroots.contour as contour_mod
+    import schurroots.rootsolver as rootsolver_mod
 
     calls = []
     original = contour_mod.variation
@@ -245,11 +257,14 @@ def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
         return original(model, contour)
 
     monkeypatch.setattr(contour_mod, "variation", counting)
+    pairings = _count_calls(monkeypatch, rootsolver_mod, "_pair")
     cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))
     code, _ = run(capsys, ["sweep", "--config", cfg,
                            "--out-csv", str(tmp_path / "t.csv")])
     assert code == 0
     assert calls == [1]
+    # one pairing, from t = 0.5 to t = 1 on side +1
+    assert len(pairings) == 1
 
 
 @pytest.mark.parametrize("exc_type", [NumericsError, np.linalg.LinAlgError])
@@ -287,7 +302,8 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     # one V0, shared by the mirrored side -1 contour of this real model,
     # and 12 adaptive quadratures: Gram and B^*Y (2 per
     # side), the deformed Omega, the norm-ceiling integral and the two
-    # stacked J-orthogonality pairings (1, 1 and 2 per side)
+    # stacked J-orthogonality pairings (1, 1 and 2 per side). Each side's
+    # Omega is one contour sum, read by every row that needs it.
     import schurroots.contour as contour_mod
     import schurroots.riccati as riccati_mod
 
@@ -305,11 +321,13 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(contour_mod, "variation", counting_variation)
     monkeypatch.setattr(riccati_mod, "adaptive_quad", counting_quad)
+    sandwiches = _count_calls(monkeypatch, riccati_mod, "sandwich_sum")
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 0
     assert json.loads(out)["all_identities_pass"] is True
     assert variations == [1]
     assert len(quads) == 12
+    assert len(sandwiches) == 2
 
 
 def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
@@ -393,24 +411,52 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _assert_conjugate_entries(source, derived):
+    """Entry k of the derived side's eigenvalues is entry k of the source
+    side's, conjugated, with every other field kept."""
+    assert len(derived) == len(source)
+    for src, drv in zip(source, derived):
+        re, im = src["eigenvalue"]
+        assert drv == {**src, "eigenvalue": [re, -im]}
+
+
+def _assert_conjugate_trajectories(csv_text):
+    """Trajectory n + k of the sweep CSV is trajectory k conjugated."""
+    rows = [ln.split(",") for ln in csv_text.strip().split("\n")[1:]]
+    points = {(t, int(k)): (float(re), float(im), label)
+              for t, k, re, im, label in rows}
+    n = len({k for _, k in points}) // 2
+    for (t, k), (re, im, label) in points.items():
+        if k < n:
+            assert points[(t, n + k)] == (re, -im, label)
+
+
 def test_solve_and_sweep_make_no_contour_sum_call(tmp_path, capsys, monkeypatch,
                                                   model_zoo):
     # the Picard map is evaluated in closed form, so the contour sum that
-    # used to run once per step never runs, and no step falls back
+    # used to run once per step never runs, and no step falls back. The
+    # derived side -1 is side +1 conjugated entry for entry, in side +1's
+    # order, also where eigenvalues share a real part (DECOUPLED)
     import schurroots.rootsolver as rootsolver_mod
 
     calls = _count_calls(monkeypatch, rootsolver_mod, "resolvent_sum")
-    for data in (_with("sweep", {"t_grid": [0.5, 1.0]}), _zoo_config(model_zoo)):
+    csv_path = tmp_path / "t.csv"
+    for data in (_with("sweep", {"t_grid": [0.5, 1.0]}), _zoo_config(model_zoo),
+                 DECOUPLED):
         cfg = write_cfg(tmp_path, data)
         code, out = run(capsys, ["solve", "--config", cfg])
         assert code == 0
-        for block in json.loads(out)["solutions"].values():
+        solutions = json.loads(out)["solutions"]
+        for block in solutions.values():
             assert block["contour_fallbacks"] == 0
+        _assert_conjugate_entries(solutions["+1"]["eigenvalues"],
+                                  solutions["-1"]["eigenvalues"])
         code, out = run(capsys, ["sweep", "--config", cfg,
-                                 "--out-csv", str(tmp_path / "t.csv")])
+                                 "--out-csv", str(csv_path)])
         assert code == 0
         for block in json.loads(out)["solutions"].values():
             assert block["contour_fallbacks"] == 0
+        _assert_conjugate_trajectories(csv_path.read_text())
     assert calls == []
 
 

@@ -1,8 +1,8 @@
 """Side -1 of a real model is the complex conjugate of side +1.
 
 solve and sweep derive the second side of a real model from the first
-(cli._prologue, RootSolution.conjugate, rootsolver.conjugate_path) instead
-of solving it. These tests solve side -1 directly and require the
+(cli._prologue, RootSolution.conjugate, SpectrumClassification.conjugate,
+rootsolver.conjugate_path) instead of solving and classifying it. These tests solve side -1 directly and require the
 derivation to reproduce it bit for bit, on every model the benchmark runs
 (the Friedrichs model, the test zoo and the wide-sweep models of seeds 1
 and 2) and for both contour kinds.
@@ -70,6 +70,8 @@ def test_side_minus_one_is_the_conjugate(real_models):
             sol = sr.solve_basic(model, plus, report=rep)
             _assert_same_solution(sr.solve_basic(model, minus, report=rep),
                                   sol.conjugate())
+            assert (sr.classify(model, minus, sol.conjugate())
+                    == sr.classify(model, plus, sol).conjugate())
 
             path = sr.homotopy_path(model, plus, GRID, report=rep)
             direct = sr.homotopy_path(model, minus, GRID, report=rep)

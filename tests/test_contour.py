@@ -125,8 +125,8 @@ def test_inadmissible_report():
     assert rep.omega < 0
     assert rep.r_min is None and rep.r_max is None
     with pytest.raises(AdmissibilityError) as exc_info:
-        sr.require_admissible(model, c)
-    assert exc_info.value.report is rep or exc_info.value.report.omega < 0
+        sr.contour.ensure_admissible(rep)
+    assert exc_info.value.report is rep
 
 
 def test_semicircle_depth_fixed(friedrichs_model):

@@ -11,8 +11,7 @@ import pytest
 
 import schurroots as sr
 from schurroots.errors import ModelError
-from schurroots.model import (_HERM_TOL, CouplingDensity, MatrixPolynomial,
-                              _validate_density)
+from schurroots.model import _HERM_TOL, MatrixPolynomial, _validate_density
 
 CUMULATIVE_ORACLE = 8.0 / 3.0
 
@@ -21,7 +20,7 @@ def test_kprime_scalar_constant(friedrichs_model):
     dens = sr.kprime_of(friedrichs_model)
     mus = np.linspace(-1, 1, 11)
     for mu in mus:
-        assert abs(dens.kprime(mu)[0, 0] - 0.04) < 1e-15
+        assert abs(dens(mu)[0, 0] - 0.04) < 1e-15
 
 
 def test_kb_cumulative_frozen():
@@ -132,7 +131,7 @@ _DENSITY_SLACK = 0.9 * _HERM_TOL * 3.0
 def test_density_validation_catches_a_corrupted_kprime(corruption, message):
     model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
     coeffs = model.kprime.coefficients + corruption
-    model.__dict__["kprime"] = CouplingDensity(MatrixPolynomial(coeffs))
+    model.__dict__["kprime"] = MatrixPolynomial(coeffs)
     with pytest.raises(ModelError, match=message):
         _validate_density(model)
 

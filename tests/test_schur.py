@@ -179,17 +179,6 @@ def test_herglotz_positivity():
         assert np.min(np.linalg.eigvalsh(im_part)) > -1e-10
 
 
-def test_evaluate_paths(friedrichs_model, friedrichs_contours):
-    ev = sr.evaluate(friedrichs_model, 0.4 + 0.3j)
-    assert ev.path == "closed-form"
-    ev2 = sr.evaluate(friedrichs_model, 0.4 + 0.05j, path="contour-quadrature",
-                      contour=friedrichs_contours[1])
-    assert ev2.path == "contour-quadrature"
-    with pytest.raises(ValueError):
-        sr.evaluate(friedrichs_model, 0.4j, path="nope")
-    assert np.max(np.abs(ev.value - sr.m1_physical(friedrichs_model, 0.4 + 0.3j))) == 0
-
-
 @pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
 @pytest.mark.parametrize("side", [1, -1])
 def test_continued_moments_equal_the_contour_integral(friedrichs_model, kind,
