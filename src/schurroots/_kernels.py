@@ -12,6 +12,11 @@ Conventions: nodes and weights may be complex (contour quadrature),
 
 import numpy as np
 
+# Largest r*c for which polyval_matrix runs node-major (see there). At
+# n = 2 on 800 nodes that layout takes about 2/3 of the time; from 5 x 5
+# on, the transpose back makes it slower than the (M, r, c) loop.
+_NODE_MAJOR_ENTRIES = 16
+
 
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in report provenance."""
@@ -21,17 +26,30 @@ def backend_name() -> str:
 def polyval_matrix(coeffs, mus):
     """Evaluate a matrix polynomial sum_k coeffs[k] mu^k at each mu.
 
-    coeffs: (K, r, c), mus: (M,) -> (M, r, c). Horner form.
+    coeffs: (K, r, c), mus: (M,) -> (M, r, c), C-contiguous. Horner form.
+    For small matrices (r*c <= _NODE_MAJOR_ENTRIES) it runs on an
+    (r*c, M) node-contiguous buffer, so each pass is one long loop over
+    the nodes per matrix entry instead of M short loops over r*c entries;
+    for larger ones the transpose back costs more than that saves. Each
+    entry sees the same operations in the same order either way, so the
+    values are bit for bit those of Horner on the (M, r, c) layout.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     mus = np.asarray(mus, dtype=np.complex128)
     k, r, c = coeffs.shape
-    out = np.empty((mus.shape[0], r, c), dtype=np.complex128)
-    out[:] = coeffs[k - 1]
+    m = mus.shape[0]
+    node_major = r * c <= _NODE_MAJOR_ENTRIES
+    if node_major:
+        flat, x, out = coeffs.reshape(k, r * c, 1), mus, np.empty((r * c, m), np.complex128)
+    else:
+        flat, x, out = coeffs.reshape(k, 1, r * c), mus[:, None], np.empty((m, r * c), np.complex128)
+    out[:] = flat[k - 1]
     for idx in range(k - 2, -1, -1):
-        out *= mus[:, None, None]
-        out += coeffs[idx]
-    return out
+        out *= x
+        out += flat[idx]
+    if node_major:
+        out = np.ascontiguousarray(out.T)
+    return out.reshape(m, r, c)
 
 
 def cauchy_sum(kvals, nodes, weights, z):

@@ -493,7 +493,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls, each returns a fresh namespace."""
     p = _Parser(prog="schurroots",
                 description="Operator roots of an analytically continued "
                             "Schur complement: solve, verify, sweep.")

@@ -22,6 +22,11 @@ from .model import SpectralModel
 # nodes_per_unit) would stall before admissibility could reject it.
 MAX_SEGMENT_NODES = 4096
 
+# Most K'(mu) matrix entries evaluated in one batch by _kprime_norms (4 MiB
+# of complex128): a whole 33-depth rectangle scan at n = 2, 1024 nodes at
+# n = 16.
+_NORM_BATCH_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Contour:
@@ -99,12 +104,41 @@ def _node_count(nodes_per_unit, arclength):
     return max(200, int(math.ceil(wanted)))
 
 
-def _segment_nodes(p, q, nodes_per_unit):
-    count = _node_count(nodes_per_unit, abs(q - p))
-    x, w = _rule(count)
-    mid = 0.5 * (p + q)
-    half = 0.5 * (q - p)
-    return mid + half * x, w * half
+def _rectangle_rules(a, b, depths, nodes_per_unit):
+    """The side +1 rectangle rules of the interval (a, b) at several depths.
+
+    Returns one (rows, counts, nodes, weights) per distinct triple of
+    segment node counts (a segment's count depends on its length, so the
+    vertical sides change count with the depth), in order of first
+    appearance: rows are the indices into depths that share it, counts the
+    three segment counts, nodes and weights (len(rows), sum(counts))
+    arrays. Row k holds the Gauss-Legendre nodes and weights of the side +1
+    rectangle of depth depths[rows[k]]: per segment p -> q, mid + half * x
+    and w * half, with mid = (p + q)/2 and half = (q - p)/2 taken per depth
+    in scalar arithmetic. make_contour builds its rectangle with this too.
+    Node counts are checked depth by depth, each vertical side before the
+    top.
+    """
+    length = b - a
+    groups = {}
+    for row, h in enumerate(depths):
+        side_count = _node_count(nodes_per_unit, h)
+        counts = (side_count, _node_count(nodes_per_unit, length), side_count)
+        groups.setdefault(counts, []).append(row)
+    rules = []
+    for counts, rows in groups.items():
+        ends = []
+        for row in rows:
+            top = 1j * float(depths[row])
+            corners = (a, a + top, b + top, b)
+            ends.append([(0.5 * (p + q), 0.5 * (q - p))
+                         for p, q in zip(corners[:-1], corners[1:])])
+        # (mid, half) of each segment, repeated over its nodes
+        per_node = np.repeat(np.array(ends), counts, axis=1)
+        mid, half = per_node[..., 0], per_node[..., 1]
+        x, w = (np.concatenate(parts) for parts in zip(*map(_rule, counts)))
+        rules.append((rows, counts, mid + half * x, w * half))
+    return rules
 
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
@@ -142,18 +176,10 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         h = float(depth)
         if h <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        top = 1j * h
-        corners = [a, a + top, b + top, b]
-        node_parts, weight_parts, slices = [], [], []
-        start = 0
-        for p, q in zip(corners[:-1], corners[1:]):
-            seg_nodes, seg_w = _segment_nodes(p, q, nodes_per_unit)
-            node_parts.append(seg_nodes)
-            weight_parts.append(seg_w)
-            slices.append(slice(start, start + seg_nodes.shape[0]))
-            start += seg_nodes.shape[0]
-        nodes = np.concatenate(node_parts)
-        weights = np.concatenate(weight_parts)
+        ((_, counts, nodes, weights),) = _rectangle_rules(a, b, [h], nodes_per_unit)
+        nodes, weights = nodes[0], weights[0]
+        bounds = np.cumsum((0,) + counts).tolist()
+        slices = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
         depth_val = h
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
@@ -181,18 +207,34 @@ def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
     larger eigenvalue of the Gram matrix G = K^H K written as
     (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|), which keeps full relative
     accuracy when K is close to a multiple of the identity (the form
-    F/2 + sqrt(F^2/4 - |det K|^2) cancels there). n >= 3 uses the SVD.
+    F/2 + sqrt(F^2/4 - |det K|^2) cancels there). G is formed from node-long
+    columns, each entry's |k|^2 once and each column sum as one addition,
+    with no reduction over a length-2 axis. n >= 3 uses the SVD.
     """
     n = kvals.shape[1]
     if n == 1:
         return np.abs(kvals[:, 0, 0])
     if n == 2:
-        c1, c2 = kvals[:, :, 0], kvals[:, :, 1]
-        g11 = np.sum(c1.real ** 2 + c1.imag ** 2, axis=1)
-        g22 = np.sum(c2.real ** 2 + c2.imag ** 2, axis=1)
-        g12 = np.abs(np.sum(np.conj(c1) * c2, axis=1))
+        sq = kvals.real ** 2 + kvals.imag ** 2
+        g11 = sq[:, 0, 0] + sq[:, 1, 0]
+        g22 = sq[:, 0, 1] + sq[:, 1, 1]
+        cross = np.conj(kvals[:, :, 0]) * kvals[:, :, 1]
+        g12 = np.abs(cross[:, 0] + cross[:, 1])
         return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
     return np.linalg.norm(kvals, ord=2, axis=(1, 2))
+
+
+def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
+    """||K'(mu)|| at each of the 1-d array nodes (see _spectral_norms).
+
+    The nodes go through kprime_values in chunks of at most
+    _NORM_BATCH_ENTRIES matrix entries, which bounds the memory of a batch
+    of contours at large n; the norms are per node, so the chunking does
+    not change them.
+    """
+    step = max(1, _NORM_BATCH_ENTRIES // model.n ** 2)
+    return np.concatenate([_spectral_norms(model.kprime_values(nodes[start:start + step]))
+                           for start in range(0, nodes.shape[0], step)])
 
 
 def variation(model: SpectralModel, contour: Contour) -> float:
@@ -204,8 +246,7 @@ def variation(model: SpectralModel, contour: Contour) -> float:
     need the test at several couplings evaluate it once and rescale
     with admissibility_at.
     """
-    kvals = model.kprime_values(contour.nodes)
-    return float(np.sum(np.abs(contour.weights) * _spectral_norms(kvals)))
+    return float(np.sum(np.abs(contour.weights) * _kprime_norms(model, contour.nodes)))
 
 
 def _point_segment_distance(p: complex, q: complex, x: complex) -> float:
@@ -218,29 +259,30 @@ def _point_segment_distance(p: complex, q: complex, x: complex) -> float:
     return abs(x - (p + t * d))
 
 
+def _rectangle_distance(model: SpectralModel, endpoints, side: int, depth: float) -> float:
+    """dist(sigma1, rectangle): the least point-segment distance from an
+    eigenvalue of a1 to one of the three segments."""
+    a, b = endpoints
+    top = 1j * side * depth
+    corners = [a, a + top, b + top, b]
+    segments = list(zip(corners[:-1], corners[1:]))
+    return float(min(_point_segment_distance(p, q, lam)
+                     for lam in map(complex, model.sigma1.tolist()) for p, q in segments))
+
+
 def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
     """dist(sigma1, contour) by exact per-kind geometry.
 
     Semicircle: | |lam - center| - radius |. Rectangle: minimum over the
     three segments of the point-segment distance.
     """
+    if contour.kind == "rectangle":
+        return _rectangle_distance(model, contour.endpoints, contour.side, contour.depth)
+    if contour.kind != "semicircle":
+        raise ValueError(f"unknown contour kind {contour.kind!r}")
     a, b = contour.endpoints
-    dists = []
-    for lam in model.sigma1:
-        lam = float(lam)
-        if contour.kind == "semicircle":
-            c = 0.5 * (a + b)
-            dists.append(abs(abs(lam - c) - contour.depth))
-        elif contour.kind == "rectangle":
-            top = 1j * contour.side * contour.depth
-            corners = [a, a + top, b + top, b]
-            dists.append(min(
-                _point_segment_distance(p, q, complex(lam))
-                for p, q in zip(corners[:-1], corners[1:])
-            ))
-        else:
-            raise ValueError(f"unknown contour kind {contour.kind!r}")
-    return float(min(dists))
+    c = 0.5 * (a + b)
+    return float(min(abs(abs(float(lam) - c) - contour.depth) for lam in model.sigma1))
 
 
 @dataclass(frozen=True)
@@ -299,6 +341,33 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
     return rep
 
 
+def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
+                     coupling_scale) -> list:
+    """r_min of the side-l rectangle at each depth, inf where the rectangle
+    is not admissible.
+
+    Equal bit for bit to admissibility(model, make_contour(model, side,
+    "rectangle", h, nodes_per_unit), coupling_scale).r_min, but builds no
+    Contour: the rules come from _rectangle_rules, and each group of depths
+    with equal node counts takes one _kprime_norms call over all its nodes
+    and one row-wise weighted sum for its V0 values.
+    """
+    r_min = [math.inf] * len(depths)
+    endpoints = model.interval
+    for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, nodes_per_unit):
+        if side == -1:
+            nodes = np.conj(nodes)
+        norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
+        v0s = np.sum(np.abs(weights) * norms, axis=1)
+        for row, v0 in zip(rows, v0s.tolist()):
+            depth = float(depths[row])
+            rep = admissibility_at(v0, _rectangle_distance(model, endpoints, side, depth),
+                                   coupling_scale)
+            if rep.admissible:
+                r_min[row] = rep.r_min
+    return r_min
+
+
 def optimize_r0(model: SpectralModel, side: int, family,
                 nodes_per_unit: int = 150, coupling_scale: float = 1.0,
                 samples: int = 33, tol: float = 1e-6):
@@ -309,18 +378,21 @@ def optimize_r0(model: SpectralModel, side: int, family,
     refinement; deterministic. Returns (best_contour, r0) where r0 is the
     optimal localization radius. Raises AdmissibilityError when no member
     of the family is admissible.
-    """
-    def r_of(contour):
-        rep = admissibility(model, contour, coupling_scale)
-        return rep.r_min if rep.admissible else math.inf
 
+    For rectangles, the candidate depths are evaluated by _rectangle_r_min,
+    which builds no Contour: the samples depths of the scan in one batch,
+    the two bracket points in a second and each golden-section step on its
+    own. Only the chosen depth gets a Contour, and its r0 is recomputed
+    from it by admissibility. The values are those of make_contour plus
+    admissibility at each depth, bit for bit, so the search takes the same
+    steps and returns the same depth and r0.
+    """
     if family == "semicircle":
         contour = make_contour(model, side, "semicircle", nodes_per_unit=nodes_per_unit)
-        r0 = r_of(contour)
-        if not math.isfinite(r0):
-            raise AdmissibilityError("semicircle contour is not admissible",
-                                     report=admissibility(model, contour, coupling_scale))
-        return contour, r0
+        rep = admissibility(model, contour, coupling_scale)
+        if not rep.admissible:
+            raise AdmissibilityError("semicircle contour is not admissible", report=rep)
+        return contour, rep.r_min
 
     kind, (lo, hi) = family
     if kind != "rectangle":
@@ -328,8 +400,11 @@ def optimize_r0(model: SpectralModel, side: int, family,
     if not 0 < lo < hi:
         raise ValueError("depth range must satisfy 0 < lo < hi")
 
+    def r_of(*depths):
+        return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale)
+
     depths = np.linspace(lo, hi, samples)
-    values = [r_of(make_contour(model, side, "rectangle", d, nodes_per_unit)) for d in depths]
+    values = r_of(*depths)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise AdmissibilityError("no admissible depth in the requested range", report=None)
@@ -339,20 +414,19 @@ def optimize_r0(model: SpectralModel, side: int, family,
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
-    f1 = r_of(make_contour(model, side, "rectangle", x1, nodes_per_unit))
-    f2 = r_of(make_contour(model, side, "rectangle", x2, nodes_per_unit))
+    f1, f2 = r_of(x1, x2)
     while right - left > tol * max(1.0, right):
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - phi * (right - left)
-            f1 = r_of(make_contour(model, side, "rectangle", x1, nodes_per_unit))
+            (f1,) = r_of(x1)
         else:
             left, x1, f1 = x1, x2, f2
             x2 = left + phi * (right - left)
-            f2 = r_of(make_contour(model, side, "rectangle", x2, nodes_per_unit))
+            (f2,) = r_of(x2)
     depth = 0.5 * (left + right)
     contour = make_contour(model, side, "rectangle", depth, nodes_per_unit)
-    r0 = r_of(contour)
-    if not math.isfinite(r0):
+    rep = admissibility(model, contour, coupling_scale)
+    if not rep.admissible:
         raise AdmissibilityError("refined depth lost admissibility", report=None)
-    return contour, r0
+    return contour, rep.r_min

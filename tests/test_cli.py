@@ -148,6 +148,26 @@ def test_friedrichs_command(capsys):
     assert "winding_lower = 1" in out
 
 
+def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
+    sweep_cfg = write_cfg(tmp_path, {**BASE, "sweep": {"t_grid": [0.5, 1.0]}})
+    csv_path = tmp_path / "a.csv"
+    code, _ = run(capsys, ["sweep", "--config", sweep_cfg, "--out-csv", str(csv_path)])
+    assert code == 0 and csv_path.exists()
+    csv_path.unlink()
+    # the earlier --out-csv does not carry over: sweep needs one again
+    code, _ = run(capsys, ["sweep", "--config", sweep_cfg])
+    assert code == 4 and not csv_path.exists()
+    assert run(capsys, ["friedrichs", "--alpha", "1.0", "--a1", "0.3", "--b", "0.2"])[0] == 4
+    # --a1 falls back to its default after a call that set it
+    code, out = run(capsys, ["friedrichs", "--alpha", "1.0", "--b", "0.2"])
+    assert code == 0 and "y = 0.11639390461355939" in out
+    report_path = tmp_path / "r.json"
+    cfg = write_cfg(tmp_path, BASE, "solve.json")
+    assert run(capsys, ["solve", "--config", cfg, "--out", str(report_path)]) == (0, "")
+    code, out = run(capsys, ["solve", "--config", cfg])
+    assert code == 0 and json.loads(out)["command"] == "solve"
+
+
 def test_friedrichs_rejects_shifted(capsys):
     code, _ = run(capsys, ["friedrichs", "--alpha", "1.0", "--a1", "0.3",
                            "--b", "0.2"])

@@ -7,13 +7,14 @@ r_max = 1 - sqrt(0.04 pi)         = 0.6455092298188968
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import schurroots as sr
-from schurroots.contour import _spectral_norms
+from schurroots.contour import _rectangle_r_min, _rectangle_rules, _spectral_norms
 from schurroots.errors import AdmissibilityError, ModelError
 
 R_MIN_ORACLE = 0.14738648089387119
@@ -161,6 +162,101 @@ def test_optimize_r0_rectangle(friedrichs_model):
         cand = sr.admissibility(friedrichs_model, c)
         if cand.admissible:
             assert cand.r_min > r0 - 1e-5
+
+
+def _reference_r_min(model, side, depth, nodes_per_unit, coupling_scale):
+    """r_min of one candidate depth through a Contour, inf if inadmissible."""
+    contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
+    rep = sr.admissibility(model, contour, coupling_scale)
+    return rep.r_min if rep.admissible else math.inf
+
+
+def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
+                           samples=33, tol=1e-6):
+    """optimize_r0's rectangle search with one make_contour plus
+    admissibility per candidate depth. Returns the scan's r_min values and
+    (depth, nodes, r0), or the message of the AdmissibilityError raised."""
+    def r_of(depth):
+        return _reference_r_min(model, side, depth, nodes_per_unit, coupling_scale)
+
+    lo, hi = family
+    depths = np.linspace(lo, hi, samples)
+    values = [r_of(d) for d in depths]
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        return values, "no admissible depth in the requested range"
+    left = depths[max(best - 1, 0)]
+    right = depths[min(best + 1, samples - 1)]
+    phi = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1 = right - phi * (right - left)
+    x2 = left + phi * (right - left)
+    f1, f2 = r_of(x1), r_of(x2)
+    while right - left > tol * max(1.0, right):
+        if f1 <= f2:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - phi * (right - left)
+            f1 = r_of(x1)
+        else:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + phi * (right - left)
+            f2 = r_of(x2)
+    depth = 0.5 * (left + right)
+    contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
+    rep = sr.admissibility(model, contour, coupling_scale)
+    if not rep.admissible:
+        return values, "refined depth lost admissibility"
+    return values, (contour.depth, contour.nodes, rep.r_min)
+
+
+RECT_FAMILIES = [(0.25, 1.0), (0.2, 1.2), (0.1, 0.4)]
+
+
+def test_rect_families_cover_mixed_node_counts():
+    # at 200 nodes per unit a vertical side deeper than 1 has more than
+    # 200 nodes, so the (0.2, 1.2) scan mixes 200-node sides with 203- to
+    # 240-node ones and the batched scan must group its depths by count
+    for family, mixed in zip(RECT_FAMILIES, (False, True, False)):
+        rules = _rectangle_rules(-1.0, 1.0, np.linspace(*family, 33), 200)
+        assert (len(rules) > 1) == mixed
+        assert sorted(row for rows, *_ in rules for row in rows) == list(range(33))
+
+
+@pytest.mark.parametrize("family", RECT_FAMILIES)
+def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, family):
+    depths = np.linspace(*family, 33)
+    for model in [friedrichs_model] + model_zoo:
+        for side in (1, -1):
+            for t in (0.5, 1.0):
+                values, ref = _reference_optimize_r0(model, side, family, 200, t)
+                # every scanned depth's r_min, not only the search's outcome
+                assert _rectangle_r_min(model, side, depths, 200, t) == values
+                try:
+                    contour, r0 = sr.optimize_r0(model, side, ("rectangle", family),
+                                                 nodes_per_unit=200, coupling_scale=t)
+                except AdmissibilityError as exc:
+                    assert str(exc) == ref
+                    continue
+                depth, nodes, ref_r0 = ref
+                assert contour.depth == depth
+                assert np.array_equal(contour.nodes, nodes)
+                assert r0 == ref_r0
+
+
+def test_spectral_norms_n2_match_axis_sum_form():
+    def axis_sum_form(kvals):
+        c1, c2 = kvals[:, :, 0], kvals[:, :, 1]
+        g11 = np.sum(c1.real ** 2 + c1.imag ** 2, axis=1)
+        g22 = np.sum(c2.real ** 2 + c2.imag ** 2, axis=1)
+        g12 = np.abs(np.sum(np.conj(c1) * c2, axis=1))
+        return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
+
+    rng = np.random.default_rng(7)
+    for count in (1, 7, 800, 5000):
+        scale = 10.0 ** rng.uniform(-6, 6, size=(count, 2, 2))
+        kvals = scale * (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+        for stack in (kvals, kvals + np.conj(np.swapaxes(kvals, 1, 2)),
+                      np.swapaxes(kvals, 1, 2), 0.0064 * np.eye(2) + 1e-10 * kvals):
+            assert np.array_equal(_spectral_norms(stack), axis_sum_form(stack))
 
 
 def test_admissibility_radii_identities_random(model_zoo):

@@ -62,6 +62,31 @@ def test_kernels_match_naive_loop(n):
     assert _rel(per_point, batched) < 1e-14
 
 
+def _horner_by_node(coeffs, mus):
+    # Horner on the (M, r, c) layout, one short loop over r*c per node
+    k, r, c = coeffs.shape
+    out = np.empty((mus.shape[0], r, c), dtype=np.complex128)
+    out[:] = coeffs[k - 1]
+    for idx in range(k - 2, -1, -1):
+        out *= mus[:, None, None]
+        out += coeffs[idx]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 4), (3, 2), (4, 1),
+                                   (1, 3), (5, 5), (17, 16)])
+def test_polyval_matrix_matches_horner_by_node(shape):
+    rng = np.random.default_rng(sum(shape))
+    for degree in range(5):
+        coeffs = (rng.normal(size=(degree + 1,) + shape)
+                  + 1j * rng.normal(size=(degree + 1,) + shape))
+        for count in (1, 97, 800):
+            mus = rng.normal(size=count) + 1j * rng.normal(size=count)
+            got = knp.polyval_matrix(coeffs, mus)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _horner_by_node(coeffs, mus))
+
+
 def test_numpy_resolvent_identity():
     # sum w_k K inv(Z - mu_k) with K = I, single node: plain inverse
     n = 3

@@ -136,6 +136,26 @@ def test_density_validation_catches_a_corrupted_kprime(corruption, message):
         _validate_density(model)
 
 
+@pytest.mark.parametrize("depth, passes", [(0.8, True), (1.8, False)])
+def test_density_psd_check_is_tied_to_the_tolerance(depth, passes):
+    # K'(mu) = b^* b + mu^9 E with E = -(depth/2) tol scale [[1, 1], [1, 1]]:
+    # on the null vector (1, 1) of b^* b the minimum eigenvalue is
+    # -depth * tol * scale at mu = 1, the last grid point, and above
+    # -tol * scale on every point before mu = 0.94, so only the grid's
+    # last chunk holds a point that fails
+    model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
+    scale = 3.0
+    coeffs = np.zeros((10, 2, 2), dtype=np.complex128)
+    coeffs[0] = model.kprime.coefficients[0]
+    coeffs[9] = -0.5 * depth * _HERM_TOL * scale * np.ones((2, 2))
+    model.__dict__["kprime"] = MatrixPolynomial(coeffs)
+    if passes:
+        _validate_density(model)
+        return
+    with pytest.raises(ModelError, match=r"not PSD .*min eigenvalue -5\.400e-12"):
+        _validate_density(model)
+
+
 def test_sigma1_sorted():
     a1 = np.array([[0.3, 0.1], [0.1, -0.2]])
     model = sr.build_model((-1.0, 1.0), a1, [0.1 * np.eye(2)])
