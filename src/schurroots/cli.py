@@ -35,6 +35,7 @@ from .config import RunConfig, build_model_from_config
 from .contour import admissibility, admissibility_at, make_contour, optimize_r0
 from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
+from .model import density_margin
 from .report import (admissibility_block, atomic_write, config_sha256,
                      identity_row, render_report, riccati_block, sanitize,
                      solution_block, write_csv)
@@ -106,11 +107,14 @@ def _r0(cfg, model, side, rep) -> float:
     """r0_upper_bound for the report, given rep for the side's contour.
 
     The semicircle family has one member, the contour rep was computed on,
-    so r0 is its r_min. For rectangles optimize_r0 searches the depth.
+    so r0 is its r_min. For rectangles optimize_r0 searches the depths
+    (0.5 depth, min(2 depth, hi - lo)); when 0.5 depth >= hi - lo that
+    range is empty and the configured rectangle is the family's one
+    member, as for semicircles.
     """
-    if cfg.contour_kind == "semicircle":
-        return rep.r_min
     lo, hi = model.interval
+    if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
+        return rep.r_min
     family = ("rectangle", (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo)))
     _, r0 = optimize_r0(model, side, family, nodes_per_unit=cfg.nodes_per_unit,
                         coupling_scale=cfg.coupling_scale)
@@ -405,6 +409,10 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         return float(np.max(norms[:2] / (1.0 + norms[2])))
 
     add_row("boundary-imag", 1e-10, boundary_imag)
+
+    # side-free and rng-free: K' against b^* b, Hermitian and PSD on the
+    # axis, as a signed margin
+    add_row("density", 0.0, lambda: density_margin(model))
 
     return rows, sols, rics, clss
 

@@ -179,28 +179,58 @@ class _PicardMap:
         return -resolvent_sum(self._kvals, nodes, self.contour.weights, zmat)
 
 
+# Relative widening of the Frobenius bounds ||M||_F / sqrt(n) <= ||M||_2 <=
+# ||M||_F of _picard's tests; for n = 1 and rank-1 matrices the bounds are
+# equalities, which rounding could otherwise flip.
+_NORM_SLACK = 1.0 + 1e-12
+
+
+def _norm_bounds(mat: np.ndarray) -> tuple:
+    """Lower and upper bounds on the spectral norm of the square mat, from
+    its Frobenius norm widened by _NORM_SLACK."""
+    fro = float(np.linalg.norm(mat))
+    return fro / (np.sqrt(mat.shape[0]) * _NORM_SLACK), fro * _NORM_SLACK
+
+
 def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
             t: float, tol: float, max_iter: int, x0: np.ndarray) -> RootSolution:
     """Picard iteration from x0; rep is the admissible report of contour at
-    coupling t and supplies the r_min / r_max containment checks."""
+    coupling t and supplies the r_min / r_max containment checks.
+
+    The escape test ||X|| > r_max and the stop test ||X_{k+1} - X_k|| <=
+    tol * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
+    an SVD is taken only where the bounds leave a test open, and once at
+    the end for the reported step and ||X||.
+    """
     step_map = _PicardMap(model, contour, t)
     a1 = model.a1.astype(np.complex128)
+    escape = rep.r_max + 1e-9
 
     x = np.asarray(x0, dtype=np.complex128).copy()
-    step = np.inf
+    diff = None
     for it in range(1, max_iter + 1):
         xn = step_map(a1 + x)
-        step = float(np.linalg.norm(xn - x, 2))
+        diff = xn - x
         x = xn
-        norm_x = float(np.linalg.norm(x, 2))
-        if norm_x > rep.r_max + 1e-9:
-            raise NumericsError(
-                f"iterate escaped the r_max ball ({norm_x:.6g} > {rep.r_max:.6g})"
-            )
-        if step <= tol * max(1.0, norm_x):
+        x_lo, x_hi = _norm_bounds(x)
+        if not x_hi <= escape:
+            # undecided, escaped or NaN: the spectral norm decides
+            x_lo = x_hi = float(np.linalg.norm(x, 2))
+            if x_hi > escape:
+                raise NumericsError(
+                    f"iterate escaped the r_max ball ({x_hi:.6g} > {rep.r_max:.6g})"
+                )
+        step_lo, step_hi = _norm_bounds(diff)
+        if not (step_hi <= tol * max(1.0, x_lo) or step_lo > tol * max(1.0, x_hi)):
+            x_lo = x_hi = float(np.linalg.norm(x, 2))
+            step_lo = step_hi = float(np.linalg.norm(diff, 2))
+        if step_hi <= tol * max(1.0, x_lo):
             break
     else:
+        step = np.inf if diff is None else float(np.linalg.norm(diff, 2))
         raise NumericsError(f"no convergence in {max_iter} iterations (step {step:.3e})")
+    step = float(np.linalg.norm(diff, 2))
+    norm_x = float(np.linalg.norm(x, 2))
 
     # residual confirmation at the converged point, through the same map
     residual = float(np.linalg.norm(x - step_map(a1 + x), 2))

@@ -2,6 +2,9 @@
 admissible models with clustered interior spectrum and strictly positive
 coupling density."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,16 @@ def random_admissible_model(rng):
         if not sr.admissibility(model, rect).admissible:
             return None
     return model
+
+
+def wide_models(*seeds):
+    """The benchmark's seeded n = 4, 8, 16 models (perfbench wide-sweep),
+    for each seed in turn."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [model for seed in seeds for model in module.wide_models(sr, seed)]
 
 
 @pytest.fixture(scope="session")

@@ -311,7 +311,7 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 3
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
-    assert len(rows) == 18
+    assert len(rows) == 19
     assert {n for n, r in rows.items() if not r["passed"]} == failed
     for n in failed:
         assert rows[n]["note"] == message
@@ -361,7 +361,7 @@ def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     assert code == 0
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
-    assert len(rows) == 18
+    assert len(rows) == 19
     for name in ("localization", "y-norm-ceiling"):
         assert rows[name]["passed"]
         assert rows[name]["residual"] < -1e-3, rows[name]
@@ -545,3 +545,79 @@ def test_derived_side_matches_the_solved_side(tmp_path, capsys, monkeypatch,
         assert solved["provenance"].pop("derived_sides") == {}
     assert json.dumps(derived, sort_keys=True) == json.dumps(solved, sort_keys=True)
     assert derived_csv == solved_csv
+
+
+# b = 1e200 overflows b^* b: the density has non-finite coefficients
+OVERFLOWING = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[1e200]]]},
+               "sweep": {"t_grid": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_non_finite_density_exits_4(tmp_path, capsys, command):
+    argv = [command, "--config", write_cfg(tmp_path, OVERFLOWING)]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("config error:") and "non-finite" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("depth", [4.0, 5.0])
+def test_deep_rectangle_keeps_the_exit_code_contract(tmp_path, capsys, command,
+                                                     depth):
+    # at 0.5 depth >= hi - lo the depth family is empty: r0 is the
+    # configured rectangle's r_min, as for a semicircle
+    data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05]]]},
+            "contour": {"kind": "rectangle", "depth": depth, "sides": [1]}}
+    code = main([command, "--config", write_cfg(tmp_path, data)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in captured.err
+    rep = json.loads(captured.out)
+    if rep["status"] == "ok":
+        adm = rep["admissibility"]
+        assert adm["r0_upper_bound"] == adm["r_min"]
+
+
+def test_density_is_checked_by_verify_only(tmp_path, capsys, monkeypatch):
+    # solve and sweep never evaluate the density margin; verify does once,
+    # as its last row
+    import schurroots.cli as cli_mod
+    import schurroots.model as model_mod
+
+    in_cli = _count_calls(monkeypatch, cli_mod, "density_margin")
+    in_model = _count_calls(monkeypatch, model_mod, "density_margin")
+    cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))
+    assert run(capsys, ["solve", "--config", cfg])[0] == 0
+    assert run(capsys, ["sweep", "--config", cfg,
+                        "--out-csv", str(tmp_path / "t.csv")])[0] == 0
+    assert in_cli == [] and in_model == []
+    code, out = run(capsys, ["verify", "--config", cfg])
+    assert code == 0
+    assert len(in_cli) + len(in_model) == 1
+    row = json.loads(out)["identities"][-1]
+    assert row["name"] == "density"
+    assert row["passed"] and row["residual"] < 0.0
+
+
+def test_corrupted_density_fails_the_density_row(tmp_path, capsys, monkeypatch):
+    # K' shifted by 1e-3 I is no longer b^* b: the density row fails and
+    # verify exits 3
+    import schurroots.model as model_mod
+
+    original = model_mod.kprime_of
+
+    def shifted(model):
+        coeffs = original(model).coefficients.copy()
+        coeffs[0] += 1e-3 * np.eye(model.n)
+        return model_mod.MatrixPolynomial(coeffs)
+
+    monkeypatch.setattr(model_mod, "kprime_of", shifted)
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
+    assert code == 3
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    assert not rows["density"]["passed"]
+    assert rows["density"]["residual"] > 0.0

@@ -8,32 +8,21 @@ derivation to reproduce it bit for bit, on every model the benchmark runs
 and 2) and for both contour kinds.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import schurroots as sr
 from schurroots.rootsolver import conjugate_path
 
-from conftest import RECT_DEPTH
+from conftest import RECT_DEPTH, wide_models
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 KINDS = (("semicircle", None), ("rectangle", RECT_DEPTH))
 GRID = [k / 8 for k in range(1, 9)]
 
 
-def _wide_models():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [model for seed in (1, 2) for model in module.wide_models(sr, seed)]
-
-
 @pytest.fixture(scope="module")
 def real_models(friedrichs_model, model_zoo):
-    return [friedrichs_model] + list(model_zoo) + _wide_models()
+    return [friedrichs_model] + list(model_zoo) + wide_models(1, 2)
 
 
 def _bits(arr) -> bytes:

@@ -6,12 +6,16 @@ whose integral over [-1, 1] is 8/3. For constant scalar b the density is
 b^2 everywhere.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 import schurroots as sr
 from schurroots.errors import ModelError
-from schurroots.model import _HERM_TOL, MatrixPolynomial, _validate_density
+from schurroots.model import _HERM_TOL, MatrixPolynomial, density_margin
+
+from conftest import wide_models
 
 CUMULATIVE_ORACLE = 8.0 / 3.0
 
@@ -119,21 +123,25 @@ def test_build_model_validation():
 # b = [1, -1] is constant, so b^* b = [[1, -1], [-1, 1]] exactly, with the
 # null vector (1, 1), and the density check's scale 1 + max ||b||_F^2 is 3.
 # Each corruption of the cached K' coefficient stays within the agreement
-# tolerance except the first, so each trips exactly one of the three checks.
+# tolerance except the first, so each trips exactly one of the three
+# criteria, and the margin is that criterion's excess over tol * scale,
+# divided by scale.
 _DENSITY_SLACK = 0.9 * _HERM_TOL * 3.0
 
 
-@pytest.mark.parametrize("corruption, message", [
-    (1e-3 * np.eye(2), "disagrees with b"),
-    (_DENSITY_SLACK * np.array([[0.0, 1.0], [-1.0, 0.0]]), "not Hermitian"),
-    (-_DENSITY_SLACK * np.ones((2, 2)), "not PSD"),
+@pytest.mark.parametrize("corruption, excess", [
+    (1e-3 * np.eye(2), 1e-3),
+    (_DENSITY_SLACK * np.array([[0.0, 1.0], [-1.0, 0.0]]), 2.0 * _DENSITY_SLACK),
+    (-_DENSITY_SLACK * np.ones((2, 2)), 2.0 * _DENSITY_SLACK),
 ], ids=["wrong-coefficient", "non-hermitian", "negative-definite"])
-def test_density_validation_catches_a_corrupted_kprime(corruption, message):
+def test_density_validation_catches_a_corrupted_kprime(corruption, excess):
     model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
+    assert -_HERM_TOL <= density_margin(model) < -0.99 * _HERM_TOL
     coeffs = model.kprime.coefficients + corruption
     model.__dict__["kprime"] = MatrixPolynomial(coeffs)
-    with pytest.raises(ModelError, match=message):
-        _validate_density(model)
+    expected = (excess - _HERM_TOL * 3.0) / 3.0
+    assert expected > 0.0
+    assert density_margin(model) == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("depth, passes", [(0.8, True), (1.8, False)])
@@ -142,18 +150,39 @@ def test_density_psd_check_is_tied_to_the_tolerance(depth, passes):
     # on the null vector (1, 1) of b^* b the minimum eigenvalue is
     # -depth * tol * scale at mu = 1, the last grid point, and above
     # -tol * scale on every point before mu = 0.94, so only the grid's
-    # last chunk holds a point that fails
+    # last point sets the margin (depth - 1) * tol
     model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
     scale = 3.0
     coeffs = np.zeros((10, 2, 2), dtype=np.complex128)
     coeffs[0] = model.kprime.coefficients[0]
     coeffs[9] = -0.5 * depth * _HERM_TOL * scale * np.ones((2, 2))
     model.__dict__["kprime"] = MatrixPolynomial(coeffs)
-    if passes:
-        _validate_density(model)
-        return
-    with pytest.raises(ModelError, match=r"not PSD .*min eigenvalue -5\.400e-12"):
-        _validate_density(model)
+    margin = density_margin(model)
+    assert margin == pytest.approx((depth - 1.0) * _HERM_TOL, rel=1e-3)
+    assert (margin <= 0.0) == passes
+
+
+def test_density_margin_fails_a_non_finite_kprime():
+    # NaN, or a LinAlgError where eigvalsh refuses the grid: never a pass
+    model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
+    coeffs = model.kprime.coefficients.copy()
+    coeffs[0, 0, 1] = np.nan
+    model.__dict__["kprime"] = MatrixPolynomial(coeffs)
+    with contextlib.suppress(np.linalg.LinAlgError):
+        assert np.isnan(density_margin(model))
+
+
+@pytest.mark.parametrize("b", [[[[1e200]]], [[[np.inf]]], [[[0.1]], [[np.nan]]]],
+                         ids=["overflowing", "infinite", "nan"])
+def test_build_model_rejects_a_non_finite_density(b, recwarn):
+    with pytest.raises(ModelError, match="non-finite"):
+        sr.build_model((-1.0, 1.0), [[0.0]], b)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_density_margin_is_negative_on_the_zoo_and_the_wide_models(model_zoo):
+    margins = [density_margin(m) for m in list(model_zoo) + wide_models(1, 2)]
+    assert max(margins) < 0.0, max(margins)
 
 
 def test_sigma1_sorted():

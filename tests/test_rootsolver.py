@@ -7,12 +7,11 @@ alpha = 1, b = 0.2 is below; the generic solver must land on -i y (side
 +1) and +i y (side -1).
 """
 
-import importlib.util
+import dataclasses
 import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ import schurroots as sr
 from schurroots import rootsolver
 from schurroots.errors import AdmissibilityError
 from schurroots.rootsolver import RootSolution, _PicardMap, transformator
+
+from conftest import wide_models
 
 Y_ORACLE = 0.11639390461355939
 
@@ -280,15 +281,6 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def _wide_models():
-    # the benchmark's seeded n = 4, 8, 16 models (wide-sweep, seed 1)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.wide_models(sr, 1)
-
-
 def logm_picard_map(model, side, z, t=1.0):
     """t^2 sum_s C_s g_s(Z) with the matrix functions taken directly:
     q_s(Z) by matrix Horner and the logarithms by scipy.linalg.logm."""
@@ -310,7 +302,7 @@ def test_closed_map_matches_logm_reference(model_zoo):
     # and scalar (n = 1) evaluations against an independent matrix-function
     # route; the contour sum itself only reaches about 2e-14 here
     worst = 0.0
-    for model in model_zoo + _wide_models():
+    for model in model_zoo + wide_models(1):
         for kind, depth in (("semicircle", None), ("rectangle", 0.5)):
             for side in (1, -1):
                 contour = sr.make_contour(model, side, kind, depth)
@@ -403,3 +395,88 @@ def test_fallback_steps_are_counted(monkeypatch, model_zoo):
         assert sol.contour_fallbacks >= 1
         fx = transformator(outside, sr.make_contour(outside, side), sol.z_op)
         assert np.linalg.norm(fx - sol.x, 2) <= 1e-12
+
+
+def reference_picard(model, contour, rep, t, tol, max_iter, x0):
+    """The Picard loop with every test on spectral norms (one SVD each):
+    (iterations, final step norm, X), or the NumericsError message."""
+    step_map = _PicardMap(model, contour, t)
+    a1 = model.a1.astype(np.complex128)
+    x = np.asarray(x0, dtype=np.complex128).copy()
+    step = np.inf
+    for it in range(1, max_iter + 1):
+        xn = step_map(a1 + x)
+        step = float(np.linalg.norm(xn - x, 2))
+        x = xn
+        norm_x = float(np.linalg.norm(x, 2))
+        if norm_x > rep.r_max + 1e-9:
+            return (f"iterate escaped the r_max ball "
+                    f"({norm_x:.6g} > {rep.r_max:.6g})")
+        if step <= tol * max(1.0, norm_x):
+            return it, step, x
+    return f"no convergence in {max_iter} iterations (step {step:.3e})"
+
+
+def _picard_outcome(model, contour, rep, t, tol, max_iter, x0):
+    try:
+        sol = rootsolver._picard(model, contour, rep, t, tol, max_iter, x0)
+    except sr.NumericsError as exc:
+        return str(exc)
+    return sol.iterations, sol.final_step_norm, sol.x
+
+
+def _same_outcome(got, ref):
+    if isinstance(ref, str):
+        return got == ref
+    return (not isinstance(got, str) and got[0] == ref[0] and got[1] == ref[1]
+            and got[2].tobytes() == ref[2].tobytes())
+
+
+def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
+                                                             friedrichs_model):
+    # the Frobenius-bound tests make the decisions the spectral norms make:
+    # the same iterations, final step norm and X, bit for bit, on the zoo
+    # (cold start at t = 1 and the warm-started grid of the sweep) and on
+    # the wide-sweep models of seeds 1 and 2 along that grid
+    t_grid = [k / 8 for k in range(1, 9)]
+    cases = 0
+
+    def check(model, contour, base, t, x0):
+        nonlocal cases
+        rep = sr.admissibility_at(base.variation, base.distance, t)
+        ref = reference_picard(model, contour, rep, t, 1e-12, 500, x0)
+        assert not isinstance(ref, str), ref
+        got = _picard_outcome(model, contour, rep, t, 1e-12, 500, x0)
+        assert _same_outcome(got, ref), (got, ref)
+        cases += 1
+        return ref[2]
+
+    for model in [friedrichs_model] + model_zoo + wide_models(1, 2):
+        contour = sr.make_contour(model, 1)
+        base = sr.admissibility(model, contour)
+        zero = np.zeros((model.n, model.n), dtype=np.complex128)
+        if model.n < 4:
+            check(model, contour, base, 1.0, zero)
+        x0 = zero
+        for t in t_grid:
+            x0 = check(model, contour, base, t, x0)
+    assert cases == 21 * 9 + 6 * 8
+
+
+@pytest.mark.parametrize("tol, max_iter, r_max", [
+    (1e-12, 3, None), (1e-12, 500, 0.05)],
+    ids=["few-iterations", "small-r-max"])
+def test_picard_failures_match_spectral_norm_tests(friedrichs_model,
+                                                   friedrichs_contours,
+                                                   tol, max_iter, r_max):
+    # no convergence and the r_max escape raise with the messages of the
+    # spectral norm tests
+    contour = friedrichs_contours[1]
+    rep = sr.admissibility(friedrichs_model, contour)
+    if r_max is not None:
+        rep = dataclasses.replace(rep, r_max=r_max)
+    x0 = np.zeros((1, 1), dtype=np.complex128)
+    ref = reference_picard(friedrichs_model, contour, rep, 1.0, tol, max_iter, x0)
+    assert isinstance(ref, str)
+    assert _picard_outcome(friedrichs_model, contour, rep, 1.0, tol, max_iter,
+                           x0) == ref
