@@ -2,7 +2,9 @@
 
 Used for the integrals that live on the spectral interval itself (Gram
 matrices, Riccati right-hand sides, graph pairings). Contour integrals use
-fixed Gauss-Legendre nodes owned by the Contour type instead.
+Gauss-Legendre rules per contour segment instead: make_contour's for V0
+and contour.analytic_rule's, sized by accuracy, for the analytic sums;
+both take their rules on [-1, 1] from _rule.
 
 The integrand takes a 1-d array of nodes and returns its unweighted value
 at each of them. Each panel's error is estimated by comparing a 16-node

@@ -5,11 +5,16 @@ of sign l, traversed left to right, and carries Gauss-Legendre nodes and
 complex weights so that sum(weights) reproduces integral of dmu over the
 path. Two kinds are supported: a semicircle (depth fixed at half the
 interval length) and a three-segment rectangle of adjustable depth.
+
+make_contour sizes the rule by nodes_per_unit; that rule is V0's, whose
+integrand ||K'(mu)|| has kinks. The integrands of the other contour sums
+are analytic near the path, so analytic_rule gives the same path the
+fewest nodes that their known singularities and the degree of K' allow.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +26,13 @@ from .model import SpectralModel
 # the rule size, so an unbounded count (a deep rectangle, a huge
 # nodes_per_unit) would stall before admissibility could reject it.
 MAX_SEGMENT_NODES = 4096
+
+# Accuracy target of analytic_rule: a segment gets the fewest nodes that
+# bring the Gauss-Legendre error bound to _ANALYTIC_EPS (_wanted_counts),
+# and at least _MIN_ANALYTIC_NODES.
+_ANALYTIC_EPS = 1e-18
+_MIN_ANALYTIC_NODES = 16
+_LOG_INV_EPS = -math.log(_ANALYTIC_EPS)
 
 # Most K'(mu) matrix entries evaluated in one batch by _kprime_norms (4 MiB
 # of complex128): a whole 33-depth rectangle scan at n = 2, 1024 nodes at
@@ -46,20 +58,6 @@ class Contour:
     @property
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
-
-    @cached_property
-    def node_spacing(self) -> np.ndarray:
-        """Per node, the larger of its gaps to its neighbors within the same
-        segment, used by the quadrature-degeneracy guard; computed once per
-        contour."""
-        spacing = np.zeros(self.num_nodes)
-        for sl in self.segment_slices:
-            gaps = np.abs(np.diff(self.nodes[sl]))
-            spacing[sl.start:sl.stop - 1] = gaps
-            spacing[sl.start + 1:sl.stop] = np.maximum(
-                spacing[sl.start + 1:sl.stop], gaps)
-        spacing.setflags(write=False)
-        return spacing
 
     def contains_in_lens(self, z):
         """Whether z lies strictly between the interval and the contour.
@@ -104,29 +102,30 @@ def _node_count(nodes_per_unit, arclength):
     return max(200, int(math.ceil(wanted)))
 
 
-def _rectangle_rules(a, b, depths, nodes_per_unit):
+def _rectangle_counts(nodes_per_unit, length, depth):
+    """The node counts of a rectangle's three segments, each vertical side
+    checked before the top (see _node_count)."""
+    side_count = _node_count(nodes_per_unit, depth)
+    return side_count, _node_count(nodes_per_unit, length), side_count
+
+
+def _rectangle_rules(a, b, depths, counts):
     """The side +1 rectangle rules of the interval (a, b) at several depths.
 
-    Returns one (rows, counts, nodes, weights) per distinct triple of
-    segment node counts (a segment's count depends on its length, so the
-    vertical sides change count with the depth), in order of first
-    appearance: rows are the indices into depths that share it, counts the
-    three segment counts, nodes and weights (len(rows), sum(counts))
-    arrays. Row k holds the Gauss-Legendre nodes and weights of the side +1
-    rectangle of depth depths[rows[k]]: per segment p -> q, mid + half * x
-    and w * half, with mid = (p + q)/2 and half = (q - p)/2 taken per depth
-    in scalar arithmetic. make_contour builds its rectangle with this too.
-    Node counts are checked depth by depth, each vertical side before the
-    top.
+    counts holds the three segment node counts of each depth. Returns one
+    (rows, counts, nodes, weights) per distinct triple of counts, in order
+    of first appearance: rows are the indices into depths that share it,
+    nodes and weights (len(rows), sum(counts)) arrays. Row k holds the
+    Gauss-Legendre nodes and weights of the side +1 rectangle of depth
+    depths[rows[k]]: per segment p -> q, mid + half * x and w * half, with
+    mid = (p + q)/2 and half = (q - p)/2 taken per depth in scalar
+    arithmetic. Every rectangle Contour is built with this too.
     """
-    length = b - a
     groups = {}
-    for row, h in enumerate(depths):
-        side_count = _node_count(nodes_per_unit, h)
-        counts = (side_count, _node_count(nodes_per_unit, length), side_count)
-        groups.setdefault(counts, []).append(row)
+    for row, row_counts in enumerate(counts):
+        groups.setdefault(tuple(row_counts), []).append(row)
     rules = []
-    for counts, rows in groups.items():
+    for group_counts, rows in groups.items():
         ends = []
         for row in rows:
             top = 1j * float(depths[row])
@@ -134,11 +133,53 @@ def _rectangle_rules(a, b, depths, nodes_per_unit):
             ends.append([(0.5 * (p + q), 0.5 * (q - p))
                          for p, q in zip(corners[:-1], corners[1:])])
         # (mid, half) of each segment, repeated over its nodes
-        per_node = np.repeat(np.array(ends), counts, axis=1)
+        per_node = np.repeat(np.array(ends), group_counts, axis=1)
         mid, half = per_node[..., 0], per_node[..., 1]
-        x, w = (np.concatenate(parts) for parts in zip(*map(_rule, counts)))
-        rules.append((rows, counts, mid + half * x, w * half))
+        x, w = (np.concatenate(parts) for parts in zip(*map(_rule, group_counts)))
+        rules.append((rows, group_counts, mid + half * x, w * half))
     return rules
+
+
+def _semicircle_rule(a, b, count):
+    """The side +1 semicircle over (a, b) with count Gauss-Legendre nodes:
+    c + rho exp(i theta), theta = pi/2 (1 - x), and the weights of dmu."""
+    rho = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    x, w = _rule(count)
+    theta = 0.5 * math.pi * (1.0 - x)
+    phase = np.exp(1j * theta)
+    return c + rho * phase, w * (1j * rho * phase) * (-0.5 * math.pi)
+
+
+def _contour(side, kind, depth, endpoints, counts) -> Contour:
+    """The side-l contour of a kind and depth over endpoints, with counts[k]
+    Gauss-Legendre nodes on segment k.
+
+    The side -1 rule is the mirror image of the side +1 rule, bit for bit.
+    The weight sum is checked against the exact path integral of dmu,
+    which equals the interval length.
+    """
+    a, b = endpoints
+    if kind == "semicircle":
+        nodes, weights = _semicircle_rule(a, b, counts[0])
+    else:
+        ((_, _, nodes, weights),) = _rectangle_rules(a, b, [depth], [counts])
+        nodes, weights = nodes[0], weights[0]
+    if side == -1:
+        nodes = np.conj(nodes)
+        weights = np.conj(weights)
+
+    length = b - a
+    total = complex(np.sum(weights))
+    if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * depth):
+        raise ModelError(f"contour weight sum {total} misses interval length {length}")
+
+    bounds = np.cumsum((0,) + tuple(counts)).tolist()
+    slices = tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
+    return Contour(int(side), kind, float(depth), (a, b),
+                   np.ascontiguousarray(nodes, dtype=np.complex128),
+                   np.ascontiguousarray(weights, dtype=np.complex128),
+                   "left-to-right", slices)
 
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
@@ -147,8 +188,10 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
 
     Per segment the node count is max(200, nodes_per_unit * arclength);
     a segment that would need more than MAX_SEGMENT_NODES raises ModelError.
-    The weight sum is checked against the exact path integral of dmu,
-    which equals the interval length.
+    This is the rule of V0 (variation); the analytic contour sums take
+    analytic_rule of the contour instead. The weight sum is checked
+    against the exact path integral of dmu, which equals the interval
+    length.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -161,42 +204,137 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
             raise ValueError(
                 f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
             )
-        c = 0.5 * (a + b)
-        count = _node_count(nodes_per_unit, math.pi * rho)
-        x, w = _rule(count)
-        theta = 0.5 * math.pi * (1.0 - x)
-        phase = np.exp(1j * theta)
-        nodes = c + rho * phase
-        weights = w * (1j * rho * phase) * (-0.5 * math.pi)
-        slices = (slice(0, count),)
+        counts = (_node_count(nodes_per_unit, math.pi * rho),)
         depth_val = rho
     elif kind == "rectangle":
         if depth is None:
             raise ValueError("rectangle contour requires a depth")
-        h = float(depth)
-        if h <= 0:
+        depth_val = float(depth)
+        if depth_val <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        ((_, counts, nodes, weights),) = _rectangle_rules(a, b, [h], nodes_per_unit)
-        nodes, weights = nodes[0], weights[0]
-        bounds = np.cumsum((0,) + counts).tolist()
-        slices = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-        depth_val = h
+        counts = _rectangle_counts(nodes_per_unit, length, depth_val)
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
-    if side == -1:
-        # the side -1 rule is the mirror image of the side +1 rule, bit for
-        # bit, so it equals make_contour(model, 1, ...).mirror()
-        nodes = np.conj(nodes)
-        weights = np.conj(weights)
+    return _contour(side, kind, depth_val, (a, b), counts)
 
-    total = complex(np.sum(weights))
-    if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * depth_val):
-        raise ModelError(f"contour weight sum {total} misses interval length {length}")
 
-    return Contour(int(side), kind, float(depth_val), (a, b),
-                   np.ascontiguousarray(nodes, dtype=np.complex128),
-                   np.ascontiguousarray(weights, dtype=np.complex128),
-                   "left-to-right", tuple(slices))
+def _log_bernstein(x):
+    """log(rho) of the Bernstein ellipse (foci -1 and 1) through each x:
+    arccosh of its semi-major axis (|x - 1| + |x + 1|)/2, which rounding
+    may leave just below 1."""
+    return np.arccosh(np.maximum(0.5 * (np.abs(x - 1.0) + np.abs(x + 1.0)), 1.0))
+
+
+def _log_rho(contour: Contour, zs) -> np.ndarray:
+    """log(rho) of each point of the 1-d array zs for each segment of the
+    contour's path -> (segments, P): the Bernstein parameter of the point's
+    preimage under the segment's map from [-1, 1].
+
+    Side -1 is the mirror image of side +1, so its points are mirrored.
+    A rectangle side is affine. The semicircle c + r exp(i pi/2 (1 - x))
+    is inverted by x = (2i/pi) log(-i (z - c)/r), the log's cut pointing
+    straight down from c, away from the arc; the centre, where the log
+    has no value, is no singularity of the map and so lies infinitely far.
+    """
+    if contour.side == -1:
+        zs = np.conj(zs)
+    a, b = contour.endpoints
+    if contour.kind == "semicircle":
+        u = -1j * (zs - 0.5 * (a + b)) / contour.depth
+        centre = u == 0
+        x = (2j / math.pi) * np.log(np.where(centre, 1.0, u))
+        return np.where(centre, np.inf, _log_bernstein(x))[None]
+    top = 1j * contour.depth
+    corners = (a, a + top, b + top, b)
+    return np.stack([_log_bernstein((zs - 0.5 * (p + q)) / (0.5 * (q - p)))
+                     for p, q in zip(corners[:-1], corners[1:])])
+
+
+@functools.cache
+def _semicircle_log_rho(degree: int) -> float:
+    """The log(rho) at which (L + w sinh(log rho)) / (2 log rho) is least,
+    L = log(1/_ANALYTIC_EPS) and w = (degree + 1) pi/2: the root of
+    s cosh s - sinh s = L/w, found by bisection (the left side increases
+    from 0 on s > 0)."""
+    target = _LOG_INV_EPS / ((degree + 1) * 0.5 * math.pi)
+    lo, hi = 0.0, 1.0
+    while hi * math.cosh(hi) - math.sinh(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid * math.cosh(mid) - math.sinh(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _wanted_counts(kind: str, degree: int, log_rho: np.ndarray) -> np.ndarray:
+    """The node count (unrounded) that a segment needs for a singularity
+    at each log(rho), for an integrand whose polynomial part is K' of the
+    given degree times dmu.
+
+    The Gauss-Legendre error of N nodes is about M rho^(-2N) for any rho
+    short of the singularity, M the growth of the integrand from [-1, 1]
+    to the Bernstein ellipse of rho; N is the least count that brings it
+    to _ANALYTIC_EPS at the best such rho. On a rectangle side mu is
+    affine in x and the polynomial part grows at most like rho^degree, so
+    N = L / (2 log rho) + degree / 2. On the semicircle the polynomial part
+    is a sum of exp(-i k pi/2 x), k <= degree + 1, which grows like
+    exp(w sinh(log rho)) (sinh(log rho) is the ellipse's half height), so
+    N = (L + w sinh(s)) / (2 s) at s = min(log rho, _semicircle_log_rho):
+    the nearer singularity or the best rho of the growth alone.
+    """
+    # a point on the path has log(rho) = 0 and needs infinitely many nodes
+    log_rho = np.maximum(log_rho, 1e-300)
+    if kind == "rectangle":
+        return _LOG_INV_EPS / (2.0 * log_rho) + 0.5 * degree
+    s = np.minimum(log_rho, _semicircle_log_rho(degree))
+    return (_LOG_INV_EPS + (degree + 1) * 0.5 * math.pi * np.sinh(s)) / (2.0 * s)
+
+
+def analytic_rule(model: SpectralModel, contour: Contour, points=(),
+                  singular=()) -> Contour:
+    """The contour's path with the fewest Gauss-Legendre nodes per segment
+    that a contour sum of the model, analytic near the path, needs.
+
+    points are the evaluation points of the sum and singular its other
+    singularities (such as the spectrum of Z), each one point or a 1-d
+    array. Per segment, each of them asks for the count _wanted_counts
+    gives its Bernstein parameter and the degree of K' (Trefethen, SIAM
+    Rev. 50 (2008)); the segment takes the largest, and at least
+    _MIN_ANALYTIC_NODES. An evaluation point that asks for more than
+    MAX_SEGMENT_NODES on some segment raises ValueError naming the first
+    such point. A singular point only raises the count, and no further
+    than the segment's count in the contour passed in, so a root near the
+    path is summed on that rule as before. The result has the contour's
+    side, kind, depth and endpoints, and every count's rule is built once
+    (_rule).
+    """
+    points = np.ravel(np.asarray(points, dtype=np.complex128))
+    singular = np.ravel(np.asarray(singular, dtype=np.complex128))
+    log_rho = _log_rho(contour, np.concatenate([points, singular]))
+    degree = model.kprime.degree
+
+    at_points, at_singular = log_rho[:, :points.size], log_rho[:, points.size:]
+    # a point asks for the most nodes on the segment where its rho is least
+    too_many = (_wanted_counts(contour.kind, degree, np.min(at_points, axis=0))
+                > MAX_SEGMENT_NODES)
+    if np.any(too_many):
+        z = complex(points[np.argmax(too_many)])
+        raise ValueError(f"z={z} too close to the contour for quadrature")
+
+    def per_segment(part):
+        nearest = np.min(part, axis=1, initial=np.inf)
+        return np.ceil(_wanted_counts(contour.kind, degree, nearest)).tolist()
+
+    configured = [sl.stop - sl.start for sl in contour.segment_slices]
+    counts = tuple(
+        int(min(MAX_SEGMENT_NODES,
+                max(_MIN_ANALYTIC_NODES, from_points, min(cap, from_singular))))
+        for from_points, from_singular, cap in zip(
+            per_segment(at_points), per_segment(at_singular), configured))
+    return _contour(contour.side, contour.kind, contour.depth, contour.endpoints, counts)
 
 
 def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
@@ -354,7 +492,9 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
     """
     r_min = [math.inf] * len(depths)
     endpoints = model.interval
-    for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, nodes_per_unit):
+    length = endpoints[1] - endpoints[0]
+    counts = [_rectangle_counts(nodes_per_unit, length, h) for h in depths]
+    for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
         if side == -1:
             nodes = np.conj(nodes)
         norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)

@@ -15,11 +15,11 @@ from ._kernels import (_right_resolvent_products, _sandwich_products,
                        _shifted_solve, resolvent_cauchy_sum, sandwich_sum)
 from ._quad import adaptive_quad
 from .contour import (AdmissibilityReport, Contour, _spectral_norms,
-                      admissibility, distance_to_sigma1)
+                      admissibility, analytic_rule, distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
 from .rootsolver import RootSolution, _require_clear_of_nodes
-from .schur import _require_off_contour, m1_continued_many
+from .schur import _m1_on_rule
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,8 @@ def compute_Omega(model: SpectralModel, contour: Contour,
     """Omega for side l by contour quadrature, with its norm-bound contract.
 
     Omega = integral over Gamma^l of (Z^(-l)* - mu)^{-1} K'(mu)
-    (Z^(l) - mu)^{-1} dmu, raising NumericsError unless its norm stays
+    (Z^(l) - mu)^{-1} dmu, summed on analytic_rule(model, contour) sized by
+    the spectra of both roots, raising NumericsError unless its norm stays
     below V0 / (d^2/4). The adjoint relation Omega(-l) = Omega(l)^* pairs
     the value of each side with the other's, so it is checked where both
     are at hand (verify's omega-adjoint row). A caller that already holds
@@ -290,10 +291,11 @@ def compute_Omega(model: SpectralModel, contour: Contour,
         raise ValueError("solutions were computed at different coupling scales")
     t = sol_l.coupling_scale
     zl_h = np.conj(sol_minus_l.z_op.T)
-    for zz in (zl_h, sol_l.z_op):
-        _require_clear_of_nodes(np.linalg.eigvals(zz), contour.nodes)
-    kv = model.scaled(t).kprime_values(contour.nodes)
-    omega = sandwich_sum(kv, contour.nodes, contour.weights, zl_h, sol_l.z_op)
+    eigs = np.concatenate([np.linalg.eigvals(zl_h), np.linalg.eigvals(sol_l.z_op)])
+    rule = analytic_rule(model, contour, singular=eigs)
+    _require_clear_of_nodes(eigs, rule.nodes)
+    kv = model.scaled(t).kprime_values(rule.nodes)
+    omega = sandwich_sum(kv, rule.nodes, rule.weights, zl_h, sol_l.z_op)
 
     rep = admissibility(model, contour, t) if report is None else report
     bound = rep.variation / (0.25 * rep.distance ** 2)
@@ -374,14 +376,23 @@ def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
     both sides are defined; F1 is invertible on the d/2-neighborhood of
     sigma1. z is one point -> (n, n), or a 1-d array of P points ->
     (P, n, n); the resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved
-    once for all of them.
+    once for all of them, on analytic_rule(model, contour) sized by the
+    points and the spectrum of Z.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    _require_off_contour(contour, zs)
+    rule = analytic_rule(model, contour, zs, np.linalg.eigvals(sol.z_op))
     sm = model.scaled(sol.coupling_scale)
-    kv = sm.kprime_values(contour.nodes)
-    acc = resolvent_cauchy_sum(kv, contour.nodes, contour.weights, sol.z_op, zs)
+    kv = sm.kprime_values(rule.nodes)
+    acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)
     return np.eye(model.n, dtype=np.complex128) + acc
+
+
+# The reconstruction ring starts at this many points and doubles until two
+# successive rings give moments within _RING_RTOL of each other (relative);
+# the trapezoid rule converges geometrically on the circle, so the last
+# ring's error is then about the square of that.
+_RING_START = 32
+_RING_RTOL = 1e-9
 
 
 def reconstruct_from_contour(model: SpectralModel, contour: Contour,
@@ -395,6 +406,15 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     nothing but contour data. gamma_spec overrides the default circle as
     (center, radius); the circle must enclose spec(Z) and stay inside the
     d/2-neighborhood of sigma1.
+
+    The moments are trapezoid sums over nested rings of the circle: the
+    first has num_nodes / 2^k points, the fewest that is at least
+    _RING_START, and each doubling evaluates only the new midpoints,
+    until the moments of a ring and of its predecessor agree to _RING_RTOL
+    (relative) or the ring has num_nodes points. Every M1 value is summed
+    on one analytic_rule of the contour, sized by the num_nodes-point
+    ring, whose points are the ones the containment check covers; a
+    ring point the rule refuses raises ValueError.
     """
     d = distance_to_sigma1(model, contour)
     eigs = np.linalg.eigvals(sol.z_op)
@@ -416,7 +436,8 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
             f"circle radius {radius:.6g} does not enclose spec(Z) (need > {spread:.6g})")
 
     theta = 2.0 * np.pi * np.arange(num_nodes) / num_nodes
-    ring = center + radius * np.exp(1j * theta)
+    phase = np.exp(1j * theta)
+    ring = center + radius * phase
     # farthest any ring point gets from its nearest point of sigma1
     worst = float(np.max(np.min(np.abs(ring[:, None] - model.sigma1[None, :]), axis=1)))
     if worst > 0.5 * d + 1e-12:
@@ -424,14 +445,32 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
             f"circle violates containment: reaches {worst:.6g} > d/2 = {0.5 * d:.6g}")
 
     sm = model.scaled(sol.coupling_scale)
-    mvals = m1_continued_many(sm, contour, ring)
-    try:
-        minv = np.linalg.inv(mvals)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"singular continued value on the circle: {exc}") from exc
-    phase = np.exp(1j * theta)
-    h0 = -(radius / num_nodes) * np.einsum("p,pij->ij", phase, minv)
-    h1 = -(radius / num_nodes) * np.einsum("p,pij->ij", phase * ring, minv)
+    rule = analytic_rule(model, contour, ring)
+
+    def sums(points):
+        # sum of phase M1^{-1} and of phase z M1^{-1} over the ring points
+        try:
+            minv = np.linalg.inv(_m1_on_rule(sm, rule, ring[points]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"singular continued value on the circle: {exc}") from exc
+        weighted = phase[points, None, None] * minv
+        return np.stack([np.sum(weighted, axis=0),
+                         np.einsum("p,pij->ij", ring[points], weighted)])
+
+    count = num_nodes
+    while count % 2 == 0 and count // 2 >= _RING_START:
+        count //= 2
+    step = num_nodes // count
+    total = sums(slice(0, None, step))
+    moments = -(radius / count) * total
+    while step > 1:
+        total = total + sums(slice(step // 2, None, step))
+        step //= 2
+        count *= 2
+        previous, moments = moments, -(radius / count) * total
+        if np.linalg.norm(moments - previous) <= _RING_RTOL * np.linalg.norm(moments):
+            break
+    h0, h1 = moments
     try:
         z_rec = np.linalg.solve(h0.T, h1.T).T
     except np.linalg.LinAlgError as exc:

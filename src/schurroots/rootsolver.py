@@ -9,8 +9,9 @@ K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
 primary matrix functions sum_s C_s g_s(Z), with g_s the side-l moments of
 schur._cut_moments. The Picard map evaluates that sum in closed form
 (_PicardMap); by Cauchy's theorem it is the contour integral without its
-quadrature error. The contour sum (transformator) stays as the fallback
-of that map and as the independent path verify checks the root against.
+quadrature error. The contour sum (transformator), on the contour's
+analytic_rule, stays as the fallback of that map and as the independent
+path verify checks the root against.
 
 For a real model the roots of the two sides are complex conjugates, so
 the opposite side's root, classification and homotopy path are one side's
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._kernels import resolvent_sum
 from .contour import (AdmissibilityReport, Contour, admissibility,
-                      admissibility_at, ensure_admissible)
+                      admissibility_at, analytic_rule, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
 from .schur import _cut_moments, m1_physical
@@ -113,16 +114,20 @@ def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
     """W1(Z, Gamma) = -integral over Gamma of K'(mu) (Z - mu)^{-1} dmu,
     by the contour quadrature sum.
 
-    The Picard iteration evaluates the same map in closed form
-    (_PicardMap) and comes here only as its fallback; verify uses this
-    sum as the independent path of its root-contour row. The spectrum of
-    zmat must stay clear of the quadrature nodes (distance > 1e-6),
-    otherwise the resolvent blows through the rule.
+    The sum runs on analytic_rule(model, contour) sized by the spectrum of
+    zmat, the integrand's only singularities. The Picard iteration evaluates
+    the same map in closed form (_PicardMap) and comes here only as its
+    fallback; verify uses this sum as the independent path of its
+    root-contour row. The spectrum of zmat must stay clear of the rule's
+    nodes (distance > 1e-6), otherwise the resolvent blows through the
+    rule.
     """
     zmat = np.asarray(zmat, dtype=np.complex128)
-    _require_clear_of_nodes(np.linalg.eigvals(zmat), contour.nodes)
-    kvals = model.kprime_values(contour.nodes)
-    return -resolvent_sum(kvals, contour.nodes, contour.weights, zmat)
+    eigs = np.linalg.eigvals(zmat)
+    rule = analytic_rule(model, contour, singular=eigs)
+    _require_clear_of_nodes(eigs, rule.nodes)
+    kvals = model.kprime_values(rule.nodes)
+    return -resolvent_sum(kvals, rule.nodes, rule.weights, zmat)
 
 
 class _PicardMap:
@@ -132,21 +137,21 @@ class _PicardMap:
     the moments are taken in the eigenbasis Z = V D V^{-1}, as
     (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. The closed form
     is the contour integral only where the side-l moments are (see
-    schur._cut_moments), so a step falls back to the contour sum over the
-    side's own contour when an eigenvalue of Z lies elsewhere (outside the
-    lens on side l, or on the real axis off the interval) or when
-    cond(V) > _COND_LIMIT. fallbacks counts those steps. Either way the
-    spectrum of Z must clear the contour nodes by _SPEC_GUARD, the rule of
-    the contour sum.
+    schur._cut_moments), so a step falls back to the contour sum
+    (transformator of the t-scaled model over the side's own contour) when
+    an eigenvalue of Z lies elsewhere (outside the lens on side l, or on
+    the real axis off the interval) or when cond(V) > _COND_LIMIT.
+    fallbacks counts those steps. The closed form has no quadrature nodes
+    to avoid; the fallback's contour sum refuses a spectrum within
+    _SPEC_GUARD of the nodes of the rule it uses.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
         self.model = model
         self.contour = contour
-        self.scale = t * t
-        self.coeffs = model.kprime.coefficients * self.scale
+        self.t = t
+        self.coeffs = model.kprime.coefficients * (t * t)
         self.fallbacks = 0
-        self._kvals = None  # t^2 K' at the nodes, built by the first fallback
 
     def _covered(self, eigs: np.ndarray) -> bool:
         # where the side-l moments equal the contour integral
@@ -158,12 +163,10 @@ class _PicardMap:
                            | contour.contains_in_lens(eigs)))
 
     def __call__(self, zmat: np.ndarray) -> np.ndarray:
-        nodes = self.contour.nodes
         if zmat.shape[0] == 1:
             eigs, vecs = zmat[0], None
         else:
             eigs, vecs = np.linalg.eig(zmat)
-        _require_clear_of_nodes(eigs, nodes)
         if self._covered(eigs):
             a, b = self.contour.endpoints
             moments = _cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
@@ -174,9 +177,7 @@ class _PicardMap:
                 scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
                 return np.linalg.solve(vecs.T, scaled.T).T
         self.fallbacks += 1
-        if self._kvals is None:
-            self._kvals = self.model.kprime_values(nodes) * self.scale
-        return -resolvent_sum(self._kvals, nodes, self.contour.weights, zmat)
+        return transformator(self.model.scaled(self.t), self.contour, zmat)
 
 
 # Relative widening of the Frobenius bounds ||M||_F / sqrt(n) <= ||M||_2 <=
@@ -335,7 +336,8 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
                   report: AdmissibilityReport | None = None) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
-    Each solve warm-starts from the previous X. Returned entries are
+    Each solve warm-starts from the previous X scaled by (t / t_prev)^2,
+    the leading order of its growth in t. Returned entries are
     (t, RootSolution, SpectrumClassification) with classification entries
     in trajectory order: entry i at each t continues entry i at the
     previous t (matched by global nearest-neighbor assignment, no
@@ -364,7 +366,8 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     t_prev = None
     for t in ts:
         rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
-        sol = _picard(model, contour, rep, t, tol, max_iter, x_prev)
+        x0 = x_prev * (t / t_prev) ** 2 if t_prev else x_prev
+        sol = _picard(model, contour, rep, t, tol, max_iter, x0)
         x_prev = sol.x
 
         eigs = np.linalg.eigvals(sol.z_op)

@@ -10,7 +10,7 @@ the lens between the interval and the contour.
 import numpy as np
 
 from ._kernels import cauchy_sum, cauchy_sum_many
-from .contour import Contour
+from .contour import Contour, analytic_rule
 from .model import SpectralModel
 
 
@@ -109,43 +109,34 @@ def m1_physical(model: SpectralModel, z) -> np.ndarray:
     return out[0] if single else out
 
 
-def _require_off_contour(contour: Contour, zs) -> None:
-    """Raise ValueError when a point of zs (one point or a 1-d array) lies
-    within 10 local node spacings of its nearest quadrature node (the
-    first of equally near ones), where the rule degenerates. The message
-    names the first such point."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    dist = np.abs(zs[:, None] - contour.nodes[None, :])
-    nearest = np.argmin(dist, axis=1)
-    close = (dist[np.arange(zs.shape[0]), nearest]
-             < 10.0 * contour.node_spacing[nearest])
-    if np.any(close):
-        z = complex(zs[np.argmax(close)])
-        raise ValueError(f"z={z} too close to the contour for quadrature")
-
-
 def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
     """Continued value M1(z, Gamma) by contour quadrature.
 
     Equals m1_physical outside the closed lens region; inside the lens it
-    is the continuation from the opposite half-plane. Guard: z must stay
-    10 local node spacings away from the quadrature nodes.
+    is the continuation from the opposite half-plane. The sum runs on
+    analytic_rule(model, contour, z), so z is refused (ValueError) where that
+    rule would need more than MAX_SEGMENT_NODES nodes on a segment.
     """
     z = complex(z)
-    _require_off_contour(contour, z)
-    kvals = model.kprime_values(contour.nodes)
-    w1 = cauchy_sum(kvals, contour.nodes, contour.weights, z)
+    rule = analytic_rule(model, contour, z)
+    kvals = model.kprime_values(rule.nodes)
+    w1 = cauchy_sum(kvals, rule.nodes, rule.weights, z)
     return model.a1 - z * np.eye(model.n) + w1
 
 
-def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
-    """Batched m1_continued over a 1-d array of points."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    _require_off_contour(contour, zs)
-    kvals = model.kprime_values(contour.nodes)
-    w1 = cauchy_sum_many(kvals, contour.nodes, contour.weights, zs)
+def _m1_on_rule(model: SpectralModel, rule: Contour, zs: np.ndarray) -> np.ndarray:
+    # M1(z, Gamma) at each point of the 1-d array zs by the sum over rule
+    kvals = model.kprime_values(rule.nodes)
+    w1 = cauchy_sum_many(kvals, rule.nodes, rule.weights, zs)
     eye = np.eye(model.n)
     return model.a1[None] - zs[:, None, None] * eye[None] + w1
+
+
+def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
+    """Batched m1_continued over a 1-d array of points, on one
+    analytic_rule sized by all of them."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    return _m1_on_rule(model, analytic_rule(model, contour, zs), zs)
 
 
 def sheets_value(model: SpectralModel, z, side: int,

@@ -81,6 +81,31 @@ def test_verify_all_pass(tmp_path, capsys):
     assert all(r["passed"] for r in rep["identities"])
 
 
+# The configuration example of README.md
+README_CONFIG = {
+    "model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]},
+    "contour": {"kind": "semicircle", "sides": [1, -1]},
+    "solver": {"tol": 1e-12, "max_iter": 200, "coupling_scale": 1.0},
+    "sweep": {"t_grid": [0.25, 0.5, 0.75, 1.0]},
+    "verify": {"seed": 20260819, "lens_points": 50},
+    "output": {"report": "report.json", "csv": "traj.csv"},
+}
+
+
+def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
+    # V0 keeps its 200-node floor; the lens points of sheets-crosspath, which
+    # a guard of 10 node spacings of that rule refused, are summed on their
+    # own analytic rule
+    monkeypatch.chdir(tmp_path)
+    data = json.loads(json.dumps(README_CONFIG))
+    data["contour"]["nodes_per_unit"] = 1
+    assert main(["verify", "--config", write_cfg(tmp_path, data)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["provenance"]["node_counts"] == {"1": 200, "-1": 200}
+    assert len(rep["identities"]) == 19
+    assert all(row["passed"] for row in rep["identities"]), rep["identities"]
+
+
 def test_verify_corrupted_root_fails(tmp_path, capsys):
     data = dict(BASE)
     data["verify"] = {"corrupt_z": 0.01}

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import schurroots as sr
-from schurroots.contour import _rectangle_r_min, _rectangle_rules, _spectral_norms
+from schurroots.contour import (_rectangle_counts, _rectangle_r_min, _rectangle_rules,
+                               _spectral_norms)
 from schurroots.errors import AdmissibilityError, ModelError
 
 R_MIN_ORACLE = 0.14738648089387119
@@ -216,7 +217,9 @@ def test_rect_families_cover_mixed_node_counts():
     # 200 nodes, so the (0.2, 1.2) scan mixes 200-node sides with 203- to
     # 240-node ones and the batched scan must group its depths by count
     for family, mixed in zip(RECT_FAMILIES, (False, True, False)):
-        rules = _rectangle_rules(-1.0, 1.0, np.linspace(*family, 33), 200)
+        depths = np.linspace(*family, 33)
+        counts = [_rectangle_counts(200, 2.0, h) for h in depths]
+        rules = _rectangle_rules(-1.0, 1.0, depths, counts)
         assert (len(rules) > 1) == mixed
         assert sorted(row for rows, *_ in rules for row in rows) == list(range(33))
 

@@ -207,6 +207,26 @@ def test_homotopy_trajectories(friedrichs_model, friedrichs_contours):
     assert np.max(np.abs(end.z_op - direct.z_op)) < 1e-10
 
 
+def test_homotopy_scaled_warm_start(model_zoo):
+    # starting each t at X(t_prev) (t / t_prev)^2 takes fewer Picard
+    # iterations than starting at X(t_prev), to the same roots within the
+    # Picard tolerance
+    grid = [k / 8 for k in range(1, 9)]
+    for model in model_zoo[:4] + wide_models(1, 2):
+        contour = sr.make_contour(model, 1)
+        base = sr.admissibility(model, contour)
+        path = sr.homotopy_path(model, contour, grid, report=base)
+        x = np.zeros((model.n, model.n), dtype=np.complex128)
+        unscaled = 0
+        for t, sol, _ in path:
+            rep = sr.admissibility_at(base.variation, base.distance, t)
+            ref = rootsolver._picard(model, contour, rep, t, 1e-12, 500, x)
+            x = ref.x
+            unscaled += ref.iterations
+            assert np.linalg.norm(sol.x - ref.x, 2) <= 1e-12 * np.linalg.norm(ref.x, 2)
+        assert sum(sol.iterations for _, sol, _ in path) < unscaled
+
+
 def test_homotopy_validation(friedrichs_model, friedrichs_contours):
     c = friedrichs_contours[1]
     with pytest.raises(ValueError):
@@ -457,9 +477,10 @@ def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
         zero = np.zeros((model.n, model.n), dtype=np.complex128)
         if model.n < 4:
             check(model, contour, base, 1.0, zero)
-        x0 = zero
+        x0, t_prev = zero, None
         for t in t_grid:
-            x0 = check(model, contour, base, t, x0)
+            x0 = check(model, contour, base, t, x0 * (t / t_prev) ** 2 if t_prev else x0)
+            t_prev = t
     assert cases == 21 * 9 + 6 * 8
 
 

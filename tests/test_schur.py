@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 import schurroots as sr
-from schurroots.schur import (_cut_moments, _require_off_contour,
-                              m1_continued_many, w1_boundary, w1_physical)
+from schurroots.schur import (_cut_moments, m1_continued_many, w1_boundary,
+                              w1_physical)
 
 
 def quad_w1(model, z, entry=(0, 0)):
@@ -99,47 +99,6 @@ def test_node_collision_guard(friedrichs_model, friedrichs_contours):
     z = complex(c.nodes[len(c.nodes) // 2])
     with pytest.raises(ValueError):
         sr.m1_continued(friedrichs_model, c, z)
-
-
-def _too_close_reference(contour, z):
-    # the per-point rule: the first nearest node k, and z within 10 times
-    # the larger of k's gaps to its neighbors in the same segment
-    k = int(np.argmin(np.abs(contour.nodes - z)))
-    for sl in contour.segment_slices:
-        if sl.start <= k < sl.stop:
-            gaps = []
-            if k > sl.start:
-                gaps.append(abs(contour.nodes[k] - contour.nodes[k - 1]))
-            if k + 1 < sl.stop:
-                gaps.append(abs(contour.nodes[k + 1] - contour.nodes[k]))
-            return abs(contour.nodes[k] - z) < 10.0 * max(gaps)
-    raise IndexError(k)
-
-
-@pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
-@pytest.mark.parametrize("side", [1, -1])
-def test_off_contour_guard_matches_per_point_rule(friedrichs_model, kind, depth, side):
-    # points scattered around random nodes, at up to 20 local spacings,
-    # so that about half of them trip the guard
-    contour = sr.make_contour(friedrichs_model, side, kind, depth)
-    rng = np.random.default_rng(31)
-    ks = rng.integers(0, contour.num_nodes, size=1500)
-    radius = rng.uniform(0.0, 20.0, size=ks.size) * np.abs(np.gradient(contour.nodes))[ks]
-    zs = contour.nodes[ks] + radius * np.exp(2j * np.pi * rng.uniform(size=ks.size))
-    expected = [_too_close_reference(contour, complex(z)) for z in zs]
-    assert 0.2 < np.mean(expected) < 0.8
-    for z, close in zip(zs, expected):
-        try:
-            _require_off_contour(contour, z)
-            flagged = False
-        except ValueError:
-            flagged = True
-        assert flagged == close, z
-    # a batch names its first offending point
-    first = complex(zs[expected.index(True)])
-    with pytest.raises(ValueError, match=re.escape(f"z={first} ")):
-        _require_off_contour(contour, zs)
-    _require_off_contour(contour, zs[~np.array(expected)])
 
 
 def test_boundary_limits(friedrichs_model):
