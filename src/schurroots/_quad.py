@@ -13,6 +13,15 @@ Refinement runs in rounds: a round bisects a batch of the worst panels
 and evaluates every panel it opens, all 48 nodes of each, in a single
 integrand call, so the Python cost is per round, not per panel.
 
+A caller that knows the integrand's poles passes them, and the first
+round starts from a partition graded toward them (_start_panels): a real
+pole inside the interval and the foot Re p of a complex one are panel
+ends, and every panel is bisected, before anything is evaluated, until
+each complex pole lies outside its Bernstein ellipse of parameter _RHO.
+The 16-node estimate of an integrand analytic inside that ellipse is then
+of order _RHO^(-32), about 2e-13 (Trefethen, SIAM Rev. 50 (2008)), so a
+rational integrand usually needs no second round.
+
 The scheme is deterministic: panels are ranked by error estimate, ties
 broken by insertion order, and each round bisects the fewest top-ranked
 panels whose removal leaves the remaining estimate at most half the
@@ -34,12 +43,39 @@ def _rule(n):
     return _RULES[n]
 
 
-def _split_points(a, b, breaks):
-    pts = [a, b]
-    for br in breaks or ():
-        if a < br < b:
-            pts.append(float(br))
-    return sorted(set(pts))
+# Bernstein parameter every complex pole must clear on every start panel.
+_RHO = 2.5
+
+
+def _start_panels(a, b, poles=(), max_panels=4000):
+    """The first round's panels (los, his), in order along [a, b].
+
+    A real pole inside (a, b) and the foot Re p of a complex pole p are
+    panel ends. Then every panel whose Bernstein ellipse of parameter
+    _RHO contains a complex pole is bisected, until none does: p lies
+    outside the ellipse of [lo, hi] when |p - lo| + |p - hi| >= (hi - lo)
+    (_RHO + 1/_RHO) / 2, the sum of its focal distances. Raises
+    NumericsError when the start would exceed max_panels.
+    """
+    poles = np.asarray(poles, dtype=np.complex128).ravel()
+    feet = poles.real
+    pts = np.unique(np.concatenate([[a, b], feet[(a < feet) & (feet < b)]]))
+    los, his = pts[:-1], pts[1:]
+    graded = poles[poles.imag != 0.0]
+    while True:
+        focal = (np.abs(graded[None, :] - los[:, None])
+                 + np.abs(graded[None, :] - his[:, None]))
+        inside = np.any(focal < (0.5 * (_RHO + 1.0 / _RHO))
+                        * (his - los)[:, None], axis=1)
+        if los.shape[0] + int(np.count_nonzero(inside)) > max_panels:
+            raise NumericsError(
+                f"adaptive quadrature exhausted {max_panels} panels "
+                "grading its start toward the poles")
+        if not np.any(inside):
+            return los, his
+        mid = 0.5 * (los[inside] + his[inside])
+        los = np.sort(np.concatenate([los, mid]))
+        his = np.sort(np.concatenate([his, mid]))
 
 
 def _evaluate_panels(f, lo, hi):
@@ -68,26 +104,27 @@ def _evaluate_panels(f, lo, hi):
     return fine.reshape((lo.shape[0],) + shape), err
 
 
-def adaptive_quad(f, a, b, rtol=1e-11, breaks=(), max_panels=4000):
+def adaptive_quad(f, a, b, rtol=1e-11, poles=(), max_panels=4000):
     """Integrate a vectorized array-valued function over [a, b].
 
     f(nodes) takes a 1-d array of M real nodes and must return an ndarray
     of shape (M, *shape): the unweighted integrand at each node, with
     shape fixed (empty for a scalar integrand). A result whose leading
-    axis is not M raises ValueError. `breaks` lists interior points where
-    the integrand loses smoothness; panels never straddle them.
+    axis is not M raises ValueError. `poles` lists the integrand's known
+    singularities: the first round starts on _start_panels(a, b, poles),
+    so a real point inside (a, b), such as a kink, is never straddled by a
+    panel and a complex pole starts graded.
 
     Returns (value, info): info["panels"] counts the panels evaluated,
     info["rounds"] the calls of f and info["error"] is the final error
-    estimate. Raises NumericsError, before evaluating it, when a round
-    would take the panel count past max_panels with the estimate still
-    above rtol * max(1, ||value||).
+    estimate. Raises NumericsError, before evaluating it, when the graded
+    start or a later round would take the panel count past max_panels
+    (a later round: with the estimate still above rtol * max(1, ||value||)).
     """
     if not b > a:
         raise ValueError("empty integration interval")
 
-    pts = np.array(_split_points(a, b, breaks))
-    los, his = pts[:-1], pts[1:]
+    los, his = _start_panels(a, b, poles, max_panels)
     fine, err = _evaluate_panels(f, los, his)
     panels, rounds = los.shape[0], 1
     while True:

@@ -165,31 +165,27 @@ def _corrupt(sol, amount: float):
     return dataclasses.replace(sol, x=sol.x + shift, z_op=sol.z_op + shift)
 
 
-def _lens_points(rng, contour, count):
+def _lens_points(rng, contour, count) -> np.ndarray:
+    """count points inside the contour's lens, each coordinate drawn in
+    one call."""
     a, b = contour.endpoints
     c = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = []
-    for _ in range(count):
-        u = rng.uniform(-0.7, 0.7)
-        x = c + u * half
-        if contour.kind == "semicircle":
-            height = float(np.sqrt(max(contour.depth ** 2 - (x - c) ** 2, 0.0)))
-        else:
-            height = contour.depth
-        v = rng.uniform(0.15, 0.75)
-        pts.append(complex(x, contour.side * v * height))
-    return pts
+    x = c + rng.uniform(-0.7, 0.7, size=count) * (0.5 * (b - a))
+    if contour.kind == "semicircle":
+        height = np.sqrt(np.maximum(contour.depth ** 2 - (x - c) ** 2, 0.0))
+    else:
+        height = contour.depth
+    v = rng.uniform(0.15, 0.75, size=count)
+    return x + 1j * (contour.side * v * height)
 
 
-def _near_sigma_points(rng, model, d, count):
-    pts = []
-    for _ in range(count):
-        lam = float(rng.choice(model.sigma1))
-        r = rng.uniform(0.05, 0.45) * d
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        pts.append(lam + r * np.exp(1j * phi))
-    return pts
+def _near_sigma_points(rng, model, d, count) -> np.ndarray:
+    """count points in the annuli 0.05 d .. 0.45 d around sigma1, each
+    coordinate drawn in one call."""
+    lam = rng.choice(model.sigma1, size=count)
+    r = rng.uniform(0.05, 0.45, size=count) * d
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return lam + r * np.exp(1j * phi)
 
 
 def _worst_relative_gap(ref, other) -> float:
@@ -283,7 +279,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def sheets(side):
         contour = contours[side]
-        pts = np.array(_lens_points(rng, contour, cfg.lens_points))
+        pts = _lens_points(rng, contour, cfg.lens_points)
         mc = m1_continued_many(sm, contour, pts)
         sv = sheets_value(sm, pts, side, contour)
         return _worst_relative_gap(mc, sv)
@@ -294,7 +290,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def factorization(side):
         contour, sol = contours[side], sols[side]
-        zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
+        zs = _near_sigma_points(rng, model, d, cfg.factor_points)
         f1 = factor_F1(model, contour, sol, zs)
         mc = m1_continued_many(sm, contour, zs)
         prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
@@ -303,7 +299,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     add_row("factorization", 1e-9, over_sides(factorization))
 
     def conditioning(side):
-        zs = np.array(_near_sigma_points(rng, model, d, cfg.factor_points))
+        zs = _near_sigma_points(rng, model, d, cfg.factor_points)
         return np.max(np.linalg.cond(factor_F1(model, contours[side], sols[side], zs)))
 
     add_row("factor-conditioning", 1e8, over_sides(conditioning))

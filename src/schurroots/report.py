@@ -71,6 +71,7 @@ def admissibility_block(rep, r0=None) -> dict:
 def riccati_block(ric, verdict) -> dict:
     return {
         "y_norm": ric.y_norm,
+        "gram_route": ric.gram_route,
         "gram_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric.gram)],
         "one_in_spectrum": {
             "present": verdict.present,

@@ -2,9 +2,18 @@
 
 The angular operator for side l acts from C^n into L2 on the interval as
 multiplication by the rational function y(mu) = b(mu) (Z - mu)^{-1}; it is
-kept in that symbolic form (b, Z) and every derived quantity is an
-adaptive quadrature of rational-polynomial integrands. Nothing here
-discretizes the function space.
+kept in that symbolic form (b, Z). Nothing here discretizes the function
+space.
+
+Its interval integrals have known poles: spec Z and, in the J-pairings,
+the trial poles. The Gram matrix Y^*Y and the pairing <x0, Y x1> are
+summed in closed form, as Loewner divided differences of the cut moments
+g_s in the eigenbasis of Z (Higham, Functions of Matrices, SIAM 2008);
+where that basis is ill-conditioned or a divided difference is
+(near-)confluent they fall back to adaptive quadrature. Every other
+derived quantity (B^*Y, Y^* x0, the deformed Omega and the norm-ceiling
+integral) is an adaptive quadrature whose first round is graded toward
+those poles, so each row of verify still compares two independent paths.
 """
 
 from dataclasses import dataclass
@@ -18,8 +27,8 @@ from .contour import (AdmissibilityReport, Contour, _spectral_norms,
                       admissibility, analytic_rule, distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
-from .rootsolver import RootSolution, _require_clear_of_nodes
-from .schur import _m1_on_rule
+from .rootsolver import _COND_LIMIT, RootSolution, _require_clear_of_nodes
+from .schur import _cut_moments, _m1_on_rule
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,13 @@ class RiccatiSolution:
     y_norm: float
     bstar_y: np.ndarray
     interval: tuple
+    # "closed-form" or "quadrature": how gram was summed (see compute_Y)
+    gram_route: str
+    # spec Z, and (V, V^{-1}) of Z = V diag(eigs) V^{-1} when cond(V) <=
+    # _COND_LIMIT, else None; shared by the closed forms of gram and of
+    # the J-pairing
+    eigs: np.ndarray
+    basis: tuple | None
 
     @property
     def z_op(self) -> np.ndarray:
@@ -83,33 +99,77 @@ def _segment_distance(lam: complex, interval) -> float:
     return float(np.hypot(dx, lam.imag))
 
 
-def _pole_breaks(z: np.ndarray, interval) -> tuple:
+def _eigenbasis(z: np.ndarray) -> tuple:
+    """(eigs, basis) of Z: basis is (V, V^{-1}) for Z = V diag(eigs) V^{-1},
+    or None when cond(V) > _COND_LIMIT, where sums in that basis lose
+    about cond(V) times the unit roundoff."""
+    eigs, vecs = np.linalg.eig(z)
+    if np.linalg.cond(vecs) > _COND_LIMIT:
+        return eigs, None
+    return eigs, (vecs, np.linalg.inv(vecs))
+
+
+# Pairs (x, y) with |x - y| <= _CONFLUENT * (1 + |x|) make a divided
+# difference (g(x) - g(y)) / (x - y) confluent or nearly so; a closed form
+# that would need one is not used.
+_CONFLUENT = 1e-6
+
+
+def _confluent(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether some pair of xs and ys is (near-)confluent."""
+    gap = np.abs(xs[:, None] - ys[None, :])
+    return bool(np.any(gap <= _CONFLUENT * (1.0 + np.abs(xs))[:, None]))
+
+
+def _divided_differences(interval, xs, ys, degree: int) -> np.ndarray:
+    """(g_s(x) - g_s(y)) / (x - y) for every x in xs and y in ys, s =
+    0..degree -> (degree + 1, len(xs), len(ys)), g_s the physical cut
+    moments of schur._cut_moments: the integral of mu^s / ((mu - x)(mu - y))
+    over the interval."""
     a, b = interval
-    eigs = np.linalg.eigvals(z)
-    return tuple(float(e.real) for e in eigs if a < e.real < b)
+    g = _cut_moments(a, b, np.concatenate([xs, ys]), degree).T
+    gx, gy = g[:, :xs.shape[0]], g[:, xs.shape[0]:]
+    return (gx[:, :, None] - gy[:, None, :]) / (xs[:, None] - ys[None, :])
+
+
+def _gram_closed_form(kcoeffs: np.ndarray, interval, eigs: np.ndarray,
+                      basis: tuple) -> np.ndarray:
+    """G = integral of (Z^* - mu)^{-1} K'(mu) (Z - mu)^{-1} dmu in closed
+    form: V^{-H} [sum_s (V^H C_s V) o H_s] V^{-1} with H_s[i, j] =
+    (g_s(d_j) - g_s(conj d_i)) / (d_j - conj d_i), C_s the coefficients
+    of K'."""
+    vecs, inv = basis
+    h = _divided_differences(interval, np.conj(eigs), eigs, kcoeffs.shape[0] - 1)
+    inner = np.sum((np.conj(vecs.T) @ kcoeffs @ vecs) * h, axis=0)
+    return np.conj(inv.T) @ inner @ inv
 
 
 def compute_Y(model: SpectralModel, sol: RootSolution,
               quad_tol: float = 1e-11) -> RiccatiSolution:
     """Assemble the angular operator data for a solved root.
 
-    Gram matrix G = integral of y(mu)^* y(mu) over the interval and
-    bstar_y = integral of b#(mu) y(mu), both by adaptive quadrature with
-    panels split at Re(spec Z) where the rational factors peak. Requires
-    the spectrum of Z to stay clear of the interval (separation guard
-    10 * sqrt(quad_tol)); the zero-coupling model short-circuits to exact
-    zeros.
+    The Gram matrix G = integral of y(mu)^* y(mu) over the interval is
+    summed in closed form (_gram_closed_form, gram_route "closed-form")
+    unless cond(V) > _COND_LIMIT or some pair of spec Z and its conjugate
+    is (near-)confluent; then it is an adaptive quadrature (gram_route
+    "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
+    adaptive quadrature, started graded toward spec Z, so root-equation
+    compares it with the closed-form root. Requires the spectrum of Z to
+    stay clear of the interval (separation guard 10 * sqrt(quad_tol));
+    the zero-coupling model short-circuits to exact zeros.
     """
     sm = model.scaled(sol.coupling_scale)
     n = model.n
     interval = model.interval
-    y_repr = RationalAngular(sm.b, sol.z_op)
+    z = sol.z_op
+    y_repr = RationalAngular(sm.b, z)
 
     if sm.b.is_zero:
         zeros = np.zeros((n, n), dtype=np.complex128)
-        return RiccatiSolution(sol.side, y_repr, zeros, 0.0, zeros, interval)
+        return RiccatiSolution(sol.side, y_repr, zeros, 0.0, zeros, interval,
+                               "closed-form", np.linalg.eigvals(z), None)
 
-    eigs = np.linalg.eigvals(sol.z_op)
+    eigs, basis = _eigenbasis(z)
     sep = min(_segment_distance(complex(e), interval) for e in eigs)
     guard = 10.0 * float(np.sqrt(quad_tol))
     if sep <= guard:
@@ -118,20 +178,25 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
         )
 
     a, b = interval
-    breaks = _pole_breaks(sol.z_op, interval)
-    z = sol.z_op
-    zh = np.conj(z.T)
 
-    def gram_values(nodes):
-        mus = nodes.astype(np.complex128)
-        return _sandwich_products(sm.kprime_values(mus), mus, zh, z)
+    if basis is not None and not _confluent(eigs, np.conj(eigs)):
+        gram = _gram_closed_form(sm.kprime.coefficients, interval, eigs, basis)
+        route = "closed-form"
+    else:
+        zh = np.conj(z.T)
+
+        def gram_values(nodes):
+            mus = nodes.astype(np.complex128)
+            return _sandwich_products(sm.kprime_values(mus), mus, zh, z)
+
+        gram, _ = adaptive_quad(gram_values, a, b, rtol=quad_tol, poles=eigs)
+        route = "quadrature"
 
     def bstar_values(nodes):
         mus = nodes.astype(np.complex128)
         return _right_resolvent_products(sm.kprime_values(mus), mus, z)
 
-    gram, _ = adaptive_quad(gram_values, a, b, rtol=quad_tol, breaks=breaks)
-    bstar_y, _ = adaptive_quad(bstar_values, a, b, rtol=quad_tol, breaks=breaks)
+    bstar_y, _ = adaptive_quad(bstar_values, a, b, rtol=quad_tol, poles=eigs)
 
     gram = 0.5 * (gram + np.conj(gram.T))
     geigs = np.linalg.eigvalsh(gram)
@@ -139,7 +204,8 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     if geigs[0] < -1e-12 * scale:
         raise NumericsError(f"Gram matrix not PSD (min eigenvalue {geigs[0]:.3e})")
     y_norm = float(np.sqrt(max(float(geigs[-1]), 0.0)))
-    return RiccatiSolution(sol.side, y_repr, gram, y_norm, bstar_y, interval)
+    return RiccatiSolution(sol.side, y_repr, gram, y_norm, bstar_y, interval,
+                           route, eigs, basis)
 
 
 def check_ZAY(model: SpectralModel, sol: RootSolution,
@@ -183,43 +249,65 @@ class RationalTrial:
         return self.c[None, :] / (mus[:, None] - self.pole)
 
     def l2_norm(self, interval) -> float:
-        """Norm in L2(interval), in closed form: its square is
-        ||c||^2 / h * [atan((mu - Re pole) / h)] from a to b, h = |Im pole|."""
-        a, b = interval
-        h = abs(self.pole.imag)
-        arc = np.arctan((b - self.pole.real) / h) - np.arctan((a - self.pole.real) / h)
-        return float(np.linalg.norm(self.c) * np.sqrt(arc / h))
+        """Norm in L2(interval), in closed form (_trial_l2_norms)."""
+        return float(_trial_l2_norms(np.array([self.pole]), self.c[None], interval)[0])
+
+
+def _trial_l2_norms(poles: np.ndarray, cs: np.ndarray, interval) -> np.ndarray:
+    """L2(interval) norm of each c_t / (mu - pole_t): its square is
+    ||c_t||^2 / h * [atan((mu - Re pole_t) / h)] from a to b, h = |Im pole_t|."""
+    a, b = interval
+    h = np.abs(poles.imag)
+    arc = np.arctan((b - poles.real) / h) - np.arctan((a - poles.real) / h)
+    return np.linalg.norm(cs, axis=1) * np.sqrt(arc / h)
+
+
+def _unit_rows(rng, count: int, width: int) -> np.ndarray:
+    # count complex Gaussian rows of the given width, each normalised
+    rows = rng.normal(size=(count, width)) + 1j * rng.normal(size=(count, width))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
     """Random rational trial pairs (x0 function, x1 vector) for the
     J-orthogonality check. Poles sit a fixed distance off the interval;
-    each x0 is a RationalTrial with unit c and each x1 a unit vector."""
+    each x0 is a RationalTrial with unit c and each x1 a unit vector. Each
+    coordinate of the batch is drawn in one call."""
     rng = np.random.default_rng(seed)
     a, b = ric.interval
-    m = ric.y_repr.b.rows
-    n = ric.y_repr.b.cols
-    trials = []
-    for _ in range(count):
-        pole = complex(rng.uniform(a, b),
-                       rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0))
-        c = rng.normal(size=m) + 1j * rng.normal(size=m)
-        c /= np.linalg.norm(c)
-        x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x1 /= np.linalg.norm(x1)
-        trials.append((RationalTrial(pole, c), x1))
-    return trials
+    re = rng.uniform(a, b, size=count)
+    im = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.3, 1.0, size=count)
+    cs = _unit_rows(rng, count, ric.y_repr.b.rows)
+    x1s = _unit_rows(rng, count, ric.y_repr.b.cols)
+    return [(RationalTrial(complex(p), c), x1)
+            for p, c, x1 in zip(re + 1j * im, cs, x1s)]
 
 
 _JORTH_RTOL = 1e-11
 
 
+def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
+    """lhs_t = <x0_t, Y x1_t> in closed form: sum_s c_t^H B_s V
+    diag((g_s(q_t) - g_s(d)) / (d - q_t)) V^{-1} x1_t with q_t = conj
+    pole_t, B_s the coefficients of b."""
+    vecs, inv = ric.basis
+    bcoeffs = ric.y_repr.b.coefficients
+    h = _divided_differences(ric.interval, np.conj(poles), ric.eigs,
+                             bcoeffs.shape[0] - 1)
+    left = np.conj(cs) @ bcoeffs @ vecs  # (S, T, n)
+    right = inv @ x1s.T  # (n, T)
+    return -np.sum(np.sum(left * h, axis=0) * right.T, axis=1)
+
+
 def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     """(lhs, rhs) with lhs_t = <x0_t, Y x1_t> and rhs_t = <Y^* x0_t, x1_t>.
 
-    Two adaptive quadratures over the interval serve every trial: one of
-    the stacked <x0_t, Y x1_t> through y(mu), one of the stacked Y^* x0_t
-    through ytilde(mu), so y and ytilde are evaluated once per panel.
+    lhs is summed in closed form (_lhs_closed_form) in the eigenbasis that
+    compute_Y kept, unless there is none or some conj(pole_t) is
+    (near-)confluent with spec Z; then it is a stacked adaptive quadrature
+    through y(mu). rhs is always a stacked adaptive quadrature of
+    Y^* x0_t through ytilde(mu), started graded toward spec Z and the
+    trial poles, so the two sides of the pairing share no path.
 
     A stacked quadrature stops when the summed panel error of the whole
     stack, which bounds each trial's own, is at most
@@ -229,32 +317,36 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     _JORTH_RTOL * max(1, |its value|), the rule of one quadrature per trial.
     """
     a, b = ric.interval
-    breaks = _pole_breaks(ric.z_op, ric.interval)
     x0s = [x0 for x0, _ in trial_vectors]
     poles = np.array([x0.pole for x0 in x0s], dtype=np.complex128)
     cs = np.array([x0.c for x0 in x0s], dtype=np.complex128)
     x1s = np.array([x1 for _, x1 in trial_vectors], dtype=np.complex128)
-    x0_norms = np.array([x0.l2_norm(ric.interval) for x0 in x0s])
+    x0_norms = _trial_l2_norms(poles, cs, ric.interval)
     x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
     bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
     rtol = _JORTH_RTOL / max(1.0, bound)
+    all_poles = np.concatenate([ric.eigs, poles])
 
-    def x0_values(nodes):
-        # every trial's x0 at every node: (M, T, m)
-        return cs[None] / (nodes.astype(np.complex128)[:, None, None]
-                           - poles[None, :, None])
+    if ric.basis is not None and not _confluent(ric.eigs, np.conj(poles)):
+        lhs = _lhs_closed_form(ric, poles, cs, x1s)
+    else:
+        def lhs_values(nodes):
+            x0 = cs[None] / (nodes.astype(np.complex128)[:, None, None]
+                             - poles[None, :, None])  # (M, T, m)
+            yx1 = ric.y_values(nodes) @ x1s.T  # (M, m, T)
+            return np.einsum("mti,mit->mt", np.conj(x0), yx1)
 
-    def lhs_values(nodes):
-        yx1 = ric.y_values(nodes) @ x1s.T  # (M, m, T)
-        return np.einsum("mti,mit->mt", np.conj(x0_values(nodes)), yx1)
+        lhs, _ = adaptive_quad(lhs_values, a, b, rtol=rtol, poles=all_poles)
 
     def rhs_values(nodes):
-        yt = ric.y_repr.adjoint_values(nodes)
-        return np.einsum("mij,mtj->mti", yt, x0_values(nodes))
+        # ytilde(mu) c_t / (mu - pole_t) for every trial: (M, T, n); the
+        # products ytilde(mu) c_t as one 2-d matrix product
+        yt = ric.y_repr.adjoint_values(nodes)  # (M, n, m)
+        yc = (yt.reshape(-1, yt.shape[2]) @ cs.T).reshape(yt.shape[:2] + (-1,))
+        return np.swapaxes(yc / (nodes[:, None, None] - poles[None, None, :]), 1, 2)
 
-    lhs, _ = adaptive_quad(lhs_values, a, b, rtol=rtol, breaks=breaks)
-    ystar_x0, _ = adaptive_quad(rhs_values, a, b, rtol=rtol, breaks=breaks)
-    return lhs, np.einsum("ti,ti->t", np.conj(ystar_x0), x1s)
+    ystar_x0, _ = adaptive_quad(rhs_values, a, b, rtol=rtol, poles=all_poles)
+    return lhs, np.sum(np.conj(ystar_x0) * x1s, axis=1)
 
 
 def j_orthogonality(ric: RiccatiSolution, trial_vectors) -> float:
@@ -262,8 +354,10 @@ def j_orthogonality(ric: RiccatiSolution, trial_vectors) -> float:
 
     Vanishing of this adjointness defect is what makes the two graph
     subspaces J-orthogonal. The trials are (RationalTrial, vector) pairs
-    as rational_trials draws them. All trials share one stacked adaptive
-    quadrature per side of the pairing (see _j_pairings), 2 in all.
+    as rational_trials draws them. All trials share one evaluation of each
+    side of the pairing: the closed form of <x0, Y x1> (or its stacked
+    quadrature where the closed form does not apply) and one stacked
+    adaptive quadrature of Y^* x0 (see _j_pairings).
     """
     if not trial_vectors:
         return 0.0
@@ -319,14 +413,13 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     a, b = model.interval
     zl = np.conj(sol_minus_l.z_op.T)
     zr = sol_l.z_op
-    breaks = tuple(sorted(set(_pole_breaks(zl, model.interval))
-                          | set(_pole_breaks(zr, model.interval))))
+    poles = np.concatenate([np.linalg.eigvals(zl), np.linalg.eigvals(zr)])
 
     def values(nodes):
         mus = nodes.astype(np.complex128)
         return _sandwich_products(sm.kprime_values(mus), mus, zl, zr)
 
-    omega, _ = adaptive_quad(values, a, b, rtol=quad_tol, breaks=breaks)
+    omega, _ = adaptive_quad(values, a, b, rtol=quad_tol, poles=poles)
     return omega
 
 
@@ -361,10 +454,9 @@ def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
     """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu."""
     a, b = ric.interval
     z = ric.z_op
-    breaks = _pole_breaks(z, ric.interval)
 
     val, _ = adaptive_quad(lambda nodes: _ysn_integrand(ric.y_repr.b, z, nodes),
-                           a, b, rtol=rtol, breaks=breaks)
+                           a, b, rtol=rtol, poles=ric.eigs)
     return float(np.real(val))
 
 

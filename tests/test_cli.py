@@ -345,10 +345,10 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
 
 def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     # one V0, shared by the mirrored side -1 contour of this real model,
-    # and 12 adaptive quadratures: Gram and B^*Y (2 per
-    # side), the deformed Omega, the norm-ceiling integral and the two
-    # stacked J-orthogonality pairings (1, 1 and 2 per side). Each side's
-    # Omega is one contour sum, read by every row that needs it.
+    # and 8 adaptive quadratures: B^*Y, the deformed Omega, the
+    # norm-ceiling integral and the stacked Y^* x0 of the J-pairing (1 each
+    # per side); the Gram matrix and <x0, Y x1> are closed forms. Each
+    # side's Omega is one contour sum, read by every row that needs it.
     import schurroots.contour as contour_mod
     import schurroots.riccati as riccati_mod
 
@@ -369,9 +369,11 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     sandwiches = _count_calls(monkeypatch, riccati_mod, "sandwich_sum")
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 0
-    assert json.loads(out)["all_identities_pass"] is True
+    report = json.loads(out)
+    assert report["all_identities_pass"] is True
+    assert [b["gram_route"] for b in report["riccati"].values()] == ["closed-form"] * 2
     assert variations == [1]
-    assert len(quads) == 12
+    assert len(quads) == 8
     assert len(sandwiches) == 2
 
 

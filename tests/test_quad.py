@@ -5,10 +5,12 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import schurroots as sr
 from schurroots import riccati
-from schurroots._quad import _rule, _split_points, adaptive_quad
+from schurroots._quad import _RHO, _rule, _start_panels, adaptive_quad
 from schurroots.errors import NumericsError
 
 
@@ -42,7 +44,7 @@ def test_matrix_valued():
 def test_break_at_kink():
     # |x| on [-1, 1]: a break at 0 makes each panel smooth
     f = lambda x: np.abs(x)
-    val, stats = adaptive_quad(f, -1.0, 1.0, breaks=(0.0,))
+    val, stats = adaptive_quad(f, -1.0, 1.0, poles=(0.0,))
     assert abs(val - 1.0) < 1e-12
     # the kink never sits inside a panel, so few panels suffice
     assert stats["panels"] <= 8
@@ -100,9 +102,68 @@ def test_weighted_panel_sum_rejected(weighted):
         adaptive_quad(weighted, 0.0, 1.0)
 
 
-def _reference_quad(f, a, b, rtol=1e-11, breaks=(), max_panels=4000):
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def graded_starts(draw):
+    """(a, b, complex poles, real poles): complex poles at least 1e-4 off
+    the axis, feet and real poles within one interval length of it."""
+    a = draw(st.floats(-10.0, 10.0, **_FINITE))
+    width = draw(st.floats(1e-3, 20.0, **_FINITE))
+    b = a + width
+    along = st.floats(a - width, b + width, **_FINITE)
+    off = st.tuples(st.floats(1e-4, 10.0, **_FINITE), st.sampled_from((-1.0, 1.0)))
+    feet = draw(st.lists(st.tuples(along, off), max_size=4))
+    return (a, b, [complex(x, sign * h) for x, (h, sign) in feet],
+            draw(st.lists(along, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_starts())
+# panels of subnormal width, whose half-width underflows
+@example((-5e-324, 1.0, [-1j], []))
+@example((0.0, 1.0, [-1j], [2.2250738585e-313]))
+def test_graded_start_partition(start):
+    a, b, complex_poles, real_poles = start
+    poles = complex_poles + real_poles
+    los, his = _start_panels(a, b, poles)
+    # the panels tile [a, b]
+    assert los[0] == a and his[-1] == b
+    assert np.array_equal(los[1:], his[:-1]) and np.all(his > los)
+    # every complex pole lies outside every panel's _RHO ellipse: the
+    # Bernstein parameter of its preimage in [-1, 1] is at least _RHO. A
+    # preimage that is not finite (a panel of subnormal width) is far
+    # outside.
+    for p in complex_poles:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = (p - 0.5 * (los + his)) / (0.5 * (his - los))
+            root = np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+            rho = np.maximum(np.abs(x + root), np.abs(x - root))
+        clear = ~np.isfinite(x) | (rho >= _RHO * (1.0 - 1e-9))
+        assert np.all(clear), (p, np.min(rho))
+    # every real pole and every complex pole's foot inside (a, b) is a
+    # panel end
+    ends = set(los) | set(his)
+    for x in real_poles + [p.real for p in complex_poles]:
+        assert not a < x < b or x in ends
+    # a start past the budget is refused before the integrand is called
+    calls = []
+
+    def f(nodes):
+        calls.append(1)
+        return nodes
+
+    with pytest.raises(NumericsError, match="exhausted"):
+        adaptive_quad(f, a, b, poles=poles, max_panels=los.shape[0] - 1)
+    assert calls == []
+
+
+def _reference_quad(f, a, b, rtol=1e-11, poles=(), max_panels=4000):
     """The sequential scheme the batched one replaced: two calls of f per
-    panel, one panel bisected at a time, worst first out of a heap."""
+    panel, one panel bisected at a time, worst first out of a heap. It
+    starts from the same graded partition, so panel counts compare like
+    for like."""
 
     def panel_value(lo, hi, n):
         x, w = _rule(n)
@@ -124,8 +185,7 @@ def _reference_quad(f, a, b, rtol=1e-11, breaks=(), max_panels=4000):
         err_by_id[counter] = err
         counter += 1
 
-    pts = _split_points(a, b, breaks)
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    for lo, hi in zip(*_start_panels(a, b, poles, max_panels)):
         push(lo, hi)
 
     while True:
@@ -143,12 +203,15 @@ def _reference_quad(f, a, b, rtol=1e-11, breaks=(), max_panels=4000):
         push(mid, hi)
 
 
-_FAMILIES = ("gram", "bstar_y", "omega", "ysn", "j-lhs", "j-rhs")
+# The Gram matrix and the J-pairing's <x0, Y x1> are closed forms on
+# these models; tests/test_closed_forms.py checks them against their
+# quadratures.
+_FAMILIES = ("bstar_y", "omega", "ysn", "j-rhs")
 
 
 @pytest.fixture(scope="module")
 def riccati_integrands(friedrichs_model, friedrichs_contours, zoo_solutions):
-    """(family, f, a, b, rtol, breaks) of every interval quadrature that
+    """(family, f, a, b, rtol, poles) of every interval quadrature that
     compute_Y, omega_by_deformation, ysn_integral and the stacked
     J-pairings make, for the Friedrichs model and the zoo on both sides."""
     friedrichs = {s: sr.solve_basic(friedrichs_model, friedrichs_contours[s])
@@ -157,9 +220,9 @@ def riccati_integrands(friedrichs_model, friedrichs_contours, zoo_solutions):
         (model, sols) for model, _, sols in zoo_solutions]
     captured = []
 
-    def recording(f, a, b, rtol=1e-11, breaks=()):
-        captured.append((f, a, b, rtol, breaks))
-        return adaptive_quad(f, a, b, rtol=rtol, breaks=breaks)
+    def recording(f, a, b, rtol=1e-11, poles=()):
+        captured.append((f, a, b, rtol, poles))
+        return adaptive_quad(f, a, b, rtol=rtol, poles=poles)
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
@@ -178,15 +241,15 @@ def riccati_integrands(friedrichs_model, friedrichs_contours, zoo_solutions):
 
 def test_batched_matches_sequential_reference(riccati_integrands):
     panels = {name: [0, 0] for name in _FAMILIES}
-    for family, f, a, b, rtol, breaks in riccati_integrands:
+    for family, f, a, b, rtol, poles in riccati_integrands:
         calls = []
 
         def counted(nodes, f=f):
             calls.append(1)
             return f(nodes)
 
-        value, info = adaptive_quad(counted, a, b, rtol=rtol, breaks=breaks)
-        ref, ref_info = _reference_quad(f, a, b, rtol=rtol, breaks=breaks)
+        value, info = adaptive_quad(counted, a, b, rtol=rtol, poles=poles)
+        ref, ref_info = _reference_quad(f, a, b, rtol=rtol, poles=poles)
         tol = rtol * max(1.0, float(np.linalg.norm(np.ravel(value))))
         assert info["error"] <= tol, family
         assert float(np.linalg.norm(np.ravel(value - ref))) <= tol, family
@@ -195,3 +258,13 @@ def test_batched_matches_sequential_reference(riccati_integrands):
         panels[family][1] += ref_info["panels"]
     for family, (batched, reference) in panels.items():
         assert batched <= 1.1 * reference, (family, batched, reference)
+
+
+def test_graded_start_meets_rtol_in_one_round(riccati_integrands):
+    # every pole of the rational integrands is known, so the graded start
+    # alone meets the tolerance; the norm-ceiling integrand has kinks that
+    # no pole marks and may refine
+    for family, f, a, b, rtol, poles in riccati_integrands:
+        if family != "ysn":
+            _, info = adaptive_quad(f, a, b, rtol=rtol, poles=poles)
+            assert info["rounds"] == 1, family
