@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import dumps
 from .errors import ConfigError
 
 _VALID_KINDS = ("semicircle", "rectangle")
@@ -36,15 +37,22 @@ def complex_to_pair(z: complex) -> list:
 
 
 def matrix_from_lists(rows) -> np.ndarray:
+    """A nonempty rows x columns complex matrix from nested lists; any other
+    form raises ConfigError."""
     try:
-        return np.array([[pair_to_complex(v) for v in row] for row in rows],
-                        dtype=np.complex128)
-    except (TypeError, ConfigError) as exc:
+        mat = np.array([[pair_to_complex(v) for v in row] for row in rows],
+                       dtype=np.complex128)
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"malformed matrix: {exc}") from exc
+    if mat.ndim != 2 or mat.size == 0:
+        raise ConfigError(f"malformed matrix: expected nonempty rows, got {rows!r}")
+    return mat
 
 
 def matrix_to_lists(mat: np.ndarray) -> list:
-    return [[complex_to_pair(v) for v in row] for row in np.atleast_2d(mat)]
+    """Row-major nested lists of [re, im] pairs of Python floats."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
+    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
 def _require_finite(name, *values):
@@ -150,6 +158,8 @@ class RunConfig:
         npu = _integer(contour.get("nodes_per_unit", 200), "contour.nodes_per_unit", 1)
         if kind == "rectangle" and depth is None:
             raise ConfigError("rectangle contour requires a depth")
+        if kind == "rectangle" and depth <= 0.0:
+            raise ConfigError(f"contour.depth must be positive, got {depth}")
         rho = 0.5 * (interval[1] - interval[0])
         if (kind == "semicircle" and depth is not None
                 and abs(depth - rho) > 1e-12 * (1.0 + abs(rho))):
@@ -251,7 +261,11 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """to_dict as JSON with sorted keys and two-space indentation plus a
+        final newline: the bytes of json.dumps(self.to_dict(),
+        sort_keys=True, indent=2) + "\\n", written by _json.dumps, which
+        hashes into config_sha256."""
+        return dumps(self.to_dict(), allow_nan=True) + "\n"
 
 
 def build_model_from_config(cfg: RunConfig):

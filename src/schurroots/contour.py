@@ -34,10 +34,10 @@ _ANALYTIC_EPS = 1e-18
 _MIN_ANALYTIC_NODES = 16
 _LOG_INV_EPS = -math.log(_ANALYTIC_EPS)
 
-# Most K'(mu) matrix entries evaluated in one batch by _kprime_norms (4 MiB
-# of complex128): a whole 33-depth rectangle scan at n = 2, 1024 nodes at
-# n = 16.
-_NORM_BATCH_ENTRIES = 1 << 18
+# Most K'(mu) matrix entries evaluated in one batch by _kprime_norms (1 MiB
+# of complex128, and as much again for each of the conjugate and the Gram
+# matrices of n >= 3): 256 nodes at n = 16.
+_NORM_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,10 @@ def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
     accuracy when K is close to a multiple of the identity (the form
     F/2 + sqrt(F^2/4 - |det K|^2) cancels there). G is formed from node-long
     columns, each entry's |k|^2 once and each column sum as one addition,
-    with no reduction over a length-2 axis. n >= 3 uses the SVD.
+    with no reduction over a length-2 axis. n >= 3 takes the root of the
+    largest eigenvalue of the Gram matrix K K^H (the spectrum of K^H K) by
+    a batched eigvalsh, which is faster than the batched SVD and agrees
+    with its value to about 1e-15 relative.
     """
     n = kvals.shape[1]
     if n == 1:
@@ -359,7 +362,8 @@ def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
         cross = np.conj(kvals[:, :, 0]) * kvals[:, :, 1]
         g12 = np.abs(cross[:, 0] + cross[:, 1])
         return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
-    return np.linalg.norm(kvals, ord=2, axis=(1, 2))
+    gram = np.matmul(kvals, np.conj(kvals).swapaxes(1, 2))
+    return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
 def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
@@ -379,7 +383,8 @@ def variation(model: SpectralModel, contour: Contour) -> float:
     """V0 = integral over the contour of ||K'(mu)|| |dmu|.
 
     ||.|| is the spectral norm at each quadrature node, evaluated in
-    closed form for n <= 2 and by SVD otherwise (see _spectral_norms).
+    closed form for n <= 2 and from the Gram matrix's largest eigenvalue
+    otherwise (see _spectral_norms).
     This is the only quadrature in the admissibility test; callers that
     need the test at several couplings evaluate it once and rescale
     with admissibility_at.
@@ -387,25 +392,36 @@ def variation(model: SpectralModel, contour: Contour) -> float:
     return float(np.sum(np.abs(contour.weights) * _kprime_norms(model, contour.nodes)))
 
 
-def _point_segment_distance(p: complex, q: complex, x: complex) -> float:
-    d = q - p
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(x - p)
-    t = ((x - p).real * d.real + (x - p).imag * d.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(x - (p + t * d))
+class _RectangleDistance:
+    """dist(sigma1, rectangle) over the depths of the rectangles on one
+    interval, from parts that do not depend on the depth.
 
+    sigma1 is real. The point-segment distance from lam to the vertical
+    side at a is |lam - a| at every depth, and to the one at b |lam - b|.
+    The nearest point of the top side lies over the foot a + t (b - a), t
+    the clamp to [0, 1] of (lam - a)(b - a) / |b - a|^2, so the distance
+    to it is hypot(lam - foot, h) at depth h. The distances of the
+    vertical sides and the feet are taken once; each depth then costs one
+    hypot per eigenvalue. The values are those of the complex point-segment
+    arithmetic of every segment (nearest parameter clamped, then the
+    modulus), bit for bit, and the same on either side, sigma1 being real.
+    """
 
-def _rectangle_distance(model: SpectralModel, endpoints, side: int, depth: float) -> float:
-    """dist(sigma1, rectangle): the least point-segment distance from an
-    eigenvalue of a1 to one of the three segments."""
-    a, b = endpoints
-    top = 1j * side * depth
-    corners = [a, a + top, b + top, b]
-    segments = list(zip(corners[:-1], corners[1:]))
-    return float(min(_point_segment_distance(p, q, lam)
-                     for lam in map(complex, model.sigma1.tolist()) for p, q in segments))
+    def __init__(self, model: SpectralModel, endpoints):
+        a, b = endpoints
+        lam = model.sigma1
+        length = b - a
+        t = (lam - a) * length / abs(length) ** 2
+        # the clamps of max(0.0, t) and min(1.0, t), NaN included
+        t = np.where(t > 0.0, t, 0.0)
+        t = np.where(t < 1.0, t, 1.0)
+        self.offsets = lam - (a + t * length)
+        self.sides = float(np.min(np.minimum(np.abs(lam - a), np.abs(lam - b))))
+
+    def __call__(self, depths) -> list:
+        """The distance at each depth of the 1-d array depths, as floats."""
+        top = np.hypot(self.offsets[None, :], np.asarray(depths, dtype=float)[:, None])
+        return np.minimum(self.sides, np.min(top, axis=1)).tolist()
 
 
 def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
@@ -415,7 +431,7 @@ def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
     three segments of the point-segment distance.
     """
     if contour.kind == "rectangle":
-        return _rectangle_distance(model, contour.endpoints, contour.side, contour.depth)
+        return _RectangleDistance(model, contour.endpoints)([contour.depth])[0]
     if contour.kind != "semicircle":
         raise ValueError(f"unknown contour kind {contour.kind!r}")
     a, b = contour.endpoints
@@ -480,7 +496,7 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
 
 
 def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
-                     coupling_scale) -> list:
+                     coupling_scale, distance: _RectangleDistance) -> list:
     """r_min of the side-l rectangle at each depth, inf where the rectangle
     is not admissible.
 
@@ -488,21 +504,22 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
     "rectangle", h, nodes_per_unit), coupling_scale).r_min, but builds no
     Contour: the rules come from _rectangle_rules, and each group of depths
     with equal node counts takes one _kprime_norms call over all its nodes
-    and one row-wise weighted sum for its V0 values.
+    and one row-wise weighted sum for its V0 values. distance is the
+    model's _RectangleDistance, built once per search; it gives d at all
+    the depths in one call.
     """
     r_min = [math.inf] * len(depths)
     endpoints = model.interval
     length = endpoints[1] - endpoints[0]
     counts = [_rectangle_counts(nodes_per_unit, length, h) for h in depths]
+    dists = distance(depths)
     for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
         if side == -1:
             nodes = np.conj(nodes)
         norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
         v0s = np.sum(np.abs(weights) * norms, axis=1)
         for row, v0 in zip(rows, v0s.tolist()):
-            depth = float(depths[row])
-            rep = admissibility_at(v0, _rectangle_distance(model, endpoints, side, depth),
-                                   coupling_scale)
+            rep = admissibility_at(v0, dists[row], coupling_scale)
             if rep.admissible:
                 r_min[row] = rep.r_min
     return r_min
@@ -540,8 +557,11 @@ def optimize_r0(model: SpectralModel, side: int, family,
     if not 0 < lo < hi:
         raise ValueError("depth range must satisfy 0 < lo < hi")
 
+    distance = _RectangleDistance(model, model.interval)
+
     def r_of(*depths):
-        return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale)
+        return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale,
+                                distance)
 
     depths = np.linspace(lo, hi, samples)
     values = r_of(*depths)

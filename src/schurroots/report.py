@@ -8,12 +8,13 @@ temp file plus atomic rename.
 
 import csv
 import hashlib
-import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
+from ._json import dumps
 from .config import complex_to_pair, matrix_to_lists
 
 
@@ -81,7 +82,11 @@ def riccati_block(ric, verdict) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report as JSON with sorted keys and two-space indentation plus a
+    final newline: the bytes of json.dumps(report, sort_keys=True,
+    indent=2, allow_nan=False) + "\\n", written by _json.dumps. NaN or an
+    infinity raises ValueError, so sanitize the report first."""
+    return dumps(report) + "\n"
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -114,12 +119,22 @@ def write_csv(path: str, rows) -> None:
         raise
 
 
+_FLOAT_TYPE = {float}
+
+
 def sanitize(obj):
     """Make report values JSON-serializable: numpy scalars to floats,
-    inf/nan to strings so allow_nan=False stays honest."""
+    inf/nan to strings so allow_nan=False stays honest.
+
+    A list or tuple of finite Python floats (a [re, im] pair, say) is
+    copied as it is, without a call per entry."""
     if isinstance(obj, dict):
         return {k: sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == _FLOAT_TYPE and math.isfinite(sum(obj)):
+            # a finite sum means finite entries (an overflow only sends
+            # the list down the general path)
+            return list(obj)
         return [sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)

@@ -27,7 +27,7 @@ from .contour import (AdmissibilityReport, Contour, _spectral_norms,
                       admissibility, analytic_rule, distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
-from .rootsolver import _COND_LIMIT, RootSolution, _require_clear_of_nodes
+from .rootsolver import _COND_LIMIT, RootSolution, _cond_within, _require_clear_of_nodes
 from .schur import _cut_moments, _m1_on_rule
 
 
@@ -104,7 +104,7 @@ def _eigenbasis(z: np.ndarray) -> tuple:
     or None when cond(V) > _COND_LIMIT, where sums in that basis lose
     about cond(V) times the unit roundoff."""
     eigs, vecs = np.linalg.eig(z)
-    if np.linalg.cond(vecs) > _COND_LIMIT:
+    if not _cond_within(vecs, _COND_LIMIT):
         return eigs, None
     return eigs, (vecs, np.linalg.inv(vecs))
 

@@ -20,6 +20,7 @@ iteration, classification or tracking step runs (RootSolution.conjugate,
 SpectrumClassification.conjugate, conjugate_path).
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,37 @@ _SPEC_GUARD = 1e-6
 # Picard map is evaluated in the eigenbasis; the error of that evaluation
 # grows like cond(V) times the unit roundoff.
 _COND_LIMIT = 1e2
+
+# Relative shrinking of the limit in _cond_within's certificate. The SVD
+# of np.linalg.cond rounds a condition number c by about n c eps relative,
+# far below this, so a certified V is one that np.linalg.cond also passes.
+_COND_MARGIN = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _cond_within(vecs: np.ndarray, limit: float) -> bool:
+    """Whether np.linalg.cond(vecs) <= limit, for the eigenvector matrix V
+    of np.linalg.eig (unit columns), mostly without an SVD.
+
+    Every eigenvalue of V^H V lies within ||V^H V - I||_2 <= delta of 1,
+    delta = ||V^H V - I||_F, so for delta < 1 cond_2(V)^2 <= (1 + delta) /
+    (1 - delta). delta is widened by a bound on the rounding of the product
+    (each entry of V^H V is a length-n dot product of columns of norm about
+    1, off by at most 4 (n + 4) eps) and of its norm. When the bound is
+    within limit (1 - _COND_MARGIN) the answer is yes; otherwise, and for
+    any NaN, np.linalg.cond decides. So every answer is that of
+    np.linalg.cond(vecs) <= limit. The caller passes the limit, read at the
+    time of the call.
+    """
+    n = vecs.shape[0]
+    gram = np.matmul(np.conj(vecs.T), vecs)
+    gram.ravel()[::n + 1] -= 1.0
+    fro = math.sqrt(np.vdot(gram, gram).real)
+    delta = (fro + 4.0 * n * (n + 4) * _EPS) * (1.0 + n * n * _EPS)
+    square = (limit * (1.0 - _COND_MARGIN)) ** 2
+    if delta < 1.0 and 1.0 + delta <= square * (1.0 - delta):
+        return True
+    return bool(np.linalg.cond(vecs) <= limit)
 
 
 def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
@@ -140,7 +172,9 @@ class _PicardMap:
     schur._cut_moments), so a step falls back to the contour sum
     (transformator of the t-scaled model over the side's own contour) when
     an eigenvalue of Z lies elsewhere (outside the lens on side l, or on
-    the real axis off the interval) or when cond(V) > _COND_LIMIT.
+    the real axis off the interval) or when cond(V) > _COND_LIMIT, a test
+    that _cond_within certifies from V^H V without the SVD of
+    np.linalg.cond on well-conditioned bases, with the same answer.
     fallbacks counts those steps. The closed form has no quadrature nodes
     to avoid; the fallback's contour sum refuses a spectrum within
     _SPEC_GUARD of the nodes of the rule it uses.
@@ -173,7 +207,7 @@ class _PicardMap:
                                    self.contour.side)
             if vecs is None:
                 return np.einsum("s,sij->ij", moments[0], self.coeffs)
-            if np.linalg.cond(vecs) <= _COND_LIMIT:
+            if _cond_within(vecs, _COND_LIMIT):
                 scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
                 return np.linalg.solve(vecs.T, scaled.T).T
         self.fallbacks += 1

@@ -1,9 +1,16 @@
 """Command-line behavior: subcommands, exit codes, reports, and CSV."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from schurroots.cli import main
 from schurroots.errors import NumericsError
@@ -648,3 +655,78 @@ def test_corrupted_density_fails_the_density_row(tmp_path, capsys, monkeypatch):
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
     assert not rows["density"]["passed"]
     assert rows["density"]["residual"] > 0.0
+
+
+@st.composite
+def small_configs(draw):
+    """Config dicts that allocate nothing large: n <= 3, at most a few
+    hundred nodes per contour segment, short t grids and iteration caps.
+    The model may have sigma1 outside the interval or be inadmissible."""
+    small = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    lo = draw(st.floats(-2.0, 1.0, allow_nan=False, allow_infinity=False))
+    width = draw(st.floats(0.25, 3.0, allow_nan=False, allow_infinity=False))
+    centre = draw(st.floats(lo - 0.5, lo + width + 0.5, allow_nan=False,
+                            allow_infinity=False))
+    pert = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n))
+    a1 = [[(centre if i == j else 0.0) + 0.1 * (pert[i][j] + pert[j][i])
+           for j in range(n)] for i in range(n)]
+    scale = draw(st.sampled_from([0.01, 0.05, 0.2, 1.0]))
+    b = [[[scale * draw(small) for _ in range(n)] for _ in range(m)]
+         for _ in range(draw(st.integers(1, 3)))]
+    contour = {"kind": draw(st.sampled_from(["semicircle", "rectangle"])),
+               "sides": draw(st.sampled_from([[1], [-1], [1, -1], [-1, 1]])),
+               "nodes_per_unit": draw(st.integers(1, 60))}
+    if contour["kind"] == "rectangle":
+        contour["depth"] = draw(st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False))
+    t_grid = sorted(set(draw(st.lists(st.floats(0.05, 1.0, allow_nan=False),
+                                      min_size=1, max_size=3))))
+    data = {"model": {"interval": [lo, lo + width], "a1": a1, "b": b},
+            "contour": contour,
+            "solver": {"max_iter": draw(st.integers(1, 60)),
+                       "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6])),
+                       "coupling_scale": draw(st.floats(0.0, 1.0, allow_nan=False))},
+            "sweep": {"t_grid": t_grid}}
+    if draw(st.integers(0, 3)) == 3:
+        # one malformed value; a huge depth or count is refused before any
+        # rule is built
+        section, key = draw(st.sampled_from([
+            ("model", "interval"), ("model", "a1"), ("model", "b"),
+            ("contour", "kind"), ("contour", "sides"), ("contour", "depth"),
+            ("contour", "nodes_per_unit"), ("solver", "tol"), ("solver", "max_iter"),
+            ("solver", "coupling_scale"), ("sweep", "t_grid")]))
+        data[section][key] = draw(st.sampled_from(
+            [None, "x", -1, 0, -0.5, 2.5, True, [], [[]], {}, float("nan"), 1e300]))
+    return data
+
+
+DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05]]]},
+                  "contour": {"kind": "rectangle", "depth": 5.0, "sides": [1]},
+                  "sweep": {"t_grid": [0.5, 1.0]}}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["solve", "sweep"]), small_configs())
+@example("solve", DEEP_RECTANGLE)
+@example("sweep", DEEP_RECTANGLE)
+@example("solve", {**DEEP_RECTANGLE, "contour": {"kind": "rectangle", "depth": -1.0}})
+def test_exit_code_contract_on_small_configs(command, data):
+    # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
+    # prints a traceback. Warnings (such as a sweep's eigenvalue-jump
+    # RuntimeWarning) are part of the contract, so they are recorded here
+    # rather than raised.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        argv = [command, "--config", path, "--out", os.path.join(tmp, "report.json")]
+        if command == "sweep":
+            argv += ["--out-csv", os.path.join(tmp, "rows.csv")]
+        err = io.StringIO()
+        with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+              warnings.catch_warnings(record=True)):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

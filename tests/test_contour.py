@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 import schurroots as sr
+from schurroots import contour as contour_module
 from schurroots.contour import (_rectangle_counts, _rectangle_r_min, _rectangle_rules,
-                               _spectral_norms)
+                                _RectangleDistance, _spectral_norms)
 from schurroots.errors import AdmissibilityError, ModelError
+
+from conftest import wide_models
 
 R_MIN_ORACLE = 0.14738648089387119
 R_MAX_ORACLE = 0.6455092298188968
@@ -232,7 +235,8 @@ def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, fam
             for t in (0.5, 1.0):
                 values, ref = _reference_optimize_r0(model, side, family, 200, t)
                 # every scanned depth's r_min, not only the search's outcome
-                assert _rectangle_r_min(model, side, depths, 200, t) == values
+                distance = _RectangleDistance(model, model.interval)
+                assert _rectangle_r_min(model, side, depths, 200, t, distance) == values
                 try:
                     contour, r0 = sr.optimize_r0(model, side, ("rectangle", family),
                                                  nodes_per_unit=200, coupling_scale=t)
@@ -277,7 +281,7 @@ def _svd_norms(kvals):
     return np.linalg.norm(kvals, ord=2, axis=(1, 2))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
 def test_spectral_norms_match_svd(n):
     rng = np.random.default_rng(100 + n)
     shape = (64, n, n)
@@ -302,6 +306,86 @@ def test_variation_matches_svd_on_zoo(model_zoo):
                 ref = float(np.sum(np.abs(c.weights)
                                    * _svd_norms(model.kprime_values(c.nodes))))
                 assert abs(sr.variation(model, c) - ref) <= 1e-14 * ref
+
+
+def test_variation_matches_svd_on_wide_models():
+    # n = 4, 8, 16: the Gram eigenvalue route against the per-node SVD
+    for model in wide_models(1, 2):
+        for side in (1, -1):
+            c = sr.make_contour(model, side)
+            ref = float(np.sum(np.abs(c.weights)
+                               * _svd_norms(model.kprime_values(c.nodes))))
+            assert abs(sr.variation(model, c) - ref) <= 1e-14 * ref
+
+
+def test_variation_memory_is_bounded_by_the_batch():
+    model = wide_models(1)[2]
+    assert model.n == 16
+    c = sr.make_contour(model, 1)
+    sr.variation(model, c)
+    tracemalloc.start()
+    try:
+        sr.variation(model, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # K', its conjugate and their Gram matrices for one batch of 2^16
+    # entries, 1 MiB each; the 629 nodes in one batch took 7.7 MB
+    assert peak < 4 << 20
+
+
+def _point_segment_distance(p, q, x):
+    """The distance from x to the segment p -> q in complex arithmetic."""
+    d = q - p
+    denom = abs(d) ** 2
+    if denom == 0.0:
+        return abs(x - p)
+    t = ((x - p).real * d.real + (x - p).imag * d.imag) / denom
+    t = min(1.0, max(0.0, t))
+    return abs(x - (p + t * d))
+
+
+def _point_segment_rectangle_distance(model, side, depth):
+    """dist(sigma1, rectangle) as the least point-segment distance from an
+    eigenvalue of a1 to one of the three segments."""
+    a, b = model.interval
+    top = 1j * side * depth
+    corners = [a, a + top, b + top, b]
+    return float(min(_point_segment_distance(p, q, lam)
+                     for lam in map(complex, model.sigma1.tolist())
+                     for p, q in zip(corners[:-1], corners[1:])))
+
+
+def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
+                                                       friedrichs_model):
+    # every depth that optimize_r0 scans or refines, on both sides, plus
+    # one eigenvalue outside the interval, on its ends or off its middle,
+    # where the foot of the top side is clamped or the vertical sides are
+    # nearest
+    edges = [sr.build_model((-1.0, 1.0), [[lam]], [[[0.05]]])
+             for lam in (-1.5, -1.0, -0.999, 0.3, 1.0, 1.2, 3.0)]
+    scanned = []
+    search = contour_module._rectangle_r_min
+
+    def record(model, side, depths, *args):
+        scanned.append((model, side, [float(h) for h in depths]))
+        return search(model, side, depths, *args)
+
+    monkeypatch.setattr(contour_module, "_rectangle_r_min", record)
+    for model in [friedrichs_model] + edges + model_zoo:
+        for side in (1, -1):
+            for family in RECT_FAMILIES:
+                try:
+                    sr.optimize_r0(model, side, ("rectangle", family))
+                except AdmissibilityError:
+                    pass
+            scanned.append((model, side, [1e-3, 0.5, 2.0, 7.3]))
+    assert len(scanned) > 28 * 2 * 3 * 20
+    for model, side, depths in scanned:
+        want = [_point_segment_rectangle_distance(model, side, h) for h in depths]
+        assert _RectangleDistance(model, model.interval)(depths) == want
+        contour = sr.make_contour(model, side, "rectangle", depths[-1])
+        assert sr.distance_to_sigma1(model, contour) == want[-1]
 
 
 def test_admissibility_at_rescales_exactly(friedrichs_model, friedrichs_contours):

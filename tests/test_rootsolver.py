@@ -20,7 +20,8 @@ from scipy.linalg import logm
 import schurroots as sr
 from schurroots import rootsolver
 from schurroots.errors import AdmissibilityError
-from schurroots.rootsolver import RootSolution, _PicardMap, transformator
+from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
+                                   transformator)
 
 from conftest import wide_models
 
@@ -501,3 +502,106 @@ def test_picard_failures_match_spectral_norm_tests(friedrichs_model,
     assert isinstance(ref, str)
     assert _picard_outcome(friedrichs_model, contour, rep, 1.0, tol, max_iter,
                            x0) == ref
+
+
+def _unit_columns(rng, n, spread):
+    """A random complex n x n matrix with unit columns whose singular values
+    before the normalization span spread."""
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    vecs = (q1 * np.geomspace(1.0, spread, n)) @ q2
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+def _near_limit(rng, n, target):
+    """Unit columns with cond_2 = target up to rounding: two columns at the
+    angle whose Gram matrix [[1, c], [c, 1]] has cond (1 + c) / (1 - c) =
+    target^2, the others orthonormal to them, all turned by a random
+    unitary."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    c = (target ** 2 - 1.0) / (target ** 2 + 1.0)
+    vecs = q.copy()
+    vecs[:, 1] = c * q[:, 0] + np.sqrt(1.0 - c * c) * q[:, 1]
+    return vecs
+
+
+def test_cond_certificate_decides_as_the_svd(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = [_unit_columns(rng, n, spread)
+             for n in (2, 3, 4, 8, 16) for spread in np.geomspace(1.0, 3e4, 40)]
+    cases += [_near_limit(rng, n, _COND_LIMIT * (1.0 + k * 1e-10))
+              for n in (2, 3, 16) for k in range(-10, 11)]
+    singular = _unit_columns(rng, 4, 10.0)
+    singular[:, 1] = singular[:, 0]
+    cases.append(singular)
+    conds = [np.linalg.cond(v) for v in cases]
+    assert min(conds) < 1.01 and max(conds) > 1e4
+    assert sum(abs(c / _COND_LIMIT - 1.0) <= 1e-9 for c in conds) >= 40
+
+    svd_calls = 0
+    svd_cond = np.linalg.cond
+
+    def counted_cond(vecs):
+        nonlocal svd_calls
+        svd_calls += 1
+        return svd_cond(vecs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    # the limit of the solver plus limits around the condition numbers
+    # drawn, some of which the certificate alone decides
+    limits = [_COND_LIMIT] + list(np.geomspace(1.0, 1e5, 30))
+    decisions = 0
+    for vecs, cond in zip(cases, conds):
+        for limit in limits + [cond * (1.0 + 1e-9), cond * (1.0 - 1e-9)]:
+            assert _cond_within(vecs, limit) == (cond <= limit)
+            decisions += 1
+    # the certificate spared the SVD on some decisions, not on all
+    assert 0 < svd_calls < decisions - 100
+
+
+class _ReferencePicardMap(_PicardMap):
+    """The Picard map with its eigenbasis test as np.linalg.cond(V) <=
+    _COND_LIMIT, an SVD per step."""
+
+    def __call__(self, zmat):
+        if zmat.shape[0] == 1:
+            eigs, vecs = zmat[0], None
+        else:
+            eigs, vecs = np.linalg.eig(zmat)
+        if self._covered(eigs):
+            a, b = self.contour.endpoints
+            moments = rootsolver._cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
+                                              self.contour.side)
+            if vecs is None:
+                return np.einsum("s,sij->ij", moments[0], self.coeffs)
+            if np.linalg.cond(vecs) <= rootsolver._COND_LIMIT:
+                scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
+                return np.linalg.solve(vecs.T, scaled.T).T
+        self.fallbacks += 1
+        return transformator(self.model.scaled(self.t), self.contour, zmat)
+
+
+def _recorded_solve(monkeypatch, map_class, model, contour):
+    """solve_basic with map_class as the Picard map, and every value the
+    map returned."""
+    values = []
+
+    class Recording(map_class):
+        def __call__(self, zmat):
+            values.append(super().__call__(zmat))
+            return values[-1]
+
+    monkeypatch.setattr(rootsolver, "_PicardMap", Recording)
+    return sr.solve_basic(model, contour), values
+
+
+def test_picard_iterates_match_the_svd_cond_map(monkeypatch, friedrichs_model, model_zoo):
+    for model in [friedrichs_model] + model_zoo + wide_models(1, 2):
+        for side in (1, -1):
+            contour = sr.make_contour(model, side)
+            sol, values = _recorded_solve(monkeypatch, _PicardMap, model, contour)
+            ref, ref_values = _recorded_solve(monkeypatch, _ReferencePicardMap,
+                                              model, contour)
+            assert [v.tobytes() for v in values] == [v.tobytes() for v in ref_values]
+            assert (sol.iterations, sol.final_step_norm, sol.residual, sol.contour_fallbacks) \
+                == (ref.iterations, ref.final_step_norm, ref.residual, ref.contour_fallbacks)
