@@ -18,7 +18,7 @@ from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
 from .friedrichs import FriedrichsParams, closed_m1, oracle_solution, solve_y
 from .model import (MatrixPolynomial, SpectralModel, build_model,
-                    check_semibounded_density, kb_cumulative, kprime_of)
+                    check_semibounded_density, kprime_of)
 from .riccati import (OmegaOperator, OneInSpectrumVerdict, RiccatiSolution,
                       check_ZAY, check_one_in_spectrum, compute_Omega,
                       compute_Y, factor_F1, j_orthogonality,
@@ -42,7 +42,7 @@ __all__ = [
     "check_ZAY", "check_one_in_spectrum", "check_semibounded_density",
     "classify", "closed_m1", "compute_Omega", "compute_Y",
     "distance_to_sigma1", "factor_F1", "homotopy_path", "j_orthogonality",
-    "kb_cumulative", "kprime_of", "m1_continued", "m1_continued_many", "m1_physical",
+    "kprime_of", "m1_continued", "m1_continued_many", "m1_physical",
     "make_contour", "omega_by_deformation", "optimize_r0", "oracle_solution",
     "rational_trials", "reconstruct_from_contour", "riccati_residual",
     "sheets_value", "solve_basic", "solve_y", "transformator", "variation",

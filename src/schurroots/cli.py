@@ -387,7 +387,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     def localization(side):
         sol = sols[side]
         return max(float(np.min(np.abs(lam - model.sigma1))) - sol.r_min
-                   for lam in np.linalg.eigvals(sol.z_op))
+                   for lam in sol.eigensystem.values)
 
     add_row("localization", 1e-9, over_sides(localization))
 

@@ -48,7 +48,6 @@ class Contour:
     endpoints: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    orientation: str
     segment_slices: tuple
 
     def __post_init__(self):
@@ -85,7 +84,6 @@ class Contour:
             self.endpoints,
             np.conj(self.nodes),
             np.conj(self.weights),
-            self.orientation,
             self.segment_slices,
         )
 
@@ -179,7 +177,7 @@ def _contour(side, kind, depth, endpoints, counts) -> Contour:
     return Contour(int(side), kind, float(depth), (a, b),
                    np.ascontiguousarray(nodes, dtype=np.complex128),
                    np.ascontiguousarray(weights, dtype=np.complex128),
-                   "left-to-right", slices)
+                   slices)
 
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
@@ -525,32 +523,30 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
     return r_min
 
 
+# The coarse scan of optimize_r0 takes this many depths, and its
+# golden-section refinement stops at this relative bracket width.
+_SCAN_DEPTHS = 33
+_DEPTH_RTOL = 1e-6
+
+
 def optimize_r0(model: SpectralModel, side: int, family,
-                nodes_per_unit: int = 150, coupling_scale: float = 1.0,
-                samples: int = 33, tol: float = 1e-6):
-    """Minimize r_min over a one-parameter contour family.
+                nodes_per_unit: int = 200, coupling_scale: float = 1.0):
+    """Minimize r_min over a one-parameter family of rectangle contours.
 
-    family is either "semicircle" (a singleton, returned directly) or
-    ("rectangle", (depth_lo, depth_hi)). Coarse scan plus golden-section
-    refinement; deterministic. Returns (best_contour, r0) where r0 is the
-    optimal localization radius. Raises AdmissibilityError when no member
-    of the family is admissible.
+    family is ("rectangle", (depth_lo, depth_hi)). A coarse scan of
+    _SCAN_DEPTHS depths, then golden-section refinement to a bracket of
+    _DEPTH_RTOL relative; deterministic. Returns (best_contour, r0) where
+    r0 is the optimal localization radius. Raises AdmissibilityError when
+    no member of the family is admissible.
 
-    For rectangles, the candidate depths are evaluated by _rectangle_r_min,
-    which builds no Contour: the samples depths of the scan in one batch,
-    the two bracket points in a second and each golden-section step on its
-    own. Only the chosen depth gets a Contour, and its r0 is recomputed
-    from it by admissibility. The values are those of make_contour plus
-    admissibility at each depth, bit for bit, so the search takes the same
-    steps and returns the same depth and r0.
+    The candidate depths are evaluated by _rectangle_r_min, which builds no
+    Contour: the scan's depths in one batch, the two bracket points in a
+    second and each golden-section step on its own. Only the chosen depth
+    gets a Contour, and its r0 is recomputed from it by admissibility. The
+    values are those of make_contour plus admissibility at each depth, bit
+    for bit, so the search takes the same steps and returns the same depth
+    and r0.
     """
-    if family == "semicircle":
-        contour = make_contour(model, side, "semicircle", nodes_per_unit=nodes_per_unit)
-        rep = admissibility(model, contour, coupling_scale)
-        if not rep.admissible:
-            raise AdmissibilityError("semicircle contour is not admissible", report=rep)
-        return contour, rep.r_min
-
     kind, (lo, hi) = family
     if kind != "rectangle":
         raise ValueError(f"unknown contour family {family!r}")
@@ -563,19 +559,19 @@ def optimize_r0(model: SpectralModel, side: int, family,
         return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale,
                                 distance)
 
-    depths = np.linspace(lo, hi, samples)
+    depths = np.linspace(lo, hi, _SCAN_DEPTHS)
     values = r_of(*depths)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise AdmissibilityError("no admissible depth in the requested range", report=None)
 
     left = depths[max(best - 1, 0)]
-    right = depths[min(best + 1, samples - 1)]
+    right = depths[min(best + 1, _SCAN_DEPTHS - 1)]
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
     f1, f2 = r_of(x1, x2)
-    while right - left > tol * max(1.0, right):
+    while right - left > _DEPTH_RTOL * max(1.0, right):
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - phi * (right - left)

@@ -82,9 +82,9 @@ def closed_m1(params: FriedrichsParams, z: complex) -> complex:
     return params.a1 - z + params.b ** 2 * complex(np.log(ratio))
 
 
-def winding_count(params: FriedrichsParams, side: int, nodes: int = 10000) -> int:
+def winding_count(params: FriedrichsParams, side: int) -> int:
     """Zeros of closed_m1 inside a large side-l rectangle, by the argument
-    principle on a positively oriented polyline."""
+    principle on a positively oriented polyline of 2500 points per edge."""
     al = params.alpha
     y_scale = solve_y(params.alpha, params.b) if params.b > 0 else 0.1
     eps = 0.5 * y_scale
@@ -95,12 +95,8 @@ def winding_count(params: FriedrichsParams, side: int, nodes: int = 10000) -> in
     if side == -1:
         corners = [z.conjugate() for z in corners]
         corners.reverse()
-    pts = []
-    per_edge = max(nodes // 4, 64)
-    for p, q in zip(corners[:-1], corners[1:]):
-        s = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-        pts.append(p + (q - p) * s)
-    path = np.concatenate(pts)
+    s = np.linspace(0.0, 1.0, 2500, endpoint=False)
+    path = np.concatenate([p + (q - p) * s for p, q in zip(corners[:-1], corners[1:])])
     vals = np.array([closed_m1(params, z) for z in path])
     ratios = np.roll(vals, -1) / vals
     total = float(np.sum(np.angle(ratios))) / (2.0 * math.pi)

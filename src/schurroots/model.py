@@ -70,13 +70,6 @@ class MatrixPolynomial:
     def scaled(self, t: float) -> "MatrixPolynomial":
         return MatrixPolynomial(self.coefficients * t)
 
-    def antiderivative(self) -> "MatrixPolynomial":
-        k = self.coefficients.shape[0]
-        powers = np.arange(1, k + 1, dtype=np.float64)
-        zero = np.zeros((1,) + self.coefficients.shape[1:], dtype=np.complex128)
-        body = self.coefficients / powers[:, None, None]
-        return MatrixPolynomial(np.concatenate([zero, body], axis=0))
-
 
 def _as_matrix_polynomial(b) -> MatrixPolynomial:
     if isinstance(b, MatrixPolynomial):
@@ -197,8 +190,9 @@ def kprime_of(model: SpectralModel) -> MatrixPolynomial:
     return MatrixPolynomial(out)
 
 
-def density_margin(model: SpectralModel, grid_points: int = 1000) -> float:
-    """Signed margin of K' on a grid of the interval, in units of scale.
+def density_margin(model: SpectralModel) -> float:
+    """Signed margin of K' on a 1000-point grid of the interval, in units of
+    scale.
 
     Three criteria, each with the tolerance _HERM_TOL * scale, scale =
     1 + max ||b(mu)||_F^2: K' agrees with b(mu)^* b(mu), K' is Hermitian,
@@ -208,7 +202,7 @@ def density_margin(model: SpectralModel, grid_points: int = 1000) -> float:
     grid it is NaN, or eigvalsh raises LinAlgError.
     """
     lo, hi = model.interval
-    mus = np.linspace(lo, hi, grid_points)
+    mus = np.linspace(lo, hi, 1000)
     kvals = model.kprime_values(mus)
     bvals = model.b(mus)
     direct = np.conj(np.swapaxes(bvals, 1, 2)) @ bvals
@@ -219,17 +213,6 @@ def density_margin(model: SpectralModel, grid_points: int = 1000) -> float:
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (kvals + adjoint)))
     worst = np.max([gap, skew, -min_eig])
     return float((worst - _HERM_TOL * scale) / scale)
-
-
-def kb_cumulative(model: SpectralModel, mu: float) -> np.ndarray:
-    """Cumulative mass: integral of K' from the left endpoint to mu,
-    via the exact polynomial antiderivative."""
-    lo, hi = model.interval
-    if not (lo <= mu <= hi):
-        raise ModelError(f"mu={mu} outside [{lo}, {hi}]")
-    anti = model.kprime.antiderivative()
-    out = anti(complex(mu)) - anti(complex(lo))
-    return 0.5 * (out + np.conj(out.T))
 
 
 @dataclass(frozen=True)

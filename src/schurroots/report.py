@@ -8,6 +8,7 @@ temp file plus atomic rename.
 
 import csv
 import hashlib
+import io
 import math
 import os
 import tempfile
@@ -55,8 +56,8 @@ def solution_block(sol, cls) -> dict:
     }
 
 
-def admissibility_block(rep, r0=None) -> dict:
-    block = {
+def admissibility_block(rep) -> dict:
+    return {
         "variation": rep.variation,
         "distance": rep.distance,
         "omega": rep.omega,
@@ -64,9 +65,6 @@ def admissibility_block(rep, r0=None) -> dict:
         "r_min": rep.r_min,
         "r_max": rep.r_max,
     }
-    if r0 is not None:
-        block["r0_upper_bound"] = float(r0)
-    return block
 
 
 def riccati_block(ric, verdict) -> dict:
@@ -90,10 +88,12 @@ def render_report(report: dict) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write text to path, line ends untranslated, through a temp file in
+    the same directory and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -103,20 +103,15 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, rows) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "trajectory_id", "re", "im", "label"])
-            for row in rows:
-                writer.writerow([repr(float(row[0])), row[1],
-                                 repr(float(row[2])), repr(float(row[3])), row[4]])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """The sweep rows as CSV, with csv.writer's CRLF line ends, written
+    by atomic_write."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "trajectory_id", "re", "im", "label"])
+    for row in rows:
+        writer.writerow([repr(float(row[0])), row[1],
+                         repr(float(row[2])), repr(float(row[3])), row[4]])
+    atomic_write(path, buf.getvalue())
 
 
 _FLOAT_TYPE = {float}

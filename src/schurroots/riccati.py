@@ -27,7 +27,7 @@ from .contour import (AdmissibilityReport, Contour, _spectral_norms,
                       admissibility, analytic_rule, distance_to_sigma1)
 from .errors import NumericsError
 from .model import MatrixPolynomial, SpectralModel
-from .rootsolver import _COND_LIMIT, RootSolution, _cond_within, _require_clear_of_nodes
+from .rootsolver import RootSolution, _require_clear_of_nodes
 from .schur import _cut_moments, _m1_on_rule
 
 
@@ -65,11 +65,9 @@ class RiccatiSolution:
     interval: tuple
     # "closed-form" or "quadrature": how gram was summed (see compute_Y)
     gram_route: str
-    # spec Z, and (V, V^{-1}) of Z = V diag(eigs) V^{-1} when cond(V) <=
-    # _COND_LIMIT, else None; shared by the closed forms of gram and of
-    # the J-pairing
-    eigs: np.ndarray
-    basis: tuple | None
+    # the root Y is built on; its eigensystem serves the closed forms of
+    # gram and of the J-pairing
+    root: RootSolution
 
     @property
     def z_op(self) -> np.ndarray:
@@ -97,16 +95,6 @@ def _segment_distance(lam: complex, interval) -> float:
     a, b = interval
     dx = max(a - lam.real, 0.0, lam.real - b)
     return float(np.hypot(dx, lam.imag))
-
-
-def _eigenbasis(z: np.ndarray) -> tuple:
-    """(eigs, basis) of Z: basis is (V, V^{-1}) for Z = V diag(eigs) V^{-1},
-    or None when cond(V) > _COND_LIMIT, where sums in that basis lose
-    about cond(V) times the unit roundoff."""
-    eigs, vecs = np.linalg.eig(z)
-    if not _cond_within(vecs, _COND_LIMIT):
-        return eigs, None
-    return eigs, (vecs, np.linalg.inv(vecs))
 
 
 # Pairs (x, y) with |x - y| <= _CONFLUENT * (1 + |x|) make a divided
@@ -150,7 +138,8 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
 
     The Gram matrix G = integral of y(mu)^* y(mu) over the interval is
     summed in closed form (_gram_closed_form, gram_route "closed-form")
-    unless cond(V) > _COND_LIMIT or some pair of spec Z and its conjugate
+    unless the root's eigensystem has no basis (cond(V) above the limit
+    of rootsolver) or some pair of spec Z and its conjugate
     is (near-)confluent; then it is an adaptive quadrature (gram_route
     "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
     adaptive quadrature, started graded toward spec Z, so root-equation
@@ -167,9 +156,9 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     if sm.b.is_zero:
         zeros = np.zeros((n, n), dtype=np.complex128)
         return RiccatiSolution(sol.side, y_repr, zeros, 0.0, zeros, interval,
-                               "closed-form", np.linalg.eigvals(z), None)
+                               "closed-form", sol)
 
-    eigs, basis = _eigenbasis(z)
+    eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
     sep = min(_segment_distance(complex(e), interval) for e in eigs)
     guard = 10.0 * float(np.sqrt(quad_tol))
     if sep <= guard:
@@ -205,7 +194,7 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
         raise NumericsError(f"Gram matrix not PSD (min eigenvalue {geigs[0]:.3e})")
     y_norm = float(np.sqrt(max(float(geigs[-1]), 0.0)))
     return RiccatiSolution(sol.side, y_repr, gram, y_norm, bstar_y, interval,
-                           route, eigs, basis)
+                           route, sol)
 
 
 def check_ZAY(model: SpectralModel, sol: RootSolution,
@@ -248,10 +237,6 @@ class RationalTrial:
         mus = np.atleast_1d(np.asarray(mus, dtype=np.complex128))
         return self.c[None, :] / (mus[:, None] - self.pole)
 
-    def l2_norm(self, interval) -> float:
-        """Norm in L2(interval), in closed form (_trial_l2_norms)."""
-        return float(_trial_l2_norms(np.array([self.pole]), self.c[None], interval)[0])
-
 
 def _trial_l2_norms(poles: np.ndarray, cs: np.ndarray, interval) -> np.ndarray:
     """L2(interval) norm of each c_t / (mu - pole_t): its square is
@@ -290,9 +275,10 @@ def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
     """lhs_t = <x0_t, Y x1_t> in closed form: sum_s c_t^H B_s V
     diag((g_s(q_t) - g_s(d)) / (d - q_t)) V^{-1} x1_t with q_t = conj
     pole_t, B_s the coefficients of b."""
-    vecs, inv = ric.basis
+    spec = ric.root.eigensystem
+    vecs, inv = spec.basis
     bcoeffs = ric.y_repr.b.coefficients
-    h = _divided_differences(ric.interval, np.conj(poles), ric.eigs,
+    h = _divided_differences(ric.interval, np.conj(poles), spec.values,
                              bcoeffs.shape[0] - 1)
     left = np.conj(cs) @ bcoeffs @ vecs  # (S, T, n)
     right = inv @ x1s.T  # (n, T)
@@ -302,8 +288,8 @@ def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
 def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     """(lhs, rhs) with lhs_t = <x0_t, Y x1_t> and rhs_t = <Y^* x0_t, x1_t>.
 
-    lhs is summed in closed form (_lhs_closed_form) in the eigenbasis that
-    compute_Y kept, unless there is none or some conj(pole_t) is
+    lhs is summed in closed form (_lhs_closed_form) in the eigenbasis of
+    the root, unless it has none or some conj(pole_t) is
     (near-)confluent with spec Z; then it is a stacked adaptive quadrature
     through y(mu). rhs is always a stacked adaptive quadrature of
     Y^* x0_t through ytilde(mu), started graded toward spec Z and the
@@ -325,9 +311,10 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
     bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
     rtol = _JORTH_RTOL / max(1.0, bound)
-    all_poles = np.concatenate([ric.eigs, poles])
+    spec = ric.root.eigensystem
+    all_poles = np.concatenate([spec.values, poles])
 
-    if ric.basis is not None and not _confluent(ric.eigs, np.conj(poles)):
+    if spec.basis is not None and not _confluent(spec.values, np.conj(poles)):
         lhs = _lhs_closed_form(ric, poles, cs, x1s)
     else:
         def lhs_values(nodes):
@@ -365,6 +352,13 @@ def j_orthogonality(ric: RiccatiSolution, trial_vectors) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _sandwich_poles(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarray:
+    """The singularities of (Z^(-l)* - mu)^{-1} K'(mu) (Z^(l) - mu)^{-1}:
+    conj spec Z^(-l), then spec Z^(l)."""
+    return np.concatenate([np.conj(sol_minus_l.eigensystem.values),
+                           sol_l.eigensystem.values])
+
+
 def compute_Omega(model: SpectralModel, contour: Contour,
                   sol_l: RootSolution, sol_minus_l: RootSolution, *,
                   report: AdmissibilityReport | None = None) -> OmegaOperator:
@@ -385,7 +379,7 @@ def compute_Omega(model: SpectralModel, contour: Contour,
         raise ValueError("solutions were computed at different coupling scales")
     t = sol_l.coupling_scale
     zl_h = np.conj(sol_minus_l.z_op.T)
-    eigs = np.concatenate([np.linalg.eigvals(zl_h), np.linalg.eigvals(sol_l.z_op)])
+    eigs = _sandwich_poles(sol_l, sol_minus_l)
     rule = analytic_rule(model, contour, singular=eigs)
     _require_clear_of_nodes(eigs, rule.nodes)
     kv = model.scaled(t).kprime_values(rule.nodes)
@@ -394,7 +388,8 @@ def compute_Omega(model: SpectralModel, contour: Contour,
     rep = admissibility(model, contour, t) if report is None else report
     bound = rep.variation / (0.25 * rep.distance ** 2)
     norm = float(np.linalg.norm(omega, 2))
-    if norm >= bound:
+    # zero coupling makes V0, the bound and Omega all exactly 0
+    if norm > 0.0 and norm >= bound:
         raise NumericsError(f"Omega norm {norm:.6g} violates bound {bound:.6g}")
     return OmegaOperator(contour.side, omega, norm, bound)
 
@@ -413,7 +408,7 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     a, b = model.interval
     zl = np.conj(sol_minus_l.z_op.T)
     zr = sol_l.z_op
-    poles = np.concatenate([np.linalg.eigvals(zl), np.linalg.eigvals(zr)])
+    poles = _sandwich_poles(sol_l, sol_minus_l)
 
     def values(nodes):
         mus = nodes.astype(np.complex128)
@@ -449,14 +444,14 @@ def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     return _spectral_norms(kv) / _smallest_singular_values(shifted) ** 2
 
 
-def ysn_integral(model: SpectralModel, ric: RiccatiSolution,
-                 rtol: float = 1e-9) -> float:
-    """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu."""
+def ysn_integral(model: SpectralModel, ric: RiccatiSolution) -> float:
+    """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu, an
+    adaptive quadrature to rtol 1e-9."""
     a, b = ric.interval
     z = ric.z_op
 
     val, _ = adaptive_quad(lambda nodes: _ysn_integrand(ric.y_repr.b, z, nodes),
-                           a, b, rtol=rtol, poles=ric.eigs)
+                           a, b, rtol=1e-9, poles=ric.root.eigensystem.values)
     return float(np.real(val))
 
 
@@ -472,24 +467,24 @@ def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
     points and the spectrum of Z.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    rule = analytic_rule(model, contour, zs, np.linalg.eigvals(sol.z_op))
+    rule = analytic_rule(model, contour, zs, sol.eigensystem.values)
     sm = model.scaled(sol.coupling_scale)
     kv = sm.kprime_values(rule.nodes)
     acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)
     return np.eye(model.n, dtype=np.complex128) + acc
 
 
-# The reconstruction ring starts at this many points and doubles until two
-# successive rings give moments within _RING_RTOL of each other (relative);
-# the trapezoid rule converges geometrically on the circle, so the last
-# ring's error is then about the square of that.
+# The reconstruction ring starts at _RING_START points and doubles until two
+# successive rings give moments within _RING_RTOL of each other (relative),
+# or it has _RING_NODES points; the trapezoid rule converges geometrically
+# on the circle, so the last ring's error is then about the square of that.
 _RING_START = 32
+_RING_NODES = 256
 _RING_RTOL = 1e-9
 
 
 def reconstruct_from_contour(model: SpectralModel, contour: Contour,
-                             sol: RootSolution, gamma_spec=None,
-                             num_nodes: int = 256):
+                             sol: RootSolution, gamma_spec=None):
     """Moments of -[M1(z, Gamma)]^{-1}/(2 pi i) around spec(Z).
 
     Returns (h0, h1, z_reconstructed): the zeroth moment equals
@@ -500,16 +495,15 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     d/2-neighborhood of sigma1.
 
     The moments are trapezoid sums over nested rings of the circle: the
-    first has num_nodes / 2^k points, the fewest that is at least
-    _RING_START, and each doubling evaluates only the new midpoints,
-    until the moments of a ring and of its predecessor agree to _RING_RTOL
-    (relative) or the ring has num_nodes points. Every M1 value is summed
-    on one analytic_rule of the contour, sized by the num_nodes-point
-    ring, whose points are the ones the containment check covers; a
-    ring point the rule refuses raises ValueError.
+    first has _RING_START points, and each doubling evaluates only the new
+    midpoints, until the moments of a ring and of its predecessor agree to
+    _RING_RTOL (relative) or the ring has _RING_NODES points. Every M1
+    value is summed on one analytic_rule of the contour, sized by the
+    _RING_NODES-point ring, whose points are the ones the containment
+    check covers; a ring point the rule refuses raises ValueError.
     """
     d = distance_to_sigma1(model, contour)
-    eigs = np.linalg.eigvals(sol.z_op)
+    eigs = sol.eigensystem.values
     if gamma_spec is None:
         center = complex(np.mean(eigs))
         spread = float(np.max(np.abs(eigs - center)))
@@ -527,7 +521,7 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
         raise ValueError(
             f"circle radius {radius:.6g} does not enclose spec(Z) (need > {spread:.6g})")
 
-    theta = 2.0 * np.pi * np.arange(num_nodes) / num_nodes
+    theta = 2.0 * np.pi * np.arange(_RING_NODES) / _RING_NODES
     phase = np.exp(1j * theta)
     ring = center + radius * phase
     # farthest any ring point gets from its nearest point of sigma1
@@ -549,10 +543,8 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
         return np.stack([np.sum(weighted, axis=0),
                          np.einsum("p,pij->ij", ring[points], weighted)])
 
-    count = num_nodes
-    while count % 2 == 0 and count // 2 >= _RING_START:
-        count //= 2
-    step = num_nodes // count
+    count = _RING_START
+    step = _RING_NODES // count
     total = sums(slice(0, None, step))
     moments = -(radius / count) * total
     while step > 1:
@@ -570,9 +562,9 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     return h0, h1, z_rec
 
 
-def check_one_in_spectrum(ric: RiccatiSolution, tol: float = 1e-8) -> OneInSpectrumVerdict:
-    """Distance of spec(Y^*Y) to the point 1; presence flags that the two
-    graph subspaces intersect nontrivially."""
+def check_one_in_spectrum(ric: RiccatiSolution) -> OneInSpectrumVerdict:
+    """Distance of spec(Y^*Y) to the point 1; presence (a distance of at
+    most 1e-8) flags that the two graph subspaces intersect nontrivially."""
     geigs = np.linalg.eigvalsh(ric.gram)
     dist = float(np.min(np.abs(geigs - 1.0)))
-    return OneInSpectrumVerdict(dist <= tol, dist)
+    return OneInSpectrumVerdict(dist <= 1e-8, dist)

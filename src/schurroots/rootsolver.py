@@ -23,6 +23,7 @@ SpectrumClassification.conjugate, conjugate_path).
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +37,9 @@ from .schur import _cut_moments, m1_physical
 _SPEC_GUARD = 1e-6
 
 # Largest condition number of the eigenvector matrix V of Z for which the
-# Picard map is evaluated in the eigenbasis; the error of that evaluation
-# grows like cond(V) times the unit roundoff.
+# Picard map, and every closed form downstream of a root, is evaluated in
+# the eigenbasis; the error of that evaluation grows like cond(V) times the
+# unit roundoff.
 _COND_LIMIT = 1e2
 
 # Relative shrinking of the limit in _cond_within's certificate. The SVD
@@ -84,6 +86,26 @@ def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
+class Eigensystem:
+    """Z = V diag(values) V^{-1} from one np.linalg.eig of Z: values[k] has
+    the unit eigenvector vectors[:, k]. The arrays are read-only."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @cached_property
+    def basis(self) -> tuple | None:
+        """(V, V^{-1}) when cond(V) <= _COND_LIMIT (_cond_within), else
+        None: sums in that basis lose about cond(V) times the unit
+        roundoff. Taken on first use; the limit is read then."""
+        if not _cond_within(self.vectors, _COND_LIMIT):
+            return None
+        inv = np.linalg.inv(self.vectors)
+        inv.setflags(write=False)
+        return self.vectors, inv
+
+
+@dataclass(frozen=True)
 class RootSolution:
     side: int
     x: np.ndarray
@@ -98,8 +120,20 @@ class RootSolution:
     # took the contour-sum fallback of _PicardMap
     contour_fallbacks: int = 0
 
+    @cached_property
+    def eigensystem(self) -> Eigensystem:
+        """The eigendecomposition of z_op, taken on first use and kept.
+
+        A cached property, not a field, so a root that dataclasses.replace
+        builds (conjugate, a corrupted Z) decomposes its own z_op.
+        """
+        values, vectors = np.linalg.eig(self.z_op)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return Eigensystem(values, vectors)
+
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.z_op)
+        return self.eigensystem.values.copy()
 
     def conjugate(self) -> "RootSolution":
         """The root of the opposite side of a real model: X and Z
@@ -322,12 +356,11 @@ def _physical_residuals(model: SpectralModel, t: float, lams, labels) -> list:
 
 
 def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
-             tau_real: float | None = None,
-             cluster_radius: float | None = None) -> SpectrumClassification:
+             tau_real: float | None = None) -> SpectrumClassification:
     """Label the spectrum of Z: real band, resonance side, physical side.
 
-    Eigenvalues within the clustering radius are grouped into one entry
-    with the corresponding multiplicity. Each physical-complex entry
+    Eigenvalues within 1e-8 (1 + max |lam|) of each other are grouped into
+    one entry with the corresponding multiplicity. Each physical-complex entry
     records the smallest singular value of the physical-sheet Schur
     complement at the eigenvalue; genuine eigenvalues make it vanish.
     """
@@ -335,9 +368,8 @@ def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
         raise ValueError("solution and contour sides disagree")
     a_norm = float(np.linalg.norm(model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
-    eigs = np.sort_complex(np.linalg.eigvals(sol.z_op))
-    scale = 1.0 + float(np.max(np.abs(eigs)))
-    radius = cluster_radius if cluster_radius is not None else 1e-8 * scale
+    eigs = np.sort_complex(sol.eigensystem.values)
+    radius = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
 
     clusters: list[list[complex]] = []
     for lam in eigs:

@@ -730,3 +730,63 @@ def test_exit_code_contract_on_small_configs(command, data):
             code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("data", [
+    {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.0]]]}},
+    _with("solver", {"coupling_scale": 0}),
+])
+def test_verify_passes_at_zero_coupling(tmp_path, capsys, data):
+    # V0 = 0, so the Omega bound is 0 and Omega is exactly 0: a zero Omega
+    # meets the bound
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["admissibility"]["variation"] == 0.0
+    assert len(report["identities"]) == 19
+    assert all(row["passed"] for row in report["identities"]), report["identities"]
+
+
+def test_verify_passes_on_a_non_feshbach_model(tmp_path, capsys):
+    # sigma1 = {1.5} lies outside the interval: every Picard step, the
+    # residual check included, takes the contour-sum fallback, and the Gram
+    # matrix is a quadrature; the only verify run of both fallbacks
+    data = {"model": {"interval": [-1.0, 1.0], "a1": [[1.5]], "b": [[[0.1]]]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["feshbach"] is False
+    assert [b["contour_fallbacks"] for b in report["solutions"].values()] == [4, 4]
+    assert [b["gram_route"] for b in report["riccati"].values()] == ["quadrature"] * 2
+    assert len(report["identities"]) == 19
+    assert all(row["passed"] for row in report["identities"]), report["identities"]
+
+
+def test_verify_decomposes_each_root_once(tmp_path, capsys, monkeypatch, model_zoo):
+    # outside the Picard iteration, one eig per root (its eigensystem) and
+    # one eigvals per side in the root-contour row's contour sum
+    import schurroots.rootsolver as rootsolver_mod
+
+    inside, calls = [], []
+    original_picard = rootsolver_mod._picard
+
+    def picard(*args, **kwargs):
+        inside.append(1)
+        try:
+            return original_picard(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rootsolver_mod, "_picard", picard)
+    for name in ("eig", "eigvals"):
+        def counting(mat, _original=getattr(np.linalg, name), _name=name):
+            if not inside:
+                calls.append(_name)
+            return _original(mat)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for data in (BASE, _zoo_config(model_zoo)):
+        calls.clear()
+        code, _ = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+        assert code == 0
+        assert sorted(calls) == ["eig", "eig", "eigvals", "eigvals"]

@@ -7,11 +7,13 @@ by adaptive quadrature before the closed forms: (Z^* - mu)^{-1} K'(mu)
 <x0_t, Y x1_t>, summed here at rtol 1e-13.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import schurroots as sr
-from schurroots import riccati
+from schurroots import riccati, rootsolver
 from schurroots._kernels import _sandwich_products
 from schurroots._quad import adaptive_quad
 from schurroots.riccati import _j_pairings, rational_trials, ysn_integral
@@ -131,9 +133,10 @@ def test_ill_conditioned_basis_falls_back_to_quadrature(monkeypatch, model_zoo):
     model = next(m for m in model_zoo if m.n == 2)
     sol = sr.solve_basic(model, sr.make_contour(model, 1))
     closed = sr.compute_Y(model, sol)
-    monkeypatch.setattr(riccati, "_COND_LIMIT", 0.0)
-    ric = sr.compute_Y(model, sol)
-    assert ric.gram_route == "quadrature" and ric.basis is None
+    # the limit is read when a root's eigensystem is taken, so on a fresh root
+    monkeypatch.setattr(rootsolver, "_COND_LIMIT", 0.0)
+    ric = sr.compute_Y(model, dataclasses.replace(sol))
+    assert ric.gram_route == "quadrature" and ric.root.eigensystem.basis is None
     assert gram_gap(ric, gram_reference(model, sol)) <= _AGREE
     trials = rational_trials(ric, 20, seed=0)
     lhs, rhs, quads = counted_pairings(monkeypatch, ric, trials)

@@ -46,8 +46,7 @@ def test_side_minus_one_is_the_conjugate(real_models):
             mirror = plus.mirror()
             assert _bits(minus.nodes) == _bits(mirror.nodes)
             assert _bits(minus.weights) == _bits(mirror.weights)
-            for name in ("side", "kind", "depth", "endpoints", "orientation",
-                         "segment_slices"):
+            for name in ("side", "kind", "depth", "endpoints", "segment_slices"):
                 assert getattr(minus, name) == getattr(mirror, name), name
 
             rep = sr.admissibility(model, plus)

@@ -146,12 +146,6 @@ def test_bad_side(friedrichs_model):
         sr.make_contour(friedrichs_model, 0)
 
 
-def test_optimize_r0_semicircle(friedrichs_model):
-    contour, r0 = sr.optimize_r0(friedrichs_model, 1, "semicircle")
-    assert contour.kind == "semicircle"
-    assert abs(r0 - R_MIN_ORACLE) < 1e-9
-
-
 def test_optimize_r0_rectangle(friedrichs_model):
     family = ("rectangle", (0.2, 1.2))
     contour, r0 = sr.optimize_r0(friedrichs_model, 1, family)

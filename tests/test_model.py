@@ -17,36 +17,11 @@ from schurroots.model import _HERM_TOL, MatrixPolynomial, density_margin
 
 from conftest import wide_models
 
-CUMULATIVE_ORACLE = 8.0 / 3.0
-
-
 def test_kprime_scalar_constant(friedrichs_model):
     dens = sr.kprime_of(friedrichs_model)
     mus = np.linspace(-1, 1, 11)
     for mu in mus:
         assert abs(dens(mu)[0, 0] - 0.04) < 1e-15
-
-
-def test_kb_cumulative_frozen():
-    model = sr.build_model((-1.0, 1.0), [[0.0]], [[[1.0], [0.0]], [[0.0], [1.0]]])
-    val = sr.kb_cumulative(model, 1.0)
-    assert val.shape == (1, 1)
-    assert abs(val[0, 0] - CUMULATIVE_ORACLE) < 1e-14
-
-
-def test_kb_cumulative_matches_quadrature():
-    rng = np.random.default_rng(11)
-    coeffs = [rng.normal(size=(2, 2)) * 0.5 for _ in range(3)]
-    model = sr.build_model((-0.5, 2.0), 0.7 * np.eye(2), coeffs)
-    mu = 1.3
-    # trapezoid oracle on a fine grid
-    grid = np.linspace(-0.5, mu, 200001)
-    vals = model.kprime_values(grid)
-    oracle = np.trapezoid(vals, grid, axis=0)
-    got = sr.kb_cumulative(model, mu)
-    assert np.linalg.norm(got - oracle, 2) < 1e-8
-    with pytest.raises(ModelError):
-        sr.kb_cumulative(model, 2.5)
 
 
 def test_density_conjugate_symmetry():

@@ -5,14 +5,17 @@ summation of y(mu)^* y(mu) on a million-point grid, sharing nothing with
 the closed form (or its quadrature fallback) under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import schurroots as sr
 from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
-from schurroots.riccati import (RationalAngular, _j_pairings, _ysn_integrand,
-                                factor_F1, rational_trials, ysn_integral)
+from schurroots.riccati import (RationalAngular, _j_pairings, _trial_l2_norms,
+                                _ysn_integrand, factor_F1, rational_trials,
+                                ysn_integral)
 
 
 def dense_gram(ric, nodes=1_000_001):
@@ -185,9 +188,12 @@ def test_trial_l2_norm_closed_form(matrix_case):
     ric = rics[1]
     a, b = ric.interval
     grid = np.linspace(a, b, 200_001)
-    for x0, _ in rational_trials(ric, 5, seed=11):
+    trials = rational_trials(ric, 5, seed=11)
+    norms = _trial_l2_norms(np.array([x0.pole for x0, _ in trials]),
+                            np.array([x0.c for x0, _ in trials]), ric.interval)
+    for (x0, _), norm in zip(trials, norms):
         dense = np.sqrt(np.trapezoid(np.sum(np.abs(x0(grid)) ** 2, axis=1), grid))
-        assert abs(x0.l2_norm(ric.interval) - dense) <= 1e-8 * dense
+        assert abs(norm - dense) <= 1e-8 * dense
 
 
 def test_rational_trials_reproducible(matrix_case):
@@ -362,3 +368,30 @@ def test_ysn_integrand_matches_svd_form(friedrichs_model, zoo_solutions):
             got = _ysn_integrand(model.b, sol.z_op, nodes)
             worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
     assert worst <= 1e-12, worst
+
+
+def test_riccati_reads_the_roots_eigensystem(monkeypatch, matrix_case):
+    # once a root's eigensystem is taken, nothing downstream of the root
+    # decomposes its Z again
+    model, contours, sols, _ = matrix_case
+    sols = {side: dataclasses.replace(sol) for side, sol in sols.items()}
+    for sol in sols.values():
+        assert sol.eigensystem.basis is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root was decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    zs = np.array([0.05 + 0.1j, -0.1 - 0.05j])
+    for side in (1, -1):
+        contour, sol, other = contours[side], sols[side], sols[-side]
+        ric = sr.compute_Y(model, sol)
+        assert ric.root is sol and ric.gram_route == "closed-form"
+        sr.j_orthogonality(ric, rational_trials(ric, 4, seed=1))
+        ysn_integral(model, ric)
+        sr.compute_Omega(model, contour, sol, other)
+        sr.omega_by_deformation(model, sol, other)
+        factor_F1(model, contour, sol, zs)
+        sr.reconstruct_from_contour(model, contour, sol)
+        sr.classify(model, contour, sol)

@@ -605,3 +605,31 @@ def test_picard_iterates_match_the_svd_cond_map(monkeypatch, friedrichs_model, m
             assert [v.tobytes() for v in values] == [v.tobytes() for v in ref_values]
             assert (sol.iterations, sol.final_step_norm, sol.residual, sol.contour_fallbacks) \
                 == (ref.iterations, ref.final_step_norm, ref.residual, ref.contour_fallbacks)
+
+
+def test_eigensystem_is_one_eig_per_root(monkeypatch, model_zoo):
+    model = next(m for m in model_zoo if m.n == 2)
+    sol = sr.solve_basic(model, sr.make_contour(model, 1))
+    spec = sol.eigensystem
+    assert sol.eigensystem is spec
+    assert np.allclose(spec.values, np.linalg.eigvals(sol.z_op), rtol=0, atol=1e-14)
+    vecs, inv = spec.basis
+    assert vecs is spec.vectors
+    assert not spec.values.flags.writeable and not inv.flags.writeable
+    rebuilt = vecs @ np.diag(spec.values) @ inv
+    assert np.linalg.norm(rebuilt - sol.z_op, 2) <= 1e-14 * np.linalg.norm(sol.z_op, 2)
+    assert np.array_equal(sol.eigenvalues(), spec.values)
+
+    # a root built by dataclasses.replace decomposes its own Z
+    shift = 0.01 * np.eye(model.n)
+    shifted = dataclasses.replace(sol, x=sol.x + shift, z_op=sol.z_op + shift)
+    assert np.allclose(np.sort_complex(shifted.eigensystem.values),
+                       np.sort_complex(spec.values + 0.01), rtol=0, atol=1e-14)
+    assert np.allclose(np.sort_complex(sol.conjugate().eigensystem.values),
+                       np.sort_complex(np.conj(spec.values)), rtol=0, atol=1e-14)
+
+    # the basis is kept only within rootsolver's condition limit
+    monkeypatch.setattr(rootsolver, "_COND_LIMIT", 1.0 - 1e-6)
+    fresh = dataclasses.replace(sol).eigensystem
+    assert fresh.basis is None
+    assert np.array_equal(fresh.values, spec.values)
