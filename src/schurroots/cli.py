@@ -151,7 +151,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
         else:
             sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol,
                               cfg.max_iter, report=reps[side])
-            cls = classify(model, contour, sol, cfg.tau_real)
+            cls = classify(sol, cfg.tau_real)
         solved[side] = sol, cls
         report["solutions"][f"{side:+d}"] = solution_block(sol, cls)
     return _finish(report, start)
@@ -237,31 +237,30 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     """Build the identity rows plus per-side solution and Riccati blocks.
 
     reps maps each side to its admissibility report at the configured
-    coupling. Returns (rows, sols, rics, clss), the last three keyed by
-    side.
+    coupling. Each side's root carries its t-scaled model, contour and
+    report, and every per-side row reads them from the root. Returns
+    (rows, sols, rics, clss), the last three keyed by side.
     """
-    t = cfg.coupling_scale
-    sm = model.scaled(t)
+    sm = model.scaled(cfg.coupling_scale)
     sides = (1, -1)
     sols, rics, clss = {}, {}, {}
     for side in sides:
-        sol = solve_basic(model, contours[side], t, cfg.tol, cfg.max_iter,
-                          report=reps[side])
+        sol = solve_basic(model, contours[side], cfg.coupling_scale, cfg.tol,
+                          cfg.max_iter, report=reps[side])
         sols[side] = _corrupt(sol, cfg.corrupt_z)
-        clss[side] = classify(model, contours[side], sols[side], cfg.tau_real)
-        rics[side] = compute_Y(model, sols[side], cfg.quad_tol)
+        clss[side] = classify(sols[side], cfg.tau_real)
+        rics[side] = compute_Y(sols[side], cfg.quad_tol)
 
     # computed on first use, once per side. A failure is not cached: each
     # row that reads the value raises it again and fails with its message
     # as the row's note
     @functools.cache
     def omega(side):
-        return compute_Omega(model, contours[side], sols[side], sols[-side],
-                             report=reps[side])
+        return compute_Omega(sols[side], sols[-side])
 
     @functools.cache
     def recon(side):
-        return reconstruct_from_contour(model, contours[side], sols[side])
+        return reconstruct_from_contour(sols[side])
 
     rows = []
 
@@ -289,10 +288,10 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     d = reps[1].distance
 
     def factorization(side):
-        contour, sol = contours[side], sols[side]
+        sol = sols[side]
         zs = _near_sigma_points(rng, model, d, cfg.factor_points)
-        f1 = factor_F1(model, contour, sol, zs)
-        mc = m1_continued_many(sm, contour, zs)
+        f1 = factor_F1(sol, zs)
+        mc = m1_continued_many(sol.model, sol.contour, zs)
         prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
         return _worst_relative_gap(mc, prod)
 
@@ -300,7 +299,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def conditioning(side):
         zs = _near_sigma_points(rng, model, d, cfg.factor_points)
-        return np.max(np.linalg.cond(factor_F1(model, contours[side], sols[side], zs)))
+        return np.max(np.linalg.cond(factor_F1(sols[side], zs)))
 
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
@@ -320,7 +319,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     def omega_two_path(side):
         om = omega(side)
-        alt = omega_by_deformation(model, sols[side], sols[-side], cfg.quad_tol)
+        alt = omega_by_deformation(sols[side], sols[-side], cfg.quad_tol)
         return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
 
     add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
@@ -349,14 +348,15 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
     def root_contour(side):
         # the closed-form root against the contour sum over Gamma
         sol = sols[side]
-        return _relative_gap(sol.x - transformator(sm, contours[side], sol.z_op),
-                             sol.x)
+        summed = transformator(sol.model, sol.contour, sol.z_op,
+                               sol.eigensystem.values)
+        return _relative_gap(sol.x - summed, sol.x)
 
     add_row("root-contour", 1e-10, over_sides(root_contour))
 
     a_scale = 1.0 + float(np.linalg.norm(model.a1, 2))
     add_row("root-equation", 1e-8, over_sides(
-        lambda s: check_ZAY(model, sols[s], rics[s]) / a_scale))
+        lambda s: check_ZAY(rics[s]) / a_scale))
 
     lo, hi = model.interval
     margin = 0.01 * (hi - lo)
@@ -365,9 +365,9 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         float(np.max(np.linalg.norm(sm.b(samples), axis=(1, 2)))), 0.0)
 
     add_row("riccati-pointwise", 1e-8, over_sides(
-        lambda s: riccati_residual(model, rics[s], samples) / b_scale))
+        lambda s: riccati_residual(rics[s], samples) / b_scale))
     add_row("riccati-adjoint", 1e-8, over_sides(
-        lambda s: riccati_residual(model, rics[s], samples, adjoint=True) / b_scale))
+        lambda s: riccati_residual(rics[s], samples, adjoint=True) / b_scale))
 
     def jorth(side):
         trials = rational_trials(rics[side], cfg.trial_count, cfg.seed)
@@ -382,11 +382,11 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
                if any(e.label != "real" for e in clss[side].entries)]
     add_row("y-norm-floor", 1e-8, over_sides(lambda s: 1.0 - rics[s].y_norm, nonreal))
     add_row("y-norm-ceiling", 1e-8, over_sides(
-        lambda s: rics[s].y_norm ** 2 - ysn_integral(model, rics[s])))
+        lambda s: rics[s].y_norm ** 2 - ysn_integral(rics[s])))
 
     def localization(side):
         sol = sols[side]
-        return max(float(np.min(np.abs(lam - model.sigma1))) - sol.r_min
+        return max(float(np.min(np.abs(lam - model.sigma1))) - sol.report.r_min
                    for lam in sol.eigensystem.values)
 
     add_row("localization", 1e-9, over_sides(localization))
@@ -451,7 +451,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     paths = {}
     for side, contour in contours.items():
         if side in derived:
-            path = conjugate_path(model, paths[derived[side]])
+            path = conjugate_path(paths[derived[side]])
         else:
             path = homotopy_path(model, contour, cfg.t_grid, cfg.tol,
                                  cfg.max_iter, cfg.tau_real, report=at_one[side])

@@ -71,7 +71,7 @@ def riccati_block(ric, verdict) -> dict:
     return {
         "y_norm": ric.y_norm,
         "gram_route": ric.gram_route,
-        "gram_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric.gram)],
+        "gram_eigenvalues": [float(v) for v in ric.gram_eigenvalues],
         "one_in_spectrum": {
             "present": verdict.present,
             "min_distance": verdict.min_distance,

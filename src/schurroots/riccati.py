@@ -2,8 +2,10 @@
 
 The angular operator for side l acts from C^n into L2 on the interval as
 multiplication by the rational function y(mu) = b(mu) (Z - mu)^{-1}; it is
-kept in that symbolic form (b, Z). Nothing here discretizes the function
-space.
+kept in that symbolic form, b and Z read from the solved root (its t-scaled
+model and z_op). Every function here takes the root, or the
+RiccatiSolution built on it, and nothing the root already holds. Nothing
+here discretizes the function space.
 
 Its interval integrals have known poles: spec Z and, in the J-pairings,
 the trial poles. The Gram matrix Y^*Y and the pairing <x0, Y x1> are
@@ -23,58 +25,42 @@ import numpy as np
 from ._kernels import (_right_resolvent_products, _sandwich_products,
                        _shifted_solve, resolvent_cauchy_sum, sandwich_sum)
 from ._quad import adaptive_quad
-from .contour import (AdmissibilityReport, Contour, _spectral_norms,
-                      admissibility, analytic_rule, distance_to_sigma1)
+from .contour import _spectral_norms, analytic_rule
 from .errors import NumericsError
-from .model import MatrixPolynomial, SpectralModel
+from .model import MatrixPolynomial
 from .rootsolver import RootSolution, _require_clear_of_nodes
 from .schur import _cut_moments, _m1_on_rule
 
 
 @dataclass(frozen=True)
-class RationalAngular:
-    """y(mu) = b(mu) @ inv(z - mu), shape (m, n), defined off spec(z)."""
-
-    b: MatrixPolynomial
-    z: np.ndarray
-
-    def __call__(self, mus) -> np.ndarray:
-        mus = np.asarray(mus, dtype=np.complex128)
-        squeeze = mus.ndim == 0
-        mus = np.atleast_1d(mus)
-        out = _right_resolvent_products(self.b(mus), mus, self.z)
-        return out[0] if squeeze else out
-
-    def adjoint_values(self, mus) -> np.ndarray:
-        """ytilde(mu) = inv(z^* - mu) @ b#(mu), shape (n, m); equals
-        y(mu)^* for real mu."""
-        mus = np.asarray(mus, dtype=np.complex128)
-        squeeze = mus.ndim == 0
-        mus = np.atleast_1d(mus)
-        out = _shifted_solve(np.conj(self.z.T), mus, self.b.sharp()(mus))
-        return out[0] if squeeze else out
-
-
-@dataclass(frozen=True)
 class RiccatiSolution:
-    side: int
-    y_repr: RationalAngular
-    gram: np.ndarray
-    y_norm: float
-    bstar_y: np.ndarray
-    interval: tuple
-    # "closed-form" or "quadrature": how gram was summed (see compute_Y)
-    gram_route: str
-    # the root Y is built on; its eigensystem serves the closed forms of
-    # gram and of the J-pairing
+    """The angular operator Y of a root: y(mu) = b(mu) (Z - mu)^{-1},
+    defined off spec Z, with b and Z those of root. gram = Y^*Y with its
+    ascending eigenvalues and bstar_y = B^*Y, as compute_Y summed them;
+    gram_route is "closed-form" or "quadrature", how gram was summed."""
+
     root: RootSolution
+    gram: np.ndarray
+    gram_eigenvalues: np.ndarray
+    bstar_y: np.ndarray
+    gram_route: str
 
     @property
-    def z_op(self) -> np.ndarray:
-        return self.y_repr.z
+    def y_norm(self) -> float:
+        return float(np.sqrt(max(float(self.gram_eigenvalues[-1]), 0.0)))
 
     def y_values(self, mus) -> np.ndarray:
-        return self.y_repr(mus)
+        """y(mu) at each point of the 1-d array mus -> (M, m, n)."""
+        mus = np.asarray(mus, dtype=np.complex128)
+        return _right_resolvent_products(self.root.model.b(mus), mus,
+                                         self.root.z_op)
+
+    def adjoint_values(self, mus) -> np.ndarray:
+        """ytilde(mu) = (Z^* - mu)^{-1} b#(mu) at each point of the 1-d
+        array mus -> (M, n, m); equals y(mu)^* for real mu."""
+        mus = np.asarray(mus, dtype=np.complex128)
+        return _shifted_solve(np.conj(self.root.z_op.T), mus,
+                              self.root.model.b.sharp()(mus))
 
 
 @dataclass(frozen=True)
@@ -132,8 +118,7 @@ def _gram_closed_form(kcoeffs: np.ndarray, interval, eigs: np.ndarray,
     return np.conj(inv.T) @ inner @ inv
 
 
-def compute_Y(model: SpectralModel, sol: RootSolution,
-              quad_tol: float = 1e-11) -> RiccatiSolution:
+def compute_Y(sol: RootSolution, quad_tol: float = 1e-11) -> RiccatiSolution:
     """Assemble the angular operator data for a solved root.
 
     The Gram matrix G = integral of y(mu)^* y(mu) over the interval is
@@ -147,17 +132,12 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     stay clear of the interval (separation guard 10 * sqrt(quad_tol));
     the zero-coupling model short-circuits to exact zeros.
     """
-    sm = model.scaled(sol.coupling_scale)
-    n = model.n
-    interval = model.interval
-    z = sol.z_op
-    y_repr = RationalAngular(sm.b, z)
-
+    sm, z = sol.model, sol.z_op
     if sm.b.is_zero:
-        zeros = np.zeros((n, n), dtype=np.complex128)
-        return RiccatiSolution(sol.side, y_repr, zeros, 0.0, zeros, interval,
-                               "closed-form", sol)
+        zeros = np.zeros((sm.n, sm.n), dtype=np.complex128)
+        return RiccatiSolution(sol, zeros, np.zeros(sm.n), zeros, "closed-form")
 
+    interval = sm.interval
     eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
     sep = min(_segment_distance(complex(e), interval) for e in eigs)
     guard = 10.0 * float(np.sqrt(quad_tol))
@@ -192,19 +172,16 @@ def compute_Y(model: SpectralModel, sol: RootSolution,
     scale = 1.0 + float(geigs[-1])
     if geigs[0] < -1e-12 * scale:
         raise NumericsError(f"Gram matrix not PSD (min eigenvalue {geigs[0]:.3e})")
-    y_norm = float(np.sqrt(max(float(geigs[-1]), 0.0)))
-    return RiccatiSolution(sol.side, y_repr, gram, y_norm, bstar_y, interval,
-                           route, sol)
+    return RiccatiSolution(sol, gram, geigs, bstar_y, route)
 
 
-def check_ZAY(model: SpectralModel, sol: RootSolution,
-              ric: RiccatiSolution) -> float:
+def check_ZAY(ric: RiccatiSolution) -> float:
     """Residual of Z = A1 - B^* Y."""
-    return float(np.linalg.norm(model.a1 - ric.bstar_y - sol.z_op, 2))
+    return float(np.linalg.norm(ric.root.model.a1 - ric.bstar_y - ric.root.z_op, 2))
 
 
-def riccati_residual(model: SpectralModel, ric: RiccatiSolution,
-                     sample_mus, adjoint: bool = False) -> float:
+def riccati_residual(ric: RiccatiSolution, sample_mus,
+                     adjoint: bool = False) -> float:
     """Pointwise residual of the Riccati equation in multiplication form.
 
     Direct: mu y(mu) - y(mu) A1 + y(mu) (B^*Y) + b(mu) at each sample.
@@ -212,15 +189,16 @@ def riccati_residual(model: SpectralModel, ric: RiccatiSolution,
     ytilde(mu) = y(mu)^*.
     """
     mus = np.asarray(list(sample_mus), dtype=np.float64)
+    model = ric.root.model
     a1 = model.a1.astype(np.complex128)
     bsy = ric.bstar_y
     if not adjoint:
         yv = ric.y_values(mus)
-        bv = ric.y_repr.b(mus)
+        bv = model.b(mus)
         res = mus[:, None, None] * yv - yv @ a1 + yv @ bsy + bv
     else:
-        yt = ric.y_repr.adjoint_values(mus)
-        bs = ric.y_repr.b.sharp()(mus)
+        yt = ric.adjoint_values(mus)
+        bs = model.b.sharp()(mus)
         coef = a1 - np.conj(bsy.T)
         res = mus[:, None, None] * yt - coef @ yt + bs
     return float(np.max(np.linalg.norm(res, 2, axis=(1, 2))))
@@ -259,11 +237,12 @@ def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
     each x0 is a RationalTrial with unit c and each x1 a unit vector. Each
     coordinate of the batch is drawn in one call."""
     rng = np.random.default_rng(seed)
-    a, b = ric.interval
+    model = ric.root.model
+    a, b = model.interval
     re = rng.uniform(a, b, size=count)
     im = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.3, 1.0, size=count)
-    cs = _unit_rows(rng, count, ric.y_repr.b.rows)
-    x1s = _unit_rows(rng, count, ric.y_repr.b.cols)
+    cs = _unit_rows(rng, count, model.m)
+    x1s = _unit_rows(rng, count, model.n)
     return [(RationalTrial(complex(p), c), x1)
             for p, c, x1 in zip(re + 1j * im, cs, x1s)]
 
@@ -277,8 +256,8 @@ def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
     pole_t, B_s the coefficients of b."""
     spec = ric.root.eigensystem
     vecs, inv = spec.basis
-    bcoeffs = ric.y_repr.b.coefficients
-    h = _divided_differences(ric.interval, np.conj(poles), spec.values,
+    bcoeffs = ric.root.model.b.coefficients
+    h = _divided_differences(ric.root.model.interval, np.conj(poles), spec.values,
                              bcoeffs.shape[0] - 1)
     left = np.conj(cs) @ bcoeffs @ vecs  # (S, T, n)
     right = inv @ x1s.T  # (n, T)
@@ -302,12 +281,13 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     rtol is _JORTH_RTOL / max(1, B): no trial stops looser than at
     _JORTH_RTOL * max(1, |its value|), the rule of one quadrature per trial.
     """
-    a, b = ric.interval
+    interval = ric.root.model.interval
+    a, b = interval
     x0s = [x0 for x0, _ in trial_vectors]
     poles = np.array([x0.pole for x0 in x0s], dtype=np.complex128)
     cs = np.array([x0.c for x0 in x0s], dtype=np.complex128)
     x1s = np.array([x1 for _, x1 in trial_vectors], dtype=np.complex128)
-    x0_norms = _trial_l2_norms(poles, cs, ric.interval)
+    x0_norms = _trial_l2_norms(poles, cs, interval)
     x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
     bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
     rtol = _JORTH_RTOL / max(1.0, bound)
@@ -328,7 +308,7 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     def rhs_values(nodes):
         # ytilde(mu) c_t / (mu - pole_t) for every trial: (M, T, n); the
         # products ytilde(mu) c_t as one 2-d matrix product
-        yt = ric.y_repr.adjoint_values(nodes)  # (M, n, m)
+        yt = ric.adjoint_values(nodes)  # (M, n, m)
         yc = (yt.reshape(-1, yt.shape[2]) @ cs.T).reshape(yt.shape[:2] + (-1,))
         return np.swapaxes(yc / (nodes[:, None, None] - poles[None, None, :]), 1, 2)
 
@@ -359,33 +339,30 @@ def _sandwich_poles(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarra
                            sol_l.eigensystem.values])
 
 
-def compute_Omega(model: SpectralModel, contour: Contour,
-                  sol_l: RootSolution, sol_minus_l: RootSolution, *,
-                  report: AdmissibilityReport | None = None) -> OmegaOperator:
+def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperator:
     """Omega for side l by contour quadrature, with its norm-bound contract.
 
     Omega = integral over Gamma^l of (Z^(-l)* - mu)^{-1} K'(mu)
-    (Z^(l) - mu)^{-1} dmu, summed on analytic_rule(model, contour) sized by
-    the spectra of both roots, raising NumericsError unless its norm stays
-    below V0 / (d^2/4). The adjoint relation Omega(-l) = Omega(l)^* pairs
-    the value of each side with the other's, so it is checked where both
-    are at hand (verify's omega-adjoint row). A caller that already holds
-    admissibility(model, contour, t) passes it as report, so V0 is not
-    evaluated again.
+    (Z^(l) - mu)^{-1} dmu, summed on the analytic_rule of sol_l's contour
+    sized by the spectra of both roots, raising NumericsError unless its
+    norm stays below V0 / (d^2/4), read from sol_l's admissibility report
+    (no V0 is evaluated). The adjoint relation Omega(-l) = Omega(l)^*
+    pairs the value of each side with the other's, so it is checked where
+    both are at hand (verify's omega-adjoint row).
     """
-    if sol_l.side != contour.side or sol_minus_l.side != -contour.side:
-        raise ValueError("solution sides must be (l, -l) for the side-l contour")
+    if sol_minus_l.side != -sol_l.side:
+        raise ValueError("solution sides must be (l, -l)")
     if sol_l.coupling_scale != sol_minus_l.coupling_scale:
         raise ValueError("solutions were computed at different coupling scales")
-    t = sol_l.coupling_scale
+    model, contour = sol_l.model, sol_l.contour
     zl_h = np.conj(sol_minus_l.z_op.T)
     eigs = _sandwich_poles(sol_l, sol_minus_l)
     rule = analytic_rule(model, contour, singular=eigs)
     _require_clear_of_nodes(eigs, rule.nodes)
-    kv = model.scaled(t).kprime_values(rule.nodes)
+    kv = model.kprime_values(rule.nodes)
     omega = sandwich_sum(kv, rule.nodes, rule.weights, zl_h, sol_l.z_op)
 
-    rep = admissibility(model, contour, t) if report is None else report
+    rep = sol_l.report
     bound = rep.variation / (0.25 * rep.distance ** 2)
     norm = float(np.linalg.norm(omega, 2))
     # zero coupling makes V0, the bound and Omega all exactly 0
@@ -394,8 +371,7 @@ def compute_Omega(model: SpectralModel, contour: Contour,
     return OmegaOperator(contour.side, omega, norm, bound)
 
 
-def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
-                         sol_minus_l: RootSolution,
+def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution,
                          quad_tol: float = 1e-11) -> np.ndarray:
     """Omega computed over the interval instead of the contour.
 
@@ -403,9 +379,8 @@ def omega_by_deformation(model: SpectralModel, sol_l: RootSolution,
     spectral separation guard ensures; used as the independent second
     path for the contour value.
     """
-    t = sol_l.coupling_scale
-    sm = model.scaled(t)
-    a, b = model.interval
+    sm = sol_l.model
+    a, b = sm.interval
     zl = np.conj(sol_minus_l.z_op.T)
     zr = sol_l.z_op
     poles = _sandwich_poles(sol_l, sol_minus_l)
@@ -444,34 +419,32 @@ def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     return _spectral_norms(kv) / _smallest_singular_values(shifted) ** 2
 
 
-def ysn_integral(model: SpectralModel, ric: RiccatiSolution) -> float:
+def ysn_integral(ric: RiccatiSolution) -> float:
     """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu, an
     adaptive quadrature to rtol 1e-9."""
-    a, b = ric.interval
-    z = ric.z_op
+    root = ric.root
+    a, b = root.model.interval
 
-    val, _ = adaptive_quad(lambda nodes: _ysn_integrand(ric.y_repr.b, z, nodes),
-                           a, b, rtol=1e-9, poles=ric.root.eigensystem.values)
+    val, _ = adaptive_quad(lambda nodes: _ysn_integrand(root.model.b, root.z_op, nodes),
+                           a, b, rtol=1e-9, poles=root.eigensystem.values)
     return float(np.real(val))
 
 
-def factor_F1(model: SpectralModel, contour: Contour, sol: RootSolution,
-              z) -> np.ndarray:
+def factor_F1(sol: RootSolution, z) -> np.ndarray:
     """F1(z, Gamma) = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1} dmu.
 
     The factorization M1(z, Gamma) = F1(z, Gamma)(Z - z) holds wherever
     both sides are defined; F1 is invertible on the d/2-neighborhood of
     sigma1. z is one point -> (n, n), or a 1-d array of P points ->
     (P, n, n); the resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved
-    once for all of them, on analytic_rule(model, contour) sized by the
-    points and the spectrum of Z.
+    once for all of them, on the analytic_rule of the root's contour sized
+    by the points and the spectrum of Z.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    rule = analytic_rule(model, contour, zs, sol.eigensystem.values)
-    sm = model.scaled(sol.coupling_scale)
-    kv = sm.kprime_values(rule.nodes)
+    rule = analytic_rule(sol.model, sol.contour, zs, sol.eigensystem.values)
+    kv = sol.model.kprime_values(rule.nodes)
     acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)
-    return np.eye(model.n, dtype=np.complex128) + acc
+    return np.eye(sol.model.n, dtype=np.complex128) + acc
 
 
 # The reconstruction ring starts at _RING_START points and doubles until two
@@ -483,8 +456,7 @@ _RING_NODES = 256
 _RING_RTOL = 1e-9
 
 
-def reconstruct_from_contour(model: SpectralModel, contour: Contour,
-                             sol: RootSolution, gamma_spec=None):
+def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
     """Moments of -[M1(z, Gamma)]^{-1}/(2 pi i) around spec(Z).
 
     Returns (h0, h1, z_reconstructed): the zeroth moment equals
@@ -498,11 +470,14 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
     first has _RING_START points, and each doubling evaluates only the new
     midpoints, until the moments of a ring and of its predecessor agree to
     _RING_RTOL (relative) or the ring has _RING_NODES points. Every M1
-    value is summed on one analytic_rule of the contour, sized by the
-    _RING_NODES-point ring, whose points are the ones the containment
-    check covers; a ring point the rule refuses raises ValueError.
+    value is summed on one analytic_rule of the root's contour, sized by
+    the _RING_NODES-point ring, whose points are the ones the containment
+    check covers, with K' evaluated at its nodes once; a ring point the
+    rule refuses raises ValueError. d is the distance of the root's
+    admissibility report.
     """
-    d = distance_to_sigma1(model, contour)
+    model = sol.model
+    d = sol.report.distance
     eigs = sol.eigensystem.values
     if gamma_spec is None:
         center = complex(np.mean(eigs))
@@ -530,13 +505,13 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
         raise ValueError(
             f"circle violates containment: reaches {worst:.6g} > d/2 = {0.5 * d:.6g}")
 
-    sm = model.scaled(sol.coupling_scale)
-    rule = analytic_rule(model, contour, ring)
+    rule = analytic_rule(model, sol.contour, ring)
+    kvals = model.kprime_values(rule.nodes)
 
     def sums(points):
         # sum of phase M1^{-1} and of phase z M1^{-1} over the ring points
         try:
-            minv = np.linalg.inv(_m1_on_rule(sm, rule, ring[points]))
+            minv = np.linalg.inv(_m1_on_rule(model, rule, kvals, ring[points]))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"singular continued value on the circle: {exc}") from exc
         weighted = phase[points, None, None] * minv
@@ -565,6 +540,5 @@ def reconstruct_from_contour(model: SpectralModel, contour: Contour,
 def check_one_in_spectrum(ric: RiccatiSolution) -> OneInSpectrumVerdict:
     """Distance of spec(Y^*Y) to the point 1; presence (a distance of at
     most 1e-8) flags that the two graph subspaces intersect nontrivially."""
-    geigs = np.linalg.eigvalsh(ric.gram)
-    dist = float(np.min(np.abs(geigs - 1.0)))
+    dist = float(np.min(np.abs(ric.gram_eigenvalues - 1.0)))
     return OneInSpectrumVerdict(dist <= 1e-8, dist)

@@ -88,10 +88,14 @@ def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
 @dataclass(frozen=True)
 class Eigensystem:
     """Z = V diag(values) V^{-1} from one np.linalg.eig of Z: values[k] has
-    the unit eigenvector vectors[:, k]. The arrays are read-only."""
+    the unit eigenvector vectors[:, k]. The arrays are made read-only."""
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.vectors.setflags(write=False)
 
     @cached_property
     def basis(self) -> tuple | None:
@@ -107,44 +111,52 @@ class Eigensystem:
 
 @dataclass(frozen=True)
 class RootSolution:
-    side: int
+    """The root X of one side at coupling t with what it was solved from:
+    the t-scaled model (SpectralModel.scaled), the side's contour and the
+    admissibility report at t, which everything built on the root reads."""
+
     x: np.ndarray
     z_op: np.ndarray
+    model: SpectralModel
+    contour: Contour
+    report: AdmissibilityReport
     coupling_scale: float
     iterations: int
     final_step_norm: float
-    r_min: float
-    r_max: float
     residual: float
     # evaluations of the Picard map (steps and the residual check) that
     # took the contour-sum fallback of _PicardMap
     contour_fallbacks: int = 0
 
+    @property
+    def side(self) -> int:
+        return self.contour.side
+
     @cached_property
     def eigensystem(self) -> Eigensystem:
         """The eigendecomposition of z_op, taken on first use and kept.
 
-        A cached property, not a field, so a root that dataclasses.replace
-        builds (conjugate, a corrupted Z) decomposes its own z_op.
+        _picard seeds it with the decomposition its residual check took of
+        z_op. A cached property, not a field, so a root that
+        dataclasses.replace builds (conjugate, a corrupted Z) decomposes
+        its own z_op.
         """
-        values, vectors = np.linalg.eig(self.z_op)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return Eigensystem(values, vectors)
+        return Eigensystem(*np.linalg.eig(self.z_op))
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem.values.copy()
 
     def conjugate(self) -> "RootSolution":
         """The root of the opposite side of a real model: X and Z
-        conjugated, the side flipped and every scalar field kept.
+        conjugated, the contour mirrored and every other field kept.
 
         For a real model (SpectralModel.is_real) the Picard map of the
         mirrored contour is the conjugate of this side's map, so the same
-        iteration from X = 0 runs through the conjugated iterates.
+        iteration from X = 0 runs through the conjugated iterates, and the
+        admissibility report is the same.
         """
-        return replace(self, side=-self.side, x=np.conj(self.x),
-                       z_op=np.conj(self.z_op))
+        return replace(self, x=np.conj(self.x), z_op=np.conj(self.z_op),
+                       contour=self.contour.mirror())
 
 
 @dataclass(frozen=True)
@@ -176,22 +188,22 @@ class SpectrumClassification:
             replace(e, eigenvalue=e.eigenvalue.conjugate()) for e in self.entries))
 
 
-def transformator(model: SpectralModel, contour: Contour, zmat) -> np.ndarray:
+def transformator(model: SpectralModel, contour: Contour, zmat,
+                  spectrum) -> np.ndarray:
     """W1(Z, Gamma) = -integral over Gamma of K'(mu) (Z - mu)^{-1} dmu,
     by the contour quadrature sum.
 
-    The sum runs on analytic_rule(model, contour) sized by the spectrum of
-    zmat, the integrand's only singularities. The Picard iteration evaluates
-    the same map in closed form (_PicardMap) and comes here only as its
-    fallback; verify uses this sum as the independent path of its
-    root-contour row. The spectrum of zmat must stay clear of the rule's
-    nodes (distance > 1e-6), otherwise the resolvent blows through the
-    rule.
+    spectrum is the spectrum of zmat as a 1-d array, which the caller
+    already holds; it is the integrand's only singularities and sizes the
+    sum's analytic_rule(model, contour). The Picard iteration evaluates the same
+    map in closed form (_PicardMap) and comes here only as its fallback;
+    verify uses this sum as the independent path of its root-contour row.
+    The spectrum must stay clear of the rule's nodes (distance > 1e-6),
+    otherwise the resolvent blows through the rule.
     """
     zmat = np.asarray(zmat, dtype=np.complex128)
-    eigs = np.linalg.eigvals(zmat)
-    rule = analytic_rule(model, contour, singular=eigs)
-    _require_clear_of_nodes(eigs, rule.nodes)
+    rule = analytic_rule(model, contour, singular=spectrum)
+    _require_clear_of_nodes(spectrum, rule.nodes)
     kvals = model.kprime_values(rule.nodes)
     return -resolvent_sum(kvals, rule.nodes, rule.weights, zmat)
 
@@ -204,20 +216,20 @@ class _PicardMap:
     (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. The closed form
     is the contour integral only where the side-l moments are (see
     schur._cut_moments), so a step falls back to the contour sum
-    (transformator of the t-scaled model over the side's own contour) when
-    an eigenvalue of Z lies elsewhere (outside the lens on side l, or on
-    the real axis off the interval) or when cond(V) > _COND_LIMIT, a test
-    that _cond_within certifies from V^H V without the SVD of
-    np.linalg.cond on well-conditioned bases, with the same answer.
+    (transformator of the t-scaled model, self.model, over the side's own
+    contour) when an eigenvalue of Z lies elsewhere (outside the lens on
+    side l, or on the real axis off the interval) or when cond(V) >
+    _COND_LIMIT, a test that _cond_within certifies from V^H V without the
+    SVD of np.linalg.cond on well-conditioned bases, with the same answer.
     fallbacks counts those steps. The closed form has no quadrature nodes
     to avoid; the fallback's contour sum refuses a spectrum within
-    _SPEC_GUARD of the nodes of the rule it uses.
+    _SPEC_GUARD of the nodes of the rule it uses. spectrum holds the
+    (eigenvalues, eigenvectors or None for n = 1) of the last Z mapped.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
-        self.model = model
+        self.model = model.scaled(t)
         self.contour = contour
-        self.t = t
         self.coeffs = model.kprime.coefficients * (t * t)
         self.fallbacks = 0
 
@@ -235,6 +247,7 @@ class _PicardMap:
             eigs, vecs = zmat[0], None
         else:
             eigs, vecs = np.linalg.eig(zmat)
+        self.spectrum = eigs, vecs
         if self._covered(eigs):
             a, b = self.contour.endpoints
             moments = _cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
@@ -245,7 +258,7 @@ class _PicardMap:
                 scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
                 return np.linalg.solve(vecs.T, scaled.T).T
         self.fallbacks += 1
-        return transformator(self.model.scaled(self.t), self.contour, zmat)
+        return transformator(self.model, self.contour, zmat, eigs)
 
 
 # Relative widening of the Frobenius bounds ||M||_F / sqrt(n) <= ||M||_2 <=
@@ -269,7 +282,9 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     The escape test ||X|| > r_max and the stop test ||X_{k+1} - X_k|| <=
     tol * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
     an SVD is taken only where the bounds leave a test open, and once at
-    the end for the reported step and ||X||.
+    the end for the reported step and ||X||. The root carries the t-scaled
+    model, the contour, rep and, as its eigensystem, the decomposition the
+    residual check takes of Z = A1 + X.
     """
     step_map = _PicardMap(model, contour, t)
     a1 = model.a1.astype(np.complex128)
@@ -302,15 +317,23 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     norm_x = float(np.linalg.norm(x, 2))
 
     # residual confirmation at the converged point, through the same map
-    residual = float(np.linalg.norm(x - step_map(a1 + x), 2))
+    z_op = a1 + x
+    residual = float(np.linalg.norm(x - step_map(z_op), 2))
     if residual > max(2.0 * tol, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
     if norm_x > rep.r_min + 1e-9:
         raise NumericsError(
             f"solution left the r_min ball ({norm_x:.6g} > {rep.r_min:.6g})"
         )
-    return RootSolution(contour.side, x, a1 + x, float(t), it, step,
-                        rep.r_min, rep.r_max, residual, step_map.fallbacks)
+    sol = RootSolution(x, z_op, step_map.model, contour, rep, float(t), it,
+                       step, residual, step_map.fallbacks)
+    # the residual check decomposed z_op; for n = 1 it took no eig, and
+    # [[z]] has the eigenvalue z with the unit eigenvector [1]
+    values, vectors = step_map.spectrum
+    if vectors is None:
+        values, vectors = z_op[0].copy(), np.ones((1, 1), dtype=np.complex128)
+    vars(sol)["eigensystem"] = Eigensystem(values, vectors)
+    return sol
 
 
 def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
@@ -342,20 +365,20 @@ def _label_for(lam: complex, side: int, tau: float) -> str:
     return "resonance" if (lam.imag > 0) == (side > 0) else "physical-complex"
 
 
-def _physical_residuals(model: SpectralModel, t: float, lams, labels) -> list:
+def _physical_residuals(sol: RootSolution, lams, labels) -> list:
     """Per eigenvalue, the smallest singular value of the physical-sheet
-    M1(lam) when labelled physical-complex, else None; all of them from
-    one batched M1 evaluation and one batched SVD."""
+    M1(lam) of the root's model when labelled physical-complex, else None;
+    all of them from one batched M1 evaluation and one batched SVD."""
     hits = [k for k, label in enumerate(labels) if label == "physical-complex"]
     out = [None] * len(lams)
     if hits:
-        mats = m1_physical(model.scaled(t), np.array([lams[k] for k in hits]))
+        mats = m1_physical(sol.model, np.array([lams[k] for k in hits]))
         for k, sval in zip(hits, np.linalg.svd(mats, compute_uv=False)[:, -1]):
             out[k] = float(sval)
     return out
 
 
-def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
+def classify(sol: RootSolution,
              tau_real: float | None = None) -> SpectrumClassification:
     """Label the spectrum of Z: real band, resonance side, physical side.
 
@@ -364,9 +387,7 @@ def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
     records the smallest singular value of the physical-sheet Schur
     complement at the eigenvalue; genuine eigenvalues make it vanish.
     """
-    if sol.side != contour.side:
-        raise ValueError("solution and contour sides disagree")
-    a_norm = float(np.linalg.norm(model.a1, 2))
+    a_norm = float(np.linalg.norm(sol.model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
     eigs = np.sort_complex(sol.eigensystem.values)
     radius = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
@@ -379,8 +400,8 @@ def classify(model: SpectralModel, contour: Contour, sol: RootSolution,
             clusters.append([lam])
 
     lams = [complex(np.mean(group)) for group in clusters]
-    labels = [_label_for(lam, contour.side, tau) for lam in lams]
-    resids = _physical_residuals(model, sol.coupling_scale, lams, labels)
+    labels = [_label_for(lam, sol.side, tau) for lam in lams]
+    resids = _physical_residuals(sol, lams, labels)
     return SpectrumClassification(tuple(
         ClassifiedEigenvalue(lam, len(group), label, resid)
         for lam, group, label, resid in zip(lams, clusters, labels, resids)))
@@ -436,7 +457,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
         sol = _picard(model, contour, rep, t, tol, max_iter, x0)
         x_prev = sol.x
 
-        eigs = np.linalg.eigvals(sol.z_op)
+        eigs = sol.eigensystem.values
         if eigs_prev is None:
             eigs = np.sort_complex(eigs)
         else:
@@ -459,7 +480,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
 
         lams = [complex(lam) for lam in eigs]
         labels = [_label_for(lam, sol.side, tau) for lam in lams]
-        resids = _physical_residuals(model, t, lams, labels)
+        resids = _physical_residuals(sol, lams, labels)
         entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid, bool(amb))
                         for lam, label, resid, amb
                         in zip(lams, labels, resids, ambiguous_mask))
@@ -470,16 +491,17 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     return out
 
 
-def conjugate_path(model: SpectralModel, path: list) -> list:
+def conjugate_path(path: list) -> list:
     """The homotopy path of the opposite side of a real model, from path.
 
     path is a homotopy_path result on one side. For a real model
-    (SpectralModel.is_real) the root at each t on the mirrored contour is
-    the conjugate of the root in path, and so is its classification
-    (RootSolution.conjugate, SpectrumClassification.conjugate). Nothing
-    is solved, paired or labelled again: trajectory k of the result is
-    the conjugate of trajectory k of path.
+    (SpectralModel.is_real, read from each root's model) the root at each
+    t on the mirrored contour is the conjugate of the root in path, and so
+    is its classification (RootSolution.conjugate,
+    SpectrumClassification.conjugate). Nothing is solved, paired or
+    labelled again: trajectory k of the result is the conjugate of
+    trajectory k of path.
     """
-    if not model.is_real:
+    if not all(sol.model.is_real for _, sol, _ in path):
         raise ValueError("a path is conjugated only for a real model")
     return [(t, sol.conjugate(), cls.conjugate()) for t, sol, cls in path]

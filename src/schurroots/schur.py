@@ -124,9 +124,10 @@ def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarr
     return model.a1 - z * np.eye(model.n) + w1
 
 
-def _m1_on_rule(model: SpectralModel, rule: Contour, zs: np.ndarray) -> np.ndarray:
-    # M1(z, Gamma) at each point of the 1-d array zs by the sum over rule
-    kvals = model.kprime_values(rule.nodes)
+def _m1_on_rule(model: SpectralModel, rule: Contour, kvals: np.ndarray,
+                zs: np.ndarray) -> np.ndarray:
+    # M1(z, Gamma) at each point of the 1-d array zs by the sum over rule,
+    # kvals the values of K' at its nodes
     w1 = cauchy_sum_many(kvals, rule.nodes, rule.weights, zs)
     eye = np.eye(model.n)
     return model.a1[None] - zs[:, None, None] * eye[None] + w1
@@ -136,7 +137,8 @@ def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     """Batched m1_continued over a 1-d array of points, on one
     analytic_rule sized by all of them."""
     zs = np.asarray(zs, dtype=np.complex128)
-    return _m1_on_rule(model, analytic_rule(model, contour, zs), zs)
+    rule = analytic_rule(model, contour, zs)
+    return _m1_on_rule(model, rule, model.kprime_values(rule.nodes), zs)
 
 
 def sheets_value(model: SpectralModel, z, side: int,

@@ -63,9 +63,9 @@ def test_criterion_1_oracle_root(friedrichs_model, friedrichs_contours):
     for side in (1, -1):
         sol = sr.solve_basic(friedrichs_model, friedrichs_contours[side])
         worst = max(worst, abs(sol.z_op[0, 0] - (-1j * side * Y_ORACLE)))
-        assert np.linalg.norm(sol.x, 2) <= sol.r_min
-        assert abs(sol.r_min - R_MIN_ORACLE) <= 1e-12
-        assert abs(sol.r_max - R_MAX_ORACLE) <= 1e-12
+        assert np.linalg.norm(sol.x, 2) <= sol.report.r_min
+        assert abs(sol.report.r_min - R_MIN_ORACLE) <= 1e-12
+        assert abs(sol.report.r_max - R_MAX_ORACLE) <= 1e-12
     ok = worst <= 1e-9
     _line(1, ok, f"closed-form root reproduced, |dz| = {worst:.3e} <= 1e-9, "
                  f"radii frozen to 1e-12")
@@ -77,7 +77,7 @@ def test_criterion_2_angular_norm(friedrichs_model, friedrichs_contours):
     present = True
     for side in (1, -1):
         sol = sr.solve_basic(friedrichs_model, friedrichs_contours[side])
-        ric = sr.compute_Y(friedrichs_model, sol)
+        ric = sr.compute_Y(sol)
         worst = max(worst, abs(ric.y_norm - 1.0))
         present = present and sr.check_one_in_spectrum(ric).present
     ok = worst <= 1e-8 and present

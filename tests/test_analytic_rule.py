@@ -133,14 +133,15 @@ def test_contour_sums_match_the_configured_rule(monkeypatch, friedrichs_model, m
                        + cauchy_sum_many(kv, nodes, weights, zs))
                 check("m1", sr.m1_continued_many(model, contour, zs), ref)
             check("m1", sr.m1_continued(model, contour, lens[0]), ref[0])
-            check("F1", sr.factor_F1(model, contour, sol, near),
+            check("F1", sr.factor_F1(sol, near),
                   np.eye(model.n) + resolvent_cauchy_sum(kv, nodes, weights, sol.z_op, near))
-            check("transformator", sr.transformator(model, contour, sol.z_op),
+            check("transformator", sr.transformator(model, contour, sol.z_op,
+                                                    sol.eigensystem.values),
                   -resolvent_sum(kv, nodes, weights, sol.z_op))
             zl_h = np.conj(sols[-side].z_op.T)
-            check("Omega", sr.compute_Omega(model, contour, sol, sols[-side]).omega,
+            check("Omega", sr.compute_Omega(sol, sols[-side]).omega,
                   sandwich_sum(kv, nodes, weights, zl_h, sol.z_op))
-            got = sr.reconstruct_from_contour(model, contour, sol)
+            got = sr.reconstruct_from_contour(sol)
             for name, g, r in zip(("h0", "h1", "z_rec"), got, _fixed_ring(model, contour, sol)):
                 check(name, g, r)
     assert all(v <= 1e-14 for v in worst.values()), worst

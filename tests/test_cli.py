@@ -71,21 +71,36 @@ def test_solve_inadmissible_exit(tmp_path, capsys):
     assert rep["admissibility"]["admissible"] is False
 
 
+# Every row of the identity table, in the order verify writes them
+IDENTITY_ROWS = [
+    "sheets-crosspath", "factorization", "factor-conditioning",
+    "omega-bound", "omega-adjoint", "omega-two-path", "projection-inverse",
+    "moment-similarity", "root-reconstruction", "root-contour",
+    "root-equation", "riccati-pointwise", "riccati-adjoint",
+    "j-orthogonality", "y-norm-floor", "y-norm-ceiling", "localization",
+    "boundary-imag", "density",
+]
+
+
 def test_verify_all_pass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     code, out = run(capsys, ["verify", "--config", cfg])
     assert code == 0
     rep = json.loads(out)
     assert rep["all_identities_pass"] is True
-    names = [r["name"] for r in rep["identities"]]
-    for expected in ("sheets-crosspath", "factorization", "omega-bound",
-                     "projection-inverse", "moment-similarity",
-                     "root-reconstruction", "root-equation",
-                     "riccati-pointwise", "riccati-adjoint",
-                     "j-orthogonality", "y-norm-floor", "y-norm-ceiling",
-                     "localization", "boundary-imag"):
-        assert expected in names
+    assert [r["name"] for r in rep["identities"]] == IDENTITY_ROWS
     assert all(r["passed"] for r in rep["identities"])
+
+
+def test_verify_passes_at_partial_coupling(tmp_path, capsys, model_zoo):
+    # at t < 1 every root carries the t-scaled model, which each row reads
+    for data in (BASE, _zoo_config(model_zoo)):
+        cfg = write_cfg(tmp_path, {**data, "solver": {"coupling_scale": 0.6}})
+        code, out = run(capsys, ["verify", "--config", cfg])
+        assert code == 0
+        rows = json.loads(out)["identities"]
+        assert [r["name"] for r in rows] == IDENTITY_ROWS
+        assert all(r["passed"] for r in rows), rows
 
 
 # The configuration example of README.md
@@ -334,10 +349,10 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
     original = getattr(cli_mod, name)
     message = f"injected {name} failure"
 
-    def failing(model, contour, *args, **kwargs):
-        if contour.side == -1:
+    def failing(sol, *args, **kwargs):
+        if sol.side == -1:
             raise exc_type(message)
-        return original(model, contour, *args, **kwargs)
+        return original(sol, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, name, failing)
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
@@ -763,8 +778,9 @@ def test_verify_passes_on_a_non_feshbach_model(tmp_path, capsys):
 
 
 def test_verify_decomposes_each_root_once(tmp_path, capsys, monkeypatch, model_zoo):
-    # outside the Picard iteration, one eig per root (its eigensystem) and
-    # one eigvals per side in the root-contour row's contour sum
+    # each root is decomposed once, by the residual check of its Picard
+    # iteration, and carries that eigensystem: solve, verify and sweep take
+    # no np.linalg.eig or eigvals outside _picard
     import schurroots.rootsolver as rootsolver_mod
 
     inside, calls = [], []
@@ -785,8 +801,13 @@ def test_verify_decomposes_each_root_once(tmp_path, capsys, monkeypatch, model_z
             return _original(mat)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    for data in (BASE, _zoo_config(model_zoo)):
+    zoo = _zoo_config(model_zoo)
+    for command, data in [("verify", BASE), ("verify", zoo), ("solve", zoo),
+                          ("solve", DECOUPLED), ("sweep", zoo), ("sweep", DECOUPLED)]:
         calls.clear()
-        code, _ = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+        argv = [command, "--config", write_cfg(tmp_path, data)]
+        if command == "sweep":
+            argv += ["--out-csv", str(tmp_path / "t.csv")]
+        code, _ = run(capsys, argv)
         assert code == 0
-        assert sorted(calls) == ["eig", "eig", "eigvals", "eigvals"]
+        assert calls == [], (command, calls)

@@ -50,9 +50,9 @@ def lhs_reference(ric, trials):
         yx1 = ric.y_values(nodes) @ x1s.T
         return np.einsum("mti,mit->mt", np.conj(x0), yx1)
 
-    a, b = ric.interval
+    a, b = ric.root.model.interval
     lhs, _ = adaptive_quad(values, a, b, rtol=_REF_RTOL,
-                           poles=np.concatenate([np.linalg.eigvals(ric.z_op), poles]))
+                           poles=np.concatenate([np.linalg.eigvals(ric.root.z_op), poles]))
     return lhs
 
 
@@ -104,7 +104,7 @@ def solved_cases(friedrichs_model, model_zoo):
 def test_closed_forms_match_their_quadratures(monkeypatch, solved_cases):
     worst_gram = worst_lhs = 0.0
     for model, sol in solved_cases:
-        ric = sr.compute_Y(model, sol)
+        ric = sr.compute_Y(sol)
         assert ric.gram_route == "closed-form"
         worst_gram = max(worst_gram, gram_gap(ric, gram_reference(model, sol)))
         trials = rational_trials(ric, 20, seed=0)
@@ -124,7 +124,7 @@ def test_confluent_gram_falls_back_to_quadrature():
         sol = sr.solve_basic(model, sr.make_contour(model, side))
         eig = complex(sol.z_op[0, 0])
         assert eig.imag == 0.0 and eig.real > 1.0
-        ric = sr.compute_Y(model, sol)
+        ric = sr.compute_Y(sol)
         assert ric.gram_route == "quadrature"
         assert gram_gap(ric, gram_reference(model, sol)) <= _AGREE
 
@@ -132,10 +132,10 @@ def test_confluent_gram_falls_back_to_quadrature():
 def test_ill_conditioned_basis_falls_back_to_quadrature(monkeypatch, model_zoo):
     model = next(m for m in model_zoo if m.n == 2)
     sol = sr.solve_basic(model, sr.make_contour(model, 1))
-    closed = sr.compute_Y(model, sol)
+    closed = sr.compute_Y(sol)
     # the limit is read when a root's eigensystem is taken, so on a fresh root
     monkeypatch.setattr(rootsolver, "_COND_LIMIT", 0.0)
-    ric = sr.compute_Y(model, dataclasses.replace(sol))
+    ric = sr.compute_Y(dataclasses.replace(sol))
     assert ric.gram_route == "quadrature" and ric.root.eigensystem.basis is None
     assert gram_gap(ric, gram_reference(model, sol)) <= _AGREE
     trials = rational_trials(ric, 20, seed=0)
@@ -151,7 +151,7 @@ def test_confluent_trial_pole_falls_back_to_quadrature(monkeypatch, friedrichs_m
                                                        friedrichs_contours):
     # a trial pole at conj(d) makes (g(q) - g(d)) / (d - q) confluent
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    ric = sr.compute_Y(friedrichs_model, sol)
+    ric = sr.compute_Y(sol)
     trials = rational_trials(ric, 4, seed=2)
     x0, x1 = trials[0]
     trials[0] = (riccati.RationalTrial(np.conj(complex(sol.z_op[0, 0])), x0.c), x1)
@@ -166,7 +166,7 @@ def test_closed_form_rows_are_not_zero_by_construction(zoo_solutions):
     # residual is 0.0 on any zoo model
     for model, _, sols in zoo_solutions:
         for sol in sols.values():
-            ric = sr.compute_Y(model, sol)
+            ric = sr.compute_Y(sol)
             trials = rational_trials(ric, 20, seed=0)
             assert sr.j_orthogonality(ric, trials) != 0.0
-            assert ric.y_norm ** 2 - ysn_integral(model, ric) != 0.0
+            assert ric.y_norm ** 2 - ysn_integral(ric) != 0.0

@@ -230,9 +230,9 @@ def riccati_integrands(friedrichs_model, friedrichs_contours, zoo_solutions):
         for model, sols in cases:
             for side in (1, -1):
                 captured.clear()
-                ric = sr.compute_Y(model, sols[side])
-                sr.omega_by_deformation(model, sols[side], sols[-side])
-                sr.ysn_integral(model, ric)
+                ric = sr.compute_Y(sols[side])
+                sr.omega_by_deformation(sols[side], sols[-side])
+                sr.ysn_integral(ric)
                 riccati._j_pairings(ric, riccati.rational_trials(ric, 20, seed=0))
                 assert len(captured) == len(_FAMILIES)
                 out.extend(zip(_FAMILIES, *zip(*captured)))

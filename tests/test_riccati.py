@@ -6,6 +6,7 @@ the closed form (or its quadrature fallback) under test.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ import pytest
 import schurroots as sr
 from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
-from schurroots.riccati import (RationalAngular, _j_pairings, _trial_l2_norms,
+from schurroots.riccati import (RiccatiSolution, _j_pairings, _trial_l2_norms,
                                 _ysn_integrand, factor_F1, rational_trials,
                                 ysn_integral)
 
 
 def dense_gram(ric, nodes=1_000_001):
-    a, b = ric.interval
+    a, b = ric.root.model.interval
     grid = np.linspace(a, b, nodes)
     yv = ric.y_values(grid)
     integrand = np.conj(np.swapaxes(yv, 1, 2)) @ yv
@@ -31,13 +32,13 @@ def matrix_case(model_zoo):
     model = next(m for m in model_zoo if m.n == 2)
     contours = {s: sr.make_contour(model, s) for s in (1, -1)}
     sols = {s: sr.solve_basic(model, contours[s]) for s in (1, -1)}
-    rics = {s: sr.compute_Y(model, sols[s]) for s in (1, -1)}
+    rics = {s: sr.compute_Y(sols[s]) for s in (1, -1)}
     return model, contours, sols, rics
 
 
 def test_gram_against_dense_grid(friedrichs_model, friedrichs_contours, matrix_case):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    ric = sr.compute_Y(friedrichs_model, sol)
+    ric = sr.compute_Y(sol)
     assert np.max(np.abs(ric.gram - dense_gram(ric))) < 1e-8
 
     model, _, _, rics = matrix_case
@@ -54,7 +55,7 @@ def test_gram_is_identity_for_nonreal_spectrum(matrix_case):
 
 def test_scalar_norm_one(friedrichs_model, friedrichs_contours):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    ric = sr.compute_Y(friedrichs_model, sol)
+    ric = sr.compute_Y(sol)
     assert abs(ric.y_norm - 1.0) < 1e-8
     verdict = sr.check_one_in_spectrum(ric)
     assert verdict.present
@@ -64,15 +65,15 @@ def test_scalar_norm_one(friedrichs_model, friedrichs_contours):
 def test_zay(matrix_case):
     model, _, sols, rics = matrix_case
     for side in (1, -1):
-        assert sr.check_ZAY(model, sols[side], rics[side]) < 1e-10
+        assert sr.check_ZAY(rics[side]) < 1e-10
 
 
 def test_riccati_residuals(matrix_case):
     model, _, _, rics = matrix_case
     mus = np.linspace(-0.93, 0.93, 17)
     for side in (1, -1):
-        assert sr.riccati_residual(model, rics[side], mus) < 1e-10
-        assert sr.riccati_residual(model, rics[side], mus, adjoint=True) < 1e-10
+        assert sr.riccati_residual(rics[side], mus) < 1e-10
+        assert sr.riccati_residual(rics[side], mus, adjoint=True) < 1e-10
 
 
 def test_adjoint_values_consistent(matrix_case):
@@ -81,7 +82,7 @@ def test_adjoint_values_consistent(matrix_case):
     ric = rics[1]
     mus = np.linspace(-0.8, 0.8, 5)
     yv = ric.y_values(mus)
-    yt = ric.y_repr.adjoint_values(mus)
+    yt = ric.adjoint_values(mus)
     assert np.max(np.abs(yt - np.conj(np.swapaxes(yv, 1, 2)))) < 1e-13
 
 
@@ -93,16 +94,16 @@ def test_angular_values_match_pointwise_inverse(n):
     coeffs = [rng.normal(size=(n + 1, n)) for _ in range(2)]
     model = sr.build_model((-1.0, 1.0), np.zeros((n, n)), coeffs)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) - 0.5j * np.eye(n)
-    y = RationalAngular(model.b, z)
+    # y reads only b and Z from its root
+    y = RiccatiSolution(SimpleNamespace(model=model, z_op=z), None, None, None, None)
     mus = np.concatenate([np.linspace(-0.9, 0.9, 7), [0.3 + 0.2j, -0.4 - 0.7j]])
-    yv, yt = y(mus), y.adjoint_values(mus)
+    yv, yt = y.y_values(mus), y.adjoint_values(mus)
     eye = np.eye(n)
     for k, mu in enumerate(mus):
         ref = model.b(np.array([mu]))[0] @ np.linalg.inv(z - mu * eye)
         ref_t = np.linalg.inv(np.conj(z.T) - mu * eye) @ model.b.sharp()(np.array([mu]))[0]
         assert np.allclose(yv[k], ref, rtol=1e-12, atol=1e-13)
         assert np.allclose(yt[k], ref_t, rtol=1e-12, atol=1e-13)
-    assert np.allclose(y(mus[2]), yv[2], rtol=0, atol=0)
 
 
 def test_j_orthogonality(matrix_case):
@@ -115,9 +116,9 @@ def test_j_orthogonality(matrix_case):
 def _per_trial_pairings(ric, trials):
     # reference: one pair of adaptive quadratures per trial, each at the
     # default rtol (the J-orthogonality loop before the trials were stacked)
-    a, b = ric.interval
+    a, b = ric.root.model.interval
     # the loop started on panels split at Re(spec Z), without grading
-    breaks = np.linalg.eigvals(ric.z_op).real
+    breaks = np.linalg.eigvals(ric.root.z_op).real
     lhs_all, rhs_all = [], []
     for x0, x1 in trials:
         def lhs_panel(nodes):
@@ -125,7 +126,7 @@ def _per_trial_pairings(ric, trials):
             return np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
 
         def rhs_panel(nodes):
-            yt = ric.y_repr.adjoint_values(nodes)
+            yt = ric.adjoint_values(nodes)
             return np.einsum("mij,mj->mi", yt, x0(nodes))
 
         lhs, _ = adaptive_quad(lhs_panel, a, b, poles=breaks)
@@ -141,7 +142,7 @@ def test_stacked_j_orthogonality_matches_per_trial_loop(
     cases = [rics[side] for side in (1, -1)]
     for side in (1, -1):
         sol = sr.solve_basic(friedrichs_model, friedrichs_contours[side])
-        cases.append(sr.compute_Y(friedrichs_model, sol))
+        cases.append(sr.compute_Y(sol))
     for ric in cases:
         trials = rational_trials(ric, 20, seed=3)
         ref_lhs, ref_rhs = _per_trial_pairings(ric, trials)
@@ -172,7 +173,7 @@ def test_stacked_stop_no_looser_than_per_trial(monkeypatch, matrix_case,
     monkeypatch.setattr(sr.riccati, "adaptive_quad", recording)
     _, _, _, rics = matrix_case
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    for ric in (rics[1], rics[-1], sr.compute_Y(friedrichs_model, sol)):
+    for ric in (rics[1], rics[-1], sr.compute_Y(sol)):
         stops.clear()
         _j_pairings(ric, rational_trials(ric, 20, seed=0))
         assert len(stops) == 1
@@ -186,11 +187,11 @@ def test_stacked_stop_no_looser_than_per_trial(monkeypatch, matrix_case,
 def test_trial_l2_norm_closed_form(matrix_case):
     _, _, _, rics = matrix_case
     ric = rics[1]
-    a, b = ric.interval
+    a, b = ric.root.model.interval
     grid = np.linspace(a, b, 200_001)
     trials = rational_trials(ric, 5, seed=11)
     norms = _trial_l2_norms(np.array([x0.pole for x0, _ in trials]),
-                            np.array([x0.c for x0, _ in trials]), ric.interval)
+                            np.array([x0.c for x0, _ in trials]), ric.root.model.interval)
     for (x0, _), norm in zip(trials, norms):
         dense = np.sqrt(np.trapezoid(np.sum(np.abs(x0(grid)) ** 2, axis=1), grid))
         assert abs(norm - dense) <= 1e-8 * dense
@@ -208,7 +209,7 @@ def test_rational_trials_reproducible(matrix_case):
 
 def test_zero_coupling_short_circuit(friedrichs_model, friedrichs_contours):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1], t=0.0)
-    ric = sr.compute_Y(friedrichs_model, sol)
+    ric = sr.compute_Y(sol)
     assert ric.y_norm == 0.0
     assert np.max(np.abs(ric.gram)) == 0.0
     assert np.max(np.abs(ric.bstar_y)) == 0.0
@@ -218,21 +219,42 @@ def test_separation_guard(friedrichs_model, friedrichs_contours):
     # at t = 0.01 the root sits ~1e-5 off the interval: inside the guard
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1], t=0.01)
     with pytest.raises(NumericsError):
-        sr.compute_Y(friedrichs_model, sol)
+        sr.compute_Y(sol)
+
+
+def test_partial_coupling_reads_the_roots_model():
+    # a root solved at t = 0.6 carries model.scaled(0.6): Y and Omega built
+    # on it agree with those of the scaled model solved at t = 1
+    model = sr.build_model((-1.0, 1.0), [[0.1, 0.02], [0.02, -0.1]],
+                           [[[0.1, 0.0], [0.0, 0.1], [0.03, 0.02]]])
+    scaled = model.scaled(0.6)
+    at_t = {s: sr.solve_basic(model, sr.make_contour(model, s), 0.6) for s in (1, -1)}
+    at_one = {s: sr.solve_basic(scaled, sr.make_contour(scaled, s)) for s in (1, -1)}
+    for side in (1, -1):
+        ric, ref = sr.compute_Y(at_t[side]), sr.compute_Y(at_one[side])
+        assert abs(ric.y_norm - 1.0) < 1e-10
+        assert np.max(np.abs(ric.gram - ref.gram)) < 1e-12
+        assert sr.check_ZAY(ric) < 1e-12
+        om = sr.compute_Omega(at_t[side], at_t[-side])
+        om_ref = sr.compute_Omega(at_one[side], at_one[-side])
+        assert np.max(np.abs(om.omega - om_ref.omega)) < 1e-12
+        assert abs(om.bound - om_ref.bound) <= 1e-14 * om.bound
+        assert om.norm < om.bound
 
 
 def test_omega_properties(matrix_case):
     model, contours, sols, _ = matrix_case
     oms = {}
     for side in (1, -1):
-        om = sr.compute_Omega(model, contours[side], sols[side], sols[-side])
+        om = sr.compute_Omega(sols[side], sols[-side])
         assert om.norm < om.bound
         oms[side] = om
     # mirror relation between the two sides
     assert np.max(np.abs(oms[-1].omega - np.conj(oms[1].omega.T))) < 1e-10
 
 
-def test_omega_reuses_report(monkeypatch, matrix_case):
+def test_omega_evaluates_no_v0(monkeypatch, matrix_case):
+    # the bound V0 / (d^2/4) comes from the root's admissibility report
     model, contours, sols, _ = matrix_case
     rep = sr.admissibility(model, contours[1])
     calls = []
@@ -243,32 +265,30 @@ def test_omega_reuses_report(monkeypatch, matrix_case):
         return original(model, contour)
 
     monkeypatch.setattr(sr.contour, "variation", counting)
-    reused = sr.compute_Omega(model, contours[1], sols[1], sols[-1], report=rep)
+    om = sr.compute_Omega(sols[1], sols[-1])
     assert calls == []
-    fresh = sr.compute_Omega(model, contours[1], sols[1], sols[-1])
-    assert calls == [1]
-    assert np.array_equal(reused.omega, fresh.omega)
-    assert reused.bound == fresh.bound
+    assert sols[1].report == rep
+    assert om.bound == rep.variation / (0.25 * rep.distance ** 2)
 
 
 def test_omega_two_path(matrix_case):
     model, contours, sols, _ = matrix_case
-    om = sr.compute_Omega(model, contours[1], sols[1], sols[-1])
-    alt = sr.omega_by_deformation(model, sols[1], sols[-1])
+    om = sr.compute_Omega(sols[1], sols[-1])
+    alt = sr.omega_by_deformation(sols[1], sols[-1])
     assert np.linalg.norm(om.omega - alt, 2) < 1e-9 * (1 + om.norm)
 
 
 def test_omega_side_validation(matrix_case):
     model, contours, sols, _ = matrix_case
     with pytest.raises(ValueError):
-        sr.compute_Omega(model, contours[1], sols[1], sols[1])
+        sr.compute_Omega(sols[1], sols[1])
 
 
 def test_reconstruction(matrix_case):
     model, contours, sols, _ = matrix_case
     for side in (1, -1):
-        om = sr.compute_Omega(model, contours[side], sols[side], sols[-side])
-        h0, h1, z_rec = sr.reconstruct_from_contour(model, contours[side], sols[side])
+        om = sr.compute_Omega(sols[side], sols[-side])
+        h0, h1, z_rec = sr.reconstruct_from_contour(sols[side])
         target = np.linalg.inv(np.eye(model.n) - om.omega)
         assert np.linalg.norm(h0 - target, 2) < 1e-8 * (1 + np.linalg.norm(h0, 2))
         assert np.linalg.norm(z_rec - sols[side].z_op, 2) < 1e-8
@@ -279,9 +299,7 @@ def test_reconstruction(matrix_case):
 def test_reconstruction_explicit_circle(friedrichs_model, friedrichs_contours):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
     z0 = sol.z_op[0, 0]
-    h0, h1, z_rec = sr.reconstruct_from_contour(
-        friedrichs_model, friedrichs_contours[1], sol,
-        gamma_spec=(complex(z0), 0.05))
+    h0, h1, z_rec = sr.reconstruct_from_contour(sol, gamma_spec=(complex(z0), 0.05))
     assert abs(z_rec[0, 0] - z0) < 1e-9
 
 
@@ -293,18 +311,18 @@ def test_reconstruction_needs_circle():
     assert sr.admissibility(model, c).admissible
     sol = sr.solve_basic(model, c)
     with pytest.raises(ValueError):
-        sr.reconstruct_from_contour(model, c, sol)
+        sr.reconstruct_from_contour(sol)
 
 
 def test_ysn_bounds_norm(matrix_case, friedrichs_model, friedrichs_contours):
     model, _, _, rics = matrix_case
     for side in (1, -1):
-        bound = ysn_integral(model, rics[side])
+        bound = ysn_integral(rics[side])
         assert rics[side].y_norm ** 2 <= bound + 1e-8
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    ric = sr.compute_Y(friedrichs_model, sol)
+    ric = sr.compute_Y(sol)
     # scalar case: the bound saturates (single rational mode)
-    assert abs(ysn_integral(friedrichs_model, ric) - ric.y_norm ** 2) < 1e-8
+    assert abs(ysn_integral(ric) - ric.y_norm ** 2) < 1e-8
 
 
 def test_factorization(matrix_case):
@@ -316,7 +334,7 @@ def test_factorization(matrix_case):
         for _ in range(10):
             lam = float(rng.choice(model.sigma1))
             z = lam + rng.uniform(0.05, 0.45) * d * np.exp(2j * np.pi * rng.uniform())
-            f1 = factor_F1(model, contours[side], sol, complex(z))
+            f1 = factor_F1(sol, complex(z))
             m1 = sr.m1_continued(model, contours[side], complex(z))
             prod = f1 @ (sol.z_op - z * np.eye(model.n))
             assert np.linalg.norm(m1 - prod, 2) < 1e-9 * (1 + np.linalg.norm(m1, 2))
@@ -344,8 +362,8 @@ def test_factor_F1_batched_matches_per_point(n):
         lam = rng.choice(model.sigma1, size=9)
         zs = lam + rng.uniform(0.05, 0.45, size=9) * rep.distance * np.exp(
             2j * np.pi * rng.uniform(size=9))
-        batched = factor_F1(model, contour, sol, zs)
-        single = np.array([factor_F1(model, contour, sol, complex(z)) for z in zs])
+        batched = factor_F1(sol, zs)
+        single = np.array([factor_F1(sol, complex(z)) for z in zs])
         assert batched.shape == (9, n, n)
         assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
 
@@ -385,13 +403,13 @@ def test_riccati_reads_the_roots_eigensystem(monkeypatch, matrix_case):
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     zs = np.array([0.05 + 0.1j, -0.1 - 0.05j])
     for side in (1, -1):
-        contour, sol, other = contours[side], sols[side], sols[-side]
-        ric = sr.compute_Y(model, sol)
+        sol, other = sols[side], sols[-side]
+        ric = sr.compute_Y(sol)
         assert ric.root is sol and ric.gram_route == "closed-form"
         sr.j_orthogonality(ric, rational_trials(ric, 4, seed=1))
-        ysn_integral(model, ric)
-        sr.compute_Omega(model, contour, sol, other)
-        sr.omega_by_deformation(model, sol, other)
-        factor_F1(model, contour, sol, zs)
-        sr.reconstruct_from_contour(model, contour, sol)
-        sr.classify(model, contour, sol)
+        ysn_integral(ric)
+        sr.compute_Omega(sol, other)
+        sr.omega_by_deformation(sol, other)
+        factor_F1(sol, zs)
+        sr.reconstruct_from_contour(sol)
+        sr.classify(sol)

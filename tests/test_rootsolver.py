@@ -51,7 +51,12 @@ def test_scalar_root_both_sides(friedrichs_model, friedrichs_contours):
         expect = -1j * side * Y_ORACLE
         assert abs(sol.z_op[0, 0] - expect) < 1e-9
         assert sol.residual < 1e-11
-        assert np.linalg.norm(sol.x, 2) <= sol.r_min + 1e-9
+        assert np.linalg.norm(sol.x, 2) <= sol.report.r_min + 1e-9
+
+
+def _contour_sum(model, contour, z):
+    # transformator with the spectrum of z taken here
+    return transformator(model, contour, z, np.linalg.eigvals(z))
 
 
 def test_picard_contraction(friedrichs_model, friedrichs_contours):
@@ -61,7 +66,7 @@ def test_picard_contraction(friedrichs_model, friedrichs_contours):
     x = np.zeros((1, 1), dtype=np.complex128)
     steps = []
     for _ in range(12):
-        x_new = transformator(friedrichs_model, c, a1 + x)
+        x_new = _contour_sum(friedrichs_model, c, a1 + x)
         steps.append(np.linalg.norm(x_new - x, 2))
         x = x_new
     ratios = [steps[k + 1] / steps[k] for k in range(1, len(steps) - 1)]
@@ -75,7 +80,7 @@ def test_fixed_point_property(zoo_solutions):
     for model, contours, sols in zoo_solutions[:6]:
         for side in (1, -1):
             sol = sols[side]
-            fx = transformator(model, contours[side], model.a1 + sol.x)
+            fx = _contour_sum(model, contours[side], model.a1 + sol.x)
             assert np.linalg.norm(fx - sol.x, 2) < 1e-10
 
 
@@ -107,7 +112,11 @@ def test_solution_record_fields(friedrichs_model, friedrichs_contours):
     assert sol.side == 1
     assert sol.coupling_scale == 1.0
     assert sol.iterations > 1
-    assert 0 < sol.r_min < sol.r_max
+    # the root carries what it was solved from; at t = 1 the scaled model
+    # is the model itself
+    assert sol.model is friedrichs_model and sol.contour is friedrichs_contours[1]
+    assert sol.report == sr.admissibility(friedrichs_model, friedrichs_contours[1])
+    assert 0 < sol.report.r_min < sol.report.r_max
     assert sol.final_step_norm < 1e-12 * max(1.0, np.linalg.norm(sol.x, 2))
     assert np.max(np.abs(sol.eigenvalues()
                          - np.sort_complex(np.linalg.eigvals(sol.z_op)))) == 0
@@ -123,24 +132,25 @@ def test_t_validation(friedrichs_model, friedrichs_contours):
 def test_zero_coupling_real_labels(friedrichs_model, friedrichs_contours):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1], t=0.0)
     assert np.max(np.abs(sol.x)) == 0.0
-    cls = sr.classify(friedrichs_model, friedrichs_contours[1], sol)
+    cls = sr.classify(sol)
     assert [e.label for e in cls.entries] == ["real"]
 
 
 def test_classify_scalar(friedrichs_model, friedrichs_contours):
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
-    cls = sr.classify(friedrichs_model, friedrichs_contours[1], sol)
+    cls = sr.classify(sol)
     assert cls.count("physical-complex") == 1
     entry = cls.entries[0]
     assert entry.multiplicity == 1
     assert entry.physical_residual < 1e-9
 
 
-def _fake_solution(z, side):
+def _fake_solution(z, model, contour):
     z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
-    return RootSolution(side=side, x=z.copy(), z_op=z, coupling_scale=1.0,
-                        iterations=1, final_step_norm=0.0, r_min=0.5,
-                        r_max=0.8, residual=0.0)
+    return RootSolution(x=z.copy(), z_op=z, model=model, contour=contour,
+                        report=sr.admissibility(model, contour),
+                        coupling_scale=1.0, iterations=1, final_step_norm=0.0,
+                        residual=0.0)
 
 
 def test_classify_labels(friedrichs_model, friedrichs_contours):
@@ -151,15 +161,15 @@ def test_classify_labels(friedrichs_model, friedrichs_contours):
         (0.1 + 1e-12j, 1, "real"),
     ]
     for z, side, expect in cases:
-        sol = _fake_solution([[z]], side)
-        cls = sr.classify(friedrichs_model, friedrichs_contours[side], sol)
+        sol = _fake_solution([[z]], friedrichs_model, friedrichs_contours[side])
+        cls = sr.classify(sol)
         assert [e.label for e in cls.entries] == [expect], (z, side)
 
 
 def test_classify_multiplicity(friedrichs_model, friedrichs_contours):
     z = np.diag([0.1 + 0.2j, 0.1 + 0.2j + 1e-13, -0.3 + 0.1j])
-    sol = _fake_solution(z, 1)
-    cls = sr.classify(friedrichs_model, friedrichs_contours[1], sol)
+    sol = _fake_solution(z, friedrichs_model, friedrichs_contours[1])
+    cls = sr.classify(sol)
     mults = sorted(e.multiplicity for e in cls.entries)
     assert mults == [1, 2]
     assert sum(e.multiplicity for e in cls.entries) == 3
@@ -170,7 +180,7 @@ def test_classify_residuals_follow_their_labels(friedrichs_model,
     # one batched M1 evaluation serves every physical-complex entry, each
     # with its own point's residual, and the other entries get None
     z = np.diag([0.1 - 0.05j, 0.2 + 0.1j, -0.3 - 0.2j])
-    cls = sr.classify(friedrichs_model, friedrichs_contours[1], _fake_solution(z, 1))
+    cls = sr.classify(_fake_solution(z, friedrichs_model, friedrichs_contours[1]))
     labels = [e.label for e in cls.entries]
     assert labels.count("physical-complex") == 2 and labels.count("resonance") == 1
     for e in cls.entries:
@@ -179,12 +189,6 @@ def test_classify_residuals_follow_their_labels(friedrichs_model,
             assert e.physical_residual == np.linalg.svd(m1, compute_uv=False)[-1]
         else:
             assert e.physical_residual is None
-
-
-def test_classify_side_mismatch(friedrichs_model, friedrichs_contours):
-    sol = _fake_solution([[0.1j]], 1)
-    with pytest.raises(ValueError):
-        sr.classify(friedrichs_model, friedrichs_contours[-1], sol)
 
 
 def test_homotopy_trajectories(friedrichs_model, friedrichs_contours):
@@ -289,7 +293,7 @@ def test_transformator_gap_guard(friedrichs_model, friedrichs_contours):
     c = friedrichs_contours[1]
     node = complex(c.nodes[len(c.nodes) // 2])
     with pytest.raises(sr.NumericsError):
-        transformator(friedrichs_model, c, np.array([[node]]))
+        _contour_sum(friedrichs_model, c, np.array([[node]]))
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -363,7 +367,8 @@ def test_contour_sum_reproduces_closed_form_root(friedrichs_model, zoo_solutions
         for side in (1, -1):
             sol = sr.solve_basic(model, sr.make_contour(model, side))
             for kind, d in (("semicircle", None), ("rectangle", depth)):
-                w = transformator(model, sr.make_contour(model, side, kind, d), sol.z_op)
+                w = transformator(model, sr.make_contour(model, side, kind, d),
+                                  sol.z_op, sol.eigensystem.values)
                 worst = max(worst, np.linalg.norm(w - sol.x, 2))
     assert worst <= 1e-12, worst
 
@@ -395,7 +400,7 @@ def test_map_falls_back_to_the_contour_sum(model_zoo, case):
     step_map = _PicardMap(model, contour, 1.0)
     got = step_map(z)
     assert step_map.fallbacks == 1
-    assert np.array_equal(got, transformator(model, contour, z))
+    assert np.array_equal(got, _contour_sum(model, contour, z))
 
 
 def test_fallback_steps_are_counted(monkeypatch, model_zoo):
@@ -414,7 +419,7 @@ def test_fallback_steps_are_counted(monkeypatch, model_zoo):
     for side in (1, -1):
         sol = sr.solve_basic(outside, sr.make_contour(outside, side))
         assert sol.contour_fallbacks >= 1
-        fx = transformator(outside, sr.make_contour(outside, side), sol.z_op)
+        fx = _contour_sum(outside, sr.make_contour(outside, side), sol.z_op)
         assert np.linalg.norm(fx - sol.x, 2) <= 1e-12
 
 
@@ -568,6 +573,7 @@ class _ReferencePicardMap(_PicardMap):
             eigs, vecs = zmat[0], None
         else:
             eigs, vecs = np.linalg.eig(zmat)
+        self.spectrum = eigs, vecs
         if self._covered(eigs):
             a, b = self.contour.endpoints
             moments = rootsolver._cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
@@ -578,7 +584,7 @@ class _ReferencePicardMap(_PicardMap):
                 scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
                 return np.linalg.solve(vecs.T, scaled.T).T
         self.fallbacks += 1
-        return transformator(self.model.scaled(self.t), self.contour, zmat)
+        return transformator(self.model, self.contour, zmat, eigs)
 
 
 def _recorded_solve(monkeypatch, map_class, model, contour):
