@@ -5,19 +5,20 @@ for sweep). Exit codes: 0 success, 2 inadmissible input, 3 numerical
 failure, 4 config error.
 
 solve, verify and sweep share one prologue (_prologue): the model, one
-contour per side, the base report, and admissibility evaluated once per
-side at t = 1 and rescaled to the command's coupling. The objects of the
-construction come as a +-l pair (one contour, root Z, angular operator Y
-and Omega per side). For a real model (SpectralModel.is_real) the pair
-is conjugate: Z(-l) = conj Z(l). So when both sides are requested, the
-second side's contour is the mirror of the first's and shares its
-admissibility report, and solve and sweep take its root, classification
+contour per side and the base report. Each root decides and carries its
+own admissibility (solve_basic, homotopy_path); the report's block is a
+solved root's, or that of the root that raised AdmissibilityError
+(_solve_sides). The objects of the construction come as a +-l pair (one
+contour, root Z, angular operator Y and Omega per side). For a real
+model (SpectralModel.is_real) the pair is conjugate: Z(-l) = conj Z(l).
+So when both sides are requested, the second side's contour is the
+mirror of the first's, and solve and sweep take its root, classification
 and path as the conjugate of the first side's, in the first side's order
-(provenance.derived_sides). verify still solves both roots and checks
-each identity once per side, which makes it the independent check of
-that symmetry: a row is a function of one side, and the row's residual
-is the largest of its per-side values (_worst). Each side's Omega is
-computed once, and the omega-adjoint row reads the pair Omega(-l),
+(provenance.derived_sides). verify solves both roots, each on its own
+report, and checks each identity once per side, which makes it the
+independent check of that symmetry: a row is a function of one side, and
+the row's residual is the largest of its per-side values (_worst). Each
+side's Omega is computed once; the omega-adjoint row reads Omega(-l),
 Omega(l)^*.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import friedrichs as fr
 from ._kernels import backend_name
 from .config import RunConfig, build_model_from_config
-from .contour import admissibility, admissibility_at, make_contour, optimize_r0
+from .contour import make_contour, optimize_r0
 from .errors import (AdmissibilityError, ConfigError, ModelError,
                      NumericsError, SchurRootsError)
 from .model import density_margin
@@ -43,8 +44,8 @@ from .riccati import (check_ZAY, check_one_in_spectrum, compute_Omega,
                       compute_Y, factor_F1, j_orthogonality, omega_by_deformation,
                       rational_trials, reconstruct_from_contour, riccati_residual,
                       ysn_integral)
-from .rootsolver import (classify, conjugate_path, homotopy_path, solve_basic,
-                         transformator)
+from .rootsolver import (RootSolution, classify, conjugate_path, homotopy_path,
+                         solve_basic, transformator)
 from .schur import m1_continued_many, sheets_value, w1_physical
 
 EXIT_OK = 0
@@ -58,65 +59,67 @@ EXIT_CONFIG = 4
 _ROW_ERRORS = (SchurRootsError, ValueError)
 
 
-def _prologue(command, cfg, sides, t) -> tuple:
+def _prologue(command, cfg, sides) -> tuple:
     """The shared start of solve, verify and sweep.
 
-    Builds the model, one contour per side and the base report. V0 and d
-    are evaluated once per side at t = 1 (admissibility) and rescaled to
-    coupling t (admissibility_at). When the model is real and both sides
-    are requested, the second side is derived from the first: its contour
-    is the mirror image and its report the same object, V0 and d being
-    conjugation-invariant. The report is marked inadmissible when any side
-    fails at t; its admissibility block is that of the first failing side,
-    or the first side's when none fails. Returns (model, contours, report,
-    at_one, at_t, derived): at_one and at_t map each side to its report at
-    t = 1 and at t, derived maps the derived side (if any) to its source.
+    Builds the model, one contour per side and the base report, whose
+    admissibility block the command fills from a solved root. When the
+    model is real and both sides are requested, the second side is derived
+    from the first: its contour is the mirror image. Returns (model,
+    contours, report, derived), derived mapping the derived side (if any)
+    to its source.
     """
     model = build_model_from_config(cfg)
     derived = {sides[1]: sides[0]} if len(sides) == 2 and model.is_real else {}
-    contours, at_one = {}, {}
+    contours = {}
     for side in sides:
-        if side in derived:
-            contours[side] = contours[derived[side]].mirror()
-            at_one[side] = at_one[derived[side]]
-        else:
-            contours[side] = make_contour(model, side, cfg.contour_kind,
-                                          cfg.depth, cfg.nodes_per_unit)
-            at_one[side] = admissibility(model, contours[side])
-    at_t = {side: admissibility_at(rep.variation, rep.distance, t)
-            for side, rep in at_one.items()}
-    failing = [side for side in sides if not at_t[side].admissible]
-    shown = at_t[failing[0] if failing else sides[0]]
+        contours[side] = (contours[derived[side]].mirror() if side in derived
+                          else make_contour(model, side, cfg.contour_kind,
+                                            cfg.depth, cfg.nodes_per_unit))
     report = {
         "command": command,
-        "status": "inadmissible" if failing else "ok",
+        "status": "ok",
         "feshbach": model.feshbach,
         "sides": list(contours),
         "identities": [],
-        "admissibility": admissibility_block(shown),
         "provenance": {
             "config_sha256": config_sha256(cfg),
             "kernel_backend": backend_name(),
             "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
         },
     }
-    return model, contours, report, at_one, at_t, derived
+    return model, contours, report, derived
 
 
-def _r0(cfg, model, side, rep) -> float:
-    """r0_upper_bound for the report, given rep for the side's contour.
+def _solve_sides(report, contours, derived, solve, conjugate) -> dict | None:
+    """solve(contour) per side, or conjugate(source side's result) for a
+    derived side, keyed by side; None when a solver raised
+    AdmissibilityError, whose report then fills the inadmissible report."""
+    out = {}
+    try:
+        for side, contour in contours.items():
+            out[side] = (conjugate(out[derived[side]]) if side in derived
+                         else solve(contour))
+    except AdmissibilityError as exc:
+        report["status"] = "inadmissible"
+        report["admissibility"] = admissibility_block(exc.report)
+        return None
+    return out
 
-    The semicircle family has one member, the contour rep was computed on,
-    so r0 is its r_min. For rectangles optimize_r0 searches the depths
-    (0.5 depth, min(2 depth, hi - lo)); when 0.5 depth >= hi - lo that
-    range is empty and the configured rectangle is the family's one
-    member, as for semicircles.
+
+def _r0(cfg, model, root) -> float:
+    """r0_upper_bound for the report, from a root of the configured contour.
+
+    The semicircle family has one member, the root's contour, so r0 is the
+    r_min of the root's report. For rectangles optimize_r0 searches the
+    depths (0.5 depth, min(2 depth, hi - lo)), unless 0.5 depth >= hi - lo
+    leaves the configured rectangle as the one member, as for semicircles.
     """
     lo, hi = model.interval
     if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
-        return rep.r_min
+        return root.report.r_min
     family = ("rectangle", (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo)))
-    _, r0 = optimize_r0(model, side, family, nodes_per_unit=cfg.nodes_per_unit,
+    _, r0 = optimize_r0(model, root.side, family, nodes_per_unit=cfg.nodes_per_unit,
                         coupling_scale=cfg.coupling_scale)
     return r0
 
@@ -134,26 +137,23 @@ def _finish(report, start) -> dict:
 
 def cmd_solve(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model, contours, report, _, reps, derived = _prologue(
-        "solve", cfg, cfg.sides, cfg.coupling_scale)
+    model, contours, report, derived = _prologue("solve", cfg, cfg.sides)
     report["provenance"]["derived_sides"] = _derived_sides(derived)
-    if report["status"] != "ok":
+    sols = _solve_sides(report, contours, derived, functools.partial(
+        solve_basic, model, t=cfg.coupling_scale, tol=cfg.tol,
+        max_iter=cfg.max_iter), RootSolution.conjugate)
+    if sols is None:
         return _finish(report, start)
-    first = cfg.sides[0]
-    report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, first, reps[first])
+    first = sols[cfg.sides[0]]
+    report["admissibility"] = {**admissibility_block(first.report),
+                               "r0_upper_bound": _r0(cfg, model, first)}
 
     report["solutions"] = {}
-    solved = {}
-    for side, contour in contours.items():
-        if side in derived:
-            sol, cls = solved[derived[side]]
-            sol, cls = sol.conjugate(), cls.conjugate()
-        else:
-            sol = solve_basic(model, contour, cfg.coupling_scale, cfg.tol,
-                              cfg.max_iter, report=reps[side])
-            cls = classify(sol, cfg.tau_real)
-        solved[side] = sol, cls
-        report["solutions"][f"{side:+d}"] = solution_block(sol, cls)
+    clss = {}
+    for side, sol in sols.items():
+        clss[side] = (clss[derived[side]].conjugate() if side in derived
+                      else classify(sol, cfg.tau_real))
+        report["solutions"][f"{side:+d}"] = solution_block(sol, clss[side])
     return _finish(report, start)
 
 
@@ -233,21 +233,19 @@ def _worst(per_side, sides) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-def _identity_table(cfg, model, contours, rng, reps) -> tuple:
+def _identity_table(cfg, model, roots, rng) -> tuple:
     """Build the identity rows plus per-side solution and Riccati blocks.
 
-    reps maps each side to its admissibility report at the configured
-    coupling. Each side's root carries its t-scaled model, contour and
-    report, and every per-side row reads them from the root. Returns
-    (rows, sols, rics, clss), the last three keyed by side.
+    roots maps each side to its root of model at the configured coupling,
+    which carries its t-scaled model, contour and admissibility report;
+    every per-side row reads them from the root. Returns (rows, sols, rics,
+    clss), the last three keyed by side, sols with corrupt_z applied.
     """
     sm = model.scaled(cfg.coupling_scale)
     sides = (1, -1)
     sols, rics, clss = {}, {}, {}
     for side in sides:
-        sol = solve_basic(model, contours[side], cfg.coupling_scale, cfg.tol,
-                          cfg.max_iter, report=reps[side])
-        sols[side] = _corrupt(sol, cfg.corrupt_z)
+        sols[side] = _corrupt(roots[side], cfg.corrupt_z)
         clss[side] = classify(sols[side], cfg.tau_real)
         rics[side] = compute_Y(sols[side], cfg.quad_tol)
 
@@ -277,7 +275,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
         return lambda: _worst(per_side, row_sides)
 
     def sheets(side):
-        contour = contours[side]
+        contour = sols[side].contour
         pts = _lens_points(rng, contour, cfg.lens_points)
         mc = m1_continued_many(sm, contour, pts)
         sv = sheets_value(sm, pts, side, contour)
@@ -285,7 +283,7 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
     add_row("sheets-crosspath", 1e-9, over_sides(sheets))
 
-    d = reps[1].distance
+    d = sols[1].report.distance
 
     def factorization(side):
         sol = sols[side]
@@ -415,14 +413,17 @@ def _identity_table(cfg, model, contours, rng, reps) -> tuple:
 
 def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
-    model, contours, report, _, reps, _ = _prologue("verify", cfg, (1, -1),
-                                                    cfg.coupling_scale)
-    if report["status"] != "ok":
+    model, contours, report, _ = _prologue("verify", cfg, (1, -1))
+    roots = _solve_sides(report, contours, {}, functools.partial(
+        solve_basic, model, t=cfg.coupling_scale, tol=cfg.tol,
+        max_iter=cfg.max_iter), None)
+    if roots is None:
         return _finish(report, start)
-    report["admissibility"]["r0_upper_bound"] = _r0(cfg, model, 1, reps[1])
+    report["admissibility"] = {**admissibility_block(roots[1].report),
+                               "r0_upper_bound": _r0(cfg, model, roots[1])}
 
     rng = np.random.default_rng(cfg.seed)
-    rows, sols, rics, clss = _identity_table(cfg, model, contours, rng, reps)
+    rows, sols, rics, clss = _identity_table(cfg, model, roots, rng)
     report["identities"] = rows
     report["solutions"] = {}
     report["riccati"] = {}
@@ -439,23 +440,20 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     start = time.perf_counter()
     if not cfg.t_grid:
         raise ConfigError("sweep requires a nonempty t_grid")
-    model, contours, report, at_one, _, derived = _prologue(
-        "sweep", cfg, cfg.sides, max(cfg.t_grid))
+    model, contours, report, derived = _prologue("sweep", cfg, cfg.sides)
     report["provenance"]["derived_sides"] = _derived_sides(derived)
-    if report["status"] != "ok":
+    paths = _solve_sides(report, contours, derived, functools.partial(
+        homotopy_path, model, t_grid=cfg.t_grid, tol=cfg.tol,
+        max_iter=cfg.max_iter, tau_real=cfg.tau_real), conjugate_path)
+    if paths is None:
         return _finish(report, start), []
+    # the first side's root at the largest t, the last of the grid
+    report["admissibility"] = admissibility_block(paths[cfg.sides[0]][-1][1].report)
 
     rows = []
     offset = 0
     report["solutions"] = {}
-    paths = {}
-    for side, contour in contours.items():
-        if side in derived:
-            path = conjugate_path(paths[derived[side]])
-        else:
-            path = homotopy_path(model, contour, cfg.t_grid, cfg.tol,
-                                 cfg.max_iter, cfg.tau_real, report=at_one[side])
-        paths[side] = path
+    for side, path in paths.items():
         for t, _, cls in path:
             for i, entry in enumerate(cls.entries):
                 rows.append((t, offset + i, entry.eigenvalue.real,

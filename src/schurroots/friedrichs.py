@@ -25,12 +25,12 @@ class FriedrichsParams:
     b: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ModelError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ModelError(f"alpha must be positive and finite, got {self.alpha}")
         if not abs(self.a1) < self.alpha:
             raise ModelError(f"a1={self.a1} must lie strictly inside (-alpha, alpha)")
-        if self.b < 0:
-            raise ModelError(f"b must be nonnegative, got {self.b}")
+        if not 0 <= self.b < math.inf:
+            raise ModelError(f"b must be nonnegative and finite, got {self.b}")
 
 
 def solve_y(alpha: float, b: float) -> float:
@@ -38,7 +38,7 @@ def solve_y(alpha: float, b: float) -> float:
 
     Safeguarded Newton on f(y) = y - 2 b^2 arctan(alpha/y) inside the
     bracket (0, b^2 pi]; f is increasing, f(0+) < 0, f(b^2 pi) >= 0, so
-    the root is unique and bracketing never fails.
+    the root is unique; NumericsError when floats miss it, as when b^2 underflows.
     """
     if b <= 0:
         raise ModelError(f"b must be positive, got {b}")
@@ -51,7 +51,8 @@ def solve_y(alpha: float, b: float) -> float:
         return y - 2.0 * b2 * math.atan2(alpha, y)
 
     def fp(y):
-        return 1.0 + 2.0 * b2 * alpha / (y * y + alpha * alpha)
+        # "or": a denominator that underflows to 0
+        return 1.0 + 2.0 * b2 * alpha / ((y * y + alpha * alpha) or math.ulp(0.0))
 
     y = 0.5 * hi
     for _ in range(200):
@@ -68,8 +69,8 @@ def solve_y(alpha: float, b: float) -> float:
             y = yn
             break
         y = yn
-    if abs(f(y)) > 1e-14 * max(1.0, y):
-        raise NumericsError(f"fixed-point residual {f(y):.3e} did not converge")
+    if not (y > 0.0 and abs(f(y)) <= 1e-14 * max(1.0, y)):
+        raise NumericsError(f"no positive fixed point: y = {y!r}, residual {f(y):.3e}")
     return y
 
 
@@ -79,7 +80,7 @@ def closed_m1(params: FriedrichsParams, z: complex) -> complex:
     if z.imag == 0.0 and abs(z.real) <= params.alpha:
         raise ValueError(f"z={z} on the cut")
     ratio = (params.alpha - z) / (-params.alpha - z)
-    return params.a1 - z + params.b ** 2 * complex(np.log(ratio))
+    return params.a1 - z + params.b * params.b * complex(np.log(ratio))
 
 
 def winding_count(params: FriedrichsParams, side: int) -> int:
@@ -88,7 +89,9 @@ def winding_count(params: FriedrichsParams, side: int) -> int:
     al = params.alpha
     y_scale = solve_y(params.alpha, params.b) if params.b > 0 else 0.1
     eps = 0.5 * y_scale
-    top = max(3.0 * al, 2.0 * params.b ** 2 * math.pi)
+    top = max(3.0 * al, 2.0 * params.b * params.b * math.pi)
+    if not math.isfinite(6.0 * al + top):  # its width and height
+        raise NumericsError(f"winding rectangle of alpha={al}, b={params.b} not finite")
     corners = [complex(-3 * al, eps), complex(3 * al, eps),
                complex(3 * al, top), complex(-3 * al, top),
                complex(-3 * al, eps)]
@@ -100,6 +103,8 @@ def winding_count(params: FriedrichsParams, side: int) -> int:
     vals = np.array([closed_m1(params, z) for z in path])
     ratios = np.roll(vals, -1) / vals
     total = float(np.sum(np.angle(ratios))) / (2.0 * math.pi)
+    if not math.isfinite(total):
+        raise NumericsError(f"winding sum {total} is not finite")
     w = round(total)
     if abs(total - w) > 0.1:
         raise NumericsError(f"winding estimate {total} too far from an integer")

@@ -337,26 +337,23 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
 
 
 def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
-                tol: float = 1e-12, max_iter: int = 500, *,
-                report: AdmissibilityReport | None = None) -> RootSolution:
+                tol: float = 1e-12, max_iter: int = 500) -> RootSolution:
     """Solve X = t^2 W1(A1 + X, Gamma) by Picard iteration from X = 0.
 
     Each step evaluates W1 in closed form as sum_s C_s g_s(Z) (see
     _PicardMap), falling back to the contour sum over Gamma only where
     that form does not apply; RootSolution.contour_fallbacks counts those
-    steps. Requires admissibility at coupling scale t. Convergence is
-    geometric; the result is confirmed by a residual evaluation of the
-    same map and the containment ||X|| <= r_min. A caller that already
-    holds admissibility(model, contour, t) passes it as report, so V0 is
-    not evaluated again.
+    steps. Evaluates admissibility(model, contour, t) once: an
+    inadmissible contour raises AdmissibilityError carrying that report,
+    and otherwise the root carries it. Convergence is geometric; the
+    result is confirmed by a residual evaluation of the same map and the
+    containment ||X|| <= r_min.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"coupling scale t={t} outside [0, 1]")
-    if report is None:
-        report = admissibility(model, contour, t)
+    report = ensure_admissible(admissibility(model, contour, t))
     x0 = np.zeros((model.n, model.n), dtype=np.complex128)
-    return _picard(model, contour, ensure_admissible(report), float(t),
-                   tol, max_iter, x0)
+    return _picard(model, contour, report, float(t), tol, max_iter, x0)
 
 
 def _label_for(lam: complex, side: int, tau: float) -> str:
@@ -419,8 +416,7 @@ def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
 
 def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
                   tol: float = 1e-12, max_iter: int = 500,
-                  tau_real: float | None = None, *,
-                  report: AdmissibilityReport | None = None) -> list:
+                  tau_real: float | None = None) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
     Each solve warm-starts from the previous X scaled by (t / t_prev)^2,
@@ -429,9 +425,10 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     in trajectory order: entry i at each t continues entry i at the
     previous t (matched by global nearest-neighbor assignment, no
     multiplicity grouping). Suspicious jumps and ambiguous pairings are
-    reported as warnings, never as errors. A caller that already holds
-    admissibility(model, contour) at t = 1 passes it as report, so V0 is
-    not evaluated again; each t rescales it.
+    reported as warnings, never as errors. admissibility(model, contour)
+    is evaluated once, at t = 1, and rescaled to each t; an inadmissible
+    contour at the largest t raises AdmissibilityError carrying the report
+    at that t. Each root carries its report at its t.
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -441,7 +438,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     if ts[0] < 0.0 or ts[-1] > 1.0:
         raise ValueError("t grid must lie in [0, 1]")
     # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
-    base = admissibility(model, contour) if report is None else report
+    base = admissibility(model, contour)
     ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
     a_norm = float(np.linalg.norm(model.a1, 2))
     tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)

@@ -48,10 +48,10 @@ def suite(friedrichs_model, model_zoo):
     for tag, model in [("friedrichs", friedrichs_model)] + [
             (f"zoo[{k}]", m) for k, m in enumerate(model_zoo)]:
         contours = {s: sr.make_contour(model, s) for s in (1, -1)}
-        reps = {s: sr.admissibility(model, contours[s]) for s in (1, -1)}
+        roots = {s: sr.solve_basic(model, contours[s]) for s in (1, -1)}
         rng = np.random.default_rng(417)
         rows, sols, rics, clss = _identity_table(_cfg_for(model), model,
-                                                 contours, rng, reps)
+                                                 roots, rng)
         out.append({"tag": tag, "model": model, "contours": contours,
                     "rows": {r["name"]: r for r in rows}, "sols": sols,
                     "rics": rics, "clss": clss})

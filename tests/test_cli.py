@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import schurroots as sr
 from schurroots.cli import main
+from schurroots.config import RunConfig, build_model_from_config
 from schurroots.errors import NumericsError
 from schurroots.model import SpectralModel
+from schurroots.report import admissibility_block
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -221,6 +225,41 @@ def test_friedrichs_rejects_shifted(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("args, expected", [
+    (["--alpha", "inf", "--b", "0.2"], 4),
+    (["--alpha", "1e308", "--b", "0.2"], 3),
+    (["--alpha", "1.0", "--b", "nan"], 4),
+    (["--alpha", "1.0", "--b", "inf"], 4),
+    (["--alpha", "1.0", "--b", "1e200"], 3),
+])
+def test_friedrichs_extreme_values_keep_the_exit_codes(capsys, args, expected):
+    # a non-finite parameter is a config error; a finite one too large for
+    # the oracle's fixed point or winding rectangle is a numerical failure
+    assert main(["friedrichs"] + args) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 0.2, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+def test_friedrichs_exit_code_contract(alpha, a1, b):
+    # every float triple ends in 0, 3 or 4: main raises nothing. As in
+    # test_exit_code_contract_on_small_configs, warnings (an overflow at
+    # extreme scales) are recorded rather than raised. "=" keeps a negative
+    # value from being parsed as an option.
+    argv = ["friedrichs", f"--alpha={alpha!r}", f"--a1={a1!r}", f"--b={b!r}"]
+    with (contextlib.redirect_stderr(io.StringIO()),
+          contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings(record=True)):
+        code = main(argv)
+    assert code in (0, 3, 4)
+
+
 def test_config_errors_exit_4(tmp_path, capsys):
     code, _ = run(capsys, ["solve", "--config", str(tmp_path / "nope.json")])
     assert code == 4
@@ -284,9 +323,10 @@ def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
 
 
 def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
-    # a real model's second side shares the first side's report and takes
-    # the conjugate of its classification, so V0 is evaluated and the
-    # spectrum classified once, for the first side requested
+    # a real model's second side is the conjugate of the first side's root,
+    # which carries its report, and of its classification, so V0 is
+    # evaluated and the spectrum classified once, for the first side
+    # requested
     import schurroots.cli as cli_mod
     import schurroots.contour as contour_mod
 
@@ -310,9 +350,9 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
-    # the t = 1 report of the prologue feeds homotopy_path, which rescales
-    # it for every t of the grid; side -1 shares the report of side +1 and
-    # takes its path as the conjugate of side +1's, with no tracking step
+    # homotopy_path evaluates V0 once, at t = 1, and rescales it for every
+    # t of the grid; side -1 takes its path, reports included, as the
+    # conjugate of side +1's, with no tracking step
     import schurroots.contour as contour_mod
     import schurroots.rootsolver as rootsolver_mod
 
@@ -366,11 +406,12 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
 
 
 def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
-    # one V0, shared by the mirrored side -1 contour of this real model,
-    # and 8 adaptive quadratures: B^*Y, the deformed Omega, the
-    # norm-ceiling integral and the stacked Y^* x0 of the J-pairing (1 each
-    # per side); the Gram matrix and <x0, Y x1> are closed forms. Each
-    # side's Omega is one contour sum, read by every row that needs it.
+    # one V0 per root, each on its own contour (side -1 does not borrow
+    # side +1's report), and 8 adaptive quadratures: B^*Y, the deformed
+    # Omega, the norm-ceiling integral and the stacked Y^* x0 of the
+    # J-pairing (1 each per side); the Gram matrix and <x0, Y x1> are
+    # closed forms. Each side's Omega is one contour sum, read by every
+    # row that needs it.
     import schurroots.contour as contour_mod
     import schurroots.riccati as riccati_mod
 
@@ -394,7 +435,7 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["all_identities_pass"] is True
     assert [b["gram_route"] for b in report["riccati"].values()] == ["closed-form"] * 2
-    assert variations == [1]
+    assert variations == [1, -1]
     assert len(quads) == 8
     assert len(sandwiches) == 2
 
@@ -429,23 +470,23 @@ def test_report_path_from_config(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 def test_one_inadmissible_side_marks_the_report(tmp_path, capsys, monkeypatch,
                                                 command):
-    # only side -1 fails admissibility: the report is inadmissible and
-    # shows side -1's block, the command exits 2 with no traceback. A real
-    # model's side -1 shares the report of side +1, so the model is taken
-    # as complex here to evaluate side -1 on its own.
-    import schurroots.cli as cli_mod
+    # only side -1 fails admissibility, in the solver: the report is
+    # inadmissible and shows side -1's block, the command exits 2 with no
+    # traceback. A real model's side -1 is the conjugate of side +1, so
+    # the model is taken as complex here to solve side -1 on its own.
+    import schurroots.rootsolver as rootsolver_mod
 
     monkeypatch.setattr(SpectralModel, "is_real", property(lambda self: False))
 
-    original = cli_mod.admissibility
+    original = rootsolver_mod.admissibility
 
     def one_side_fails(model, contour, *args):
         rep = original(model, contour, *args)
         if contour.side == -1:
-            rep = cli_mod.admissibility_at(rep.distance ** 2, rep.distance)
+            rep = rootsolver_mod.admissibility_at(rep.distance ** 2, rep.distance)
         return rep
 
-    monkeypatch.setattr(cli_mod, "admissibility", one_side_fails)
+    monkeypatch.setattr(rootsolver_mod, "admissibility", one_side_fails)
     argv = [command, "--config", write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))]
     if command == "sweep":
         argv += ["--out-csv", str(tmp_path / "t.csv")]
@@ -455,9 +496,56 @@ def test_one_inadmissible_side_marks_the_report(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in captured.err
     rep = json.loads(captured.out)
     assert rep["status"] == "inadmissible"
+    # side -1's block: its V0 was set to d^2 at t = 1
     assert rep["admissibility"]["admissible"] is False
+    assert rep["admissibility"]["variation"] == rep["admissibility"]["distance"] ** 2
     assert "solutions" not in rep
     assert not (tmp_path / "t.csv").exists()
+
+
+# a real 2x2 model, admissible on both sides at every coupling used here
+TWO_BY_TWO = {"model": {"interval": [-1.0, 1.0], "a1": [[0.1, 0.02], [0.02, -0.1]],
+                        "b": [[[0.1, 0.0], [0.0, 0.1], [0.03, 0.02]]]}}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_report_block_is_the_roots_own(tmp_path, capsys, monkeypatch, command):
+    # every root a command solves carries admissibility(model, contour, t)
+    # of its own contour and coupling, and the report's block is that of
+    # the first side's root: at coupling_scale 0.6 for solve and verify,
+    # at the largest t of the grid for sweep
+    import schurroots.cli as cli_mod
+
+    roots = []
+
+    def recording(name):
+        original = getattr(cli_mod, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            roots.extend([(sol, t) for t, sol, _ in out] if name == "homotopy_path"
+                         else [(out, kwargs["t"])])
+            return out
+        monkeypatch.setattr(cli_mod, name, wrapper)
+
+    recording("solve_basic")
+    recording("homotopy_path")
+    data = {**TWO_BY_TWO, "solver": {"coupling_scale": 0.6},
+            "sweep": {"t_grid": [0.3, 0.7]}}
+    argv = [command, "--config", write_cfg(tmp_path, data)]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    code, out = run(capsys, argv)
+    assert code == 0
+    model = build_model_from_config(RunConfig.from_dict(data))
+    assert len(roots) == {"solve": 1, "verify": 2, "sweep": 2}[command]
+    for sol, t in roots:
+        assert sol.report == sr.admissibility(model, sol.contour, t)
+    t_end = 0.7 if command == "sweep" else 0.6
+    first = sr.admissibility(model, sr.make_contour(model, 1), t_end)
+    block = json.loads(out)["admissibility"]
+    assert block.pop("r0_upper_bound", first.r_min) == first.r_min
+    assert block == admissibility_block(first)
 
 
 def _zoo_config(model_zoo):
@@ -729,22 +817,63 @@ DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05
 @example("solve", {**DEEP_RECTANGLE, "contour": {"kind": "rectangle", "depth": -1.0}})
 def test_exit_code_contract_on_small_configs(command, data):
     # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
-    # prints a traceback. Warnings (such as a sweep's eigenvalue-jump
-    # RuntimeWarning) are part of the contract, so they are recorded here
-    # rather than raised.
+    # prints a traceback
+    code, err, _ = _main_on(command, data)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+def _main_on(command, data):
+    """main on data written to a temporary config: (exit code, stderr,
+    report dict or None). Warnings (such as a sweep's eigenvalue-jump
+    RuntimeWarning) are part of the contract, so they are recorded here
+    rather than raised."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        argv = [command, "--config", path, "--out", os.path.join(tmp, "report.json")]
+        report_path = os.path.join(tmp, "report.json")
+        argv = [command, "--config", path, "--out", report_path]
         if command == "sweep":
             argv += ["--out-csv", os.path.join(tmp, "rows.csv")]
         err = io.StringIO()
         with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
               warnings.catch_warnings(record=True)):
             code = main(argv)
+        report = None
+        if os.path.exists(report_path):
+            with open(report_path, encoding="utf-8") as fh:
+                report = json.load(fh)
+    return code, err.getvalue(), report
+
+
+# verify's sample counts, kept small for the fuzz test
+SMALL_VERIFY = {"lens_points": 5, "factor_points": 5, "boundary_points": 5,
+                "riccati_samples": 5, "trial_count": 3}
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_verify_exit_code_contract_on_small_configs(data):
+    # the verify twin of test_exit_code_contract_on_small_configs; a
+    # report written with exit 2 is inadmissible, with no solutions
+    code, err, report = _main_on("verify", {**data, "verify": SMALL_VERIFY})
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+    if code == 2 and report is not None:
+        assert report["status"] == "inadmissible"
+        assert "solutions" not in report
+
+
+def test_verify_of_an_inadmissible_contour_writes_its_report():
+    # the Friedrichs model is inadmissible on the depth-0.5 rectangle
+    data = {**BASE, "contour": {"kind": "rectangle", "depth": 0.5}}
+    code, _, report = _main_on("verify", data)
+    assert code == 2
+    assert report["status"] == "inadmissible"
+    assert report["admissibility"]["admissible"] is False
+    assert "solutions" not in report
 
 
 @pytest.mark.parametrize("data", [

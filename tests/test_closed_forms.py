@@ -92,7 +92,7 @@ def solved_cases(friedrichs_model, model_zoo):
                 contour = sr.make_contour(model, side, kind=kind, depth=depth)
                 rep = sr.admissibility(model, contour)
                 if rep.admissible:
-                    cases.append((model, sr.solve_basic(model, contour, report=rep)))
+                    cases.append((model, sr.solve_basic(model, contour)))
     # the Friedrichs model is inadmissible on the rectangle
     assert len(cases) == 106
     for model in model_zoo[:3]:

@@ -59,14 +59,13 @@ def test_side_minus_one_is_the_conjugate(real_models):
                 # the Friedrichs model on the rectangle: both sides refuse
                 continue
 
-            sol = sr.solve_basic(model, plus, report=rep)
-            _assert_same_solution(sr.solve_basic(model, minus, report=rep),
-                                  sol.conjugate())
+            sol = sr.solve_basic(model, plus)
+            _assert_same_solution(sr.solve_basic(model, minus), sol.conjugate())
             assert (sr.classify(sol.conjugate())
                     == sr.classify(sol).conjugate())
 
-            path = sr.homotopy_path(model, plus, GRID, report=rep)
-            direct = sr.homotopy_path(model, minus, GRID, report=rep)
+            path = sr.homotopy_path(model, plus, GRID)
+            direct = sr.homotopy_path(model, minus, GRID)
             derived = conjugate_path(path)
             assert len(direct) == len(derived) == len(GRID)
             for (t_d, sol_d, cls_d), (t_c, sol_c, cls_c) in zip(direct, derived):

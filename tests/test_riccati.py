@@ -358,7 +358,7 @@ def test_factor_F1_batched_matches_per_point(n):
         contour = sr.make_contour(model, side)
         rep = sr.admissibility(model, contour)
         assert rep.admissible
-        sol = sr.solve_basic(model, contour, report=rep)
+        sol = sr.solve_basic(model, contour)
         lam = rng.choice(model.sigma1, size=9)
         zs = lam + rng.uniform(0.05, 0.45, size=9) * rep.distance * np.exp(
             2j * np.pi * rng.uniform(size=9))

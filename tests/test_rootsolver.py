@@ -23,7 +23,7 @@ from schurroots.errors import AdmissibilityError
 from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
                                    transformator)
 
-from conftest import wide_models
+from conftest import RECT_DEPTH, wide_models
 
 Y_ORACLE = 0.11639390461355939
 
@@ -220,7 +220,7 @@ def test_homotopy_scaled_warm_start(model_zoo):
     for model in model_zoo[:4] + wide_models(1, 2):
         contour = sr.make_contour(model, 1)
         base = sr.admissibility(model, contour)
-        path = sr.homotopy_path(model, contour, grid, report=base)
+        path = sr.homotopy_path(model, contour, grid)
         x = np.zeros((model.n, model.n), dtype=np.complex128)
         unscaled = 0
         for t, sol, _ in path:
@@ -274,19 +274,32 @@ def test_homotopy_evaluates_variation_once(monkeypatch, friedrichs_model,
     assert [c.side for c in calls] == [1, -1]
 
 
-def test_solve_basic_reuses_report(monkeypatch, friedrichs_model,
-                                   friedrichs_contours):
-    c = friedrichs_contours[1]
-    rep = sr.admissibility(friedrichs_model, c, 0.8)
+def test_a_root_carries_its_own_report(monkeypatch, model_zoo):
+    # each root's report is admissibility(model, contour, t) of its own
+    # contour and coupling, bit for bit, from one V0 per solve or path
     calls = _count_variation(monkeypatch)
-    reused = sr.solve_basic(friedrichs_model, c, 0.8, report=rep)
-    assert calls == []
-    fresh = sr.solve_basic(friedrichs_model, c, 0.8)
-    assert len(calls) == 1
-    assert np.array_equal(reused.x, fresh.x)
-    bad = sr.admissibility_at(rep.variation, rep.distance, 10.0)
-    with pytest.raises(AdmissibilityError):
-        sr.solve_basic(friedrichs_model, c, 0.8, report=bad)
+    grid = [0.25, 0.6, 1.0]
+    for model in model_zoo[:4]:
+        for kind, depth in (("semicircle", None), ("rectangle", RECT_DEPTH)):
+            for side in (1, -1):
+                contour = sr.make_contour(model, side, kind, depth)
+                calls.clear()
+                sol = sr.solve_basic(model, contour, 0.6)
+                path = sr.homotopy_path(model, contour, grid)
+                assert len(calls) == 2
+                assert sol.report == sr.admissibility(model, sol.contour, 0.6)
+                for t, root, _ in path:
+                    assert root.report == sr.admissibility(model, root.contour, t)
+
+
+def test_solve_basic_refuses_an_inadmissible_contour(friedrichs_model):
+    # the Friedrichs model on the depth-0.5 rectangle: the error carries
+    # the report of that contour at that coupling
+    contour = sr.make_contour(friedrichs_model, 1, "rectangle", RECT_DEPTH)
+    with pytest.raises(AdmissibilityError) as info:
+        sr.solve_basic(friedrichs_model, contour, 0.8)
+    assert info.value.report == sr.admissibility(friedrichs_model, contour, 0.8)
+    assert not info.value.report.admissible
 
 
 def test_transformator_gap_guard(friedrichs_model, friedrichs_contours):
