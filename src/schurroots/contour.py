@@ -403,6 +403,11 @@ class _RectangleDistance:
     hypot per eigenvalue. The values are those of the complex point-segment
     arithmetic of every segment (nearest parameter clamped, then the
     modulus), bit for bit, and the same on either side, sigma1 being real.
+
+    hypot is monotone in |offset|, so d(h) = min(sides, hypot(o, h)), o the
+    least |offset|, rises up to its kink h* = sqrt(sides^2 - o^2) and is
+    constant after it; kink is h*, or None when o >= sides (no kink). o is
+    0, and h* = sides, when an eigenvalue lies inside the interval.
     """
 
     def __init__(self, model: SpectralModel, endpoints):
@@ -415,6 +420,9 @@ class _RectangleDistance:
         t = np.where(t < 1.0, t, 1.0)
         self.offsets = lam - (a + t * length)
         self.sides = float(np.min(np.minimum(np.abs(lam - a), np.abs(lam - b))))
+        nearest = float(np.min(np.abs(self.offsets)))
+        self.kink = (math.sqrt((self.sides - nearest) * (self.sides + nearest))
+                     if nearest < self.sides else None)
 
     def __call__(self, depths) -> list:
         """The distance at each depth of the 1-d array depths, as floats."""
@@ -502,9 +510,10 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
     "rectangle", h, nodes_per_unit), coupling_scale).r_min, but builds no
     Contour: the rules come from _rectangle_rules, and each group of depths
     with equal node counts takes one _kprime_norms call over all its nodes
-    and one row-wise weighted sum for its V0 values. distance is the
-    model's _RectangleDistance, built once per search; it gives d at all
-    the depths in one call.
+    and one row-wise weighted sum for its V0 values, so a depth's value
+    does not depend on the batch (optimize_r0's scan and kink probes share
+    one). distance is the model's _RectangleDistance, built once per
+    search; it gives d at all the depths in one call.
     """
     r_min = [math.inf] * len(depths)
     endpoints = model.interval
@@ -524,7 +533,8 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
 
 
 # The coarse scan of optimize_r0 takes this many depths, and its
-# golden-section refinement stops at this relative bracket width.
+# golden-section refinement stops at this relative bracket width; the
+# probes beside the kink of d(h) lie half that width from it.
 _SCAN_DEPTHS = 33
 _DEPTH_RTOL = 1e-6
 
@@ -534,18 +544,25 @@ def optimize_r0(model: SpectralModel, side: int, family,
     """Minimize r_min over a one-parameter family of rectangle contours.
 
     family is ("rectangle", (depth_lo, depth_hi)). A coarse scan of
-    _SCAN_DEPTHS depths, then golden-section refinement to a bracket of
-    _DEPTH_RTOL relative; deterministic. Returns (best_contour, r0) where
-    r0 is the optimal localization radius. Raises AdmissibilityError when
-    no member of the family is admissible.
+    _SCAN_DEPTHS depths brackets the least r_min between the neighbours of
+    its best depth; deterministic. Returns (best_contour, r0) where r0 is
+    the optimal localization radius. Raises AdmissibilityError when no
+    member of the family is admissible.
 
-    The candidate depths are evaluated by _rectangle_r_min, which builds no
-    Contour: the scan's depths in one batch, the two bracket points in a
-    second and each golden-section step on its own. Only the chosen depth
-    gets a Contour, and its r0 is recomputed from it by admissibility. The
-    values are those of make_contour plus admissibility at each depth, bit
-    for bit, so the search takes the same steps and returns the same depth
-    and r0.
+    r_min = d/2 - sqrt(d^2/4 - V0) falls as d rises and rises with V0, and
+    d(h) rises up to its kink h* and is constant after it (see
+    _RectangleDistance), so the least r_min usually sits at h*. When the
+    family holds h* and the probes h* - delta and h* + delta (delta half
+    the final golden-section bracket), the scan's batch evaluates them, and
+    the search returns h* if it lies in the bracket and its r_min is no
+    larger than the best scanned one and both probes'. Otherwise golden-section
+    refinement, which assumes r_min unimodal on the bracket, shrinks it to
+    _DEPTH_RTOL relative.
+
+    The candidate depths are evaluated by _rectangle_r_min: the scan's
+    depths and probes in one batch, the two bracket points in a second and
+    each golden-section step on its own. Only the chosen depth gets a
+    Contour, and its r0 is recomputed from it by admissibility.
     """
     kind, (lo, hi) = family
     if kind != "rectangle":
@@ -559,28 +576,37 @@ def optimize_r0(model: SpectralModel, side: int, family,
         return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale,
                                 distance)
 
+    kink, probes = distance.kink, ()
+    if kink is not None:
+        delta = 0.5 * _DEPTH_RTOL * max(1.0, kink)
+        if lo < kink - delta and kink + delta < hi:
+            probes = (kink - delta, kink, kink + delta)
     depths = np.linspace(lo, hi, _SCAN_DEPTHS)
-    values = r_of(*depths)
+    values = r_of(*depths, *probes)
+    values, at_probes = values[:_SCAN_DEPTHS], values[_SCAN_DEPTHS:]
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise AdmissibilityError("no admissible depth in the requested range", report=None)
 
     left = depths[max(best - 1, 0)]
     right = depths[min(best + 1, _SCAN_DEPTHS - 1)]
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = right - phi * (right - left)
-    x2 = left + phi * (right - left)
-    f1, f2 = r_of(x1, x2)
-    while right - left > _DEPTH_RTOL * max(1.0, right):
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - phi * (right - left)
-            (f1,) = r_of(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + phi * (right - left)
-            (f2,) = r_of(x2)
-    depth = 0.5 * (left + right)
+    if probes and left <= kink <= right and at_probes[1] <= min(values[best], *at_probes):
+        depth = kink
+    else:
+        phi = 0.5 * (math.sqrt(5.0) - 1.0)
+        x1 = right - phi * (right - left)
+        x2 = left + phi * (right - left)
+        f1, f2 = r_of(x1, x2)
+        while right - left > _DEPTH_RTOL * max(1.0, right):
+            if f1 <= f2:
+                right, x2, f2 = x2, x1, f1
+                x1 = right - phi * (right - left)
+                (f1,) = r_of(x1)
+            else:
+                left, x1, f1 = x1, x2, f2
+                x2 = left + phi * (right - left)
+                (f2,) = r_of(x2)
+        depth = 0.5 * (left + right)
     contour = make_contour(model, side, "rectangle", depth, nodes_per_unit)
     rep = admissibility(model, contour, coupling_scale)
     if not rep.admissible:

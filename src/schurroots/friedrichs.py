@@ -38,7 +38,8 @@ def solve_y(alpha: float, b: float) -> float:
 
     Safeguarded Newton on f(y) = y - 2 b^2 arctan(alpha/y) inside the
     bracket (0, b^2 pi]; f is increasing, f(0+) < 0, f(b^2 pi) >= 0, so
-    the root is unique; NumericsError when floats miss it, as when b^2 underflows.
+    the root is unique; the stop and accept tests are relative to y, which
+    may be tiny. NumericsError when floats miss it, as when b^2 underflows.
     """
     if b <= 0:
         raise ModelError(f"b must be positive, got {b}")
@@ -65,11 +66,11 @@ def solve_y(alpha: float, b: float) -> float:
         yn = y - step
         if not (lo < yn < hi):
             yn = 0.5 * (lo + hi)
-        if abs(yn - y) <= 1e-16 * max(1.0, abs(yn)):
+        if abs(yn - y) <= 1e-16 * yn:
             y = yn
             break
         y = yn
-    if not (y > 0.0 and abs(f(y)) <= 1e-14 * max(1.0, y)):
+    if not (y > 0.0 and abs(f(y)) <= 1e-14 * y):
         raise NumericsError(f"no positive fixed point: y = {y!r}, residual {f(y):.3e}")
     return y
 
@@ -101,7 +102,9 @@ def winding_count(params: FriedrichsParams, side: int) -> int:
     s = np.linspace(0.0, 1.0, 2500, endpoint=False)
     path = np.concatenate([p + (q - p) * s for p, q in zip(corners[:-1], corners[1:])])
     vals = np.array([closed_m1(params, z) for z in path])
-    ratios = np.roll(vals, -1) / vals
+    # only angles count: unit phasors keep quotients of |m1| ~ 1e155 finite
+    units = vals / np.abs(vals)
+    ratios = np.roll(units, -1) / units
     total = float(np.sum(np.angle(ratios))) / (2.0 * math.pi)
     if not math.isfinite(total):
         raise NumericsError(f"winding sum {total} is not finite")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import schurroots as sr
 from schurroots.cli import main
 from schurroots.config import RunConfig, build_model_from_config
+from schurroots.contour import _RectangleDistance
 from schurroots.errors import NumericsError
 from schurroots.model import SpectralModel
 from schurroots.report import admissibility_block
@@ -239,6 +240,19 @@ def test_friedrichs_extreme_values_keep_the_exit_codes(capsys, args, expected):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_friedrichs_tiny_fixed_point_converges(capsys):
+    # y = b^2 pi ~ 1.95e-156 here (alpha / y overflows, so arctan is pi/2);
+    # solve_y must converge relative to y, and the winding quotients of
+    # values near 1e155 must not overflow (a RuntimeWarning fails the test)
+    b = 7.875885070113774e-79
+    code, out = run(capsys, ["friedrichs", "--alpha=9.122900711414225e+154", f"--b={b!r}"])
+    assert code == 0
+    values = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert abs(float(values["y"]) - b * b * math.pi) <= 1e-14 * b * b * math.pi
+    assert float(values["normalization_residual"]) <= 1e-14
+    assert values["winding_upper"] == values["winding_lower"] == "1"
 
 
 _ANY_FLOAT = st.floats() | st.sampled_from(
@@ -699,6 +713,20 @@ def test_non_finite_density_exits_4(tmp_path, capsys, command):
     assert code == 4
     assert err.startswith("config error:") and "non-finite" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_rectangle_r0_is_taken_at_the_kink(tmp_path, capsys, model_zoo):
+    # the depth family (0.25, 1.0) of a depth-0.5 rectangle holds the kink
+    # h* of d(h), where a zoo model's r_min is least
+    data = {**_zoo_config(model_zoo), "contour": {"kind": "rectangle", "depth": 0.5}}
+    code, out = run(capsys, ["solve", "--config", write_cfg(tmp_path, data)])
+    assert code == 0
+    adm = json.loads(out)["admissibility"]
+    model = build_model_from_config(RunConfig.from_dict(data))
+    kink = _RectangleDistance(model, model.interval).kink
+    at_kink = sr.admissibility(model, sr.make_contour(model, 1, "rectangle", kink))
+    assert adm["r0_upper_bound"] == at_kink.r_min
+    assert adm["r0_upper_bound"] <= adm["r_min"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

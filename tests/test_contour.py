@@ -169,36 +169,57 @@ def _reference_r_min(model, side, depth, nodes_per_unit, coupling_scale):
     return rep.r_min if rep.admissible else math.inf
 
 
-def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
-                           samples=33, tol=1e-6):
-    """optimize_r0's rectangle search with one make_contour plus
-    admissibility per candidate depth. Returns the scan's r_min values and
-    (depth, nodes, r0), or the message of the AdmissibilityError raised."""
-    def r_of(depth):
-        return _reference_r_min(model, side, depth, nodes_per_unit, coupling_scale)
-
-    lo, hi = family
+def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
+    """optimize_r0's search of the depths (lo, hi). r_of(*depths) gives
+    r_min at each depth; it is called with the scan's depths, then the two
+    bracket points, then one depth per golden-section step, as the
+    golden-section search calls _rectangle_r_min. kink is h* of the
+    family's d(h), or None for the golden-section search alone; the kink
+    probes take a call of their own. Returns the scan's r_min values and
+    the chosen depth, or None when no scanned depth is admissible."""
     depths = np.linspace(lo, hi, samples)
-    values = [r_of(d) for d in depths]
+    values = r_of(*depths)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
-        return values, "no admissible depth in the requested range"
+        return values, None
     left = depths[max(best - 1, 0)]
     right = depths[min(best + 1, samples - 1)]
+    if kink is not None:
+        delta = 0.5 * tol * max(1.0, kink)
+        if lo < kink - delta and kink + delta < hi and left <= kink <= right:
+            below, at_kink, above = r_of(kink - delta, kink, kink + delta)
+            if at_kink <= min(values[best], below, above):
+                return values, kink
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
-    f1, f2 = r_of(x1), r_of(x2)
+    f1, f2 = r_of(x1, x2)
     while right - left > tol * max(1.0, right):
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - phi * (right - left)
-            f1 = r_of(x1)
+            (f1,) = r_of(x1)
         else:
             left, x1, f1 = x1, x2, f2
             x2 = left + phi * (right - left)
-            f2 = r_of(x2)
-    depth = 0.5 * (left + right)
+            (f2,) = r_of(x2)
+    return values, 0.5 * (left + right)
+
+
+def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
+                           kink_rule=True):
+    """optimize_r0 with one make_contour plus admissibility per candidate
+    depth; kink_rule=False leaves the golden-section search alone. Returns
+    the scan's r_min values and (depth, nodes, r0), or the message of the
+    AdmissibilityError raised."""
+    def r_of(*depths):
+        return [_reference_r_min(model, side, depth, nodes_per_unit, coupling_scale)
+                for depth in depths]
+
+    kink = _RectangleDistance(model, model.interval).kink if kink_rule else None
+    values, depth = _reference_search(r_of, *family, kink)
+    if depth is None:
+        return values, "no admissible depth in the requested range"
     contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
     rep = sr.admissibility(model, contour, coupling_scale)
     if not rep.admissible:
@@ -224,23 +245,77 @@ def test_rect_families_cover_mixed_node_counts():
 @pytest.mark.parametrize("family", RECT_FAMILIES)
 def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, family):
     depths = np.linspace(*family, 33)
+    at_kink = 0
     for model in [friedrichs_model] + model_zoo:
+        distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for t in (0.5, 1.0):
                 values, ref = _reference_optimize_r0(model, side, family, 200, t)
+                _, golden = _reference_optimize_r0(model, side, family, 200, t,
+                                                   kink_rule=False)
                 # every scanned depth's r_min, not only the search's outcome
-                distance = _RectangleDistance(model, model.interval)
                 assert _rectangle_r_min(model, side, depths, 200, t, distance) == values
                 try:
                     contour, r0 = sr.optimize_r0(model, side, ("rectangle", family),
                                                  nodes_per_unit=200, coupling_scale=t)
                 except AdmissibilityError as exc:
-                    assert str(exc) == ref
+                    assert str(exc) == ref == golden
                     continue
                 depth, nodes, ref_r0 = ref
                 assert contour.depth == depth
                 assert np.array_equal(contour.nodes, nodes)
                 assert r0 == ref_r0
+                # the kink rule never does worse than the golden-section
+                # search, and leaves its steps alone where it does not fire
+                assert golden[2] - 3e-7 * golden[2] <= r0 <= golden[2]
+                if depth == distance.kink:
+                    at_kink += 1
+                else:
+                    assert depth == golden[0]
+                    assert np.array_equal(nodes, golden[1])
+                    assert r0 == golden[2]
+    # of the 84 searches, all but Friedrichs' end at the kink of (0.25, 1.0),
+    # where h* = 1 leaves no room for the upper probe; (0.1, 0.4) lies
+    # below every kink
+    assert at_kink == {(0.25, 1.0): 80, (0.2, 1.2): 84, (0.1, 0.4): 0}[family]
+
+
+def test_kink_rule_declines_a_kink_that_is_no_minimum():
+    # b vanishes at x +- 0.4i for x = +-0.25, +-0.75, so V0 grows steeply
+    # with the depth and r_min is least short of h* = 0.35, though within
+    # the scan's bracket around it: the lower probe beats h*, and the
+    # golden-section search runs as it would without the kink rule
+    coeffs = np.array([1.0])
+    for x in (-0.75, -0.25, 0.25, 0.75):
+        coeffs = np.polynomial.polynomial.polymul(coeffs, [x * x + 0.16, -2 * x, 1.0])
+    model = sr.build_model((-1.0, 1.0), [[0.65]], [[[0.01 * c]] for c in coeffs])
+    distance = _RectangleDistance(model, model.interval)
+    family = (0.25, 1.2)
+    depths = np.linspace(*family, 33)
+    best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, 1.0, distance)))
+    assert depths[best - 1] <= distance.kink <= depths[best + 1]
+    contour, r0 = sr.optimize_r0(model, 1, ("rectangle", family))
+    _, golden = _reference_optimize_r0(model, 1, family, 200, 1.0, kink_rule=False)
+    assert contour.depth == golden[0] != distance.kink
+    assert np.array_equal(contour.nodes, golden[1])
+    assert r0 == golden[2] < _reference_r_min(model, 1, distance.kink, 200, 1.0)
+
+
+def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
+    # the scan and the three kink probes take one _rectangle_r_min call
+    calls = []
+    search = contour_module._rectangle_r_min
+
+    def count(model, side, depths, *args):
+        calls.append(len(depths))
+        return search(model, side, depths, *args)
+
+    monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
+    for model in model_zoo:
+        calls.clear()
+        contour, _ = sr.optimize_r0(model, 1, ("rectangle", (0.25, 1.0)))
+        assert contour.depth == _RectangleDistance(model, model.interval).kink
+        assert calls == [33 + 3]
 
 
 def test_spectral_norms_n2_match_axis_sum_form():
@@ -350,14 +425,20 @@ def _point_segment_rectangle_distance(model, side, depth):
                      for p, q in zip(corners[:-1], corners[1:])))
 
 
+# one eigenvalue outside the interval, on its ends or off its middle,
+# where the foot of the top side is clamped or the vertical sides are
+# nearest; all but 0.3 and -0.999 leave d(h) without a kink
+EDGE_EIGENVALUES = (-1.5, -1.0, -0.999, 0.3, 1.0, 1.2, 3.0)
+
+
+def _edge_models():
+    return [sr.build_model((-1.0, 1.0), [[lam]], [[[0.05]]]) for lam in EDGE_EIGENVALUES]
+
+
 def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
                                                        friedrichs_model):
-    # every depth that optimize_r0 scans or refines, on both sides, plus
-    # one eigenvalue outside the interval, on its ends or off its middle,
-    # where the foot of the top side is clamped or the vertical sides are
-    # nearest
-    edges = [sr.build_model((-1.0, 1.0), [[lam]], [[[0.05]]])
-             for lam in (-1.5, -1.0, -0.999, 0.3, 1.0, 1.2, 3.0)]
+    # every depth that optimize_r0 scans, probes or refines, and every depth
+    # of the golden-section search alone, on both sides, plus the edge models
     scanned = []
     search = contour_module._rectangle_r_min
 
@@ -366,13 +447,17 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
         return search(model, side, depths, *args)
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", record)
-    for model in [friedrichs_model] + edges + model_zoo:
+    for model in [friedrichs_model] + _edge_models() + model_zoo:
+        distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for family in RECT_FAMILIES:
                 try:
                     sr.optimize_r0(model, side, ("rectangle", family))
                 except AdmissibilityError:
                     pass
+                _reference_search(
+                    lambda *depths: record(model, side, depths, 200, 1.0, distance),
+                    *family, None)
             scanned.append((model, side, [1e-3, 0.5, 2.0, 7.3]))
     assert len(scanned) > 28 * 2 * 3 * 20
     for model, side, depths in scanned:
@@ -380,6 +465,39 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
         assert _RectangleDistance(model, model.interval)(depths) == want
         contour = sr.make_contour(model, side, "rectangle", depths[-1])
         assert sr.distance_to_sigma1(model, contour) == want[-1]
+
+
+def test_rectangle_distance_kink_matches_a_fine_scan(model_zoo, friedrichs_model):
+    # d(h) is below sides, and equal to the top side's point-segment
+    # distance, short of h*, and equals sides beyond it; without a kink it
+    # is sides at every depth. The grid is geometric so that the kink at
+    # 1e-3 is resolved.
+    edges = _edge_models() + [friedrichs_model]
+    for model, want in zip(edges, (None, None, 1e-3, 0.7, None, None, None, 1.0)):
+        kink = _RectangleDistance(model, model.interval).kink
+        if want is None:
+            assert kink is None
+        else:
+            assert abs(kink - want) <= 1e-15
+    grid = np.geomspace(1e-6, 10.0, 4001)
+    for model in edges + model_zoo:
+        distance = _RectangleDistance(model, model.interval)
+        a, b = model.interval
+        dists = np.array(distance(grid))
+        top = np.array([min(_point_segment_distance(a + 1j * h, b + 1j * h, lam)
+                            for lam in map(complex, model.sigma1.tolist()))
+                        for h in grid])
+        below = dists < distance.sides
+        assert np.array_equal(dists[below], top[below])
+        assert np.all(dists[~below] == distance.sides)
+        assert np.all(top[~below] >= distance.sides)
+        if distance.kink is None:
+            assert not np.any(below)
+        else:
+            # below is the grid short of h*, up to rounding at h* itself
+            near = np.abs(grid - distance.kink) <= 1e-12 * distance.kink
+            assert np.array_equal(below[~near], grid[~near] < distance.kink)
+            assert np.any(below) and not np.all(below)
 
 
 def test_admissibility_at_rescales_exactly(friedrichs_model, friedrichs_contours):
