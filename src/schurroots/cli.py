@@ -1,8 +1,9 @@
 """Command-line front door: solve, verify, sweep, friedrichs.
 
-All workflows consume a JSON RunConfig and emit a JSON report (plus CSV
-for sweep). Exit codes: 0 success, 2 inadmissible input, 3 numerical
-failure, 4 config error.
+solve, verify and sweep consume a JSON RunConfig and emit a JSON report
+(plus CSV for sweep); friedrichs takes --alpha and --b only, since its
+closed forms hold for a1 = 0, and prints the scalar oracle. Exit codes:
+0 success, 2 inadmissible input, 3 numerical failure, 4 config error.
 
 solve, verify and sweep share one prologue (_prologue): the model, one
 contour per side and the base report. Each root decides and carries its
@@ -23,7 +24,6 @@ Omega(l)^*.
 """
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -152,17 +152,9 @@ def cmd_solve(cfg: RunConfig) -> dict:
     clss = {}
     for side, sol in sols.items():
         clss[side] = (clss[derived[side]].conjugate() if side in derived
-                      else classify(sol, cfg.tau_real))
+                      else classify(sol))
         report["solutions"][f"{side:+d}"] = solution_block(sol, clss[side])
     return _finish(report, start)
-
-
-def _corrupt(sol, amount: float):
-    if amount == 0.0:
-        return sol
-    n = sol.z_op.shape[0]
-    shift = amount * np.eye(n)
-    return dataclasses.replace(sol, x=sol.x + shift, z_op=sol.z_op + shift)
 
 
 def _lens_points(rng, contour, count) -> np.ndarray:
@@ -234,31 +226,32 @@ def _worst(per_side, sides) -> float:
 
 
 def _identity_table(cfg, model, roots, rng) -> tuple:
-    """Build the identity rows plus per-side solution and Riccati blocks.
+    """Build the identity rows plus per-side Riccati data and
+    classifications.
 
     roots maps each side to its root of model at the configured coupling,
     which carries its t-scaled model, contour and admissibility report;
-    every per-side row reads them from the root. Returns (rows, sols, rics,
-    clss), the last three keyed by side, sols with corrupt_z applied.
+    every per-side row reads them from its root, and the side-free rows
+    that need the t-scaled coupling read roots[1].model. Returns (rows,
+    rics, clss), the last two keyed by side.
     """
-    sm = model.scaled(cfg.coupling_scale)
+    sm = roots[1].model
     sides = (1, -1)
-    sols, rics, clss = {}, {}, {}
+    rics, clss = {}, {}
     for side in sides:
-        sols[side] = _corrupt(roots[side], cfg.corrupt_z)
-        clss[side] = classify(sols[side], cfg.tau_real)
-        rics[side] = compute_Y(sols[side], cfg.quad_tol)
+        clss[side] = classify(roots[side])
+        rics[side] = compute_Y(roots[side])
 
     # computed on first use, once per side. A failure is not cached: each
     # row that reads the value raises it again and fails with its message
     # as the row's note
     @functools.cache
     def omega(side):
-        return compute_Omega(sols[side], sols[-side])
+        return compute_Omega(roots[side], roots[-side])
 
     @functools.cache
     def recon(side):
-        return reconstruct_from_contour(sols[side])
+        return reconstruct_from_contour(roots[side])
 
     rows = []
 
@@ -275,7 +268,7 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
         return lambda: _worst(per_side, row_sides)
 
     def sheets(side):
-        contour = sols[side].contour
+        contour = roots[side].contour
         pts = _lens_points(rng, contour, cfg.lens_points)
         mc = m1_continued_many(sm, contour, pts)
         sv = sheets_value(sm, pts, side, contour)
@@ -283,10 +276,10 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
 
     add_row("sheets-crosspath", 1e-9, over_sides(sheets))
 
-    d = sols[1].report.distance
+    d = roots[1].report.distance
 
     def factorization(side):
-        sol = sols[side]
+        sol = roots[side]
         zs = _near_sigma_points(rng, model, d, cfg.factor_points)
         f1 = factor_F1(sol, zs)
         mc = m1_continued_many(sol.model, sol.contour, zs)
@@ -297,7 +290,7 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
 
     def conditioning(side):
         zs = _near_sigma_points(rng, model, d, cfg.factor_points)
-        return np.max(np.linalg.cond(factor_F1(sols[side], zs)))
+        return np.max(np.linalg.cond(factor_F1(roots[side], zs)))
 
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
@@ -317,7 +310,7 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
 
     def omega_two_path(side):
         om = omega(side)
-        alt = omega_by_deformation(sols[side], sols[-side], cfg.quad_tol)
+        alt = omega_by_deformation(roots[side], roots[-side])
         return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
 
     add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
@@ -331,21 +324,21 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
 
     def similarity(side):
         inv = np.linalg.inv(np.eye(model.n) - omega(side).omega)
-        zmh = np.conj(sols[-side].z_op.T)
-        z = sols[side].z_op
+        zmh = np.conj(roots[-side].z_op.T)
+        z = roots[side].z_op
         return _relative_gap(inv @ zmh - z @ inv, z)
 
     add_row("moment-similarity", 1e-9, over_sides(similarity))
 
     def reconstruction(side):
-        z = sols[side].z_op
+        z = roots[side].z_op
         return _relative_gap(recon(side)[2] - z, z)
 
     add_row("root-reconstruction", 1e-8, over_sides(reconstruction))
 
     def root_contour(side):
         # the closed-form root against the contour sum over Gamma
-        sol = sols[side]
+        sol = roots[side]
         summed = transformator(sol.model, sol.contour, sol.z_op,
                                sol.eigensystem.values)
         return _relative_gap(sol.x - summed, sol.x)
@@ -383,7 +376,7 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
         lambda s: rics[s].y_norm ** 2 - ysn_integral(rics[s])))
 
     def localization(side):
-        sol = sols[side]
+        sol = roots[side]
         return max(float(np.min(np.abs(lam - model.sigma1))) - sol.report.r_min
                    for lam in sol.eigensystem.values)
 
@@ -408,7 +401,7 @@ def _identity_table(cfg, model, roots, rng) -> tuple:
     # axis, as a signed margin
     add_row("density", 0.0, lambda: density_margin(model))
 
-    return rows, sols, rics, clss
+    return rows, rics, clss
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
@@ -423,13 +416,13 @@ def cmd_verify(cfg: RunConfig) -> dict:
                                "r0_upper_bound": _r0(cfg, model, roots[1])}
 
     rng = np.random.default_rng(cfg.seed)
-    rows, sols, rics, clss = _identity_table(cfg, model, roots, rng)
+    rows, rics, clss = _identity_table(cfg, model, roots, rng)
     report["identities"] = rows
     report["solutions"] = {}
     report["riccati"] = {}
     for side in (1, -1):
         key = f"{side:+d}"
-        report["solutions"][key] = solution_block(sols[side], clss[side])
+        report["solutions"][key] = solution_block(roots[side], clss[side])
         report["riccati"][key] = riccati_block(
             rics[side], check_one_in_spectrum(rics[side]))
     report["all_identities_pass"] = all(r["passed"] for r in rows)
@@ -444,7 +437,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     report["provenance"]["derived_sides"] = _derived_sides(derived)
     paths = _solve_sides(report, contours, derived, functools.partial(
         homotopy_path, model, t_grid=cfg.t_grid, tol=cfg.tol,
-        max_iter=cfg.max_iter, tau_real=cfg.tau_real), conjugate_path)
+        max_iter=cfg.max_iter), conjugate_path)
     if paths is None:
         return _finish(report, start), []
     # the first side's root at the largest t, the last of the grid
@@ -465,17 +458,14 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     return _finish(report, start), rows
 
 
-def cmd_friedrichs(alpha: float, a1: float, b: float) -> str:
-    params = fr.FriedrichsParams(alpha, a1, b)
-    if params.a1 != 0.0:
-        raise ModelError(
-            "closed forms require a1 = 0; route a1 != 0 through `solve`")
+def cmd_friedrichs(alpha: float, b: float) -> str:
+    params = fr.FriedrichsParams(alpha, 0.0, b)
     z_plus, z_minus, y_norm, _ = fr.oracle_solution(params)
     y = z_minus.imag
     norm_resid = float(abs(1.0 - b * b * (2.0 / y) * np.arctan(alpha / y)))
     lines = [
         f"alpha = {alpha!r}",
-        f"a1 = {a1!r}",
+        f"a1 = {params.a1!r}",
         f"b = {b!r} (b^2 = {b * b!r})",
         f"y = {y!r}",
         f"z_plus = {z_plus!r}",
@@ -519,7 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("friedrichs", help="closed-form scalar oracle summary")
     pf.add_argument("--alpha", required=True, type=float)
-    pf.add_argument("--a1", type=float, default=0.0)
     pf.add_argument("--b", required=True, type=float)
     return p
 
@@ -536,7 +525,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "friedrichs":
-            sys.stdout.write(cmd_friedrichs(args.alpha, args.a1, args.b))
+            sys.stdout.write(cmd_friedrichs(args.alpha, args.b))
             return EXIT_OK
 
         cfg = RunConfig.from_file(args.config)

@@ -4,7 +4,7 @@ The on-disk format is JSON. Complex scalars are [re, im] pairs, matrices
 are row-major nested lists of pairs, and the coupling polynomial is a
 list of coefficient matrices, lowest degree first. from_dict fills every
 default, so parse -> serialize -> parse is a fixed point on the filled
-form.
+form, and refuses any section or key that to_dict does not write.
 """
 
 import json
@@ -100,7 +100,6 @@ class RunConfig:
     nodes_per_unit: int = 200
     tol: float = 1e-12
     max_iter: int = 500
-    tau_real: float | None = None
     coupling_scale: float = 1.0
     t_grid: tuple = ()
     seed: int = 0
@@ -109,23 +108,30 @@ class RunConfig:
     boundary_points: int = 50
     riccati_samples: int = 50
     trial_count: int = 20
-    corrupt_z: float = 0.0
-    quad_tol: float = 1e-11
     report_path: str | None = None
     csv_path: str | None = None
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        """Parse and validate; every malformed value raises ConfigError."""
+        """Parse and validate; every malformed value, and every section or
+        key that to_dict does not write, raises ConfigError."""
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
         try:
-            return RunConfig._parse(data)
+            cfg = RunConfig._parse(data)
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             # a value of the wrong type or form, e.g. int("a") for a side
             raise ConfigError(f"malformed config value: {exc}") from exc
+        schema = cfg.to_dict()
+        for section, values in data.items():
+            if section not in schema:
+                raise ConfigError(f"unknown config section {section!r}")
+            for key in values:
+                if key not in schema[section]:
+                    raise ConfigError(f"unknown config key {section}.{key}")
+        return cfg
 
     @staticmethod
     def _parse(data: dict) -> "RunConfig":
@@ -170,16 +176,11 @@ class RunConfig:
         solver = data.get("solver", {})
         tol = _real(solver.get("tol", 1e-12), "solver.tol")
         max_iter = _integer(solver.get("max_iter", 500), "solver.max_iter", 1)
-        tau_real = solver.get("tau_real")
-        tau_real = None if tau_real is None else _real(tau_real, "solver.tau_real")
         scale = _real(solver.get("coupling_scale", 1.0), "solver.coupling_scale")
-        quad_tol = _real(solver.get("quad_tol", 1e-11), "solver.quad_tol")
         if not 0.0 <= scale <= 1.0:
             raise ConfigError(f"coupling_scale must be in [0, 1], got {scale}")
-        if tol <= 0 or quad_tol <= 0:
-            raise ConfigError("tol and quad_tol must be positive")
-        if tau_real is not None and tau_real < 0:
-            raise ConfigError(f"solver.tau_real must be nonnegative, got {tau_real}")
+        if tol <= 0:
+            raise ConfigError("tol must be positive")
 
         sweep = data.get("sweep", {})
         t_grid = tuple(_real(t, "sweep.t_grid") for t in sweep.get("t_grid", []))
@@ -201,7 +202,6 @@ class RunConfig:
             nodes_per_unit=npu,
             tol=tol,
             max_iter=max_iter,
-            tau_real=tau_real,
             coupling_scale=scale,
             t_grid=t_grid,
             seed=seed,
@@ -210,8 +210,6 @@ class RunConfig:
             boundary_points=_sample_count(verify, "boundary_points", 50),
             riccati_samples=_sample_count(verify, "riccati_samples", 50),
             trial_count=_sample_count(verify, "trial_count", 20),
-            corrupt_z=_real(verify.get("corrupt_z", 0.0), "verify.corrupt_z"),
-            quad_tol=quad_tol,
             report_path=out.get("report"),
             csv_path=out.get("csv"),
         )
@@ -232,9 +230,7 @@ class RunConfig:
             "solver": {
                 "tol": self.tol,
                 "max_iter": self.max_iter,
-                "tau_real": self.tau_real,
                 "coupling_scale": self.coupling_scale,
-                "quad_tol": self.quad_tol,
             },
             "sweep": {"t_grid": list(self.t_grid)},
             "verify": {
@@ -244,7 +240,6 @@ class RunConfig:
                 "boundary_points": self.boundary_points,
                 "riccati_samples": self.riccati_samples,
                 "trial_count": self.trial_count,
-                "corrupt_z": self.corrupt_z,
             },
             "output": {"report": self.report_path, "csv": self.csv_path},
         }

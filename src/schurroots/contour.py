@@ -545,9 +545,10 @@ def optimize_r0(model: SpectralModel, side: int, family,
 
     family is ("rectangle", (depth_lo, depth_hi)). A coarse scan of
     _SCAN_DEPTHS depths brackets the least r_min between the neighbours of
-    its best depth; deterministic. Returns (best_contour, r0) where r0 is
-    the optimal localization radius. Raises AdmissibilityError when no
-    member of the family is admissible.
+    its best depth; deterministic. Returns (depth, r0), r0 the optimal
+    localization radius: r_min of make_contour(model, side, "rectangle",
+    depth, nodes_per_unit). Raises AdmissibilityError when no member of
+    the family is admissible.
 
     r_min = d/2 - sqrt(d^2/4 - V0) falls as d rises and rises with V0, and
     d(h) rises up to its kink h* and is constant after it (see
@@ -561,8 +562,8 @@ def optimize_r0(model: SpectralModel, side: int, family,
 
     The candidate depths are evaluated by _rectangle_r_min: the scan's
     depths and probes in one batch, the two bracket points in a second and
-    each golden-section step on its own. Only the chosen depth gets a
-    Contour, and its r0 is recomputed from it by admissibility.
+    each golden-section step and the final midpoint on its own. No depth
+    gets a Contour: r0 is the value the search measured at its depth.
     """
     kind, (lo, hi) = family
     if kind != "rectangle":
@@ -591,24 +592,22 @@ def optimize_r0(model: SpectralModel, side: int, family,
     left = depths[max(best - 1, 0)]
     right = depths[min(best + 1, _SCAN_DEPTHS - 1)]
     if probes and left <= kink <= right and at_probes[1] <= min(values[best], *at_probes):
-        depth = kink
-    else:
-        phi = 0.5 * (math.sqrt(5.0) - 1.0)
-        x1 = right - phi * (right - left)
-        x2 = left + phi * (right - left)
-        f1, f2 = r_of(x1, x2)
-        while right - left > _DEPTH_RTOL * max(1.0, right):
-            if f1 <= f2:
-                right, x2, f2 = x2, x1, f1
-                x1 = right - phi * (right - left)
-                (f1,) = r_of(x1)
-            else:
-                left, x1, f1 = x1, x2, f2
-                x2 = left + phi * (right - left)
-                (f2,) = r_of(x2)
-        depth = 0.5 * (left + right)
-    contour = make_contour(model, side, "rectangle", depth, nodes_per_unit)
-    rep = admissibility(model, contour, coupling_scale)
-    if not rep.admissible:
+        return kink, at_probes[1]
+    phi = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1 = right - phi * (right - left)
+    x2 = left + phi * (right - left)
+    f1, f2 = r_of(x1, x2)
+    while right - left > _DEPTH_RTOL * max(1.0, right):
+        if f1 <= f2:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - phi * (right - left)
+            (f1,) = r_of(x1)
+        else:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + phi * (right - left)
+            (f2,) = r_of(x2)
+    depth = float(0.5 * (left + right))
+    (r0,) = r_of(depth)
+    if not math.isfinite(r0):
         raise AdmissibilityError("refined depth lost admissibility", report=None)
-    return contour, rep.r_min
+    return depth, r0

@@ -88,6 +88,9 @@ def _segment_distance(lam: complex, interval) -> float:
 # that would need one is not used.
 _CONFLUENT = 1e-6
 
+# The rtol of the interval quadratures of compute_Y and omega_by_deformation
+_QUAD_RTOL = 1e-11
+
 
 def _confluent(xs: np.ndarray, ys: np.ndarray) -> bool:
     """Whether some pair of xs and ys is (near-)confluent."""
@@ -118,7 +121,7 @@ def _gram_closed_form(kcoeffs: np.ndarray, interval, eigs: np.ndarray,
     return np.conj(inv.T) @ inner @ inv
 
 
-def compute_Y(sol: RootSolution, quad_tol: float = 1e-11) -> RiccatiSolution:
+def compute_Y(sol: RootSolution) -> RiccatiSolution:
     """Assemble the angular operator data for a solved root.
 
     The Gram matrix G = integral of y(mu)^* y(mu) over the interval is
@@ -129,7 +132,7 @@ def compute_Y(sol: RootSolution, quad_tol: float = 1e-11) -> RiccatiSolution:
     "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
     adaptive quadrature, started graded toward spec Z, so root-equation
     compares it with the closed-form root. Requires the spectrum of Z to
-    stay clear of the interval (separation guard 10 * sqrt(quad_tol));
+    stay clear of the interval (separation guard 10 * sqrt(_QUAD_RTOL));
     the zero-coupling model short-circuits to exact zeros.
     """
     sm, z = sol.model, sol.z_op
@@ -140,7 +143,7 @@ def compute_Y(sol: RootSolution, quad_tol: float = 1e-11) -> RiccatiSolution:
     interval = sm.interval
     eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
     sep = min(_segment_distance(complex(e), interval) for e in eigs)
-    guard = 10.0 * float(np.sqrt(quad_tol))
+    guard = 10.0 * float(np.sqrt(_QUAD_RTOL))
     if sep <= guard:
         raise NumericsError(
             f"spectrum within {sep:.3e} of the interval; separation guard {guard:.3e}"
@@ -158,14 +161,14 @@ def compute_Y(sol: RootSolution, quad_tol: float = 1e-11) -> RiccatiSolution:
             mus = nodes.astype(np.complex128)
             return _sandwich_products(sm.kprime_values(mus), mus, zh, z)
 
-        gram, _ = adaptive_quad(gram_values, a, b, rtol=quad_tol, poles=eigs)
+        gram, _ = adaptive_quad(gram_values, a, b, rtol=_QUAD_RTOL, poles=eigs)
         route = "quadrature"
 
     def bstar_values(nodes):
         mus = nodes.astype(np.complex128)
         return _right_resolvent_products(sm.kprime_values(mus), mus, z)
 
-    bstar_y, _ = adaptive_quad(bstar_values, a, b, rtol=quad_tol, poles=eigs)
+    bstar_y, _ = adaptive_quad(bstar_values, a, b, rtol=_QUAD_RTOL, poles=eigs)
 
     gram = 0.5 * (gram + np.conj(gram.T))
     geigs = np.linalg.eigvalsh(gram)
@@ -371,9 +374,9 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
     return OmegaOperator(contour.side, omega, norm, bound)
 
 
-def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution,
-                         quad_tol: float = 1e-11) -> np.ndarray:
-    """Omega computed over the interval instead of the contour.
+def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarray:
+    """Omega computed over the interval instead of the contour, by an
+    adaptive quadrature to relative tolerance _QUAD_RTOL.
 
     Legitimate when the integrand is analytic in the lens, which the
     spectral separation guard ensures; used as the independent second
@@ -389,7 +392,7 @@ def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution,
         mus = nodes.astype(np.complex128)
         return _sandwich_products(sm.kprime_values(mus), mus, zl, zr)
 
-    omega, _ = adaptive_quad(values, a, b, rtol=quad_tol, poles=poles)
+    omega, _ = adaptive_quad(values, a, b, rtol=_QUAD_RTOL, poles=poles)
     return omega
 
 

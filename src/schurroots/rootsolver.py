@@ -138,8 +138,8 @@ class RootSolution:
 
         _picard seeds it with the decomposition its residual check took of
         z_op. A cached property, not a field, so a root that
-        dataclasses.replace builds (conjugate, a corrupted Z) decomposes
-        its own z_op.
+        dataclasses.replace builds (conjugate, or a test's shifted Z)
+        decomposes its own z_op.
         """
         return Eigensystem(*np.linalg.eig(self.z_op))
 
@@ -165,7 +165,6 @@ class ClassifiedEigenvalue:
     multiplicity: int
     label: str  # real | resonance | physical-complex
     physical_residual: float | None = None
-    ambiguous: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ class SpectrumClassification:
     def conjugate(self) -> "SpectrumClassification":
         """The classification of the conjugated root (RootSolution.conjugate)
         of a real model: each eigenvalue conjugated, in the same order, with
-        its label, multiplicity, physical residual and ambiguity flag kept.
+        its label, multiplicity and physical residual kept.
 
         Conjugation flips both the sign of Im(lam) and the side, so the
         label is unchanged, and the physical-sheet M1 at conj(lam) is the
@@ -356,6 +355,12 @@ def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
     return _picard(model, contour, report, float(t), tol, max_iter, x0)
 
 
+def _real_band(model: SpectralModel) -> float:
+    """The half-width 1e-8 (1 + ||a1||_2) of the band around the real
+    axis whose eigenvalues are labelled real."""
+    return 1e-8 * (1.0 + float(np.linalg.norm(model.a1, 2)))
+
+
 def _label_for(lam: complex, side: int, tau: float) -> str:
     if abs(lam.imag) <= tau:
         return "real"
@@ -375,17 +380,17 @@ def _physical_residuals(sol: RootSolution, lams, labels) -> list:
     return out
 
 
-def classify(sol: RootSolution,
-             tau_real: float | None = None) -> SpectrumClassification:
+def classify(sol: RootSolution) -> SpectrumClassification:
     """Label the spectrum of Z: real band, resonance side, physical side.
 
+    An eigenvalue within _real_band of the real axis is real; any other is
+    a resonance when it lies on the root's side, else physical-complex.
     Eigenvalues within 1e-8 (1 + max |lam|) of each other are grouped into
     one entry with the corresponding multiplicity. Each physical-complex entry
     records the smallest singular value of the physical-sheet Schur
     complement at the eigenvalue; genuine eigenvalues make it vanish.
     """
-    a_norm = float(np.linalg.norm(sol.model.a1, 2))
-    tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
+    tau = _real_band(sol.model)
     eigs = np.sort_complex(sol.eigensystem.values)
     radius = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
 
@@ -415,8 +420,7 @@ def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
 
 
 def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
-                  tol: float = 1e-12, max_iter: int = 500,
-                  tau_real: float | None = None) -> list:
+                  tol: float = 1e-12, max_iter: int = 500) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
     Each solve warm-starts from the previous X scaled by (t / t_prev)^2,
@@ -424,7 +428,8 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     (t, RootSolution, SpectrumClassification) with classification entries
     in trajectory order: entry i at each t continues entry i at the
     previous t (matched by global nearest-neighbor assignment, no
-    multiplicity grouping). Suspicious jumps and ambiguous pairings are
+    multiplicity grouping), labelled as classify labels them, on the same
+    _real_band. Suspicious jumps and ambiguous pairings are
     reported as warnings, never as errors. admissibility(model, contour)
     is evaluated once, at t = 1, and rescaled to each t; an inadmissible
     contour at the largest t raises AdmissibilityError carrying the report
@@ -440,8 +445,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
     base = admissibility(model, contour)
     ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
-    a_norm = float(np.linalg.norm(model.a1, 2))
-    tau = tau_real if tau_real is not None else 1e-8 * (1.0 + a_norm)
+    tau = _real_band(model)
 
     out = []
     x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
@@ -468,19 +472,16 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
                 )
             if dt > 0:
                 lipschitz = max(lipschitz, jump / dt)
-
-        scale = 1.0 + float(np.max(np.abs(eigs)))
-        sep = np.abs(eigs[None, :] - eigs[:, None]) + np.eye(eigs.size) * 1e30
-        ambiguous_mask = np.min(sep, axis=1) < 1e-8 * scale
-        if np.any(ambiguous_mask) and eigs_prev is not None:
-            warnings.warn(f"ambiguous trajectory pairing at t={t}", RuntimeWarning)
+            scale = 1.0 + float(np.max(np.abs(eigs)))
+            sep = np.abs(eigs[None, :] - eigs[:, None]) + np.eye(eigs.size) * 1e30
+            if np.min(sep) < 1e-8 * scale:
+                warnings.warn(f"ambiguous trajectory pairing at t={t}", RuntimeWarning)
 
         lams = [complex(lam) for lam in eigs]
         labels = [_label_for(lam, sol.side, tau) for lam in lams]
         resids = _physical_residuals(sol, lams, labels)
-        entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid, bool(amb))
-                        for lam, label, resid, amb
-                        in zip(lams, labels, resids, ambiguous_mask))
+        entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid)
+                        for lam, label, resid in zip(lams, labels, resids))
         out.append((t, sol, SpectrumClassification(entries)))
 
         eigs_prev = eigs

@@ -141,30 +141,23 @@ def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     return _m1_on_rule(model, rule, model.kprime_values(rule.nodes), zs)
 
 
-def sheets_value(model: SpectralModel, z, side: int,
-                 contour: Contour | None = None) -> np.ndarray:
+def sheets_value(model: SpectralModel, z, side: int, contour: Contour) -> np.ndarray:
     """Continuation into the side-l lens via the jump of the density:
     value = M1(z) - 2*pi*i*l*K'(z).
 
-    Independent of quadrature, so it cross-checks m1_continued. When a
-    contour is supplied the lens membership is enforced strictly;
-    otherwise only the half-plane is checked. z is one point -> (n, n),
-    or a 1-d array of P points -> (P, n, n); the message of a rejection
-    names the first point outside.
+    Independent of quadrature, so it cross-checks m1_continued. Every
+    point must lie strictly inside the lens of the side-l contour. z is
+    one point -> (n, n), or a 1-d array of P points -> (P, n, n); the
+    message of a rejection names the first point outside.
     """
     zs, single = _points(z)
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
-    if contour is not None:
-        if contour.side != side:
-            raise ValueError("contour side disagrees with requested side")
-        outside = ~contour.contains_in_lens(zs)
-        where = f"outside the side {side:+d} lens"
-    else:
-        outside = side * zs.imag <= 0
-        where = f"not in the open half-plane of side {side:+d}"
+    if contour.side != side:
+        raise ValueError("contour side disagrees with requested side")
+    outside = ~contour.contains_in_lens(zs)
     if np.any(outside):
-        raise ValueError(f"z={complex(zs[np.argmax(outside)])} {where}")
+        raise ValueError(f"z={complex(zs[np.argmax(outside)])} outside the side {side:+d} lens")
     value = m1_physical(model, zs) - 2j * np.pi * side * model.kprime_values(zs)
     return value[0] if single else value
 

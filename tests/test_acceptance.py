@@ -50,10 +50,9 @@ def suite(friedrichs_model, model_zoo):
         contours = {s: sr.make_contour(model, s) for s in (1, -1)}
         roots = {s: sr.solve_basic(model, contours[s]) for s in (1, -1)}
         rng = np.random.default_rng(417)
-        rows, sols, rics, clss = _identity_table(_cfg_for(model), model,
-                                                 roots, rng)
+        rows, rics, clss = _identity_table(_cfg_for(model), model, roots, rng)
         out.append({"tag": tag, "model": model, "contours": contours,
-                    "rows": {r["name"]: r for r in rows}, "sols": sols,
+                    "rows": {r["name"]: r for r in rows}, "sols": roots,
                     "rics": rics, "clss": clss})
     return out
 

@@ -1,10 +1,13 @@
 """Command-line behavior: subcommands, exit codes, reports, and CSV."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
+import re
 import tempfile
 import warnings
 
@@ -108,15 +111,22 @@ def test_verify_passes_at_partial_coupling(tmp_path, capsys, model_zoo):
         assert all(r["passed"] for r in rows), rows
 
 
-# The configuration example of README.md
-README_CONFIG = {
-    "model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]},
-    "contour": {"kind": "semicircle", "sides": [1, -1]},
-    "solver": {"tol": 1e-12, "max_iter": 200, "coupling_scale": 1.0},
-    "sweep": {"t_grid": [0.25, 0.5, 0.75, 1.0]},
-    "verify": {"seed": 20260819, "lens_points": 50},
-    "output": {"report": "report.json", "csv": "traj.csv"},
-}
+def _readme_config() -> dict:
+    """The configuration example of README.md, its one JSON block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    return json.loads(block)
+
+
+README_CONFIG = _readme_config()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_readme_config_runs(tmp_path, monkeypatch, command):
+    # every key of the documented example is a key the config knows, since
+    # an unknown one exits 4
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", write_cfg(tmp_path, README_CONFIG)]) == 0
 
 
 def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
@@ -133,11 +143,19 @@ def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
     assert all(row["passed"] for row in rep["identities"]), rep["identities"]
 
 
-def test_verify_corrupted_root_fails(tmp_path, capsys):
-    data = dict(BASE)
-    data["verify"] = {"corrupt_z": 0.01}
-    cfg = write_cfg(tmp_path, data)
-    code, out = run(capsys, ["verify", "--config", cfg])
+def test_verify_corrupted_root_fails(tmp_path, capsys, monkeypatch):
+    # each solved root shifted by 0.01 I before verify checks it
+    import schurroots.cli as cli_mod
+
+    solve = cli_mod.solve_basic
+
+    def shifted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        shift = 0.01 * np.eye(sol.model.n)
+        return dataclasses.replace(sol, x=sol.x + shift, z_op=sol.z_op + shift)
+
+    monkeypatch.setattr(cli_mod, "solve_basic", shifted)
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 3
     rep = json.loads(out)
     assert rep["all_identities_pass"] is False
@@ -210,7 +228,7 @@ def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
     code, _ = run(capsys, ["sweep", "--config", sweep_cfg])
     assert code == 4 and not csv_path.exists()
     assert run(capsys, ["friedrichs", "--alpha", "1.0", "--a1", "0.3", "--b", "0.2"])[0] == 4
-    # --a1 falls back to its default after a call that set it
+    # a refused argv leaves the next call's parse alone
     code, out = run(capsys, ["friedrichs", "--alpha", "1.0", "--b", "0.2"])
     assert code == 0 and "y = 0.11639390461355939" in out
     report_path = tmp_path / "r.json"
@@ -221,9 +239,12 @@ def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
 
 
 def test_friedrichs_rejects_shifted(capsys):
-    code, _ = run(capsys, ["friedrichs", "--alpha", "1.0", "--a1", "0.3",
-                           "--b", "0.2"])
-    assert code == 4
+    # the closed forms hold for a1 = 0 only: friedrichs takes no a1 flag,
+    # not even one that asks for 0
+    for a1 in ("0.3", "0"):
+        code = main(["friedrichs", "--alpha", "1.0", "--a1", a1, "--b", "0.2"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("args, expected", [
@@ -260,13 +281,13 @@ _ANY_FLOAT = st.floats() | st.sampled_from(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
-def test_friedrichs_exit_code_contract(alpha, a1, b):
-    # every float triple ends in 0, 3 or 4: main raises nothing. As in
+@given(_ANY_FLOAT, _ANY_FLOAT)
+def test_friedrichs_exit_code_contract(alpha, b):
+    # every float pair ends in 0, 3 or 4: main raises nothing. As in
     # test_exit_code_contract_on_small_configs, warnings (an overflow at
     # extreme scales) are recorded rather than raised. "=" keeps a negative
     # value from being parsed as an option.
-    argv = ["friedrichs", f"--alpha={alpha!r}", f"--a1={a1!r}", f"--b={b!r}"]
+    argv = ["friedrichs", f"--alpha={alpha!r}", f"--b={b!r}"]
     with (contextlib.redirect_stderr(io.StringIO()),
           contextlib.redirect_stdout(io.StringIO()),
           warnings.catch_warnings(record=True)):
@@ -309,11 +330,16 @@ def _with(section, values):
     ("solve", _with("solver", {"max_iter": 2.7})),
     ("solve", _with("contour", {"nodes_per_unit": 250.9})),
     ("verify", _with("verify", {"seed": 1.9})),
+    # keys the config does not know: settings of an older schema
+    # (corrupt_z, tau_real, quad_tol), a misspelling and a stray section
     ("verify", _with("verify", {"corrupt_z": float("nan")})),
     ("verify", _with("verify", {"corrupt_z": float("inf")})),
     ("verify", _with("verify", {"corrupt_z": "0.1"})),
     ("solve", _with("solver", {"tau_real": float("nan")})),
     ("solve", _with("solver", {"tau_real": -1e-3})),
+    ("solve", _with("solver", {"quad_tol": 1e-6})),
+    ("solve", _with("solver", {"tolerance": 1e-9})),
+    ("solve", {**BASE, "solvers": {"tol": 1e-9}}),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
                "sweep": {"t_grid": [0.5, 1.0]}}),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
@@ -324,7 +350,8 @@ def _with(section, values):
         "string-factor-points", "fractional-max-iter",
         "fractional-nodes-per-unit", "fractional-seed", "nan-corrupt-z",
         "infinite-corrupt-z", "string-corrupt-z", "nan-tau-real",
-        "negative-tau-real", "repeated-side"])
+        "negative-tau-real", "quad-tol", "misspelled-key", "unknown-section",
+        "repeated-side"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":

@@ -148,8 +148,8 @@ def test_bad_side(friedrichs_model):
 
 def test_optimize_r0_rectangle(friedrichs_model):
     family = ("rectangle", (0.2, 1.2))
-    contour, r0 = sr.optimize_r0(friedrichs_model, 1, family)
-    assert contour.kind == "rectangle"
+    depth, r0 = sr.optimize_r0(friedrichs_model, 1, family)
+    contour = sr.make_contour(friedrichs_model, 1, "rectangle", depth)
     rep = sr.admissibility(friedrichs_model, contour)
     assert rep.admissible
     assert abs(rep.r_min - r0) < 1e-9
@@ -210,7 +210,7 @@ def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
                            kink_rule=True):
     """optimize_r0 with one make_contour plus admissibility per candidate
     depth; kink_rule=False leaves the golden-section search alone. Returns
-    the scan's r_min values and (depth, nodes, r0), or the message of the
+    the scan's r_min values and (depth, r0), or the message of the
     AdmissibilityError raised."""
     def r_of(*depths):
         return [_reference_r_min(model, side, depth, nodes_per_unit, coupling_scale)
@@ -224,7 +224,7 @@ def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
     rep = sr.admissibility(model, contour, coupling_scale)
     if not rep.admissible:
         return values, "refined depth lost admissibility"
-    return values, (contour.depth, contour.nodes, rep.r_min)
+    return values, (depth, rep.r_min)
 
 
 RECT_FAMILIES = [(0.25, 1.0), (0.2, 1.2), (0.1, 0.4)]
@@ -256,24 +256,21 @@ def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, fam
                 # every scanned depth's r_min, not only the search's outcome
                 assert _rectangle_r_min(model, side, depths, 200, t, distance) == values
                 try:
-                    contour, r0 = sr.optimize_r0(model, side, ("rectangle", family),
-                                                 nodes_per_unit=200, coupling_scale=t)
+                    depth, r0 = sr.optimize_r0(model, side, ("rectangle", family),
+                                               nodes_per_unit=200, coupling_scale=t)
                 except AdmissibilityError as exc:
                     assert str(exc) == ref == golden
                     continue
-                depth, nodes, ref_r0 = ref
-                assert contour.depth == depth
-                assert np.array_equal(contour.nodes, nodes)
-                assert r0 == ref_r0
+                # the contour of the depth gives the r0 that the search
+                # measured, bit for bit
+                assert (depth, r0) == ref
                 # the kink rule never does worse than the golden-section
                 # search, and leaves its steps alone where it does not fire
-                assert golden[2] - 3e-7 * golden[2] <= r0 <= golden[2]
+                assert golden[1] - 3e-7 * golden[1] <= r0 <= golden[1]
                 if depth == distance.kink:
                     at_kink += 1
                 else:
-                    assert depth == golden[0]
-                    assert np.array_equal(nodes, golden[1])
-                    assert r0 == golden[2]
+                    assert (depth, r0) == golden
     # of the 84 searches, all but Friedrichs' end at the kink of (0.25, 1.0),
     # where h* = 1 leaves no room for the upper probe; (0.1, 0.4) lies
     # below every kink
@@ -294,11 +291,10 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
     depths = np.linspace(*family, 33)
     best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, 1.0, distance)))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
-    contour, r0 = sr.optimize_r0(model, 1, ("rectangle", family))
+    depth, r0 = sr.optimize_r0(model, 1, ("rectangle", family))
     _, golden = _reference_optimize_r0(model, 1, family, 200, 1.0, kink_rule=False)
-    assert contour.depth == golden[0] != distance.kink
-    assert np.array_equal(contour.nodes, golden[1])
-    assert r0 == golden[2] < _reference_r_min(model, 1, distance.kink, 200, 1.0)
+    assert depth == golden[0] != distance.kink
+    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink, 200, 1.0)
 
 
 def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
@@ -313,8 +309,8 @@ def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
     monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
     for model in model_zoo:
         calls.clear()
-        contour, _ = sr.optimize_r0(model, 1, ("rectangle", (0.25, 1.0)))
-        assert contour.depth == _RectangleDistance(model, model.interval).kink
+        depth, _ = sr.optimize_r0(model, 1, ("rectangle", (0.25, 1.0)))
+        assert depth == _RectangleDistance(model, model.interval).kink
         assert calls == [33 + 3]
 
 
