@@ -465,9 +465,14 @@ def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
     Returns (h0, h1, z_reconstructed): the zeroth moment equals
     (I - Omega)^{-1}, the first is its z-weighted sibling, and
     z_reconstructed = h1 @ inv(h0) recovers the operator root from
-    nothing but contour data. gamma_spec overrides the default circle as
-    (center, radius); the circle must enclose spec(Z) and stay inside the
-    d/2-neighborhood of sigma1.
+    nothing but contour data. The default circle is centered at the mean
+    of spec(Z), with radius max(1.5 spread, cap / 4) capped at 0.95 cap:
+    spread is the largest distance of an eigenvalue from the center and
+    cap the room the d/2-neighborhood of sigma1 leaves around it. The cap /
+    4 floor keeps the ring away from merging eigenvalues, where M1 is
+    nearly singular and its inverse loses digits. gamma_spec overrides the
+    default circle as (center, radius); the circle must enclose spec(Z)
+    and stay inside the d/2-neighborhood of sigma1.
 
     The moments are trapezoid sums over nested rings of the circle: the
     first has _RING_START points, and each doubling evaluates only the new
@@ -489,8 +494,7 @@ def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
         if cap <= 0:
             raise ValueError(
                 "no default circle fits the d/2-neighborhood; pass gamma_spec")
-        base = 1.5 * spread if spread > 0 else 0.25 * cap
-        radius = min(base, 0.95 * cap)
+        radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
     else:
         center, radius = complex(gamma_spec[0]), float(gamma_spec[1])
 

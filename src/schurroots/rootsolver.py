@@ -3,7 +3,10 @@
 The root is the solution of X = t^2 W1(A1 + X, Gamma) for the side-l
 contour Gamma; Z = A1 + X then carries the spectral points that moved off
 the interval. Everything here is a contraction-mapping argument made
-concrete: admissibility gives the ball, Picard iterates inside it.
+concrete: admissibility gives the ball, Picard iterates inside it. The
+homotopy driver (homotopy_path) follows the root over a grid of couplings
+t, starting each t from the extrapolation in s = t^2 of the roots already
+solved, as long as that start lies inside the r_max ball.
 
 K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
 primary matrix functions sum_s C_s g_s(Z), with g_s the side-l moments of
@@ -161,6 +164,14 @@ class RootSolution:
 
 @dataclass(frozen=True)
 class ClassifiedEigenvalue:
+    """One eigenvalue of Z with its multiplicity and label.
+
+    physical_residual is the smallest singular value of the physical-sheet
+    M1 at the eigenvalue for a physical-complex entry, else None. A
+    homotopy path evaluates it only at the last t of its grid; its entries
+    at earlier t carry None, and classify of their root gives it.
+    """
+
     eigenvalue: complex
     multiplicity: int
     label: str  # real | resonance | physical-complex
@@ -419,17 +430,53 @@ def _pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     return perm
 
 
+# Number of known points (s = t^2, X) through which homotopy_path
+# extrapolates the start of the next t. Side +1 paths of the seed 1-6
+# wide-sweep models on uniform 8-, 16- and 40-point grids took 699 / 1162 /
+# 2252 Picard map evaluations with 4 points, 600 / 807 / 1511 with 6,
+# 570 / 811 / 1707 with 8 and 570 / 1031 / 3720 with every known point.
+_START_POINTS = 6
+
+
+def _extrapolate(known: list, s: float) -> np.ndarray:
+    """The Lagrange extrapolation to s of the points (s_k, X_k) in known,
+    whose s_k are distinct: sum_k w_k X_k, with real weights w_k computed
+    from the s values alone, so that the extrapolation of conjugated X_k is
+    the conjugated extrapolation, bit for bit."""
+    nodes = [sk for sk, _ in known]
+    weights = [math.prod((s - sj) / (sk - sj) for j, sj in enumerate(nodes) if j != k)
+               for k, sk in enumerate(nodes)]
+    return sum(w * xk for w, (_, xk) in zip(weights, known))
+
+
+def _inside(mat: np.ndarray, radius: float) -> bool:
+    """Whether ||mat||_2 < radius, decided from _norm_bounds, with an SVD
+    only where the bounds leave it open; False for a non-finite mat."""
+    lo, hi = _norm_bounds(mat)
+    if hi < radius:
+        return True
+    if not lo < radius:
+        return False
+    return bool(np.linalg.norm(mat, 2) < radius)
+
+
 def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
                   tol: float = 1e-12, max_iter: int = 500) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
-    Each solve warm-starts from the previous X scaled by (t / t_prev)^2,
-    the leading order of its growth in t. Returned entries are
-    (t, RootSolution, SpectrumClassification) with classification entries
-    in trajectory order: entry i at each t continues entry i at the
-    previous t (matched by global nearest-neighbor assignment, no
+    The root X is a smooth function of s = t^2 with X = 0 at s = 0. Each
+    solve starts from the Lagrange extrapolation to s = t^2 through the
+    last _START_POINTS known points (s, X), X(0) = 0 and the roots solved
+    so far (_extrapolate); with one root solved this is that root scaled
+    by (t / t_prev)^2. A start outside the r_max ball at t, on which the
+    map contracts, is replaced by the previous X so scaled. Returned entries
+    are (t, RootSolution, SpectrumClassification) with classification
+    entries in trajectory order: entry i at each t continues entry i at
+    the previous t (matched by global nearest-neighbor assignment, no
     multiplicity grouping), labelled as classify labels them, on the same
-    _real_band. Suspicious jumps and ambiguous pairings are
+    _real_band. Only the entries at the last t of the grid carry their
+    physical residuals; earlier entries carry None, and classify(sol)
+    gives them for any root. Suspicious jumps and ambiguous pairings are
     reported as warnings, never as errors. admissibility(model, contour)
     is evaluated once, at t = 1, and rescaled to each t; an inadmissible
     contour at the largest t raises AdmissibilityError carrying the report
@@ -449,14 +496,19 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
 
     out = []
     x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
+    known = [(0.0, x_prev)]
     eigs_prev = None
     lipschitz = 0.0
     t_prev = None
     for t in ts:
         rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
-        x0 = x_prev * (t / t_prev) ** 2 if t_prev else x_prev
+        x0 = _extrapolate(known[-_START_POINTS:], t * t)
+        if not _inside(x0, rep.r_max):
+            x0 = x_prev * (t / t_prev) ** 2 if t_prev else x_prev
         sol = _picard(model, contour, rep, t, tol, max_iter, x0)
         x_prev = sol.x
+        if t * t > known[-1][0]:
+            known.append((t * t, sol.x))
 
         eigs = sol.eigensystem.values
         if eigs_prev is None:
@@ -479,7 +531,8 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
 
         lams = [complex(lam) for lam in eigs]
         labels = [_label_for(lam, sol.side, tau) for lam in lams]
-        resids = _physical_residuals(sol, lams, labels)
+        resids = (_physical_residuals(sol, lams, labels) if t == ts[-1]
+                  else [None] * len(lams))
         entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid)
                         for lam, label, resid in zip(lams, labels, resids))
         out.append((t, sol, SpectrumClassification(entries)))

@@ -83,7 +83,7 @@ def _fixed_ring(model, contour, sol, num_nodes=256):
     center = complex(np.mean(eigs))
     spread = float(np.max(np.abs(eigs - center)))
     cap = 0.5 * d - float(np.min(np.abs(center - model.sigma1)))
-    radius = min(1.5 * spread if spread > 0 else 0.25 * cap, 0.95 * cap)
+    radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
     phase = np.exp(2j * np.pi * np.arange(num_nodes) / num_nodes)
     ring = center + radius * phase
     kv = model.kprime_values(contour.nodes)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import sqrtm
 
 import schurroots as sr
 from schurroots.cli import main
@@ -109,6 +110,26 @@ def test_verify_passes_at_partial_coupling(tmp_path, capsys, model_zoo):
         rows = json.loads(out)["identities"]
         assert [r["name"] for r in rows] == IDENTITY_ROWS
         assert all(r["passed"] for r in rows), rows
+
+
+# a1 = diag(-e, e) with this constant coupling: on side +1 the two
+# eigenvalues of the root merge near e = EP_E0 (gap about 1e-7), where the
+# eigenvector matrix of Z has a condition number of about 1e6
+EP_E0 = 0.030214581208488
+EP_B = np.real(sqrtm(np.array([[0.02, 0.01], [0.01, 0.02]])))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+def test_verify_passes_near_an_exceptional_point(tmp_path, capsys, delta):
+    # the default reconstruction ring keeps its distance from the merging
+    # eigenvalues, so projection-inverse holds at unchanged tolerances
+    e = EP_E0 * (1.0 + delta)
+    data = {"model": {"interval": [-1.0, 1.0], "a1": [[-e, 0.0], [0.0, e]],
+                      "b": [EP_B.tolist()]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    rows = json.loads(out)["identities"]
+    assert code == 0, [r for r in rows if not r["passed"]]
+    assert [r["name"] for r in rows] == IDENTITY_ROWS
 
 
 def _readme_config() -> dict:
@@ -208,6 +229,24 @@ def test_sweep_inadmissible(tmp_path, capsys):
     code, out = run(capsys, ["sweep", "--config", cfg, "--out-csv", str(csv_path)])
     assert code == 2
     assert not csv_path.exists()
+
+
+def test_sweep_from_zero_coupling(tmp_path, capsys, monkeypatch):
+    # a grid may start at t = 0, where X = 0 and the eigenvalues of Z = A1
+    # are real; the physical residuals are evaluated once, for the last t
+    # of the one solved path
+    import schurroots.rootsolver as rootsolver_mod
+
+    residuals = _count_calls(monkeypatch, rootsolver_mod, "m1_physical")
+    cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.0, 0.5, 1.0]}))
+    csv_path = tmp_path / "rows.csv"
+    code, out = run(capsys, ["sweep", "--config", cfg, "--out-csv", str(csv_path)])
+    assert code == 0
+    rows = [ln.split(",") for ln in csv_path.read_text().strip().split("\n")[1:]]
+    assert [row[4] for row in rows if float(row[0]) == 0.0] == ["real", "real"]
+    assert len(residuals) == 1
+    for block in json.loads(out)["solutions"].values():
+        assert block["eigenvalues"][0]["physical_residual"] is not None
 
 
 def test_friedrichs_command(capsys):

@@ -212,24 +212,128 @@ def test_homotopy_trajectories(friedrichs_model, friedrichs_contours):
     assert np.max(np.abs(end.z_op - direct.z_op)) < 1e-10
 
 
-def test_homotopy_scaled_warm_start(model_zoo):
-    # starting each t at X(t_prev) (t / t_prev)^2 takes fewer Picard
-    # iterations than starting at X(t_prev), to the same roots within the
-    # Picard tolerance
+def _scaled_start_path(model, contour, grid):
+    """The roots of homotopy_path's grid when each t starts from the
+    previous X scaled by (t / t_prev)^2, the start homotopy_path falls back
+    to."""
+    base = sr.admissibility(model, contour)
+    x = np.zeros((model.n, model.n), dtype=np.complex128)
+    roots, t_prev = [], None
+    for t in grid:
+        rep = sr.admissibility_at(base.variation, base.distance, t)
+        x0 = x * (t / t_prev) ** 2 if t_prev else x
+        roots.append(rootsolver._picard(model, contour, rep, t, 1e-12, 500, x0))
+        x, t_prev = roots[-1].x, t
+    return roots
+
+
+def _assert_within_banach_bound(model, sol):
+    # the map contracts on the r_min ball with q = r_min / (d - r_min), so
+    # the root of a much tighter solve lies within q / (1 - q) times the
+    # final step of sol.x, up to the rounding of that solve
+    rep = sol.report
+    q = rep.r_min / (rep.distance - rep.r_min)
+    ref = sr.solve_basic(model, sol.contour, sol.coupling_scale, tol=1e-15)
+    bound = q / (1.0 - q) * sol.final_step_norm + 1e-15 * np.linalg.norm(ref.x, 2)
+    assert np.linalg.norm(sol.x - ref.x, 2) <= bound
+
+
+def test_homotopy_roots_within_their_banach_bound(model_zoo, friedrichs_model):
+    # wherever a path starts a t, it ends within the a-posteriori error
+    # bound of its last step
+    for model in [friedrichs_model] + model_zoo + wide_models(1, 2):
+        for kind, depth in (("semicircle", None), ("rectangle", RECT_DEPTH)):
+            contour = sr.make_contour(model, 1, kind, depth)
+            if not sr.admissibility(model, contour).admissible:
+                continue  # the Friedrichs model on the rectangle
+            for grid in ([k / 8 for k in range(1, 9)], [0.3, 1.0]):
+                for _, sol, _ in sr.homotopy_path(model, contour, grid):
+                    _assert_within_banach_bound(model, sol)
+
+
+def test_homotopy_extrapolated_start(model_zoo):
+    # starting each t from the extrapolation through the roots already
+    # solved takes fewer Picard iterations than the scaled previous X
     grid = [k / 8 for k in range(1, 9)]
+    extrapolated = scaled = 0
     for model in model_zoo[:4] + wide_models(1, 2):
         contour = sr.make_contour(model, 1)
+        extrapolated += sum(sol.iterations
+                            for _, sol, _ in sr.homotopy_path(model, contour, grid))
+        scaled += sum(sol.iterations for sol in _scaled_start_path(model, contour, grid))
+    assert extrapolated < 0.75 * scaled
+
+
+def test_homotopy_grid_from_zero(model_zoo, friedrichs_model):
+    # t = 0 is a point of the grid, not a second known point X(0) = 0
+    for model in [friedrichs_model] + model_zoo[:4]:
+        contour = sr.make_contour(model, 1)
+        path = sr.homotopy_path(model, contour, [0.0, 0.5, 1.0])
+        t, sol, cls = path[0]
+        assert t == 0.0 and not np.any(sol.x)
+        assert {e.label for e in cls.entries} == {"real"}
+        for _, sol, _ in path[1:]:
+            _assert_within_banach_bound(model, sol)
+
+
+@pytest.mark.parametrize("start", ["inside", "outside", "nan"])
+def test_homotopy_starts_inside_the_r_max_ball(monkeypatch, model_zoo,
+                                               friedrichs_model, start):
+    # an extrapolated start is kept when its spectral norm is below r_max,
+    # the radius of the ball on which the map contracts, and is otherwise
+    # replaced by the scaled previous X, with the same roots bit for bit.
+    # For n >= 2 the Frobenius bounds of 0.9 r_max I and of 1.2 r_max on
+    # one entry straddle r_max, so the spectral norm decides
+    grid = [k / 8 for k in range(1, 9)]
+    for model in [friedrichs_model] + model_zoo[:4] + wide_models(1):
+        contour = sr.make_contour(model, 1)
         base = sr.admissibility(model, contour)
+
+        def fake_start(t):
+            r_max = sr.admissibility_at(base.variation, base.distance, t).r_max
+            if start == "inside":
+                return 0.9 * r_max * np.eye(model.n, dtype=np.complex128)
+            x0 = np.zeros((model.n, model.n), dtype=np.complex128)
+            x0[0, 0] = 1.2 * r_max if start == "outside" else np.nan
+            return x0
+
+        monkeypatch.setattr(rootsolver, "_extrapolate", lambda known, s: fake_start(
+            next(t for t in grid if t * t == s)))
         path = sr.homotopy_path(model, contour, grid)
-        x = np.zeros((model.n, model.n), dtype=np.complex128)
-        unscaled = 0
-        for t, sol, _ in path:
-            rep = sr.admissibility_at(base.variation, base.distance, t)
-            ref = rootsolver._picard(model, contour, rep, t, 1e-12, 500, x)
-            x = ref.x
-            unscaled += ref.iterations
-            assert np.linalg.norm(sol.x - ref.x, 2) <= 1e-12 * np.linalg.norm(ref.x, 2)
-        assert sum(sol.iterations for _, sol, _ in path) < unscaled
+        if start == "inside":
+            refs = [rootsolver._picard(model, contour, sol.report, t, 1e-12, 500,
+                                       fake_start(t)) for t, sol, _ in path]
+        else:
+            refs = _scaled_start_path(model, contour, grid)
+        for (_, sol, _), ref in zip(path, refs):
+            assert sol.x.tobytes() == ref.x.tobytes()
+            assert sol.iterations == ref.iterations
+
+
+def test_homotopy_physical_residuals_at_the_last_t(monkeypatch, model_zoo,
+                                                   friedrichs_model):
+    # one batched M1 evaluation per path, for the entries of its last t;
+    # they are classify's residuals of that root
+    calls = []
+    original = rootsolver.m1_physical
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(rootsolver, "m1_physical", counting)
+    for model in [friedrichs_model] + model_zoo[:4] + wide_models(1):
+        calls.clear()
+        path = sr.homotopy_path(model, sr.make_contour(model, 1),
+                                [k / 8 for k in range(1, 9)])
+        assert len(calls) == 1
+        for _, _, cls in path[:-1]:
+            assert all(e.physical_residual is None for e in cls.entries)
+        _, sol, cls = path[-1]
+        resids = {e.eigenvalue: e.physical_residual for e in sr.classify(sol).entries}
+        for e in cls.entries:
+            assert e.label == "physical-complex"
+            assert e.physical_residual == resids[e.eigenvalue]
 
 
 def test_homotopy_validation(friedrichs_model, friedrichs_contours):
@@ -475,8 +579,9 @@ def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
                                                              friedrichs_model):
     # the Frobenius-bound tests make the decisions the spectral norms make:
     # the same iterations, final step norm and X, bit for bit, on the zoo
-    # (cold start at t = 1 and the warm-started grid of the sweep) and on
-    # the wide-sweep models of seeds 1 and 2 along that grid
+    # (cold start at t = 1 and the sweep's grid, each t started from the
+    # scaled previous root) and on the wide-sweep models of seeds 1 and 2
+    # along that grid
     t_grid = [k / 8 for k in range(1, 9)]
     cases = 0
 
