@@ -16,11 +16,9 @@ So when both sides are requested, the second side's contour is the
 mirror of the first's, and solve and sweep take its root, classification
 and path as the conjugate of the first side's, in the first side's order
 (provenance.derived_sides). verify solves both roots, each on its own
-report, and checks each identity once per side, which makes it the
-independent check of that symmetry: a row is a function of one side, and
-the row's residual is the largest of its per-side values (_worst). Each
-side's Omega is computed once; the omega-adjoint row reads Omega(-l),
-Omega(l)^*.
+report, and checks each identity once per side
+(identities.identity_table, seeded by verify.seed), which makes it the
+independent check of that symmetry.
 """
 
 import argparse
@@ -34,30 +32,18 @@ from . import friedrichs as fr
 from ._kernels import backend_name
 from .config import RunConfig, build_model_from_config
 from .contour import make_contour, optimize_r0
-from .errors import (AdmissibilityError, ConfigError, ModelError,
-                     NumericsError, SchurRootsError)
-from .model import density_margin
+from .errors import AdmissibilityError, ConfigError, ModelError, NumericsError
+from .identities import identity_table
 from .report import (admissibility_block, atomic_write, config_sha256,
-                     identity_row, render_report, riccati_block, sanitize,
-                     solution_block, write_csv)
-from .riccati import (check_ZAY, check_one_in_spectrum, compute_Omega,
-                      compute_Y, factor_F1, j_orthogonality, omega_by_deformation,
-                      rational_trials, reconstruct_from_contour, riccati_residual,
-                      ysn_integral)
+                     render_report, riccati_block, sanitize, solution_block,
+                     write_csv)
 from .rootsolver import (RootSolution, classify, conjugate_path, homotopy_path,
-                         solve_basic, transformator)
-from .schur import m1_continued_many, sheets_value, w1_physical
+                         solve_basic)
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
 EXIT_NUMERICS = 3
 EXIT_CONFIG = 4
-
-# The failures an identity row (or a per-side value it reads) turns into a
-# failed row with a note instead of aborting verify; np.linalg.LinAlgError
-# is a ValueError.
-_ROW_ERRORS = (SchurRootsError, ValueError)
-
 
 def _prologue(command, cfg, sides) -> tuple:
     """The shared start of solve, verify and sweep.
@@ -157,253 +143,6 @@ def cmd_solve(cfg: RunConfig) -> dict:
     return _finish(report, start)
 
 
-def _lens_points(rng, contour, count) -> np.ndarray:
-    """count points inside the contour's lens, each coordinate drawn in
-    one call."""
-    a, b = contour.endpoints
-    c = 0.5 * (a + b)
-    x = c + rng.uniform(-0.7, 0.7, size=count) * (0.5 * (b - a))
-    if contour.kind == "semicircle":
-        height = np.sqrt(np.maximum(contour.depth ** 2 - (x - c) ** 2, 0.0))
-    else:
-        height = contour.depth
-    v = rng.uniform(0.15, 0.75, size=count)
-    return x + 1j * (contour.side * v * height)
-
-
-def _near_sigma_points(rng, model, d, count) -> np.ndarray:
-    """count points in the annuli 0.05 d .. 0.45 d around sigma1, each
-    coordinate drawn in one call."""
-    lam = rng.choice(model.sigma1, size=count)
-    r = rng.uniform(0.05, 0.45, size=count) * d
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return lam + r * np.exp(1j * phi)
-
-
-def _worst_relative_gap(ref, other) -> float:
-    """max over points of ||ref - other|| / (1 + ||ref||) for (P, r, c)
-    stacks, spectral norms taken in one batched call."""
-    norms = np.linalg.norm(np.stack([ref - other, ref]), 2, axis=(-2, -1))
-    return float(np.max(norms[0] / (1.0 + norms[1])))
-
-
-def _relative_gap(gap, ref) -> float:
-    """||gap|| / (1 + ||ref||) in the spectral norm."""
-    return float(np.linalg.norm(gap, 2)) / (1.0 + float(np.linalg.norm(ref, 2)))
-
-
-# The offsets eps of _boundary_limit: three halvings from 1e-5.
-_BOUNDARY_EPS = 1e-5 * 0.5 ** np.arange(3)
-
-
-def _boundary_limit(model, lams, approach) -> np.ndarray:
-    """W1(lam + i*approach*0) at each point of lams, (P, n, n), as the
-    Richardson limit of the closed-form W1(lam + i*approach*eps) over
-    _BOUNDARY_EPS.
-
-    W1 continues analytically across the interval from either half-plane,
-    so W1(lam + i*approach*eps) is a power series in eps; two Richardson
-    steps remove its eps and eps^2 terms. The limit is taken from values
-    off the cut only, so it is independent of the principal value and of
-    the jump K'(lam) that w1_boundary adds to it.
-    """
-    zs = lams[None, :] + 1j * approach * _BOUNDARY_EPS[:, None]
-    vals = w1_physical(model, zs.ravel()).reshape(zs.shape + (model.n, model.n))
-    for j in (1, 2):
-        vals = (2 ** j * vals[1:] - vals[:-1]) / (2 ** j - 1)
-    return vals[0]
-
-
-def _worst(per_side, sides) -> float:
-    """The largest per_side(side) over sides, 0.0 when there is no side.
-
-    The sides are evaluated in the order given (+1 before -1), which fixes
-    the order in which the rows draw their sample points from the shared
-    rng. A NaN value makes the result NaN, so the row fails.
-    """
-    values = [float(per_side(side)) for side in sides]
-    return float(np.max(values)) if values else 0.0
-
-
-def _identity_table(cfg, model, roots, rng) -> tuple:
-    """Build the identity rows plus per-side Riccati data and
-    classifications.
-
-    roots maps each side to its root of model at the configured coupling,
-    which carries its t-scaled model, contour and admissibility report;
-    every per-side row reads them from its root, and the side-free rows
-    that need the t-scaled coupling read roots[1].model. Returns (rows,
-    rics, clss), the last two keyed by side.
-    """
-    sm = roots[1].model
-    sides = (1, -1)
-    rics, clss = {}, {}
-    for side in sides:
-        clss[side] = classify(roots[side])
-        rics[side] = compute_Y(roots[side])
-
-    # computed on first use, once per side. A failure is not cached: each
-    # row that reads the value raises it again and fails with its message
-    # as the row's note
-    @functools.cache
-    def omega(side):
-        return compute_Omega(roots[side], roots[-side])
-
-    @functools.cache
-    def recon(side):
-        return reconstruct_from_contour(roots[side])
-
-    rows = []
-
-    def add_row(name, tolerance, compute):
-        try:
-            resid = float(compute())
-        except _ROW_ERRORS as exc:
-            rows.append({**identity_row(name, float("inf"), tolerance),
-                         "note": str(exc)})
-        else:
-            rows.append(identity_row(name, resid, tolerance))
-
-    def over_sides(per_side, row_sides=sides):
-        return lambda: _worst(per_side, row_sides)
-
-    def sheets(side):
-        contour = roots[side].contour
-        pts = _lens_points(rng, contour, cfg.lens_points)
-        mc = m1_continued_many(sm, contour, pts)
-        sv = sheets_value(sm, pts, side, contour)
-        return _worst_relative_gap(mc, sv)
-
-    add_row("sheets-crosspath", 1e-9, over_sides(sheets))
-
-    d = roots[1].report.distance
-
-    def factorization(side):
-        sol = roots[side]
-        zs = _near_sigma_points(rng, model, d, cfg.factor_points)
-        f1 = factor_F1(sol, zs)
-        mc = m1_continued_many(sol.model, sol.contour, zs)
-        prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
-        return _worst_relative_gap(mc, prod)
-
-    add_row("factorization", 1e-9, over_sides(factorization))
-
-    def conditioning(side):
-        zs = _near_sigma_points(rng, model, d, cfg.factor_points)
-        return np.max(np.linalg.cond(factor_F1(roots[side], zs)))
-
-    add_row("factor-conditioning", 1e8, over_sides(conditioning))
-
-    def omega_bound(side):
-        om = omega(side)
-        return om.norm - om.bound
-
-    add_row("omega-bound", 0.0, over_sides(omega_bound))
-
-    def omega_adjoint(side):
-        # the adjoint relation that pairs the two sides: Omega(-l) = Omega(l)^*
-        om = omega(side)
-        gap = omega(-side).omega - np.conj(om.omega.T)
-        return float(np.linalg.norm(gap, 2)) / (1.0 + om.norm)
-
-    add_row("omega-adjoint", 1e-10, over_sides(omega_adjoint))
-
-    def omega_two_path(side):
-        om = omega(side)
-        alt = omega_by_deformation(roots[side], roots[-side])
-        return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
-
-    add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
-
-    def projection(side):
-        h0 = recon(side)[0]
-        target = np.linalg.inv(np.eye(model.n) - omega(side).omega)
-        return _relative_gap(h0 - target, h0)
-
-    add_row("projection-inverse", 1e-8, over_sides(projection))
-
-    def similarity(side):
-        inv = np.linalg.inv(np.eye(model.n) - omega(side).omega)
-        zmh = np.conj(roots[-side].z_op.T)
-        z = roots[side].z_op
-        return _relative_gap(inv @ zmh - z @ inv, z)
-
-    add_row("moment-similarity", 1e-9, over_sides(similarity))
-
-    def reconstruction(side):
-        z = roots[side].z_op
-        return _relative_gap(recon(side)[2] - z, z)
-
-    add_row("root-reconstruction", 1e-8, over_sides(reconstruction))
-
-    def root_contour(side):
-        # the closed-form root against the contour sum over Gamma
-        sol = roots[side]
-        summed = transformator(sol.model, sol.contour, sol.z_op,
-                               sol.eigensystem.values)
-        return _relative_gap(sol.x - summed, sol.x)
-
-    add_row("root-contour", 1e-10, over_sides(root_contour))
-
-    a_scale = 1.0 + float(np.linalg.norm(model.a1, 2))
-    add_row("root-equation", 1e-8, over_sides(
-        lambda s: check_ZAY(rics[s]) / a_scale))
-
-    lo, hi = model.interval
-    margin = 0.01 * (hi - lo)
-    samples = rng.uniform(lo + margin, hi - margin, size=cfg.riccati_samples)
-    b_scale = 1.0 + max(
-        float(np.max(np.linalg.norm(sm.b(samples), axis=(1, 2)))), 0.0)
-
-    add_row("riccati-pointwise", 1e-8, over_sides(
-        lambda s: riccati_residual(rics[s], samples) / b_scale))
-    add_row("riccati-adjoint", 1e-8, over_sides(
-        lambda s: riccati_residual(rics[s], samples, adjoint=True) / b_scale))
-
-    def jorth(side):
-        trials = rational_trials(rics[side], cfg.trial_count, cfg.seed)
-        return j_orthogonality(rics[side], trials) / (1.0 + rics[side].y_norm)
-
-    add_row("j-orthogonality", 1e-10, over_sides(jorth))
-
-    # The margin rows report a signed margin: the largest of their per-side
-    # (or per-eigenvalue) values, negative when every one has room left.
-    # y-norm-floor applies only to the sides with a non-real eigenvalue.
-    nonreal = [side for side in sides
-               if any(e.label != "real" for e in clss[side].entries)]
-    add_row("y-norm-floor", 1e-8, over_sides(lambda s: 1.0 - rics[s].y_norm, nonreal))
-    add_row("y-norm-ceiling", 1e-8, over_sides(
-        lambda s: rics[s].y_norm ** 2 - ysn_integral(rics[s])))
-
-    def localization(side):
-        sol = roots[side]
-        return max(float(np.min(np.abs(lam - model.sigma1))) - sol.report.r_min
-                   for lam in sol.eigensystem.values)
-
-    add_row("localization", 1e-9, over_sides(localization))
-
-    def boundary_imag():
-        # side-free: both boundary approaches share one set of points
-        pts = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
-                          size=cfg.boundary_points)
-        kps = sm.kprime_values(pts)
-        gaps = []
-        for approach in (1, -1):
-            w = _boundary_limit(sm, pts, approach)
-            im_part = (w - np.conj(np.swapaxes(w, 1, 2))) / 2j
-            gaps.append(im_part - approach * np.pi * kps)
-        norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))
-        return float(np.max(norms[:2] / (1.0 + norms[2])))
-
-    add_row("boundary-imag", 1e-10, boundary_imag)
-
-    # side-free and rng-free: K' against b^* b, Hermitian and PSD on the
-    # axis, as a signed margin
-    add_row("density", 0.0, lambda: density_margin(model))
-
-    return rows, rics, clss
-
-
 def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
     model, contours, report, _ = _prologue("verify", cfg, (1, -1))
@@ -415,16 +154,14 @@ def cmd_verify(cfg: RunConfig) -> dict:
     report["admissibility"] = {**admissibility_block(roots[1].report),
                                "r0_upper_bound": _r0(cfg, model, roots[1])}
 
-    rng = np.random.default_rng(cfg.seed)
-    rows, rics, clss = _identity_table(cfg, model, roots, rng)
+    rows, rics, clss = identity_table(model, roots, cfg.seed)
     report["identities"] = rows
     report["solutions"] = {}
     report["riccati"] = {}
     for side in (1, -1):
         key = f"{side:+d}"
         report["solutions"][key] = solution_block(roots[side], clss[side])
-        report["riccati"][key] = riccati_block(
-            rics[side], check_one_in_spectrum(rics[side]))
+        report["riccati"][key] = riccati_block(rics[side])
     report["all_identities_pass"] = all(r["passed"] for r in rows)
     return _finish(report, start)
 

@@ -18,10 +18,6 @@ from .errors import ConfigError
 
 _VALID_KINDS = ("semicircle", "rectangle")
 
-# Upper limit of every verify sample count; it also bounds the width of
-# the stacked J-orthogonality integrand.
-MAX_VERIFY_SAMPLES = 10_000
-
 
 def pair_to_complex(val) -> complex:
     if isinstance(val, (int, float)):
@@ -84,11 +80,6 @@ def _real(val, name: str) -> float:
     return float(val)
 
 
-def _sample_count(section: dict, key: str, default: int) -> int:
-    return _integer(section.get(key, default), f"verify.{key}", 1,
-                    MAX_VERIFY_SAMPLES)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     interval: tuple
@@ -103,11 +94,6 @@ class RunConfig:
     coupling_scale: float = 1.0
     t_grid: tuple = ()
     seed: int = 0
-    lens_points: int = 50
-    factor_points: int = 30
-    boundary_points: int = 50
-    riccati_samples: int = 50
-    trial_count: int = 20
     report_path: str | None = None
     csv_path: str | None = None
 
@@ -189,8 +175,7 @@ class RunConfig:
         if t_grid and (t_grid[0] < 0.0 or t_grid[-1] > 1.0):
             raise ConfigError("sweep.t_grid must lie in [0, 1]")
 
-        verify = data.get("verify", {})
-        seed = _integer(verify.get("seed", 0), "verify.seed", 0)
+        seed = _integer(data.get("verify", {}).get("seed", 0), "verify.seed", 0)
         out = data.get("output", {})
         return RunConfig(
             interval=interval,
@@ -205,11 +190,6 @@ class RunConfig:
             coupling_scale=scale,
             t_grid=t_grid,
             seed=seed,
-            lens_points=_sample_count(verify, "lens_points", 50),
-            factor_points=_sample_count(verify, "factor_points", 30),
-            boundary_points=_sample_count(verify, "boundary_points", 50),
-            riccati_samples=_sample_count(verify, "riccati_samples", 50),
-            trial_count=_sample_count(verify, "trial_count", 20),
             report_path=out.get("report"),
             csv_path=out.get("csv"),
         )
@@ -233,14 +213,7 @@ class RunConfig:
                 "coupling_scale": self.coupling_scale,
             },
             "sweep": {"t_grid": list(self.t_grid)},
-            "verify": {
-                "seed": self.seed,
-                "lens_points": self.lens_points,
-                "factor_points": self.factor_points,
-                "boundary_points": self.boundary_points,
-                "riccati_samples": self.riccati_samples,
-                "trial_count": self.trial_count,
-            },
+            "verify": {"seed": self.seed},
             "output": {"report": self.report_path, "csv": self.csv_path},
         }
 

@@ -80,14 +80,10 @@ def _as_matrix_polynomial(b) -> MatrixPolynomial:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    delta0: tuple
+    interval: tuple
     a1: np.ndarray
     b: MatrixPolynomial
     feshbach: bool
-
-    @property
-    def interval(self) -> tuple:
-        return self.delta0
 
     @property
     def n(self) -> int:
@@ -121,25 +117,26 @@ class SpectralModel:
         return polyval_matrix(self.kprime.coefficients, np.asarray(mus, dtype=np.complex128))
 
     def scaled(self, t: float) -> "SpectralModel":
-        """Model with the coupling multiplied by t (a1 and Delta0 unchanged)."""
+        """Model with the coupling multiplied by t (a1 and the interval
+        unchanged)."""
         if t == 1.0:
             return self
-        return SpectralModel(self.delta0, self.a1, self.b.scaled(float(t)), self.feshbach)
+        return SpectralModel(self.interval, self.a1, self.b.scaled(float(t)), self.feshbach)
 
 
-def build_model(delta0, a1, b) -> SpectralModel:
+def build_model(interval, a1, b) -> SpectralModel:
     """Validate and assemble a model.
 
-    delta0: (lo, hi) with lo < hi. a1: real symmetric (n, n). b: an (m, n)
+    interval: (lo, hi) with lo < hi. a1: real symmetric (n, n). b: an (m, n)
     MatrixPolynomial with real coefficients, or a list of coefficient
     matrices lowest degree first. The feshbach flag records whether every
-    eigenvalue of a1 lies strictly inside delta0. A coefficient of K' that
+    eigenvalue of a1 lies strictly inside the interval. A coefficient of K' that
     is not finite (b^* b overflows) is a ModelError; the density's
     identities are left to density_margin.
     """
-    lo, hi = float(delta0[0]), float(delta0[1])
+    lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
-        raise ModelError(f"delta0 must be an interval with lo < hi, got ({lo}, {hi})")
+        raise ModelError(f"interval must have lo < hi, got ({lo}, {hi})")
 
     a1c = np.atleast_2d(np.asarray(a1, dtype=np.complex128))
     if np.max(np.abs(a1c.imag)) > _HERM_TOL * (1.0 + np.max(np.abs(a1c))):

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._json import dumps
 from .config import complex_to_pair, matrix_to_lists
+from .riccati import check_one_in_spectrum
 
 
 def config_sha256(cfg) -> str:
@@ -67,7 +68,8 @@ def admissibility_block(rep) -> dict:
     }
 
 
-def riccati_block(ric, verdict) -> dict:
+def riccati_block(ric) -> dict:
+    verdict = check_one_in_spectrum(ric)
     return {
         "y_norm": ric.y_norm,
         "gram_route": ric.gram_route,

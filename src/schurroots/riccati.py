@@ -77,18 +77,14 @@ class OneInSpectrumVerdict:
     min_distance: float
 
 
-def _segment_distance(lam: complex, interval) -> float:
-    a, b = interval
-    dx = max(a - lam.real, 0.0, lam.real - b)
-    return float(np.hypot(dx, lam.imag))
-
-
 # Pairs (x, y) with |x - y| <= _CONFLUENT * (1 + |x|) make a divided
 # difference (g(x) - g(y)) / (x - y) confluent or nearly so; a closed form
 # that would need one is not used.
 _CONFLUENT = 1e-6
 
-# The rtol of the interval quadratures of compute_Y and omega_by_deformation
+# The rtol of the interval quadratures of compute_Y and omega_by_deformation.
+# Their first round is graded toward the poles, so it sets no distance that
+# the spectrum must keep from the interval.
 _QUAD_RTOL = 1e-11
 
 
@@ -131,9 +127,11 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
     is (near-)confluent; then it is an adaptive quadrature (gram_route
     "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
     adaptive quadrature, started graded toward spec Z, so root-equation
-    compares it with the closed-form root. Requires the spectrum of Z to
-    stay clear of the interval (separation guard 10 * sqrt(_QUAD_RTOL));
-    the zero-coupling model short-circuits to exact zeros.
+    compares it with the closed-form root. A real eigenvalue of Z inside
+    the interval is a pole on the integration path and raises
+    NumericsError; an eigenvalue off it, however close, is a pole the
+    graded start takes in. The zero-coupling model short-circuits to exact
+    zeros.
     """
     sm, z = sol.model, sol.z_op
     if sm.b.is_zero:
@@ -141,15 +139,13 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
         return RiccatiSolution(sol, zeros, np.zeros(sm.n), zeros, "closed-form")
 
     interval = sm.interval
-    eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
-    sep = min(_segment_distance(complex(e), interval) for e in eigs)
-    guard = 10.0 * float(np.sqrt(_QUAD_RTOL))
-    if sep <= guard:
-        raise NumericsError(
-            f"spectrum within {sep:.3e} of the interval; separation guard {guard:.3e}"
-        )
-
     a, b = interval
+    eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
+    on_path = eigs[(eigs.imag == 0.0) & (a <= eigs.real) & (eigs.real <= b)]
+    if on_path.size:
+        raise NumericsError(
+            f"eigenvalue {float(on_path[0].real)!r} of Z lies on the interval "
+            f"[{a!r}, {b!r}]: a pole on the integration path")
 
     if basis is not None and not _confluent(eigs, np.conj(eigs)):
         gram = _gram_closed_form(sm.kprime.coefficients, interval, eigs, basis)
@@ -376,11 +372,13 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
 
 def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarray:
     """Omega computed over the interval instead of the contour, by an
-    adaptive quadrature to relative tolerance _QUAD_RTOL.
+    adaptive quadrature to relative tolerance _QUAD_RTOL, started graded
+    toward the poles.
 
-    Legitimate when the integrand is analytic in the lens, which the
-    spectral separation guard ensures; used as the independent second
-    path for the contour value.
+    Legitimate when the integrand is analytic in the lens between the
+    contour and the interval; nothing here checks that, so where it fails
+    the value parts from compute_Omega's. It is the independent second
+    path for the contour value (verify's omega-two-path row).
     """
     sm = sol_l.model
     a, b = sm.interval
@@ -459,7 +457,7 @@ _RING_NODES = 256
 _RING_RTOL = 1e-9
 
 
-def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
+def reconstruct_from_contour(sol: RootSolution):
     """Moments of -[M1(z, Gamma)]^{-1}/(2 pi i) around spec(Z).
 
     Returns (h0, h1, z_reconstructed): the zeroth moment equals
@@ -470,9 +468,8 @@ def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
     spread is the largest distance of an eigenvalue from the center and
     cap the room the d/2-neighborhood of sigma1 leaves around it. The cap /
     4 floor keeps the ring away from merging eigenvalues, where M1 is
-    nearly singular and its inverse loses digits. gamma_spec overrides the
-    default circle as (center, radius); the circle must enclose spec(Z)
-    and stay inside the d/2-neighborhood of sigma1.
+    nearly singular and its inverse loses digits. The circle must enclose
+    spec(Z) and stay inside the d/2-neighborhood of sigma1.
 
     The moments are trapezoid sums over nested rings of the circle: the
     first has _RING_START points, and each doubling evaluates only the new
@@ -487,18 +484,12 @@ def reconstruct_from_contour(sol: RootSolution, gamma_spec=None):
     model = sol.model
     d = sol.report.distance
     eigs = sol.eigensystem.values
-    if gamma_spec is None:
-        center = complex(np.mean(eigs))
-        spread = float(np.max(np.abs(eigs - center)))
-        cap = 0.5 * d - float(np.min(np.abs(center - model.sigma1)))
-        if cap <= 0:
-            raise ValueError(
-                "no default circle fits the d/2-neighborhood; pass gamma_spec")
-        radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
-    else:
-        center, radius = complex(gamma_spec[0]), float(gamma_spec[1])
-
+    center = complex(np.mean(eigs))
     spread = float(np.max(np.abs(eigs - center)))
+    cap = 0.5 * d - float(np.min(np.abs(center - model.sigma1)))
+    if cap <= 0:
+        raise ValueError("no circle fits the d/2-neighborhood")
+    radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
     if spread >= radius:
         raise ValueError(
             f"circle radius {radius:.6g} does not enclose spec(Z) (need > {spread:.6g})")

@@ -12,8 +12,8 @@ import pytest
 
 import schurroots as sr
 import schurroots.friedrichs as fr
-from schurroots.cli import _identity_table, main
-from schurroots.config import RunConfig
+from schurroots.cli import main
+from schurroots.identities import identity_table
 
 Y_ORACLE = 0.11639390461355939
 R_MIN_ORACLE = 0.14738648089387119
@@ -35,12 +35,6 @@ def _line(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
 
 
-def _cfg_for(model):
-    return RunConfig(interval=model.interval, a1=model.a1,
-                     b_coefficients=tuple(np.real(c) for c in
-                                          model.b.coefficients))
-
-
 @pytest.fixture(scope="module")
 def suite(friedrichs_model, model_zoo):
     """Identity tables for all 21 models, computed once."""
@@ -49,8 +43,7 @@ def suite(friedrichs_model, model_zoo):
             (f"zoo[{k}]", m) for k, m in enumerate(model_zoo)]:
         contours = {s: sr.make_contour(model, s) for s in (1, -1)}
         roots = {s: sr.solve_basic(model, contours[s]) for s in (1, -1)}
-        rng = np.random.default_rng(417)
-        rows, rics, clss = _identity_table(_cfg_for(model), model, roots, rng)
+        rows, rics, clss = identity_table(model, roots, 417)
         out.append({"tag": tag, "model": model, "contours": contours,
                     "rows": {r["name"]: r for r in rows}, "sols": roots,
                     "rics": rics, "clss": clss})

@@ -22,8 +22,9 @@ from schurroots.cli import main
 from schurroots.config import RunConfig, build_model_from_config
 from schurroots.contour import _RectangleDistance
 from schurroots.errors import NumericsError
+from schurroots.identities import identity_table
 from schurroots.model import SpectralModel
-from schurroots.report import admissibility_block
+from schurroots.report import admissibility_block, sanitize
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -132,6 +133,18 @@ def test_verify_passes_near_an_exceptional_point(tmp_path, capsys, delta):
     assert [r["name"] for r in rows] == IDENTITY_ROWS
 
 
+@pytest.mark.parametrize("b", [3e-3, 1e-4])
+def test_verify_passes_at_weak_coupling(tmp_path, capsys, b):
+    # Im z is about -pi b^2 (2.8e-5 and 3.1e-8): the spectrum nearly touches
+    # the interval, and the graded interval quadratures still meet every
+    # tolerance
+    data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    rows = json.loads(out)["identities"]
+    assert code == 0, [r for r in rows if not r["passed"]]
+    assert [r["name"] for r in rows] == IDENTITY_ROWS
+
+
 def _readme_config() -> dict:
     """The configuration example of README.md, its one JSON block."""
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -148,6 +161,20 @@ def test_readme_config_runs(tmp_path, monkeypatch, command):
     # an unknown one exits 4
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", write_cfg(tmp_path, README_CONFIG)]) == 0
+
+
+def test_verify_report_holds_the_identity_table(tmp_path, monkeypatch):
+    # verify's rows are identity_table of the two roots and verify.seed
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--config", write_cfg(tmp_path, README_CONFIG)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    cfg = RunConfig.from_dict(README_CONFIG)
+    model = build_model_from_config(cfg)
+    roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind,
+                                                         cfg.depth, cfg.nodes_per_unit),
+                                  t=cfg.coupling_scale, tol=cfg.tol, max_iter=cfg.max_iter)
+             for side in (1, -1)}
+    assert rep["identities"] == sanitize(identity_table(model, roots, cfg.seed)[0])
 
 
 def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
@@ -358,38 +385,29 @@ def _with(section, values):
     ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]})),
     ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7})),
     ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0})),
-    ("verify", _with("verify", {"riccati_samples": 0})),
-    ("verify", _with("verify", {"lens_points": 0})),
-    ("verify", _with("verify", {"trial_count": 0})),
-    ("verify", _with("verify", {"boundary_points": 0})),
-    ("verify", _with("verify", {"factor_points": -3})),
-    ("verify", _with("verify", {"trial_count": 10_001})),
-    ("verify", _with("verify", {"lens_points": 2.5})),
-    ("verify", _with("verify", {"factor_points": "30"})),
     ("solve", _with("solver", {"max_iter": 2.7})),
     ("solve", _with("contour", {"nodes_per_unit": 250.9})),
     ("verify", _with("verify", {"seed": 1.9})),
     # keys the config does not know: settings of an older schema
-    # (corrupt_z, tau_real, quad_tol), a misspelling and a stray section
+    # (corrupt_z, tau_real, quad_tol, the verify sample counts), a
+    # misspelling and a stray section
     ("verify", _with("verify", {"corrupt_z": float("nan")})),
     ("verify", _with("verify", {"corrupt_z": float("inf")})),
     ("verify", _with("verify", {"corrupt_z": "0.1"})),
     ("solve", _with("solver", {"tau_real": float("nan")})),
     ("solve", _with("solver", {"tau_real": -1e-3})),
     ("solve", _with("solver", {"quad_tol": 1e-6})),
+    ("verify", _with("verify", {"lens_points": 50})),
     ("solve", _with("solver", {"tolerance": 1e-9})),
     ("solve", {**BASE, "solvers": {"tol": 1e-9}}),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
                "sweep": {"t_grid": [0.5, 1.0]}}),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
-        "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
-        "zero-boundary-points", "negative-factor-points",
-        "trial-count-above-cap", "fractional-lens-points",
-        "string-factor-points", "fractional-max-iter",
-        "fractional-nodes-per-unit", "fractional-seed", "nan-corrupt-z",
-        "infinite-corrupt-z", "string-corrupt-z", "nan-tau-real",
-        "negative-tau-real", "quad-tol", "misspelled-key", "unknown-section",
+        "fractional-max-iter", "fractional-nodes-per-unit", "fractional-seed",
+        "nan-corrupt-z", "infinite-corrupt-z", "string-corrupt-z",
+        "nan-tau-real", "negative-tau-real", "quad-tol",
+        "deleted-sample-count", "misspelled-key", "unknown-section",
         "repeated-side"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
@@ -464,9 +482,9 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
                                             name, failed, exc_type):
     # a per-side value that fails on side -1 only fails exactly the rows
     # that read it, each with the failure as its note, in a written report
-    import schurroots.cli as cli_mod
+    import schurroots.identities as identities_mod
 
-    original = getattr(cli_mod, name)
+    original = getattr(identities_mod, name)
     message = f"injected {name} failure"
 
     def failing(sol, *args, **kwargs):
@@ -474,7 +492,7 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
             raise exc_type(message)
         return original(sol, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, name, failing)
+    monkeypatch.setattr(identities_mod, name, failing)
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
     assert code == 3
     rows = {r["name"]: r for r in json.loads(out)["identities"]}
@@ -700,10 +718,10 @@ def test_solve_and_sweep_make_no_contour_sum_call(tmp_path, capsys, monkeypatch,
 def test_verify_calls_transformator_once_per_side(tmp_path, capsys, monkeypatch,
                                                  model_zoo):
     # the root-contour row is the only contour sum of the root
-    import schurroots.cli as cli_mod
+    import schurroots.identities as identities_mod
 
     for data in (BASE, _zoo_config(model_zoo)):
-        calls = _count_calls(monkeypatch, cli_mod, "transformator")
+        calls = _count_calls(monkeypatch, identities_mod, "transformator")
         code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["identities"]}
@@ -816,19 +834,19 @@ def test_deep_rectangle_keeps_the_exit_code_contract(tmp_path, capsys, command,
 def test_density_is_checked_by_verify_only(tmp_path, capsys, monkeypatch):
     # solve and sweep never evaluate the density margin; verify does once,
     # as its last row
-    import schurroots.cli as cli_mod
+    import schurroots.identities as identities_mod
     import schurroots.model as model_mod
 
-    in_cli = _count_calls(monkeypatch, cli_mod, "density_margin")
+    in_table = _count_calls(monkeypatch, identities_mod, "density_margin")
     in_model = _count_calls(monkeypatch, model_mod, "density_margin")
     cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))
     assert run(capsys, ["solve", "--config", cfg])[0] == 0
     assert run(capsys, ["sweep", "--config", cfg,
                         "--out-csv", str(tmp_path / "t.csv")])[0] == 0
-    assert in_cli == [] and in_model == []
+    assert in_table == [] and in_model == []
     code, out = run(capsys, ["verify", "--config", cfg])
     assert code == 0
-    assert len(in_cli) + len(in_model) == 1
+    assert len(in_table) + len(in_model) == 1
     row = json.loads(out)["identities"][-1]
     assert row["name"] == "density"
     assert row["passed"] and row["residual"] < 0.0
@@ -901,6 +919,12 @@ def small_configs(draw):
 DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05]]]},
                   "contour": {"kind": "rectangle", "depth": 5.0, "sides": [1]},
                   "sweep": {"t_grid": [0.5, 1.0]}}
+# zero coupling and a1 = 0.5 I: the two eigenvalues coincide at every t, so
+# sweep warns that it cannot pair the trajectories
+AMBIGUOUS_PAIRING = {"model": {"interval": [0.0, 1.0], "a1": [[0.5, 0.0], [0.0, 0.5]],
+                               "b": [[[0.0, 0.0]]]},
+                     "contour": {"nodes_per_unit": 1}, "solver": {"max_iter": 1},
+                     "sweep": {"t_grid": [0.5, 1.0]}}
 
 
 @settings(max_examples=60, deadline=None,
@@ -909,6 +933,7 @@ DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05
 @example("solve", DEEP_RECTANGLE)
 @example("sweep", DEEP_RECTANGLE)
 @example("solve", {**DEEP_RECTANGLE, "contour": {"kind": "rectangle", "depth": -1.0}})
+@example("sweep", AMBIGUOUS_PAIRING)
 def test_exit_code_contract_on_small_configs(command, data):
     # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
     # prints a traceback
@@ -933,6 +958,9 @@ def _main_on(command, data):
         err = io.StringIO()
         with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
               warnings.catch_warnings(record=True)):
+            # record=True keeps the active filters, and an "error" filter
+            # would still raise the warning out of main
+            warnings.simplefilter("always")
             code = main(argv)
         report = None
         if os.path.exists(report_path):
@@ -941,23 +969,26 @@ def _main_on(command, data):
     return code, err.getvalue(), report
 
 
-# verify's sample counts, kept small for the fuzz test
-SMALL_VERIFY = {"lens_points": 5, "factor_points": 5, "boundary_points": 5,
-                "riccati_samples": 5, "trial_count": 3}
-
-
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_configs())
 def test_verify_exit_code_contract_on_small_configs(data):
     # the verify twin of test_exit_code_contract_on_small_configs; a
     # report written with exit 2 is inadmissible, with no solutions
-    code, err, report = _main_on("verify", {**data, "verify": SMALL_VERIFY})
+    code, err, report = _main_on("verify", data)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
     if code == 2 and report is not None:
         assert report["status"] == "inadmissible"
         assert "solutions" not in report
+
+
+def test_sweep_warns_of_an_ambiguous_pairing_and_exits_0(tmp_path):
+    # the warning is the CLI's message, not a failure: main returns 0
+    argv = ["sweep", "--config", write_cfg(tmp_path, AMBIGUOUS_PAIRING),
+            "--out", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "t.csv")]
+    with pytest.warns(RuntimeWarning, match="ambiguous trajectory pairing"):
+        assert main(argv) == 0
 
 
 def test_verify_of_an_inadmissible_contour_writes_its_report():

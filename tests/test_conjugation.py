@@ -80,7 +80,7 @@ def test_is_real_reads_the_data(friedrichs_model):
     # check) is solved on each side instead of conjugated
     assert friedrichs_model.is_real
     complex_b = sr.MatrixPolynomial(np.array([[[0.2 + 0.1j]]]))
-    model = sr.SpectralModel(friedrichs_model.delta0, friedrichs_model.a1,
+    model = sr.SpectralModel(friedrichs_model.interval, friedrichs_model.a1,
                              complex_b, True)
     assert not model.is_real
     sol = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, 1))
