@@ -388,16 +388,23 @@ def _with(section, values):
     ("solve", _with("solver", {"max_iter": 2.7})),
     ("solve", _with("contour", {"nodes_per_unit": 250.9})),
     ("verify", _with("verify", {"seed": 1.9})),
-    # keys the config does not know: settings of an older schema
-    # (corrupt_z, tau_real, quad_tol, the verify sample counts), a
-    # misspelling and a stray section
+    # keys the config does not know: settings of an older schema (the
+    # verify sample counts, corrupt_z, tau_real, quad_tol), a misspelling
+    # and a stray section
+    ("verify", _with("verify", {"riccati_samples": 0})),
+    ("verify", _with("verify", {"lens_points": 0})),
+    ("verify", _with("verify", {"trial_count": 0})),
+    ("verify", _with("verify", {"boundary_points": 0})),
+    ("verify", _with("verify", {"factor_points": -3})),
+    ("verify", _with("verify", {"trial_count": 10_001})),
+    ("verify", _with("verify", {"lens_points": 2.5})),
+    ("verify", _with("verify", {"factor_points": "30"})),
     ("verify", _with("verify", {"corrupt_z": float("nan")})),
     ("verify", _with("verify", {"corrupt_z": float("inf")})),
     ("verify", _with("verify", {"corrupt_z": "0.1"})),
     ("solve", _with("solver", {"tau_real": float("nan")})),
     ("solve", _with("solver", {"tau_real": -1e-3})),
     ("solve", _with("solver", {"quad_tol": 1e-6})),
-    ("verify", _with("verify", {"lens_points": 50})),
     ("solve", _with("solver", {"tolerance": 1e-9})),
     ("solve", {**BASE, "solvers": {"tol": 1e-9}}),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
@@ -405,10 +412,12 @@ def _with(section, values):
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
         "fractional-max-iter", "fractional-nodes-per-unit", "fractional-seed",
-        "nan-corrupt-z", "infinite-corrupt-z", "string-corrupt-z",
-        "nan-tau-real", "negative-tau-real", "quad-tol",
-        "deleted-sample-count", "misspelled-key", "unknown-section",
-        "repeated-side"])
+        "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
+        "zero-boundary-points", "negative-factor-points",
+        "trial-count-above-cap", "fractional-lens-points",
+        "string-factor-points", "nan-corrupt-z", "infinite-corrupt-z",
+        "string-corrupt-z", "nan-tau-real", "negative-tau-real", "quad-tol",
+        "misspelled-key", "unknown-section", "repeated-side"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
