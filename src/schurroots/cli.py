@@ -35,8 +35,7 @@ from .contour import make_contour, optimize_r0
 from .errors import AdmissibilityError, ConfigError, ModelError, NumericsError
 from .identities import identity_table
 from .report import (admissibility_block, atomic_write, config_sha256,
-                     render_report, riccati_block, sanitize, solution_block,
-                     write_csv)
+                     render_report, riccati_block, solution_block, write_csv)
 from .rootsolver import (RootSolution, classify, conjugate_path, homotopy_path,
                          solve_basic)
 
@@ -104,8 +103,8 @@ def _r0(cfg, model, root) -> float:
     lo, hi = model.interval
     if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
         return root.report.r_min
-    family = ("rectangle", (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo)))
-    _, r0 = optimize_r0(model, root.side, family, nodes_per_unit=cfg.nodes_per_unit,
+    depths = (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo))
+    _, r0 = optimize_r0(model, root.side, depths, nodes_per_unit=cfg.nodes_per_unit,
                         coupling_scale=cfg.coupling_scale)
     return r0
 
@@ -118,7 +117,7 @@ def _derived_sides(derived) -> dict:
 
 def _finish(report, start) -> dict:
     report["provenance"]["wall_time_s"] = time.perf_counter() - start
-    return sanitize(report)
+    return report
 
 
 def cmd_solve(cfg: RunConfig) -> dict:
@@ -196,13 +195,13 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
 
 
 def cmd_friedrichs(alpha: float, b: float) -> str:
-    params = fr.FriedrichsParams(alpha, 0.0, b)
+    params = fr.FriedrichsParams(alpha, b)
     z_plus, z_minus, y_norm, _ = fr.oracle_solution(params)
     y = z_minus.imag
     norm_resid = float(abs(1.0 - b * b * (2.0 / y) * np.arctan(alpha / y)))
     lines = [
         f"alpha = {alpha!r}",
-        f"a1 = {params.a1!r}",
+        "a1 = 0.0",
         f"b = {b!r} (b^2 = {b * b!r})",
         f"y = {y!r}",
         f"z_plus = {z_plus!r}",

@@ -28,10 +28,6 @@ def pair_to_complex(val) -> complex:
     raise ConfigError(f"expected number or [re, im] pair, got {val!r}")
 
 
-def complex_to_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_from_lists(rows) -> np.ndarray:
     """A nonempty rows x columns complex matrix from nested lists; any other
     form raises ConfigError."""
@@ -229,11 +225,11 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
     def canonical_json(self) -> str:
-        """to_dict as JSON with sorted keys and two-space indentation plus a
-        final newline: the bytes of json.dumps(self.to_dict(),
-        sort_keys=True, indent=2) + "\\n", written by _json.dumps, which
-        hashes into config_sha256."""
-        return dumps(self.to_dict(), allow_nan=True) + "\n"
+        """to_dict as JSON plus a final newline, the text that hashes into
+        config_sha256: written by _json.dumps, which gives the bytes of
+        json.dumps(self.to_dict(), sort_keys=True, indent=2), since
+        from_dict admits only finite numbers."""
+        return dumps(self.to_dict()) + "\n"
 
 
 def build_model_from_config(cfg: RunConfig):

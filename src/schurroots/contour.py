@@ -539,21 +539,21 @@ _SCAN_DEPTHS = 33
 _DEPTH_RTOL = 1e-6
 
 
-def optimize_r0(model: SpectralModel, side: int, family,
+def optimize_r0(model: SpectralModel, side: int, depths,
                 nodes_per_unit: int = 200, coupling_scale: float = 1.0):
-    """Minimize r_min over a one-parameter family of rectangle contours.
+    """Minimize r_min over the side-l rectangle contours whose depths lie
+    in depths = (lo, hi).
 
-    family is ("rectangle", (depth_lo, depth_hi)). A coarse scan of
-    _SCAN_DEPTHS depths brackets the least r_min between the neighbours of
-    its best depth; deterministic. Returns (depth, r0), r0 the optimal
-    localization radius: r_min of make_contour(model, side, "rectangle",
-    depth, nodes_per_unit). Raises AdmissibilityError when no member of
-    the family is admissible.
+    A coarse scan of _SCAN_DEPTHS depths brackets the least r_min between
+    the neighbours of its best depth; deterministic. Returns (depth, r0),
+    r0 the optimal localization radius: r_min of make_contour(model, side,
+    "rectangle", depth, nodes_per_unit). Raises AdmissibilityError when no
+    depth of the range is admissible.
 
     r_min = d/2 - sqrt(d^2/4 - V0) falls as d rises and rises with V0, and
     d(h) rises up to its kink h* and is constant after it (see
-    _RectangleDistance), so the least r_min usually sits at h*. When the
-    family holds h* and the probes h* - delta and h* + delta (delta half
+    _RectangleDistance), so the least r_min usually sits at h*. When
+    (lo, hi) holds h* and the probes h* - delta and h* + delta (delta half
     the final golden-section bracket), the scan's batch evaluates them, and
     the search returns h* if it lies in the bracket and its r_min is no
     larger than the best scanned one and both probes'. Otherwise golden-section
@@ -565,32 +565,29 @@ def optimize_r0(model: SpectralModel, side: int, family,
     each golden-section step and the final midpoint on its own. No depth
     gets a Contour: r0 is the value the search measured at its depth.
     """
-    kind, (lo, hi) = family
-    if kind != "rectangle":
-        raise ValueError(f"unknown contour family {family!r}")
+    lo, hi = depths
     if not 0 < lo < hi:
         raise ValueError("depth range must satisfy 0 < lo < hi")
 
     distance = _RectangleDistance(model, model.interval)
 
-    def r_of(*depths):
-        return _rectangle_r_min(model, side, depths, nodes_per_unit, coupling_scale,
-                                distance)
+    def r_of(*hs):
+        return _rectangle_r_min(model, side, hs, nodes_per_unit, coupling_scale, distance)
 
     kink, probes = distance.kink, ()
     if kink is not None:
         delta = 0.5 * _DEPTH_RTOL * max(1.0, kink)
         if lo < kink - delta and kink + delta < hi:
             probes = (kink - delta, kink, kink + delta)
-    depths = np.linspace(lo, hi, _SCAN_DEPTHS)
-    values = r_of(*depths, *probes)
+    scan = np.linspace(lo, hi, _SCAN_DEPTHS)
+    values = r_of(*scan, *probes)
     values, at_probes = values[:_SCAN_DEPTHS], values[_SCAN_DEPTHS:]
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise AdmissibilityError("no admissible depth in the requested range", report=None)
 
-    left = depths[max(best - 1, 0)]
-    right = depths[min(best + 1, _SCAN_DEPTHS - 1)]
+    left = scan[max(best - 1, 0)]
+    right = scan[min(best + 1, _SCAN_DEPTHS - 1)]
     if probes and left <= kink <= right and at_probes[1] <= min(values[best], *at_probes):
         return kink, at_probes[1]
     phi = 0.5 * (math.sqrt(5.0) - 1.0)

@@ -3,7 +3,7 @@ interval.
 
 For interval [-alpha, alpha], diagonal entry a1 = 0 and constant coupling
 b > 0, everything is explicit: the continued Schur complement is
-a1 - z + b^2 Log((alpha - z)/(-alpha - z)), its unique root in each
+-z + b^2 Log((alpha - z)/(-alpha - z)), its unique root in each
 half-plane is -il*y with y the positive solution of y = 2 b^2 arctan(alpha/y),
 the angular function is -b/(mu + il*y), and its norm is exactly 1. This
 module is ground truth for the generic machinery and deliberately shares
@@ -21,14 +21,11 @@ from .errors import ModelError, NumericsError
 @dataclass(frozen=True)
 class FriedrichsParams:
     alpha: float
-    a1: float
     b: float
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ModelError(f"alpha must be positive and finite, got {self.alpha}")
-        if not abs(self.a1) < self.alpha:
-            raise ModelError(f"a1={self.a1} must lie strictly inside (-alpha, alpha)")
         if not 0 <= self.b < math.inf:
             raise ModelError(f"b must be nonnegative and finite, got {self.b}")
 
@@ -76,12 +73,12 @@ def solve_y(alpha: float, b: float) -> float:
 
 
 def closed_m1(params: FriedrichsParams, z: complex) -> complex:
-    """a1 - z + b^2 Log((alpha - z)/(-alpha - z)), cut on [-alpha, alpha]."""
+    """-z + b^2 Log((alpha - z)/(-alpha - z)), cut on [-alpha, alpha]."""
     z = complex(z)
     if z.imag == 0.0 and abs(z.real) <= params.alpha:
         raise ValueError(f"z={z} on the cut")
     ratio = (params.alpha - z) / (-params.alpha - z)
-    return params.a1 - z + params.b * params.b * complex(np.log(ratio))
+    return -z + params.b * params.b * complex(np.log(ratio))
 
 
 def winding_count(params: FriedrichsParams, side: int) -> int:
@@ -115,15 +112,13 @@ def winding_count(params: FriedrichsParams, side: int) -> int:
 
 
 def oracle_solution(params: FriedrichsParams):
-    """(z_plus, z_minus, y_norm, y_function) for the a1 = 0 case.
+    """(z_plus, z_minus, y_norm, y_function).
 
     z_plus is the side +1 root -i y, z_minus its mirror +i y; y_norm is
     exactly 1; y_function(mu, side) = -b/(mu + i*side*y). Uniqueness of
     each root in its half-plane is confirmed by a winding count before
     returning.
     """
-    if params.a1 != 0.0:
-        raise ModelError("closed forms require a1 = 0; use the generic solver")
     if params.b <= 0:
         raise ModelError("oracle needs b > 0")
     y = solve_y(params.alpha, params.b)

@@ -155,7 +155,7 @@ def identity_table(model, roots, seed: int) -> tuple:
         contour = roots[side].contour
         pts = _lens_points(rng, contour, _LENS_POINTS)
         mc = m1_continued_many(sm, contour, pts)
-        sv = sheets_value(sm, pts, side, contour)
+        sv = sheets_value(sm, pts, contour)
         return _relative_gap(mc - sv, mc)
 
     add_row("sheets-crosspath", 1e-9, over_sides(sheets))

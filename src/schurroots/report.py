@@ -9,14 +9,13 @@ temp file plus atomic rename.
 import csv
 import hashlib
 import io
-import math
 import os
 import tempfile
 
 import numpy as np
 
 from ._json import dumps
-from .config import complex_to_pair, matrix_to_lists
+from .config import matrix_to_lists
 from .riccati import check_one_in_spectrum
 
 
@@ -38,7 +37,7 @@ def solution_block(sol, cls) -> dict:
     entries = []
     for e in cls.entries:
         entry = {
-            "eigenvalue": complex_to_pair(e.eigenvalue),
+            "eigenvalue": e.eigenvalue,
             "multiplicity": e.multiplicity,
             "label": e.label,
         }
@@ -82,10 +81,10 @@ def riccati_block(ric) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """The report as JSON with sorted keys and two-space indentation plus a
-    final newline: the bytes of json.dumps(report, sort_keys=True,
-    indent=2, allow_nan=False) + "\\n", written by _json.dumps. NaN or an
-    infinity raises ValueError, so sanitize the report first."""
+    """The report as JSON text plus a final newline, written in one walk by
+    _json.dumps, which owns the number format: sorted keys, two-space
+    indentation, complex values as [re, im] pairs and NaN or an infinity
+    as the string of its repr."""
     return dumps(report) + "\n"
 
 
@@ -115,31 +114,3 @@ def write_csv(path: str, rows) -> None:
                          repr(float(row[2])), repr(float(row[3])), row[4]])
     atomic_write(path, buf.getvalue())
 
-
-_FLOAT_TYPE = {float}
-
-
-def sanitize(obj):
-    """Make report values JSON-serializable: numpy scalars to floats,
-    inf/nan to strings so allow_nan=False stays honest.
-
-    A list or tuple of finite Python floats (a [re, im] pair, say) is
-    copied as it is, without a call per entry."""
-    if isinstance(obj, dict):
-        return {k: sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == _FLOAT_TYPE and math.isfinite(sum(obj)):
-            # a finite sum means finite entries (an overflow only sends
-            # the list down the general path)
-            return list(obj)
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return complex_to_pair(obj)
-    return obj

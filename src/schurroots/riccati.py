@@ -469,17 +469,18 @@ def reconstruct_from_contour(sol: RootSolution):
     cap the room the d/2-neighborhood of sigma1 leaves around it. The cap /
     4 floor keeps the ring away from merging eigenvalues, where M1 is
     nearly singular and its inverse loses digits. The circle must enclose
-    spec(Z) and stay inside the d/2-neighborhood of sigma1.
+    spec(Z); it stays inside the d/2-neighborhood of sigma1 by
+    construction, since every ring point lies within radius +
+    dist(center, sigma1) <= d/2 - 0.05 cap of sigma1.
 
     The moments are trapezoid sums over nested rings of the circle: the
     first has _RING_START points, and each doubling evaluates only the new
     midpoints, until the moments of a ring and of its predecessor agree to
     _RING_RTOL (relative) or the ring has _RING_NODES points. Every M1
     value is summed on one analytic_rule of the root's contour, sized by
-    the _RING_NODES-point ring, whose points are the ones the containment
-    check covers, with K' evaluated at its nodes once; a ring point the
-    rule refuses raises ValueError. d is the distance of the root's
-    admissibility report.
+    the _RING_NODES-point ring, with K' evaluated at its nodes once; a
+    ring point that lies too close to the contour for the rule raises
+    ValueError. d is the distance of the root's admissibility report.
     """
     model = sol.model
     d = sol.report.distance
@@ -497,12 +498,6 @@ def reconstruct_from_contour(sol: RootSolution):
     theta = 2.0 * np.pi * np.arange(_RING_NODES) / _RING_NODES
     phase = np.exp(1j * theta)
     ring = center + radius * phase
-    # farthest any ring point gets from its nearest point of sigma1
-    worst = float(np.max(np.min(np.abs(ring[:, None] - model.sigma1[None, :]), axis=1)))
-    if worst > 0.5 * d + 1e-12:
-        raise ValueError(
-            f"circle violates containment: reaches {worst:.6g} > d/2 = {0.5 * d:.6g}")
-
     rule = analytic_rule(model, sol.contour, ring)
     kvals = model.kprime_values(rule.nodes)
 

@@ -141,20 +141,17 @@ def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     return _m1_on_rule(model, rule, model.kprime_values(rule.nodes), zs)
 
 
-def sheets_value(model: SpectralModel, z, side: int, contour: Contour) -> np.ndarray:
-    """Continuation into the side-l lens via the jump of the density:
-    value = M1(z) - 2*pi*i*l*K'(z).
+def sheets_value(model: SpectralModel, z, contour: Contour) -> np.ndarray:
+    """Continuation into the lens of contour, of side l = contour.side, via
+    the jump of the density: value = M1(z) - 2*pi*i*l*K'(z).
 
     Independent of quadrature, so it cross-checks m1_continued. Every
-    point must lie strictly inside the lens of the side-l contour. z is
-    one point -> (n, n), or a 1-d array of P points -> (P, n, n); the
-    message of a rejection names the first point outside.
+    point must lie strictly inside the lens. z is one point -> (n, n), or
+    a 1-d array of P points -> (P, n, n); the message of a rejection names
+    the first point outside.
     """
     zs, single = _points(z)
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    if contour.side != side:
-        raise ValueError("contour side disagrees with requested side")
+    side = contour.side
     outside = ~contour.contains_in_lens(zs)
     if np.any(outside):
         raise ValueError(f"z={complex(zs[np.argmax(outside)])} outside the side {side:+d} lens")

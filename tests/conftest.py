@@ -1,12 +1,14 @@
-"""Shared fixtures: the scalar reference model and a zoo of random
+"""Shared fixtures: the scalar reference model, a zoo of random
 admissible models with clustered interior spectrum and strictly positive
-coupling density."""
+coupling density, and the constants of a model with an exceptional
+point."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 import schurroots as sr
 
@@ -15,6 +17,11 @@ BCOUP = 0.2
 ZOO_SEED = 20260819
 ZOO_SIZE = 20
 RECT_DEPTH = 0.5
+# a1 = diag(-e, e) with this constant coupling: on side +1 the two
+# eigenvalues of the root merge near e = EP_E0 (gap about 1e-7), where the
+# eigenvector matrix of Z has a condition number of about 1e6
+EP_E0 = 0.030214581208488
+EP_B = np.real(sqrtm(np.array([[0.02, 0.01], [0.01, 0.02]])))
 
 
 def random_admissible_model(rng):

@@ -176,7 +176,7 @@ def test_criterion_8_beyond_contraction(tmp_path, capsys):
         {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}))
     code = main(["solve", "--config", str(cfg)])
     capsys.readouterr()
-    params = fr.FriedrichsParams(1.0, 0.0, b)
+    params = fr.FriedrichsParams(1.0, b)
     zp, zm, _, _ = fr.oracle_solution(params)
     resid = max(abs(fr.closed_m1(params, zp)), abs(fr.closed_m1(params, zm)))
     ok = code == 2 and resid <= 1e-12

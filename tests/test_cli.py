@@ -15,16 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import sqrtm
 
 import schurroots as sr
+from schurroots._json import dumps
 from schurroots.cli import main
 from schurroots.config import RunConfig, build_model_from_config
 from schurroots.contour import _RectangleDistance
 from schurroots.errors import NumericsError
 from schurroots.identities import identity_table
 from schurroots.model import SpectralModel
-from schurroots.report import admissibility_block, sanitize
+from schurroots.report import admissibility_block
+
+from conftest import EP_B, EP_E0
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -113,13 +115,6 @@ def test_verify_passes_at_partial_coupling(tmp_path, capsys, model_zoo):
         assert all(r["passed"] for r in rows), rows
 
 
-# a1 = diag(-e, e) with this constant coupling: on side +1 the two
-# eigenvalues of the root merge near e = EP_E0 (gap about 1e-7), where the
-# eigenvector matrix of Z has a condition number of about 1e6
-EP_E0 = 0.030214581208488
-EP_B = np.real(sqrtm(np.array([[0.02, 0.01], [0.01, 0.02]])))
-
-
 @pytest.mark.parametrize("delta", [0.0, 1e-8])
 def test_verify_passes_near_an_exceptional_point(tmp_path, capsys, delta):
     # the default reconstruction ring keeps its distance from the merging
@@ -174,7 +169,7 @@ def test_verify_report_holds_the_identity_table(tmp_path, monkeypatch):
                                                          cfg.depth, cfg.nodes_per_unit),
                                   t=cfg.coupling_scale, tol=cfg.tol, max_iter=cfg.max_iter)
              for side in (1, -1)}
-    assert rep["identities"] == sanitize(identity_table(model, roots, cfg.seed)[0])
+    assert rep["identities"] == json.loads(dumps(identity_table(model, roots, cfg.seed)[0]))
 
 
 def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
@@ -357,6 +352,9 @@ def test_friedrichs_exit_code_contract(alpha, b):
     with (contextlib.redirect_stderr(io.StringIO()),
           contextlib.redirect_stdout(io.StringIO()),
           warnings.catch_warnings(record=True)):
+        # record=True keeps the active filters, and an "error" filter
+        # would still raise the warning out of main
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in (0, 3, 4)
 

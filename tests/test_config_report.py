@@ -9,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurroots._json import dumps
-from schurroots.config import (RunConfig, build_model_from_config, complex_to_pair,
-                               matrix_to_lists)
+from schurroots.config import RunConfig, build_model_from_config, matrix_to_lists
 from schurroots.errors import ConfigError
 from schurroots.report import (atomic_write, config_sha256, identity_row,
-                               render_report, sanitize, write_csv)
+                               render_report, write_csv)
 
 from conftest import wide_models
 
@@ -106,21 +105,8 @@ def test_identity_row():
     assert not row["passed"]
 
 
-def test_sanitize():
-    obj = {"a": np.float64(1.5), "b": np.int64(3), "c": [np.complex128(1 + 2j)],
-           "d": float("inf"), "e": np.bool_(True)}
-    clean = sanitize(obj)
-    assert clean["a"] == 1.5 and isinstance(clean["a"], float)
-    assert clean["b"] == 3 and isinstance(clean["b"], int)
-    assert clean["d"] == "inf"
-    assert clean["e"] is True
-    # complex becomes a [re, im] pair
-    assert clean["c"][0] == [1.0, 2.0]
-    json.dumps(clean, allow_nan=False)
-
-
 def test_render_report_sorted_json():
-    text = render_report(sanitize({"b": 1, "a": {"z": 2.0, "y": [1, 2]}}))
+    text = render_report({"b": 1, "a": {"z": 2.0, "y": [1, 2]}})
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed == {"b": 1, "a": {"z": 2.0, "y": [1, 2]}}
@@ -152,13 +138,14 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-
                                 1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16])
 
 
-def _values(floats):
+def _values(floats, extra=st.nothing()):
     """JSON-like values: nested dicts, lists and tuples of the scalars,
-    floats drawn from floats, and [re, im] pairs and lists of them."""
+    floats drawn from floats, [re, im] pairs and lists of them, and the
+    scalars of extra."""
     pairs = st.lists(floats, min_size=2, max_size=2) | st.tuples(floats, floats)
     scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
                | floats | floats.map(np.float64) | _KEYS | pairs
-               | st.lists(pairs, max_size=4))
+               | st.lists(pairs, max_size=4) | extra)
     return st.recursive(
         scalars,
         lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
@@ -177,31 +164,62 @@ def test_writer_matches_json_dumps(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_values(_ANY_FLOAT))
+def _reference_sanitize(obj):
+    """The general path of the report walk that ran before _json.dumps
+    owned the number format: numpy scalars to Python values, complex
+    numbers to [re, im] pairs and NaN or an infinity to the string of its
+    repr."""
+    if isinstance(obj, dict):
+        return {k: _reference_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else repr(v)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, complex):
+        return [float(np.real(obj)), float(np.imag(obj))]
+    return obj
+
+
+# numpy scalars and complex numbers as a report holds them; _reference_sanitize
+# wrote the parts of a complex number unchecked, so they are finite here
+_REPORT_SCALARS = (st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+                   | st.complex_numbers(allow_nan=False, allow_infinity=False)
+                   | st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values(_ANY_FLOAT, _REPORT_SCALARS))
 @example([[1.0, float("nan")], [2.0, 3.0]])
-@example({"x": [[float("inf"), 0.0]]})
+@example({"x": [[float("inf"), 0.0]], "y": np.float64("-inf"), "z": [np.int64(3), 1j]})
+@example({"a": np.float64(1.5), "b": np.int64(3), "c": [np.complex128(1 + 2j)],
+          "d": float("inf"), "e": np.bool_(True), "f": (1.0, -0.0), "g": [1e308, 1e308]})
 def test_writer_matches_json_dumps_on_non_finite_floats(value):
-    assert dumps(value, allow_nan=True) == json.dumps(value, sort_keys=True, indent=2)
-    try:
-        ref = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            render_report(value)
-    else:
-        assert render_report(value) == ref + "\n"
+    # the writer owns the number format: its text is that of json.dumps
+    # after the reference walk, so NaN and the infinities come out strings
+    ref = json.dumps(_reference_sanitize(value), sort_keys=True, indent=2,
+                     allow_nan=False)
+    assert dumps(value) == ref
+    assert render_report(value) == ref + "\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_render_report_refuses_non_finite(bad):
-    for report in ({"a": bad}, {"x": [[1.0, bad]]}, [[[0.0, 1.0], [bad, 2.0]]]):
-        with pytest.raises(ValueError, match="Out of range float values"):
-            render_report(report)
+def test_render_report_writes_non_finite_as_strings(bad):
+    text = repr(bad)
+    for report, parsed in (({"a": bad}, {"a": text}),
+                           ({"x": [[1.0, bad]]}, {"x": [[1.0, text]]}),
+                           ([[[0.0, 1.0], [bad, 2.0]]], [[[0.0, 1.0], [text, 2.0]]]),
+                           ({"z": complex(bad, 1.0)}, {"z": [text, 1.0]})):
+        assert json.loads(render_report(report)) == parsed
 
 
 def test_writer_refuses_what_json_refuses():
-    for value in ({1: 2.0}, {"a": np.int64(3)}, {"a": {1.0, 2.0}}, [np.zeros(2)],
-                  [[np.zeros(2), np.zeros(2)]]):
+    for value in ({1: 2.0}, {"a": {1.0, 2.0}}, [np.zeros(2)], [[np.zeros(2), np.zeros(2)]],
+                  {"a": np.array(1.0)}, [np.str_("a"), np.zeros((2, 2))]):
         with pytest.raises(TypeError):
             dumps(value)
 
@@ -220,7 +238,11 @@ def test_canonical_json_is_the_json_dumps_form(friedrichs_model, model_zoo):
             cfg = RunConfig.from_dict(_config_data(model, kind, depth))
             ref = json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n"
             assert cfg.canonical_json() == ref
-    # the pairs of matrix_to_lists are those of complex_to_pair per entry
+    # the pairs of matrix_to_lists are those of each entry's real and
+    # imaginary part as Python floats
+    def complex_to_pair(z):
+        return [float(np.real(z)), float(np.imag(z))]
+
     rng = np.random.default_rng(3)
     mats = [model.a1 for model in models] + [
         rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
@@ -231,15 +253,3 @@ def test_canonical_json_is_the_json_dumps_form(friedrichs_model, model_zoo):
         got = matrix_to_lists(mat)
         assert json.dumps(got) == json.dumps(ref)
         assert all(type(x) is float for row in got for pair in row for x in pair)
-
-
-def test_sanitize_passes_finite_float_lists_through():
-    pair = [1.5, -0.0]
-    assert sanitize(pair) == pair and sanitize(pair) is not pair
-    assert sanitize((1.0, 2.0)) == [1.0, 2.0]
-    # a non-finite entry, or a sum that overflows, takes the general path
-    assert sanitize([1.0, float("inf")]) == [1.0, "inf"]
-    assert sanitize([1e308, 1e308]) == [1e308, 1e308]
-    assert sanitize([float("nan"), 1.0]) == ["nan", 1.0]
-    assert sanitize([np.float64(1.0), 2.0]) == [1.0, 2.0]
-    assert sanitize([True, 1.0]) == [True, 1.0]

@@ -147,8 +147,7 @@ def test_bad_side(friedrichs_model):
 
 
 def test_optimize_r0_rectangle(friedrichs_model):
-    family = ("rectangle", (0.2, 1.2))
-    depth, r0 = sr.optimize_r0(friedrichs_model, 1, family)
+    depth, r0 = sr.optimize_r0(friedrichs_model, 1, (0.2, 1.2))
     contour = sr.make_contour(friedrichs_model, 1, "rectangle", depth)
     rep = sr.admissibility(friedrichs_model, contour)
     assert rep.admissible
@@ -256,7 +255,7 @@ def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, fam
                 # every scanned depth's r_min, not only the search's outcome
                 assert _rectangle_r_min(model, side, depths, 200, t, distance) == values
                 try:
-                    depth, r0 = sr.optimize_r0(model, side, ("rectangle", family),
+                    depth, r0 = sr.optimize_r0(model, side, family,
                                                nodes_per_unit=200, coupling_scale=t)
                 except AdmissibilityError as exc:
                     assert str(exc) == ref == golden
@@ -291,7 +290,7 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
     depths = np.linspace(*family, 33)
     best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, 1.0, distance)))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
-    depth, r0 = sr.optimize_r0(model, 1, ("rectangle", family))
+    depth, r0 = sr.optimize_r0(model, 1, family)
     _, golden = _reference_optimize_r0(model, 1, family, 200, 1.0, kink_rule=False)
     assert depth == golden[0] != distance.kink
     assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink, 200, 1.0)
@@ -309,7 +308,7 @@ def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
     monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
     for model in model_zoo:
         calls.clear()
-        depth, _ = sr.optimize_r0(model, 1, ("rectangle", (0.25, 1.0)))
+        depth, _ = sr.optimize_r0(model, 1, (0.25, 1.0))
         assert depth == _RectangleDistance(model, model.interval).kink
         assert calls == [33 + 3]
 
@@ -448,7 +447,7 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
         for side in (1, -1):
             for family in RECT_FAMILIES:
                 try:
-                    sr.optimize_r0(model, side, ("rectangle", family))
+                    sr.optimize_r0(model, side, family)
                 except AdmissibilityError:
                     pass
                 _reference_search(

@@ -46,15 +46,13 @@ def test_solve_y_monotone_in_b():
 
 def test_params_validation():
     with pytest.raises(ModelError):
-        fr.FriedrichsParams(-1.0, 0.0, 0.2)
+        fr.FriedrichsParams(-1.0, 0.2)
     with pytest.raises(ModelError):
-        fr.FriedrichsParams(1.0, 1.5, 0.2)  # a1 outside the band
-    with pytest.raises(ModelError):
-        fr.FriedrichsParams(1.0, 0.0, -0.2)
+        fr.FriedrichsParams(1.0, -0.2)
 
 
 def test_closed_m1_vanishes_at_roots():
-    p = fr.FriedrichsParams(1.0, 0.0, 0.2)
+    p = fr.FriedrichsParams(1.0, 0.2)
     zp, zm, y_norm, yfun = fr.oracle_solution(p)
     assert zp == -zm
     assert abs(zp - (-1j * Y_ORACLE)) < 1e-13
@@ -64,7 +62,7 @@ def test_closed_m1_vanishes_at_roots():
 
 
 def test_closed_m1_cut_rejected():
-    p = fr.FriedrichsParams(1.0, 0.0, 0.2)
+    p = fr.FriedrichsParams(1.0, 0.2)
     with pytest.raises(ValueError):
         fr.closed_m1(p, 0.3 + 0j)
     # just off the cut is fine
@@ -72,7 +70,7 @@ def test_closed_m1_cut_rejected():
 
 
 def test_oracle_y_function():
-    p = fr.FriedrichsParams(1.0, 0.0, 0.2)
+    p = fr.FriedrichsParams(1.0, 0.2)
     zp, _, _, yfun = fr.oracle_solution(p)
     mus = np.linspace(-0.9, 0.9, 7)
     got = yfun(mus, side=1)
@@ -82,7 +80,7 @@ def test_oracle_y_function():
 
 def test_winding_counts():
     for alpha, b in [(1.0, 0.2), (1.0, 0.25), (2.0, 0.3)]:
-        p = fr.FriedrichsParams(alpha, 0.0, b)
+        p = fr.FriedrichsParams(alpha, b)
         assert fr.winding_count(p, 1) == 1
         assert fr.winding_count(p, -1) == 1
 
@@ -92,7 +90,7 @@ def test_beyond_contraction_regime():
     # form still produces honest roots
     b = float(np.sqrt(0.1))
     assert b * b > 1.0 / (4 * np.pi)
-    p = fr.FriedrichsParams(1.0, 0.0, b)
+    p = fr.FriedrichsParams(1.0, b)
     zp, zm, _, _ = fr.oracle_solution(p)
     assert abs(fr.closed_m1(p, zp)) <= 1e-12
     assert abs(fr.closed_m1(p, zm)) <= 1e-12
@@ -100,7 +98,7 @@ def test_beyond_contraction_regime():
 
 
 def test_oracle_requires_symmetric_case():
+    # the parameters hold only the symmetric case (a1 = 0); of those, the
+    # oracle refuses b = 0
     with pytest.raises(ModelError):
-        fr.oracle_solution(fr.FriedrichsParams(1.0, 0.1, 0.2))
-    with pytest.raises(ModelError):
-        fr.oracle_solution(fr.FriedrichsParams(1.0, 0.0, 0.0))
+        fr.oracle_solution(fr.FriedrichsParams(1.0, 0.0))

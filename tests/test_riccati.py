@@ -18,6 +18,8 @@ from schurroots.riccati import (RiccatiSolution, _j_pairings, _trial_l2_norms,
                                 _ysn_integrand, factor_F1, rational_trials,
                                 ysn_integral)
 
+from conftest import EP_B, EP_E0, wide_models
+
 
 def dense_gram(ric, nodes=1_000_001):
     a, b = ric.root.model.interval
@@ -302,6 +304,40 @@ def test_reconstruction(matrix_case):
         assert np.linalg.norm(z_rec - sols[side].z_op, 2) < 1e-8
         # first moment is consistent with the zeroth: h1 = h0 adj-similar
         assert np.linalg.norm(h1 - z_rec @ h0, 2) < 1e-8 * (1 + np.linalg.norm(h1, 2))
+
+
+def test_reconstruction_ring_stays_inside_the_neighborhood(monkeypatch, friedrichs_model,
+                                                          zoo_solutions):
+    # every ring point lies within radius + dist(center, sigma1) <= d/2 -
+    # 0.05 cap of sigma1, so the ring needs no containment check; the ring
+    # is read off the analytic_rule call that sizes its rule
+    import schurroots.riccati as riccati_mod
+
+    rings = []
+    rule = riccati_mod.analytic_rule
+
+    def recording(model, contour, points):
+        rings.append(np.asarray(points))
+        return rule(model, contour, points)
+
+    monkeypatch.setattr(riccati_mod, "analytic_rule", recording)
+    ep = sr.build_model((-1.0, 1.0), np.diag([-EP_E0, EP_E0]), [EP_B])
+    # a spectrum spread wide enough that the radius is its cap, 0.95 cap
+    capped = sr.build_model((-1.0, 1.0), np.diag([-0.18, 0.18]), [0.1 * np.eye(2)])
+    roots = [sol for _, _, sols in zoo_solutions for sol in sols.values()]
+    for model in [friedrichs_model, ep, capped] + wide_models(1):
+        roots += [sr.solve_basic(model, sr.make_contour(model, side)) for side in (1, -1)]
+    assert len(roots) == 2 * (3 + len(zoo_solutions) + 3)
+    for sol in roots:
+        rings.clear()
+        sr.reconstruct_from_contour(sol)
+        (ring,) = rings
+        d = sol.report.distance
+        sigma1 = sol.model.sigma1
+        center = complex(np.mean(sol.eigensystem.values))
+        cap = 0.5 * d - float(np.min(np.abs(center - sigma1)))
+        worst = float(np.max(np.min(np.abs(ring[:, None] - sigma1[None, :]), axis=1)))
+        assert (worst - 0.5 * d) / cap <= -0.05 + 1e-9
 
 
 def test_reconstruction_needs_circle():

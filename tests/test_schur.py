@@ -74,7 +74,7 @@ def test_sheets_formula(friedrichs_model, friedrichs_contours):
         kp = friedrichs_model.kprime_values(np.array([z]))[0]
         expect = phys - 2j * np.pi * side * kp
         assert np.max(np.abs(cont - expect)) < 1e-12
-        via_op = sr.sheets_value(friedrichs_model, z, side, friedrichs_contours[side])
+        via_op = sr.sheets_value(friedrichs_model, z, friedrichs_contours[side])
         assert np.max(np.abs(via_op - expect)) < 1e-12
 
 
@@ -178,7 +178,7 @@ def test_point_functions_accept_arrays(kind, depth, side):
     zs = np.array([0.3 + 0.2j, -0.5 + 0.05j, 0.1 + 0.4j])
     zs = zs.real + 1j * side * zs.imag
     lams = np.array([-0.5, 0.11, 0.74])
-    for fn, args in ((sr.sheets_value, (side, contour)), (sr.m1_physical, ()),
+    for fn, args in ((sr.sheets_value, (contour,)), (sr.m1_physical, ()),
                      (w1_physical, ())):
         many = fn(model, zs, *args)
         assert many.shape == (3, 2, 2)
@@ -194,7 +194,7 @@ def test_point_functions_accept_arrays(kind, depth, side):
 
     bad = np.concatenate([zs[:1], np.conj(zs[1:])])
     with pytest.raises(ValueError, match=re.escape(f"z={complex(bad[1])} outside")):
-        sr.sheets_value(model, bad, side, contour)
+        sr.sheets_value(model, bad, contour)
     with pytest.raises(ValueError, match=re.escape("z=(0.2+0j) lies on the cut")):
         w1_physical(model, np.array([1.5 + 0j, 0.2 + 0j, 0.3 + 0j]))
     with pytest.raises(ValueError, match=re.escape("lambda=1.0 not strictly")):
