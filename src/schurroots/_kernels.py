@@ -19,7 +19,7 @@ _NODE_MAJOR_ENTRIES = 16
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, recorded in report provenance."""
+    """Name of the kernel implementation, recorded by the benchmark."""
     return "numpy"
 
 

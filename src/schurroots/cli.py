@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from . import friedrichs as fr
-from ._kernels import backend_name
 from .config import RunConfig, build_model_from_config
 from .contour import make_contour, optimize_r0
 from .errors import AdmissibilityError, ConfigError, ModelError, NumericsError
@@ -69,7 +68,6 @@ def _prologue(command, cfg, sides) -> tuple:
         "identities": [],
         "provenance": {
             "config_sha256": config_sha256(cfg),
-            "kernel_backend": backend_name(),
             "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
         },
     }
@@ -249,10 +247,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write(write, path, content) -> None:
+    """write(path, content), an OSError turned into a ConfigError."""
+    try:
+        write(path, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, out_path) -> None:
     text = render_report(report)
     if out_path:
-        atomic_write(out_path, text)
+        _write(atomic_write, out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
                 raise ConfigError("sweep needs --out-csv or output.csv in the config")
             report, rows = cmd_sweep(cfg)
             if report["status"] == "ok":
-                write_csv(csv_path, rows)
+                _write(write_csv, csv_path, rows)
             _emit(report, args.out or cfg.report_path)
         if report["status"] == "inadmissible":
             return EXIT_INADMISSIBLE

@@ -14,7 +14,7 @@ fewest nodes that their known singularities and the degree of K' allow.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,13 +42,16 @@ _NORM_BATCH_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class Contour:
+    """The side-l path over endpoints and its rule, segment by segment (one
+    for a semicircle, three for a rectangle): counts[k] nodes on segment k."""
+
     side: int
     kind: str
     depth: float
     endpoints: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    segment_slices: tuple
+    counts: tuple
 
     def __post_init__(self):
         for arr in (self.nodes, self.weights):
@@ -76,16 +79,10 @@ class Contour:
         return inside if inside.ndim else bool(inside)
 
     def mirror(self) -> "Contour":
-        """The reflected contour for the opposite side."""
-        return Contour(
-            -self.side,
-            self.kind,
-            self.depth,
-            self.endpoints,
-            np.conj(self.nodes),
-            np.conj(self.weights),
-            self.segment_slices,
-        )
+        """The reflected contour for the opposite side: nodes and weights
+        conjugated, kind, depth, endpoints and counts passed on."""
+        return replace(self, side=-self.side, nodes=np.conj(self.nodes),
+                       weights=np.conj(self.weights))
 
 
 def _node_count(nodes_per_unit, arclength):
@@ -172,12 +169,10 @@ def _contour(side, kind, depth, endpoints, counts) -> Contour:
     if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * depth):
         raise ModelError(f"contour weight sum {total} misses interval length {length}")
 
-    bounds = np.cumsum((0,) + tuple(counts)).tolist()
-    slices = tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
     return Contour(int(side), kind, float(depth), (a, b),
                    np.ascontiguousarray(nodes, dtype=np.complex128),
                    np.ascontiguousarray(weights, dtype=np.complex128),
-                   slices)
+                   tuple(counts))
 
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
@@ -304,10 +299,10 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
     _MIN_ANALYTIC_NODES. An evaluation point that asks for more than
     MAX_SEGMENT_NODES on some segment raises ValueError naming the first
     such point. A singular point only raises the count, and no further
-    than the segment's count in the contour passed in, so a root near the
-    path is summed on that rule as before. The result has the contour's
-    side, kind, depth and endpoints, and every count's rule is built once
-    (_rule).
+    than the segment's count in the contour passed in (contour.counts), so
+    a root near the path is summed on that rule as before. The result has
+    the contour's side, kind, depth and endpoints, and every count's rule
+    is built once (_rule).
     """
     points = np.ravel(np.asarray(points, dtype=np.complex128))
     singular = np.ravel(np.asarray(singular, dtype=np.complex128))
@@ -326,12 +321,11 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
         nearest = np.min(part, axis=1, initial=np.inf)
         return np.ceil(_wanted_counts(contour.kind, degree, nearest)).tolist()
 
-    configured = [sl.stop - sl.start for sl in contour.segment_slices]
     counts = tuple(
         int(min(MAX_SEGMENT_NODES,
                 max(_MIN_ANALYTIC_NODES, from_points, min(cap, from_singular))))
         for from_points, from_singular, cap in zip(
-            per_segment(at_points), per_segment(at_singular), configured))
+            per_segment(at_points), per_segment(at_singular), contour.counts))
     return _contour(contour.side, contour.kind, contour.depth, contour.endpoints, counts)
 
 

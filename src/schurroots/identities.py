@@ -73,8 +73,8 @@ def _boundary_limit(model, lams, approach) -> np.ndarray:
     W1 continues analytically across the interval from either half-plane,
     so W1(lam + i*approach*eps) is a power series in eps; two Richardson
     steps remove its eps and eps^2 terms. The limit is taken from values
-    off the cut only, so it is independent of the principal value and of
-    the jump K'(lam) that w1_boundary adds to it.
+    off the cut only, so it is independent of w1_boundary, the continued
+    moments taken on the cut.
     """
     zs = lams[None, :] + 1j * approach * _BOUNDARY_EPS[:, None]
     vals = w1_physical(model, zs.ravel()).reshape(zs.shape + (model.n, model.n))

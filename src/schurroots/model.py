@@ -83,7 +83,6 @@ class SpectralModel:
     interval: tuple
     a1: np.ndarray
     b: MatrixPolynomial
-    feshbach: bool
 
     @property
     def n(self) -> int:
@@ -96,6 +95,12 @@ class SpectralModel:
     @cached_property
     def sigma1(self) -> np.ndarray:
         return np.sort(np.linalg.eigvalsh(self.a1))
+
+    @cached_property
+    def feshbach(self) -> bool:
+        """Whether every eigenvalue of a1 lies strictly inside the interval."""
+        lo, hi = self.interval
+        return bool(np.all((self.sigma1 > lo) & (self.sigma1 < hi)))
 
     @cached_property
     def kprime(self) -> MatrixPolynomial:
@@ -121,7 +126,7 @@ class SpectralModel:
         unchanged)."""
         if t == 1.0:
             return self
-        return SpectralModel(self.interval, self.a1, self.b.scaled(float(t)), self.feshbach)
+        return SpectralModel(self.interval, self.a1, self.b.scaled(float(t)))
 
 
 def build_model(interval, a1, b) -> SpectralModel:
@@ -129,10 +134,9 @@ def build_model(interval, a1, b) -> SpectralModel:
 
     interval: (lo, hi) with lo < hi. a1: real symmetric (n, n). b: an (m, n)
     MatrixPolynomial with real coefficients, or a list of coefficient
-    matrices lowest degree first. The feshbach flag records whether every
-    eigenvalue of a1 lies strictly inside the interval. A coefficient of K' that
-    is not finite (b^* b overflows) is a ModelError; the density's
-    identities are left to density_margin.
+    matrices lowest degree first. A coefficient of K' that is not finite
+    (b^* b overflows) is a ModelError; the density's identities are left to
+    density_margin.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -158,10 +162,7 @@ def build_model(interval, a1, b) -> SpectralModel:
             f"coupling maps C^{a1m.shape[0]} but has {poly.cols} columns"
         )
 
-    eigs = np.linalg.eigvalsh(a1m)
-    feshbach = bool(np.all((eigs > lo) & (eigs < hi)))
-
-    model = SpectralModel((lo, hi), a1m, poly, feshbach)
+    model = SpectralModel((lo, hi), a1m, poly)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.all(np.isfinite(model.kprime.coefficients))
     if not finite:

@@ -18,6 +18,7 @@ integral) is an adaptive quadrature whose first round is graded toward
 those poles, so each row of verify still compares two independent paths.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,18 +204,6 @@ def riccati_residual(ric: RiccatiSolution, sample_mus,
     return float(np.max(np.linalg.norm(res, 2, axis=(1, 2))))
 
 
-@dataclass(frozen=True, eq=False)
-class RationalTrial:
-    """Trial function x0(mu) = c / (mu - pole), pole off the real axis."""
-
-    pole: complex
-    c: np.ndarray
-
-    def __call__(self, mus) -> np.ndarray:
-        mus = np.atleast_1d(np.asarray(mus, dtype=np.complex128))
-        return self.c[None, :] / (mus[:, None] - self.pole)
-
-
 def _trial_l2_norms(poles: np.ndarray, cs: np.ndarray, interval) -> np.ndarray:
     """L2(interval) norm of each c_t / (mu - pole_t): its square is
     ||c_t||^2 / h * [atan((mu - Re pole_t) / h)] from a to b, h = |Im pole_t|."""
@@ -230,11 +219,13 @@ def _unit_rows(rng, count: int, width: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
-    """Random rational trial pairs (x0 function, x1 vector) for the
-    J-orthogonality check. Poles sit a fixed distance off the interval;
-    each x0 is a RationalTrial with unit c and each x1 a unit vector. Each
-    coordinate of the batch is drawn in one call."""
+def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> tuple:
+    """count random rational trial pairs for the J-orthogonality check, as
+    the arrays (poles, cs, x1s): trial t pairs the function x0_t(mu) =
+    cs[t] / (mu - poles[t]) with the vector x1s[t]. Each pole sits 0.3 to
+    1 off the interval, over a point of it; each row of cs (T, m) and x1s
+    (T, n) is a unit vector. Each coordinate of the batch is drawn in one
+    call."""
     rng = np.random.default_rng(seed)
     model = ric.root.model
     a, b = model.interval
@@ -242,8 +233,7 @@ def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> list:
     im = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.3, 1.0, size=count)
     cs = _unit_rows(rng, count, model.m)
     x1s = _unit_rows(rng, count, model.n)
-    return [(RationalTrial(complex(p), c), x1)
-            for p, c, x1 in zip(re + 1j * im, cs, x1s)]
+    return re + 1j * im, cs, x1s
 
 
 _JORTH_RTOL = 1e-11
@@ -263,8 +253,9 @@ def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
     return -np.sum(np.sum(left * h, axis=0) * right.T, axis=1)
 
 
-def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
-    """(lhs, rhs) with lhs_t = <x0_t, Y x1_t> and rhs_t = <Y^* x0_t, x1_t>.
+def _j_pairings(ric: RiccatiSolution, trials) -> tuple:
+    """(lhs, rhs) with lhs_t = <x0_t, Y x1_t> and rhs_t = <Y^* x0_t, x1_t>
+    over the trials (poles, cs, x1s) of rational_trials.
 
     lhs is summed in closed form (_lhs_closed_form) in the eigenbasis of
     the root, unless it has none or some conj(pole_t) is
@@ -282,10 +273,7 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     """
     interval = ric.root.model.interval
     a, b = interval
-    x0s = [x0 for x0, _ in trial_vectors]
-    poles = np.array([x0.pole for x0 in x0s], dtype=np.complex128)
-    cs = np.array([x0.c for x0 in x0s], dtype=np.complex128)
-    x1s = np.array([x1 for _, x1 in trial_vectors], dtype=np.complex128)
+    poles, cs, x1s = trials
     x0_norms = _trial_l2_norms(poles, cs, interval)
     x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
     bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
@@ -315,19 +303,19 @@ def _j_pairings(ric: RiccatiSolution, trial_vectors) -> tuple:
     return lhs, np.sum(np.conj(ystar_x0) * x1s, axis=1)
 
 
-def j_orthogonality(ric: RiccatiSolution, trial_vectors) -> float:
-    """max over trials of |<x0, Y x1> - <Y^* x0, x1>|.
+def j_orthogonality(ric: RiccatiSolution, trials) -> float:
+    """max over trials of |<x0, Y x1> - <Y^* x0, x1>|, 0.0 for no trial.
 
     Vanishing of this adjointness defect is what makes the two graph
-    subspaces J-orthogonal. The trials are (RationalTrial, vector) pairs
-    as rational_trials draws them. All trials share one evaluation of each
-    side of the pairing: the closed form of <x0, Y x1> (or its stacked
-    quadrature where the closed form does not apply) and one stacked
-    adaptive quadrature of Y^* x0 (see _j_pairings).
+    subspaces J-orthogonal. The trials are the arrays (poles, cs, x1s) that
+    rational_trials draws. All trials share one evaluation of each side of
+    the pairing: the closed form of <x0, Y x1> (or its stacked quadrature
+    where the closed form does not apply) and one stacked adaptive
+    quadrature of Y^* x0 (see _j_pairings).
     """
-    if not trial_vectors:
+    if trials[0].size == 0:
         return 0.0
-    lhs, rhs = _j_pairings(ric, trial_vectors)
+    lhs, rhs = _j_pairings(ric, trials)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -457,51 +445,82 @@ _RING_NODES = 256
 _RING_RTOL = 1e-9
 
 
+def _circle(eigs: np.ndarray, sigma1: np.ndarray, d: float) -> tuple:
+    """(center, radius) of the circle about eigs that reconstruct_from_contour
+    describes, or ValueError where it does not fit."""
+    center = complex(np.mean(eigs))
+    spread = float(np.max(np.abs(eigs - center)))
+    cap = 0.5 * d - float(np.min(np.abs(center - sigma1)))
+    if cap <= 0:
+        raise ValueError("no circle fits the d/2-neighborhood")
+    radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
+    if spread >= radius:
+        raise ValueError(f"circle radius {radius:.6g} does not enclose spec(Z) (need > {spread:.6g})")
+    return center, radius
+
+
+def _circles(eigs: np.ndarray, sigma1: np.ndarray, d: float) -> list:
+    """[(center, radius), ...]: the one _circle about all of eigs = spec Z
+    where it fits; else each eigenvalue of Z joins its nearest eigenvalue of
+    a1, and the two neighbouring groups whose eigenvalues of a1 lie closest
+    merge until each group's _circle fits and holds no other group's
+    eigenvalue. The one circle's error is raised if no such groups exist."""
+    try:
+        return [_circle(eigs, sigma1, d)]
+    except ValueError:
+        pass
+    nearest = np.argmin(np.abs(eigs[:, None] - sigma1[None, :]), axis=1)
+    groups = [[k] for k in np.unique(nearest)]  # indices into sigma1, ascending
+    while len(groups) > 1:
+        try:
+            circles = [_circle(eigs[np.isin(nearest, g)], sigma1, d) for g in groups]
+            centers, radii = (np.array(part) for part in zip(*circles))
+            if np.all(np.sum(np.abs(eigs[:, None] - centers) < radii, axis=1) == 1):
+                return circles
+        except ValueError:
+            pass
+        k = int(np.argmin([sigma1[right[0]] - sigma1[left[-1]]
+                           for left, right in zip(groups, groups[1:])]))
+        groups[k:k + 2] = [groups[k] + groups[k + 1]]
+    return [_circle(eigs, sigma1, d)]  # raises the one circle's error
+
+
 def reconstruct_from_contour(sol: RootSolution):
     """Moments of -[M1(z, Gamma)]^{-1}/(2 pi i) around spec(Z).
 
     Returns (h0, h1, z_reconstructed): the zeroth moment equals
     (I - Omega)^{-1}, the first is its z-weighted sibling, and
     z_reconstructed = h1 @ inv(h0) recovers the operator root from
-    nothing but contour data. The default circle is centered at the mean
-    of spec(Z), with radius max(1.5 spread, cap / 4) capped at 0.95 cap:
-    spread is the largest distance of an eigenvalue from the center and
-    cap the room the d/2-neighborhood of sigma1 leaves around it. The cap /
-    4 floor keeps the ring away from merging eigenvalues, where M1 is
-    nearly singular and its inverse loses digits. The circle must enclose
-    spec(Z); it stays inside the d/2-neighborhood of sigma1 by
-    construction, since every ring point lies within radius +
-    dist(center, sigma1) <= d/2 - 0.05 cap of sigma1.
+    nothing but contour data, summed over the _circles: one circle about
+    all of spec(Z) where it fits, else one per group of eigenvalues of a1.
+    A circle about some eigenvalues of Z has their mean as center and
+    radius max(1.5 spread, cap / 4) capped at 0.95 cap: spread their
+    largest distance from the center, cap the room the d/2-neighborhood of
+    sigma1 leaves around it (d the distance of the root's admissibility
+    report). The cap / 4 floor keeps the ring off merging eigenvalues,
+    where M1 is nearly singular. Every ring point lies within radius +
+    dist(center, sigma1) <= d/2 - 0.05 cap of sigma1, where F1 is
+    invertible, so the poles of M1^{-1} inside a circle are eigenvalues of
+    Z and circles may overlap.
 
-    The moments are trapezoid sums over nested rings of the circle: the
+    The moments of a circle are trapezoid sums over nested rings: the
     first has _RING_START points, and each doubling evaluates only the new
     midpoints, until the moments of a ring and of its predecessor agree to
     _RING_RTOL (relative) or the ring has _RING_NODES points. Every M1
     value is summed on one analytic_rule of the root's contour, sized by
-    the _RING_NODES-point ring, with K' evaluated at its nodes once; a
+    the _RING_NODES-point rings, with K' evaluated at its nodes once; a
     ring point that lies too close to the contour for the rule raises
-    ValueError. d is the distance of the root's admissibility report.
+    ValueError.
     """
     model = sol.model
-    d = sol.report.distance
-    eigs = sol.eigensystem.values
-    center = complex(np.mean(eigs))
-    spread = float(np.max(np.abs(eigs - center)))
-    cap = 0.5 * d - float(np.min(np.abs(center - model.sigma1)))
-    if cap <= 0:
-        raise ValueError("no circle fits the d/2-neighborhood")
-    radius = min(max(1.5 * spread, 0.25 * cap), 0.95 * cap)
-    if spread >= radius:
-        raise ValueError(
-            f"circle radius {radius:.6g} does not enclose spec(Z) (need > {spread:.6g})")
-
+    circles = _circles(sol.eigensystem.values, model.sigma1, sol.report.distance)
     theta = 2.0 * np.pi * np.arange(_RING_NODES) / _RING_NODES
     phase = np.exp(1j * theta)
-    ring = center + radius * phase
-    rule = analytic_rule(model, sol.contour, ring)
+    rings = [center + radius * phase for center, radius in circles]
+    rule = analytic_rule(model, sol.contour, np.concatenate(rings))
     kvals = model.kprime_values(rule.nodes)
 
-    def sums(points):
+    def sums(ring, points):
         # sum of phase M1^{-1} and of phase z M1^{-1} over the ring points
         try:
             minv = np.linalg.inv(_m1_on_rule(model, rule, kvals, ring[points]))
@@ -511,18 +530,21 @@ def reconstruct_from_contour(sol: RootSolution):
         return np.stack([np.sum(weighted, axis=0),
                          np.einsum("p,pij->ij", ring[points], weighted)])
 
-    count = _RING_START
-    step = _RING_NODES // count
-    total = sums(slice(0, None, step))
-    moments = -(radius / count) * total
-    while step > 1:
-        total = total + sums(slice(step // 2, None, step))
-        step //= 2
-        count *= 2
-        previous, moments = moments, -(radius / count) * total
-        if np.linalg.norm(moments - previous) <= _RING_RTOL * np.linalg.norm(moments):
-            break
-    h0, h1 = moments
+    per_circle = []
+    for ring, (_, radius) in zip(rings, circles):
+        count = _RING_START
+        step = _RING_NODES // count
+        total = sums(ring, slice(0, None, step))
+        moments = -(radius / count) * total
+        while step > 1:
+            total = total + sums(ring, slice(step // 2, None, step))
+            step //= 2
+            count *= 2
+            previous, moments = moments, -(radius / count) * total
+            if np.linalg.norm(moments - previous) <= _RING_RTOL * np.linalg.norm(moments):
+                break
+        per_circle.append(moments)
+    h0, h1 = functools.reduce(np.add, per_circle)
     try:
         z_rec = np.linalg.solve(h0.T, h1.T).T
     except np.linalg.LinAlgError as exc:

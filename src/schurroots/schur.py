@@ -9,7 +9,7 @@ the lens between the interval and the contour.
 
 import numpy as np
 
-from ._kernels import cauchy_sum, cauchy_sum_many
+from ._kernels import cauchy_sum_many
 from .contour import Contour, analytic_rule
 from .model import SpectralModel
 
@@ -24,20 +24,18 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
 
     - "physical": L = Log((b - z)/(a - z)); the principal branch puts the
       cut exactly on [a, b].
-    - "pv": z real inside (a, b), L = ln((b - z)/(z - a)), the principal
-      value.
     - a side l = +1 or -1: L = Log(b - z) - Log(z - a) - i*pi*l, the
       continuation of the physical moment from the half-plane of sign -l
       through the cut, analytic off (-inf, a] and [b, inf). It equals the
       integral over the side-l contour for z in the open half-plane of
       sign -l, on the open interval and in the lens between the interval
-      and the contour, but not elsewhere.
+      and the contour, but not elsewhere. On the open interval it is the
+      boundary value from the half-plane of sign -l: L = ln((b - z)/(z -
+      a)) - i*pi*l, the principal value plus the jump.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     if branch == "physical":
         log_term = np.log((b - zs) / (a - zs))
-    elif branch == "pv":
-        log_term = np.log((b - zs.real) / (zs.real - a)) + 0j
     elif branch in (1, -1):
         log_term = np.log(b - zs) - np.log(zs - a) - 1j * np.pi * branch
     else:
@@ -82,21 +80,18 @@ def w1_physical(model: SpectralModel, z) -> np.ndarray:
 def w1_boundary(model: SpectralModel, lam, approach: int) -> np.ndarray:
     """Boundary values W1(lam + i*approach*0) on the open interval.
 
-    Principal value in closed form plus the jump i*pi*approach*K'(lam).
+    The side -approach moment sum taken on the cut (see _cut_moments): the
+    principal value plus the jump i*pi*approach*K'(lam), in closed form.
     lam is one point -> (n, n), or a 1-d array of P points -> (P, n, n).
     """
     if approach not in (1, -1):
         raise ValueError("approach must be +1 or -1")
     a, b = model.interval
-    lams = np.asarray(lam, dtype=np.float64)
-    single = lams.ndim == 0
-    lams = np.atleast_1d(lams)
-    outside = ~((a < lams) & (lams < b))
+    lams, single = _points(np.asarray(lam, dtype=np.float64))
+    outside = ~((a < lams.real) & (lams.real < b))
     if np.any(outside):
-        lam = float(lams[np.argmax(outside)])
-        raise ValueError(f"lambda={lam} not strictly inside ({a}, {b})")
-    w1 = (_moment_sum(model, lams, "pv")
-          + 1j * np.pi * approach * model.kprime_values(lams))
+        raise ValueError(f"lambda={lams[np.argmax(outside)].real} not strictly inside ({a}, {b})")
+    w1 = _moment_sum(model, lams, -approach)
     return w1[0] if single else w1
 
 
@@ -110,18 +105,10 @@ def m1_physical(model: SpectralModel, z) -> np.ndarray:
 
 
 def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
-    """Continued value M1(z, Gamma) by contour quadrature.
-
+    """M1(z, Gamma) at one point z: the one-point batch of m1_continued_many.
     Equals m1_physical outside the closed lens region; inside the lens it
-    is the continuation from the opposite half-plane. The sum runs on
-    analytic_rule(model, contour, z), so z is refused (ValueError) where that
-    rule would need more than MAX_SEGMENT_NODES nodes on a segment.
-    """
-    z = complex(z)
-    rule = analytic_rule(model, contour, z)
-    kvals = model.kprime_values(rule.nodes)
-    w1 = cauchy_sum(kvals, rule.nodes, rule.weights, z)
-    return model.a1 - z * np.eye(model.n) + w1
+    is the continuation from the opposite half-plane."""
+    return m1_continued_many(model, contour, np.array([complex(z)]))[0]
 
 
 def _m1_on_rule(model: SpectralModel, rule: Contour, kvals: np.ndarray,
@@ -134,8 +121,9 @@ def _m1_on_rule(model: SpectralModel, rule: Contour, kvals: np.ndarray,
 
 
 def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
-    """Batched m1_continued over a 1-d array of points, on one
-    analytic_rule sized by all of them."""
+    """M1(z, Gamma) at each point of a 1-d array zs -> (P, n, n), summed on
+    one analytic_rule(model, contour, zs), which refuses (ValueError) a
+    point that would need more than MAX_SEGMENT_NODES nodes on a segment."""
     zs = np.asarray(zs, dtype=np.complex128)
     rule = analytic_rule(model, contour, zs)
     return _m1_on_rule(model, rule, model.kprime_values(rule.nodes), zs)

@@ -102,7 +102,7 @@ def _recording(monkeypatch):
 
     def recorded(model, contour, points=(), singular=()):
         rule = analytic_rule(model, contour, points, singular)
-        counts.append([sl.stop - sl.start for sl in rule.segment_slices])
+        counts.append(list(rule.counts))
         return rule
 
     for module in (schur, riccati, rootsolver):
@@ -209,7 +209,7 @@ def test_guard_refuses_points_past_the_cap(monkeypatch, friedrichs_model, kind, 
     zs = contour.nodes[ks] + radius * np.exp(2j * np.pi * rng.uniform(size=ks.size))
     refs = [_reference_counts(contour, complex(z)) for z in zs]
     refused = [max(ref) > MAX_SEGMENT_NODES for ref in refs]
-    configured = [sl.stop - sl.start for sl in contour.segment_slices]
+    configured = contour.counts
     assert 0.2 < np.mean(refused) < 0.8
     for z, ref, too_close in zip(zs, refs, refused):
         if too_close:
@@ -260,7 +260,6 @@ def test_counts_grow_with_the_degree(kind, depth):
                     analytic_rule(model, contour, z)
                 continue
             rule = analytic_rule(model, contour, z)
-            assert [sl.stop - sl.start for sl in rule.segment_slices] == [
-                max(16, n) for n in ref], z
+            assert rule.counts == tuple(max(16, n) for n in ref), z
     floor = analytic_rule(model, contour).num_nodes
     assert floor == (26 if kind == "semicircle" else 3 * 16)

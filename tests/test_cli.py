@@ -62,7 +62,8 @@ def test_solve_ok(tmp_path, capsys):
     lam = rep["solutions"]["+1"]["eigenvalues"][0]
     assert lam["label"] == "physical-complex"
     assert abs(lam["eigenvalue"][1] + 0.11639390461355939) < 1e-9
-    assert rep["provenance"]["kernel_backend"] == "numpy"
+    # the provenance names no kernel backend: there is one
+    assert "kernel_backend" not in rep["provenance"]
 
 
 def test_solve_out_file(tmp_path, capsys):
@@ -134,6 +135,20 @@ def test_verify_passes_at_weak_coupling(tmp_path, capsys, b):
     # the interval, and the graded interval quadratures still meet every
     # tolerance
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    rows = json.loads(out)["identities"]
+    assert code == 0, [r for r in rows if not r["passed"]]
+    assert [r["name"] for r in rows] == IDENTITY_ROWS
+
+
+@pytest.mark.parametrize("eigs", [(-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)])
+def test_verify_passes_with_spread_a1(tmp_path, capsys, eigs):
+    # the eigenvalues of a1 lie further apart than d/2 allows one
+    # reconstruction circle to reach: the moments are summed over one circle
+    # per eigenvalue, and every row passes at unchanged tolerances
+    n = len(eigs)
+    data = {"model": {"interval": [-1.0, 1.0], "a1": np.diag(eigs).tolist(),
+                      "b": [(0.05 * np.eye(n)).tolist()]}}
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     rows = json.loads(out)["identities"]
     assert code == 0, [r for r in rows if not r["passed"]]
@@ -407,6 +422,17 @@ def _with(section, values):
     ("solve", {**BASE, "solvers": {"tol": 1e-9}}),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
                "sweep": {"t_grid": [0.5, 1.0]}}),
+    # JSON true and false are not numbers, in a matrix entry or a pair part
+    ("solve", {"model": {**BASE["model"], "a1": [[True]]}}),
+    ("solve", {"model": {**BASE["model"], "b": [[[False]]]}}),
+    ("solve", {"model": {**BASE["model"], "a1": [[[True, 0.0]]]}}),
+    # a JSON integer too large for a float
+    ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}),
+    ("solve", {"model": {**BASE["model"], "a1": [[10 ** 400]]}}),
+    # an output path that is not a string
+    ("solve", _with("output", {"report": 5})),
+    ("verify", _with("output", {"report": ["r.json"]})),
+    ("sweep", {**_with("output", {"csv": 5}), "sweep": {"t_grid": [0.5, 1.0]}}),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
         "fractional-max-iter", "fractional-nodes-per-unit", "fractional-seed",
@@ -415,7 +441,10 @@ def _with(section, values):
         "trial-count-above-cap", "fractional-lens-points",
         "string-factor-points", "nan-corrupt-z", "infinite-corrupt-z",
         "string-corrupt-z", "nan-tau-real", "negative-tau-real", "quad-tol",
-        "misspelled-key", "unknown-section", "repeated-side"])
+        "misspelled-key", "unknown-section", "repeated-side",
+        "boolean-a1-entry", "boolean-b-entry", "boolean-pair-part",
+        "huge-integer-interval", "huge-integer-a1-entry", "numeric-report-path",
+        "list-report-path", "numeric-csv-path"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
@@ -570,6 +599,29 @@ def test_report_path_from_config(tmp_path, capsys):
     assert code == 0
     rep = json.loads((tmp_path / "via_cfg.json").read_text())
     assert rep["status"] == "ok"
+
+
+@pytest.mark.parametrize("command, where", [
+    (command, where) for command in ("solve", "verify", "sweep")
+    for where in ("--out", "output.report")] + [("sweep", "--out-csv")])
+def test_unwritable_output_path_exits_4(tmp_path, capsys, command, where):
+    # a report or CSV path inside a missing directory is a config error
+    # naming the path, with no traceback; sweep writes its CSV first
+    missing = str(tmp_path / "missing" / "out.file")
+    data = {**BASE, "sweep": {"t_grid": [0.5, 1.0]}}
+    argv = [command]
+    if where == "output.report":
+        data["output"] = {"report": missing}
+    elif where == "--out":
+        argv += ["--out", missing]
+    if command == "sweep":
+        argv += ["--out-csv", missing if where == "--out-csv" else str(tmp_path / "t.csv")]
+    code = main(argv + ["--config", write_cfg(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"config error: cannot write {missing}:")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) in (["cfg.json"], ["cfg.json", "t.csv"])
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
@@ -917,8 +969,9 @@ def small_configs(draw):
             ("model", "interval"), ("model", "a1"), ("model", "b"),
             ("contour", "kind"), ("contour", "sides"), ("contour", "depth"),
             ("contour", "nodes_per_unit"), ("solver", "tol"), ("solver", "max_iter"),
-            ("solver", "coupling_scale"), ("sweep", "t_grid")]))
-        data[section][key] = draw(st.sampled_from(
+            ("solver", "coupling_scale"), ("sweep", "t_grid"), ("output", "report"),
+            ("output", "csv")]))
+        data.setdefault(section, {})[key] = draw(st.sampled_from(
             [None, "x", -1, 0, -0.5, 2.5, True, [], [[]], {}, float("nan"), 1e300]))
     return data
 

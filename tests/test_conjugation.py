@@ -50,7 +50,7 @@ def test_side_minus_one_is_the_conjugate(real_models):
             mirror = plus.mirror()
             assert _bits(minus.nodes) == _bits(mirror.nodes)
             assert _bits(minus.weights) == _bits(mirror.weights)
-            for name in ("side", "kind", "depth", "endpoints", "segment_slices"):
+            for name in ("side", "kind", "depth", "endpoints", "counts"):
                 assert getattr(minus, name) == getattr(mirror, name), name
 
             rep = sr.admissibility(model, plus)
@@ -81,7 +81,7 @@ def test_is_real_reads_the_data(friedrichs_model):
     assert friedrichs_model.is_real
     complex_b = sr.MatrixPolynomial(np.array([[[0.2 + 0.1j]]]))
     model = sr.SpectralModel(friedrichs_model.interval, friedrichs_model.a1,
-                             complex_b, True)
+                             complex_b)
     assert not model.is_real
     sol = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, 1))
     with pytest.raises(ValueError, match="real model"):

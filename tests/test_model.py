@@ -95,6 +95,25 @@ def test_build_model_validation():
     assert not model.feshbach
 
 
+@pytest.mark.parametrize("eigs, inside", [
+    ((-0.5, 0.5), True),
+    ((-0.999, 0.0, 0.999), True),
+    ((-1.0, 0.5), False),
+    ((0.5, 1.0), False),
+    ((-0.5, 1.5), False),
+    ((-3.0, -2.0), False),
+])
+def test_feshbach_follows_sigma1(eigs, inside):
+    # feshbach is read from sigma1: every eigenvalue of a1 strictly inside
+    # the interval, so an eigenvalue on an endpoint or outside clears it;
+    # the scaled model has the same a1 and so the same flag
+    n = len(eigs)
+    model = sr.build_model((-1.0, 1.0), np.diag(eigs), [0.1 * np.eye(n)])
+    assert np.array_equal(model.sigma1, np.sort(eigs))
+    assert model.feshbach is inside
+    assert model.scaled(0.5).feshbach is inside
+
+
 # b = [1, -1] is constant, so b^* b = [[1, -1], [-1, 1]] exactly, with the
 # null vector (1, 1), and the density check's scale 1 + max ||b||_F^2 is 3.
 # Each corruption of the cached K' coefficient stays within the agreement

@@ -122,7 +122,10 @@ def _per_trial_pairings(ric, trials):
     # the loop started on panels split at Re(spec Z), without grading
     breaks = np.linalg.eigvals(ric.root.z_op).real
     lhs_all, rhs_all = [], []
-    for x0, x1 in trials:
+    for pole, c, x1 in zip(*trials):
+        def x0(nodes):
+            return c[None, :] / (nodes[:, None] - pole)
+
         def lhs_panel(nodes):
             yx1 = ric.y_values(nodes) @ x1
             return np.einsum("mi,mi->m", np.conj(x0(nodes)), yx1)
@@ -191,22 +194,31 @@ def test_trial_l2_norm_closed_form(matrix_case):
     ric = rics[1]
     a, b = ric.root.model.interval
     grid = np.linspace(a, b, 200_001)
-    trials = rational_trials(ric, 5, seed=11)
-    norms = _trial_l2_norms(np.array([x0.pole for x0, _ in trials]),
-                            np.array([x0.c for x0, _ in trials]), ric.root.model.interval)
-    for (x0, _), norm in zip(trials, norms):
-        dense = np.sqrt(np.trapezoid(np.sum(np.abs(x0(grid)) ** 2, axis=1), grid))
+    poles, cs, _ = rational_trials(ric, 5, seed=11)
+    norms = _trial_l2_norms(poles, cs, ric.root.model.interval)
+    for pole, c, norm in zip(poles, cs, norms):
+        x0 = c[None, :] / (grid[:, None] - pole)
+        dense = np.sqrt(np.trapezoid(np.sum(np.abs(x0) ** 2, axis=1), grid))
         assert abs(norm - dense) <= 1e-8 * dense
 
 
 def test_rational_trials_reproducible(matrix_case):
     _, _, _, rics = matrix_case
-    t1 = rational_trials(rics[1], 3, seed=9)
-    t2 = rational_trials(rics[1], 3, seed=9)
-    for (f1, v1), (f2, v2) in zip(t1, t2):
-        assert np.array_equal(v1, v2)
-        grid = np.linspace(-0.5, 0.5, 4)
-        assert np.array_equal(f1(grid), f2(grid))
+    model = rics[1].root.model
+    poles, cs, x1s = rational_trials(rics[1], 3, seed=9)
+    for again, first in zip(rational_trials(rics[1], 3, seed=9), (poles, cs, x1s)):
+        assert np.array_equal(again, first)
+    assert poles.shape == (3,) and cs.shape == (3, model.m) and x1s.shape == (3, model.n)
+    # the draws in their order: pole real parts, signs and heights of the
+    # imaginary parts, then the complex Gaussian rows of cs and of x1s
+    rng = np.random.default_rng(9)
+    a, b = model.interval
+    re = rng.uniform(a, b, size=3)
+    im = rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.3, 1.0, size=3)
+    assert np.array_equal(poles, re + 1j * im)
+    for rows, width in ((cs, model.m), (x1s, model.n)):
+        raw = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+        assert np.array_equal(rows, raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
 def test_zero_coupling_short_circuit(friedrichs_model, friedrichs_contours):
@@ -306,11 +318,9 @@ def test_reconstruction(matrix_case):
         assert np.linalg.norm(h1 - z_rec @ h0, 2) < 1e-8 * (1 + np.linalg.norm(h1, 2))
 
 
-def test_reconstruction_ring_stays_inside_the_neighborhood(monkeypatch, friedrichs_model,
-                                                          zoo_solutions):
-    # every ring point lies within radius + dist(center, sigma1) <= d/2 -
-    # 0.05 cap of sigma1, so the ring needs no containment check; the ring
-    # is read off the analytic_rule call that sizes its rule
+def _recorded_rings(monkeypatch) -> list:
+    """The list that collects the ring points of every analytic_rule call
+    of reconstruct_from_contour, which sizes its rule by them."""
     import schurroots.riccati as riccati_mod
 
     rings = []
@@ -321,6 +331,14 @@ def test_reconstruction_ring_stays_inside_the_neighborhood(monkeypatch, friedric
         return rule(model, contour, points)
 
     monkeypatch.setattr(riccati_mod, "analytic_rule", recording)
+    return rings
+
+
+def test_reconstruction_ring_stays_inside_the_neighborhood(monkeypatch, friedrichs_model,
+                                                          zoo_solutions):
+    # every ring point lies within radius + dist(center, sigma1) <= d/2 -
+    # 0.05 cap of sigma1, so the ring needs no containment check
+    rings = _recorded_rings(monkeypatch)
     ep = sr.build_model((-1.0, 1.0), np.diag([-EP_E0, EP_E0]), [EP_B])
     # a spectrum spread wide enough that the radius is its cap, 0.95 cap
     capped = sr.build_model((-1.0, 1.0), np.diag([-0.18, 0.18]), [0.1 * np.eye(2)])
@@ -341,14 +359,48 @@ def test_reconstruction_ring_stays_inside_the_neighborhood(monkeypatch, friedric
 
 
 def test_reconstruction_needs_circle():
-    # spread-out interior spectrum: no default circle fits the d/2 rule
+    # a root whose report leaves a d/2-neighborhood smaller than its
+    # eigenvalues' distance from sigma1: no circle fits, neither one about
+    # all of spec Z nor one per eigenvalue of a1
     a1 = np.diag([-0.5, 0.5])
     model = sr.build_model((-1.0, 1.0), a1, [0.05 * np.eye(2)])
     c = sr.make_contour(model, 1)
     assert sr.admissibility(model, c).admissible
     sol = sr.solve_basic(model, c)
-    with pytest.raises(ValueError):
-        sr.reconstruct_from_contour(sol)
+    shrunk = dataclasses.replace(sol, report=dataclasses.replace(sol.report, distance=1e-3))
+    with pytest.raises(ValueError, match="no circle fits the d/2-neighborhood"):
+        sr.reconstruct_from_contour(shrunk)
+
+
+@pytest.mark.parametrize("eigs", [(-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)])
+def test_reconstruction_sums_circles_about_spread_sigma1(monkeypatch, eigs):
+    # sigma1 spread wider than d/2: the circle about the mean of spec Z does
+    # not fit, so each eigenvalue of a1 gets its own circle, each enclosing
+    # exactly one eigenvalue of Z, and their moments add up to
+    # (I - Omega)^{-1} and to the root
+    n = len(eigs)
+    model = sr.build_model((-1.0, 1.0), np.diag(eigs), [0.05 * np.eye(n)])
+    sols = {side: sr.solve_basic(model, sr.make_contour(model, side)) for side in (1, -1)}
+    omegas = {side: sr.compute_Omega(sols[side], sols[-side]).omega for side in (1, -1)}
+    rings = _recorded_rings(monkeypatch)
+    for side in (1, -1):
+        sol = sols[side]
+        rings.clear()
+        h0, _, z_rec = sr.reconstruct_from_contour(sol)
+        (points,) = rings
+        assert points.shape == (n * 256,)
+        circles = points.reshape(n, 256)
+        centers = np.mean(circles, axis=1)
+        radii = np.abs(circles[:, 0] - centers)
+        inside = np.abs(sol.eigensystem.values[:, None] - centers[None, :]) < radii[None, :]
+        assert np.array_equal(np.sum(inside, axis=0), np.ones(n))
+        assert np.array_equal(np.sum(inside, axis=1), np.ones(n))
+        d = sol.report.distance
+        worst = np.max(np.min(np.abs(points[:, None] - model.sigma1[None, :]), axis=1))
+        assert worst < 0.5 * d
+        target = np.linalg.inv(np.eye(n) - omegas[side])
+        assert np.linalg.norm(h0 - target, 2) <= 1e-8 * (1.0 + np.linalg.norm(h0, 2))
+        assert np.linalg.norm(z_rec - sol.z_op, 2) <= 1e-8 * (1.0 + np.linalg.norm(sol.z_op, 2))
 
 
 def test_ysn_bounds_norm(matrix_case, friedrichs_model, friedrichs_contours):
