@@ -1,9 +1,11 @@
 """Quadrature kernels.
 
-Every function receives precomputed density values `kvals` of shape
-(M, r, c) together with the M quadrature nodes and weights, and reduces
-them to a single matrix. These six reductions are the hot path of the
-whole package.
+polyval_matrix evaluates a matrix polynomial at M nodes. Every other
+function receives precomputed density values `kvals` of shape (M, r, c)
+together with the M quadrature nodes and weights, and reduces them to a
+single matrix, or to one matrix per point of a 1-d array of evaluation
+points (cauchy_sum_many, resolvent_cauchy_sum). These kernels are the hot
+path of the whole package.
 
 Conventions: nodes and weights may be complex (contour quadrature),
 `zmat` arguments are square complex matrices, resolvents are taken of
@@ -86,15 +88,13 @@ def resolvent_sum(kvals, nodes, weights, zmat):
     return np.einsum("m,mij->ij", weights, t)
 
 
-def resolvent_cauchy_sum(kvals, nodes, weights, zmat, z):
-    """sum_k w_k K_k @ inv(zmat - mu_k) / (mu_k - z) -> (r, n).
-
-    z may also be a 1-d array of P points -> (P, r, n); the resolvent
-    products do not depend on z, so they are solved once for all points.
-    """
+def resolvent_cauchy_sum(kvals, nodes, weights, zmat, zs):
+    """sum_k w_k K_k @ inv(zmat - mu_k) / (mu_k - z) at each point z of the
+    1-d array zs -> (P, r, n); the resolvent products do not depend on z,
+    so they are solved once for all points."""
     t = _right_resolvent_products(kvals, nodes, zmat)
-    factors = weights / (nodes - np.asarray(z)[..., None])
-    return np.einsum("...m,mij->...ij", factors, t)
+    factors = weights / (nodes - zs[:, None])
+    return np.einsum("pm,mij->pij", factors, t)
 
 
 def _sandwich_products(kvals, nodes, zleft, zright):

@@ -1,9 +1,12 @@
 """Command-line front door: solve, verify, sweep, friedrichs.
 
-solve, verify and sweep consume a JSON RunConfig and emit a JSON report
-(plus CSV for sweep); friedrichs takes --alpha and --b only, since its
-closed forms hold for a1 = 0, and prints the scalar oracle. Exit codes:
-0 success, 2 inadmissible input, 3 numerical failure, 4 config error.
+solve, verify and sweep consume a JSON RunConfig and write a JSON report
+to --out (stdout without it); sweep also writes its trajectory CSV to
+--out-csv, and removes it again when the report cannot be written, so a
+run that exits 4 leaves no file. friedrichs takes --alpha and --b only,
+since its closed forms hold for a1 = 0, and prints the scalar oracle.
+Exit codes: 0 success, 2 inadmissible input, 3 numerical failure, 4
+config error.
 
 solve, verify and sweep share one prologue (_prologue): the model, one
 contour per side and the base report. Each root decides and carries its
@@ -23,6 +26,7 @@ independent check of that symmetry.
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -102,8 +106,7 @@ def _r0(cfg, model, root) -> float:
     if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
         return root.report.r_min
     depths = (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo))
-    _, r0 = optimize_r0(model, root.side, depths, nodes_per_unit=cfg.nodes_per_unit,
-                        coupling_scale=cfg.coupling_scale)
+    _, r0 = optimize_r0(model, root.side, depths, nodes_per_unit=cfg.nodes_per_unit)
     return r0
 
 
@@ -123,8 +126,8 @@ def cmd_solve(cfg: RunConfig) -> dict:
     model, contours, report, derived = _prologue("solve", cfg, cfg.sides)
     report["provenance"]["derived_sides"] = _derived_sides(derived)
     sols = _solve_sides(report, contours, derived, functools.partial(
-        solve_basic, model, t=cfg.coupling_scale, tol=cfg.tol,
-        max_iter=cfg.max_iter), RootSolution.conjugate)
+        solve_basic, model, tol=cfg.tol, max_iter=cfg.max_iter),
+        RootSolution.conjugate)
     if sols is None:
         return _finish(report, start)
     first = sols[cfg.sides[0]]
@@ -144,14 +147,13 @@ def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
     model, contours, report, _ = _prologue("verify", cfg, (1, -1))
     roots = _solve_sides(report, contours, {}, functools.partial(
-        solve_basic, model, t=cfg.coupling_scale, tol=cfg.tol,
-        max_iter=cfg.max_iter), None)
+        solve_basic, model, tol=cfg.tol, max_iter=cfg.max_iter), None)
     if roots is None:
         return _finish(report, start)
     report["admissibility"] = {**admissibility_block(roots[1].report),
                                "r0_upper_bound": _r0(cfg, model, roots[1])}
 
-    rows, rics, clss = identity_table(model, roots, cfg.seed)
+    rows, rics, clss = identity_table(roots, cfg.seed)
     report["identities"] = rows
     report["solutions"] = {}
     report["riccati"] = {}
@@ -230,16 +232,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve both operator roots and classify")
     ps.add_argument("--config", required=True)
-    ps.add_argument("--out", help="report path (default: config output.report or stdout)")
+    ps.add_argument("--out", help="report path (default: stdout)")
 
     pv = sub.add_parser("verify", help="run the full identity table")
     pv.add_argument("--config", required=True)
-    pv.add_argument("--out")
+    pv.add_argument("--out", help="report path (default: stdout)")
 
     pw = sub.add_parser("sweep", help="coupling homotopy, CSV trajectories")
     pw.add_argument("--config", required=True)
-    pw.add_argument("--out-csv")
-    pw.add_argument("--out")
+    pw.add_argument("--out-csv", required=True, help="trajectory CSV path")
+    pw.add_argument("--out", help="report path (default: stdout)")
 
     pf = sub.add_parser("friedrichs", help="closed-form scalar oracle summary")
     pf.add_argument("--alpha", required=True, type=float)
@@ -273,18 +275,21 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config)
         if args.command == "solve":
             report = cmd_solve(cfg)
-            _emit(report, args.out or cfg.report_path)
+            _emit(report, args.out)
         elif args.command == "verify":
             report = cmd_verify(cfg)
-            _emit(report, args.out or cfg.report_path)
+            _emit(report, args.out)
         else:
-            csv_path = args.out_csv or cfg.csv_path
-            if not csv_path:
-                raise ConfigError("sweep needs --out-csv or output.csv in the config")
             report, rows = cmd_sweep(cfg)
             if report["status"] == "ok":
-                _write(write_csv, csv_path, rows)
-            _emit(report, args.out or cfg.report_path)
+                _write(write_csv, args.out_csv, rows)
+            try:
+                _emit(report, args.out)
+            except ConfigError:
+                # a sweep that exits 4 leaves no file: the CSV goes too
+                if report["status"] == "ok":
+                    os.remove(args.out_csv)
+                raise
         if report["status"] == "inadmissible":
             return EXIT_INADMISSIBLE
         if report.get("identities") and not report.get("all_identities_pass", True):

@@ -5,6 +5,12 @@ are row-major nested lists of pairs, and the coupling polynomial is a
 list of coefficient matrices, lowest degree first. from_dict fills every
 default, so parse -> serialize -> parse is a fixed point on the filled
 form, and refuses any section or key that to_dict does not write.
+
+A config holds only the inputs that set the numbers: the model, the
+contour, the solver's tolerances, the sweep grid and the verify seed. The
+coupling strength is the coupling polynomial b itself (a run at coupling
+t scales b by t), and the report and CSV paths are given on the command
+line, so config_sha256 does not depend on where a report is written.
 """
 
 import json
@@ -19,24 +25,26 @@ from .errors import ConfigError
 _VALID_KINDS = ("semicircle", "rectangle")
 
 
-def pair_to_complex(val) -> complex:
-    """A number or an [re, im] pair as a complex, each part read by _real."""
+def pair_to_complex(val, name: str) -> complex:
+    """A number or an [re, im] pair as a complex, each part read by _real
+    under name, the entry's matrix."""
     if isinstance(val, (list, tuple)) and len(val) == 2:
-        return complex(_real(val[0], "an [re, im] part"),
-                       _real(val[1], "an [re, im] part"))
-    return complex(_real(val, "a matrix entry"), 0.0)
+        return complex(_real(val[0], f"an [re, im] part of {name}"),
+                       _real(val[1], f"an [re, im] part of {name}"))
+    return complex(_real(val, f"an entry of {name}"), 0.0)
 
 
-def matrix_from_lists(rows) -> np.ndarray:
+def matrix_from_lists(rows, name: str) -> np.ndarray:
     """A nonempty rows x columns complex matrix from nested lists; any other
-    form raises ConfigError."""
+    form raises ConfigError, whose message names the matrix (name:
+    model.a1, model.b[k])."""
     try:
-        mat = np.array([[pair_to_complex(v) for v in row] for row in rows],
+        mat = np.array([[pair_to_complex(v, name) for v in row] for row in rows],
                        dtype=np.complex128)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"malformed matrix: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed matrix {name}: {exc}") from exc
     if mat.ndim != 2 or mat.size == 0:
-        raise ConfigError(f"malformed matrix: expected nonempty rows, got {rows!r}")
+        raise ConfigError(f"malformed matrix {name}: expected nonempty rows, got {rows!r}")
     return mat
 
 
@@ -76,11 +84,8 @@ class RunConfig:
     nodes_per_unit: int = 200
     tol: float = 1e-12
     max_iter: int = 500
-    coupling_scale: float = 1.0
     t_grid: tuple = ()
     seed: int = 0
-    report_path: str | None = None
-    csv_path: str | None = None
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -110,8 +115,9 @@ class RunConfig:
         interval = tuple(_real(x, "model.interval") for x in model["interval"])
         if len(interval) != 2:
             raise ConfigError("interval must be [lo, hi]")
-        a1 = matrix_from_lists(model["a1"])
-        coeffs = tuple(matrix_from_lists(c) for c in model["b"])
+        a1 = matrix_from_lists(model["a1"], "model.a1")
+        coeffs = tuple(matrix_from_lists(c, f"model.b[{k}]")
+                       for k, c in enumerate(model["b"]))
         if not coeffs:
             raise ConfigError("coupling needs at least one coefficient matrix")
         shapes = {c.shape for c in coeffs}
@@ -143,9 +149,6 @@ class RunConfig:
         solver = data.get("solver", {})
         tol = _real(solver.get("tol", 1e-12), "solver.tol")
         max_iter = _integer(solver.get("max_iter", 500), "solver.max_iter", 1)
-        scale = _real(solver.get("coupling_scale", 1.0), "solver.coupling_scale")
-        if not 0.0 <= scale <= 1.0:
-            raise ConfigError(f"coupling_scale must be in [0, 1], got {scale}")
         if tol <= 0:
             raise ConfigError("tol must be positive")
 
@@ -157,10 +160,6 @@ class RunConfig:
             raise ConfigError("sweep.t_grid must lie in [0, 1]")
 
         seed = _integer(data.get("verify", {}).get("seed", 0), "verify.seed", 0)
-        out = data.get("output", {})
-        for key in ("report", "csv"):
-            if not isinstance(out.get(key), (str, type(None))):
-                raise ConfigError(f"output.{key} must be a string or null, got {out[key]!r}")
         return RunConfig(
             interval=interval,
             a1=a1,
@@ -171,11 +170,8 @@ class RunConfig:
             nodes_per_unit=npu,
             tol=tol,
             max_iter=max_iter,
-            coupling_scale=scale,
             t_grid=t_grid,
             seed=seed,
-            report_path=out.get("report"),
-            csv_path=out.get("csv"),
         )
 
     def to_dict(self) -> dict:
@@ -191,14 +187,9 @@ class RunConfig:
                 "depth": self.depth,
                 "nodes_per_unit": self.nodes_per_unit,
             },
-            "solver": {
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "coupling_scale": self.coupling_scale,
-            },
+            "solver": {"tol": self.tol, "max_iter": self.max_iter},
             "sweep": {"t_grid": list(self.t_grid)},
             "verify": {"seed": self.seed},
-            "output": {"report": self.report_path, "csv": self.csv_path},
         }
 
     @staticmethod

@@ -61,13 +61,11 @@ class Contour:
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def contains_in_lens(self, z):
-        """Whether z lies strictly between the interval and the contour.
-
-        z is one point -> bool, or an array of points -> a bool array.
-        """
+    def contains_in_lens(self, zs) -> np.ndarray:
+        """Whether each point of the array zs lies strictly between the
+        interval and the contour, as a bool array of zs's shape."""
         a, b = self.endpoints
-        zs = np.asarray(z, dtype=np.complex128)
+        zs = np.asarray(zs, dtype=np.complex128)
         x, y = zs.real, zs.imag
         if self.kind == "semicircle":
             inside = np.abs(zs - 0.5 * (a + b)) < self.depth
@@ -75,8 +73,7 @@ class Contour:
             inside = (a < x) & (x < b) & (self.side * y < self.depth)
         else:
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        inside = inside & (self.side * y > 0)
-        return inside if inside.ndim else bool(inside)
+        return inside & (self.side * y > 0)
 
     def mirror(self) -> "Contour":
         """The reflected contour for the opposite side: nodes and weights
@@ -496,18 +493,18 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
 
 
 def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
-                     coupling_scale, distance: _RectangleDistance) -> list:
+                     distance: _RectangleDistance) -> list:
     """r_min of the side-l rectangle at each depth, inf where the rectangle
     is not admissible.
 
     Equal bit for bit to admissibility(model, make_contour(model, side,
-    "rectangle", h, nodes_per_unit), coupling_scale).r_min, but builds no
-    Contour: the rules come from _rectangle_rules, and each group of depths
-    with equal node counts takes one _kprime_norms call over all its nodes
-    and one row-wise weighted sum for its V0 values, so a depth's value
-    does not depend on the batch (optimize_r0's scan and kink probes share
-    one). distance is the model's _RectangleDistance, built once per
-    search; it gives d at all the depths in one call.
+    "rectangle", h, nodes_per_unit)).r_min, but builds no Contour: the
+    rules come from _rectangle_rules, and each group of depths with equal
+    node counts takes one _kprime_norms call over all its nodes and one
+    row-wise weighted sum for its V0 values, so a depth's value does not
+    depend on the batch (optimize_r0's scan and kink probes share one).
+    distance is the model's _RectangleDistance, built once per search; it
+    gives d at all the depths in one call.
     """
     r_min = [math.inf] * len(depths)
     endpoints = model.interval
@@ -520,7 +517,7 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
         norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
         v0s = np.sum(np.abs(weights) * norms, axis=1)
         for row, v0 in zip(rows, v0s.tolist()):
-            rep = admissibility_at(v0, dists[row], coupling_scale)
+            rep = admissibility_at(v0, dists[row])
             if rep.admissible:
                 r_min[row] = rep.r_min
     return r_min
@@ -533,8 +530,7 @@ _SCAN_DEPTHS = 33
 _DEPTH_RTOL = 1e-6
 
 
-def optimize_r0(model: SpectralModel, side: int, depths,
-                nodes_per_unit: int = 200, coupling_scale: float = 1.0):
+def optimize_r0(model: SpectralModel, side: int, depths, nodes_per_unit: int = 200):
     """Minimize r_min over the side-l rectangle contours whose depths lie
     in depths = (lo, hi).
 
@@ -566,7 +562,7 @@ def optimize_r0(model: SpectralModel, side: int, depths,
     distance = _RectangleDistance(model, model.interval)
 
     def r_of(*hs):
-        return _rectangle_r_min(model, side, hs, nodes_per_unit, coupling_scale, distance)
+        return _rectangle_r_min(model, side, hs, nodes_per_unit, distance)
 
     kink, probes = distance.kink, ()
     if kink is not None:

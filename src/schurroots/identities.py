@@ -1,14 +1,15 @@
 """The identity table of verify: each operator identity of the construction
 checked on the two roots Z(+1), Z(-1) by two independent paths.
 
-identity_table(model, roots, seed) returns the rows in a fixed order, each
-with its residual, tolerance and verdict, plus each side's Riccati data and
-classification. Every sample point is drawn from np.random.default_rng(seed),
-and the J-orthogonality trials from rational_trials(..., seed), so a table
-is a function of the roots and the seed. A row is a function of one side,
-and its residual is the largest of its per-side values (_worst); the
-side-free rows (boundary-imag, density) are evaluated once. Each side's
-Omega is computed once; the omega-adjoint row reads Omega(-l), Omega(l)^*.
+identity_table(roots, seed) returns the rows in a fixed order, each with
+its residual, tolerance and verdict, plus each side's Riccati data and
+classification. The model is the one the roots carry. Every sample point
+is drawn from np.random.default_rng(seed), and the J-orthogonality trials
+from rational_trials(..., seed), so a table is a function of the roots and
+the seed. A row is a function of one side, and its residual is the largest
+of its per-side values (_worst); the side-free rows (boundary-imag,
+density) are evaluated once. Each side's Omega is computed once; the
+omega-adjoint row reads Omega(-l), Omega(l)^*.
 """
 
 import functools
@@ -107,19 +108,18 @@ _TRIAL_COUNT = 20
 _BOUNDARY_POINTS = 50
 
 
-def identity_table(model, roots, seed: int) -> tuple:
+def identity_table(roots, seed: int) -> tuple:
     """Build the identity rows plus per-side Riccati data and
     classifications.
 
-    roots maps each side to its root of model, which carries its t-scaled
-    model, contour and admissibility report; every per-side row reads them
-    from its root, and the side-free rows that need the t-scaled coupling
-    read roots[1].model. seed seeds the sample points and the
-    J-orthogonality trials. Returns (rows, rics, clss), the last two keyed
-    by side.
+    roots maps each side to its root, which carries its model (scaled by
+    the root's coupling), contour and admissibility report; every per-side
+    row reads them from its root, and the side-free rows read
+    roots[1].model. seed seeds the sample points and the J-orthogonality
+    trials. Returns (rows, rics, clss), the last two keyed by side.
     """
     rng = np.random.default_rng(seed)
-    sm = roots[1].model
+    model = roots[1].model
     sides = (1, -1)
     rics, clss = {}, {}
     for side in sides:
@@ -154,8 +154,8 @@ def identity_table(model, roots, seed: int) -> tuple:
     def sheets(side):
         contour = roots[side].contour
         pts = _lens_points(rng, contour, _LENS_POINTS)
-        mc = m1_continued_many(sm, contour, pts)
-        sv = sheets_value(sm, pts, contour)
+        mc = m1_continued_many(model, contour, pts)
+        sv = sheets_value(model, pts, contour)
         return _relative_gap(mc - sv, mc)
 
     add_row("sheets-crosspath", 1e-9, over_sides(sheets))
@@ -237,7 +237,7 @@ def identity_table(model, roots, seed: int) -> tuple:
     margin = 0.01 * (hi - lo)
     samples = rng.uniform(lo + margin, hi - margin, size=_RICCATI_SAMPLES)
     b_scale = 1.0 + max(
-        float(np.max(np.linalg.norm(sm.b(samples), axis=(1, 2)))), 0.0)
+        float(np.max(np.linalg.norm(model.b(samples), axis=(1, 2)))), 0.0)
 
     add_row("riccati-pointwise", 1e-8, over_sides(
         lambda s: riccati_residual(rics[s], samples) / b_scale))
@@ -270,10 +270,10 @@ def identity_table(model, roots, seed: int) -> tuple:
         # side-free: both boundary approaches share one set of points
         pts = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
                           size=_BOUNDARY_POINTS)
-        kps = sm.kprime_values(pts)
+        kps = model.kprime_values(pts)
         gaps = []
         for approach in (1, -1):
-            w = _boundary_limit(sm, pts, approach)
+            w = _boundary_limit(model, pts, approach)
             im_part = (w - np.conj(np.swapaxes(w, 1, 2))) / 2j
             gaps.append(im_part - approach * np.pi * kps)
         norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))

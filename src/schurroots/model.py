@@ -56,10 +56,8 @@ class MatrixPolynomial:
     def is_zero(self) -> bool:
         return not np.any(self.coefficients)
 
-    def __call__(self, mu):
-        mus = np.asarray(mu, dtype=np.complex128)
-        if mus.ndim == 0:
-            return polyval_matrix(self.coefficients, mus.reshape(1))[0]
+    def __call__(self, mus) -> np.ndarray:
+        """The value at each point of the 1-d array mus -> (M, rows, cols)."""
         return polyval_matrix(self.coefficients, mus)
 
     def sharp(self) -> "MatrixPolynomial":

@@ -419,17 +419,17 @@ def ysn_integral(ric: RiccatiSolution) -> float:
     return float(np.real(val))
 
 
-def factor_F1(sol: RootSolution, z) -> np.ndarray:
-    """F1(z, Gamma) = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1} dmu.
+def factor_F1(sol: RootSolution, zs) -> np.ndarray:
+    """F1(z, Gamma) = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1} dmu
+    at each point of the 1-d array zs -> (P, n, n).
 
     The factorization M1(z, Gamma) = F1(z, Gamma)(Z - z) holds wherever
     both sides are defined; F1 is invertible on the d/2-neighborhood of
-    sigma1. z is one point -> (n, n), or a 1-d array of P points ->
-    (P, n, n); the resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved
-    once for all of them, on the analytic_rule of the root's contour sized
+    sigma1. The resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved once
+    for all the points, on the analytic_rule of the root's contour sized
     by the points and the spectrum of Z.
     """
-    zs = np.asarray(z, dtype=np.complex128)
+    zs = np.asarray(zs, dtype=np.complex128)
     rule = analytic_rule(sol.model, sol.contour, zs, sol.eigensystem.values)
     kv = sol.model.kprime_values(rule.nodes)
     acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)

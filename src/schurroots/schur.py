@@ -16,7 +16,7 @@ from .model import SpectralModel
 
 def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     """Moments g_s(z) = integral of mu^s/(mu - z) over [a, b], s = 0..degree,
-    at each point of zs (one point or a 1-d array) -> (P, degree + 1).
+    at each point of the 1-d array zs -> (P, degree + 1).
 
     Written as z^s L(z) plus the exact division polynomial q_s(z), built
     by q_s = z q_(s-1) + (b^s - a^s)/s from q_0 = 0, with the logarithm L
@@ -33,7 +33,7 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
       boundary value from the half-plane of sign -l: L = ln((b - z)/(z -
       a)) - i*pi*l, the principal value plus the jump.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    zs = np.asarray(zs, dtype=np.complex128)
     if branch == "physical":
         log_term = np.log((b - zs) / (a - zs))
     elif branch in (1, -1):
@@ -48,12 +48,6 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     return out
 
 
-def _points(z):
-    """(points as a 1-d complex array, whether z was one point)."""
-    zs = np.asarray(z, dtype=np.complex128)
-    return np.atleast_1d(zs), zs.ndim == 0
-
-
 def _moment_sum(model: SpectralModel, zs, branch) -> np.ndarray:
     # sum_s g_s(z) C_s over the K' coefficients C_s -> (P, n, n)
     a, b = model.interval
@@ -62,46 +56,41 @@ def _moment_sum(model: SpectralModel, zs, branch) -> np.ndarray:
     return np.einsum("ps,sij->pij", moments, coeffs)
 
 
-def w1_physical(model: SpectralModel, z) -> np.ndarray:
-    """W1(z) = integral of K'(mu)/(mu - z) over the interval, closed form.
-
-    z is one point -> (n, n), or a 1-d array of P points -> (P, n, n).
-    """
-    zs, single = _points(z)
+def w1_physical(model: SpectralModel, zs) -> np.ndarray:
+    """W1(z) = integral of K'(mu)/(mu - z) over the interval, closed form,
+    at each point of the 1-d array zs -> (P, n, n)."""
+    zs = np.asarray(zs, dtype=np.complex128)
     a, b = model.interval
     real = zs.real[zs.imag == 0.0]
     on_cut = real[(a <= real) & (real <= b)]
     if on_cut.size:
         raise ValueError(f"z={complex(on_cut[0])} lies on the cut; use w1_boundary")
-    w1 = _moment_sum(model, zs, "physical")
-    return w1[0] if single else w1
+    return _moment_sum(model, zs, "physical")
 
 
-def w1_boundary(model: SpectralModel, lam, approach: int) -> np.ndarray:
-    """Boundary values W1(lam + i*approach*0) on the open interval.
+def w1_boundary(model: SpectralModel, lams, approach: int) -> np.ndarray:
+    """Boundary values W1(lam + i*approach*0) at each point of the 1-d
+    array lams on the open interval -> (P, n, n).
 
     The side -approach moment sum taken on the cut (see _cut_moments): the
     principal value plus the jump i*pi*approach*K'(lam), in closed form.
-    lam is one point -> (n, n), or a 1-d array of P points -> (P, n, n).
     """
     if approach not in (1, -1):
         raise ValueError("approach must be +1 or -1")
     a, b = model.interval
-    lams, single = _points(np.asarray(lam, dtype=np.float64))
-    outside = ~((a < lams.real) & (lams.real < b))
+    lams = np.asarray(lams, dtype=np.float64)
+    outside = ~((a < lams) & (lams < b))
     if np.any(outside):
-        raise ValueError(f"lambda={lams[np.argmax(outside)].real} not strictly inside ({a}, {b})")
-    w1 = _moment_sum(model, lams, -approach)
-    return w1[0] if single else w1
+        raise ValueError(f"lambda={lams[np.argmax(outside)]} not strictly inside ({a}, {b})")
+    return _moment_sum(model, lams, -approach)
 
 
-def m1_physical(model: SpectralModel, z) -> np.ndarray:
-    """M1(z) = a1 - z + W1(z) on the physical sheet, for one point or a
-    1-d array of points (as w1_physical)."""
-    zs, single = _points(z)
+def m1_physical(model: SpectralModel, zs) -> np.ndarray:
+    """M1(z) = a1 - z + W1(z) on the physical sheet, at each point of the
+    1-d array zs -> (P, n, n)."""
+    zs = np.asarray(zs, dtype=np.complex128)
     eye = np.eye(model.n)
-    out = model.a1[None] - zs[:, None, None] * eye[None] + w1_physical(model, zs)
-    return out[0] if single else out
+    return model.a1[None] - zs[:, None, None] * eye[None] + w1_physical(model, zs)
 
 
 def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
@@ -129,20 +118,19 @@ def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:
     return _m1_on_rule(model, rule, model.kprime_values(rule.nodes), zs)
 
 
-def sheets_value(model: SpectralModel, z, contour: Contour) -> np.ndarray:
+def sheets_value(model: SpectralModel, zs, contour: Contour) -> np.ndarray:
     """Continuation into the lens of contour, of side l = contour.side, via
-    the jump of the density: value = M1(z) - 2*pi*i*l*K'(z).
+    the jump of the density: value = M1(z) - 2*pi*i*l*K'(z), at each point
+    of the 1-d array zs -> (P, n, n).
 
-    Independent of quadrature, so it cross-checks m1_continued. Every
-    point must lie strictly inside the lens. z is one point -> (n, n), or
-    a 1-d array of P points -> (P, n, n); the message of a rejection names
-    the first point outside.
+    Independent of quadrature, so it cross-checks m1_continued_many. Every
+    point must lie strictly inside the lens; the message of a rejection
+    names the first point outside.
     """
-    zs, single = _points(z)
+    zs = np.asarray(zs, dtype=np.complex128)
     side = contour.side
     outside = ~contour.contains_in_lens(zs)
     if np.any(outside):
         raise ValueError(f"z={complex(zs[np.argmax(outside)])} outside the side {side:+d} lens")
-    value = m1_physical(model, zs) - 2j * np.pi * side * model.kprime_values(zs)
-    return value[0] if single else value
+    return m1_physical(model, zs) - 2j * np.pi * side * model.kprime_values(zs)
 

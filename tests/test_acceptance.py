@@ -43,7 +43,7 @@ def suite(friedrichs_model, model_zoo):
             (f"zoo[{k}]", m) for k, m in enumerate(model_zoo)]:
         contours = {s: sr.make_contour(model, s) for s in (1, -1)}
         roots = {s: sr.solve_basic(model, contours[s]) for s in (1, -1)}
-        rows, rics, clss = identity_table(model, roots, 417)
+        rows, rics, clss = identity_table(roots, 417)
         out.append({"tag": tag, "model": model, "contours": contours,
                     "rows": {r["name"]: r for r in rows}, "sols": roots,
                     "rics": rics, "clss": clss})

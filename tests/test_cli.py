@@ -38,6 +38,13 @@ DECOUPLED = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0, 0.0], [0.0, 0.0]],
              "sweep": {"t_grid": [0.5, 1.0]}}
 
 
+def with_coupling(data, t):
+    """data with every coefficient of model.b scaled by t: the config of a
+    run at coupling t."""
+    b = (t * np.array(data["model"]["b"])).tolist()
+    return {**data, "model": {**data["model"], "b": b}}
+
+
 def write_cfg(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
@@ -106,9 +113,9 @@ def test_verify_all_pass(tmp_path, capsys):
 
 
 def test_verify_passes_at_partial_coupling(tmp_path, capsys, model_zoo):
-    # at t < 1 every root carries the t-scaled model, which each row reads
+    # a weaker coupling is a smaller b: every row passes on b scaled by 0.6
     for data in (BASE, _zoo_config(model_zoo)):
-        cfg = write_cfg(tmp_path, {**data, "solver": {"coupling_scale": 0.6}})
+        cfg = write_cfg(tmp_path, with_coupling(data, 0.6))
         code, out = run(capsys, ["verify", "--config", cfg])
         assert code == 0
         rows = json.loads(out)["identities"]
@@ -165,37 +172,43 @@ def _readme_config() -> dict:
 README_CONFIG = _readme_config()
 
 
+def _readme_run(tmp_path, command, data=README_CONFIG) -> dict:
+    """main on data with the README's paths given as flags; exit 0, and
+    the report."""
+    argv = [command, "--config", write_cfg(tmp_path, data),
+            "--out", str(tmp_path / "report.json")]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "traj.csv")]
+    assert main(argv) == 0
+    return json.loads((tmp_path / "report.json").read_text())
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
-def test_readme_config_runs(tmp_path, monkeypatch, command):
+def test_readme_config_runs(tmp_path, command):
     # every key of the documented example is a key the config knows, since
     # an unknown one exits 4
-    monkeypatch.chdir(tmp_path)
-    assert main([command, "--config", write_cfg(tmp_path, README_CONFIG)]) == 0
+    _readme_run(tmp_path, command)
 
 
-def test_verify_report_holds_the_identity_table(tmp_path, monkeypatch):
+def test_verify_report_holds_the_identity_table(tmp_path):
     # verify's rows are identity_table of the two roots and verify.seed
-    monkeypatch.chdir(tmp_path)
-    assert main(["verify", "--config", write_cfg(tmp_path, README_CONFIG)]) == 0
-    rep = json.loads((tmp_path / "report.json").read_text())
+    rep = _readme_run(tmp_path, "verify")
     cfg = RunConfig.from_dict(README_CONFIG)
     model = build_model_from_config(cfg)
     roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind,
                                                          cfg.depth, cfg.nodes_per_unit),
-                                  t=cfg.coupling_scale, tol=cfg.tol, max_iter=cfg.max_iter)
+                                  tol=cfg.tol, max_iter=cfg.max_iter)
              for side in (1, -1)}
-    assert rep["identities"] == json.loads(dumps(identity_table(model, roots, cfg.seed)[0]))
+    assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
 
 
-def test_verify_passes_at_one_node_per_unit(tmp_path, monkeypatch):
+def test_verify_passes_at_one_node_per_unit(tmp_path):
     # V0 keeps its 200-node floor; the lens points of sheets-crosspath, which
     # a guard of 10 node spacings of that rule refused, are summed on their
     # own analytic rule
-    monkeypatch.chdir(tmp_path)
     data = json.loads(json.dumps(README_CONFIG))
     data["contour"]["nodes_per_unit"] = 1
-    assert main(["verify", "--config", write_cfg(tmp_path, data)]) == 0
-    rep = json.loads((tmp_path / "report.json").read_text())
+    rep = _readme_run(tmp_path, "verify", data)
     assert rep["provenance"]["node_counts"] == {"1": 200, "-1": 200}
     assert len(rep["identities"]) == 19
     assert all(row["passed"] for row in rep["identities"]), rep["identities"]
@@ -391,48 +404,55 @@ def _with(section, values):
     return {**BASE, section: values}
 
 
-@pytest.mark.parametrize("command, data", [
-    ("verify", _with("verify", {"seed": -1})),
-    ("solve", _with("contour", {"sides": "ab"})),
-    ("sweep", _with("sweep", {"t_grid": [1.0, 0.5]})),
-    ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]})),
-    ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7})),
-    ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0})),
-    ("solve", _with("solver", {"max_iter": 2.7})),
-    ("solve", _with("contour", {"nodes_per_unit": 250.9})),
-    ("verify", _with("verify", {"seed": 1.9})),
+@pytest.mark.parametrize("command, data, named", [
+    ("verify", _with("verify", {"seed": -1}), "verify.seed"),
+    ("solve", _with("contour", {"sides": "ab"}), "contour.sides"),
+    ("sweep", _with("sweep", {"t_grid": [1.0, 0.5]}), "sweep.t_grid"),
+    ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]}), "sweep.t_grid"),
+    ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7}), "semicircle depth"),
+    ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0}), "quadrature nodes"),
+    ("solve", _with("solver", {"max_iter": 2.7}), "solver.max_iter"),
+    ("solve", _with("contour", {"nodes_per_unit": 250.9}), "contour.nodes_per_unit"),
+    ("verify", _with("verify", {"seed": 1.9}), "verify.seed"),
     # keys the config does not know: settings of an older schema (the
-    # verify sample counts, corrupt_z, tau_real, quad_tol), a misspelling
-    # and a stray section
-    ("verify", _with("verify", {"riccati_samples": 0})),
-    ("verify", _with("verify", {"lens_points": 0})),
-    ("verify", _with("verify", {"trial_count": 0})),
-    ("verify", _with("verify", {"boundary_points": 0})),
-    ("verify", _with("verify", {"factor_points": -3})),
-    ("verify", _with("verify", {"trial_count": 10_001})),
-    ("verify", _with("verify", {"lens_points": 2.5})),
-    ("verify", _with("verify", {"factor_points": "30"})),
-    ("verify", _with("verify", {"corrupt_z": float("nan")})),
-    ("verify", _with("verify", {"corrupt_z": float("inf")})),
-    ("verify", _with("verify", {"corrupt_z": "0.1"})),
-    ("solve", _with("solver", {"tau_real": float("nan")})),
-    ("solve", _with("solver", {"tau_real": -1e-3})),
-    ("solve", _with("solver", {"quad_tol": 1e-6})),
-    ("solve", _with("solver", {"tolerance": 1e-9})),
-    ("solve", {**BASE, "solvers": {"tol": 1e-9}}),
+    # verify sample counts, corrupt_z, tau_real, quad_tol, coupling_scale
+    # and the output paths), a misspelling and a stray section
+    ("verify", _with("verify", {"riccati_samples": 0}), "verify.riccati_samples"),
+    ("verify", _with("verify", {"lens_points": 0}), "verify.lens_points"),
+    ("verify", _with("verify", {"trial_count": 0}), "verify.trial_count"),
+    ("verify", _with("verify", {"boundary_points": 0}), "verify.boundary_points"),
+    ("verify", _with("verify", {"factor_points": -3}), "verify.factor_points"),
+    ("verify", _with("verify", {"trial_count": 10_001}), "verify.trial_count"),
+    ("verify", _with("verify", {"lens_points": 2.5}), "verify.lens_points"),
+    ("verify", _with("verify", {"factor_points": "30"}), "verify.factor_points"),
+    ("verify", _with("verify", {"corrupt_z": float("nan")}), "verify.corrupt_z"),
+    ("verify", _with("verify", {"corrupt_z": float("inf")}), "verify.corrupt_z"),
+    ("verify", _with("verify", {"corrupt_z": "0.1"}), "verify.corrupt_z"),
+    ("solve", _with("solver", {"tau_real": float("nan")}), "solver.tau_real"),
+    ("solve", _with("solver", {"tau_real": -1e-3}), "solver.tau_real"),
+    ("solve", _with("solver", {"quad_tol": 1e-6}), "solver.quad_tol"),
+    ("solve", _with("solver", {"coupling_scale": 0.6}), "solver.coupling_scale"),
+    ("verify", _with("solver", {"coupling_scale": 1.0}), "solver.coupling_scale"),
+    ("solve", _with("solver", {"tolerance": 1e-9}), "solver.tolerance"),
+    ("solve", {**BASE, "solvers": {"tol": 1e-9}}, "section 'solvers'"),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
-               "sweep": {"t_grid": [0.5, 1.0]}}),
+               "sweep": {"t_grid": [0.5, 1.0]}}, "sides"),
     # JSON true and false are not numbers, in a matrix entry or a pair part
-    ("solve", {"model": {**BASE["model"], "a1": [[True]]}}),
-    ("solve", {"model": {**BASE["model"], "b": [[[False]]]}}),
-    ("solve", {"model": {**BASE["model"], "a1": [[[True, 0.0]]]}}),
+    ("solve", {"model": {**BASE["model"], "a1": [[True]]}}, "model.a1"),
+    ("solve", {"model": {**BASE["model"], "b": [[[False]]]}}, "model.b[0]"),
+    ("solve", {"model": {**BASE["model"], "b": [[[0.2]], [[True]]]}}, "model.b[1]"),
+    ("solve", {"model": {**BASE["model"], "a1": [[[True, 0.0]]]}}, "model.a1"),
     # a JSON integer too large for a float
-    ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}),
-    ("solve", {"model": {**BASE["model"], "a1": [[10 ** 400]]}}),
-    # an output path that is not a string
-    ("solve", _with("output", {"report": 5})),
-    ("verify", _with("output", {"report": ["r.json"]})),
-    ("sweep", {**_with("output", {"csv": 5}), "sweep": {"t_grid": [0.5, 1.0]}}),
+    ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}, "too large"),
+    ("solve", {"model": {**BASE["model"], "a1": [[10 ** 400]]}}, "model.a1"),
+    # an output section, valid or not: the paths are flags only
+    ("solve", _with("output", {"report": "r.json"}), "section 'output'"),
+    ("solve", _with("output", {"report": 5}), "section 'output'"),
+    ("verify", _with("output", {"report": ["r.json"]}), "section 'output'"),
+    ("sweep", {**_with("output", {"csv": "t.csv"}), "sweep": {"t_grid": [0.5, 1.0]}},
+     "section 'output'"),
+    ("sweep", {**_with("output", {"csv": 5}), "sweep": {"t_grid": [0.5, 1.0]}},
+     "section 'output'"),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
         "fractional-max-iter", "fractional-nodes-per-unit", "fractional-seed",
@@ -441,11 +461,14 @@ def _with(section, values):
         "trial-count-above-cap", "fractional-lens-points",
         "string-factor-points", "nan-corrupt-z", "infinite-corrupt-z",
         "string-corrupt-z", "nan-tau-real", "negative-tau-real", "quad-tol",
-        "misspelled-key", "unknown-section", "repeated-side",
-        "boolean-a1-entry", "boolean-b-entry", "boolean-pair-part",
-        "huge-integer-interval", "huge-integer-a1-entry", "numeric-report-path",
-        "list-report-path", "numeric-csv-path"])
-def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
+        "coupling-scale", "unit-coupling-scale", "misspelled-key",
+        "unknown-section", "repeated-side", "boolean-a1-entry",
+        "boolean-b-entry", "boolean-second-b-entry", "boolean-pair-part",
+        "huge-integer-interval", "huge-integer-a1-entry", "report-path",
+        "numeric-report-path", "list-report-path", "csv-path", "numeric-csv-path"])
+def test_bad_config_values_exit_4(tmp_path, capsys, command, data, named):
+    # exit 4 with no traceback, and the message names the key, section or
+    # matrix at fault
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
         argv += ["--out-csv", str(tmp_path / "t.csv")]
@@ -453,6 +476,7 @@ def test_bad_config_values_exit_4(tmp_path, capsys, command, data):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("config error:")
+    assert named in err
     assert "Traceback" not in err
 
 
@@ -591,28 +615,16 @@ def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
         assert rows[name]["residual"] < -1e-3, rows[name]
 
 
-def test_report_path_from_config(tmp_path, capsys):
-    data = dict(BASE)
-    data["output"] = {"report": str(tmp_path / "via_cfg.json")}
-    cfg = write_cfg(tmp_path, data)
-    code, _ = run(capsys, ["solve", "--config", cfg])
-    assert code == 0
-    rep = json.loads((tmp_path / "via_cfg.json").read_text())
-    assert rep["status"] == "ok"
-
-
 @pytest.mark.parametrize("command, where", [
-    (command, where) for command in ("solve", "verify", "sweep")
-    for where in ("--out", "output.report")] + [("sweep", "--out-csv")])
+    ("solve", "--out"), ("verify", "--out"), ("sweep", "--out"), ("sweep", "--out-csv")])
 def test_unwritable_output_path_exits_4(tmp_path, capsys, command, where):
     # a report or CSV path inside a missing directory is a config error
-    # naming the path, with no traceback; sweep writes its CSV first
+    # naming the path, with no traceback; sweep writes its CSV first and
+    # removes it when the report cannot be written, so no file is left
     missing = str(tmp_path / "missing" / "out.file")
     data = {**BASE, "sweep": {"t_grid": [0.5, 1.0]}}
     argv = [command]
-    if where == "output.report":
-        data["output"] = {"report": missing}
-    elif where == "--out":
+    if where == "--out":
         argv += ["--out", missing]
     if command == "sweep":
         argv += ["--out-csv", missing if where == "--out-csv" else str(tmp_path / "t.csv")]
@@ -621,7 +633,7 @@ def test_unwritable_output_path_exits_4(tmp_path, capsys, command, where):
     assert code == 4
     assert err.startswith(f"config error: cannot write {missing}:")
     assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) in (["cfg.json"], ["cfg.json", "t.csv"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
@@ -669,8 +681,8 @@ TWO_BY_TWO = {"model": {"interval": [-1.0, 1.0], "a1": [[0.1, 0.02], [0.02, -0.1
 def test_report_block_is_the_roots_own(tmp_path, capsys, monkeypatch, command):
     # every root a command solves carries admissibility(model, contour, t)
     # of its own contour and coupling, and the report's block is that of
-    # the first side's root: at coupling_scale 0.6 for solve and verify,
-    # at the largest t of the grid for sweep
+    # the first side's root: on b scaled by 0.6 at t = 1 for solve and
+    # verify, at the largest t of the grid for sweep
     import schurroots.cli as cli_mod
 
     roots = []
@@ -681,14 +693,13 @@ def test_report_block_is_the_roots_own(tmp_path, capsys, monkeypatch, command):
         def wrapper(*args, **kwargs):
             out = original(*args, **kwargs)
             roots.extend([(sol, t) for t, sol, _ in out] if name == "homotopy_path"
-                         else [(out, kwargs["t"])])
+                         else [(out, kwargs.get("t", 1.0))])
             return out
         monkeypatch.setattr(cli_mod, name, wrapper)
 
     recording("solve_basic")
     recording("homotopy_path")
-    data = {**TWO_BY_TWO, "solver": {"coupling_scale": 0.6},
-            "sweep": {"t_grid": [0.3, 0.7]}}
+    data = {**with_coupling(TWO_BY_TWO, 0.6), "sweep": {"t_grid": [0.3, 0.7]}}
     argv = [command, "--config", write_cfg(tmp_path, data)]
     if command == "sweep":
         argv += ["--out-csv", str(tmp_path / "t.csv")]
@@ -698,7 +709,7 @@ def test_report_block_is_the_roots_own(tmp_path, capsys, monkeypatch, command):
     assert len(roots) == {"solve": 1, "verify": 2, "sweep": 2}[command]
     for sol, t in roots:
         assert sol.report == sr.admissibility(model, sol.contour, t)
-    t_end = 0.7 if command == "sweep" else 0.6
+    t_end = 0.7 if command == "sweep" else 1.0
     first = sr.admissibility(model, sr.make_contour(model, 1), t_end)
     block = json.loads(out)["admissibility"]
     assert block.pop("r0_upper_bound", first.r_min) == first.r_min
@@ -959,12 +970,12 @@ def small_configs(draw):
     data = {"model": {"interval": [lo, lo + width], "a1": a1, "b": b},
             "contour": contour,
             "solver": {"max_iter": draw(st.integers(1, 60)),
-                       "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6])),
-                       "coupling_scale": draw(st.floats(0.0, 1.0, allow_nan=False))},
+                       "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6]))},
             "sweep": {"t_grid": t_grid}}
     if draw(st.integers(0, 3)) == 3:
         # one malformed value; a huge depth or count is refused before any
-        # rule is built
+        # rule is built, and solver.coupling_scale and the output section
+        # are unknown to the config
         section, key = draw(st.sampled_from([
             ("model", "interval"), ("model", "a1"), ("model", "b"),
             ("contour", "kind"), ("contour", "sides"), ("contour", "depth"),
@@ -1063,7 +1074,6 @@ def test_verify_of_an_inadmissible_contour_writes_its_report():
 
 @pytest.mark.parametrize("data", [
     {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.0]]]}},
-    _with("solver", {"coupling_scale": 0}),
 ])
 def test_verify_passes_at_zero_coupling(tmp_path, capsys, data):
     # V0 = 0, so the Omega bound is 0 and Omega is exactly 0: a zero Omega

@@ -33,10 +33,13 @@ def test_defaults_materialized():
     assert cfg.sides == (1, -1)
     assert cfg.nodes_per_unit == 200
     assert cfg.tol == 1e-12
-    assert cfg.coupling_scale == 1.0
     d = cfg.to_dict()
     assert d["contour"]["kind"] == "semicircle"
     assert d["verify"]["seed"] == 0
+    # only the inputs that set the numbers: the coupling strength is b
+    # itself and the output paths are flags
+    assert set(d) == {"model", "contour", "solver", "sweep", "verify"}
+    assert d["solver"] == {"tol": 1e-12, "max_iter": 500}
 
 
 def test_model_from_config():

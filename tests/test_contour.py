@@ -115,10 +115,8 @@ def test_variation_scaling(friedrichs_model, friedrichs_contours):
 
 def test_contains_in_lens(friedrichs_contours):
     c = friedrichs_contours[1]
-    assert c.contains_in_lens(0.0 + 0.3j)
-    assert not c.contains_in_lens(0.0 - 0.3j)
-    assert not c.contains_in_lens(0.0 + 1.5j)
-    assert not c.contains_in_lens(2.0 + 0.1j)
+    zs = np.array([0.0 + 0.3j, 0.0 - 0.3j, 0.0 + 1.5j, 2.0 + 0.1j])
+    assert c.contains_in_lens(zs).tolist() == [True, False, False, False]
 
 
 def test_inadmissible_report():
@@ -161,10 +159,10 @@ def test_optimize_r0_rectangle(friedrichs_model):
             assert cand.r_min > r0 - 1e-5
 
 
-def _reference_r_min(model, side, depth, nodes_per_unit, coupling_scale):
+def _reference_r_min(model, side, depth, nodes_per_unit):
     """r_min of one candidate depth through a Contour, inf if inadmissible."""
     contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
-    rep = sr.admissibility(model, contour, coupling_scale)
+    rep = sr.admissibility(model, contour)
     return rep.r_min if rep.admissible else math.inf
 
 
@@ -205,14 +203,13 @@ def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
     return values, 0.5 * (left + right)
 
 
-def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
-                           kink_rule=True):
+def _reference_optimize_r0(model, side, family, nodes_per_unit, kink_rule=True):
     """optimize_r0 with one make_contour plus admissibility per candidate
     depth; kink_rule=False leaves the golden-section search alone. Returns
     the scan's r_min values and (depth, r0), or the message of the
     AdmissibilityError raised."""
     def r_of(*depths):
-        return [_reference_r_min(model, side, depth, nodes_per_unit, coupling_scale)
+        return [_reference_r_min(model, side, depth, nodes_per_unit)
                 for depth in depths]
 
     kink = _RectangleDistance(model, model.interval).kink if kink_rule else None
@@ -220,7 +217,7 @@ def _reference_optimize_r0(model, side, family, nodes_per_unit, coupling_scale,
     if depth is None:
         return values, "no admissible depth in the requested range"
     contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
-    rep = sr.admissibility(model, contour, coupling_scale)
+    rep = sr.admissibility(model, contour)
     if not rep.admissible:
         return values, "refined depth lost admissibility"
     return values, (depth, rep.r_min)
@@ -249,14 +246,15 @@ def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, fam
         distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for t in (0.5, 1.0):
-                values, ref = _reference_optimize_r0(model, side, family, 200, t)
-                _, golden = _reference_optimize_r0(model, side, family, 200, t,
+                # a weaker coupling is the model with b scaled by t
+                sm = model.scaled(t)
+                values, ref = _reference_optimize_r0(sm, side, family, 200)
+                _, golden = _reference_optimize_r0(sm, side, family, 200,
                                                    kink_rule=False)
                 # every scanned depth's r_min, not only the search's outcome
-                assert _rectangle_r_min(model, side, depths, 200, t, distance) == values
+                assert _rectangle_r_min(sm, side, depths, 200, distance) == values
                 try:
-                    depth, r0 = sr.optimize_r0(model, side, family,
-                                               nodes_per_unit=200, coupling_scale=t)
+                    depth, r0 = sr.optimize_r0(sm, side, family, nodes_per_unit=200)
                 except AdmissibilityError as exc:
                     assert str(exc) == ref == golden
                     continue
@@ -288,12 +286,12 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
     distance = _RectangleDistance(model, model.interval)
     family = (0.25, 1.2)
     depths = np.linspace(*family, 33)
-    best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, 1.0, distance)))
+    best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, distance)))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
     depth, r0 = sr.optimize_r0(model, 1, family)
-    _, golden = _reference_optimize_r0(model, 1, family, 200, 1.0, kink_rule=False)
+    _, golden = _reference_optimize_r0(model, 1, family, 200, kink_rule=False)
     assert depth == golden[0] != distance.kink
-    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink, 200, 1.0)
+    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink, 200)
 
 
 def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
@@ -451,7 +449,7 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
                 except AdmissibilityError:
                     pass
                 _reference_search(
-                    lambda *depths: record(model, side, depths, 200, 1.0, distance),
+                    lambda *depths: record(model, side, depths, 200, distance),
                     *family, None)
             scanned.append((model, side, [1e-3, 0.5, 2.0, 7.3]))
     assert len(scanned) > 28 * 2 * 3 * 20

@@ -50,13 +50,15 @@ def test_kernels_match_naive_loop(n):
     assert _rel(cauchy, knp.cauchy_sum(kv, mus, w, z)) < 1e-13
     assert _rel(cauchy_many, knp.cauchy_sum_many(kv, mus, w, zs)) < 1e-13
     assert _rel(resolvent, knp.resolvent_sum(kv, mus, w, zm)) < 1e-12
-    assert _rel(resolvent_cauchy, knp.resolvent_cauchy_sum(kv, mus, w, zm, z)) < 1e-12
+    assert _rel(resolvent_cauchy,
+                knp.resolvent_cauchy_sum(kv, mus, w, zm, np.array([z]))[0]) < 1e-12
     assert _rel(sandwich, knp.sandwich_sum(kv, mus, w, zl, zm)) < 1e-12
 
     # a 1-d array of points: one batched call agrees with the naive loop
-    # and with one call per point
+    # and with one one-point batch per point
     batched = knp.resolvent_cauchy_sum(kv, mus, w, zm, zs)
-    per_point = np.array([knp.resolvent_cauchy_sum(kv, mus, w, zm, zp) for zp in zs])
+    per_point = np.concatenate([knp.resolvent_cauchy_sum(kv, mus, w, zm, zs[k:k + 1])
+                                for k in range(len(zs))])
     assert batched.shape == (len(zs), n, n)
     assert _rel(resolvent_cauchy_many, batched) < 1e-12
     assert _rel(per_point, batched) < 1e-14

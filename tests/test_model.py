@@ -20,8 +20,7 @@ from conftest import wide_models
 def test_kprime_scalar_constant(friedrichs_model):
     dens = sr.kprime_of(friedrichs_model)
     mus = np.linspace(-1, 1, 11)
-    for mu in mus:
-        assert abs(dens(mu)[0, 0] - 0.04) < 1e-15
+    assert np.max(np.abs(dens(mus)[:, 0, 0] - 0.04)) < 1e-15
 
 
 def test_density_conjugate_symmetry():

@@ -423,7 +423,7 @@ def test_factorization(matrix_case):
         for _ in range(10):
             lam = float(rng.choice(model.sigma1))
             z = lam + rng.uniform(0.05, 0.45) * d * np.exp(2j * np.pi * rng.uniform())
-            f1 = factor_F1(sol, complex(z))
+            f1 = factor_F1(sol, np.array([z]))[0]
             m1 = sr.m1_continued(model, contours[side], complex(z))
             prod = f1 @ (sol.z_op - z * np.eye(model.n))
             assert np.linalg.norm(m1 - prod, 2) < 1e-9 * (1 + np.linalg.norm(m1, 2))
@@ -431,8 +431,9 @@ def test_factorization(matrix_case):
 
 
 def _square_model(n, rng):
-    # the conftest recipe at size n x n: clustered interior spectrum and
-    # a coupling with orthonormal columns, admissible on both sides
+    # the zoo recipe (perfbench workloads.draw_model) at size n x n:
+    # clustered interior spectrum and a coupling with orthonormal columns,
+    # admissible on both sides
     pert = 0.03 * rng.normal(size=(n, n))
     a1 = 0.1 * np.eye(n) + 0.5 * (pert + pert.T)
     q, _ = np.linalg.qr(rng.normal(size=(n + 1, n)))
@@ -452,7 +453,7 @@ def test_factor_F1_batched_matches_per_point(n):
         zs = lam + rng.uniform(0.05, 0.45, size=9) * rep.distance * np.exp(
             2j * np.pi * rng.uniform(size=9))
         batched = factor_F1(sol, zs)
-        single = np.array([factor_F1(sol, complex(z)) for z in zs])
+        single = np.concatenate([factor_F1(sol, zs[k:k + 1]) for k in range(9)])
         assert batched.shape == (9, n, n)
         assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
 

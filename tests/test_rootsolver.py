@@ -185,7 +185,7 @@ def test_classify_residuals_follow_their_labels(friedrichs_model,
     assert labels.count("physical-complex") == 2 and labels.count("resonance") == 1
     for e in cls.entries:
         if e.label == "physical-complex":
-            m1 = sr.m1_physical(friedrichs_model, e.eigenvalue)
+            m1 = sr.m1_physical(friedrichs_model, np.array([e.eigenvalue]))[0]
             assert e.physical_residual == np.linalg.svd(m1, compute_uv=False)[-1]
         else:
             assert e.physical_residual is None
