@@ -65,12 +65,18 @@ def _integer(val, name: str, lo: int, hi: int | None = None) -> int:
 
 
 def _real(val, name: str) -> float:
-    """val as a finite float; a string, a bool, NaN or an infinity raises
-    ConfigError."""
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not math.isfinite(val)):
+    """val as a finite float; a string, a bool, NaN, an infinity or an
+    integer too large for a float raises ConfigError naming name."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a finite real number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite real number, "
+                          "got an integer too large for a float") from None
+    if not math.isfinite(num):
+        raise ConfigError(f"{name} must be a finite real number, got {val!r}")
+    return num
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class RunConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            # a value of the wrong type or form: int("a"), float(10 ** 400)
+            # a value of the wrong type or form, such as int("a")
             raise ConfigError(f"malformed config value: {exc}") from exc
         schema = cfg.to_dict()
         for section, values in data.items():

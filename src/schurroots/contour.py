@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import spectral_norms
 from ._quad import _rule
 from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
@@ -326,37 +327,8 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
     return _contour(contour.side, contour.kind, contour.depth, contour.endpoints, counts)
 
 
-def _spectral_norms(kvals: np.ndarray) -> np.ndarray:
-    """Largest singular value of each n x n matrix in a (N, n, n) stack.
-
-    n = 1 and n = 2 use closed forms; a batched SVD of such small matrices
-    is almost all per-matrix overhead. For n = 2 the root is taken of the
-    larger eigenvalue of the Gram matrix G = K^H K written as
-    (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|), which keeps full relative
-    accuracy when K is close to a multiple of the identity (the form
-    F/2 + sqrt(F^2/4 - |det K|^2) cancels there). G is formed from node-long
-    columns, each entry's |k|^2 once and each column sum as one addition,
-    with no reduction over a length-2 axis. n >= 3 takes the root of the
-    largest eigenvalue of the Gram matrix K K^H (the spectrum of K^H K) by
-    a batched eigvalsh, which is faster than the batched SVD and agrees
-    with its value to about 1e-15 relative.
-    """
-    n = kvals.shape[1]
-    if n == 1:
-        return np.abs(kvals[:, 0, 0])
-    if n == 2:
-        sq = kvals.real ** 2 + kvals.imag ** 2
-        g11 = sq[:, 0, 0] + sq[:, 1, 0]
-        g22 = sq[:, 0, 1] + sq[:, 1, 1]
-        cross = np.conj(kvals[:, :, 0]) * kvals[:, :, 1]
-        g12 = np.abs(cross[:, 0] + cross[:, 1])
-        return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
-    gram = np.matmul(kvals, np.conj(kvals).swapaxes(1, 2))
-    return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-
-
 def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """||K'(mu)|| at each of the 1-d array nodes (see _spectral_norms).
+    """||K'(mu)|| at each of the 1-d array nodes (_kernels.spectral_norms).
 
     The nodes go through kprime_values in chunks of at most
     _NORM_BATCH_ENTRIES matrix entries, which bounds the memory of a batch
@@ -364,7 +336,7 @@ def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     not change them.
     """
     step = max(1, _NORM_BATCH_ENTRIES // model.n ** 2)
-    return np.concatenate([_spectral_norms(model.kprime_values(nodes[start:start + step]))
+    return np.concatenate([spectral_norms(model.kprime_values(nodes[start:start + step]))
                            for start in range(0, nodes.shape[0], step)])
 
 
@@ -373,7 +345,7 @@ def variation(model: SpectralModel, contour: Contour) -> float:
 
     ||.|| is the spectral norm at each quadrature node, evaluated in
     closed form for n <= 2 and from the Gram matrix's largest eigenvalue
-    otherwise (see _spectral_norms).
+    otherwise (_kernels.spectral_norms).
     This is the only quadrature in the admissibility test; callers that
     need the test at several couplings evaluate it once and rescale
     with admissibility_at.

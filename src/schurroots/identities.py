@@ -16,6 +16,7 @@ import functools
 
 import numpy as np
 
+from ._kernels import smallest_singular_values, spectral_norms
 from .errors import SchurRootsError
 from .model import density_margin
 from .report import identity_row
@@ -55,11 +56,9 @@ def _near_sigma_points(rng, model, d, count) -> np.ndarray:
 
 
 def _relative_gap(gap, ref) -> float:
-    """max of ||gap|| / (1 + ||ref||) over the last two axes, spectral norms
-    taken in one batched call; gap and ref are matrices or (P, r, c)
-    stacks of the same shape."""
-    norms = np.linalg.norm(np.stack([gap, ref]), 2, axis=(-2, -1))
-    return float(np.max(norms[0] / (1.0 + norms[1])))
+    """max of ||gap|| / (1 + ||ref||) over the last two axes, in spectral
+    norms; gap and ref are matrices or (P, r, c) stacks of the same shape."""
+    return float(np.max(spectral_norms(gap) / (1.0 + spectral_norms(ref))))
 
 
 # The offsets eps of _boundary_limit: three halvings from 1e-5.
@@ -174,7 +173,8 @@ def identity_table(roots, seed: int) -> tuple:
 
     def conditioning(side):
         zs = _near_sigma_points(rng, model, d, _FACTOR_POINTS)
-        return np.max(np.linalg.cond(factor_F1(roots[side], zs)))
+        f1 = factor_F1(roots[side], zs)
+        return np.max(spectral_norms(f1) / smallest_singular_values(f1))
 
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
@@ -188,14 +188,14 @@ def identity_table(roots, seed: int) -> tuple:
         # the adjoint relation that pairs the two sides: Omega(-l) = Omega(l)^*
         om = omega(side)
         gap = omega(-side).omega - np.conj(om.omega.T)
-        return float(np.linalg.norm(gap, 2)) / (1.0 + om.norm)
+        return float(spectral_norms(gap)) / (1.0 + om.norm)
 
     add_row("omega-adjoint", 1e-10, over_sides(omega_adjoint))
 
     def omega_two_path(side):
         om = omega(side)
         alt = omega_by_deformation(roots[side], roots[-side])
-        return float(np.linalg.norm(alt - om.omega, 2)) / (1.0 + om.norm)
+        return float(spectral_norms(alt - om.omega)) / (1.0 + om.norm)
 
     add_row("omega-two-path", 1e-9, over_sides(omega_two_path))
 
@@ -229,7 +229,7 @@ def identity_table(roots, seed: int) -> tuple:
 
     add_row("root-contour", 1e-10, over_sides(root_contour))
 
-    a_scale = 1.0 + float(np.linalg.norm(model.a1, 2))
+    a_scale = 1.0 + float(spectral_norms(model.a1))
     add_row("root-equation", 1e-8, over_sides(
         lambda s: check_ZAY(rics[s]) / a_scale))
 
@@ -276,7 +276,7 @@ def identity_table(roots, seed: int) -> tuple:
             w = _boundary_limit(model, pts, approach)
             im_part = (w - np.conj(np.swapaxes(w, 1, 2))) / 2j
             gaps.append(im_part - approach * np.pi * kps)
-        norms = np.linalg.norm(np.stack(gaps + [kps]), 2, axis=(-2, -1))
+        norms = spectral_norms(np.stack(gaps + [kps]))
         return float(np.max(norms[:2] / (1.0 + norms[2])))
 
     add_row("boundary-imag", 1e-10, boundary_imag)

@@ -15,6 +15,7 @@ import tempfile
 import numpy as np
 
 from ._json import dumps
+from ._kernels import spectral_norms
 from .config import matrix_to_lists
 from .riccati import check_one_in_spectrum
 
@@ -50,7 +51,7 @@ def solution_block(sol, cls) -> dict:
         "contour_fallbacks": sol.contour_fallbacks,
         "final_step_norm": sol.final_step_norm,
         "residual": sol.residual,
-        "x_norm": float(np.linalg.norm(sol.x, 2)),
+        "x_norm": float(spectral_norms(sol.x)),
         "x": matrix_to_lists(sol.x),
         "z": matrix_to_lists(sol.z_op),
     }

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (_right_resolvent_products, _sandwich_products,
-                       _shifted_solve, resolvent_cauchy_sum, sandwich_sum)
+                       _shifted_solve, resolvent_cauchy_sum, sandwich_sum,
+                       smallest_singular_values, solve, spectral_norms)
 from ._quad import adaptive_quad
-from .contour import _spectral_norms, analytic_rule
+from .contour import analytic_rule
 from .errors import NumericsError
 from .model import MatrixPolynomial
 from .rootsolver import RootSolution, _require_clear_of_nodes
@@ -177,7 +178,7 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
 
 def check_ZAY(ric: RiccatiSolution) -> float:
     """Residual of Z = A1 - B^* Y."""
-    return float(np.linalg.norm(ric.root.model.a1 - ric.bstar_y - ric.root.z_op, 2))
+    return float(spectral_norms(ric.root.model.a1 - ric.bstar_y - ric.root.z_op))
 
 
 def riccati_residual(ric: RiccatiSolution, sample_mus,
@@ -201,7 +202,7 @@ def riccati_residual(ric: RiccatiSolution, sample_mus,
         bs = model.b.sharp()(mus)
         coef = a1 - np.conj(bsy.T)
         res = mus[:, None, None] * yt - coef @ yt + bs
-    return float(np.max(np.linalg.norm(res, 2, axis=(1, 2))))
+    return float(np.max(spectral_norms(res)))
 
 
 def _trial_l2_norms(poles: np.ndarray, cs: np.ndarray, interval) -> np.ndarray:
@@ -351,7 +352,7 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
 
     rep = sol_l.report
     bound = rep.variation / (0.25 * rep.distance ** 2)
-    norm = float(np.linalg.norm(omega, 2))
+    norm = float(spectral_norms(omega))
     # zero coupling makes V0, the bound and Omega all exactly 0
     if norm > 0.0 and norm >= bound:
         raise NumericsError(f"Omega norm {norm:.6g} violates bound {bound:.6g}")
@@ -382,30 +383,15 @@ def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.n
     return omega
 
 
-def _smallest_singular_values(mats: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each n x n matrix in a (N, n, n) stack.
-
-    n = 1 takes |entry|. n = 2 takes |det| / sigma_max, since the two
-    singular values multiply to |det|, with sigma_max in closed form from
-    contour._spectral_norms. n >= 3 uses the batched SVD.
-    """
-    n = mats.shape[1]
-    if n == 1:
-        return np.abs(mats[:, 0, 0])
-    if n == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        return np.abs(det) / _spectral_norms(mats)
-    return np.linalg.svd(mats, compute_uv=False)[:, -1]
-
-
 def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     """||K'(mu)|| / smin(Z - mu)^2 = ||K'(mu)|| ||(Z - mu)^{-1}||^2 at each
-    node, both norms without an SVD for n <= 2."""
+    node, both from the small-matrix kernels (_kernels), without an SVD
+    for n <= 2."""
     bv = b(nodes)
     kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
     eye = np.eye(z.shape[0])
     shifted = z[None] - nodes[:, None, None] * eye[None]
-    return _spectral_norms(kv) / _smallest_singular_values(shifted) ** 2
+    return spectral_norms(kv) / smallest_singular_values(shifted) ** 2
 
 
 def ysn_integral(ric: RiccatiSolution) -> float:
@@ -523,7 +509,7 @@ def reconstruct_from_contour(sol: RootSolution):
     def sums(ring, points):
         # sum of phase M1^{-1} and of phase z M1^{-1} over the ring points
         try:
-            minv = np.linalg.inv(_m1_on_rule(model, rule, kvals, ring[points]))
+            minv = solve(_m1_on_rule(model, rule, kvals, ring[points]), np.eye(model.n))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"singular continued value on the circle: {exc}") from exc
         weighted = phase[points, None, None] * minv

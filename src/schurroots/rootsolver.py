@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import resolvent_sum
+from ._kernels import resolvent_sum, smallest_singular_values, spectral_norms
 from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, analytic_rule, ensure_admissible)
 from .errors import NumericsError
@@ -291,8 +291,9 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
 
     The escape test ||X|| > r_max and the stop test ||X_{k+1} - X_k|| <=
     tol * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
-    an SVD is taken only where the bounds leave a test open, and once at
-    the end for the reported step and ||X||. The root carries the t-scaled
+    the spectral norm (_kernels.spectral_norms) is taken only where the
+    bounds leave a test open, and once at the end for the reported step
+    and ||X||. A NaN norm counts as an escape. The root carries the t-scaled
     model, the contour, rep and, as its eigensystem, the decomposition the
     residual check takes of Z = A1 + X.
     """
@@ -309,26 +310,26 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
         x_lo, x_hi = _norm_bounds(x)
         if not x_hi <= escape:
             # undecided, escaped or NaN: the spectral norm decides
-            x_lo = x_hi = float(np.linalg.norm(x, 2))
-            if x_hi > escape:
+            x_lo = x_hi = float(spectral_norms(x))
+            if not x_hi <= escape:
                 raise NumericsError(
                     f"iterate escaped the r_max ball ({x_hi:.6g} > {rep.r_max:.6g})"
                 )
         step_lo, step_hi = _norm_bounds(diff)
         if not (step_hi <= tol * max(1.0, x_lo) or step_lo > tol * max(1.0, x_hi)):
-            x_lo = x_hi = float(np.linalg.norm(x, 2))
-            step_lo = step_hi = float(np.linalg.norm(diff, 2))
+            x_lo = x_hi = float(spectral_norms(x))
+            step_lo = step_hi = float(spectral_norms(diff))
         if step_hi <= tol * max(1.0, x_lo):
             break
     else:
-        step = np.inf if diff is None else float(np.linalg.norm(diff, 2))
+        step = np.inf if diff is None else float(spectral_norms(diff))
         raise NumericsError(f"no convergence in {max_iter} iterations (step {step:.3e})")
-    step = float(np.linalg.norm(diff, 2))
-    norm_x = float(np.linalg.norm(x, 2))
+    step = float(spectral_norms(diff))
+    norm_x = float(spectral_norms(x))
 
     # residual confirmation at the converged point, through the same map
     z_op = a1 + x
-    residual = float(np.linalg.norm(x - step_map(z_op), 2))
+    residual = float(spectral_norms(x - step_map(z_op)))
     if residual > max(2.0 * tol, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
     if norm_x > rep.r_min + 1e-9:
@@ -369,7 +370,7 @@ def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
 def _real_band(model: SpectralModel) -> float:
     """The half-width 1e-8 (1 + ||a1||_2) of the band around the real
     axis whose eigenvalues are labelled real."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(model.a1, 2)))
+    return 1e-8 * (1.0 + float(spectral_norms(model.a1)))
 
 
 def _label_for(lam: complex, side: int, tau: float) -> str:
@@ -381,12 +382,13 @@ def _label_for(lam: complex, side: int, tau: float) -> str:
 def _physical_residuals(sol: RootSolution, lams, labels) -> list:
     """Per eigenvalue, the smallest singular value of the physical-sheet
     M1(lam) of the root's model when labelled physical-complex, else None;
-    all of them from one batched M1 evaluation and one batched SVD."""
+    all of them from one batched M1 evaluation and one call of
+    _kernels.smallest_singular_values."""
     hits = [k for k, label in enumerate(labels) if label == "physical-complex"]
     out = [None] * len(lams)
     if hits:
         mats = m1_physical(sol.model, np.array([lams[k] for k in hits]))
-        for k, sval in zip(hits, np.linalg.svd(mats, compute_uv=False)[:, -1]):
+        for k, sval in zip(hits, smallest_singular_values(mats)):
             out[k] = float(sval)
     return out
 
@@ -450,14 +452,15 @@ def _extrapolate(known: list, s: float) -> np.ndarray:
 
 
 def _inside(mat: np.ndarray, radius: float) -> bool:
-    """Whether ||mat||_2 < radius, decided from _norm_bounds, with an SVD
-    only where the bounds leave it open; False for a non-finite mat."""
+    """Whether ||mat||_2 < radius, decided from _norm_bounds, with the
+    spectral norm only where the bounds leave it open; False for a
+    non-finite mat."""
     lo, hi = _norm_bounds(mat)
     if hi < radius:
         return True
     if not lo < radius:
         return False
-    return bool(np.linalg.norm(mat, 2) < radius)
+    return bool(spectral_norms(mat) < radius)
 
 
 def homotopy_path(model: SpectralModel, contour: Contour, t_grid,

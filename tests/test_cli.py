@@ -442,8 +442,11 @@ def _with(section, values):
     ("solve", {"model": {**BASE["model"], "b": [[[False]]]}}, "model.b[0]"),
     ("solve", {"model": {**BASE["model"], "b": [[[0.2]], [[True]]]}}, "model.b[1]"),
     ("solve", {"model": {**BASE["model"], "a1": [[[True, 0.0]]]}}, "model.a1"),
-    # a JSON integer too large for a float
-    ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}, "too large"),
+    # a JSON integer too large for a float, in every scalar and a matrix
+    ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}, "model.interval"),
+    ("solve", _with("contour", {"kind": "rectangle", "depth": 10 ** 400}), "contour.depth"),
+    ("solve", _with("solver", {"tol": 10 ** 400}), "solver.tol"),
+    ("sweep", _with("sweep", {"t_grid": [0.5, 10 ** 400]}), "sweep.t_grid"),
     ("solve", {"model": {**BASE["model"], "a1": [[10 ** 400]]}}, "model.a1"),
     # an output section, valid or not: the paths are flags only
     ("solve", _with("output", {"report": "r.json"}), "section 'output'"),
@@ -464,7 +467,8 @@ def _with(section, values):
         "coupling-scale", "unit-coupling-scale", "misspelled-key",
         "unknown-section", "repeated-side", "boolean-a1-entry",
         "boolean-b-entry", "boolean-second-b-entry", "boolean-pair-part",
-        "huge-integer-interval", "huge-integer-a1-entry", "report-path",
+        "huge-integer-interval", "huge-integer-depth", "huge-integer-tol",
+        "huge-integer-t-grid", "huge-integer-a1-entry", "report-path",
         "numeric-report-path", "list-report-path", "csv-path", "numeric-csv-path"])
 def test_bad_config_values_exit_4(tmp_path, capsys, command, data, named):
     # exit 4 with no traceback, and the message names the key, section or

@@ -15,8 +15,9 @@ import pytest
 
 import schurroots as sr
 from schurroots import contour as contour_module
+from schurroots._kernels import spectral_norms
 from schurroots.contour import (_rectangle_counts, _rectangle_r_min, _rectangle_rules,
-                                _RectangleDistance, _spectral_norms)
+                                _RectangleDistance)
 from schurroots.errors import AdmissibilityError, ModelError
 
 from conftest import wide_models
@@ -325,7 +326,7 @@ def test_spectral_norms_n2_match_axis_sum_form():
         kvals = scale * (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
         for stack in (kvals, kvals + np.conj(np.swapaxes(kvals, 1, 2)),
                       np.swapaxes(kvals, 1, 2), 0.0064 * np.eye(2) + 1e-10 * kvals):
-            assert np.array_equal(_spectral_norms(stack), axis_sum_form(stack))
+            assert np.array_equal(spectral_norms(stack), axis_sum_form(stack))
 
 
 def test_admissibility_radii_identities_random(model_zoo):
@@ -356,7 +357,7 @@ def test_spectral_norms_match_svd(n):
     ]
     for kvals in stacks:
         ref = _svd_norms(kvals)
-        got = _spectral_norms(kvals)
+        got = spectral_norms(kvals)
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 

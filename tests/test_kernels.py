@@ -1,6 +1,9 @@
 """Kernel correctness: every reduction must match a naive per-node loop
 (one explicit inverse per quadrature node) to machine precision,
-including the closed-form n == 1 paths."""
+including the closed-form n == 1 paths; the small-matrix layer must match
+LAPACK within the accuracy its closed forms promise."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -114,3 +117,150 @@ def test_numpy_sandwich_identity():
 
 def test_backend_name_valid():
     assert backend_name() == "numpy"
+
+
+# The small-matrix layer: solve, spectral_norms and smallest_singular_values
+# against LAPACK. pyproject.toml turns every RuntimeWarning into an error,
+# so a closed form that divides by zero or overflows fails these tests.
+
+EPS = np.finfo(float).eps
+
+
+def _unitary(rng, count):
+    q, _ = np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+    return q
+
+
+def _two_by_two_stacks(rng, count=400):
+    """Named (count, 2, 2) stacks: random; condition numbers log-uniform up
+    to 1e12; and each matrix of the ill-conditioned stack scaled by a power
+    of ten between 1e-150 and 1e150."""
+    random = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    conds = 10.0 ** rng.uniform(0, 12, size=count)
+    sing = np.zeros((count, 2, 2))
+    sing[:, 0, 0], sing[:, 1, 1] = 1.0, 1.0 / conds
+    ill = _unitary(rng, count) @ sing @ _unitary(rng, count)
+    scaled = ill * 10.0 ** rng.uniform(-150, 150, size=(count, 1, 1))
+    return {"random": random, "ill-conditioned": ill, "scaled": scaled}
+
+
+def _max_rel_err(got, ref):
+    # per matrix, the largest entry error relative to the largest entry,
+    # without squares that could overflow at entries near 1e300
+    return (np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("name", ["random", "ill-conditioned", "scaled"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_2x2_matches_lapack_within_cond_eps(name, k):
+    rng = np.random.default_rng(11 + k)
+    a = _two_by_two_stacks(rng)[name]
+    rhs_scale = 10.0 ** rng.uniform(-150, 150, size=(a.shape[0], 1, 1)) if name == "scaled" else 1.0
+    b = rhs_scale * (rng.normal(size=(a.shape[0], 2, k)) + 1j * rng.normal(size=(a.shape[0], 2, k)))
+    got = knp.solve(a, b)
+    ref = np.linalg.solve(a, b)
+    assert got.shape == ref.shape
+    assert np.all(_max_rel_err(got, ref) <= 10 * np.linalg.cond(a) * EPS)
+
+
+@pytest.mark.parametrize("name", ["random", "ill-conditioned", "scaled"])
+def test_solve_2x2_inverse_matches_lapack_within_cond_eps(name):
+    # one right-hand side, the identity, for every matrix of the stack
+    a = _two_by_two_stacks(np.random.default_rng(21))[name]
+    got = knp.solve(a, np.eye(2))
+    assert np.all(_max_rel_err(got, np.linalg.inv(a)) <= 10 * np.linalg.cond(a) * EPS)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_solve_other_sizes_match_lapack(n):
+    rng = np.random.default_rng(30 + n)
+    a = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n)) + 3 * np.eye(n)
+    b = rng.normal(size=(50, n, 2)) + 1j * rng.normal(size=(50, n, 2))
+    assert np.allclose(knp.solve(a, b), np.linalg.solve(a, b), rtol=1e-13, atol=0)
+    assert np.allclose(knp.solve(a, np.eye(n)), np.linalg.inv(a), rtol=1e-13, atol=0)
+
+
+def test_solve_reruns_scaled_where_a_product_overflows():
+    # the determinant 1e150 is in range, but 1e200 * 1e150 overflows
+    # unscaled; the scaled system gives both components
+    a = np.array([[[1e200, 0.0], [0.0, 1e-50]]], dtype=complex)
+    b = np.array([[[1e150], [1e150]]], dtype=complex)
+    got = knp.solve(a, b)[0, :, 0]
+    assert np.allclose(got, [1e-50, 1e200], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("singular", [
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[0.0, 1.0], [0.0, 3.0]],
+])
+def test_solve_exactly_singular_raises(singular):
+    a = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+    a[3] = singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            knp.solve(a, np.ones((5, 2, 1), dtype=complex))
+
+
+def _stack(rng, count, r, c):
+    return rng.normal(size=(count, r, c)) + 1j * rng.normal(size=(count, r, c))
+
+
+SIZES = [1, 2, 3, 16]
+
+
+@pytest.mark.parametrize("r", SIZES)
+@pytest.mark.parametrize("c", SIZES)
+def test_spectral_norms_match_lapack(r, c):
+    rng = np.random.default_rng(100 * r + c)
+    mats = _stack(rng, 40, r, c)
+    # per matrix scales from 1e-300 to 1e300: unscaled, the squares of the
+    # entries would overflow or underflow
+    extreme = mats * 10.0 ** rng.uniform(-300, 300, size=(40, 1, 1))
+    for stack in (mats, extreme):
+        ref = np.linalg.norm(stack, 2, axis=(1, 2))
+        got = knp.spectral_norms(stack)
+        assert got.shape == (40,)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        # one matrix, and a stack with more than one batch axis
+        for k in (0, 17, 39):
+            assert abs(float(knp.spectral_norms(stack[k])) - ref[k]) <= 1e-14 * ref[k]
+        nested = knp.spectral_norms(stack.reshape(4, 10, r, c))
+        assert np.array_equal(nested, got.reshape(4, 10))
+
+
+@pytest.mark.parametrize("r", SIZES)
+@pytest.mark.parametrize("c", SIZES)
+def test_spectral_norms_of_zeros_and_nan(r, c):
+    rng = np.random.default_rng(7 * r + c)
+    mats = _stack(rng, 6, r, c)
+    mats[2] = 0.0
+    mats[4, r - 1, c - 1] = np.nan
+    got = knp.spectral_norms(mats)
+    ref = np.linalg.norm(np.delete(mats, 4, axis=0), 2, axis=(1, 2))
+    assert got[2] == 0.0
+    assert np.isnan(got[4])
+    assert np.all(np.abs(np.delete(got, 4) - ref) <= 1e-14 * np.maximum(ref, 1e-300))
+    assert knp.spectral_norms(np.zeros((r, c))) == 0.0
+    assert np.isnan(knp.spectral_norms(mats[4]))
+    assert np.array_equal(knp.spectral_norms(np.zeros((3, r, c))), np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smallest_singular_values_and_condition_match_svd(n):
+    rng = np.random.default_rng(40 + n)
+    if n == 2:
+        stacks = _two_by_two_stacks(rng).values()
+    else:
+        stacks = [_stack(rng, 400, n, n)]
+    for mats in stacks:
+        svals = np.linalg.svd(mats, compute_uv=False)
+        smin = knp.smallest_singular_values(mats)
+        # |det| / sigma_max is accurate to eps sigma_max, as the SVD is
+        assert np.all(np.abs(smin - svals[:, -1]) <= 4 * EPS * svals[:, 0])
+        ref_cond = svals[:, 0] / svals[:, -1]
+        cond = knp.spectral_norms(mats) / smin
+        assert np.all(np.abs(cond - ref_cond) <= 10 * ref_cond * ref_cond * EPS)
+    zeros = np.zeros((2, n, n), dtype=complex)
+    assert np.array_equal(knp.smallest_singular_values(zeros), np.zeros(2))
