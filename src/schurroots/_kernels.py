@@ -16,9 +16,10 @@ matrices the package mostly handles, where a LAPACK call per matrix is
 almost all overhead: solve (the batched solves behind every resolvent),
 spectral_norms and smallest_singular_values, each in closed form for
 n <= 2 and through LAPACK or eigvalsh otherwise. Where a closed form
-could overflow or underflow, it runs on each matrix divided by a power
-of two near its largest modulus (_scales); that division is exact, so it
-is skipped where it would change no value (_in_safe_range).
+could overflow or underflow, solve hands the systems at fault to LAPACK,
+and the norms run on each matrix divided by a power of two near its
+largest modulus (_scales); that division is exact, so it is skipped
+where it would change no value (_in_safe_range).
 """
 
 import functools
@@ -148,11 +149,10 @@ def solve(a, b):
 
     n = 1 divides. n = 2 is Cramer's rule (_cramer), forward stable for
     2 x 2 systems (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., SIAM 2002). Where some determinant leaves _SAFE_RANGE or some
-    solution is not finite (a matrix near overflow, underflow or
-    singularity), it runs again on the systems divided by the scales of a
-    (_scales), which is exact; an exactly singular matrix then raises
-    LinAlgError, as np.linalg.solve does. The entries are taken
+    2nd ed., SIAM 2002). Each system whose determinant leaves _SAFE_RANGE
+    or whose solution is not finite (a matrix near overflow, underflow or
+    singularity) is solved again by np.linalg.solve, which raises
+    LinAlgError on an exactly singular matrix. The entries are taken
     entry-major, so that every operation runs along the matrices of the
     stack rather than along a short axis. n >= 3 is np.linalg.solve.
     """
@@ -161,18 +161,17 @@ def solve(a, b):
         return b / a
     if n > 2:
         return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + (k,)))
-    rows, brows = _entry_major(a), _entry_major(b)
     with np.errstate(all="ignore"):
-        det, x = _cramer(np.copy(rows, order="C"), *np.copy(brows, order="C"))
-    if not (_in_safe_range(np.abs(det)) and np.isfinite(x).all()):
-        _, inverse = _scales(rows)
-        # one b for every matrix broadcasts as a single column
-        with np.errstate(all="ignore"):
-            det, x = _cramer(np.multiply(rows, inverse, order="C"),
-                             *np.multiply(brows, inverse, order="C"))
-        if not det.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-    return x.transpose(2, 0, 1).reshape(a.shape[:-2] + (2, k))
+        det, x = _cramer(np.copy(_entry_major(a), order="C"),
+                         *np.copy(_entry_major(b), order="C"))
+    x, size = x.transpose(2, 0, 1), np.abs(det)
+    if not (_in_safe_range(size) and np.isfinite(x).all()):
+        lo, hi = _SAFE_RANGE
+        at_fault = ~((lo <= size) & (size <= hi) & np.isfinite(x).all(axis=(1, 2)))
+        # one b for every matrix is broadcast to the stack first
+        full_b = np.broadcast_to(b, a.shape[:-1] + (k,)).reshape(-1, 2, k)
+        x[at_fault] = np.linalg.solve(a.reshape(-1, 2, 2)[at_fault], full_b[at_fault])
+    return x.reshape(a.shape[:-2] + (2, k))
 
 
 def _largest_closed_form(mats):

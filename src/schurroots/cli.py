@@ -62,8 +62,7 @@ def _prologue(command, cfg, sides) -> tuple:
     contours = {}
     for side in sides:
         contours[side] = (contours[derived[side]].mirror() if side in derived
-                          else make_contour(model, side, cfg.contour_kind,
-                                            cfg.depth, cfg.nodes_per_unit))
+                          else make_contour(model, side, cfg.contour_kind, cfg.depth))
     report = {
         "command": command,
         "status": "ok",
@@ -106,7 +105,7 @@ def _r0(cfg, model, root) -> float:
     if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
         return root.report.r_min
     depths = (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo))
-    _, r0 = optimize_r0(model, root.side, depths, nodes_per_unit=cfg.nodes_per_unit)
+    _, r0 = optimize_r0(model, root.side, depths)
     return r0
 
 

@@ -87,7 +87,6 @@ class RunConfig:
     contour_kind: str = "semicircle"
     sides: tuple = (1, -1)
     depth: float | None = None
-    nodes_per_unit: int = 200
     tol: float = 1e-12
     max_iter: int = 500
     t_grid: tuple = ()
@@ -140,7 +139,6 @@ class RunConfig:
             raise ConfigError(f"sides must be a nonempty subset of [1, -1], got {sides}")
         depth = contour.get("depth")
         depth = None if depth is None else _real(depth, "contour.depth")
-        npu = _integer(contour.get("nodes_per_unit", 200), "contour.nodes_per_unit", 1)
         if kind == "rectangle" and depth is None:
             raise ConfigError("rectangle contour requires a depth")
         if kind == "rectangle" and depth <= 0.0:
@@ -173,7 +171,6 @@ class RunConfig:
             contour_kind=kind,
             sides=sides,
             depth=depth,
-            nodes_per_unit=npu,
             tol=tol,
             max_iter=max_iter,
             t_grid=t_grid,
@@ -191,7 +188,6 @@ class RunConfig:
                 "kind": self.contour_kind,
                 "sides": list(self.sides),
                 "depth": self.depth,
-                "nodes_per_unit": self.nodes_per_unit,
             },
             "solver": {"tol": self.tol, "max_iter": self.max_iter},
             "sweep": {"t_grid": list(self.t_grid)},

@@ -6,10 +6,11 @@ complex weights so that sum(weights) reproduces integral of dmu over the
 path. Two kinds are supported: a semicircle (depth fixed at half the
 interval length) and a three-segment rectangle of adjustable depth.
 
-make_contour sizes the rule by nodes_per_unit; that rule is V0's, whose
-integrand ||K'(mu)|| has kinks. The integrands of the other contour sums
-are analytic near the path, so analytic_rule gives the same path the
-fewest nodes that their known singularities and the degree of K' allow.
+make_contour sizes the rule by arclength (_node_count); that rule is
+V0's, whose integrand ||K'(mu)|| has kinks. The integrands of the other
+contour sums are analytic near the path, so analytic_rule gives the same
+path the fewest nodes that their known singularities and the degree of
+K' allow.
 """
 
 import functools
@@ -23,9 +24,13 @@ from ._quad import _rule
 from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
 
+# V0's rule (make_contour): a segment gets _V0_NODES_PER_UNIT Gauss-Legendre
+# nodes per unit of arclength, and at least 200 (_node_count).
+_V0_NODES_PER_UNIT = 200
+
 # Largest Gauss-Legendre rule built for one segment. leggauss is O(N^3) in
-# the rule size, so an unbounded count (a deep rectangle, a huge
-# nodes_per_unit) would stall before admissibility could reject it.
+# the rule size, so an unbounded count (a deep rectangle, a long interval)
+# would stall before admissibility could reject it.
 MAX_SEGMENT_NODES = 4096
 
 # Accuracy target of analytic_rule: a segment gets the fewest nodes that
@@ -83,10 +88,10 @@ class Contour:
                        weights=np.conj(self.weights))
 
 
-def _node_count(nodes_per_unit, arclength):
-    """max(200, nodes_per_unit * arclength), refused above MAX_SEGMENT_NODES
-    before any rule is built."""
-    wanted = nodes_per_unit * arclength
+def _node_count(arclength):
+    """V0's node count of a segment: max(200, _V0_NODES_PER_UNIT *
+    arclength), refused above MAX_SEGMENT_NODES before any rule is built."""
+    wanted = _V0_NODES_PER_UNIT * arclength
     if not wanted <= MAX_SEGMENT_NODES:
         raise ModelError(
             f"contour segment needs {wanted:.0f} quadrature nodes, above the "
@@ -95,11 +100,11 @@ def _node_count(nodes_per_unit, arclength):
     return max(200, int(math.ceil(wanted)))
 
 
-def _rectangle_counts(nodes_per_unit, length, depth):
+def _rectangle_counts(length, depth):
     """The node counts of a rectangle's three segments, each vertical side
     checked before the top (see _node_count)."""
-    side_count = _node_count(nodes_per_unit, depth)
-    return side_count, _node_count(nodes_per_unit, length), side_count
+    side_count = _node_count(depth)
+    return side_count, _node_count(length), side_count
 
 
 def _rectangle_rules(a, b, depths, counts):
@@ -174,11 +179,11 @@ def _contour(side, kind, depth, endpoints, counts) -> Contour:
 
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
-                 depth=None, nodes_per_unit: int = 200) -> Contour:
+                 depth=None) -> Contour:
     """Build the side-l contour with Gauss-Legendre quadrature.
 
-    Per segment the node count is max(200, nodes_per_unit * arclength);
-    a segment that would need more than MAX_SEGMENT_NODES raises ModelError.
+    Per segment the node count is _node_count of its arclength; a segment
+    that would need more than MAX_SEGMENT_NODES raises ModelError.
     This is the rule of V0 (variation); the analytic contour sums take
     analytic_rule of the contour instead. The weight sum is checked
     against the exact path integral of dmu, which equals the interval
@@ -195,7 +200,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
             raise ValueError(
                 f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
             )
-        counts = (_node_count(nodes_per_unit, math.pi * rho),)
+        counts = (_node_count(math.pi * rho),)
         depth_val = rho
     elif kind == "rectangle":
         if depth is None:
@@ -203,7 +208,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         depth_val = float(depth)
         if depth_val <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        counts = _rectangle_counts(nodes_per_unit, length, depth_val)
+        counts = _rectangle_counts(length, depth_val)
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
     return _contour(side, kind, depth_val, (a, b), counts)
@@ -464,16 +469,16 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
     return rep
 
 
-def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
+def _rectangle_r_min(model: SpectralModel, side: int, depths,
                      distance: _RectangleDistance) -> list:
     """r_min of the side-l rectangle at each depth, inf where the rectangle
     is not admissible.
 
     Equal bit for bit to admissibility(model, make_contour(model, side,
-    "rectangle", h, nodes_per_unit)).r_min, but builds no Contour: the
-    rules come from _rectangle_rules, and each group of depths with equal
-    node counts takes one _kprime_norms call over all its nodes and one
-    row-wise weighted sum for its V0 values, so a depth's value does not
+    "rectangle", h)).r_min, but builds no Contour: the rules come from
+    _rectangle_rules, and each group of depths with equal node counts
+    takes one _kprime_norms call over all its nodes and one row-wise
+    weighted sum for its V0 values, so a depth's value does not
     depend on the batch (optimize_r0's scan and kink probes share one).
     distance is the model's _RectangleDistance, built once per search; it
     gives d at all the depths in one call.
@@ -481,7 +486,7 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths, nodes_per_unit,
     r_min = [math.inf] * len(depths)
     endpoints = model.interval
     length = endpoints[1] - endpoints[0]
-    counts = [_rectangle_counts(nodes_per_unit, length, h) for h in depths]
+    counts = [_rectangle_counts(length, h) for h in depths]
     dists = distance(depths)
     for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
         if side == -1:
@@ -502,15 +507,15 @@ _SCAN_DEPTHS = 33
 _DEPTH_RTOL = 1e-6
 
 
-def optimize_r0(model: SpectralModel, side: int, depths, nodes_per_unit: int = 200):
+def optimize_r0(model: SpectralModel, side: int, depths):
     """Minimize r_min over the side-l rectangle contours whose depths lie
     in depths = (lo, hi).
 
     A coarse scan of _SCAN_DEPTHS depths brackets the least r_min between
     the neighbours of its best depth; deterministic. Returns (depth, r0),
     r0 the optimal localization radius: r_min of make_contour(model, side,
-    "rectangle", depth, nodes_per_unit). Raises AdmissibilityError when no
-    depth of the range is admissible.
+    "rectangle", depth). Raises AdmissibilityError when no depth of the
+    range is admissible.
 
     r_min = d/2 - sqrt(d^2/4 - V0) falls as d rises and rises with V0, and
     d(h) rises up to its kink h* and is constant after it (see
@@ -534,7 +539,7 @@ def optimize_r0(model: SpectralModel, side: int, depths, nodes_per_unit: int = 2
     distance = _RectangleDistance(model, model.interval)
 
     def r_of(*hs):
-        return _rectangle_r_min(model, side, hs, nodes_per_unit, distance)
+        return _rectangle_r_min(model, side, hs, distance)
 
     kink, probes = distance.kink, ()
     if kink is not None:

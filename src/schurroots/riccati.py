@@ -386,12 +386,14 @@ def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.n
 def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     """||K'(mu)|| / smin(Z - mu)^2 = ||K'(mu)|| ||(Z - mu)^{-1}||^2 at each
     node, both from the small-matrix kernels (_kernels), without an SVD
-    for n <= 2."""
+    for n <= 2. It divides by smin twice: near a pole at very weak
+    coupling smin^2 underflows where the quotient does not."""
     bv = b(nodes)
     kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
     eye = np.eye(z.shape[0])
     shifted = z[None] - nodes[:, None, None] * eye[None]
-    return spectral_norms(kv) / smallest_singular_values(shifted) ** 2
+    smin = smallest_singular_values(shifted)
+    return spectral_norms(kv) / smin / smin
 
 
 def ysn_integral(ric: RiccatiSolution) -> float:

@@ -1,6 +1,6 @@
-"""Contour sums on analytic_rule against the configured rule.
+"""Contour sums on analytic_rule against V0's rule.
 
-The configured rule (make_contour at nodes_per_unit = 200) is the rule
+V0's rule (make_contour, 200 nodes per unit of arclength) is the rule
 every analytic contour sum used before analytic_rule sized them; here it
 is the reference, summed directly with the kernels. The nested
 reconstruction ring is checked against the fixed 256-point ring, and the
@@ -22,6 +22,7 @@ from schurroots import riccati, rootsolver, schur
 from schurroots._kernels import (cauchy_sum_many, resolvent_cauchy_sum,
                                  resolvent_sum, sandwich_sum)
 from schurroots.contour import MAX_SEGMENT_NODES, analytic_rule
+from schurroots.identities import _LENS_POINTS, _lens_points
 
 from conftest import RECT_DEPTH, wide_models
 
@@ -77,7 +78,7 @@ def _sample_points(rng, model, contour, d):
 
 def _fixed_ring(model, contour, sol, num_nodes=256):
     """reconstruct_from_contour's moments on the fixed num_nodes-point ring
-    of its default circle, each M1 value summed on the configured rule."""
+    of its default circle, each M1 value summed on V0's rule."""
     eigs = np.linalg.eigvals(sol.z_op)
     d = sr.distance_to_sigma1(model, contour)
     center = complex(np.mean(eigs))
@@ -198,7 +199,7 @@ def _reference_counts(contour, z, degree=0):
 @pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
 @pytest.mark.parametrize("side", [1, -1])
 def test_guard_refuses_points_past_the_cap(monkeypatch, friedrichs_model, kind, depth, side):
-    # points scattered around random nodes of the configured rule, about
+    # points scattered around random nodes of V0's rule, about
     # half of them too close; _contour is replaced by the counts it gets,
     # so no rule is built
     contour = sr.make_contour(friedrichs_model, side, kind, depth)
@@ -217,7 +218,7 @@ def test_guard_refuses_points_past_the_cap(monkeypatch, friedrichs_model, kind, 
                 analytic_rule(friedrichs_model, contour, z)
         else:
             assert analytic_rule(friedrichs_model, contour, z) == tuple(max(16, n) for n in ref), z
-        # an eigenvalue only raises the count, up to the configured rule's
+        # an eigenvalue only raises the count, up to V0's rule's
         assert analytic_rule(friedrichs_model, contour, singular=z) == tuple(
             min(cap, max(16, n)) for n, cap in zip(ref, configured))
     # a batch names its first offending point
@@ -240,6 +241,20 @@ def test_rule_of_the_centre_and_the_cut(friedrichs_model):
         assert analytic_rule(friedrichs_model, contour).num_nodes == 16
         assert (rule.side, rule.kind, rule.depth, rule.endpoints) == (
             contour.side, contour.kind, contour.depth, contour.endpoints)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_lens_sums_do_not_depend_on_the_v0_rule(friedrichs_model, side):
+    # sheets-crosspath's M1 at its lens points is summed on the analytic rule
+    # of the contour's path, so V0's node count does not enter it: a
+    # 200-node semicircle gives the bits of make_contour's 629-node one
+    contour = sr.make_contour(friedrichs_model, side)
+    coarse = contour_mod._contour(side, contour.kind, contour.depth,
+                                  contour.endpoints, (200,))
+    assert (contour.num_nodes, coarse.num_nodes) == (629, 200)
+    pts = _lens_points(np.random.default_rng(20260819), contour, _LENS_POINTS)
+    assert np.array_equal(schur.m1_continued_many(friedrichs_model, coarse, pts),
+                          schur.m1_continued_many(friedrichs_model, contour, pts))
 
 
 @pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])

@@ -136,11 +136,12 @@ def test_verify_passes_near_an_exceptional_point(tmp_path, capsys, delta):
     assert [r["name"] for r in rows] == IDENTITY_ROWS
 
 
-@pytest.mark.parametrize("b", [3e-3, 1e-4])
+@pytest.mark.parametrize("b", [3e-3, 1e-4, 1e-100, 1e-120, 1e-150])
 def test_verify_passes_at_weak_coupling(tmp_path, capsys, b):
-    # Im z is about -pi b^2 (2.8e-5 and 3.1e-8): the spectrum nearly touches
-    # the interval, and the graded interval quadratures still meet every
-    # tolerance
+    # Im z is about -pi b^2 (2.8e-5 and 3.1e-8, down to 3e-300): the
+    # spectrum nearly touches the interval, and the graded interval
+    # quadratures still meet every tolerance; near the pole the norm-ceiling
+    # integrand's smin(Z - mu)^2 underflows, so it divides by smin twice
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     rows = json.loads(out)["identities"]
@@ -195,23 +196,13 @@ def test_verify_report_holds_the_identity_table(tmp_path):
     rep = _readme_run(tmp_path, "verify")
     cfg = RunConfig.from_dict(README_CONFIG)
     model = build_model_from_config(cfg)
-    roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind,
-                                                         cfg.depth, cfg.nodes_per_unit),
+    roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth),
                                   tol=cfg.tol, max_iter=cfg.max_iter)
              for side in (1, -1)}
     assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
-
-
-def test_verify_passes_at_one_node_per_unit(tmp_path):
-    # V0 keeps its 200-node floor; the lens points of sheets-crosspath, which
-    # a guard of 10 node spacings of that rule refused, are summed on their
-    # own analytic rule
-    data = json.loads(json.dumps(README_CONFIG))
-    data["contour"]["nodes_per_unit"] = 1
-    rep = _readme_run(tmp_path, "verify", data)
-    assert rep["provenance"]["node_counts"] == {"1": 200, "-1": 200}
-    assert len(rep["identities"]) == 19
-    assert all(row["passed"] for row in rep["identities"]), rep["identities"]
+    # node_counts is V0's rule per side: 200 nodes per unit of the unit
+    # semicircle's arclength pi
+    assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
 
 
 def test_verify_corrupted_root_fails(tmp_path, capsys, monkeypatch):
@@ -412,7 +403,11 @@ def _with(section, values):
     ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7}), "semicircle depth"),
     ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0}), "quadrature nodes"),
     ("solve", _with("solver", {"max_iter": 2.7}), "solver.max_iter"),
-    ("solve", _with("contour", {"nodes_per_unit": 250.9}), "contour.nodes_per_unit"),
+    # V0's node density is the program's, so the key is unknown at any value
+    ("solve", _with("contour", {"nodes_per_unit": 250.9}),
+     "unknown config key contour.nodes_per_unit"),
+    ("solve", _with("contour", {"nodes_per_unit": 200}),
+     "unknown config key contour.nodes_per_unit"),
     ("verify", _with("verify", {"seed": 1.9}), "verify.seed"),
     # keys the config does not know: settings of an older schema (the
     # verify sample counts, corrupt_z, tau_real, quad_tol, coupling_scale
@@ -458,7 +453,8 @@ def _with(section, values):
      "section 'output'"),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
         "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
-        "fractional-max-iter", "fractional-nodes-per-unit", "fractional-seed",
+        "fractional-max-iter", "fractional-nodes-per-unit",
+        "nodes-per-unit-key", "fractional-seed",
         "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
         "zero-boundary-points", "negative-factor-points",
         "trial-count-above-cap", "fractional-lens-points",
@@ -948,8 +944,8 @@ def test_corrupted_density_fails_the_density_row(tmp_path, capsys, monkeypatch):
 
 @st.composite
 def small_configs(draw):
-    """Config dicts that allocate nothing large: n <= 3, at most a few
-    hundred nodes per contour segment, short t grids and iteration caps.
+    """Config dicts that allocate nothing large: n <= 3, at most about a
+    thousand nodes per contour segment, short t grids and iteration caps.
     The model may have sigma1 outside the interval or be inadmissible."""
     small = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     n = draw(st.integers(1, 3))
@@ -965,8 +961,7 @@ def small_configs(draw):
     b = [[[scale * draw(small) for _ in range(n)] for _ in range(m)]
          for _ in range(draw(st.integers(1, 3)))]
     contour = {"kind": draw(st.sampled_from(["semicircle", "rectangle"])),
-               "sides": draw(st.sampled_from([[1], [-1], [1, -1], [-1, 1]])),
-               "nodes_per_unit": draw(st.integers(1, 60))}
+               "sides": draw(st.sampled_from([[1], [-1], [1, -1], [-1, 1]]))}
     if contour["kind"] == "rectangle":
         contour["depth"] = draw(st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False))
     t_grid = sorted(set(draw(st.lists(st.floats(0.05, 1.0, allow_nan=False),
@@ -977,9 +972,9 @@ def small_configs(draw):
                        "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6]))},
             "sweep": {"t_grid": t_grid}}
     if draw(st.integers(0, 3)) == 3:
-        # one malformed value; a huge depth or count is refused before any
-        # rule is built, and solver.coupling_scale and the output section
-        # are unknown to the config
+        # one malformed value; a huge depth is refused before any rule is
+        # built, and contour.nodes_per_unit, solver.coupling_scale and the
+        # output section are unknown to the config
         section, key = draw(st.sampled_from([
             ("model", "interval"), ("model", "a1"), ("model", "b"),
             ("contour", "kind"), ("contour", "sides"), ("contour", "depth"),
@@ -998,7 +993,7 @@ DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05
 # sweep warns that it cannot pair the trajectories
 AMBIGUOUS_PAIRING = {"model": {"interval": [0.0, 1.0], "a1": [[0.5, 0.0], [0.0, 0.5]],
                                "b": [[[0.0, 0.0]]]},
-                     "contour": {"nodes_per_unit": 1}, "solver": {"max_iter": 1},
+                     "solver": {"max_iter": 1},
                      "sweep": {"t_grid": [0.5, 1.0]}}
 
 

@@ -31,7 +31,6 @@ def test_defaults_materialized():
     cfg = RunConfig.from_dict(BASE)
     assert cfg.contour_kind == "semicircle"
     assert cfg.sides == (1, -1)
-    assert cfg.nodes_per_unit == 200
     assert cfg.tol == 1e-12
     d = cfg.to_dict()
     assert d["contour"]["kind"] == "semicircle"
@@ -40,6 +39,8 @@ def test_defaults_materialized():
     # itself and the output paths are flags
     assert set(d) == {"model", "contour", "solver", "sweep", "verify"}
     assert d["solver"] == {"tol": 1e-12, "max_iter": 500}
+    # V0's node density is the program's, not a setting
+    assert set(d["contour"]) == {"kind", "sides", "depth"}
 
 
 def test_model_from_config():

@@ -101,8 +101,9 @@ def test_variation_node_doubling():
     # polynomial scalar density: the norm is smooth, doubling is idle
     model = sr.build_model((-1.0, 1.0), [[0.0]],
                            [[[0.15]], [[0.05]], [[0.02]], [[0.01]], [[0.005]]])
-    c1 = sr.make_contour(model, 1, nodes_per_unit=200)
-    c2 = sr.make_contour(model, 1, nodes_per_unit=400)
+    c1 = sr.make_contour(model, 1)
+    c2 = contour_module._contour(1, c1.kind, c1.depth, c1.endpoints,
+                                 tuple(2 * count for count in c1.counts))
     v1 = sr.variation(model, c1)
     v2 = sr.variation(model, c2)
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
@@ -153,16 +154,15 @@ def test_optimize_r0_rectangle(friedrichs_model):
     assert abs(rep.r_min - r0) < 1e-9
     # no scanned depth beats the optimum by more than the tolerance
     for depth in np.linspace(0.25, 1.15, 13):
-        c = sr.make_contour(friedrichs_model, 1, kind="rectangle", depth=depth,
-                            nodes_per_unit=150)
+        c = sr.make_contour(friedrichs_model, 1, kind="rectangle", depth=depth)
         cand = sr.admissibility(friedrichs_model, c)
         if cand.admissible:
             assert cand.r_min > r0 - 1e-5
 
 
-def _reference_r_min(model, side, depth, nodes_per_unit):
+def _reference_r_min(model, side, depth):
     """r_min of one candidate depth through a Contour, inf if inadmissible."""
-    contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
+    contour = sr.make_contour(model, side, "rectangle", depth)
     rep = sr.admissibility(model, contour)
     return rep.r_min if rep.admissible else math.inf
 
@@ -204,20 +204,19 @@ def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
     return values, 0.5 * (left + right)
 
 
-def _reference_optimize_r0(model, side, family, nodes_per_unit, kink_rule=True):
+def _reference_optimize_r0(model, side, family, kink_rule=True):
     """optimize_r0 with one make_contour plus admissibility per candidate
     depth; kink_rule=False leaves the golden-section search alone. Returns
     the scan's r_min values and (depth, r0), or the message of the
     AdmissibilityError raised."""
     def r_of(*depths):
-        return [_reference_r_min(model, side, depth, nodes_per_unit)
-                for depth in depths]
+        return [_reference_r_min(model, side, depth) for depth in depths]
 
     kink = _RectangleDistance(model, model.interval).kink if kink_rule else None
     values, depth = _reference_search(r_of, *family, kink)
     if depth is None:
         return values, "no admissible depth in the requested range"
-    contour = sr.make_contour(model, side, "rectangle", depth, nodes_per_unit)
+    contour = sr.make_contour(model, side, "rectangle", depth)
     rep = sr.admissibility(model, contour)
     if not rep.admissible:
         return values, "refined depth lost admissibility"
@@ -233,7 +232,7 @@ def test_rect_families_cover_mixed_node_counts():
     # 240-node ones and the batched scan must group its depths by count
     for family, mixed in zip(RECT_FAMILIES, (False, True, False)):
         depths = np.linspace(*family, 33)
-        counts = [_rectangle_counts(200, 2.0, h) for h in depths]
+        counts = [_rectangle_counts(2.0, h) for h in depths]
         rules = _rectangle_rules(-1.0, 1.0, depths, counts)
         assert (len(rules) > 1) == mixed
         assert sorted(row for rows, *_ in rules for row in rows) == list(range(33))
@@ -249,13 +248,12 @@ def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, fam
             for t in (0.5, 1.0):
                 # a weaker coupling is the model with b scaled by t
                 sm = model.scaled(t)
-                values, ref = _reference_optimize_r0(sm, side, family, 200)
-                _, golden = _reference_optimize_r0(sm, side, family, 200,
-                                                   kink_rule=False)
+                values, ref = _reference_optimize_r0(sm, side, family)
+                _, golden = _reference_optimize_r0(sm, side, family, kink_rule=False)
                 # every scanned depth's r_min, not only the search's outcome
-                assert _rectangle_r_min(sm, side, depths, 200, distance) == values
+                assert _rectangle_r_min(sm, side, depths, distance) == values
                 try:
-                    depth, r0 = sr.optimize_r0(sm, side, family, nodes_per_unit=200)
+                    depth, r0 = sr.optimize_r0(sm, side, family)
                 except AdmissibilityError as exc:
                     assert str(exc) == ref == golden
                     continue
@@ -287,12 +285,12 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
     distance = _RectangleDistance(model, model.interval)
     family = (0.25, 1.2)
     depths = np.linspace(*family, 33)
-    best = int(np.argmin(_rectangle_r_min(model, 1, depths, 200, distance)))
+    best = int(np.argmin(_rectangle_r_min(model, 1, depths, distance)))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
     depth, r0 = sr.optimize_r0(model, 1, family)
-    _, golden = _reference_optimize_r0(model, 1, family, 200, kink_rule=False)
+    _, golden = _reference_optimize_r0(model, 1, family, kink_rule=False)
     assert depth == golden[0] != distance.kink
-    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink, 200)
+    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink)
 
 
 def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
@@ -450,7 +448,7 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
                 except AdmissibilityError:
                     pass
                 _reference_search(
-                    lambda *depths: record(model, side, depths, 200, distance),
+                    lambda *depths: record(model, side, depths, distance),
                     *family, None)
             scanned.append((model, side, [1e-3, 0.5, 2.0, 7.3]))
     assert len(scanned) > 28 * 2 * 3 * 20
@@ -511,5 +509,7 @@ def test_node_cap_refuses_before_building(friedrichs_model):
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # no rule was built
-    with pytest.raises(ModelError, match="quadrature nodes"):
-        sr.make_contour(friedrichs_model, 1, nodes_per_unit=10 ** 6)
+    # a semicircle over (-10, 10) has arclength 10 pi, about 6283 nodes
+    long_model = sr.build_model((-10.0, 10.0), [[0.0]], [[[0.2]]])
+    with pytest.raises(ModelError, match=r"6283 quadrature nodes.*4096"):
+        sr.make_contour(long_model, 1)

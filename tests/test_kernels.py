@@ -180,13 +180,20 @@ def test_solve_other_sizes_match_lapack(n):
     assert np.allclose(knp.solve(a, np.eye(n)), np.linalg.inv(a), rtol=1e-13, atol=0)
 
 
-def test_solve_reruns_scaled_where_a_product_overflows():
-    # the determinant 1e150 is in range, but 1e200 * 1e150 overflows
-    # unscaled; the scaled system gives both components
-    a = np.array([[[1e200, 0.0], [0.0, 1e-50]]], dtype=complex)
-    b = np.array([[[1e150], [1e150]]], dtype=complex)
-    got = knp.solve(a, b)[0, :, 0]
-    assert np.allclose(got, [1e-50, 1e200], rtol=1e-15, atol=0)
+def test_solve_falls_back_to_lapack_where_cramer_fails():
+    # the determinant 1e150 is in range, but 1e200 * 1e150 overflows in
+    # Cramer's rule; with b = (1, 1e150) the entries also span more than the
+    # safe range, so dividing the matrix by its largest modulus would
+    # underflow 1e-50 to 0 and give x0 = 0. Both systems come from LAPACK,
+    # and the well-scaled system between them keeps Cramer's rule
+    a = np.array([[[1e200, 0.0], [0.0, 1e-50]], [[2.0, 1.0], [1.0, 3.0]],
+                  [[1e200, 0.0], [0.0, 1e-50]]], dtype=complex)
+    b = np.array([[[1e150], [1e150]], [[1.0], [2.0]], [[1.0], [1e150]]], dtype=complex)
+    got = knp.solve(a, b)
+    assert np.allclose(got[0, :, 0], [1e-50, 1e200], rtol=1e-15, atol=0)
+    assert np.allclose(got[2, :, 0], [1e-200, 1e200], rtol=1e-15, atol=0)
+    assert np.array_equal(got[::2], np.linalg.solve(a[::2], b[::2]))
+    assert np.array_equal(got[1], knp.solve(a[1:2], b[1:2])[0])
 
 
 @pytest.mark.parametrize("singular", [
