@@ -124,9 +124,8 @@ def cmd_solve(cfg: RunConfig) -> dict:
     start = time.perf_counter()
     model, contours, report, derived = _prologue("solve", cfg, cfg.sides)
     report["provenance"]["derived_sides"] = _derived_sides(derived)
-    sols = _solve_sides(report, contours, derived, functools.partial(
-        solve_basic, model, tol=cfg.tol, max_iter=cfg.max_iter),
-        RootSolution.conjugate)
+    sols = _solve_sides(report, contours, derived,
+                        functools.partial(solve_basic, model), RootSolution.conjugate)
     if sols is None:
         return _finish(report, start)
     first = sols[cfg.sides[0]]
@@ -145,8 +144,8 @@ def cmd_solve(cfg: RunConfig) -> dict:
 def cmd_verify(cfg: RunConfig) -> dict:
     start = time.perf_counter()
     model, contours, report, _ = _prologue("verify", cfg, (1, -1))
-    roots = _solve_sides(report, contours, {}, functools.partial(
-        solve_basic, model, tol=cfg.tol, max_iter=cfg.max_iter), None)
+    roots = _solve_sides(report, contours, {},
+                         functools.partial(solve_basic, model), None)
     if roots is None:
         return _finish(report, start)
     report["admissibility"] = {**admissibility_block(roots[1].report),
@@ -171,8 +170,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     model, contours, report, derived = _prologue("sweep", cfg, cfg.sides)
     report["provenance"]["derived_sides"] = _derived_sides(derived)
     paths = _solve_sides(report, contours, derived, functools.partial(
-        homotopy_path, model, t_grid=cfg.t_grid, tol=cfg.tol,
-        max_iter=cfg.max_iter), conjugate_path)
+        homotopy_path, model, t_grid=cfg.t_grid), conjugate_path)
     if paths is None:
         return _finish(report, start), []
     # the first side's root at the largest t, the last of the grid

@@ -7,10 +7,11 @@ default, so parse -> serialize -> parse is a fixed point on the filled
 form, and refuses any section or key that to_dict does not write.
 
 A config holds only the inputs that set the numbers: the model, the
-contour, the solver's tolerances, the sweep grid and the verify seed. The
-coupling strength is the coupling polynomial b itself (a run at coupling
-t scales b by t), and the report and CSV paths are given on the command
-line, so config_sha256 does not depend on where a report is written.
+contour, the sweep grid and the verify seed. The coupling strength is the
+coupling polynomial b itself (a run at coupling t scales b by t), and the
+report and CSV paths are given on the command line, so config_sha256 does
+not depend on where a report is written. What the program decides (the
+Picard stop test, V0's node density, a semicircle's depth) is no setting.
 """
 
 import json
@@ -87,8 +88,6 @@ class RunConfig:
     contour_kind: str = "semicircle"
     sides: tuple = (1, -1)
     depth: float | None = None
-    tol: float = 1e-12
-    max_iter: int = 500
     t_grid: tuple = ()
     seed: int = 0
 
@@ -138,23 +137,16 @@ class RunConfig:
         if not sides or 0 in sides or len(set(sides)) != len(sides):
             raise ConfigError(f"sides must be a nonempty subset of [1, -1], got {sides}")
         depth = contour.get("depth")
-        depth = None if depth is None else _real(depth, "contour.depth")
-        if kind == "rectangle" and depth is None:
-            raise ConfigError("rectangle contour requires a depth")
-        if kind == "rectangle" and depth <= 0.0:
-            raise ConfigError(f"contour.depth must be positive, got {depth}")
-        rho = 0.5 * (interval[1] - interval[0])
-        if (kind == "semicircle" and depth is not None
-                and abs(depth - rho) > 1e-12 * (1.0 + abs(rho))):
-            raise ConfigError(
-                f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
-            )
-
-        solver = data.get("solver", {})
-        tol = _real(solver.get("tol", 1e-12), "solver.tol")
-        max_iter = _integer(solver.get("max_iter", 500), "solver.max_iter", 1)
-        if tol <= 0:
-            raise ConfigError("tol must be positive")
+        if kind == "semicircle":
+            if depth is not None:
+                raise ConfigError("a semicircle takes no contour.depth: its "
+                                  "depth is half the interval length")
+        else:
+            if depth is None:
+                raise ConfigError("a rectangle contour requires contour.depth")
+            depth = _real(depth, "contour.depth")
+            if depth <= 0.0:
+                raise ConfigError(f"contour.depth must be positive, got {depth}")
 
         sweep = data.get("sweep", {})
         t_grid = tuple(_real(t, "sweep.t_grid") for t in sweep.get("t_grid", []))
@@ -171,8 +163,6 @@ class RunConfig:
             contour_kind=kind,
             sides=sides,
             depth=depth,
-            tol=tol,
-            max_iter=max_iter,
             t_grid=t_grid,
             seed=seed,
         )
@@ -189,7 +179,6 @@ class RunConfig:
                 "sides": list(self.sides),
                 "depth": self.depth,
             },
-            "solver": {"tol": self.tol, "max_iter": self.max_iter},
             "sweep": {"t_grid": list(self.t_grid)},
             "verify": {"seed": self.seed},
         }

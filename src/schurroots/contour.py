@@ -67,19 +67,21 @@ class Contour:
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def contains_in_lens(self, zs) -> np.ndarray:
+    def contains_in_lens(self, zs, closed: bool = False) -> np.ndarray:
         """Whether each point of the array zs lies strictly between the
-        interval and the contour, as a bool array of zs's shape."""
+        interval and the contour (closed: or on either of them), as a bool
+        array of zs's shape."""
         a, b = self.endpoints
         zs = np.asarray(zs, dtype=np.complex128)
         x, y = zs.real, zs.imag
+        below = np.less_equal if closed else np.less
         if self.kind == "semicircle":
-            inside = np.abs(zs - 0.5 * (a + b)) < self.depth
+            inside = below(np.abs(zs - 0.5 * (a + b)), self.depth)
         elif self.kind == "rectangle":
-            inside = (a < x) & (x < b) & (self.side * y < self.depth)
+            inside = below(a, x) & below(x, b) & below(self.side * y, self.depth)
         else:
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        return inside & (self.side * y > 0)
+        return inside & below(0.0, self.side * y)
 
     def mirror(self) -> "Contour":
         """The reflected contour for the opposite side: nodes and weights
@@ -180,7 +182,9 @@ def _contour(side, kind, depth, endpoints, counts) -> Contour:
 
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
                  depth=None) -> Contour:
-    """Build the side-l contour with Gauss-Legendre quadrature.
+    """Build the side-l contour with Gauss-Legendre quadrature: a
+    semicircle takes no depth (it is half the interval length), a
+    rectangle a positive one; any other depth raises ValueError.
 
     Per segment the node count is _node_count of its arclength; a segment
     that would need more than MAX_SEGMENT_NODES raises ModelError.
@@ -195,11 +199,10 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
     length = b - a
 
     if kind == "semicircle":
+        if depth is not None:
+            raise ValueError("a semicircle takes no depth: it is half the "
+                             "interval length")
         rho = 0.5 * length
-        if depth is not None and abs(depth - rho) > 1e-12 * (1.0 + rho):
-            raise ValueError(
-                f"semicircle depth is fixed at half the interval length ({rho}), got {depth}"
-            )
         counts = (_node_count(math.pi * rho),)
         depth_val = rho
     elif kind == "rectangle":

@@ -89,6 +89,10 @@ _CONFLUENT = 1e-6
 # the spectrum must keep from the interval.
 _QUAD_RTOL = 1e-11
 
+# An eigenvalue over the interval with |Im| * _FLOAT_MAX < 1 has no finite
+# 1/Im: compute_Y's resolvent would overflow at the nodes graded toward it.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 def _confluent(xs: np.ndarray, ys: np.ndarray) -> bool:
     """Whether some pair of xs and ys is (near-)confluent."""
@@ -129,11 +133,11 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
     is (near-)confluent; then it is an adaptive quadrature (gram_route
     "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
     adaptive quadrature, started graded toward spec Z, so root-equation
-    compares it with the closed-form root. A real eigenvalue of Z inside
-    the interval is a pole on the integration path and raises
-    NumericsError; an eigenvalue off it, however close, is a pole the
-    graded start takes in. The zero-coupling model short-circuits to exact
-    zeros.
+    compares it with the closed-form root. An eigenvalue of Z over the
+    interval whose imaginary part has no finite reciprocal, a real one
+    included, is a pole on the integration path and raises NumericsError;
+    any other is a pole the graded start takes in. The zero-coupling model
+    short-circuits to exact zeros.
     """
     sm, z = sol.model, sol.z_op
     if sm.b.is_zero:
@@ -143,10 +147,11 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
     interval = sm.interval
     a, b = interval
     eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
-    on_path = eigs[(eigs.imag == 0.0) & (a <= eigs.real) & (eigs.real <= b)]
+    on_path = eigs[(np.abs(eigs.imag) * _FLOAT_MAX < 1.0)
+                   & (a <= eigs.real) & (eigs.real <= b)]
     if on_path.size:
         raise NumericsError(
-            f"eigenvalue {float(on_path[0].real)!r} of Z lies on the interval "
+            f"eigenvalue {complex(on_path[0])!r} of Z lies on the interval "
             f"[{a!r}, {b!r}]: a pole on the integration path")
 
     if basis is not None and not _confluent(eigs, np.conj(eigs)):

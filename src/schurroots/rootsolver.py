@@ -9,12 +9,14 @@ t, starting each t from the extrapolation in s = t^2 of the roots already
 solved, as long as that start lies inside the r_max ball.
 
 K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
-primary matrix functions sum_s C_s g_s(Z), with g_s the side-l moments of
-schur._cut_moments. The Picard map evaluates that sum in closed form
-(_PicardMap); by Cauchy's theorem it is the contour integral without its
-quadrature error. The contour sum (transformator), on the contour's
-analytic_rule, stays as the fallback of that map and as the independent
-path verify checks the root against.
+primary matrix functions sum_s C_s g_s(Z), with g_s the moments of
+schur._cut_moments: the side-l ones at an eigenvalue in the lens, on the
+open interval or across it, the physical ones off the closed lens. The
+Picard map evaluates that sum in closed form (_PicardMap); by Cauchy's
+theorem it is the contour integral without its quadrature error. The
+contour sum (transformator), on the contour's analytic_rule, stays as the
+fallback of that map where the eigenbasis is ill-conditioned, and as the
+independent path verify checks the root against.
 
 For a real model the roots of the two sides are complex conjugates, so
 the opposite side's root, classification and homotopy path are one side's
@@ -38,6 +40,11 @@ from .model import SpectralModel
 from .schur import _cut_moments, m1_physical
 
 _SPEC_GUARD = 1e-6
+
+# Stop tolerance of the Picard iteration, relative to max(1, ||X||), and its
+# iteration bound: a run that has not met _TOL after _MAX_ITER steps raises.
+_TOL = 1e-12
+_MAX_ITER = 500
 
 # Largest condition number of the eigenvector matrix V of Z for which the
 # Picard map, and every closed form downstream of a root, is evaluated in
@@ -223,18 +230,20 @@ class _PicardMap:
 
     n = 1 evaluates the scalar moments at the one entry of Z. For n >= 2
     the moments are taken in the eigenbasis Z = V D V^{-1}, as
-    (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. The closed form
-    is the contour integral only where the side-l moments are (see
-    schur._cut_moments), so a step falls back to the contour sum
-    (transformator of the t-scaled model, self.model, over the side's own
-    contour) when an eigenvalue of Z lies elsewhere (outside the lens on
-    side l, or on the real axis off the interval) or when cond(V) >
-    _COND_LIMIT, a test that _cond_within certifies from V^H V without the
-    SVD of np.linalg.cond on well-conditioned bases, with the same answer.
-    fallbacks counts those steps. The closed form has no quadrature nodes
-    to avoid; the fallback's contour sum refuses a spectrum within
-    _SPEC_GUARD of the nodes of the rule it uses. spectrum holds the
-    (eigenvalues, eigenvectors or None for n = 1) of the last Z mapped.
+    (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. At each
+    eigenvalue g_s is a moment that equals the contour integral there (see
+    schur._cut_moments): the side-l one where _covered, else the physical
+    one, the interval integral, off the closed lens. A step falls back to
+    the contour sum (transformator of the t-scaled model, self.model,
+    over the side's own contour) only when cond(V) > _COND_LIMIT, a test
+    that _cond_within certifies from V^H V without the SVD of
+    np.linalg.cond on well-conditioned bases, with the same answer, or
+    when an eigenvalue lies on the contour or at an endpoint, where no
+    moment is the integral. fallbacks counts those steps. The closed form
+    has no quadrature nodes to avoid; the fallback's contour sum refuses a
+    spectrum within _SPEC_GUARD of the nodes of the rule it uses. spectrum
+    holds the (eigenvalues, eigenvectors or None for n = 1) of the last Z
+    mapped.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
@@ -243,14 +252,31 @@ class _PicardMap:
         self.coeffs = model.kprime.coefficients * (t * t)
         self.fallbacks = 0
 
-    def _covered(self, eigs: np.ndarray) -> bool:
-        # where the side-l moments equal the contour integral
+    def _covered(self, eigs: np.ndarray) -> np.ndarray:
+        # per eigenvalue, whether the side-l moments equal the contour
+        # integral there: the half-plane of sign -l, the open interval and
+        # the lens
         contour = self.contour
         a, b = contour.endpoints
         x, y = eigs.real, eigs.imag
-        return bool(np.all((contour.side * y < 0.0)
-                           | ((y == 0.0) & (a < x) & (x < b))
-                           | contour.contains_in_lens(eigs)))
+        return ((contour.side * y < 0.0)
+                | ((y == 0.0) & (a < x) & (x < b))
+                | contour.contains_in_lens(eigs))
+
+    def _moments(self, eigs: np.ndarray) -> np.ndarray | None:
+        """g_s at each eigenvalue -> (P, degree + 1); None when one lies on
+        the contour or at an endpoint."""
+        a, b = self.contour.endpoints
+        degree, side = self.coeffs.shape[0] - 1, self.contour.side
+        covered = self._covered(eigs)
+        if covered.all():
+            return _cut_moments(a, b, eigs, degree, side)
+        if self.contour.contains_in_lens(eigs[~covered], closed=True).any():
+            return None
+        moments = np.empty((eigs.size, degree + 1), dtype=np.complex128)
+        moments[covered] = _cut_moments(a, b, eigs[covered], degree, side)
+        moments[~covered] = _cut_moments(a, b, eigs[~covered], degree)
+        return moments
 
     def __call__(self, zmat: np.ndarray) -> np.ndarray:
         if zmat.shape[0] == 1:
@@ -258,10 +284,8 @@ class _PicardMap:
         else:
             eigs, vecs = np.linalg.eig(zmat)
         self.spectrum = eigs, vecs
-        if self._covered(eigs):
-            a, b = self.contour.endpoints
-            moments = _cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
-                                   self.contour.side)
+        moments = self._moments(eigs)
+        if moments is not None:
             if vecs is None:
                 return np.einsum("s,sij->ij", moments[0], self.coeffs)
             if _cond_within(vecs, _COND_LIMIT):
@@ -285,17 +309,18 @@ def _norm_bounds(mat: np.ndarray) -> tuple:
 
 
 def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
-            t: float, tol: float, max_iter: int, x0: np.ndarray) -> RootSolution:
+            t: float, x0: np.ndarray) -> RootSolution:
     """Picard iteration from x0; rep is the admissible report of contour at
     coupling t and supplies the r_min / r_max containment checks.
 
     The escape test ||X|| > r_max and the stop test ||X_{k+1} - X_k|| <=
-    tol * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
+    _TOL * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
     the spectral norm (_kernels.spectral_norms) is taken only where the
     bounds leave a test open, and once at the end for the reported step
-    and ||X||. A NaN norm counts as an escape. The root carries the t-scaled
-    model, the contour, rep and, as its eigensystem, the decomposition the
-    residual check takes of Z = A1 + X.
+    and ||X||. A NaN norm counts as an escape, and no stop within _MAX_ITER
+    steps raises NumericsError. The root carries the t-scaled model, the
+    contour, rep and, as its eigensystem, the decomposition the residual
+    check takes of Z = A1 + X.
     """
     step_map = _PicardMap(model, contour, t)
     a1 = model.a1.astype(np.complex128)
@@ -303,7 +328,7 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
 
     x = np.asarray(x0, dtype=np.complex128).copy()
     diff = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         xn = step_map(a1 + x)
         diff = xn - x
         x = xn
@@ -316,21 +341,21 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
                     f"iterate escaped the r_max ball ({x_hi:.6g} > {rep.r_max:.6g})"
                 )
         step_lo, step_hi = _norm_bounds(diff)
-        if not (step_hi <= tol * max(1.0, x_lo) or step_lo > tol * max(1.0, x_hi)):
+        if not (step_hi <= _TOL * max(1.0, x_lo) or step_lo > _TOL * max(1.0, x_hi)):
             x_lo = x_hi = float(spectral_norms(x))
             step_lo = step_hi = float(spectral_norms(diff))
-        if step_hi <= tol * max(1.0, x_lo):
+        if step_hi <= _TOL * max(1.0, x_lo):
             break
     else:
         step = np.inf if diff is None else float(spectral_norms(diff))
-        raise NumericsError(f"no convergence in {max_iter} iterations (step {step:.3e})")
+        raise NumericsError(f"no convergence in {_MAX_ITER} iterations (step {step:.3e})")
     step = float(spectral_norms(diff))
     norm_x = float(spectral_norms(x))
 
     # residual confirmation at the converged point, through the same map
     z_op = a1 + x
     residual = float(spectral_norms(x - step_map(z_op)))
-    if residual > max(2.0 * tol, 1e-13) * max(1.0, norm_x):
+    if residual > max(2.0 * _TOL, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
     if norm_x > rep.r_min + 1e-9:
         raise NumericsError(
@@ -347,8 +372,7 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     return sol
 
 
-def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
-                tol: float = 1e-12, max_iter: int = 500) -> RootSolution:
+def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0) -> RootSolution:
     """Solve X = t^2 W1(A1 + X, Gamma) by Picard iteration from X = 0.
 
     Each step evaluates W1 in closed form as sum_s C_s g_s(Z) (see
@@ -356,15 +380,16 @@ def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0,
     that form does not apply; RootSolution.contour_fallbacks counts those
     steps. Evaluates admissibility(model, contour, t) once: an
     inadmissible contour raises AdmissibilityError carrying that report,
-    and otherwise the root carries it. Convergence is geometric; the
-    result is confirmed by a residual evaluation of the same map and the
+    and otherwise the root carries it. Convergence is geometric, to the
+    program's _TOL within _MAX_ITER steps (_picard); the result is
+    confirmed by a residual evaluation of the same map and the
     containment ||X|| <= r_min.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"coupling scale t={t} outside [0, 1]")
     report = ensure_admissible(admissibility(model, contour, t))
     x0 = np.zeros((model.n, model.n), dtype=np.complex128)
-    return _picard(model, contour, report, float(t), tol, max_iter, x0)
+    return _picard(model, contour, report, float(t), x0)
 
 
 def _real_band(model: SpectralModel) -> float:
@@ -463,8 +488,7 @@ def _inside(mat: np.ndarray, radius: float) -> bool:
     return bool(spectral_norms(mat) < radius)
 
 
-def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
-                  tol: float = 1e-12, max_iter: int = 500) -> list:
+def homotopy_path(model: SpectralModel, contour: Contour, t_grid) -> list:
     """Track the root along the coupling homotopy t in t_grid.
 
     The root X is a smooth function of s = t^2 with X = 0 at s = 0. Each
@@ -472,7 +496,9 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
     last _START_POINTS known points (s, X), X(0) = 0 and the roots solved
     so far (_extrapolate); with one root solved this is that root scaled
     by (t / t_prev)^2. A start outside the r_max ball at t, on which the
-    map contracts, is replaced by the previous X so scaled. Returned entries
+    map contracts, is replaced by the previous X so scaled. Each solve is
+    the Picard iteration of solve_basic, to the same _TOL within
+    _MAX_ITER steps. Returned entries
     are (t, RootSolution, SpectrumClassification) with classification
     entries in trajectory order: entry i at each t continues entry i at
     the previous t (matched by global nearest-neighbor assignment, no
@@ -508,7 +534,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid,
         x0 = _extrapolate(known[-_START_POINTS:], t * t)
         if not _inside(x0, rep.r_max):
             x0 = x_prev * (t / t_prev) ** 2 if t_prev else x_prev
-        sol = _picard(model, contour, rep, t, tol, max_iter, x0)
+        sol = _picard(model, contour, rep, t, x0)
         x_prev = sol.x
         if t * t > known[-1][0]:
             known.append((t * t, sol.x))

@@ -136,17 +136,33 @@ def test_verify_passes_near_an_exceptional_point(tmp_path, capsys, delta):
     assert [r["name"] for r in rows] == IDENTITY_ROWS
 
 
-@pytest.mark.parametrize("b", [3e-3, 1e-4, 1e-100, 1e-120, 1e-150])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [3e-3, 1e-4, 1e-100, 1e-120, 1e-150, 5e-155])
 def test_verify_passes_at_weak_coupling(tmp_path, capsys, b):
-    # Im z is about -pi b^2 (2.8e-5 and 3.1e-8, down to 3e-300): the
-    # spectrum nearly touches the interval, and the graded interval
-    # quadratures still meet every tolerance; near the pole the norm-ceiling
-    # integrand's smin(Z - mu)^2 underflows, so it divides by smin twice
+    # Im z is about -pi b^2 (2.8e-5 and 3.1e-8, down to 7.9e-309, which is
+    # subnormal but has a finite reciprocal): the spectrum nearly touches
+    # the interval, and the graded interval quadratures still meet every
+    # tolerance; near the pole the norm-ceiling integrand's smin(Z - mu)^2
+    # underflows, so it divides by smin twice
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     rows = json.loads(out)["identities"]
     assert code == 0, [r for r in rows if not r["passed"]]
     assert [r["name"] for r in rows] == IDENTITY_ROWS
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [1e-155, 1e-160])
+def test_verify_refuses_a_pole_on_the_path(tmp_path, capsys, b):
+    # Im z = -pi b^2 (3.1e-310, 3.1e-320) has no finite reciprocal, so the
+    # resolvent would overflow at the graded nodes: compute_Y refuses the
+    # eigenvalue as a pole on the interval, naming it, with no warning
+    data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[b]]]}}
+    code = main(["verify", "--config", write_cfg(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(r"numerical failure: eigenvalue -\S+j of Z lies on the interval "
+                        r"\[-1\.0, 1\.0\]: a pole on the integration path\n", err), err
 
 
 @pytest.mark.parametrize("eigs", [(-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)])
@@ -196,8 +212,7 @@ def test_verify_report_holds_the_identity_table(tmp_path):
     rep = _readme_run(tmp_path, "verify")
     cfg = RunConfig.from_dict(README_CONFIG)
     model = build_model_from_config(cfg)
-    roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth),
-                                  tol=cfg.tol, max_iter=cfg.max_iter)
+    roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth))
              for side in (1, -1)}
     assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
     # node_counts is V0's rule per side: 200 nodes per unit of the unit
@@ -400,9 +415,14 @@ def _with(section, values):
     ("solve", _with("contour", {"sides": "ab"}), "contour.sides"),
     ("sweep", _with("sweep", {"t_grid": [1.0, 0.5]}), "sweep.t_grid"),
     ("sweep", _with("sweep", {"t_grid": [0.5, 1.5]}), "sweep.t_grid"),
-    ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7}), "semicircle depth"),
+    # a semicircle's depth is half the interval length: it takes none,
+    # not even that one
+    ("solve", _with("contour", {"kind": "semicircle", "depth": 0.7}), "contour.depth"),
+    ("solve", _with("contour", {"kind": "semicircle", "depth": 1.0}), "contour.depth"),
     ("solve", _with("contour", {"kind": "rectangle", "depth": 100.0}), "quadrature nodes"),
-    ("solve", _with("solver", {"max_iter": 2.7}), "solver.max_iter"),
+    # the Picard tolerance and iteration bound are the program's: the
+    # solver section is unknown, whatever it holds
+    ("solve", _with("solver", {"max_iter": 2.7}), "section 'solver'"),
     # V0's node density is the program's, so the key is unknown at any value
     ("solve", _with("contour", {"nodes_per_unit": 250.9}),
      "unknown config key contour.nodes_per_unit"),
@@ -410,8 +430,8 @@ def _with(section, values):
      "unknown config key contour.nodes_per_unit"),
     ("verify", _with("verify", {"seed": 1.9}), "verify.seed"),
     # keys the config does not know: settings of an older schema (the
-    # verify sample counts, corrupt_z, tau_real, quad_tol, coupling_scale
-    # and the output paths), a misspelling and a stray section
+    # verify sample counts, corrupt_z, the solver section and the output
+    # paths), a misspelling and a stray section
     ("verify", _with("verify", {"riccati_samples": 0}), "verify.riccati_samples"),
     ("verify", _with("verify", {"lens_points": 0}), "verify.lens_points"),
     ("verify", _with("verify", {"trial_count": 0}), "verify.trial_count"),
@@ -423,12 +443,12 @@ def _with(section, values):
     ("verify", _with("verify", {"corrupt_z": float("nan")}), "verify.corrupt_z"),
     ("verify", _with("verify", {"corrupt_z": float("inf")}), "verify.corrupt_z"),
     ("verify", _with("verify", {"corrupt_z": "0.1"}), "verify.corrupt_z"),
-    ("solve", _with("solver", {"tau_real": float("nan")}), "solver.tau_real"),
-    ("solve", _with("solver", {"tau_real": -1e-3}), "solver.tau_real"),
-    ("solve", _with("solver", {"quad_tol": 1e-6}), "solver.quad_tol"),
-    ("solve", _with("solver", {"coupling_scale": 0.6}), "solver.coupling_scale"),
-    ("verify", _with("solver", {"coupling_scale": 1.0}), "solver.coupling_scale"),
-    ("solve", _with("solver", {"tolerance": 1e-9}), "solver.tolerance"),
+    ("solve", _with("solver", {"tau_real": float("nan")}), "section 'solver'"),
+    ("solve", _with("solver", {"tau_real": -1e-3}), "section 'solver'"),
+    ("solve", _with("solver", {"quad_tol": 1e-6}), "section 'solver'"),
+    ("solve", _with("solver", {"coupling_scale": 0.6}), "section 'solver'"),
+    ("verify", _with("solver", {"coupling_scale": 1.0}), "section 'solver'"),
+    ("solve", _with("solver", {"tolerance": 1e-9}), "section 'solver'"),
     ("solve", {**BASE, "solvers": {"tol": 1e-9}}, "section 'solvers'"),
     ("sweep", {**BASE, "contour": {"sides": [1, 1]},
                "sweep": {"t_grid": [0.5, 1.0]}}, "sides"),
@@ -440,7 +460,7 @@ def _with(section, values):
     # a JSON integer too large for a float, in every scalar and a matrix
     ("solve", {"model": {**BASE["model"], "interval": [-1, 10 ** 400]}}, "model.interval"),
     ("solve", _with("contour", {"kind": "rectangle", "depth": 10 ** 400}), "contour.depth"),
-    ("solve", _with("solver", {"tol": 10 ** 400}), "solver.tol"),
+    ("solve", _with("solver", {"tol": 10 ** 400}), "section 'solver'"),
     ("sweep", _with("sweep", {"t_grid": [0.5, 10 ** 400]}), "sweep.t_grid"),
     ("solve", {"model": {**BASE["model"], "a1": [[10 ** 400]]}}, "model.a1"),
     # an output section, valid or not: the paths are flags only
@@ -452,7 +472,8 @@ def _with(section, values):
     ("sweep", {**_with("output", {"csv": 5}), "sweep": {"t_grid": [0.5, 1.0]}},
      "section 'output'"),
 ], ids=["negative-seed", "sides-not-ints", "decreasing-t-grid",
-        "t-grid-above-1", "semicircle-depth", "rectangle-node-cap",
+        "t-grid-above-1", "semicircle-depth", "semicircle-half-length-depth",
+        "rectangle-node-cap",
         "fractional-max-iter", "fractional-nodes-per-unit",
         "nodes-per-unit-key", "fractional-seed",
         "zero-riccati-samples", "zero-lens-points", "zero-trial-count",
@@ -945,7 +966,7 @@ def test_corrupted_density_fails_the_density_row(tmp_path, capsys, monkeypatch):
 @st.composite
 def small_configs(draw):
     """Config dicts that allocate nothing large: n <= 3, at most about a
-    thousand nodes per contour segment, short t grids and iteration caps.
+    thousand nodes per contour segment and short t grids.
     The model may have sigma1 outside the interval or be inadmissible."""
     small = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     n = draw(st.integers(1, 3))
@@ -968,13 +989,11 @@ def small_configs(draw):
                                       min_size=1, max_size=3))))
     data = {"model": {"interval": [lo, lo + width], "a1": a1, "b": b},
             "contour": contour,
-            "solver": {"max_iter": draw(st.integers(1, 60)),
-                       "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6]))},
             "sweep": {"t_grid": t_grid}}
     if draw(st.integers(0, 3)) == 3:
         # one malformed value; a huge depth is refused before any rule is
-        # built, and contour.nodes_per_unit, solver.coupling_scale and the
-        # output section are unknown to the config
+        # built, and contour.nodes_per_unit and the solver and output
+        # sections are unknown to the config
         section, key = draw(st.sampled_from([
             ("model", "interval"), ("model", "a1"), ("model", "b"),
             ("contour", "kind"), ("contour", "sides"), ("contour", "depth"),
@@ -993,7 +1012,6 @@ DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05
 # sweep warns that it cannot pair the trajectories
 AMBIGUOUS_PAIRING = {"model": {"interval": [0.0, 1.0], "a1": [[0.5, 0.0], [0.0, 0.5]],
                                "b": [[[0.0, 0.0]]]},
-                     "solver": {"max_iter": 1},
                      "sweep": {"t_grid": [0.5, 1.0]}}
 
 
@@ -1061,6 +1079,20 @@ def test_sweep_warns_of_an_ambiguous_pairing_and_exits_0(tmp_path):
         assert main(argv) == 0
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_no_convergence_exits_3(monkeypatch, command):
+    # a Picard iteration that does not meet its tolerance within the
+    # program's iteration bound is a numerical failure, not a traceback
+    import schurroots.rootsolver as rootsolver_mod
+
+    monkeypatch.setattr(rootsolver_mod, "_MAX_ITER", 1)
+    code, err, report = _main_on(command, {**BASE, "sweep": {"t_grid": [0.5, 1.0]}})
+    assert code == 3
+    assert "numerical failure: no convergence in 1 iterations" in err
+    assert "Traceback" not in err
+    assert report is None
+
+
 def test_verify_of_an_inadmissible_contour_writes_its_report():
     # the Friedrichs model is inadmissible on the depth-0.5 rectangle
     data = {**BASE, "contour": {"kind": "rectangle", "depth": 0.5}}
@@ -1086,15 +1118,18 @@ def test_verify_passes_at_zero_coupling(tmp_path, capsys, data):
 
 
 def test_verify_passes_on_a_non_feshbach_model(tmp_path, capsys):
-    # sigma1 = {1.5} lies outside the interval: every Picard step, the
-    # residual check included, takes the contour-sum fallback, and the Gram
-    # matrix is a quadrature; the only verify run of both fallbacks
+    # sigma1 = {1.5} lies outside the interval and off the lens: every
+    # Picard step, the residual check included, takes the closed form with
+    # the physical moment there, so root-contour compares it with the
+    # contour sum; the root is exactly real and the Gram matrix is a
+    # quadrature
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[1.5]], "b": [[[0.1]]]}}
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     assert code == 0
     report = json.loads(out)
     assert report["feshbach"] is False
-    assert [b["contour_fallbacks"] for b in report["solutions"].values()] == [4, 4]
+    assert [b["contour_fallbacks"] for b in report["solutions"].values()] == [0, 0]
+    assert [b["z"][0][0][1] for b in report["solutions"].values()] == [0.0, 0.0]
     assert [b["gram_route"] for b in report["riccati"].values()] == ["quadrature"] * 2
     assert len(report["identities"]) == 19
     assert all(row["passed"] for row in report["identities"]), report["identities"]

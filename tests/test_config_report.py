@@ -31,15 +31,16 @@ def test_defaults_materialized():
     cfg = RunConfig.from_dict(BASE)
     assert cfg.contour_kind == "semicircle"
     assert cfg.sides == (1, -1)
-    assert cfg.tol == 1e-12
+    assert cfg.depth is None
     d = cfg.to_dict()
     assert d["contour"]["kind"] == "semicircle"
     assert d["verify"]["seed"] == 0
     # only the inputs that set the numbers: the coupling strength is b
-    # itself and the output paths are flags
-    assert set(d) == {"model", "contour", "solver", "sweep", "verify"}
-    assert d["solver"] == {"tol": 1e-12, "max_iter": 500}
-    # V0's node density is the program's, not a setting
+    # itself, the output paths are flags and the Picard tolerance and
+    # iteration bound are the program's
+    assert set(d) == {"model", "contour", "sweep", "verify"}
+    # V0's node density is the program's, not a setting; a semicircle's
+    # depth is None, half the interval length
     assert set(d["contour"]) == {"kind", "sides", "depth"}
 
 

@@ -135,9 +135,12 @@ def test_inadmissible_report():
 
 
 def test_semicircle_depth_fixed(friedrichs_model):
-    with pytest.raises(ValueError):
-        sr.make_contour(friedrichs_model, 1, depth=0.3)
-    c = sr.make_contour(friedrichs_model, 1, depth=1.0)
+    # a semicircle takes no depth, not even half the interval length,
+    # which is the depth it gets
+    for depth in (0.3, 1.0):
+        with pytest.raises(ValueError, match="semicircle takes no depth"):
+            sr.make_contour(friedrichs_model, 1, depth=depth)
+    c = sr.make_contour(friedrichs_model, 1)
     assert c.depth == 1.0
 
 

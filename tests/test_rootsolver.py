@@ -223,9 +223,17 @@ def _scaled_start_path(model, contour, grid):
     for t in grid:
         rep = sr.admissibility_at(base.variation, base.distance, t)
         x0 = x * (t / t_prev) ** 2 if t_prev else x
-        roots.append(rootsolver._picard(model, contour, rep, t, 1e-12, 500, x0))
+        roots.append(rootsolver._picard(model, contour, rep, t, x0))
         x, t_prev = roots[-1].x, t
     return roots
+
+
+def _tight_solve(model, contour, t=1.0):
+    """solve_basic with the Picard stop tolerance 1e-15 in place of the
+    program's 1e-12."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootsolver, "_TOL", 1e-15)
+        return sr.solve_basic(model, contour, t)
 
 
 def _assert_within_banach_bound(model, sol):
@@ -234,7 +242,7 @@ def _assert_within_banach_bound(model, sol):
     # final step of sol.x, up to the rounding of that solve
     rep = sol.report
     q = rep.r_min / (rep.distance - rep.r_min)
-    ref = sr.solve_basic(model, sol.contour, sol.coupling_scale, tol=1e-15)
+    ref = _tight_solve(model, sol.contour, sol.coupling_scale)
     bound = q / (1.0 - q) * sol.final_step_norm + 1e-15 * np.linalg.norm(ref.x, 2)
     assert np.linalg.norm(sol.x - ref.x, 2) <= bound
 
@@ -302,8 +310,8 @@ def test_homotopy_starts_inside_the_r_max_ball(monkeypatch, model_zoo,
             next(t for t in grid if t * t == s)))
         path = sr.homotopy_path(model, contour, grid)
         if start == "inside":
-            refs = [rootsolver._picard(model, contour, sol.report, t, 1e-12, 500,
-                                       fake_start(t)) for t, sol, _ in path]
+            refs = [rootsolver._picard(model, contour, sol.report, t, fake_start(t))
+                    for t, sol, _ in path]
         else:
             refs = _scaled_start_path(model, contour, grid)
         for (_, sol, _), ref in zip(path, refs):
@@ -468,8 +476,7 @@ def test_closed_form_root_is_contour_free(friedrichs_model, zoo_solutions):
             friedrichs_model, side, "rectangle", 0.9))
         assert np.array_equal(semi.x, rect.x)
         assert abs(semi.z_op[0, 0] - (-1j * side * Y_ORACLE)) <= 1e-13
-        tight = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, side),
-                               tol=1e-15)
+        tight = _tight_solve(friedrichs_model, sr.make_contour(friedrichs_model, side))
         assert abs(tight.z_op[0, 0] - (-1j * side * Y_ORACLE)) <= 1e-15
     for model, contours, sols in zoo_solutions[:6]:
         rect = sr.make_contour(model, 1, "rectangle", 0.5)
@@ -496,29 +503,51 @@ def _outside_model():
     return sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
 
 
-@pytest.mark.parametrize("case", ["near-defective", "outside-lens", "real-off-interval",
-                                  "one-of-two-outside-lens"])
+@pytest.mark.parametrize("case", ["near-defective", "at-endpoint"])
 def test_map_falls_back_to_the_contour_sum(model_zoo, case):
-    # where the closed form does not apply, the map is the contour sum
+    # where the closed form does not apply, the map is the contour sum: an
+    # ill-conditioned eigenbasis, or an eigenvalue at an endpoint, where
+    # neither moment is the contour integral
     if case == "near-defective":
         # an eigenvector matrix with cond(V) ~ 1e9
         model = next(m for m in model_zoo if m.n == 2)
         lam = 0.1 + 0.05j
         z = np.array([[lam, 1.0], [0.0, lam + 1e-9]])
-    elif case == "one-of-two-outside-lens":
-        # a well-conditioned Z whose first eigenvalue the moments cover (the
-        # other half-plane) and whose second lies beyond the semicircle
+    else:
+        model = _outside_model()
+        z = np.array([[1.0 + 0j]])
+    contour = sr.make_contour(model, 1)
+    step_map = _PicardMap(model, contour, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = step_map(z)
+    assert step_map.fallbacks == 1
+    assert np.array_equal(got, _contour_sum(model, contour, z))
+
+
+@pytest.mark.parametrize("case", ["outside-lens", "real-off-interval",
+                                  "one-of-two-outside-lens"])
+def test_map_takes_the_physical_moments_off_the_lens(model_zoo, case):
+    # off the closed lens the contour integral is the interval integral, so
+    # the map takes the physical moments there (the side-l moments would
+    # jump by 2 pi i) and the side-l moments at the eigenvalues they cover
+    if case == "one-of-two-outside-lens":
+        # a well-conditioned Z whose first eigenvalue the side-l moments
+        # cover (the other half-plane) and whose second lies beyond the
+        # semicircle
         model = next(m for m in model_zoo if m.n == 2)
         z = np.diag([0.1 - 0.05j, 1.5 + 1e-3j])
     else:
-        # the side-l moments would jump by 2 pi i on these points
         model = _outside_model()
         z = np.array([[1.5 + 1e-3j if case == "outside-lens" else 1.5 + 0j]])
     contour = sr.make_contour(model, 1)
     step_map = _PicardMap(model, contour, 1.0)
     got = step_map(z)
-    assert step_map.fallbacks == 1
-    assert np.array_equal(got, _contour_sum(model, contour, z))
+    assert step_map.fallbacks == 0
+    ref = _contour_sum(model, contour, z)
+    assert np.linalg.norm(got - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+    if case == "real-off-interval":
+        assert got.imag[0, 0] == 0.0
 
 
 def test_fallback_steps_are_counted(monkeypatch, model_zoo):
@@ -532,12 +561,15 @@ def test_fallback_steps_are_counted(monkeypatch, model_zoo):
     assert summed.contour_fallbacks == summed.iterations + 1
     assert summed.iterations == closed.iterations
     assert np.linalg.norm(summed.x - closed.x, 2) <= 1e-13 * np.linalg.norm(closed.x, 2)
-    # sigma1 outside the interval: the first step (Z = A1, real) falls back
+    # sigma1 outside the interval: every step takes the closed form, the
+    # physical moment off the lens, and the root is the contour sum's
+    monkeypatch.undo()
     outside = _outside_model()
     for side in (1, -1):
-        sol = sr.solve_basic(outside, sr.make_contour(outside, side))
-        assert sol.contour_fallbacks >= 1
-        fx = _contour_sum(outside, sr.make_contour(outside, side), sol.z_op)
+        contour = sr.make_contour(outside, side)
+        sol = sr.solve_basic(outside, contour)
+        assert sol.contour_fallbacks == 0
+        fx = _contour_sum(outside, contour, sol.z_op)
         assert np.linalg.norm(fx - sol.x, 2) <= 1e-12
 
 
@@ -562,9 +594,14 @@ def reference_picard(model, contour, rep, t, tol, max_iter, x0):
     return f"no convergence in {max_iter} iterations (step {step:.3e})"
 
 
-def _picard_outcome(model, contour, rep, t, tol, max_iter, x0):
+def _picard_outcome(monkeypatch, model, contour, rep, t, tol, max_iter, x0):
+    """_picard with its stop tolerance and iteration bound set to tol and
+    max_iter: (iterations, final step norm, X), or the NumericsError
+    message."""
+    monkeypatch.setattr(rootsolver, "_TOL", tol)
+    monkeypatch.setattr(rootsolver, "_MAX_ITER", max_iter)
     try:
-        sol = rootsolver._picard(model, contour, rep, t, tol, max_iter, x0)
+        sol = rootsolver._picard(model, contour, rep, t, x0)
     except sr.NumericsError as exc:
         return str(exc)
     return sol.iterations, sol.final_step_norm, sol.x
@@ -577,7 +614,7 @@ def _same_outcome(got, ref):
             and got[2].tobytes() == ref[2].tobytes())
 
 
-def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
+def test_picard_norm_certificates_match_spectral_norm_tests(monkeypatch, model_zoo,
                                                              friedrichs_model):
     # the Frobenius-bound tests make the decisions the spectral norms make:
     # the same iterations, final step norm and X, bit for bit, on the zoo
@@ -592,7 +629,7 @@ def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
         rep = sr.admissibility_at(base.variation, base.distance, t)
         ref = reference_picard(model, contour, rep, t, 1e-12, 500, x0)
         assert not isinstance(ref, str), ref
-        got = _picard_outcome(model, contour, rep, t, 1e-12, 500, x0)
+        got = _picard_outcome(monkeypatch, model, contour, rep, t, 1e-12, 500, x0)
         assert _same_outcome(got, ref), (got, ref)
         cases += 1
         return ref[2]
@@ -613,7 +650,7 @@ def test_picard_norm_certificates_match_spectral_norm_tests(model_zoo,
 @pytest.mark.parametrize("tol, max_iter, r_max", [
     (1e-12, 3, None), (1e-12, 500, 0.05)],
     ids=["few-iterations", "small-r-max"])
-def test_picard_failures_match_spectral_norm_tests(friedrichs_model,
+def test_picard_failures_match_spectral_norm_tests(monkeypatch, friedrichs_model,
                                                    friedrichs_contours,
                                                    tol, max_iter, r_max):
     # no convergence and the r_max escape raise with the messages of the
@@ -625,8 +662,8 @@ def test_picard_failures_match_spectral_norm_tests(friedrichs_model,
     x0 = np.zeros((1, 1), dtype=np.complex128)
     ref = reference_picard(friedrichs_model, contour, rep, 1.0, tol, max_iter, x0)
     assert isinstance(ref, str)
-    assert _picard_outcome(friedrichs_model, contour, rep, 1.0, tol, max_iter,
-                           x0) == ref
+    assert _picard_outcome(monkeypatch, friedrichs_model, contour, rep, 1.0, tol,
+                           max_iter, x0) == ref
 
 
 def _unit_columns(rng, n, spread):
@@ -686,7 +723,9 @@ def test_cond_certificate_decides_as_the_svd(monkeypatch):
 
 class _ReferencePicardMap(_PicardMap):
     """The Picard map with its eigenbasis test as np.linalg.cond(V) <=
-    _COND_LIMIT, an SVD per step."""
+    _COND_LIMIT, an SVD per step, and its moments taken one eigenvalue at a
+    time: the side-l moment where _covered, the physical one off the closed
+    lens, and the contour sum when an eigenvalue is on neither."""
 
     def __call__(self, zmat):
         if zmat.shape[0] == 1:
@@ -694,10 +733,19 @@ class _ReferencePicardMap(_PicardMap):
         else:
             eigs, vecs = np.linalg.eig(zmat)
         self.spectrum = eigs, vecs
-        if self._covered(eigs):
-            a, b = self.contour.endpoints
-            moments = rootsolver._cut_moments(a, b, eigs, self.coeffs.shape[0] - 1,
-                                              self.contour.side)
+        a, b = self.contour.endpoints
+        degree = self.coeffs.shape[0] - 1
+        rows = []
+        for lam, covered in zip(eigs, self._covered(eigs)):
+            if covered:
+                rows.append(rootsolver._cut_moments(a, b, [lam], degree,
+                                                    self.contour.side))
+            elif not self.contour.contains_in_lens(lam, closed=True):
+                rows.append(rootsolver._cut_moments(a, b, [lam], degree))
+            else:
+                break
+        else:
+            moments = np.concatenate(rows)
             if vecs is None:
                 return np.einsum("s,sij->ij", moments[0], self.coeffs)
             if np.linalg.cond(vecs) <= rootsolver._COND_LIMIT:
