@@ -12,8 +12,11 @@ solve, verify and sweep share one prologue (_prologue): the model, one
 contour per side and the base report. Each root decides and carries its
 own admissibility (solve_basic, homotopy_path); the report's block is a
 solved root's, or that of the root that raised AdmissibilityError
-(_solve_sides). The objects of the construction come as a +-l pair (one
-contour, root Z, angular operator Y and Omega per side). For a real
+(_solve_sides), so an inadmissible input exits 2 with its report. The
+r0_upper_bound of solve and verify is optimize_r0 of the first side's
+root, which decides its own depth family and cannot fail. The objects
+of the construction come as a +-l pair (one contour, root Z, angular
+operator Y and Omega per side). For a real
 model (SpectralModel.is_real) the pair is conjugate: Z(-l) = conj Z(l).
 So when both sides are requested, the second side's contour is the
 mirror of the first's, and solve and sweep take its root, classification
@@ -93,22 +96,6 @@ def _solve_sides(report, contours, derived, solve, conjugate) -> dict | None:
     return out
 
 
-def _r0(cfg, model, root) -> float:
-    """r0_upper_bound for the report, from a root of the configured contour.
-
-    The semicircle family has one member, the root's contour, so r0 is the
-    r_min of the root's report. For rectangles optimize_r0 searches the
-    depths (0.5 depth, min(2 depth, hi - lo)), unless 0.5 depth >= hi - lo
-    leaves the configured rectangle as the one member, as for semicircles.
-    """
-    lo, hi = model.interval
-    if cfg.contour_kind == "semicircle" or 0.5 * cfg.depth >= hi - lo:
-        return root.report.r_min
-    depths = (0.5 * cfg.depth, min(2.0 * cfg.depth, hi - lo))
-    _, r0 = optimize_r0(model, root.side, depths)
-    return r0
-
-
 def _derived_sides(derived) -> dict:
     """The provenance.derived_sides block of solve and sweep."""
     return {f"{side:+d}": f"conjugate of {source:+d}"
@@ -130,7 +117,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
         return _finish(report, start)
     first = sols[cfg.sides[0]]
     report["admissibility"] = {**admissibility_block(first.report),
-                               "r0_upper_bound": _r0(cfg, model, first)}
+                               "r0_upper_bound": optimize_r0(first)[1]}
 
     report["solutions"] = {}
     clss = {}
@@ -149,7 +136,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     if roots is None:
         return _finish(report, start)
     report["admissibility"] = {**admissibility_block(roots[1].report),
-                               "r0_upper_bound": _r0(cfg, model, roots[1])}
+                               "r0_upper_bound": optimize_r0(roots[1])[1]}
 
     rows, rics, clss = identity_table(roots, cfg.seed)
     report["identities"] = rows
@@ -295,9 +282,6 @@ def main(argv=None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AdmissibilityError as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

@@ -6,11 +6,12 @@ complex weights so that sum(weights) reproduces integral of dmu over the
 path. Two kinds are supported: a semicircle (depth fixed at half the
 interval length) and a three-segment rectangle of adjustable depth.
 
-make_contour sizes the rule by arclength (_node_count); that rule is
-V0's, whose integrand ||K'(mu)|| has kinks. The integrands of the other
-contour sums are analytic near the path, so analytic_rule gives the same
-path the fewest nodes that their known singularities and the degree of
-K' allow.
+make_contour sizes the rule by arclength in half-lengths of the interval
+(_node_count), so its counts do not depend on the interval's scale; that
+rule is V0's, whose integrand ||K'(mu)|| has kinks. The integrands of the
+other contour sums are analytic near the path, so analytic_rule gives the
+same path the fewest nodes that their known singularities and the degree
+of K' allow.
 """
 
 import functools
@@ -25,12 +26,14 @@ from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
 
 # V0's rule (make_contour): a segment gets _V0_NODES_PER_UNIT Gauss-Legendre
-# nodes per unit of arclength, and at least 200 (_node_count).
+# nodes per unit of arclength, the unit being the interval's half-length,
+# and at least 200 (_node_count): 629 on every semicircle.
 _V0_NODES_PER_UNIT = 200
 
 # Largest Gauss-Legendre rule built for one segment. leggauss is O(N^3) in
-# the rule size, so an unbounded count (a deep rectangle, a long interval)
-# would stall before admissibility could reject it.
+# the rule size, so an unbounded count would stall before admissibility
+# could reject it; with counts measured in half-lengths only a rectangle
+# deeper than 20.48 half-lengths reaches it.
 MAX_SEGMENT_NODES = 4096
 
 # Accuracy target of analytic_rule: a segment gets the fewest nodes that
@@ -91,8 +94,9 @@ class Contour:
 
 
 def _node_count(arclength):
-    """V0's node count of a segment: max(200, _V0_NODES_PER_UNIT *
-    arclength), refused above MAX_SEGMENT_NODES before any rule is built."""
+    """V0's node count of a segment whose arclength is given in
+    half-lengths of the interval: max(200, _V0_NODES_PER_UNIT * arclength),
+    refused above MAX_SEGMENT_NODES before any rule is built."""
     wanted = _V0_NODES_PER_UNIT * arclength
     if not wanted <= MAX_SEGMENT_NODES:
         raise ModelError(
@@ -103,10 +107,11 @@ def _node_count(arclength):
 
 
 def _rectangle_counts(length, depth):
-    """The node counts of a rectangle's three segments, each vertical side
-    checked before the top (see _node_count)."""
-    side_count = _node_count(depth)
-    return side_count, _node_count(length), side_count
+    """The node counts of a rectangle's three segments over an interval of
+    the given length, each vertical side checked before the top (see
+    _node_count): the top is two half-lengths long."""
+    side_count = _node_count(depth / (0.5 * length))
+    return side_count, _node_count(2.0), side_count
 
 
 def _rectangle_rules(a, b, depths, counts):
@@ -186,8 +191,10 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
     semicircle takes no depth (it is half the interval length), a
     rectangle a positive one; any other depth raises ValueError.
 
-    Per segment the node count is _node_count of its arclength; a segment
-    that would need more than MAX_SEGMENT_NODES raises ModelError.
+    Per segment the node count is _node_count of its arclength in
+    half-lengths of the interval (629 on a semicircle, 400 on a
+    rectangle's top, whatever the interval); a segment that would need
+    more than MAX_SEGMENT_NODES raises ModelError.
     This is the rule of V0 (variation); the analytic contour sums take
     analytic_rule of the contour instead. The weight sum is checked
     against the exact path integral of dmu, which equals the interval
@@ -202,9 +209,8 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         if depth is not None:
             raise ValueError("a semicircle takes no depth: it is half the "
                              "interval length")
-        rho = 0.5 * length
-        counts = (_node_count(math.pi * rho),)
-        depth_val = rho
+        counts = (_node_count(math.pi),)
+        depth_val = 0.5 * length
     elif kind == "rectangle":
         if depth is None:
             raise ValueError("rectangle contour requires a depth")
@@ -510,39 +516,43 @@ _SCAN_DEPTHS = 33
 _DEPTH_RTOL = 1e-6
 
 
-def optimize_r0(model: SpectralModel, side: int, depths):
-    """Minimize r_min over the side-l rectangle contours whose depths lie
-    in depths = (lo, hi).
+def optimize_r0(root):
+    """(depth, r0): the least r_min that the search of a depth family
+    around the solved root's contour measured, never above the root's own.
 
-    A coarse scan of _SCAN_DEPTHS depths brackets the least r_min between
-    the neighbours of its best depth; deterministic. Returns (depth, r0),
-    r0 the optimal localization radius: r_min of make_contour(model, side,
-    "rectangle", depth). Raises AdmissibilityError when no depth of the
-    range is admissible.
+    A semicircle, and a rectangle with 0.5 depth >= hi - lo, have no
+    family: r0 is the root's r_min. Any other rectangle searches the side-l
+    rectangles of depths (0.5 depth, min(2 depth, hi - lo)), which hold its
+    own; r0 is the least r_min among the root's and every depth evaluated,
+    and a scan with no admissible depth gives the root's.
 
-    r_min = d/2 - sqrt(d^2/4 - V0) falls as d rises and rises with V0, and
-    d(h) rises up to its kink h* and is constant after it (see
-    _RectangleDistance), so the least r_min usually sits at h*. When
-    (lo, hi) holds h* and the probes h* - delta and h* + delta (delta half
-    the final golden-section bracket), the scan's batch evaluates them, and
-    the search returns h* if it lies in the bracket and its r_min is no
-    larger than the best scanned one and both probes'. Otherwise golden-section
-    refinement, which assumes r_min unimodal on the bracket, shrinks it to
-    _DEPTH_RTOL relative.
-
-    The candidate depths are evaluated by _rectangle_r_min: the scan's
-    depths and probes in one batch, the two bracket points in a second and
-    each golden-section step and the final midpoint on its own. No depth
-    gets a Contour: r0 is the value the search measured at its depth.
+    d(h) rises up to its kink h* and is constant after it
+    (_RectangleDistance), and r_min falls as d rises and rises with V0, so
+    the least r_min usually sits at h*. One _rectangle_r_min batch takes a
+    scan of _SCAN_DEPTHS depths and, when the family holds them, h* and
+    the probes h* -+ delta (delta half the final bracket). The search stops
+    at h* if h* lies between the best scanned depth's neighbours and its
+    r_min is no larger than the best scanned one's and both probes'.
+    Otherwise golden-section refinement, which assumes r_min unimodal
+    there, shrinks that bracket to _DEPTH_RTOL relative, one depth a step.
     """
-    lo, hi = depths
-    if not 0 < lo < hi:
-        raise ValueError("depth range must satisfy 0 < lo < hi")
-
+    model, contour = root.model, root.contour
+    own = (contour.depth, root.report.r_min)
+    length = model.interval[1] - model.interval[0]
+    if contour.kind == "semicircle" or 0.5 * contour.depth >= length:
+        return own
+    lo, hi = 0.5 * contour.depth, min(2.0 * contour.depth, length)
     distance = _RectangleDistance(model, model.interval)
+    # (depth, r_min) of the root and of every depth evaluated, in order
+    measured = [own]
 
     def r_of(*hs):
-        return _rectangle_r_min(model, side, hs, distance)
+        values = _rectangle_r_min(model, root.side, hs, distance)
+        measured.extend(zip(map(float, hs), values))
+        return values
+
+    def least(*candidates):
+        return min(candidates, key=lambda pair: pair[1])
 
     kink, probes = distance.kink, ()
     if kink is not None:
@@ -554,12 +564,12 @@ def optimize_r0(model: SpectralModel, side: int, depths):
     values, at_probes = values[:_SCAN_DEPTHS], values[_SCAN_DEPTHS:]
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
-        raise AdmissibilityError("no admissible depth in the requested range", report=None)
+        return least(*measured)
 
     left = scan[max(best - 1, 0)]
     right = scan[min(best + 1, _SCAN_DEPTHS - 1)]
     if probes and left <= kink <= right and at_probes[1] <= min(values[best], *at_probes):
-        return kink, at_probes[1]
+        return least(own, (kink, at_probes[1]))
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
@@ -573,8 +583,4 @@ def optimize_r0(model: SpectralModel, side: int, depths):
             left, x1, f1 = x1, x2, f2
             x2 = left + phi * (right - left)
             (f2,) = r_of(x2)
-    depth = float(0.5 * (left + right))
-    (r0,) = r_of(depth)
-    if not math.isfinite(r0):
-        raise AdmissibilityError("refined depth lost admissibility", report=None)
-    return depth, r0
+    return least(*measured)

@@ -16,7 +16,7 @@ class AdmissibilityError(SchurRootsError):
     numbers instead of a bare message.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -13,6 +13,7 @@ omega-adjoint row reads Omega(-l), Omega(l)^*.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -179,8 +180,12 @@ def identity_table(roots, seed: int) -> tuple:
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
 
     def omega_bound(side):
+        # the signed margin of ||Omega|| < V0 / (d^2/4). Zero coupling makes
+        # V0, the bound and Omega all exactly 0, and passes; a nonzero Omega
+        # at the bound fails, by the least positive margin
         om = omega(side)
-        return om.norm - om.bound
+        margin = om.norm - om.bound
+        return math.ulp(0.0) if margin == 0.0 and om.norm > 0.0 else margin
 
     add_row("omega-bound", 0.0, over_sides(omega_bound))
 

@@ -333,15 +333,16 @@ def _sandwich_poles(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarra
 
 
 def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperator:
-    """Omega for side l by contour quadrature, with its norm-bound contract.
+    """Omega for side l by contour quadrature, with its norm and bound.
 
     Omega = integral over Gamma^l of (Z^(-l)* - mu)^{-1} K'(mu)
     (Z^(l) - mu)^{-1} dmu, summed on the analytic_rule of sol_l's contour
-    sized by the spectra of both roots, raising NumericsError unless its
-    norm stays below V0 / (d^2/4), read from sol_l's admissibility report
-    (no V0 is evaluated). The adjoint relation Omega(-l) = Omega(l)^*
-    pairs the value of each side with the other's, so it is checked where
-    both are at hand (verify's omega-adjoint row).
+    sized by the spectra of both roots. The bound V0 / (d^2/4) is read
+    from sol_l's admissibility report (no V0 is evaluated); it is judged
+    by verify's omega-bound row alone, and no other row reads it. The
+    adjoint relation Omega(-l) = Omega(l)^* pairs the value of each side
+    with the other's, so it is checked where both are at hand (verify's
+    omega-adjoint row).
     """
     if sol_minus_l.side != -sol_l.side:
         raise ValueError("solution sides must be (l, -l)")
@@ -357,11 +358,7 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
 
     rep = sol_l.report
     bound = rep.variation / (0.25 * rep.distance ** 2)
-    norm = float(spectral_norms(omega))
-    # zero coupling makes V0, the bound and Omega all exactly 0
-    if norm > 0.0 and norm >= bound:
-        raise NumericsError(f"Omega norm {norm:.6g} violates bound {bound:.6g}")
-    return OmegaOperator(contour.side, omega, norm, bound)
+    return OmegaOperator(contour.side, omega, float(spectral_norms(omega)), bound)
 
 
 def omega_by_deformation(sol_l: RootSolution, sol_minus_l: RootSolution) -> np.ndarray:

@@ -215,8 +215,8 @@ def test_verify_report_holds_the_identity_table(tmp_path):
     roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth))
              for side in (1, -1)}
     assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
-    # node_counts is V0's rule per side: 200 nodes per unit of the unit
-    # semicircle's arclength pi
+    # node_counts is V0's rule per side: 200 nodes per half-length of the
+    # interval, over a semicircle's arclength of pi half-lengths
     assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
 
 
@@ -584,6 +584,39 @@ def test_verify_side_failure_fails_its_rows(tmp_path, capsys, monkeypatch,
         assert rows[n]["residual"] == "inf"
 
 
+def _with_variation(root, variation):
+    """The root with its admissibility report's V0 replaced."""
+    return dataclasses.replace(root, report=dataclasses.replace(root.report,
+                                                                variation=variation))
+
+
+def test_omega_bound_is_judged_by_its_row_alone():
+    # side +1's V0 scaled by 1e-3 puts its bound V0 / (d^2/4) far below
+    # ||Omega||: omega-bound fails with its signed margin, and the rows that
+    # only read Omega pass
+    model = sr.build_model((-1.0, 1.0), [[0.0]], [[[0.2]]])
+    roots = {side: sr.solve_basic(model, sr.make_contour(model, side)) for side in (1, -1)}
+    exact = roots[1]
+    roots[1] = _with_variation(exact, 1e-3 * exact.report.variation)
+    rows = {r["name"]: r for r in identity_table(roots, 0)[0]}
+    assert len(rows) == 19
+    assert [n for n, r in rows.items() if not r["passed"]] == ["omega-bound"]
+    om = sr.compute_Omega(roots[1], roots[-1])
+    assert om.norm > om.bound
+    assert rows["omega-bound"]["residual"] == om.norm - om.bound
+    assert 0.078 < rows["omega-bound"]["residual"] < 0.079
+    assert "note" not in rows["omega-bound"]
+    # d = 1 on the unit semicircle, so V0 = ||Omega||/4 puts the bound at
+    # ||Omega|| exactly: a nonzero Omega at its bound fails, by the least
+    # positive margin
+    norm = sr.compute_Omega(exact, roots[-1]).norm
+    roots[1] = _with_variation(exact, 0.25 * norm)
+    assert sr.compute_Omega(roots[1], roots[-1]).bound == norm
+    row = identity_table(roots, 0)[0][3]
+    assert row["name"] == "omega-bound" and not row["passed"]
+    assert row["residual"] == math.ulp(0.0)
+
+
 def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     # one V0 per root, each on its own contour (side -1 does not borrow
     # side +1's report), and 8 adaptive quadratures: B^*Y, the deformed
@@ -655,6 +688,25 @@ def test_unwritable_output_path_exits_4(tmp_path, capsys, command, where):
     assert err.startswith(f"config error: cannot write {missing}:")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_output_path_that_is_a_directory_exits_4(tmp_path, capsys, command):
+    # --out naming an existing directory passes mkstemp and fails at the
+    # rename: atomic_write removes its temp file, and sweep its CSV
+    target = tmp_path / "out"
+    target.mkdir()
+    argv = [command, "--out", str(target)]
+    if command == "sweep":
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    data = {**BASE, "sweep": {"t_grid": [0.5, 1.0]}}
+    code = main(argv + ["--config", write_cfg(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"config error: cannot write {target}:")
+    assert "Is a directory" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
@@ -920,6 +972,38 @@ def test_deep_rectangle_keeps_the_exit_code_contract(tmp_path, capsys, command,
     if rep["status"] == "ok":
         adm = rep["admissibility"]
         assert adm["r0_upper_bound"] == adm["r_min"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_admissible_rectangle_between_scanned_depths_exits_0(tmp_path, capsys, command):
+    # V0 = 0.2498 < d^2/4 = 0.25 at depth 1, but the admissible depths lie
+    # in about (0.9995, 1.0016), between the scanned depths 0.96875 and
+    # 1.015625 of the family (0.5, 2.0): r0_upper_bound is the configured
+    # rectangle's own r_min
+    data = {"model": {"interval": [-1, 1], "a1": [[0]], "b": [[[0.2499]]]},
+            "contour": {"kind": "rectangle", "depth": 1.0}}
+    code = main([command, "--config", write_cfg(tmp_path, data)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    rep = json.loads(captured.out)
+    adm = rep["admissibility"]
+    assert adm["r0_upper_bound"] == adm["r_min"]
+    if command == "verify":
+        assert len(rep["identities"]) == 19 and rep["all_identities_pass"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_semicircle_over_a_long_interval_exits_0(tmp_path, capsys, command):
+    # V0's 629 nodes per semicircle hold over (-30, 30), where 200 nodes per
+    # unit of absolute arclength asked for 18850 and exited 4
+    data = {"model": {"interval": [-30.0, 30.0], "a1": [[0.0]], "b": [[[0.01]]]}}
+    code = main([command, "--config", write_cfg(tmp_path, data)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    rep = json.loads(captured.out)
+    assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
+    if command == "verify":
+        assert len(rep["identities"]) == 19 and rep["all_identities_pass"]
 
 
 def test_density_is_checked_by_verify_only(tmp_path, capsys, monkeypatch):

@@ -149,18 +149,51 @@ def test_bad_side(friedrichs_model):
         sr.make_contour(friedrichs_model, 0)
 
 
+def _rectangle_root(model, side, depth):
+    """The root solved on the side-l rectangle of the depth, or None when
+    that rectangle is not admissible."""
+    try:
+        return sr.solve_basic(model, sr.make_contour(model, side, "rectangle", depth))
+    except AdmissibilityError:
+        return None
+
+
 def test_optimize_r0_rectangle(friedrichs_model):
-    depth, r0 = sr.optimize_r0(friedrichs_model, 1, (0.2, 1.2))
+    # Friedrichs' rectangle is admissible at depth 1 (V0 = 0.16 < 0.25)
+    root = _rectangle_root(friedrichs_model, 1, 1.0)
+    depth, r0 = sr.optimize_r0(root)
     contour = sr.make_contour(friedrichs_model, 1, "rectangle", depth)
     rep = sr.admissibility(friedrichs_model, contour)
     assert rep.admissible
     assert abs(rep.r_min - r0) < 1e-9
-    # no scanned depth beats the optimum by more than the tolerance
-    for depth in np.linspace(0.25, 1.15, 13):
+    assert r0 <= root.report.r_min
+    # no depth of the family (0.5, 2.0) beats the optimum by more than the
+    # tolerance
+    for depth in np.linspace(0.55, 1.95, 15):
         c = sr.make_contour(friedrichs_model, 1, kind="rectangle", depth=depth)
         cand = sr.admissibility(friedrichs_model, c)
         if cand.admissible:
             assert cand.r_min > r0 - 1e-5
+
+
+def test_optimize_r0_without_a_family_is_the_roots_own(friedrichs_model):
+    # a semicircle, and a rectangle with 0.5 depth >= hi - lo, have no
+    # depth family: r0 is the root's own r_min at the root's depth
+    semicircle = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, -1))
+    model = sr.build_model((-1.0, 1.0), [[0.0]], [[[0.05]]])
+    deep = _rectangle_root(model, 1, 4.0)
+    for root in (semicircle, deep):
+        assert sr.optimize_r0(root) == (root.contour.depth, root.report.r_min)
+
+
+def test_optimize_r0_cannot_fail_an_admissible_rectangle():
+    # V0 = 0.2498 < d^2/4 = 0.25 at depth 1, but the admissible depths lie
+    # in about (0.9995, 1.0016), between the scanned depths 0.96875 and
+    # 1.015625 of the family (0.5, 2.0): r0 is the root's own r_min
+    model = sr.build_model((-1.0, 1.0), [[0.0]], [[[0.2499]]])
+    root = _rectangle_root(model, 1, 1.0)
+    assert root is not None
+    assert sr.optimize_r0(root) == (1.0, root.report.r_min)
 
 
 def _reference_r_min(model, side, depth):
@@ -172,67 +205,88 @@ def _reference_r_min(model, side, depth):
 
 def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
     """optimize_r0's search of the depths (lo, hi). r_of(*depths) gives
-    r_min at each depth; it is called with the scan's depths, then the two
-    bracket points, then one depth per golden-section step, as the
-    golden-section search calls _rectangle_r_min. kink is h* of the
-    family's d(h), or None for the golden-section search alone; the kink
-    probes take a call of their own. Returns the scan's r_min values and
-    the chosen depth, or None when no scanned depth is admissible."""
+    r_min at each depth; it is called with the scan's depths, then the kink
+    probes, then the two bracket points, then one depth per golden-section
+    step, as the golden-section search calls _rectangle_r_min. kink is h*
+    of the family's d(h), or None for the golden-section search alone.
+    Returns the scan's r_min values and the best (depth, r_min) measured:
+    the kink's when the kink rule stops the search, else the first least
+    of every depth evaluated."""
+    measured = []
+
+    def record(*depths):
+        values = r_of(*depths)
+        measured.extend(zip(map(float, depths), values))
+        return values
+
     depths = np.linspace(lo, hi, samples)
-    values = r_of(*depths)
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
-        return values, None
-    left = depths[max(best - 1, 0)]
-    right = depths[min(best + 1, samples - 1)]
+    values = record(*depths)
+    probes = ()
     if kink is not None:
         delta = 0.5 * tol * max(1.0, kink)
-        if lo < kink - delta and kink + delta < hi and left <= kink <= right:
-            below, at_kink, above = r_of(kink - delta, kink, kink + delta)
-            if at_kink <= min(values[best], below, above):
-                return values, kink
+        if lo < kink - delta and kink + delta < hi:
+            probes = (kink - delta, kink, kink + delta)
+            at_probes = record(*probes)
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        return values, min(measured, key=lambda pair: pair[1])
+    left = depths[max(best - 1, 0)]
+    right = depths[min(best + 1, samples - 1)]
+    if probes and left <= kink <= right:
+        below, at_kink, above = at_probes
+        if at_kink <= min(values[best], below, above):
+            return values, (kink, at_kink)
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
-    f1, f2 = r_of(x1, x2)
+    f1, f2 = record(x1, x2)
     while right - left > tol * max(1.0, right):
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - phi * (right - left)
-            (f1,) = r_of(x1)
+            (f1,) = record(x1)
         else:
             left, x1, f1 = x1, x2, f2
             x2 = left + phi * (right - left)
-            (f2,) = r_of(x2)
-    return values, 0.5 * (left + right)
+            (f2,) = record(x2)
+    return values, min(measured, key=lambda pair: pair[1])
 
 
-def _reference_optimize_r0(model, side, family, kink_rule=True):
-    """optimize_r0 with one make_contour plus admissibility per candidate
-    depth; kink_rule=False leaves the golden-section search alone. Returns
-    the scan's r_min values and (depth, r0), or the message of the
-    AdmissibilityError raised."""
+def _reference_optimize_r0(root, family, kink_rule=True):
+    """optimize_r0 of a rectangle root with one make_contour plus
+    admissibility per candidate depth; kink_rule=False leaves the
+    golden-section search alone. Returns the scan's r_min values and
+    (depth, r0), the root's own (depth, r_min) where the search measured
+    nothing smaller."""
+    model, side = root.model, root.side
+
     def r_of(*depths):
         return [_reference_r_min(model, side, depth) for depth in depths]
 
     kink = _RectangleDistance(model, model.interval).kink if kink_rule else None
-    values, depth = _reference_search(r_of, *family, kink)
-    if depth is None:
-        return values, "no admissible depth in the requested range"
-    contour = sr.make_contour(model, side, "rectangle", depth)
-    rep = sr.admissibility(model, contour)
-    if not rep.admissible:
-        return values, "refined depth lost admissibility"
-    return values, (depth, rep.r_min)
+    values, best = _reference_search(r_of, *family, kink)
+    own = (root.contour.depth, root.report.r_min)
+    return values, min(own, best, key=lambda pair: pair[1])
 
 
-RECT_FAMILIES = [(0.25, 1.0), (0.2, 1.2), (0.1, 0.4)]
+# depth families that optimize_r0 searches on (-1, 1): (0.5 depth,
+# min(2 depth, 2)) for a rectangle root of depth 0.5, 0.6 and 0.2, each
+# family's lower end
+RECT_FAMILIES = [(0.25, 1.0), (0.3, 1.2), (0.1, 0.4)]
+
+# (searches, searches that end at the kink) per family, of the 84 (model,
+# side, t). Friedrichs' configured rectangle is inadmissible at t = 1 on
+# each of the three depths, and at depth 0.2 so are all at t = 1 and
+# Friedrichs' at t = 0.5: they have no root. Friedrichs' family (0.25, 1.0) at t = 0.5
+# ends at h* = 1, which leaves no room for the upper probe, but the scan
+# measures h* itself, and it is least; (0.1, 0.4) lies below every kink
+SEARCH_COUNTS = {(0.25, 1.0): (82, 82), (0.3, 1.2): (82, 82), (0.1, 0.4): (40, 0)}
 
 
 def test_rect_families_cover_mixed_node_counts():
-    # at 200 nodes per unit a vertical side deeper than 1 has more than
-    # 200 nodes, so the (0.2, 1.2) scan mixes 200-node sides with 203- to
-    # 240-node ones and the batched scan must group its depths by count
+    # at 200 nodes per half-length a vertical side deeper than 1 has more
+    # than 200 nodes, so the (0.3, 1.2) scan mixes 200-node sides with 203-
+    # to 240-node ones and the batched scan must group its depths by count
     for family, mixed in zip(RECT_FAMILIES, (False, True, False)):
         depths = np.linspace(*family, 33)
         counts = [_rectangle_counts(2.0, h) for h in depths]
@@ -242,38 +296,52 @@ def test_rect_families_cover_mixed_node_counts():
 
 
 @pytest.mark.parametrize("family", RECT_FAMILIES)
-def test_optimize_r0_matches_per_contour_search(friedrichs_model, model_zoo, family):
+def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
+                                                model_zoo, family):
+    depth = 2.0 * family[0]
     depths = np.linspace(*family, 33)
-    at_kink = 0
+    scanned = []
+    search = contour_module._rectangle_r_min
+
+    def record(model, side, hs, *args):
+        scanned.append(tuple(hs))
+        return search(model, side, hs, *args)
+
+    monkeypatch.setattr(contour_module, "_rectangle_r_min", record)
+    at_kink = searches = 0
     for model in [friedrichs_model] + model_zoo:
         distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for t in (0.5, 1.0):
-                # a weaker coupling is the model with b scaled by t
+                # a weaker coupling is the model with b scaled by t; an
+                # inadmissible configured rectangle has no root to search from
                 sm = model.scaled(t)
-                values, ref = _reference_optimize_r0(sm, side, family)
-                _, golden = _reference_optimize_r0(sm, side, family, kink_rule=False)
-                # every scanned depth's r_min, not only the search's outcome
-                assert _rectangle_r_min(sm, side, depths, distance) == values
-                try:
-                    depth, r0 = sr.optimize_r0(sm, side, family)
-                except AdmissibilityError as exc:
-                    assert str(exc) == ref == golden
+                root = _rectangle_root(sm, side, depth)
+                if root is None:
                     continue
-                # the contour of the depth gives the r0 that the search
-                # measured, bit for bit
-                assert (depth, r0) == ref
+                searches += 1
+                values, ref = _reference_optimize_r0(root, family)
+                _, golden = _reference_optimize_r0(root, family, kink_rule=False)
+                # every scanned depth's r_min, not only the search's outcome
+                assert search(sm, side, depths, distance) == values
+                scanned.clear()
+                depth_r0 = sr.optimize_r0(root)
+                # the search scans the family of the root's depth
+                assert scanned[0][:33] == tuple(depths)
+                # the least r_min measured, bit for bit that of its depth's
+                # contour, never above the root's own
+                assert depth_r0 == ref
+                r0 = depth_r0[1]
+                assert r0 <= root.report.r_min
+                assert _reference_r_min(sm, side, depth_r0[0]) == r0
                 # the kink rule never does worse than the golden-section
                 # search, and leaves its steps alone where it does not fire
                 assert golden[1] - 3e-7 * golden[1] <= r0 <= golden[1]
-                if depth == distance.kink:
+                if depth_r0[0] == distance.kink:
                     at_kink += 1
                 else:
-                    assert (depth, r0) == golden
-    # of the 84 searches, all but Friedrichs' end at the kink of (0.25, 1.0),
-    # where h* = 1 leaves no room for the upper probe; (0.1, 0.4) lies
-    # below every kink
-    assert at_kink == {(0.25, 1.0): 80, (0.2, 1.2): 84, (0.1, 0.4): 0}[family]
+                    assert depth_r0 == golden
+    assert (searches, at_kink) == SEARCH_COUNTS[family]
 
 
 def test_kink_rule_declines_a_kink_that_is_no_minimum():
@@ -286,18 +354,23 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
         coeffs = np.polynomial.polynomial.polymul(coeffs, [x * x + 0.16, -2 * x, 1.0])
     model = sr.build_model((-1.0, 1.0), [[0.65]], [[[0.01 * c]] for c in coeffs])
     distance = _RectangleDistance(model, model.interval)
-    family = (0.25, 1.2)
+    family = (0.3, 1.2)
+    root = _rectangle_root(model, 1, 0.6)
     depths = np.linspace(*family, 33)
-    best = int(np.argmin(_rectangle_r_min(model, 1, depths, distance)))
+    values = _rectangle_r_min(model, 1, depths, distance)
+    best = int(np.argmin(values))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
-    depth, r0 = sr.optimize_r0(model, 1, family)
-    _, golden = _reference_optimize_r0(model, 1, family, kink_rule=False)
+    depth, r0 = sr.optimize_r0(root)
+    _, golden = _reference_optimize_r0(root, family, kink_rule=False)
     assert depth == golden[0] != distance.kink
     assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink)
+    # the refinement is what finds it: the best scanned depth is worse
+    assert r0 < values[best]
 
 
 def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
-    # the scan and the three kink probes take one _rectangle_r_min call
+    # the scan of the family (0.25, 1.0) and the three kink probes take one
+    # _rectangle_r_min call
     calls = []
     search = contour_module._rectangle_r_min
 
@@ -307,8 +380,9 @@ def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
     for model in model_zoo:
+        root = _rectangle_root(model, 1, 0.5)
         calls.clear()
-        depth, _ = sr.optimize_r0(model, 1, (0.25, 1.0))
+        depth, _ = sr.optimize_r0(root)
         assert depth == _RectangleDistance(model, model.interval).kink
         assert calls == [33 + 3]
 
@@ -446,10 +520,9 @@ def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
         distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for family in RECT_FAMILIES:
-                try:
-                    sr.optimize_r0(model, side, family)
-                except AdmissibilityError:
-                    pass
+                root = _rectangle_root(model, side, 2.0 * family[0])
+                if root is not None:
+                    sr.optimize_r0(root)
                 _reference_search(
                     lambda *depths: record(model, side, depths, distance),
                     *family, None)
@@ -512,7 +585,19 @@ def test_node_cap_refuses_before_building(friedrichs_model):
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # no rule was built
-    # a semicircle over (-10, 10) has arclength 10 pi, about 6283 nodes
+    # a semicircle over (-10, 10) is pi half-lengths long, as on (-1, 1):
+    # 629 nodes, far below the cap
     long_model = sr.build_model((-10.0, 10.0), [[0.0]], [[[0.2]]])
-    with pytest.raises(ModelError, match=r"6283 quadrature nodes.*4096"):
-        sr.make_contour(long_model, 1)
+    assert sr.make_contour(long_model, 1).counts == (629,)
+
+
+@pytest.mark.parametrize("half", [0.3, 1.0, 30.0])
+def test_v0_node_counts_do_not_depend_on_the_scale(half):
+    # arclength is measured in half-lengths of the interval: the semicircle
+    # and the depth-half/2 rectangle over (-half, half) get the counts they
+    # get over (-1, 1)
+    model = sr.build_model((-half, half), [[0.0]], [[[0.01]]])
+    assert sr.make_contour(model, 1).counts == (629,)
+    rectangle = sr.make_contour(model, -1, "rectangle", 0.5 * half)
+    assert rectangle.counts == (200, 400, 200)
+    assert abs(np.sum(rectangle.weights) - 2.0 * half) < 1e-10 * half
