@@ -15,13 +15,16 @@ The small-matrix layer works on stacks (..., r, c) of the 1 x 1 and 2 x 2
 matrices the package mostly handles, where a LAPACK call per matrix is
 almost all overhead: solve (the batched solves behind every resolvent),
 spectral_norms and smallest_singular_values, each in closed form for
-n <= 2 and through LAPACK or eigvalsh otherwise. Where a closed form
-could overflow or underflow, solve hands the systems at fault to LAPACK,
-and the norms run on each matrix divided by a power of two near its
-largest modulus (_scales); that division is exact, so it is skipped
-where it would change no value (_in_safe_range).
+n <= 2 and through LAPACK or eigvalsh otherwise, and eig, the
+eigendecomposition of one matrix, in closed form on Python numbers for
+n <= 2 (small_eig) and by LAPACK otherwise. Where a closed form could
+overflow or underflow, solve hands the systems at fault to LAPACK, and
+the norms and eig run on each matrix divided by a power of two near its
+largest entry (_scales); that division is exact, so it is skipped where
+it would change no value (_in_safe_range).
 """
 
+import cmath
 import functools
 import math
 
@@ -248,6 +251,98 @@ def spectral_norms(mats):
     if mats.ndim == 2:
         return _spectral_norm(mats.tolist())
     return _rescaled(_largest_closed_form, mats)
+
+
+def _adjugate_column(p_diff, s_diff, q, r):
+    # the larger column of adj(Z - lam) = [[s - lam, -q], [-r, p - lam]],
+    # from p - lam and s - lam, divided by its norm
+    first = math.hypot(s_diff.real, s_diff.imag, r.real, r.imag)
+    second = math.hypot(q.real, q.imag, p_diff.real, p_diff.imag)
+    if first >= second:
+        return s_diff / first, -r / first
+    return -q / second, p_diff / second
+
+
+def small_eig(rows):
+    """eig of one matrix with n <= 2 given as rows of Python complex
+    numbers: (values, vector rows), as lists of Python complex numbers."""
+    if len(rows) == 1:
+        ((z,),) = rows
+        if not cmath.isfinite(z):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        # the zero imaginary part of the vector takes the sign of z's, so
+        # that conj(Z) gives conj(eig(Z)) to the bit
+        return [z], [[complex(1.0, math.copysign(0.0, z.imag))]]
+    (p, q), (r, s) = rows
+    if not (cmath.isfinite(p) and cmath.isfinite(q) and cmath.isfinite(r) and cmath.isfinite(s)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    big = max(abs(p.real), abs(p.imag), abs(q.real), abs(q.imag),
+              abs(r.real), abs(r.imag), abs(s.real), abs(s.imag))
+    # a matrix whose first imaginary part that is not zero (for a real
+    # matrix, its first, zero with a sign) is negative is decomposed as the
+    # conjugate of its conjugate, so that conj(Z) gives conj(eig(Z)) to the
+    # bit whatever signs of zero the arithmetic below produces
+    flip = math.copysign(1.0, p.imag or q.imag or r.imag or s.imag or p.imag) < 0.0
+    if flip:
+        p, q, r, s = p.conjugate(), q.conjugate(), r.conjugate(), s.conjugate()
+    lo, hi = _SAFE_RANGE
+    scaled = not lo <= big * big <= hi
+    if scaled:
+        exponent = max(math.frexp(big)[1], -1021)
+        scale, inverse = math.ldexp(0.5, exponent), math.ldexp(2.0, -exponent)
+        p, q, r, s = p * inverse, q * inverse, r * inverse, s * inverse
+    if q == 0 and r == 0:
+        lam1, lam2, v00, v01, v10, v11 = p, s, 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    else:
+        qr = q * r
+        if qr == 0:
+            # triangular: the eigenvalues are the diagonal
+            lam1, lam2 = p, s
+            diffs1, diffs2 = (0j, s - p), (p - s, 0j)
+        else:
+            # lam = (p + s)/2 +- root, root = sqrt(((p - s)/2)^2 + qr) with
+            # the sign that makes |w| = |(p - s)/2 + root| the larger of the
+            # two sums; then p - lam and s - lam are w or -qr/w, neither a
+            # difference that cancels
+            half_sum, half_diff = 0.5 * (p + s), 0.5 * (p - s)
+            root = cmath.sqrt(half_diff * half_diff + qr)
+            if (half_diff.conjugate() * root).real < 0.0:
+                root = -root
+            w = half_diff + root
+            lam1, lam2 = half_sum + root, half_sum - root
+            diffs1, diffs2 = (-qr / w, -w), (w, qr / w)
+        v00, v10 = _adjugate_column(*diffs1, q, r)
+        v01, v11 = _adjugate_column(*diffs2, q, r)
+    if scaled:
+        lam1, lam2 = lam1 * scale, lam2 * scale
+    if flip:
+        return ([lam1.conjugate(), lam2.conjugate()],
+                [[v00.conjugate(), v01.conjugate()], [v10.conjugate(), v11.conjugate()]])
+    return [lam1, lam2], [[v00, v01], [v10, v11]]
+
+
+def eig(mat):
+    """Eigenvalues and unit eigenvectors of one square matrix: (values (n,),
+    vectors (n, n)), complex, vectors[:, k] belonging to values[k].
+
+    n <= 2 runs in Python scalars (small_eig, which takes and returns
+    lists). n = 1 is the entry with the vector [1]. n = 2 takes lam =
+    (p + s)/2 +- sqrt(((p - s)/2)^2 + qr) for Z = [[p, q], [r, s]], a
+    discriminant that does not cancel where the eigenvalues are close, as
+    ((p + s)/2)^2 - det would; where the square of the largest real or
+    imaginary part leaves _SAFE_RANGE, on Z divided by a power of two near
+    that part (exact, as in _scales), so no product of two entries
+    overflows or underflows by more than the rounding. Each eigenvector is
+    the larger column of adj(Z - lam), built from differences that do not
+    cancel. A diagonal matrix gives its diagonal and the identity, a
+    triangular one its diagonal, and a defective one two parallel vectors.
+    For n <= 2, eig(conj(Z)) is conj(eig(Z)) bit for bit. n >= 3 is
+    np.linalg.eig. A non-finite entry raises LinAlgError, as LAPACK does.
+    """
+    if mat.shape[0] > 2:
+        return np.linalg.eig(mat)
+    values, vectors = small_eig(mat.tolist())
+    return np.array(values, dtype=np.complex128), np.array(vectors, dtype=np.complex128)
 
 
 def _smallest_closed_form(mats):

@@ -16,6 +16,7 @@ of K' allow.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,16 +71,18 @@ class Contour:
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def contains_in_lens(self, zs, closed: bool = False) -> np.ndarray:
+    def contains_in_lens(self, zs, closed: bool = False):
         """Whether each point of the array zs lies strictly between the
         interval and the contour (closed: or on either of them), as a bool
-        array of zs's shape."""
+        array of zs's shape; for one complex number zs, as a bool, from the
+        same comparisons in Python scalars."""
         a, b = self.endpoints
-        zs = np.asarray(zs, dtype=np.complex128)
+        if not isinstance(zs, complex):
+            zs = np.asarray(zs, dtype=np.complex128)
         x, y = zs.real, zs.imag
-        below = np.less_equal if closed else np.less
+        below = operator.le if closed else operator.lt
         if self.kind == "semicircle":
-            inside = below(np.abs(zs - 0.5 * (a + b)), self.depth)
+            inside = below(abs(zs - 0.5 * (a + b)), self.depth)
         elif self.kind == "rectangle":
             inside = below(a, x) & below(x, b) & below(self.side * y, self.depth)
         else:

@@ -12,8 +12,10 @@ K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
 primary matrix functions sum_s C_s g_s(Z), with g_s the moments of
 schur._cut_moments: the side-l ones at an eigenvalue in the lens, on the
 open interval or across it, the physical ones off the closed lens. The
-Picard map evaluates that sum in closed form (_PicardMap); by Cauchy's
-theorem it is the contour integral without its quadrature error. The
+Picard map evaluates that sum in closed form (_PicardMap), in the
+eigenbasis of _kernels.eig; for n <= 2 the decomposition, the moments and
+the sum all run on Python numbers. By Cauchy's theorem it is the contour
+integral without its quadrature error. The
 contour sum (transformator), on the contour's analytic_rule, stays as the
 fallback of that map where the eigenbasis is ill-conditioned, and as the
 independent path verify checks the root against.
@@ -26,18 +28,20 @@ SpectrumClassification.conjugate, conjugate_path).
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._kernels import resolvent_sum, smallest_singular_values, spectral_norms
+from ._kernels import (eig, resolvent_sum, small_eig, smallest_singular_values,
+                       spectral_norms)
 from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, analytic_rule, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
-from .schur import _cut_moments, m1_physical
+from .schur import _cut_moments, _cut_moments_at, m1_physical
 
 _SPEC_GUARD = 1e-6
 
@@ -59,21 +63,29 @@ _COND_MARGIN = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _cond_within(vecs: np.ndarray, limit: float) -> bool:
+def _cond_within(vecs, limit: float) -> bool:
     """Whether np.linalg.cond(vecs) <= limit, for the eigenvector matrix V
-    of np.linalg.eig (unit columns), mostly without an SVD.
+    of _kernels.eig (unit columns), mostly without an SVD; for n <= 2 V
+    may also be given as rows of Python numbers, as small_eig returns it.
 
     Every eigenvalue of V^H V lies within ||V^H V - I||_2 <= delta of 1,
     delta = ||V^H V - I||_F, so for delta < 1 cond_2(V)^2 <= (1 + delta) /
     (1 - delta). delta is widened by a bound on the rounding of the product
     (each entry of V^H V is a length-n dot product of columns of norm about
     1, off by at most 4 (n + 4) eps) and of its norm. When the bound is
-    within limit (1 - _COND_MARGIN) the answer is yes; otherwise, and for
-    any NaN, np.linalg.cond decides. So every answer is that of
-    np.linalg.cond(vecs) <= limit. The caller passes the limit, read at the
-    time of the call.
+    within limit (1 - _COND_MARGIN) the answer is yes. For n <= 2 the
+    eigenvalues hi >= lo of V^H V are taken instead, in closed form in
+    Python scalars (_small_cond_within), and cond_2(V)^2 = hi / lo within
+    their rounding decides yes below limit (1 - _COND_MARGIN) and no above
+    limit (1 + _COND_MARGIN). Otherwise, and for any NaN, np.linalg.cond
+    decides. So every answer is that of np.linalg.cond(vecs) <= limit. The
+    caller passes the limit, read at the time of the call.
     """
-    n = vecs.shape[0]
+    n = len(vecs)
+    if n <= 2:
+        rows = vecs if isinstance(vecs, list) else vecs.tolist()
+        decided = _small_cond_within(rows, limit)
+        return decided if decided is not None else bool(np.linalg.cond(np.array(rows)) <= limit)
     gram = np.matmul(np.conj(vecs.T), vecs)
     gram.ravel()[::n + 1] -= 1.0
     fro = math.sqrt(np.vdot(gram, gram).real)
@@ -82,6 +94,36 @@ def _cond_within(vecs: np.ndarray, limit: float) -> bool:
     if delta < 1.0 and 1.0 + delta <= square * (1.0 - delta):
         return True
     return bool(np.linalg.cond(vecs) <= limit)
+
+
+# Bound on the error of the closed-form eigenvalues of V^H V for n <= 2
+# (_small_cond_within): each Gram entry is off by a few eps, and so, by
+# Weyl's theorem and the rounding of the closed form, is each eigenvalue.
+_GRAM_SLACK = 64.0 * _EPS
+
+
+def _small_cond_within(rows: list, limit: float) -> bool | None:
+    """Whether cond_2(V) <= limit for the unit-column V given as rows of
+    Python numbers, n <= 2, or None where the rounding leaves it open:
+    cond_2(V)^2 = hi / lo for the eigenvalues hi >= lo of the Hermitian
+    V^H V = [[g0, c], [conj(c), g1]], hi and lo = (g0 + g1)/2 +- hypot((g0 -
+    g1)/2, |c|), each within _GRAM_SLACK."""
+    if len(rows) == 1:
+        ((v,),) = rows
+        g0 = g1 = v.real * v.real + v.imag * v.imag
+        cross = 0.0
+    else:
+        (v00, v01), (v10, v11) = rows
+        g0 = v00.real * v00.real + v00.imag * v00.imag + v10.real * v10.real + v10.imag * v10.imag
+        g1 = v01.real * v01.real + v01.imag * v01.imag + v11.real * v11.real + v11.imag * v11.imag
+        cross = abs(v00.conjugate() * v01 + v10.conjugate() * v11)
+    mid, half = 0.5 * (g0 + g1), math.hypot(0.5 * (g0 - g1), cross)
+    hi, lo = mid + half, mid - half
+    if lo > _GRAM_SLACK and hi + _GRAM_SLACK <= (limit * (1.0 - _COND_MARGIN)) ** 2 * (lo - _GRAM_SLACK):
+        return True
+    if hi - _GRAM_SLACK > (limit * (1.0 + _COND_MARGIN)) ** 2 * (lo + _GRAM_SLACK):
+        return False
+    return None
 
 
 def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
@@ -97,7 +139,7 @@ def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Z = V diag(values) V^{-1} from one np.linalg.eig of Z: values[k] has
+    """Z = V diag(values) V^{-1} from one _kernels.eig of Z: values[k] has
     the unit eigenvector vectors[:, k]. The arrays are made read-only."""
 
     values: np.ndarray
@@ -144,14 +186,15 @@ class RootSolution:
 
     @cached_property
     def eigensystem(self) -> Eigensystem:
-        """The eigendecomposition of z_op, taken on first use and kept.
+        """The eigendecomposition of z_op by _kernels.eig, taken on first
+        use and kept.
 
         _picard seeds it with the decomposition its residual check took of
-        z_op. A cached property, not a field, so a root that
-        dataclasses.replace builds (conjugate, or a test's shifted Z)
-        decomposes its own z_op.
+        z_op by the same kernel, so the two are the same to the bit. A
+        cached property, not a field, so a root that dataclasses.replace
+        builds (conjugate, or a test's shifted Z) decomposes its own z_op.
         """
-        return Eigensystem(*np.linalg.eig(self.z_op))
+        return Eigensystem(*eig(self.z_op))
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem.values.copy()
@@ -228,22 +271,26 @@ def transformator(model: SpectralModel, contour: Contour, zmat,
 class _PicardMap:
     """The map Z -> t^2 W1(Z, Gamma) of one side, as t^2 sum_s C_s g_s(Z).
 
-    n = 1 evaluates the scalar moments at the one entry of Z. For n >= 2
-    the moments are taken in the eigenbasis Z = V D V^{-1}, as
-    (sum_s C_s V diag(g_s(D))) V^{-1}, applied by a solve. At each
+    Z = V D V^{-1} is decomposed by _kernels.eig, and the moments are taken
+    in that eigenbasis, as (sum_s C_s V diag(g_s(D))) V^{-1}. At each
     eigenvalue g_s is a moment that equals the contour integral there (see
     schur._cut_moments): the side-l one where _covered, else the physical
-    one, the interval integral, off the closed lens. A step falls back to
-    the contour sum (transformator of the t-scaled model, self.model,
-    over the side's own contour) only when cond(V) > _COND_LIMIT, a test
-    that _cond_within certifies from V^H V without the SVD of
-    np.linalg.cond on well-conditioned bases, with the same answer, or
-    when an eigenvalue lies on the contour or at an endpoint, where no
+    one, the interval integral, off the closed lens. For n <= 2 all of it
+    runs in Python scalars: the decomposition by _kernels.small_eig, the
+    moments by schur._cut_moments_at, and in _small_map column k of the sum
+    as W(lam_k) v_k with W(lam) = sum_s g_s(lam) C_s, and V^{-1} as adj(V) /
+    det(V); n = 1 is the moment sum at the one entry of Z. For n >= 3 the
+    sum is one einsum and V^{-1} is applied by a solve. A step falls back
+    to the contour sum (transformator of the t-scaled model, self.model,
+    over the side's own contour) only when n >= 2 and cond(V) >
+    _COND_LIMIT, a test that _cond_within certifies from V^H V without the
+    SVD of np.linalg.cond on well-conditioned bases, with the same answer,
+    or when an eigenvalue lies on the contour or at an endpoint, where no
     moment is the integral. fallbacks counts those steps. The closed form
     has no quadrature nodes to avoid; the fallback's contour sum refuses a
     spectrum within _SPEC_GUARD of the nodes of the rule it uses. spectrum
-    holds the (eigenvalues, eigenvectors or None for n = 1) of the last Z
-    mapped.
+    holds the (eigenvalues, eigenvectors) of the last Z mapped, as
+    small_eig's lists for n <= 2.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
@@ -252,10 +299,17 @@ class _PicardMap:
         self.coeffs = model.kprime.coefficients * (t * t)
         self.fallbacks = 0
 
-    def _covered(self, eigs: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _coeff_entries(self) -> list:
+        # per entry (i, j) of an n x n matrix, row by row, the list of its
+        # coefficients t^2 C_s[i, j] as Python numbers
+        k, n, _ = self.coeffs.shape
+        return self.coeffs.reshape(k, n * n).T.tolist()
+
+    def _covered(self, eigs):
         # per eigenvalue, whether the side-l moments equal the contour
         # integral there: the half-plane of sign -l, the open interval and
-        # the lens
+        # the lens; for one complex eigenvalue, a bool
         contour = self.contour
         a, b = contour.endpoints
         x, y = eigs.real, eigs.imag
@@ -278,17 +332,54 @@ class _PicardMap:
         moments[~covered] = _cut_moments(a, b, eigs[~covered], degree)
         return moments
 
-    def __call__(self, zmat: np.ndarray) -> np.ndarray:
-        if zmat.shape[0] == 1:
-            eigs, vecs = zmat[0], None
+    def _moment_sum_at(self, lam: complex) -> list | None:
+        """W(lam) = sum_s g_s(lam) C_s at one eigenvalue, its entries row by
+        row as Python numbers, with the moments _moments takes there; None
+        on the contour or at an endpoint."""
+        a, b = self.contour.endpoints
+        degree = self.coeffs.shape[0] - 1
+        if self._covered(lam):
+            moments = _cut_moments_at(a, b, lam, degree, self.contour.side)
+        elif self.contour.contains_in_lens(lam, closed=True):
+            return None
         else:
-            eigs, vecs = np.linalg.eig(zmat)
-        self.spectrum = eigs, vecs
-        moments = self._moments(eigs)
-        if moments is not None:
-            if vecs is None:
-                return np.einsum("s,sij->ij", moments[0], self.coeffs)
-            if _cond_within(vecs, _COND_LIMIT):
+            moments = _cut_moments_at(a, b, lam, degree)
+        return [sum(map(operator.mul, moments, entry)) for entry in self._coeff_entries]
+
+    def _small_map(self, values: list, vectors: list) -> np.ndarray | None:
+        """The closed form for n <= 2 in Python scalars, from the values
+        and vector rows of small_eig, or None where the map falls back."""
+        sums = [self._moment_sum_at(lam) for lam in values]
+        if None in sums:
+            return None
+        if len(sums) == 1:
+            return np.array([sums[0]], dtype=np.complex128)
+        if not _cond_within(vectors, _COND_LIMIT):
+            return None
+        (v00, v01), (v10, v11) = vectors
+        # columns W(lam_k) v_k of sum_s C_s V diag(g_s), then times adj(V) / det(V)
+        w00, w01, w10, w11 = sums[0]
+        s00, s10 = w00 * v00 + w01 * v10, w10 * v00 + w11 * v10
+        w00, w01, w10, w11 = sums[1]
+        s01, s11 = w00 * v01 + w01 * v11, w10 * v01 + w11 * v11
+        det = v00 * v11 - v01 * v10
+        return np.array([[(s00 * v11 - s01 * v10) / det, (s01 * v00 - s00 * v01) / det],
+                         [(s10 * v11 - s11 * v10) / det, (s11 * v00 - s10 * v01) / det]],
+                        dtype=np.complex128)
+
+    def __call__(self, zmat: np.ndarray) -> np.ndarray:
+        if zmat.shape[0] <= 2:
+            values, vectors = small_eig(zmat.tolist())
+            self.spectrum = values, vectors
+            value = self._small_map(values, vectors)
+            if value is not None:
+                return value
+            eigs = np.array(values, dtype=np.complex128)
+        else:
+            eigs, vecs = eig(zmat)
+            self.spectrum = eigs, vecs
+            moments = self._moments(eigs)
+            if moments is not None and _cond_within(vecs, _COND_LIMIT):
                 scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
                 return np.linalg.solve(vecs.T, scaled.T).T
         self.fallbacks += 1
@@ -363,12 +454,9 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
         )
     sol = RootSolution(x, z_op, step_map.model, contour, rep, float(t), it,
                        step, residual, step_map.fallbacks)
-    # the residual check decomposed z_op; for n = 1 it took no eig, and
-    # [[z]] has the eigenvalue z with the unit eigenvector [1]
-    values, vectors = step_map.spectrum
-    if vectors is None:
-        values, vectors = z_op[0].copy(), np.ones((1, 1), dtype=np.complex128)
-    vars(sol)["eigensystem"] = Eigensystem(values, vectors)
+    # the residual check decomposed z_op, by eig or its scalar form for n <= 2
+    vars(sol)["eigensystem"] = Eigensystem(
+        *(np.asarray(part, dtype=np.complex128) for part in step_map.spectrum))
     return sol
 
 

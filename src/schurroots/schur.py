@@ -7,6 +7,9 @@ interval), and the jump formula value = physical - 2*pi*i*l*K'(z) inside
 the lens between the interval and the contour.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from ._kernels import cauchy_sum_many
@@ -45,6 +48,26 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     for s in range(1, degree + 1):
         q = zs * q + (b ** s - a ** s) / s
         out[:, s] += q
+    return out
+
+
+def _cut_moments_at(a: float, b: float, z: complex, degree: int, branch="physical") -> list:
+    """_cut_moments at the one point z in Python scalars: [g_0(z), ...,
+    g_degree(z)], with the same logarithm per branch and the same
+    recurrence, and z^s by repeated multiplication. It skips NumPy's
+    per-call cost, almost all the cost at one point; the values agree with
+    _cut_moments to a few units in the last place."""
+    if branch == "physical":
+        log_term = cmath.log((b - z) / (a - z))
+    elif branch in (1, -1):
+        log_term = cmath.log(b - z) - cmath.log(z - a) - 1j * math.pi * branch
+    else:
+        raise ValueError(f"unknown moment branch {branch!r}")
+    out, power, q = [log_term], z, 0.0
+    for s in range(1, degree + 1):
+        q = z * q + (b ** s - a ** s) / s
+        out.append(power * log_term + q)
+        power *= z
     return out
 
 

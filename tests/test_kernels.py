@@ -1,7 +1,8 @@
 """Kernel correctness: every reduction must match a naive per-node loop
 (one explicit inverse per quadrature node) to machine precision,
 including the closed-form n == 1 paths; the small-matrix layer must match
-LAPACK within the accuracy its closed forms promise."""
+LAPACK within the accuracy its closed forms promise, and the one-point
+cut moments the batched ones."""
 
 import warnings
 
@@ -10,6 +11,8 @@ import pytest
 
 from schurroots import _kernels as knp
 from schurroots._kernels import backend_name
+from schurroots.rootsolver import _COND_LIMIT, _cond_within
+from schurroots.schur import _cut_moments, _cut_moments_at
 
 
 def _random_problem(rng, n, M=97):
@@ -271,3 +274,124 @@ def test_smallest_singular_values_and_condition_match_svd(n):
         assert np.all(np.abs(cond - ref_cond) <= 10 * ref_cond * ref_cond * EPS)
     zeros = np.zeros((2, n, n), dtype=complex)
     assert np.array_equal(knp.smallest_singular_values(zeros), np.zeros(2))
+
+
+# eig: the n <= 2 closed form against LAPACK, with bounds fixed here. For
+# each matrix Z of a stack, with the unit eigenvectors V_ref of
+# np.linalg.eig: the two eigenvalues match LAPACK's, as sets, within
+# EIG_C eps ||Z|| cond(V_ref) (cond(V_ref) is the eigenvalue condition of
+# the comparison: near an exceptional point LAPACK's own eigenvalues move
+# by that much); each eigenvector has unit norm within EIG_C eps and a
+# residual ||Z v - lam v|| within EIG_C eps ||Z||. The mutations each
+# check catches, each tried on a copy of _kernels.small_eig:
+# - no scaling (never dividing by the power of two): the "scaled" stack,
+#   whose products of two entries overflow or underflow;
+# - the cancelling quadratic, lam = tr/2 +- sqrt((tr/2)^2 - det): the
+#   "near-ep" stack, off by about sqrt(eps) ||Z||;
+# - the wrong adjugate column (the smaller one): the triangular and
+#   Jordan stacks, where it is zero;
+# - no check for a defective matrix (qr == 0 sent to the quadratic): the
+#   Jordan block, where w = 0 and qr / w divides by zero, and the
+#   triangular stacks;
+# - no identity for a diagonal matrix: the "diagonal" and "scalar" stacks;
+# - no decomposition of the conjugate where the first imaginary part is
+#   negative: the conjugation test on the real, diagonal, triangular and
+#   Jordan stacks, whose results then differ in signs of zero.
+
+EIG_C = 8
+
+
+def _eig_stacks(rng, count=200):
+    """Named (count, 2, 2) complex stacks of the shapes the closed form
+    treats apart, and of entries from 1e-300 to 1e300."""
+    random = _stack(rng, count, 2, 2)
+    diagonal = np.zeros((count, 2, 2), dtype=complex)
+    diagonal[:, [0, 1], [0, 1]] = _stack(rng, count, 1, 2)[:, 0]
+    scalar = _stack(rng, count, 1, 1) * np.eye(2)
+    upper, lower = np.triu(random), np.tril(_stack(rng, count, 2, 2))
+    jordan = _stack(rng, count, 1, 1) * np.eye(2) + np.array([[0, 1], [0, 0]]) * _stack(rng, count, 1, 1)
+    # a Jordan block perturbed by 1e-16 to 1e-2 of its size
+    near_ep = jordan + _stack(rng, count, 2, 2) * 10.0 ** rng.uniform(-16, -2, size=(count, 1, 1))
+    real = rng.normal(size=(count, 2, 2)).astype(complex)
+    # from 1e-300 to 1e300: products of two entries over- or underflow
+    scaled = random * 10.0 ** rng.uniform(-300, 300, size=(count, 1, 1))
+    return {"random": random, "diagonal": diagonal, "scalar": scalar, "upper": upper,
+            "lower": lower, "jordan": jordan, "near-ep": near_ep, "random-real": real,
+            "scaled": scaled}
+
+
+EIG_STACKS = list(_eig_stacks(np.random.default_rng(0), count=1))
+
+
+@pytest.mark.parametrize("name", EIG_STACKS)
+def test_eig_2x2_matches_lapack(name):
+    mats = _eig_stacks(np.random.default_rng(50))[name]
+    for z in mats:
+        values, vectors = knp.eig(z)
+        assert values.shape == (2,) and vectors.shape == (2, 2)
+        ref_values, ref_vectors = np.linalg.eig(z)
+        size = np.linalg.norm(z, 2)
+        # the residual in the largest entry, so tiny matrices do not underflow
+        residual = np.abs(z @ vectors - vectors * values).max(axis=0)
+        assert np.all(residual <= EIG_C * EPS * size)
+        assert np.all(np.abs(np.linalg.norm(vectors, axis=0) - 1.0) <= EIG_C * EPS)
+        if name == "jordan":
+            # both sides give the diagonal exactly, and the two parallel
+            # eigenvectors fail the basis test, so the Picard map falls back
+            assert np.array_equal(values, ref_values)
+            assert not _cond_within(vectors, _COND_LIMIT)
+            continue
+        gap = min(np.abs(values - ref_values).max(), np.abs(values[::-1] - ref_values).max())
+        assert gap <= EIG_C * EPS * size * np.linalg.cond(ref_vectors)
+        if name in ("diagonal", "scalar", "upper", "lower"):
+            assert np.array_equal(values, np.diagonal(z))
+        if name in ("diagonal", "scalar"):
+            assert np.array_equal(vectors, np.eye(2))
+
+
+@pytest.mark.parametrize("name", EIG_STACKS)
+def test_eig_of_the_conjugate_is_the_conjugate(name):
+    for z in _eig_stacks(np.random.default_rng(51))[name]:
+        for mat in (z, z[:1, :1]):
+            values, vectors = knp.eig(mat)
+            conj_values, conj_vectors = knp.eig(np.conj(mat))
+            assert conj_values.tobytes() == np.conj(values).tobytes()
+            assert conj_vectors.tobytes() == np.conj(vectors).tobytes()
+
+
+def test_eig_other_sizes_and_non_finite_entries():
+    rng = np.random.default_rng(52)
+    z = _stack(rng, 1, 3, 3)[0]
+    got, want = knp.eig(z), np.linalg.eig(z)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    values, vectors = knp.eig(np.array([[0.3 - 0.2j]]))
+    assert values.tolist() == [0.3 - 0.2j] and vectors.tolist() == [[1.0]]
+    for n in (1, 2):
+        for bad in (np.nan, np.inf):
+            mat = np.eye(n, dtype=complex)
+            mat[-1, 0] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                knp.eig(mat)
+
+
+@pytest.mark.parametrize("branch", ["physical", 1, -1])
+def test_scalar_cut_moments_match_the_batched_ones(branch):
+    # _cut_moments_at against _cut_moments at degrees 0-4, in units of the
+    # size of the two terms z^s L and q_s of each moment: different
+    # roundings of the logarithm and of z^s, no other difference
+    rng = np.random.default_rng(53)
+    a, b = -1.0, 1.0
+    zs = rng.normal(size=300) * 1.5 + 1j * rng.normal(size=300)
+    zs[:20] = rng.uniform(-0.99, 0.99, size=20)  # on the open interval
+    if branch == "physical":
+        zs[:20] += 1e-3j
+    for degree in range(5):
+        batched = _cut_moments(a, b, zs, degree, branch)
+        for z, want in zip(zs, batched):
+            got = np.array(_cut_moments_at(a, b, complex(z), degree, branch))
+            log_term, q = abs(want[0]), 0.0
+            for s in range(degree + 1):
+                if s:
+                    q = z * q + (b ** s - a ** s) / s
+                size = abs(z) ** s * log_term + abs(q)
+                assert abs(got[s] - want[s]) <= 4 * EPS * size

@@ -24,7 +24,7 @@ from schurroots.errors import AdmissibilityError
 from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
                                    transformator)
 
-from conftest import RECT_DEPTH, wide_models
+from conftest import EP_B, EP_E0, RECT_DEPTH, wide_models
 
 Y_ORACLE = 0.11639390461355939
 
@@ -503,16 +503,17 @@ def _outside_model():
     return sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
 
 
-@pytest.mark.parametrize("case", ["near-defective", "at-endpoint"])
+@pytest.mark.parametrize("case", ["near-defective", "defective", "at-endpoint"])
 def test_map_falls_back_to_the_contour_sum(model_zoo, case):
     # where the closed form does not apply, the map is the contour sum: an
     # ill-conditioned eigenbasis, or an eigenvalue at an endpoint, where
     # neither moment is the contour integral
-    if case == "near-defective":
-        # an eigenvector matrix with cond(V) ~ 1e9
+    if case != "at-endpoint":
+        # an eigenvector matrix with cond(V) ~ 1e9, and a Jordan block,
+        # whose two eigenvectors are parallel
         model = next(m for m in model_zoo if m.n == 2)
         lam = 0.1 + 0.05j
-        z = np.array([[lam, 1.0], [0.0, lam + 1e-9]])
+        z = np.array([[lam, 1.0], [0.0, lam + (1e-9 if case == "near-defective" else 0.0)]])
     else:
         model = _outside_model()
         z = np.array([[1.0 + 0j]])
@@ -756,29 +757,81 @@ class _ReferencePicardMap(_PicardMap):
 
 
 def _recorded_solve(monkeypatch, map_class, model, contour):
-    """solve_basic with map_class as the Picard map, and every value the
-    map returned."""
-    values = []
+    """solve_basic with map_class as the Picard map, every value the map
+    returned, and per evaluation whether it took the contour-sum fallback."""
+    values, fell_back = [], []
 
     class Recording(map_class):
         def __call__(self, zmat):
+            before = self.fallbacks
             values.append(super().__call__(zmat))
+            fell_back.append(self.fallbacks > before)
             return values[-1]
 
     monkeypatch.setattr(rootsolver, "_PicardMap", Recording)
-    return sr.solve_basic(model, contour), values
+    return sr.solve_basic(model, contour), values, fell_back
+
+
+# How far the n <= 2 closed form, taken in Python scalars on the eigenbasis
+# of _kernels.eig, may differ from the reference's NumPy arithmetic on the
+# eigenbasis of LAPACK, relative to the reference's value: the error of a
+# sum in a basis grows like cond(V) eps, and the map evaluates in a basis
+# only while cond(V) <= _COND_LIMIT.
+SMALL_MAP_RTOL = 16 * _COND_LIMIT * float(np.finfo(float).eps)
+
+
+def _assert_matches_reference(monkeypatch, model, contour):
+    """The map's decisions and counts are the reference's; for n >= 3 every
+    value is the reference's to the bit, for n <= 2 within SMALL_MAP_RTOL,
+    and so is the root."""
+    sol, values, fell_back = _recorded_solve(monkeypatch, _PicardMap, model, contour)
+    ref, ref_values, ref_fell_back = _recorded_solve(monkeypatch, _ReferencePicardMap,
+                                                     model, contour)
+    assert fell_back == ref_fell_back
+    assert (sol.iterations, sol.contour_fallbacks) == (ref.iterations, ref.contour_fallbacks)
+    if model.n >= 3:
+        assert [v.tobytes() for v in values] == [v.tobytes() for v in ref_values]
+        assert (sol.final_step_norm, sol.residual) == (ref.final_step_norm, ref.residual)
+        return sol
+    for got, want in zip(values + [sol.x], ref_values + [ref.x]):
+        assert np.linalg.norm(got - want, 2) <= SMALL_MAP_RTOL * np.linalg.norm(want, 2)
+    return sol
 
 
 def test_picard_iterates_match_the_svd_cond_map(monkeypatch, friedrichs_model, model_zoo):
     for model in [friedrichs_model] + model_zoo + wide_models(1, 2):
         for side in (1, -1):
-            contour = sr.make_contour(model, side)
-            sol, values = _recorded_solve(monkeypatch, _PicardMap, model, contour)
-            ref, ref_values = _recorded_solve(monkeypatch, _ReferencePicardMap,
-                                              model, contour)
-            assert [v.tobytes() for v in values] == [v.tobytes() for v in ref_values]
-            assert (sol.iterations, sol.final_step_norm, sol.residual, sol.contour_fallbacks) \
-                == (ref.iterations, ref.final_step_norm, ref.residual, ref.contour_fallbacks)
+            _assert_matches_reference(monkeypatch, model, sr.make_contour(model, side))
+
+
+def _hard_models():
+    """(name, model): a1 = diag(-e, e) at and near the exceptional point
+    e = EP_E0 (1 + delta), a1 whose eigenvalues lie further apart than d/2,
+    and the Friedrichs model at weak coupling."""
+    models = []
+    for delta in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
+        e = EP_E0 * (1.0 + delta)
+        models.append((f"ep-{delta:g}", sr.build_model((-1.0, 1.0), [[-e, 0.0], [0.0, e]],
+                                                       [EP_B.tolist()])))
+    for eigs in ((-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)):
+        n = len(eigs)
+        models.append((f"spread-{eigs}", sr.build_model(
+            (-1.0, 1.0), np.diag(eigs).tolist(), [(0.05 * np.eye(n)).tolist()])))
+    for b in (3e-3, 1e-4):
+        models.append((f"friedrichs-{b:g}", sr.build_model((-1.0, 1.0), [[0.0]], [[[b]]])))
+    return models
+
+
+@pytest.mark.parametrize("name, model", [pytest.param(*case, id=case[0]) for case in _hard_models()])
+def test_small_map_matches_the_reference_on_hard_models(monkeypatch, name, model):
+    # near the exceptional point cond(V) crosses _COND_LIMIT during the
+    # iteration: from delta = 1e-4 on, 7 of the 11 evaluations take the
+    # contour sum, at the same steps as in the reference
+    for side in (1, -1):
+        sol = _assert_matches_reference(monkeypatch, model, sr.make_contour(model, side))
+        if name.startswith("ep-"):
+            assert sol.iterations == 10
+            assert sol.contour_fallbacks == (0 if name == "ep-0.01" else 7)
 
 
 def test_eigensystem_is_one_eig_per_root(monkeypatch, model_zoo):
