@@ -12,17 +12,16 @@ solve, verify and sweep share one prologue (_prologue): the model, one
 contour per side and the base report. Each root decides and carries its
 own admissibility (solve_basic, homotopy_path); the report's block is a
 solved root's, or that of the root that raised AdmissibilityError
-(_solve_sides), so an inadmissible input exits 2 with its report. The
-r0_upper_bound of solve and verify is optimize_r0 of the first side's
-root, which decides its own depth family and cannot fail. The objects
-of the construction come as a +-l pair (one contour, root Z, angular
-operator Y and Omega per side). For a real
-model (SpectralModel.is_real) the pair is conjugate: Z(-l) = conj Z(l).
-So when both sides are requested, the second side's contour is the
-mirror of the first's, and solve and sweep take its root, classification
-and path as the conjugate of the first side's, in the first side's order
-(provenance.derived_sides). verify solves both roots, each on its own
-report, and checks each identity once per side
+(_solve_sides), so an inadmissible input exits 2 with its report. No
+command searches other contours: the one reader of r0 (optimize_r0) is
+verify's localization row. The objects of the construction come as a
++-l pair (one contour, root Z, angular operator Y and Omega per side).
+For a real model (SpectralModel.is_real) the pair is conjugate:
+Z(-l) = conj Z(l). So when both sides are requested, the second side's
+contour is the mirror of the first's, and solve and sweep take its root,
+classification and path as the conjugate of the first side's, in the
+first side's order (provenance.derived_sides). verify solves both roots,
+each on its own report, and checks each identity once per side
 (identities.identity_table, seeded by verify.seed), which makes it the
 independent check of that symmetry.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import friedrichs as fr
 from .config import RunConfig, build_model_from_config
-from .contour import make_contour, optimize_r0
+from .contour import make_contour
 from .errors import AdmissibilityError, ConfigError, ModelError, NumericsError
 from .identities import identity_table
 from .report import (admissibility_block, atomic_write, config_sha256,
@@ -116,8 +115,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     if sols is None:
         return _finish(report, start)
     first = sols[cfg.sides[0]]
-    report["admissibility"] = {**admissibility_block(first.report),
-                               "r0_upper_bound": optimize_r0(first)[1]}
+    report["admissibility"] = admissibility_block(first.report)
 
     report["solutions"] = {}
     clss = {}
@@ -135,8 +133,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
                          functools.partial(solve_basic, model), None)
     if roots is None:
         return _finish(report, start)
-    report["admissibility"] = {**admissibility_block(roots[1].report),
-                               "r0_upper_bound": optimize_r0(roots[1])[1]}
+    report["admissibility"] = admissibility_block(roots[1].report)
 
     rows, rics, clss = identity_table(roots, cfg.seed)
     report["identities"] = rows

@@ -491,7 +491,7 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths,
     _rectangle_rules, and each group of depths with equal node counts
     takes one _kprime_norms call over all its nodes and one row-wise
     weighted sum for its V0 values, so a depth's value does not
-    depend on the batch (optimize_r0's scan and kink probes share one).
+    depend on the batch (optimize_r0's scan and h* share one).
     distance is the model's _RectangleDistance, built once per search; it
     gives d at all the depths in one call.
     """
@@ -512,32 +512,26 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths,
     return r_min
 
 
-# The coarse scan of optimize_r0 takes this many depths, and its
-# golden-section refinement stops at this relative bracket width; the
-# probes beside the kink of d(h) lie half that width from it.
+# optimize_r0 scans this many evenly spaced depths of the family.
 _SCAN_DEPTHS = 33
-_DEPTH_RTOL = 1e-6
 
 
 def optimize_r0(root):
-    """(depth, r0): the least r_min that the search of a depth family
-    around the solved root's contour measured, never above the root's own.
+    """(depth, r0): the least r_min among the solved root's own and one
+    batch of depths of the family around its contour.
 
     A semicircle, and a rectangle with 0.5 depth >= hi - lo, have no
-    family: r0 is the root's r_min. Any other rectangle searches the side-l
-    rectangles of depths (0.5 depth, min(2 depth, hi - lo)), which hold its
-    own; r0 is the least r_min among the root's and every depth evaluated,
-    and a scan with no admissible depth gives the root's.
+    family: r0 is the root's r_min. Any other rectangle's family is the
+    side-l rectangles of depths (0.5 depth, min(2 depth, hi - lo)), which
+    hold its own. One _rectangle_r_min batch takes _SCAN_DEPTHS evenly
+    spaced depths of it and, when it lies strictly inside, the kink h* of
+    d(h) (_RectangleDistance): d rises up to h* and is constant after it,
+    and r_min falls as d rises and rises with V0, so the least r_min
+    usually sits at h*. A batch with no admissible depth gives the root's.
 
-    d(h) rises up to its kink h* and is constant after it
-    (_RectangleDistance), and r_min falls as d rises and rises with V0, so
-    the least r_min usually sits at h*. One _rectangle_r_min batch takes a
-    scan of _SCAN_DEPTHS depths and, when the family holds them, h* and
-    the probes h* -+ delta (delta half the final bracket). The search stops
-    at h* if h* lies between the best scanned depth's neighbours and its
-    r_min is no larger than the best scanned one's and both probes'.
-    Otherwise golden-section refinement, which assumes r_min unimodal
-    there, shrinks that bracket to _DEPTH_RTOL relative, one depth a step.
+    r0 bounds the root: the rectangle that gives r0 has r0 <= r_min(root)
+    < r_max(root), so its root, of norm at most r0, is a fixed point of the
+    root's own map in the ball where that map has only one: ||X|| <= r0.
     """
     model, contour = root.model, root.contour
     own = (contour.depth, root.report.r_min)
@@ -546,44 +540,8 @@ def optimize_r0(root):
         return own
     lo, hi = 0.5 * contour.depth, min(2.0 * contour.depth, length)
     distance = _RectangleDistance(model, model.interval)
-    # (depth, r_min) of the root and of every depth evaluated, in order
-    measured = [own]
-
-    def r_of(*hs):
-        values = _rectangle_r_min(model, root.side, hs, distance)
-        measured.extend(zip(map(float, hs), values))
-        return values
-
-    def least(*candidates):
-        return min(candidates, key=lambda pair: pair[1])
-
-    kink, probes = distance.kink, ()
-    if kink is not None:
-        delta = 0.5 * _DEPTH_RTOL * max(1.0, kink)
-        if lo < kink - delta and kink + delta < hi:
-            probes = (kink - delta, kink, kink + delta)
-    scan = np.linspace(lo, hi, _SCAN_DEPTHS)
-    values = r_of(*scan, *probes)
-    values, at_probes = values[:_SCAN_DEPTHS], values[_SCAN_DEPTHS:]
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
-        return least(*measured)
-
-    left = scan[max(best - 1, 0)]
-    right = scan[min(best + 1, _SCAN_DEPTHS - 1)]
-    if probes and left <= kink <= right and at_probes[1] <= min(values[best], *at_probes):
-        return least(own, (kink, at_probes[1]))
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = right - phi * (right - left)
-    x2 = left + phi * (right - left)
-    f1, f2 = r_of(x1, x2)
-    while right - left > _DEPTH_RTOL * max(1.0, right):
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - phi * (right - left)
-            (f1,) = r_of(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + phi * (right - left)
-            (f2,) = r_of(x2)
-    return least(*measured)
+    depths = np.linspace(lo, hi, _SCAN_DEPTHS).tolist()
+    if distance.kink is not None and lo < distance.kink < hi:
+        depths.append(distance.kink)
+    values = _rectangle_r_min(model, root.side, depths, distance)
+    return min([own, *zip(depths, values)], key=lambda pair: pair[1])

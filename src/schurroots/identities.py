@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ._kernels import smallest_singular_values, spectral_norms
+from .contour import optimize_r0
 from .errors import SchurRootsError
 from .model import density_margin
 from .report import identity_row
@@ -265,8 +266,12 @@ def identity_table(roots, seed: int) -> tuple:
         lambda s: rics[s].y_norm ** 2 - ysn_integral(rics[s])))
 
     def localization(side):
+        # every eigenvalue of Z lies within r0 of sigma1: r0 (optimize_r0)
+        # is the least r_min of the root's contour family, the root's own
+        # r_min on a semicircle
         sol = roots[side]
-        return max(float(np.min(np.abs(lam - model.sigma1))) - sol.report.r_min
+        r0 = optimize_r0(sol)[1]
+        return max(float(np.min(np.abs(lam - model.sigma1))) - r0
                    for lam in sol.eigensystem.values)
 
     add_row("localization", 1e-9, over_sides(localization))

@@ -787,7 +787,7 @@ def test_report_block_is_the_roots_own(tmp_path, capsys, monkeypatch, command):
     t_end = 0.7 if command == "sweep" else 1.0
     first = sr.admissibility(model, sr.make_contour(model, 1), t_end)
     block = json.loads(out)["admissibility"]
-    assert block.pop("r0_upper_bound", first.r_min) == first.r_min
+    assert "r0_upper_bound" not in block
     assert block == admissibility_block(first)
 
 
@@ -944,26 +944,57 @@ def test_non_finite_density_exits_4(tmp_path, capsys, command):
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+def _localization(model, roots, radius):
+    """The localization row's residual of the roots against radius(side):
+    the largest distance of an eigenvalue of Z to sigma1, less the radius,
+    over both sides."""
+    return max(float(np.min(np.abs(lam - model.sigma1))) - radius(side)
+               for side, sol in roots.items() for lam in sol.eigenvalues())
+
+
+def _rectangle_roots(model, depth):
+    return {side: sr.solve_basic(model, sr.make_contour(model, side, "rectangle", depth))
+            for side in (1, -1)}
+
+
+def _check_own_localization(data, rep, depth):
+    """verify's localization residual is that of the depth's roots against
+    their own r_min."""
+    model = build_model_from_config(RunConfig.from_dict(data))
+    roots = _rectangle_roots(model, depth)
+    rows = {r["name"]: r for r in rep["identities"]}
+    want = _localization(model, roots, lambda side: roots[side].report.r_min)
+    assert rows["localization"]["residual"] == want
+
+
 def test_rectangle_r0_is_taken_at_the_kink(tmp_path, capsys, model_zoo):
     # the depth family (0.25, 1.0) of a depth-0.5 rectangle holds the kink
-    # h* of d(h), where a zoo model's r_min is least
+    # h* of d(h), where a zoo model's r_min is least: verify's localization
+    # row reads r0 = r_min(h*) of each side, below the configured r_min
     data = {**_zoo_config(model_zoo), "contour": {"kind": "rectangle", "depth": 0.5}}
-    code, out = run(capsys, ["solve", "--config", write_cfg(tmp_path, data)])
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     assert code == 0
-    adm = json.loads(out)["admissibility"]
+    rep = json.loads(out)
+    adm = rep["admissibility"]
+    assert "r0_upper_bound" not in adm
     model = build_model_from_config(RunConfig.from_dict(data))
     kink = _RectangleDistance(model, model.interval).kink
-    at_kink = sr.admissibility(model, sr.make_contour(model, 1, "rectangle", kink))
-    assert adm["r0_upper_bound"] == at_kink.r_min
-    assert adm["r0_upper_bound"] <= adm["r_min"]
+    at_kink = {side: sr.admissibility(model, sr.make_contour(model, side, "rectangle", kink))
+               for side in (1, -1)}
+    assert at_kink[1].r_min < adm["r_min"]
+    rows = {r["name"]: r for r in rep["identities"]}
+    want = _localization(model, _rectangle_roots(model, 0.5),
+                         lambda side: at_kink[side].r_min)
+    assert rows["localization"]["residual"] == want
+    assert rows["localization"]["passed"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("depth", [4.0, 5.0])
 def test_deep_rectangle_keeps_the_exit_code_contract(tmp_path, capsys, command,
                                                      depth):
-    # at 0.5 depth >= hi - lo the depth family is empty: r0 is the
-    # configured rectangle's r_min, as for a semicircle
+    # at 0.5 depth >= hi - lo the depth family is empty: localization reads
+    # the configured rectangle's own r_min, as for a semicircle
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05]]]},
             "contour": {"kind": "rectangle", "depth": depth, "sides": [1]}}
     code = main([command, "--config", write_cfg(tmp_path, data)])
@@ -972,15 +1003,16 @@ def test_deep_rectangle_keeps_the_exit_code_contract(tmp_path, capsys, command,
     assert "Traceback" not in captured.err
     rep = json.loads(captured.out)
     if rep["status"] == "ok":
-        adm = rep["admissibility"]
-        assert adm["r0_upper_bound"] == adm["r_min"]
+        assert "r0_upper_bound" not in rep["admissibility"]
+        if command == "verify":
+            _check_own_localization(data, rep, depth)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_admissible_rectangle_between_scanned_depths_exits_0(tmp_path, capsys, command):
     # V0 = 0.2498 < d^2/4 = 0.25 at depth 1, but the admissible depths lie
     # in about (0.9995, 1.0016), between the scanned depths 0.96875 and
-    # 1.015625 of the family (0.5, 2.0): r0_upper_bound is the configured
+    # 1.015625 of the family (0.5, 2.0): localization reads the configured
     # rectangle's own r_min
     data = {"model": {"interval": [-1, 1], "a1": [[0]], "b": [[[0.2499]]]},
             "contour": {"kind": "rectangle", "depth": 1.0}}
@@ -988,10 +1020,31 @@ def test_admissible_rectangle_between_scanned_depths_exits_0(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert code == 0, captured.err
     rep = json.loads(captured.out)
-    adm = rep["admissibility"]
-    assert adm["r0_upper_bound"] == adm["r_min"]
+    assert "r0_upper_bound" not in rep["admissibility"]
     if command == "verify":
         assert len(rep["identities"]) == 19 and rep["all_identities_pass"]
+        _check_own_localization(data, rep, 1.0)
+
+
+def test_localization_fails_a_root_between_r0_and_r_min():
+    # a1 = 0.2, b = 0.1 on the depth-0.5 rectangle: r0 = 0.0479 at h* = 0.8,
+    # the root's own r_min = 0.0697 and ||X|| = 0.0310. X scaled by 1.9 puts
+    # Z's eigenvalue 0.059 from sigma1, inside the r_min disk but outside
+    # r0's: localization fails, by its distance past r0
+    model = sr.build_model((-1.0, 1.0), [[0.2]], [[[0.1]]])
+    roots = _rectangle_roots(model, 0.5)
+    for side, sol in roots.items():
+        assert sr.optimize_r0(sol) == (0.8, pytest.approx(0.0479, abs=1e-4))
+        assert sol.report.r_min == pytest.approx(0.0697, abs=1e-4)
+        roots[side] = dataclasses.replace(sol, x=1.9 * sol.x,
+                                          z_op=sol.model.a1 + 1.9 * sol.x)
+    row = next(r for r in identity_table(roots, 0)[0] if r["name"] == "localization")
+    assert not row["passed"]
+    assert row["residual"] == _localization(
+        model, roots, lambda side: sr.optimize_r0(roots[side])[1])
+    assert 0.011 < row["residual"] < 0.012
+    # against the root's own r_min the scaled root would pass
+    assert _localization(model, roots, lambda side: roots[side].report.r_min) < 0
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

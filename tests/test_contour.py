@@ -204,14 +204,16 @@ def _reference_r_min(model, side, depth):
 
 
 def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
-    """optimize_r0's search of the depths (lo, hi). r_of(*depths) gives
-    r_min at each depth; it is called with the scan's depths, then the kink
-    probes, then the two bracket points, then one depth per golden-section
-    step, as the golden-section search calls _rectangle_r_min. kink is h*
-    of the family's d(h), or None for the golden-section search alone.
-    Returns the scan's r_min values and the best (depth, r_min) measured:
-    the kink's when the kink rule stops the search, else the first least
-    of every depth evaluated."""
+    """A search of the depths (lo, hi); r_of(*depths) gives r_min at each
+    depth. Returns the scan's r_min values and the first least (depth,
+    r_min) measured.
+
+    kink is h* of the family's d(h), or None. With it, this is
+    optimize_r0's search: one r_of call with the scan's depths and h* when
+    h* lies strictly inside. Without it, the golden-section search, an
+    independent reference: after the scan, it shrinks the bracket of the
+    best scanned depth's neighbours to tol relative, with the two bracket
+    points in one call and then one depth per step."""
     measured = []
 
     def record(*depths):
@@ -220,22 +222,16 @@ def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
         return values
 
     depths = np.linspace(lo, hi, samples)
-    values = record(*depths)
-    probes = ()
     if kink is not None:
-        delta = 0.5 * tol * max(1.0, kink)
-        if lo < kink - delta and kink + delta < hi:
-            probes = (kink - delta, kink, kink + delta)
-            at_probes = record(*probes)
+        at_kink = (kink,) if lo < kink < hi else ()
+        values = record(*depths, *at_kink)[:samples]
+        return values, min(measured, key=lambda pair: pair[1])
+    values = record(*depths)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         return values, min(measured, key=lambda pair: pair[1])
     left = depths[max(best - 1, 0)]
     right = depths[min(best + 1, samples - 1)]
-    if probes and left <= kink <= right:
-        below, at_kink, above = at_probes
-        if at_kink <= min(values[best], below, above):
-            return values, (kink, at_kink)
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = right - phi * (right - left)
     x2 = left + phi * (right - left)
@@ -254,8 +250,8 @@ def _reference_search(r_of, lo, hi, kink, samples=33, tol=1e-6):
 
 def _reference_optimize_r0(root, family, kink_rule=True):
     """optimize_r0 of a rectangle root with one make_contour plus
-    admissibility per candidate depth; kink_rule=False leaves the
-    golden-section search alone. Returns the scan's r_min values and
+    admissibility per candidate depth; kink_rule=False runs the
+    golden-section search instead. Returns the scan's r_min values and
     (depth, r0), the root's own (depth, r_min) where the search measured
     nothing smaller."""
     model, side = root.model, root.side
@@ -277,9 +273,10 @@ RECT_FAMILIES = [(0.25, 1.0), (0.3, 1.2), (0.1, 0.4)]
 # (searches, searches that end at the kink) per family, of the 84 (model,
 # side, t). Friedrichs' configured rectangle is inadmissible at t = 1 on
 # each of the three depths, and at depth 0.2 so are all at t = 1 and
-# Friedrichs' at t = 0.5: they have no root. Friedrichs' family (0.25, 1.0) at t = 0.5
-# ends at h* = 1, which leaves no room for the upper probe, but the scan
-# measures h* itself, and it is least; (0.1, 0.4) lies below every kink
+# Friedrichs' at t = 0.5: they have no root. Friedrichs' family
+# (0.25, 1.0) at t = 0.5 ends at its h* = 1, which the batch does not add,
+# but the scan measures h* itself, and it is least; (0.1, 0.4) lies below
+# every kink
 SEARCH_COUNTS = {(0.25, 1.0): (82, 82), (0.3, 1.2): (82, 82), (0.1, 0.4): (40, 0)}
 
 
@@ -326,7 +323,9 @@ def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
                 assert search(sm, side, depths, distance) == values
                 scanned.clear()
                 depth_r0 = sr.optimize_r0(root)
-                # the search scans the family of the root's depth
+                # the search is one batch that scans the family of the
+                # root's depth
+                assert len(scanned) == 1
                 assert scanned[0][:33] == tuple(depths)
                 # the least r_min measured, bit for bit that of its depth's
                 # contour, never above the root's own
@@ -334,8 +333,8 @@ def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
                 r0 = depth_r0[1]
                 assert r0 <= root.report.r_min
                 assert _reference_r_min(sm, side, depth_r0[0]) == r0
-                # the kink rule never does worse than the golden-section
-                # search, and leaves its steps alone where it does not fire
+                # the batch never does worse than the golden-section
+                # search, and where it does not end at h*, the two agree
                 assert golden[1] - 3e-7 * golden[1] <= r0 <= golden[1]
                 if depth_r0[0] == distance.kink:
                     at_kink += 1
@@ -344,11 +343,11 @@ def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
     assert (searches, at_kink) == SEARCH_COUNTS[family]
 
 
-def test_kink_rule_declines_a_kink_that_is_no_minimum():
+def test_search_keeps_a_scanned_depth_below_the_kink():
     # b vanishes at x +- 0.4i for x = +-0.25, +-0.75, so V0 grows steeply
     # with the depth and r_min is least short of h* = 0.35, though within
-    # the scan's bracket around it: the lower probe beats h*, and the
-    # golden-section search runs as it would without the kink rule
+    # the scan's bracket around it: the scanned depth 0.328125 beats h*, and
+    # r0 is the least r_min of the batch
     coeffs = np.array([1.0])
     for x in (-0.75, -0.25, 0.25, 0.75):
         coeffs = np.polynomial.polynomial.polymul(coeffs, [x * x + 0.16, -2 * x, 1.0])
@@ -361,16 +360,20 @@ def test_kink_rule_declines_a_kink_that_is_no_minimum():
     best = int(np.argmin(values))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
     depth, r0 = sr.optimize_r0(root)
+    assert (depth, r0) == (depths[best], values[best])
+    assert r0 < _reference_r_min(model, 1, distance.kink)
+    # the golden-section search refines the bracket to a depth about 5.7e-5
+    # (relative) lower, 1.906015e-4 against 1.906122e-4; r0 stays 3.8 times
+    # below the root's own r_min
     _, golden = _reference_optimize_r0(root, family, kink_rule=False)
-    assert depth == golden[0] != distance.kink
-    assert r0 == golden[1] < _reference_r_min(model, 1, distance.kink)
-    # the refinement is what finds it: the best scanned depth is worse
-    assert r0 < values[best]
+    assert golden[1] < r0 <= golden[1] * (1.0 + 6e-5)
+    assert 3.7 * r0 < root.report.r_min
 
 
 def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
-    # the scan of the family (0.25, 1.0) and the three kink probes take one
-    # _rectangle_r_min call
+    # the scan of a family and h* take one _rectangle_r_min call: h* lies
+    # inside every zoo model's family (0.25, 1.0) and above every (0.1, 0.4),
+    # which holds the scan alone
     calls = []
     search = contour_module._rectangle_r_min
 
@@ -380,11 +383,18 @@ def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
     for model in model_zoo:
+        kink = _RectangleDistance(model, model.interval).kink
         root = _rectangle_root(model, 1, 0.5)
         calls.clear()
         depth, _ = sr.optimize_r0(root)
-        assert depth == _RectangleDistance(model, model.interval).kink
-        assert calls == [33 + 3]
+        assert depth == kink
+        assert calls == [33 + 1]
+        # a depth-0.2 rectangle is admissible at half the coupling
+        root = _rectangle_root(model.scaled(0.5), 1, 0.2)
+        calls.clear()
+        depth, _ = sr.optimize_r0(root)
+        assert depth <= 0.4 < kink
+        assert calls == [33]
 
 
 def test_spectral_norms_n2_match_axis_sum_form():
@@ -506,8 +516,8 @@ def _edge_models():
 
 def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
                                                        friedrichs_model):
-    # every depth that optimize_r0 scans, probes or refines, and every depth
-    # of the golden-section search alone, on both sides, plus the edge models
+    # every depth of optimize_r0's batch, and every depth of the
+    # golden-section search, on both sides, plus the edge models
     scanned = []
     search = contour_module._rectangle_r_min
 
