@@ -6,12 +6,15 @@ complex weights so that sum(weights) reproduces integral of dmu over the
 path. Two kinds are supported: a semicircle (depth fixed at half the
 interval length) and a three-segment rectangle of adjustable depth.
 
-make_contour sizes the rule by arclength in half-lengths of the interval
-(_node_count), so its counts do not depend on the interval's scale; that
-rule is V0's, whose integrand ||K'(mu)|| has kinks. The integrands of the
-other contour sums are analytic near the path, so analytic_rule gives the
-same path the fewest nodes that their known singularities and the degree
-of K' allow.
+make_contour sizes the stored rule by arclength in half-lengths of the
+interval (_node_count), so its counts do not depend on the interval's
+scale. That rule is V0's only on a rectangle; everywhere it caps the
+counts of analytic_rule. A semicircle's V0, whose integrand ||K'(mu)|| has
+kinks, takes a nested trapezoidal rule in the angle, sized by accuracy
+and stated with its error (variation). The integrands of the other
+contour sums are analytic near the path, so analytic_rule gives the same
+path the fewest nodes that their known singularities and the degree of K'
+allow.
 """
 
 import functools
@@ -26,10 +29,23 @@ from ._quad import _rule
 from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
 
-# V0's rule (make_contour): a segment gets _V0_NODES_PER_UNIT Gauss-Legendre
-# nodes per unit of arclength, the unit being the interval's half-length,
-# and at least 200 (_node_count): 629 on every semicircle.
+# The stored rule (make_contour), V0's on a rectangle and the cap of
+# analytic_rule: a segment gets _V0_NODES_PER_UNIT Gauss-Legendre nodes per
+# unit of arclength, the unit being the interval's half-length, and at
+# least 200 (_node_count): 629 on every semicircle.
 _V0_NODES_PER_UNIT = 200
+
+# A semicircle's V0 (variation) is the trapezoidal rule in the angle over
+# [0, pi]. The first level has _TRAPEZOID_START intervals, and each doubling
+# evaluates only the new midpoints, until two successive levels agree to
+# _TRAPEZOID_RTOL (relative) or the rule has _TRAPEZOID_MAX intervals: at
+# most 513 norms. The integrand is the even half of a 2 pi-periodic
+# function of the angle, where the trapezoidal rule converges
+# geometrically away from kinks (Trefethen and Weideman, SIAM Rev. 56
+# (2014)).
+_TRAPEZOID_START = 128
+_TRAPEZOID_MAX = 512
+_TRAPEZOID_RTOL = 1e-9
 
 # Largest Gauss-Legendre rule built for one segment. leggauss is O(N^3) in
 # the rule size, so an unbounded count would stall before admissibility
@@ -97,7 +113,7 @@ class Contour:
 
 
 def _node_count(arclength):
-    """V0's node count of a segment whose arclength is given in
+    """The stored rule's node count of a segment whose arclength is given in
     half-lengths of the interval: max(200, _V0_NODES_PER_UNIT * arclength),
     refused above MAX_SEGMENT_NODES before any rule is built."""
     wanted = _V0_NODES_PER_UNIT * arclength
@@ -198,8 +214,9 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
     half-lengths of the interval (629 on a semicircle, 400 on a
     rectangle's top, whatever the interval); a segment that would need
     more than MAX_SEGMENT_NODES raises ModelError.
-    This is the rule of V0 (variation); the analytic contour sums take
-    analytic_rule of the contour instead. The weight sum is checked
+    This is V0's rule on a rectangle only: a semicircle's V0 takes its own
+    rule in the angle (variation). Everywhere it caps the counts of
+    analytic_rule, which the analytic contour sums take. The weight sum is checked
     against the exact path integral of dmu, which equals the interval
     length.
     """
@@ -357,17 +374,59 @@ def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
                            for start in range(0, nodes.shape[0], step)])
 
 
+def _semicircle_variation(model: SpectralModel, contour: Contour) -> tuple:
+    """(V0, its error estimate, the number of norms taken) of a semicircle.
+
+    V0 is the trapezoidal sum T_M over theta in [0, pi] of
+    ||K'(c + rho e^{i theta})|| rho dtheta, halves at the endpoints, on the
+    side +1 arc for either side: K' has real coefficients, so
+    K'(conj mu) = conj K'(mu) and both sides have one V0, bit for bit. The
+    levels are nested (_TRAPEZOID_START and after); the error is
+    |T_M - T_{M/2}| plus the rounding term (M + 1) eps V0.
+    """
+    a, b = contour.endpoints
+    centre, rho = 0.5 * (a + b), contour.depth
+
+    def norms(theta):
+        return _kprime_norms(model, centre + rho * np.exp(1j * theta))
+
+    count = _TRAPEZOID_START
+    values = norms(np.pi / count * np.arange(count + 1))
+    ends = 0.5 * float(values[0] + values[-1])
+    # T_{M/2} from the even nodes of the first level
+    previous = np.pi * rho / (count // 2) * (ends + float(np.sum(values[2:-1:2])))
+    total = ends + float(np.sum(values[1:-1]))
+    v0 = np.pi * rho / count * total
+    while abs(v0 - previous) > _TRAPEZOID_RTOL * v0 and count < _TRAPEZOID_MAX:
+        total += float(np.sum(norms(np.pi / count * (np.arange(count) + 0.5))))
+        count *= 2
+        previous, v0 = v0, np.pi * rho / count * total
+    return v0, abs(v0 - previous) + (count + 1) * math.ulp(1.0) * v0, count + 1
+
+
+def _variation(model: SpectralModel, contour: Contour) -> tuple:
+    """(V0, its error estimate or None, the number of norms taken): a
+    semicircle's by _semicircle_variation, any other contour's on its
+    stored rule, which states no error."""
+    if contour.kind == "semicircle":
+        return _semicircle_variation(model, contour)
+    norms = _kprime_norms(model, contour.nodes)
+    return float(np.sum(np.abs(contour.weights) * norms)), None, contour.num_nodes
+
+
 def variation(model: SpectralModel, contour: Contour) -> float:
     """V0 = integral over the contour of ||K'(mu)|| |dmu|.
 
     ||.|| is the spectral norm at each quadrature node, evaluated in
     closed form for n <= 2 and from the Gram matrix's largest eigenvalue
-    otherwise (_kernels.spectral_norms).
-    This is the only quadrature in the admissibility test; callers that
-    need the test at several couplings evaluate it once and rescale
-    with admissibility_at.
+    otherwise (_kernels.spectral_norms). A semicircle takes the nested
+    trapezoidal rule in the angle (_TRAPEZOID_START to _TRAPEZOID_MAX
+    intervals, not the contour's nodes), a rectangle the contour's rule.
+    This is the only quadrature in the admissibility test, which also
+    reports the semicircle's error estimate; callers that need the test at
+    several couplings evaluate it once and rescale with admissibility_at.
     """
-    return float(np.sum(np.abs(contour.weights) * _kprime_norms(model, contour.nodes)))
+    return _variation(model, contour)[0]
 
 
 class _RectangleDistance:
@@ -433,18 +492,26 @@ class AdmissibilityReport:
     admissible: bool
     r_min: float | None
     r_max: float | None
+    # V0's error estimate (None on a rectangle's stored rule, which states
+    # none) and the number of norms V0 took (variation)
+    variation_error: float | None = None
+    variation_nodes: int | None = None
 
 
-def admissibility_at(v0: float, distance: float,
-                     coupling_scale: float = 1.0) -> AdmissibilityReport:
+def admissibility_at(v0: float, distance: float, coupling_scale: float = 1.0, *,
+                     variation_error: float | None = None,
+                     variation_nodes: int | None = None) -> AdmissibilityReport:
     """The report of admissibility at coupling t, from V0 and d at t = 1.
 
-    Pure arithmetic with no quadrature: V0 -> t^2 V0, then the test and the
-    radii. admissibility(model, contour, t) is admissibility_at(
-    variation(model, contour), distance_to_sigma1(model, contour), t).
+    Pure arithmetic with no quadrature: V0 -> t^2 V0 and its error
+    likewise, then the test and the radii, which read V0 alone; the node
+    count is passed on. admissibility(model, contour, t) is this of the
+    V0, error and node count of variation and distance_to_sigma1.
     """
     t = float(coupling_scale)
     v0 = v0 * t * t
+    if variation_error is not None:
+        variation_error = variation_error * t * t
     omega = distance * distance - 4.0 * v0
     admissible = omega > 0.0
     if admissible:
@@ -453,7 +520,8 @@ def admissibility_at(v0: float, distance: float,
     else:
         r_min = None
         r_max = None
-    return AdmissibilityReport(v0, distance, omega, admissible, r_min, r_max)
+    return AdmissibilityReport(v0, distance, omega, admissible, r_min, r_max,
+                               variation_error, variation_nodes)
 
 
 def admissibility(model: SpectralModel, contour: Contour,
@@ -462,13 +530,16 @@ def admissibility(model: SpectralModel, contour: Contour,
 
     r_min = d/2 - sqrt(d^2/4 - V0) bounds how far roots move from sigma1,
     r_max = d - sqrt(V0) bounds the enclosure from above. The coupling
-    scale t enters through V0 -> t^2 V0. Evaluates V0 (one quadrature,
-    see variation) and d (exact geometry); a caller that needs the report
-    at several couplings for one contour should call this once at t = 1
-    and pass its variation and distance to admissibility_at for each t.
+    scale t enters through V0 -> t^2 V0. Evaluates V0 with its error
+    estimate and node count (one quadrature, see variation) and d (exact
+    geometry); a caller that needs the report at several couplings for one
+    contour should call this once at t = 1 and pass its variation,
+    distance, variation_error and variation_nodes to admissibility_at for
+    each t.
     """
-    return admissibility_at(variation(model, contour),
-                            distance_to_sigma1(model, contour), coupling_scale)
+    v0, error, nodes = _variation(model, contour)
+    return admissibility_at(v0, distance_to_sigma1(model, contour), coupling_scale,
+                            variation_error=error, variation_nodes=nodes)
 
 
 def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:

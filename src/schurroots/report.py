@@ -65,6 +65,8 @@ def admissibility_block(rep) -> dict:
         "admissible": rep.admissible,
         "r_min": rep.r_min,
         "r_max": rep.r_max,
+        "variation_error": rep.variation_error,
+        "variation_nodes": rep.variation_nodes,
     }
 
 

@@ -608,7 +608,13 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid) -> list:
         raise ValueError("t grid must lie in [0, 1]")
     # V0 and d once for the contour; each t only rescales V0 -> t^2 V0
     base = admissibility(model, contour)
-    ensure_admissible(admissibility_at(base.variation, base.distance, ts[-1]))
+
+    def report_at(t):
+        return ensure_admissible(admissibility_at(
+            base.variation, base.distance, t, variation_error=base.variation_error,
+            variation_nodes=base.variation_nodes))
+
+    report_at(ts[-1])
     tau = _real_band(model)
 
     out = []
@@ -618,7 +624,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid) -> list:
     lipschitz = 0.0
     t_prev = None
     for t in ts:
-        rep = ensure_admissible(admissibility_at(base.variation, base.distance, t))
+        rep = report_at(t)
         x0 = _extrapolate(known[-_START_POINTS:], t * t)
         if not _inside(x0, rep.r_max):
             x0 = x_prev * (t / t_prev) ** 2 if t_prev else x_prev

@@ -217,8 +217,11 @@ def test_verify_report_holds_the_identity_table(tmp_path):
     roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth))
              for side in (1, -1)}
     assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
-    # node_counts is V0's rule per side: 200 nodes per half-length of the
-    # interval, over a semicircle's arclength of pi half-lengths
+    # node_counts is the stored rule per side, the cap of every analytic
+    # rule: 200 nodes per half-length of the interval, over a semicircle's
+    # arclength of pi half-lengths. V0 takes its own rule in the angle, the
+    # flat coupling's first level of 129 nodes
+    assert rep["admissibility"]["variation_nodes"] == 129
     assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
 
 
@@ -512,13 +515,13 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     import schurroots.contour as contour_mod
 
     calls = []
-    original = contour_mod.variation
+    original = contour_mod._variation
 
     def counting(model, contour):
         calls.append(contour.side)
         return original(model, contour)
 
-    monkeypatch.setattr(contour_mod, "variation", counting)
+    monkeypatch.setattr(contour_mod, "_variation", counting)
     classified = _count_calls(monkeypatch, cli_mod, "classify")
     for sides in ([1, -1], [-1]):
         calls.clear()
@@ -538,13 +541,13 @@ def test_sweep_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     import schurroots.rootsolver as rootsolver_mod
 
     calls = []
-    original = contour_mod.variation
+    original = contour_mod._variation
 
     def counting(model, contour):
         calls.append(contour.side)
         return original(model, contour)
 
-    monkeypatch.setattr(contour_mod, "variation", counting)
+    monkeypatch.setattr(contour_mod, "_variation", counting)
     pairings = _count_calls(monkeypatch, rootsolver_mod, "_pair")
     cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.5, 1.0]}))
     code, _ = run(capsys, ["sweep", "--config", cfg,
@@ -630,7 +633,7 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     import schurroots.riccati as riccati_mod
 
     variations, quads = [], []
-    original_variation = contour_mod.variation
+    original_variation = contour_mod._variation
     original_quad = riccati_mod.adaptive_quad
 
     def counting_variation(model, contour):
@@ -641,7 +644,7 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
         quads.append(1)
         return original_quad(*args, **kwargs)
 
-    monkeypatch.setattr(contour_mod, "variation", counting_variation)
+    monkeypatch.setattr(contour_mod, "_variation", counting_variation)
     monkeypatch.setattr(riccati_mod, "adaptive_quad", counting_quad)
     sandwiches = _count_calls(monkeypatch, riccati_mod, "sandwich_sum")
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, BASE)])
@@ -1049,14 +1052,16 @@ def test_localization_fails_a_root_between_r0_and_r_min():
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_semicircle_over_a_long_interval_exits_0(tmp_path, capsys, command):
-    # V0's 629 nodes per semicircle hold over (-30, 30), where 200 nodes per
-    # unit of absolute arclength asked for 18850 and exited 4
+    # the stored rule's 629 nodes per semicircle hold over (-30, 30), where
+    # 200 nodes per unit of absolute arclength asked for 18850 and exited 4;
+    # V0's rule is sized in the angle, so the scale cannot change it either
     data = {"model": {"interval": [-30.0, 30.0], "a1": [[0.0]], "b": [[[0.01]]]}}
     code = main([command, "--config", write_cfg(tmp_path, data)])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     rep = json.loads(captured.out)
     assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
+    assert rep["admissibility"]["variation_nodes"] == 129
     if command == "verify":
         assert len(rep["identities"]) == 19 and rep["all_identities_pass"]
 

@@ -98,10 +98,11 @@ def test_distance_unknown_kind(friedrichs_model, friedrichs_contours):
 
 
 def test_variation_node_doubling():
-    # polynomial scalar density: the norm is smooth, doubling is idle
+    # polynomial scalar density: the norm is smooth, doubling a rectangle's
+    # stored rule is idle (a semicircle's V0 does not read the stored rule)
     model = sr.build_model((-1.0, 1.0), [[0.0]],
                            [[[0.15]], [[0.05]], [[0.02]], [[0.01]], [[0.005]]])
-    c1 = sr.make_contour(model, 1)
+    c1 = sr.make_contour(model, 1, "rectangle", 0.5)
     c2 = contour_module._contour(1, c1.kind, c1.depth, c1.endpoints,
                                  tuple(2 * count for count in c1.counts))
     v1 = sr.variation(model, c1)
@@ -446,30 +447,99 @@ def test_spectral_norms_match_svd(n):
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
-def test_variation_matches_svd_on_zoo(model_zoo):
+def _traced_variation(monkeypatch, model, contour, norms=None):
+    """(V0, the node batches passed to _kprime_norms), the norms taken by
+    the kernel route or, given norms, by norms of the K' stack."""
+    batches = []
+    original = contour_module._kprime_norms
+
+    def recording(model, nodes):
+        batches.append(np.array(nodes))
+        if norms is None:
+            return original(model, nodes)
+        return norms(model.kprime_values(nodes))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contour_module, "_kprime_norms", recording)
+        return sr.variation(model, contour), batches
+
+
+def _check_variation_against_svd(monkeypatch, model, contour):
+    # the kernel route against the per-node SVD on the nodes the rule
+    # evaluates: a semicircle's levels in the angle, a rectangle's rule
+    got, nodes = _traced_variation(monkeypatch, model, contour)
+    ref, ref_nodes = _traced_variation(monkeypatch, model, contour, _svd_norms)
+    assert len(nodes) == len(ref_nodes)
+    assert all(np.array_equal(p, q) for p, q in zip(nodes, ref_nodes))
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_variation_matches_svd_on_zoo(monkeypatch, model_zoo):
     for model in model_zoo:
         for side in (1, -1):
             for kind, depth in (("semicircle", None), ("rectangle", 0.5)):
-                c = sr.make_contour(model, side, kind, depth)
-                ref = float(np.sum(np.abs(c.weights)
-                                   * _svd_norms(model.kprime_values(c.nodes))))
-                assert abs(sr.variation(model, c) - ref) <= 1e-14 * ref
+                _check_variation_against_svd(monkeypatch, model,
+                                             sr.make_contour(model, side, kind, depth))
 
 
-def test_variation_matches_svd_on_wide_models():
+def test_variation_matches_svd_on_wide_models(monkeypatch):
     # n = 4, 8, 16: the Gram eigenvalue route against the per-node SVD
     for model in wide_models(1, 2):
         for side in (1, -1):
-            c = sr.make_contour(model, side)
-            ref = float(np.sum(np.abs(c.weights)
-                               * _svd_norms(model.kprime_values(c.nodes))))
-            assert abs(sr.variation(model, c) - ref) <= 1e-14 * ref
+            _check_variation_against_svd(monkeypatch, model, sr.make_contour(model, side))
+
+
+def _reference_variation(model, contour, intervals=8192):
+    """V0 of a semicircle by the trapezoidal rule of 8192 intervals in the
+    angle."""
+    a, b = contour.endpoints
+    theta = np.pi / intervals * np.arange(intervals + 1)
+    norms = contour_module._kprime_norms(model, 0.5 * (a + b) + contour.depth * np.exp(1j * theta))
+    return np.pi * contour.depth / intervals * (0.5 * (norms[0] + norms[-1])
+                                                + np.sum(norms[1:-1]))
+
+
+def test_variation_error_bounds_the_reference(friedrichs_model, model_zoo):
+    # a semicircle's V0 lies within its stated error of the 8192-interval
+    # sum, on both sides, and both sides have one V0, bit for bit. Seeds 1
+    # to 6 hold the kinked integrands: seed 2's n = 16 and seed 6's n = 4
+    # and 8 reach the last level
+    for model in [friedrichs_model, *model_zoo, *wide_models(*range(1, 7))]:
+        rep, mirrored = (sr.admissibility(model, sr.make_contour(model, side))
+                         for side in (1, -1))
+        assert ((rep.variation, rep.variation_error, rep.variation_nodes)
+                == (mirrored.variation, mirrored.variation_error, mirrored.variation_nodes))
+        ref = _reference_variation(model, sr.make_contour(model, 1))
+        assert abs(rep.variation - ref) <= rep.variation_error
+        assert rep.variation_error <= 1e-9 * rep.variation or rep.variation_nodes == 513
+    # the flat Friedrichs coupling: V0 = pi b^2 to rounding
+    rep = sr.admissibility(friedrichs_model, sr.make_contour(friedrichs_model, 1))
+    assert abs(rep.variation - V0_ORACLE) <= rep.variation_error
+
+
+def test_variation_takes_at_most_513_norms(monkeypatch, friedrichs_model, model_zoo):
+    # the first level is one batch of 129 nodes, and each doubling takes only
+    # the new midpoints: 129, 257 or 513 norms in all, against the stored
+    # rule's 629. A rectangle's V0 is its stored rule, with no error stated
+    levels = {129: [129], 257: [129, 128], 513: [129, 128, 256]}
+    for model in [friedrichs_model, *model_zoo, *wide_models(*range(1, 7))]:
+        contour = sr.make_contour(model, 1)
+        _, nodes = _traced_variation(monkeypatch, model, contour)
+        rep = sr.admissibility(model, contour)
+        assert [len(batch) for batch in nodes] == levels[rep.variation_nodes]
+    _, nodes = _traced_variation(monkeypatch, model_zoo[0], sr.make_contour(model_zoo[0], 1))
+    assert [len(batch) for batch in nodes] == [129]
+    rectangle = sr.make_contour(model_zoo[0], -1, "rectangle", 0.5)
+    rep = sr.admissibility(model_zoo[0], rectangle)
+    assert (rep.variation_error, rep.variation_nodes) == (None, rectangle.num_nodes)
 
 
 def test_variation_memory_is_bounded_by_the_batch():
+    # the 800-node rectangle's stored rule, which _kprime_norms takes in
+    # batches of 256 nodes at n = 16
     model = wide_models(1)[2]
     assert model.n == 16
-    c = sr.make_contour(model, 1)
+    c = sr.make_contour(model, 1, "rectangle", 0.5)
     sr.variation(model, c)
     tracemalloc.start()
     try:
@@ -478,7 +548,8 @@ def test_variation_memory_is_bounded_by_the_batch():
     finally:
         tracemalloc.stop()
     # K', its conjugate and their Gram matrices for one batch of 2^16
-    # entries, 1 MiB each; the 629 nodes in one batch took 7.7 MB
+    # entries, 1 MiB each; a semicircle's 629 stored nodes in one batch took
+    # 7.7 MB
     assert peak < 4 << 20
 
 
@@ -582,8 +653,11 @@ def test_admissibility_at_rescales_exactly(friedrichs_model, friedrichs_contours
     c = friedrichs_contours[-1]
     base = sr.admissibility(friedrichs_model, c)
     for t in (0.0, 0.3, 0.7, 1.0):
-        assert (sr.admissibility_at(base.variation, base.distance, t)
-                == sr.admissibility(friedrichs_model, c, t))
+        rep = sr.admissibility_at(base.variation, base.distance, t,
+                                  variation_error=base.variation_error,
+                                  variation_nodes=base.variation_nodes)
+        assert rep == sr.admissibility(friedrichs_model, c, t)
+        assert rep.variation_error == base.variation_error * t * t
 
 
 def test_node_cap_refuses_before_building(friedrichs_model):

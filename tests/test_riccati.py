@@ -280,13 +280,13 @@ def test_omega_evaluates_no_v0(monkeypatch, matrix_case):
     model, contours, sols, _ = matrix_case
     rep = sr.admissibility(model, contours[1])
     calls = []
-    original = sr.contour.variation
+    original = sr.contour._variation
 
     def counting(model, contour):
         calls.append(contour.side)
         return original(model, contour)
 
-    monkeypatch.setattr(sr.contour, "variation", counting)
+    monkeypatch.setattr(sr.contour, "_variation", counting)
     om = sr.compute_Omega(sols[1], sols[-1])
     assert calls == []
     assert sols[1].report == rep

@@ -367,13 +367,13 @@ def test_homotopy_inadmissible():
 
 def _count_variation(monkeypatch):
     calls = []
-    original = sr.contour.variation
+    original = sr.contour._variation
 
     def counting(model, contour):
         calls.append(contour)
         return original(model, contour)
 
-    monkeypatch.setattr(sr.contour, "variation", counting)
+    monkeypatch.setattr(sr.contour, "_variation", counting)
     return calls
 
 
