@@ -1,10 +1,10 @@
 """Adaptive panel quadrature on a real interval.
 
 Used for the integrals that live on the spectral interval itself (Gram
-matrices, Riccati right-hand sides, graph pairings). Contour integrals use
-Gauss-Legendre rules per contour segment instead: make_contour's for V0
-and contour.analytic_rule's, sized by accuracy, for the analytic sums;
-both take their rules on [-1, 1] from _rule.
+matrices, Riccati right-hand sides, graph pairings). On a contour, a
+semicircle's V0 takes a trapezoidal rule in the angle, and every other
+sum Gauss-Legendre rules per segment (a rectangle's V0 its contour's
+counts, the analytic sums contour.analytic_rule's), built from _rule.
 
 The integrand takes a 1-d array of nodes and returns its unweighted value
 at each of them. Each panel's error is estimated by comparing a 16-node

@@ -73,7 +73,6 @@ def _prologue(command, cfg, sides) -> tuple:
         "identities": [],
         "provenance": {
             "config_sha256": config_sha256(cfg),
-            "node_counts": {str(s): c.num_nodes for s, c in contours.items()},
         },
     }
     return model, contours, report, derived

@@ -1,20 +1,17 @@
 """Contours for analytic continuation through the essential spectrum.
 
-A contour for side l joins the interval endpoints through the half-plane
-of sign l, traversed left to right, and carries Gauss-Legendre nodes and
-complex weights so that sum(weights) reproduces integral of dmu over the
-path. Two kinds are supported: a semicircle (depth fixed at half the
-interval length) and a three-segment rectangle of adjustable depth.
-
-make_contour sizes the stored rule by arclength in half-lengths of the
-interval (_node_count), so its counts do not depend on the interval's
-scale. That rule is V0's only on a rectangle; everywhere it caps the
-counts of analytic_rule. A semicircle's V0, whose integrand ||K'(mu)|| has
-kinks, takes a nested trapezoidal rule in the angle, sized by accuracy
-and stated with its error (variation). The integrands of the other
-contour sums are analytic near the path, so analytic_rule gives the same
-path the fewest nodes that their known singularities and the degree of K'
-allow.
+A contour for side l is a path that joins the interval endpoints through
+the half-plane of sign l, left to right: a semicircle (depth half the
+interval length) or a three-segment rectangle of adjustable depth, with a
+Gauss-Legendre node count per segment sized by arclength in half-lengths
+of the interval (_node_count). Its nodes and complex weights, whose sum
+is the path integral of dmu, are built on first read (Contour.nodes).
+The counts size a rectangle's V0 and cap the counts of analytic_rule. A
+semicircle's V0, whose integrand ||K'(mu)|| has kinks, takes a nested
+trapezoidal rule in the angle, sized by accuracy and stated with its
+error (variation). The integrands of the other contour sums are analytic
+near the path, so analytic_rule gives the same path the fewest nodes that
+their known singularities and the degree of K' allow.
 """
 
 import functools
@@ -29,7 +26,7 @@ from ._quad import _rule
 from .errors import AdmissibilityError, ModelError
 from .model import SpectralModel
 
-# The stored rule (make_contour), V0's on a rectangle and the cap of
+# A contour's counts, V0's rule on a rectangle and the cap of
 # analytic_rule: a segment gets _V0_NODES_PER_UNIT Gauss-Legendre nodes per
 # unit of arclength, the unit being the interval's half-length, and at
 # least 200 (_node_count): 629 on every semicircle.
@@ -68,24 +65,44 @@ _NORM_BATCH_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class Contour:
-    """The side-l path over endpoints and its rule, segment by segment (one
-    for a semicircle, three for a rectangle): counts[k] nodes on segment k."""
+    """The side-l path over endpoints, segment by segment (one for a
+    semicircle, three for a rectangle), with counts[k] Gauss-Legendre nodes
+    on segment k. It compares and hashes by these fields; its nodes and
+    weights are built on first read."""
 
     side: int
     kind: str
     depth: float
     endpoints: tuple
-    nodes: np.ndarray
-    weights: np.ndarray
     counts: tuple
 
-    def __post_init__(self):
-        for arr in (self.nodes, self.weights):
+    @functools.cached_property
+    def _gauss_legendre(self) -> tuple:
+        """(nodes, weights), read-only: the side +1 rule (_semicircle_rule,
+        _rectangle_rules), conjugated on side -1, its weight sum checked
+        against the exact path integral of dmu, the interval length."""
+        a, b = self.endpoints
+        if self.kind == "semicircle":
+            nodes, weights = _semicircle_rule(a, b, self.counts[0])
+        else:
+            ((_, nodes, weights),) = _rectangle_rules(a, b, [self.depth], [self.counts])
+            nodes, weights = nodes[0], weights[0]
+        if self.side == -1:
+            nodes, weights = np.conj(nodes), np.conj(weights)
+        length = b - a
+        total = complex(np.sum(weights))
+        if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * self.depth):
+            raise ModelError(f"contour weight sum {total} misses interval length {length}")
+        for arr in (nodes, weights):
             arr.setflags(write=False)
+        return nodes, weights
+
+    nodes = property(lambda self: self._gauss_legendre[0])
+    weights = property(lambda self: self._gauss_legendre[1])
 
     @property
     def num_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return sum(self.counts)
 
     def contains_in_lens(self, zs, closed: bool = False):
         """Whether each point of the array zs lies strictly between the
@@ -106,14 +123,13 @@ class Contour:
         return inside & below(0.0, self.side * y)
 
     def mirror(self) -> "Contour":
-        """The reflected contour for the opposite side: nodes and weights
-        conjugated, kind, depth, endpoints and counts passed on."""
-        return replace(self, side=-self.side, nodes=np.conj(self.nodes),
-                       weights=np.conj(self.weights))
+        """The reflected contour for the opposite side, whose rule, when
+        read, is this one's conjugated."""
+        return replace(self, side=-self.side)
 
 
 def _node_count(arclength):
-    """The stored rule's node count of a segment whose arclength is given in
+    """The node count of a contour segment whose arclength is given in
     half-lengths of the interval: max(200, _V0_NODES_PER_UNIT * arclength),
     refused above MAX_SEGMENT_NODES before any rule is built."""
     wanted = _V0_NODES_PER_UNIT * arclength
@@ -137,13 +153,13 @@ def _rectangle_rules(a, b, depths, counts):
     """The side +1 rectangle rules of the interval (a, b) at several depths.
 
     counts holds the three segment node counts of each depth. Returns one
-    (rows, counts, nodes, weights) per distinct triple of counts, in order
-    of first appearance: rows are the indices into depths that share it,
-    nodes and weights (len(rows), sum(counts)) arrays. Row k holds the
+    (rows, nodes, weights) per distinct triple of counts, in order of first
+    appearance: rows are the indices into depths that share it, nodes and
+    weights (len(rows), sum(counts)) arrays. Row k holds the
     Gauss-Legendre nodes and weights of the side +1 rectangle of depth
     depths[rows[k]]: per segment p -> q, mid + half * x and w * half, with
     mid = (p + q)/2 and half = (q - p)/2 taken per depth in scalar
-    arithmetic. Every rectangle Contour is built with this too.
+    arithmetic. A rectangle Contour's rule is built with this too.
     """
     groups = {}
     for row, row_counts in enumerate(counts):
@@ -160,7 +176,7 @@ def _rectangle_rules(a, b, depths, counts):
         per_node = np.repeat(np.array(ends), group_counts, axis=1)
         mid, half = per_node[..., 0], per_node[..., 1]
         x, w = (np.concatenate(parts) for parts in zip(*map(_rule, group_counts)))
-        rules.append((rows, group_counts, mid + half * x, w * half))
+        rules.append((rows, mid + half * x, w * half))
     return rules
 
 
@@ -175,50 +191,18 @@ def _semicircle_rule(a, b, count):
     return c + rho * phase, w * (1j * rho * phase) * (-0.5 * math.pi)
 
 
-def _contour(side, kind, depth, endpoints, counts) -> Contour:
-    """The side-l contour of a kind and depth over endpoints, with counts[k]
-    Gauss-Legendre nodes on segment k.
-
-    The side -1 rule is the mirror image of the side +1 rule, bit for bit.
-    The weight sum is checked against the exact path integral of dmu,
-    which equals the interval length.
-    """
-    a, b = endpoints
-    if kind == "semicircle":
-        nodes, weights = _semicircle_rule(a, b, counts[0])
-    else:
-        ((_, _, nodes, weights),) = _rectangle_rules(a, b, [depth], [counts])
-        nodes, weights = nodes[0], weights[0]
-    if side == -1:
-        nodes = np.conj(nodes)
-        weights = np.conj(weights)
-
-    length = b - a
-    total = complex(np.sum(weights))
-    if abs(total - length) > 1e-10 * (1.0 + length + 2.0 * depth):
-        raise ModelError(f"contour weight sum {total} misses interval length {length}")
-
-    return Contour(int(side), kind, float(depth), (a, b),
-                   np.ascontiguousarray(nodes, dtype=np.complex128),
-                   np.ascontiguousarray(weights, dtype=np.complex128),
-                   tuple(counts))
-
-
 def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
                  depth=None) -> Contour:
-    """Build the side-l contour with Gauss-Legendre quadrature: a
+    """The side-l contour of a kind over the model's interval: a
     semicircle takes no depth (it is half the interval length), a
     rectangle a positive one; any other depth raises ValueError.
 
     Per segment the node count is _node_count of its arclength in
     half-lengths of the interval (629 on a semicircle, 400 on a
     rectangle's top, whatever the interval); a segment that would need
-    more than MAX_SEGMENT_NODES raises ModelError.
-    This is V0's rule on a rectangle only: a semicircle's V0 takes its own
-    rule in the angle (variation). Everywhere it caps the counts of
-    analytic_rule, which the analytic contour sums take. The weight sum is checked
-    against the exact path integral of dmu, which equals the interval
-    length.
+    more than MAX_SEGMENT_NODES raises ModelError. No rule is built: the
+    counts are V0's on a rectangle and cap those of analytic_rule, which
+    the analytic contour sums take.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -240,7 +224,7 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         counts = _rectangle_counts(length, depth_val)
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
-    return _contour(side, kind, depth_val, (a, b), counts)
+    return Contour(int(side), kind, depth_val, (a, b), counts)
 
 
 def _log_bernstein(x):
@@ -332,9 +316,9 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
     MAX_SEGMENT_NODES on some segment raises ValueError naming the first
     such point. A singular point only raises the count, and no further
     than the segment's count in the contour passed in (contour.counts), so
-    a root near the path is summed on that rule as before. The result has
-    the contour's side, kind, depth and endpoints, and every count's rule
-    is built once (_rule).
+    a root near the path is summed on that rule as before. The result is
+    the contour with these counts; its rule is built when first read, from
+    the per-count rules of _rule.
     """
     points = np.ravel(np.asarray(points, dtype=np.complex128))
     singular = np.ravel(np.asarray(singular, dtype=np.complex128))
@@ -358,7 +342,7 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
                 max(_MIN_ANALYTIC_NODES, from_points, min(cap, from_singular))))
         for from_points, from_singular, cap in zip(
             per_segment(at_points), per_segment(at_singular), contour.counts))
-    return _contour(contour.side, contour.kind, contour.depth, contour.endpoints, counts)
+    return replace(contour, counts=counts)
 
 
 def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
@@ -404,14 +388,30 @@ def _semicircle_variation(model: SpectralModel, contour: Contour) -> tuple:
     return v0, abs(v0 - previous) + (count + 1) * math.ulp(1.0) * v0, count + 1
 
 
+def _rectangle_variations(model: SpectralModel, side, endpoints, depths, counts) -> list:
+    """V0 of the side-l rectangle over endpoints at each depth, counts[k]
+    the segment counts of depths[k]: per group of equal counts
+    (_rectangle_rules) one _kprime_norms call and one row-wise weighted
+    sum, so a depth's value does not depend on the batch."""
+    v0s = [0.0] * len(depths)
+    for rows, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
+        if side == -1:
+            nodes = np.conj(nodes)
+        norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
+        for row, v0 in zip(rows, np.sum(np.abs(weights) * norms, axis=1).tolist()):
+            v0s[row] = v0
+    return v0s
+
+
 def _variation(model: SpectralModel, contour: Contour) -> tuple:
     """(V0, its error estimate or None, the number of norms taken): a
-    semicircle's by _semicircle_variation, any other contour's on its
-    stored rule, which states no error."""
+    semicircle's by _semicircle_variation, any other contour's as the
+    one-depth batch of _rectangle_variations, which states no error."""
     if contour.kind == "semicircle":
         return _semicircle_variation(model, contour)
-    norms = _kprime_norms(model, contour.nodes)
-    return float(np.sum(np.abs(contour.weights) * norms)), None, contour.num_nodes
+    (v0,) = _rectangle_variations(model, contour.side, contour.endpoints,
+                                  [contour.depth], [contour.counts])
+    return v0, None, contour.num_nodes
 
 
 def variation(model: SpectralModel, contour: Contour) -> float:
@@ -421,7 +421,7 @@ def variation(model: SpectralModel, contour: Contour) -> float:
     closed form for n <= 2 and from the Gram matrix's largest eigenvalue
     otherwise (_kernels.spectral_norms). A semicircle takes the nested
     trapezoidal rule in the angle (_TRAPEZOID_START to _TRAPEZOID_MAX
-    intervals, not the contour's nodes), a rectangle the contour's rule.
+    intervals), a rectangle the Gauss-Legendre rule of the contour's counts.
     This is the only quadrature in the admissibility test, which also
     reports the semicircle's error estimate; callers that need the test at
     several couplings evaluate it once and rescale with admissibility_at.
@@ -453,7 +453,9 @@ class _RectangleDistance:
         a, b = endpoints
         lam = model.sigma1
         length = b - a
-        t = (lam - a) * length / abs(length) ** 2
+        # (lam - a) length / |length|^2, the exponent taken out: no overflow
+        m, e = math.frexp(length)
+        t = np.ldexp(lam - a, -e) * m / (m * m)
         # the clamps of max(0.0, t) and min(1.0, t), NaN included
         t = np.where(t > 0.0, t, 0.0)
         t = np.where(t < 1.0, t, 1.0)
@@ -492,8 +494,8 @@ class AdmissibilityReport:
     admissible: bool
     r_min: float | None
     r_max: float | None
-    # V0's error estimate (None on a rectangle's stored rule, which states
-    # none) and the number of norms V0 took (variation)
+    # V0's error estimate (None on a rectangle, whose rule states none) and
+    # the number of norms V0 took (variation)
     variation_error: float | None = None
     variation_nodes: int | None = None
 
@@ -515,7 +517,9 @@ def admissibility_at(v0: float, distance: float, coupling_scale: float = 1.0, *,
     omega = distance * distance - 4.0 * v0
     admissible = omega > 0.0
     if admissible:
-        r_min = 0.5 * distance - math.sqrt(0.25 * distance * distance - v0)
+        # d/2 - sqrt(d^2/4 - V0), which cancels as V0/d^2 falls, rearranged
+        half = 0.5 * distance
+        r_min = v0 / (half + half * math.sqrt(max(0.0, 1.0 - 4.0 * (v0 / distance) / distance)))
         r_max = distance - math.sqrt(v0)
     else:
         r_min = None
@@ -546,7 +550,8 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
     """Return rep, or raise AdmissibilityError carrying it."""
     if not rep.admissible:
         raise AdmissibilityError(
-            f"contour not admissible: V0={rep.variation:.6g} >= d^2/4={rep.distance ** 2 / 4:.6g}",
+            f"contour not admissible: V0={rep.variation:.6g} >= d^2/4="
+            f"{0.25 * rep.distance * rep.distance:.6g}",
             report=rep,
         )
     return rep
@@ -558,29 +563,16 @@ def _rectangle_r_min(model: SpectralModel, side: int, depths,
     is not admissible.
 
     Equal bit for bit to admissibility(model, make_contour(model, side,
-    "rectangle", h)).r_min, but builds no Contour: the rules come from
-    _rectangle_rules, and each group of depths with equal node counts
-    takes one _kprime_norms call over all its nodes and one row-wise
-    weighted sum for its V0 values, so a depth's value does not
-    depend on the batch (optimize_r0's scan and h* share one).
-    distance is the model's _RectangleDistance, built once per search; it
-    gives d at all the depths in one call.
+    "rectangle", h)).r_min: V0 is one _rectangle_variations batch
+    (optimize_r0's scan and h* share one), and d one call of the model's
+    _RectangleDistance, built once per search.
     """
-    r_min = [math.inf] * len(depths)
     endpoints = model.interval
     length = endpoints[1] - endpoints[0]
     counts = [_rectangle_counts(length, h) for h in depths]
-    dists = distance(depths)
-    for rows, _, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
-        if side == -1:
-            nodes = np.conj(nodes)
-        norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
-        v0s = np.sum(np.abs(weights) * norms, axis=1)
-        for row, v0 in zip(rows, v0s.tolist()):
-            rep = admissibility_at(v0, dists[row])
-            if rep.admissible:
-                r_min[row] = rep.r_min
-    return r_min
+    v0s = _rectangle_variations(model, side, endpoints, depths, counts)
+    reports = (admissibility_at(v0, d) for v0, d in zip(v0s, distance(depths)))
+    return [rep.r_min if rep.admissible else math.inf for rep in reports]
 
 
 # optimize_r0 scans this many evenly spaced depths of the family.

@@ -41,7 +41,9 @@ def _lens_points(rng, contour, count) -> np.ndarray:
     c = 0.5 * (a + b)
     x = c + rng.uniform(-0.7, 0.7, size=count) * (0.5 * (b - a))
     if contour.kind == "semicircle":
-        height = np.sqrt(np.maximum(contour.depth ** 2 - (x - c) ** 2, 0.0))
+        # sqrt(depth^2 - (x - c)^2), depth's exponent e taken out: no overflow
+        m, e = math.frexp(contour.depth)
+        height = np.ldexp(np.sqrt(np.maximum(m * m - np.ldexp(x - c, -e) ** 2, 0.0)), e)
     else:
         height = contour.depth
     v = rng.uniform(0.15, 0.75, size=count)

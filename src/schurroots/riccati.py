@@ -19,6 +19,7 @@ those poles, so each row of verify still compares two independent paths.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,7 +358,8 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
     omega = sandwich_sum(kv, rule.nodes, rule.weights, zl_h, sol_l.z_op)
 
     rep = sol_l.report
-    bound = rep.variation / (0.25 * rep.distance ** 2)
+    m, e = math.frexp(rep.distance)  # V0 / (d^2/4), d's exponent out: no overflow
+    bound = math.ldexp(rep.variation, -2 * e) / (0.25 * m * m)
     return OmegaOperator(contour.side, omega, float(spectral_norms(omega)), bound)
 
 

@@ -1,7 +1,8 @@
-"""Contour sums on analytic_rule against V0's rule.
+"""Contour sums on analytic_rule against the contour's own rule.
 
-V0's rule (make_contour, 200 nodes per unit of arclength) is the rule
-every analytic contour sum used before analytic_rule sized them; here it
+The contour's own rule (make_contour's counts, 200 nodes per unit of
+arclength, built when its nodes are first read) is the rule every
+analytic contour sum used before analytic_rule sized them; here it
 is the reference, summed directly with the kernels. The nested
 reconstruction ring is checked against the fixed 256-point ring, and the
 off-contour guard against a per-point Bernstein count computed from its
@@ -9,6 +10,7 @@ own inverse maps.
 """
 
 import cmath
+import dataclasses
 import math
 import re
 
@@ -17,7 +19,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import schurroots as sr
-from schurroots import contour as contour_mod
 from schurroots import riccati, rootsolver, schur
 from schurroots._kernels import (cauchy_sum_many, resolvent_cauchy_sum,
                                  resolvent_sum, sandwich_sum)
@@ -78,7 +79,7 @@ def _sample_points(rng, model, contour, d):
 
 def _fixed_ring(model, contour, sol, num_nodes=256):
     """reconstruct_from_contour's moments on the fixed num_nodes-point ring
-    of its default circle, each M1 value summed on V0's rule."""
+    of its default circle, each M1 value summed on the contour's own rule."""
     eigs = np.linalg.eigvals(sol.z_op)
     d = sr.distance_to_sigma1(model, contour)
     center = complex(np.mean(eigs))
@@ -198,12 +199,11 @@ def _reference_counts(contour, z, degree=0):
 
 @pytest.mark.parametrize("kind, depth", [("semicircle", None), ("rectangle", 0.5)])
 @pytest.mark.parametrize("side", [1, -1])
-def test_guard_refuses_points_past_the_cap(monkeypatch, friedrichs_model, kind, depth, side):
-    # points scattered around random nodes of V0's rule, about
-    # half of them too close; _contour is replaced by the counts it gets,
-    # so no rule is built
+def test_guard_refuses_points_past_the_cap(friedrichs_model, kind, depth, side):
+    # points scattered around random nodes of the contour's rule, about
+    # half of them too close; analytic_rule builds no rule, so only the
+    # counts it gives are compared
     contour = sr.make_contour(friedrichs_model, side, kind, depth)
-    monkeypatch.setattr(contour_mod, "_contour", lambda *args: args[-1])
     rng = np.random.default_rng(31)
     ks = rng.integers(0, contour.num_nodes, size=1500)
     radius = rng.uniform(0.0, 0.01, size=ks.size)
@@ -217,16 +217,17 @@ def test_guard_refuses_points_past_the_cap(monkeypatch, friedrichs_model, kind, 
             with pytest.raises(ValueError, match="too close to the contour"):
                 analytic_rule(friedrichs_model, contour, z)
         else:
-            assert analytic_rule(friedrichs_model, contour, z) == tuple(max(16, n) for n in ref), z
-        # an eigenvalue only raises the count, up to V0's rule's
-        assert analytic_rule(friedrichs_model, contour, singular=z) == tuple(
+            assert analytic_rule(friedrichs_model, contour, z).counts == tuple(
+                max(16, n) for n in ref), z
+        # an eigenvalue only raises the count, up to the contour's count
+        assert analytic_rule(friedrichs_model, contour, singular=z).counts == tuple(
             min(cap, max(16, n)) for n, cap in zip(ref, configured))
     # a batch names its first offending point
     first = complex(zs[refused.index(True)])
     with pytest.raises(ValueError, match=re.escape(f"z={first} too close")):
         analytic_rule(friedrichs_model, contour, zs)
     kept = [ref for ref, too_close in zip(refs, refused) if not too_close]
-    assert analytic_rule(friedrichs_model, contour, zs[~np.array(refused)]) == tuple(
+    assert analytic_rule(friedrichs_model, contour, zs[~np.array(refused)]).counts == tuple(
         max(16, *column) for column in zip(*kept))
 
 
@@ -249,8 +250,7 @@ def test_lens_sums_do_not_depend_on_the_v0_rule(friedrichs_model, side):
     # of the contour's path, so V0's node count does not enter it: a
     # 200-node semicircle gives the bits of make_contour's 629-node one
     contour = sr.make_contour(friedrichs_model, side)
-    coarse = contour_mod._contour(side, contour.kind, contour.depth,
-                                  contour.endpoints, (200,))
+    coarse = dataclasses.replace(contour, counts=(200,))
     assert (contour.num_nodes, coarse.num_nodes) == (629, 200)
     pts = _lens_points(np.random.default_rng(20260819), contour, _LENS_POINTS)
     assert np.array_equal(schur.m1_continued_many(friedrichs_model, coarse, pts),

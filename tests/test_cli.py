@@ -73,6 +73,21 @@ def test_solve_ok(tmp_path, capsys):
     assert "kernel_backend" not in rep["provenance"]
 
 
+def test_solve_builds_no_gauss_legendre_rule(tmp_path, capsys, monkeypatch):
+    # a semicircle's V0 takes its rule in the angle and the Picard map is
+    # a closed form, so the contours' own Gauss-Legendre rules, built only
+    # when read, are never built
+    import schurroots.contour as contour_mod
+    built = []
+    for name in ("_semicircle_rule", "_rectangle_rules"):
+        original = getattr(contour_mod, name)
+        monkeypatch.setattr(contour_mod, name,
+                            lambda *args, _f=original: built.append(1) or _f(*args))
+    code, out = run(capsys, ["solve", "--config", write_cfg(tmp_path, BASE)])
+    assert code == 0
+    assert built == []
+
+
 def test_solve_out_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out_path = tmp_path / "report.json"
@@ -217,12 +232,10 @@ def test_verify_report_holds_the_identity_table(tmp_path):
     roots = {side: sr.solve_basic(model, sr.make_contour(model, side, cfg.contour_kind, cfg.depth))
              for side in (1, -1)}
     assert rep["identities"] == json.loads(dumps(identity_table(roots, cfg.seed)[0]))
-    # node_counts is the stored rule per side, the cap of every analytic
-    # rule: 200 nodes per half-length of the interval, over a semicircle's
-    # arclength of pi half-lengths. V0 takes its own rule in the angle, the
-    # flat coupling's first level of 129 nodes
+    # V0 takes its own rule in the angle, the flat coupling's first level
+    # of 129 nodes, and the report states no other node count
     assert rep["admissibility"]["variation_nodes"] == 129
-    assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
+    assert "node_counts" not in rep["provenance"]
 
 
 def test_verify_corrupted_root_fails(tmp_path, capsys, monkeypatch):
@@ -1052,15 +1065,15 @@ def test_localization_fails_a_root_between_r0_and_r_min():
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_semicircle_over_a_long_interval_exits_0(tmp_path, capsys, command):
-    # the stored rule's 629 nodes per semicircle hold over (-30, 30), where
-    # 200 nodes per unit of absolute arclength asked for 18850 and exited 4;
-    # V0's rule is sized in the angle, so the scale cannot change it either
+    # a semicircle's counts (629, in half-lengths of the interval) hold over
+    # (-30, 30), where 200 nodes per unit of absolute arclength asked for
+    # 18850 and exited 4; V0's rule is sized in the angle, so the scale
+    # cannot change it either
     data = {"model": {"interval": [-30.0, 30.0], "a1": [[0.0]], "b": [[[0.01]]]}}
     code = main([command, "--config", write_cfg(tmp_path, data)])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     rep = json.loads(captured.out)
-    assert rep["provenance"]["node_counts"] == {"1": 629, "-1": 629}
     assert rep["admissibility"]["variation_nodes"] == 129
     if command == "verify":
         assert len(rep["identities"]) == 19 and rep["all_identities_pass"]
@@ -1157,6 +1170,14 @@ DEEP_RECTANGLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.05
 AMBIGUOUS_PAIRING = {"model": {"interval": [0.0, 1.0], "a1": [[0.5, 0.0], [0.0, 0.5]],
                                "b": [[[0.0, 0.0]]]},
                      "sweep": {"t_grid": [0.5, 1.0]}}
+# the Friedrichs coupling over half-lengths 1e20 and 1e200: r_min cancelled
+# to 0 on both (solve exited 3), and on the second d^2 overflows a float
+HUGE_INTERVALS = [{"model": {"interval": [-half, half], "a1": [[0.0]], "b": [[[0.2]]]}}
+                  for half in (1e20, 1e200)]
+# and over 1e200 a rectangle, whose distance squared the interval length,
+# and a coupling too strong for the semicircle, whose message squared d
+HUGE_RECTANGLE = {**HUGE_INTERVALS[1], "contour": {"kind": "rectangle", "depth": 1e199}}
+HUGE_COUPLING = {"model": {**HUGE_INTERVALS[1]["model"], "b": [[[1e100]]]}}
 
 
 @settings(max_examples=60, deadline=None,
@@ -1166,6 +1187,8 @@ AMBIGUOUS_PAIRING = {"model": {"interval": [0.0, 1.0], "a1": [[0.5, 0.0], [0.0, 
 @example("sweep", DEEP_RECTANGLE)
 @example("solve", {**DEEP_RECTANGLE, "contour": {"kind": "rectangle", "depth": -1.0}})
 @example("sweep", AMBIGUOUS_PAIRING)
+@example("solve", HUGE_INTERVALS[0])
+@example("solve", HUGE_INTERVALS[1])
 def test_exit_code_contract_on_small_configs(command, data):
     # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
     # prints a traceback
@@ -1204,6 +1227,8 @@ def _main_on(command, data):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_configs())
+@example(HUGE_INTERVALS[0])
+@example(HUGE_INTERVALS[1])
 def test_verify_exit_code_contract_on_small_configs(data):
     # the verify twin of test_exit_code_contract_on_small_configs; a
     # report written with exit 2 is inadmissible, with no solutions
@@ -1213,6 +1238,17 @@ def test_verify_exit_code_contract_on_small_configs(data):
     if code == 2 and report is not None:
         assert report["status"] == "inadmissible"
         assert "solutions" not in report
+
+
+@pytest.mark.parametrize("data, solved", [(HUGE_INTERVALS[0], 0), (HUGE_INTERVALS[1], 0),
+                                          (HUGE_RECTANGLE, 0), (HUGE_COUPLING, 2)])
+def test_huge_intervals_keep_the_exit_codes(data, solved):
+    # solve exits 0, or 2 on the inadmissible coupling; verify may fail rows
+    # at this scale (exit 3), with no traceback
+    code, err, _ = _main_on("solve", data)
+    assert code == solved, err
+    code, err, _ = _main_on("verify", data)
+    assert code in (solved, 3) and "Traceback" not in err
 
 
 def test_sweep_warns_of_an_ambiguous_pairing_and_exits_0(tmp_path):

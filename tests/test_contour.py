@@ -7,6 +7,7 @@ r_max = 1 - sqrt(0.04 pi)         = 0.6455092298188968
 """
 
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -99,12 +100,11 @@ def test_distance_unknown_kind(friedrichs_model, friedrichs_contours):
 
 def test_variation_node_doubling():
     # polynomial scalar density: the norm is smooth, doubling a rectangle's
-    # stored rule is idle (a semicircle's V0 does not read the stored rule)
+    # counts is idle (a semicircle's V0 does not read the contour's counts)
     model = sr.build_model((-1.0, 1.0), [[0.0]],
                            [[[0.15]], [[0.05]], [[0.02]], [[0.01]], [[0.005]]])
     c1 = sr.make_contour(model, 1, "rectangle", 0.5)
-    c2 = contour_module._contour(1, c1.kind, c1.depth, c1.endpoints,
-                                 tuple(2 * count for count in c1.counts))
+    c2 = dataclasses.replace(c1, counts=tuple(2 * count for count in c1.counts))
     v1 = sr.variation(model, c1)
     v2 = sr.variation(model, c2)
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
@@ -148,6 +148,43 @@ def test_semicircle_depth_fixed(friedrichs_model):
 def test_bad_side(friedrichs_model):
     with pytest.raises(ValueError):
         sr.make_contour(friedrichs_model, 0)
+
+
+def test_contour_is_its_path_and_counts(monkeypatch, friedrichs_model):
+    # make_contour and mirror build no rule; a contour compares and hashes
+    # by its path and counts, so side -1 is the mirror image of side +1,
+    # and its rule, built on first read, is built once and read-only
+    built = []
+    for name in ("_semicircle_rule", "_rectangle_rules"):
+        original = getattr(contour_module, name)
+        monkeypatch.setattr(contour_module, name,
+                            lambda *args, _f=original: built.append(1) or _f(*args))
+    for kind, depth in (("semicircle", None), ("rectangle", 0.5)):
+        plus = sr.make_contour(friedrichs_model, 1, kind, depth)
+        minus = sr.make_contour(friedrichs_model, -1, kind, depth)
+        assert minus == plus.mirror() and hash(minus) == hash(plus.mirror())
+        assert minus != plus and minus.mirror() == plus
+        assert dataclasses.replace(plus, counts=(16,) * len(plus.counts)) != plus
+        assert not built
+        nodes = plus.nodes
+        assert plus.nodes is nodes and plus.num_nodes == nodes.shape[0]
+        assert not nodes.flags.writeable and not plus.weights.flags.writeable
+        assert len(built) == 1
+        built.clear()
+
+
+def test_r_min_has_no_cancellation():
+    # r_min = d/2 - sqrt(d^2/4 - V0) of the Friedrichs semicircle against a
+    # 50-digit evaluation of the same V0 and d: the difference of the two
+    # terms cancelled as V0/d^2 fell, off by 6% at b = 1e-8 and 0.0 at 1e-9
+    for exponent in range(4, 10):
+        model = sr.build_model((-1.0, 1.0), [[0.0]], [[[10.0 ** -exponent]]])
+        rep = sr.admissibility(model, sr.make_contour(model, 1))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d, v0 = decimal.Decimal(rep.distance), decimal.Decimal(rep.variation)
+            ref = d / 2 - (d * d / 4 - v0).sqrt()
+            assert abs(decimal.Decimal(rep.r_min) - ref) <= ref * decimal.Decimal(2.0 ** -52)
 
 
 def _rectangle_root(model, side, depth):
@@ -519,8 +556,9 @@ def test_variation_error_bounds_the_reference(friedrichs_model, model_zoo):
 
 def test_variation_takes_at_most_513_norms(monkeypatch, friedrichs_model, model_zoo):
     # the first level is one batch of 129 nodes, and each doubling takes only
-    # the new midpoints: 129, 257 or 513 norms in all, against the stored
-    # rule's 629. A rectangle's V0 is its stored rule, with no error stated
+    # the new midpoints: 129, 257 or 513 norms in all, against the 629 of
+    # the contour's counts. A rectangle's V0 is the Gauss-Legendre rule of
+    # its counts, with no error stated
     levels = {129: [129], 257: [129, 128], 513: [129, 128, 256]}
     for model in [friedrichs_model, *model_zoo, *wide_models(*range(1, 7))]:
         contour = sr.make_contour(model, 1)
@@ -535,7 +573,7 @@ def test_variation_takes_at_most_513_norms(monkeypatch, friedrichs_model, model_
 
 
 def test_variation_memory_is_bounded_by_the_batch():
-    # the 800-node rectangle's stored rule, which _kprime_norms takes in
+    # the 800-node rectangle's rule, which _kprime_norms takes in
     # batches of 256 nodes at n = 16
     model = wide_models(1)[2]
     assert model.n == 16
@@ -548,8 +586,8 @@ def test_variation_memory_is_bounded_by_the_batch():
     finally:
         tracemalloc.stop()
     # K', its conjugate and their Gram matrices for one batch of 2^16
-    # entries, 1 MiB each; a semicircle's 629 stored nodes in one batch took
-    # 7.7 MB
+    # entries, 1 MiB each; a semicircle's 629 Gauss-Legendre nodes in one
+    # batch took 7.7 MB
     assert peak < 4 << 20
 
 
