@@ -35,15 +35,36 @@ def pair_to_complex(val, name: str) -> complex:
     return complex(_real(val, f"an entry of {name}"), 0.0)
 
 
+_REAL_TYPES = {int, float}
+
+
+def _real_matrix(rows) -> np.ndarray | None:
+    """rows as a complex matrix when it is a list of lists of ints and
+    floats that one np.array takes, each entry finite as a float; else
+    None."""
+    if type(rows) is not list or not all(
+            type(row) is list and set(map(type, row)) <= _REAL_TYPES for row in rows):
+        return None
+    try:
+        mat = np.array(rows, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return mat if np.isfinite(mat).all() else None
+
+
 def matrix_from_lists(rows, name: str) -> np.ndarray:
     """A nonempty rows x columns complex matrix from nested lists; any other
     form raises ConfigError, whose message names the matrix (name:
-    model.a1, model.b[k])."""
-    try:
-        mat = np.array([[pair_to_complex(v, name) for v in row] for row in rows],
-                       dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed matrix {name}: {exc}") from exc
+    model.a1, model.b[k]). A matrix of finite real numbers is converted in
+    one np.array (_real_matrix); every other input entry by entry, each
+    entry read by pair_to_complex."""
+    mat = _real_matrix(rows)
+    if mat is None:
+        try:
+            mat = np.array([[pair_to_complex(v, name) for v in row] for row in rows],
+                           dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed matrix {name}: {exc}") from exc
     if mat.ndim != 2 or mat.size == 0:
         raise ConfigError(f"malformed matrix {name}: expected nonempty rows, got {rows!r}")
     return mat
@@ -104,7 +125,7 @@ class RunConfig:
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             # a value of the wrong type or form, such as int("a")
             raise ConfigError(f"malformed config value: {exc}") from exc
-        schema = cfg.to_dict()
+        schema = cfg._filled()
         for section, values in data.items():
             if section not in schema:
                 raise ConfigError(f"unknown config section {section!r}")
@@ -167,6 +188,15 @@ class RunConfig:
             seed=seed,
         )
 
+    def _filled(self) -> dict:
+        """to_dict, built on first use and kept on the config: the schema
+        check of from_dict and canonical_json read it and change nothing;
+        to_dict hands out a fresh dict."""
+        cache = vars(self)
+        if "_filled_dict" not in cache:
+            cache["_filled_dict"] = self.to_dict()
+        return cache["_filled_dict"]
+
     def to_dict(self) -> dict:
         return {
             "model": {
@@ -198,8 +228,9 @@ class RunConfig:
         """to_dict as JSON plus a final newline, the text that hashes into
         config_sha256: written by _json.dumps, which gives the bytes of
         json.dumps(self.to_dict(), sort_keys=True, indent=2), since
-        from_dict admits only finite numbers."""
-        return dumps(self.to_dict()) + "\n"
+        from_dict admits only finite numbers. The dict is the one from_dict
+        checked the keys against (_filled)."""
+        return dumps(self._filled()) + "\n"
 
 
 def build_model_from_config(cfg: RunConfig):

@@ -116,6 +116,10 @@ class Contour:
         below = operator.le if closed else operator.lt
         if self.kind == "semicircle":
             inside = below(abs(zs - 0.5 * (a + b)), self.depth)
+            if closed:
+                # the endpoints are on the circle, but the rounded centre
+                # can put them a unit in the last place outside it
+                inside = inside | ((y == 0.0) & ((x == a) | (x == b)))
         elif self.kind == "rectangle":
             inside = below(a, x) & below(x, b) & below(self.side * y, self.depth)
         else:

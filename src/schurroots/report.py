@@ -6,16 +6,13 @@ reports except for the wall-time entry. All file writes go through a
 temp file plus atomic rename.
 """
 
-import csv
 import hashlib
-import io
 import os
 import tempfile
 
 import numpy as np
 
 from ._json import dumps
-from ._kernels import spectral_norms
 from .config import matrix_to_lists
 from .riccati import check_one_in_spectrum
 
@@ -51,7 +48,7 @@ def solution_block(sol, cls) -> dict:
         "contour_fallbacks": sol.contour_fallbacks,
         "final_step_norm": sol.final_step_norm,
         "residual": sol.residual,
-        "x_norm": float(spectral_norms(sol.x)),
+        "x_norm": sol.x_norm,
         "x": matrix_to_lists(sol.x),
         "z": matrix_to_lists(sol.z_op),
     }
@@ -106,14 +103,21 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_field(text: str) -> str:
+    # text as csv.writer's default dialect writes a field of a row of
+    # several: quoted, with its quotes doubled, when it holds the
+    # delimiter, the quote character or a line end
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str, rows) -> None:
-    """The sweep rows as CSV, with csv.writer's CRLF line ends, written
-    by atomic_write."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "trajectory_id", "re", "im", "label"])
-    for row in rows:
-        writer.writerow([repr(float(row[0])), row[1],
-                         repr(float(row[2])), repr(float(row[3])), row[4]])
-    atomic_write(path, buf.getvalue())
+    """The sweep rows (t, trajectory id, re, im, label) as CSV, written by
+    atomic_write: the bytes of csv.writer with the numbers as the repr of
+    their float and CRLF line ends, joined in one pass."""
+    labels = {label: _csv_field(label) for label in {row[4] for row in rows}}
+    lines = [f"{float(t)!r},{k},{float(re)!r},{float(im)!r},{labels[label]}\r\n"
+             for t, k, re, im, label in rows]
+    atomic_write(path, "".join(["t,trajectory_id,re,im,label\r\n"] + lines))
 

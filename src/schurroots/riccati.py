@@ -230,14 +230,15 @@ def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> tuple:
     """count random rational trial pairs for the J-orthogonality check, as
     the arrays (poles, cs, x1s): trial t pairs the function x0_t(mu) =
     cs[t] / (mu - poles[t]) with the vector x1s[t]. Each pole sits 0.3 to
-    1 off the interval, over a point of it; each row of cs (T, m) and x1s
-    (T, n) is a unit vector. Each coordinate of the batch is drawn in one
-    call."""
+    1 half-lengths (b - a)/2 of the interval off it, over a point of it;
+    each row of cs (T, m) and x1s (T, n) is a unit vector. Each coordinate
+    of the batch is drawn in one call."""
     rng = np.random.default_rng(seed)
     model = ric.root.model
     a, b = model.interval
     re = rng.uniform(a, b, size=count)
     im = rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.3, 1.0, size=count)
+    im *= 0.5 * (b - a)
     cs = _unit_rows(rng, count, model.m)
     x1s = _unit_rows(rng, count, model.n)
     return re + 1j * im, cs, x1s
@@ -477,6 +478,17 @@ def _circles(eigs: np.ndarray, sigma1: np.ndarray, d: float) -> list:
     return [_circle(eigs, sigma1, d)]  # raises the one circle's error
 
 
+def _ring_converged(moments, previous) -> bool:
+    """Whether ||moments - previous|| <= _RING_RTOL ||moments||, both
+    Frobenius norms taken of the two moment stacks divided by a power of
+    two near their largest modulus: the division is exact, so it changes
+    no decision, and the squares in the norms cannot overflow."""
+    big = float(max(np.abs(moments).max(), np.abs(previous).max()))
+    inverse = math.ldexp(1.0, -max(math.frexp(big)[1], -1021)) if math.isfinite(big) else 1.0
+    return bool(np.linalg.norm((moments - previous) * inverse)
+                <= _RING_RTOL * np.linalg.norm(moments * inverse))
+
+
 def reconstruct_from_contour(sol: RootSolution):
     """Moments of -[M1(z, Gamma)]^{-1}/(2 pi i) around spec(Z).
 
@@ -533,7 +545,7 @@ def reconstruct_from_contour(sol: RootSolution):
             step //= 2
             count *= 2
             previous, moments = moments, -(radius / count) * total
-            if np.linalg.norm(moments - previous) <= _RING_RTOL * np.linalg.norm(moments):
+            if _ring_converged(moments, previous):
                 break
         per_circle.append(moments)
     h0, h1 = functools.reduce(np.add, per_circle)

@@ -14,8 +14,9 @@ schur._cut_moments: the side-l ones at an eigenvalue in the lens, on the
 open interval or across it, the physical ones off the closed lens. The
 Picard map evaluates that sum in closed form (_PicardMap), in the
 eigenbasis of _kernels.eig; for n <= 2 the decomposition, the moments and
-the sum all run on Python numbers. By Cauchy's theorem it is the contour
-integral without its quadrature error. The
+the sum all run on Python numbers, for n >= 3 the sum is one matmul and
+V^{-1} one solve. By Cauchy's theorem it is the contour integral without
+its quadrature error. The
 contour sum (transformator), on the contour's analytic_rule, stays as the
 fallback of that map where the eigenbasis is ill-conditioned, and as the
 independent path verify checks the root against.
@@ -196,20 +197,29 @@ class RootSolution:
         """
         return Eigensystem(*eig(self.z_op))
 
+    @cached_property
+    def x_norm(self) -> float:
+        """||X||_2 by _kernels.spectral_norms, taken on first use and kept;
+        _picard seeds it with the norm its closing step took of x."""
+        return float(spectral_norms(self.x))
+
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem.values.copy()
 
     def conjugate(self) -> "RootSolution":
         """The root of the opposite side of a real model: X and Z
-        conjugated, the contour mirrored and every other field kept.
+        conjugated, the contour mirrored and every other field kept, ||X||
+        too (conjugation keeps every singular value).
 
         For a real model (SpectralModel.is_real) the Picard map of the
         mirrored contour is the conjugate of this side's map, so the same
         iteration from X = 0 runs through the conjugated iterates, and the
         admissibility report is the same.
         """
-        return replace(self, x=np.conj(self.x), z_op=np.conj(self.z_op),
+        root = replace(self, x=np.conj(self.x), z_op=np.conj(self.z_op),
                        contour=self.contour.mirror())
+        vars(root)["x_norm"] = self.x_norm
+        return root
 
 
 @dataclass(frozen=True)
@@ -245,7 +255,9 @@ class SpectrumClassification:
         conjugate of M1 at lam, with the same singular values.
         """
         return SpectrumClassification(tuple(
-            replace(e, eigenvalue=e.eigenvalue.conjugate()) for e in self.entries))
+            ClassifiedEigenvalue(e.eigenvalue.conjugate(), e.multiplicity, e.label,
+                                 e.physical_residual)
+            for e in self.entries))
 
 
 def transformator(model: SpectralModel, contour: Contour, zmat,
@@ -280,7 +292,9 @@ class _PicardMap:
     moments by schur._cut_moments_at, and in _small_map column k of the sum
     as W(lam_k) v_k with W(lam) = sum_s g_s(lam) C_s, and V^{-1} as adj(V) /
     det(V); n = 1 is the moment sum at the one entry of Z. For n >= 3 the
-    sum is one einsum and V^{-1} is applied by a solve. A step falls back
+    sum is one matmul, the coefficients stacked as rows (S n, n) times V,
+    whose S blocks have their columns scaled by g_s and are added, and
+    V^{-1} is applied by a solve. A step falls back
     to the contour sum (transformator of the t-scaled model, self.model,
     over the side's own contour) only when n >= 2 and cond(V) >
     _COND_LIMIT, a test that _cond_within certifies from V^H V without the
@@ -322,6 +336,9 @@ class _PicardMap:
         the contour or at an endpoint."""
         a, b = self.contour.endpoints
         degree, side = self.coeffs.shape[0] - 1, self.contour.side
+        # the half-plane of sign -l is covered: no lens test is needed there
+        if (side * eigs.imag < 0.0).all():
+            return _cut_moments(a, b, eigs, degree, side)
         covered = self._covered(eigs)
         if covered.all():
             return _cut_moments(a, b, eigs, degree, side)
@@ -380,8 +397,11 @@ class _PicardMap:
             self.spectrum = eigs, vecs
             moments = self._moments(eigs)
             if moments is not None and _cond_within(vecs, _COND_LIMIT):
-                scaled = np.einsum("sij,jk,ks->ik", self.coeffs, vecs, moments)
-                return np.linalg.solve(vecs.T, scaled.T).T
+                n = vecs.shape[0]
+                # (sum_s C_s V diag(g_s)) from the coefficients as rows (S n, n)
+                blocks = np.matmul(self.coeffs.reshape(-1, n), vecs).reshape(-1, n, n)
+                blocks *= moments.T[:, None, :]
+                return np.linalg.solve(vecs.T, blocks.sum(axis=0).T).T
         self.fallbacks += 1
         return transformator(self.model, self.contour, zmat, eigs)
 
@@ -394,9 +414,9 @@ _NORM_SLACK = 1.0 + 1e-12
 
 def _norm_bounds(mat: np.ndarray) -> tuple:
     """Lower and upper bounds on the spectral norm of the square mat, from
-    its Frobenius norm widened by _NORM_SLACK."""
-    fro = float(np.linalg.norm(mat))
-    return fro / (np.sqrt(mat.shape[0]) * _NORM_SLACK), fro * _NORM_SLACK
+    its Frobenius norm, the root of vdot(mat, mat), widened by _NORM_SLACK."""
+    fro = math.sqrt(np.vdot(mat, mat).real)
+    return fro / (math.sqrt(mat.shape[0]) * _NORM_SLACK), fro * _NORM_SLACK
 
 
 def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
@@ -407,11 +427,12 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     The escape test ||X|| > r_max and the stop test ||X_{k+1} - X_k|| <=
     _TOL * max(1, ||X||) are on spectral norms, decided from _norm_bounds;
     the spectral norm (_kernels.spectral_norms) is taken only where the
-    bounds leave a test open, and once at the end for the reported step
-    and ||X||. A NaN norm counts as an escape, and no stop within _MAX_ITER
+    bounds leave a test open, and once at the end for the reported step,
+    ||X|| and the residual ||X - F(A1 + X)||, for n >= 3 in one batched
+    call. A NaN norm counts as an escape, and no stop within _MAX_ITER
     steps raises NumericsError. The root carries the t-scaled model, the
-    contour, rep and, as its eigensystem, the decomposition the residual
-    check takes of Z = A1 + X.
+    contour, rep, ||X|| and, as its eigensystem, the decomposition the
+    residual check takes of Z = A1 + X.
     """
     step_map = _PicardMap(model, contour, t)
     a1 = model.a1.astype(np.complex128)
@@ -440,12 +461,13 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     else:
         step = np.inf if diff is None else float(spectral_norms(diff))
         raise NumericsError(f"no convergence in {_MAX_ITER} iterations (step {step:.3e})")
-    step = float(spectral_norms(diff))
-    norm_x = float(spectral_norms(x))
-
     # residual confirmation at the converged point, through the same map
     z_op = a1 + x
-    residual = float(spectral_norms(x - step_map(z_op)))
+    gap = x - step_map(z_op)
+    if x.shape[0] <= 2:
+        step, norm_x, residual = (float(spectral_norms(m)) for m in (diff, x, gap))
+    else:
+        step, norm_x, residual = spectral_norms(np.stack((diff, x, gap))).tolist()
     if residual > max(2.0 * _TOL, 1e-13) * max(1.0, norm_x):
         raise NumericsError(f"fixed-point residual {residual:.3e} above tolerance")
     if norm_x > rep.r_min + 1e-9:
@@ -457,6 +479,7 @@ def _picard(model: SpectralModel, contour: Contour, rep: AdmissibilityReport,
     # the residual check decomposed z_op, by eig or its scalar form for n <= 2
     vars(sol)["eigensystem"] = Eigensystem(
         *(np.asarray(part, dtype=np.complex128) for part in step_map.spectrum))
+    vars(sol)["x_norm"] = norm_x
     return sol
 
 
@@ -616,6 +639,7 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid) -> list:
 
     report_at(ts[-1])
     tau = _real_band(model)
+    side = contour.side
 
     out = []
     x_prev = np.zeros((model.n, model.n), dtype=np.complex128)
@@ -648,12 +672,13 @@ def homotopy_path(model: SpectralModel, contour: Contour, t_grid) -> list:
             if dt > 0:
                 lipschitz = max(lipschitz, jump / dt)
             scale = 1.0 + float(np.max(np.abs(eigs)))
-            sep = np.abs(eigs[None, :] - eigs[:, None]) + np.eye(eigs.size) * 1e30
+            sep = np.abs(eigs[None, :] - eigs[:, None])
+            sep.ravel()[::eigs.size + 1] = 1e30
             if np.min(sep) < 1e-8 * scale:
                 warnings.warn(f"ambiguous trajectory pairing at t={t}", RuntimeWarning)
 
-        lams = [complex(lam) for lam in eigs]
-        labels = [_label_for(lam, sol.side, tau) for lam in lams]
+        lams = eigs.tolist()
+        labels = [_label_for(lam, side, tau) for lam in lams]
         resids = (_physical_residuals(sol, lams, labels) if t == ts[-1]
                   else [None] * len(lams))
         entries = tuple(ClassifiedEigenvalue(lam, 1, label, resid)

@@ -22,8 +22,8 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     at each point of the 1-d array zs -> (P, degree + 1).
 
     Written as z^s L(z) plus the exact division polynomial q_s(z), built
-    by q_s = z q_(s-1) + (b^s - a^s)/s from q_0 = 0, with the logarithm L
-    chosen by branch:
+    by q_s = z q_(s-1) + (b^s - a^s)/s from q_1 = b - a, with z^s by
+    repeated multiplication and the logarithm L chosen by branch:
 
     - "physical": L = Log((b - z)/(a - z)); the principal branch puts the
       cut exactly on [a, b].
@@ -36,27 +36,34 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
       boundary value from the half-plane of sign -l: L = ln((b - z)/(z -
       a)) - i*pi*l, the principal value plus the jump.
     """
-    zs = np.asarray(zs, dtype=np.complex128)
-    if branch == "physical":
-        log_term = np.log((b - zs) / (a - zs))
-    elif branch in (1, -1):
-        log_term = np.log(b - zs) - np.log(zs - a) - 1j * np.pi * branch
-    else:
+    if branch not in ("physical", 1, -1):
         raise ValueError(f"unknown moment branch {branch!r}")
-    out = zs[:, None] ** np.arange(degree + 1) * log_term[:, None]
-    q = 0.0
+    zs = np.asarray(zs, dtype=np.complex128)
+    # moment-major, so that each moment is written in place as one row
+    out = np.empty((degree + 1, zs.size), dtype=np.complex128)
+    log_term = out[0]
+    if branch == "physical":
+        np.log((b - zs) / (a - zs), out=log_term)
+    else:
+        np.log(b - zs, out=log_term)
+        log_term -= np.log(zs - a)
+        log_term -= 1j * np.pi * branch
+    power, q = zs, b - a
     for s in range(1, degree + 1):
-        q = zs * q + (b ** s - a ** s) / s
-        out[:, s] += q
-    return out
+        if s > 1:
+            power = power * zs
+            q = zs * q + (b ** s - a ** s) / s
+        np.multiply(power, log_term, out=out[s])
+        out[s] += q
+    return out.T
 
 
 def _cut_moments_at(a: float, b: float, z: complex, degree: int, branch="physical") -> list:
     """_cut_moments at the one point z in Python scalars: [g_0(z), ...,
     g_degree(z)], with the same logarithm per branch and the same
-    recurrence, and z^s by repeated multiplication. It skips NumPy's
-    per-call cost, almost all the cost at one point; the values agree with
-    _cut_moments to a few units in the last place."""
+    recurrence and the same repeated multiplication for z^s. It skips
+    NumPy's per-call cost, almost all the cost at one point; the values
+    agree with _cut_moments to a few units in the last place."""
     if branch == "physical":
         log_term = cmath.log((b - z) / (a - z))
     elif branch in (1, -1):

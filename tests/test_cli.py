@@ -1178,6 +1178,12 @@ HUGE_INTERVALS = [{"model": {"interval": [-half, half], "a1": [[0.0]], "b": [[[0
 # and a coupling too strong for the semicircle, whose message squared d
 HUGE_RECTANGLE = {**HUGE_INTERVALS[1], "contour": {"kind": "rectangle", "depth": 1e199}}
 HUGE_COUPLING = {"model": {**HUGE_INTERVALS[1]["model"], "b": [[[1e100]]]}}
+# an eigenvalue at the endpoint a, which the rounded centre of the
+# semicircle puts a unit in the last place outside it: the physical moment
+# there divided by zero (exit 1)
+ENDPOINT_OFF_THE_ROUNDED_CIRCLE = {
+    "model": {"interval": [-2.0, -1.4371961158354563], "a1": [[-2.0]], "b": [[[0.0]]]},
+    "contour": {"kind": "semicircle", "sides": [1]}, "sweep": {"t_grid": [1.0]}}
 
 
 @settings(max_examples=60, deadline=None,
@@ -1189,12 +1195,33 @@ HUGE_COUPLING = {"model": {**HUGE_INTERVALS[1]["model"], "b": [[[1e100]]]}}
 @example("sweep", AMBIGUOUS_PAIRING)
 @example("solve", HUGE_INTERVALS[0])
 @example("solve", HUGE_INTERVALS[1])
+@example("solve", ENDPOINT_OFF_THE_ROUNDED_CIRCLE)
 def test_exit_code_contract_on_small_configs(command, data):
     # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
     # prints a traceback
     code, err, _ = _main_on(command, data)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", HUGE_INTERVALS, ids=["1e20", "1e200"])
+def test_verify_of_huge_intervals_warns_of_nothing(data):
+    # with every RuntimeWarning an error, verify over the huge intervals
+    # keeps the exit code contract, and its J-orthogonality row, whose
+    # trial poles sit off the interval in its own half-lengths, passes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        report_path = os.path.join(tmp, "report.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--config", path, "--out", report_path])
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    assert code in (0, 3)
+    rows = {row["name"]: row for row in report["identities"]}
+    assert rows["j-orthogonality"]["passed"]
 
 
 def _main_on(command, data):

@@ -1,5 +1,7 @@
 """Config parsing round-trips and report serialization."""
 
+import csv
+import io
 import json
 import os
 
@@ -9,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurroots._json import dumps
-from schurroots.config import RunConfig, build_model_from_config, matrix_to_lists
+from schurroots import config as config_module
+from schurroots.config import (RunConfig, build_model_from_config, matrix_from_lists,
+                               matrix_to_lists, pair_to_complex)
 from schurroots.errors import ConfigError
 from schurroots.report import (atomic_write, config_sha256, identity_row,
                                render_report, write_csv)
@@ -51,8 +55,7 @@ def test_model_from_config():
     assert model.feshbach
 
 
-def test_config_validation_errors():
-    bad = [
+_BAD_CONFIGS = [
         {},  # no model
         {"model": {"interval": [-1.0], "a1": [[0.0]], "b": [[[0.2]]]}},
         {"model": {**BASE["model"]}, "contour": {"kind": "triangle"}},
@@ -68,10 +71,74 @@ def test_config_validation_errors():
         {"model": {"interval": [-1.0, 1.0], "a1": [[]], "b": [[[0.2]]]}},
         {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[]]}},
         {"model": {"interval": [-1.0, 1.0], "a1": [[0.0], [0.0, 1.0]], "b": [[[0.2]]]}},
-    ]
-    for data in bad:
+]
+
+
+def test_config_validation_errors():
+    for data in _BAD_CONFIGS:
         with pytest.raises((ConfigError, ValueError)):
             RunConfig.from_dict(data)
+
+
+def _reference_matrix_from_lists(rows, name):
+    """matrix_from_lists as it read every matrix before the one-array parse
+    of real matrices: entry by entry, each by pair_to_complex."""
+    try:
+        mat = np.array([[pair_to_complex(v, name) for v in row] for row in rows],
+                       dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed matrix {name}: {exc}") from exc
+    if mat.ndim != 2 or mat.size == 0:
+        raise ConfigError(f"malformed matrix {name}: expected nonempty rows, got {rows!r}")
+    return mat
+
+
+def _parse_outcome(parse, rows):
+    try:
+        return parse(rows, "model.a1").tobytes()
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+_MATRIX_CASES = [
+    [[0.0]], [[-0.0, 1]], [[1, 2], [3, 4]], [[5e-324, -1e308], [2 ** 60 + 1, -(2 ** 70)]],
+    [[10 ** 300, 0.5]], [[10 ** 400]], [[-(10 ** 400), 1.0]], [[True]], [[0.0, False]],
+    [[float("nan")]], [[1.0, float("inf")]], [[-float("inf")]], [], [[]], [[], []],
+    [[0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0]], [[[0.1, 0.2]]], [[(0.1, 0.2)]],
+    [[[True, 0.0]]], [[[0.1, float("nan")]]], [[[0.1]]], [["1.0"]], [[None]], "ab",
+    [0.1, 0.2], 0.5, None, [[0.1, [0.2, 0.3]]], ((0.1, 0.2),), [(0.1, 0.2)],
+    [[np.float64(0.5)]], [[{}]],
+]
+
+
+@pytest.mark.parametrize("rows", _MATRIX_CASES, ids=[repr(c)[:40] for c in _MATRIX_CASES])
+def test_matrix_parse_matches_the_per_entry_parse(rows):
+    # the same matrix to the byte, or a ConfigError with the same text
+    assert (_parse_outcome(matrix_from_lists, rows)
+            == _parse_outcome(_reference_matrix_from_lists, rows))
+
+
+def test_bad_configs_keep_their_messages(monkeypatch):
+    # every malformed config above, and every a1 / b entry of the matrix
+    # cases, gives from_dict's message of the per-entry parse
+    datas = _BAD_CONFIGS + [{"model": {**BASE["model"], key: rows}}
+                            for rows in _MATRIX_CASES for key in ("a1", "b")]
+
+    def messages():
+        out = []
+        for data in datas:
+            try:
+                cfg = RunConfig.from_dict(data)
+            except (ConfigError, ValueError) as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+            else:
+                out.append(cfg.canonical_json())
+        return out
+
+    got = messages()
+    monkeypatch.setattr(config_module, "matrix_from_lists", _reference_matrix_from_lists)
+    assert got == messages()
+    assert sum(text.startswith("ConfigError") for text in got) >= 40
 
 
 def test_from_file_errors(tmp_path):
@@ -135,6 +202,36 @@ def test_write_csv(tmp_path):
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "t,trajectory_id,re,im,label"
     assert lines[1] == "0.5,0,0.1,-0.2,physical-complex"
+
+
+def _reference_csv(rows) -> bytes:
+    """The sweep CSV as csv.writer wrote it before the rows were joined in
+    one pass."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "trajectory_id", "re", "im", "label"])
+    for row in rows:
+        writer.writerow([repr(float(row[0])), row[1],
+                         repr(float(row[2])), repr(float(row[3])), row[4]])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # negative zeros, exponents, subnormals, non-finite numbers, numpy
+    # scalars, every label and labels that csv.writer quotes
+    rng = np.random.default_rng(8)
+    numbers = [0.0, -0.0, 1e-300, 5e-324, -2.5e-7, 1e16, 1.7976931348623157e308, 0.1,
+               float("nan"), float("inf"), -float("inf"), np.float64(-0.0), np.float64(3e22)]
+    numbers += list(rng.normal(size=20) * 10.0 ** rng.integers(-30, 30, size=20))
+    labels = ["real", "resonance", "physical-complex", "", "a,b", 'say "x"', "two\nlines",
+              "cr\rlf", " padded "]
+    rows = [(numbers[k % len(numbers)], k if k % 3 else np.int64(k),
+             numbers[(3 * k + 1) % len(numbers)], numbers[(7 * k + 2) % len(numbers)],
+             labels[k % len(labels)]) for k in range(120)]
+    for case in (rows, rows[:1], []):
+        p = tmp_path / "rows.csv"
+        write_csv(str(p), case)
+        assert p.read_bytes() == _reference_csv(case)
 
 
 _KEYS = st.text(max_size=6) | st.sampled_from(

@@ -37,7 +37,7 @@ def _assert_same_solution(direct, derived):
     assert _bits(direct.model.b.coefficients) == _bits(derived.model.b.coefficients)
     assert _bits(direct.contour.nodes) == _bits(derived.contour.nodes)
     for name in ("side", "coupling_scale", "report", "iterations",
-                 "final_step_norm", "residual", "contour_fallbacks"):
+                 "final_step_norm", "residual", "contour_fallbacks", "x_norm"):
         assert getattr(direct, name) == getattr(derived, name), name
 
 
@@ -86,3 +86,28 @@ def test_is_real_reads_the_data(friedrichs_model):
     sol = sr.solve_basic(friedrichs_model, sr.make_contour(friedrichs_model, 1))
     with pytest.raises(ValueError, match="real model"):
         conjugate_path([(1.0, dataclasses.replace(sol, model=model), None)])
+
+
+def _replaced_conjugate(cls):
+    """SpectrumClassification.conjugate as dataclasses.replace of each entry
+    with its eigenvalue conjugated."""
+    return sr.SpectrumClassification(tuple(
+        dataclasses.replace(e, eigenvalue=e.eigenvalue.conjugate()) for e in cls.entries))
+
+
+def test_conjugated_classification_matches_replaced_entries(real_models):
+    # the entries built directly equal the replaced ones field by field,
+    # to the bit and in type, with and without physical residuals
+    clss = [sr.SpectrumClassification((
+        sr.ClassifiedEigenvalue(0.5 - 0.0j, 2, "real", None),
+        sr.ClassifiedEigenvalue(-0.0 + 1e-300j, 1, "resonance", None),
+        sr.ClassifiedEigenvalue(0.1 - 0.2j, 1, "physical-complex", 3e-17)))]
+    for model in real_models[:3] + real_models[-3:]:
+        path = sr.homotopy_path(model, sr.make_contour(model, 1), GRID[-2:])
+        clss += [cls for _, _, cls in path] + [sr.classify(path[-1][1])]
+    for cls in clss:
+        got, want = cls.conjugate(), _replaced_conjugate(cls)
+        assert got == want
+        for e, f in zip(got.entries, want.entries):
+            assert [repr(getattr(e, k)) for k in vars(e)] == [repr(getattr(f, k)) for k in vars(f)]
+            assert [type(getattr(e, k)) for k in vars(e)] == [type(getattr(f, k)) for k in vars(f)]

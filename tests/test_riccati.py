@@ -14,9 +14,10 @@ import pytest
 import schurroots as sr
 from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
-from schurroots.riccati import (RiccatiSolution, _j_pairings, _trial_l2_norms,
-                                _ysn_integrand, factor_F1, rational_trials,
-                                ysn_integral)
+from schurroots import riccati
+from schurroots.riccati import (RiccatiSolution, _j_pairings, _ring_converged,
+                                _trial_l2_norms, _ysn_integrand, factor_F1,
+                                rational_trials, ysn_integral)
 
 from conftest import EP_B, EP_E0, wide_models
 
@@ -211,14 +212,50 @@ def test_rational_trials_reproducible(matrix_case):
     assert poles.shape == (3,) and cs.shape == (3, model.m) and x1s.shape == (3, model.n)
     # the draws in their order: pole real parts, signs and heights of the
     # imaginary parts, then the complex Gaussian rows of cs and of x1s
+    # (in half-lengths of the interval, 1 here)
     rng = np.random.default_rng(9)
     a, b = model.interval
+    assert b - a == 2.0
     re = rng.uniform(a, b, size=3)
     im = rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.3, 1.0, size=3)
     assert np.array_equal(poles, re + 1j * im)
     for rows, width in ((cs, model.m), (x1s, model.n)):
         raw = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
         assert np.array_equal(rows, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("half", [1e-3, 1e20, 1e200])
+def test_trial_poles_scale_with_the_interval(half):
+    # the poles over [-half, half] are those over [-1, 1] scaled by half, up
+    # to the rounding of the scaling; the unit rows do not change
+    def trials(h):
+        model = sr.build_model((-h, h), [[0.0]], [[[0.2]]])
+        root = SimpleNamespace(model=model)
+        return rational_trials(SimpleNamespace(root=root), 20, seed=4)
+
+    unit, scaled = trials(1.0), trials(half)
+    assert np.allclose(scaled[0] / half, unit[0], rtol=4e-16, atol=4e-16)
+    assert np.all(np.abs(scaled[0].imag) >= 0.3 * half * (1.0 - 1e-15))
+    for got, want in zip(scaled[1:], unit[1:]):
+        assert np.array_equal(got, want)
+
+
+def test_ring_test_is_scale_free():
+    # the ring's stop test decides on moments of any size as on the same
+    # moments divided by a power of two, without overflow in the norms
+    rng = np.random.default_rng(2)
+    moments = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    for rel in (1e-14, 1e-10, 1e-6):
+        previous = moments * (1.0 + rel)
+        want = _ring_converged(moments, previous)
+        assert want == (np.linalg.norm(moments - previous)
+                        <= riccati._RING_RTOL * np.linalg.norm(moments))
+        for exponent in (-1000, -500, 500, 1000):
+            factor = 2.0 ** exponent
+            assert _ring_converged(moments * factor, previous * factor) == want
+    zero = np.zeros((2, 3, 3), dtype=complex)
+    assert _ring_converged(zero, zero)
+    assert not _ring_converged(moments, np.full_like(moments, np.nan))
 
 
 def test_zero_coupling_short_circuit(friedrichs_model, friedrichs_contours):
