@@ -15,18 +15,21 @@ integrand call, so the Python cost is per round, not per panel.
 
 A caller that knows the integrand's poles passes them, and the first
 round starts from a partition graded toward them (_start_panels): a real
-pole inside the interval and the foot Re p of a complex one are panel
-ends, and every panel is bisected, before anything is evaluated, until
-each complex pole lies outside its Bernstein ellipse of parameter _RHO.
-The 16-node estimate of an integrand analytic inside that ellipse is then
-of order _RHO^(-32), about 2e-13 (Trefethen, SIAM Rev. 50 (2008)), so a
-rational integrand usually needs no second round.
+pole inside the interval is a panel end, and every panel is bisected,
+before anything is evaluated, until each complex pole lies outside its
+Bernstein ellipse of parameter _RHO. A complex pole's foot Re p is not
+made a panel end: the ellipse test alone grades toward it, on fewer
+panels. The 16-node estimate of an integrand analytic inside that
+ellipse is then of order _RHO^(-32), about 2e-13 (Trefethen, SIAM Rev. 50
+(2008)), so a rational integrand usually needs no second round.
 
 The scheme is deterministic: panels are ranked by error estimate, ties
 broken by insertion order, and each round bisects the fewest top-ranked
 panels whose removal leaves the remaining estimate at most half the
 tolerance.
 """
+
+import math
 
 import numpy as np
 
@@ -50,32 +53,46 @@ _RHO = 2.5
 def _start_panels(a, b, poles=(), max_panels=4000):
     """The first round's panels (los, his), in order along [a, b].
 
-    A real pole inside (a, b) and the foot Re p of a complex pole p are
-    panel ends. Then every panel whose Bernstein ellipse of parameter
-    _RHO contains a complex pole is bisected, until none does: p lies
-    outside the ellipse of [lo, hi] when |p - lo| + |p - hi| >= (hi - lo)
-    (_RHO + 1/_RHO) / 2, the sum of its focal distances. Raises
-    NumericsError when the start would exceed max_panels.
+    A real pole inside (a, b) is a panel end. Then every panel whose
+    Bernstein ellipse of parameter _RHO contains a complex pole is
+    bisected, until none does: p lies outside the ellipse of [lo, hi] when
+    |p - lo| + |p - hi| >= (hi - lo) (_RHO + 1/_RHO) / 2, the sum of its
+    focal distances, each taken by math.hypot of its parts (abs of a
+    Python complex raises OverflowError where the distance overflows).
+
+    The partition is built depth first, left to right, in Python scalars.
+    A child's ellipse lies inside its parent's, so a child is tested only
+    against the poles inside its parent's, and the partition is the one
+    that bisecting level by level gives. Raises NumericsError when the
+    start would exceed max_panels, real poles alone included.
     """
     poles = np.asarray(poles, dtype=np.complex128).ravel()
-    feet = poles.real
-    pts = np.unique(np.concatenate([[a, b], feet[(a < feet) & (feet < b)]]))
-    los, his = pts[:-1], pts[1:]
-    graded = poles[poles.imag != 0.0]
-    while True:
-        focal = (np.abs(graded[None, :] - los[:, None])
-                 + np.abs(graded[None, :] - his[:, None]))
-        inside = np.any(focal < (0.5 * (_RHO + 1.0 / _RHO))
-                        * (his - los)[:, None], axis=1)
-        if los.shape[0] + int(np.count_nonzero(inside)) > max_panels:
-            raise NumericsError(
-                f"adaptive quadrature exhausted {max_panels} panels "
-                "grading its start toward the poles")
-        if not np.any(inside):
-            return los, his
-        mid = 0.5 * (los[inside] + his[inside])
-        los = np.sort(np.concatenate([los, mid]))
-        his = np.sort(np.concatenate([his, mid]))
+    a, b = float(a), float(b)
+    real = poles.real[poles.imag == 0.0]
+    ends = [a] + sorted(set(real[(a < real) & (real < b)].tolist())) + [b]
+    graded = [(p.real, p.imag) for p in poles[poles.imag != 0.0].tolist()]
+    reach = 0.5 * (_RHO + 1.0 / _RHO)
+    # (lo, hi, the poles inside the parent's ellipse), leftmost on top
+    stack = [(lo, hi, graded) for lo, hi in zip(ends[-2::-1], ends[:0:-1])]
+    count = len(stack)
+    los, his = [], []
+    while count <= max_panels:
+        if not stack:
+            return np.array(los), np.array(his)
+        lo, hi, near = stack.pop()
+        limit = reach * (hi - lo)
+        near = [(x, y) for x, y in near
+                if math.hypot(x - lo, y) + math.hypot(x - hi, y) < limit]
+        if near:
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi, near), (lo, mid, near)]
+            count += 1
+        else:
+            los.append(lo)
+            his.append(hi)
+    raise NumericsError(
+        f"adaptive quadrature exhausted {max_panels} panels "
+        "grading its start toward the poles")
 
 
 def _evaluate_panels(f, lo, hi):

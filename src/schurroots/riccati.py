@@ -301,14 +301,15 @@ def _j_pairings(ric: RiccatiSolution, trials) -> tuple:
         lhs, _ = adaptive_quad(lhs_values, a, b, rtol=rtol, poles=all_poles)
 
     def rhs_values(nodes):
-        # ytilde(mu) c_t / (mu - pole_t) for every trial: (M, T, n); the
-        # products ytilde(mu) c_t as one 2-d matrix product
+        # ytilde(mu) c_t / (mu - pole_t) for every trial: (M, n, T); the
+        # products ytilde(mu) c_t as one 2-d matrix product, each scaled by
+        # the reciprocal 1 / (mu - pole_t) taken once per node and trial
         yt = ric.adjoint_values(nodes)  # (M, n, m)
         yc = (yt.reshape(-1, yt.shape[2]) @ cs.T).reshape(yt.shape[:2] + (-1,))
-        return np.swapaxes(yc / (nodes[:, None, None] - poles[None, None, :]), 1, 2)
+        return yc * (1.0 / (nodes[:, None] - poles[None, :]))[:, None, :]
 
     ystar_x0, _ = adaptive_quad(rhs_values, a, b, rtol=rtol, poles=all_poles)
-    return lhs, np.sum(np.conj(ystar_x0) * x1s, axis=1)
+    return lhs, np.sum(np.conj(ystar_x0.T) * x1s, axis=1)
 
 
 def j_orthogonality(ric: RiccatiSolution, trials) -> float:

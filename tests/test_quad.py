@@ -2,6 +2,7 @@
 the sequential scheme it replaced."""
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -119,11 +120,22 @@ def graded_starts(draw):
             draw(st.lists(along, max_size=3)))
 
 
+# real poles alone: four panels, past a budget of three
+_REAL_ALONE = (0.0, 1.0, [], [0.25, 0.5, 0.75])
+# panels of subnormal width, whose half-width underflows
+_SUBNORMAL = ((-5e-324, 1.0, [-1j], []),
+              (0.0, 1.0, [-1j], [2.2250738585e-313]))
+# |p - a| of the first pole overflows a float, where abs of a complex
+# raises OverflowError; the second takes about 27 levels of bisection
+_HUGE = (-8e307, 8e307, [8e307 + 1.5e308j, 1e307 + 1e300j], [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(graded_starts())
-# panels of subnormal width, whose half-width underflows
-@example((-5e-324, 1.0, [-1j], []))
-@example((0.0, 1.0, [-1j], [2.2250738585e-313]))
+@example(_REAL_ALONE)
+@example(_SUBNORMAL[0])
+@example(_SUBNORMAL[1])
+@example(_HUGE)
 def test_graded_start_partition(start):
     a, b, complex_poles, real_poles = start
     poles = complex_poles + real_poles
@@ -142,10 +154,9 @@ def test_graded_start_partition(start):
             rho = np.maximum(np.abs(x + root), np.abs(x - root))
         clear = ~np.isfinite(x) | (rho >= _RHO * (1.0 - 1e-9))
         assert np.all(clear), (p, np.min(rho))
-    # every real pole and every complex pole's foot inside (a, b) is a
-    # panel end
+    # every real pole inside (a, b) is a panel end
     ends = set(los) | set(his)
-    for x in real_poles + [p.real for p in complex_poles]:
+    for x in real_poles:
         assert not a < x < b or x in ends
     # a start past the budget is refused before the integrand is called
     calls = []
@@ -157,6 +168,57 @@ def test_graded_start_partition(start):
     with pytest.raises(NumericsError, match="exhausted"):
         adaptive_quad(f, a, b, poles=poles, max_panels=los.shape[0] - 1)
     assert calls == []
+
+
+def _breadth_first_start(a, b, poles, max_panels):
+    """The rule of _start_panels, level by level: the real poles inside
+    (a, b) are panel ends, and each level bisects every panel whose _RHO
+    ellipse holds a complex pole, testing every complex pole against every
+    panel. Distances are math.hypot of the parts, as in _start_panels."""
+    poles = [complex(p) for p in poles]
+    inner = [p.real for p in poles if p.imag == 0.0 and a < p.real < b]
+    ends = np.unique(np.array([a, b] + inner, dtype=float)).tolist()
+    graded = [p for p in poles if p.imag != 0.0]
+    reach = 0.5 * (_RHO + 1.0 / _RHO)
+    panels = list(zip(ends[:-1], ends[1:]))
+    while True:
+        split = [any(math.hypot(p.real - lo, p.imag) + math.hypot(p.real - hi, p.imag)
+                     < reach * (hi - lo) for p in graded)
+                 for lo, hi in panels]
+        if len(panels) + sum(split) > max_panels:
+            raise NumericsError(f"adaptive quadrature exhausted {max_panels} panels")
+        if not any(split):
+            return np.array([lo for lo, _ in panels]), np.array([hi for _, hi in panels])
+        level = []
+        for (lo, hi), bisect in zip(panels, split):
+            mid = 0.5 * (lo + hi)
+            level += [(lo, mid), (mid, hi)] if bisect else [(lo, hi)]
+        panels = level
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_starts(), st.integers(1, 80))
+@example(_REAL_ALONE, 3)
+@example(_SUBNORMAL[0], 4000)
+@example(_SUBNORMAL[1], 4000)
+@example(_HUGE, 4000)
+@example(_HUGE, 1)
+# |p - a| + |p - b| is 2.9 = (b - a)(_RHO + 1/_RHO)/2 in floats: on the
+# ellipse, which is outside
+@example((-1.0, 1.0, [1.05j], []), 4000)
+def test_start_matches_breadth_first_reference(start, max_panels):
+    # the depth-first start is the level-by-level partition, float for
+    # float, and refuses exactly the budgets that the reference refuses
+    a, b, complex_poles, real_poles = start
+    poles = complex_poles + real_poles
+    try:
+        ref = _breadth_first_start(a, b, poles, max_panels)
+    except NumericsError:
+        with pytest.raises(NumericsError, match=f"exhausted {max_panels} panels"):
+            _start_panels(a, b, poles, max_panels)
+        return
+    los, his = _start_panels(a, b, poles, max_panels)
+    assert np.array_equal(los, ref[0]) and np.array_equal(his, ref[1])
 
 
 def _reference_quad(f, a, b, rtol=1e-11, poles=(), max_panels=4000):
