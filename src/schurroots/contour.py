@@ -79,14 +79,13 @@ class Contour:
     @functools.cached_property
     def _gauss_legendre(self) -> tuple:
         """(nodes, weights), read-only: the side +1 rule (_semicircle_rule,
-        _rectangle_rules), conjugated on side -1, its weight sum checked
+        _rectangle_rule), conjugated on side -1, its weight sum checked
         against the exact path integral of dmu, the interval length."""
         a, b = self.endpoints
         if self.kind == "semicircle":
             nodes, weights = _semicircle_rule(a, b, self.counts[0])
         else:
-            ((_, nodes, weights),) = _rectangle_rules(a, b, [self.depth], [self.counts])
-            nodes, weights = nodes[0], weights[0]
+            nodes, weights = _rectangle_rule(a, b, self.depth, self.counts)
         if self.side == -1:
             nodes, weights = np.conj(nodes), np.conj(weights)
         length = b - a
@@ -145,43 +144,19 @@ def _node_count(arclength):
     return max(200, int(math.ceil(wanted)))
 
 
-def _rectangle_counts(length, depth):
-    """The node counts of a rectangle's three segments over an interval of
-    the given length, each vertical side checked before the top (see
-    _node_count): the top is two half-lengths long."""
-    side_count = _node_count(depth / (0.5 * length))
-    return side_count, _node_count(2.0), side_count
-
-
-def _rectangle_rules(a, b, depths, counts):
-    """The side +1 rectangle rules of the interval (a, b) at several depths.
-
-    counts holds the three segment node counts of each depth. Returns one
-    (rows, nodes, weights) per distinct triple of counts, in order of first
-    appearance: rows are the indices into depths that share it, nodes and
-    weights (len(rows), sum(counts)) arrays. Row k holds the
-    Gauss-Legendre nodes and weights of the side +1 rectangle of depth
-    depths[rows[k]]: per segment p -> q, mid + half * x and w * half, with
-    mid = (p + q)/2 and half = (q - p)/2 taken per depth in scalar
-    arithmetic. A rectangle Contour's rule is built with this too.
-    """
-    groups = {}
-    for row, row_counts in enumerate(counts):
-        groups.setdefault(tuple(row_counts), []).append(row)
-    rules = []
-    for group_counts, rows in groups.items():
-        ends = []
-        for row in rows:
-            top = 1j * float(depths[row])
-            corners = (a, a + top, b + top, b)
-            ends.append([(0.5 * (p + q), 0.5 * (q - p))
-                         for p, q in zip(corners[:-1], corners[1:])])
-        # (mid, half) of each segment, repeated over its nodes
-        per_node = np.repeat(np.array(ends), group_counts, axis=1)
-        mid, half = per_node[..., 0], per_node[..., 1]
-        x, w = (np.concatenate(parts) for parts in zip(*map(_rule, group_counts)))
-        rules.append((rows, mid + half * x, w * half))
-    return rules
+def _rectangle_rule(a, b, depth, counts):
+    """The side +1 rectangle of the depth over (a, b) with counts[k]
+    Gauss-Legendre nodes on segment k: per segment p -> q, mid + half * x
+    and w * half, with mid = (p + q)/2 and half = (q - p)/2 in scalar
+    arithmetic."""
+    top = 1j * depth
+    corners = (a, a + top, b + top, b)
+    parts = []
+    for p, q, count in zip(corners[:-1], corners[1:], counts):
+        x, w = _rule(count)
+        mid, half = 0.5 * (p + q), 0.5 * (q - p)
+        parts.append((mid + half * x, w * half))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _semicircle_rule(a, b, count):
@@ -225,7 +200,10 @@ def make_contour(model: SpectralModel, side: int, kind: str = "semicircle",
         depth_val = float(depth)
         if depth_val <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        counts = _rectangle_counts(length, depth_val)
+        # the sides are checked against the cap before the top, whose
+        # arclength is two half-lengths
+        side_count = _node_count(depth_val / (0.5 * length))
+        counts = (side_count, _node_count(2.0), side_count)
     else:
         raise ValueError(f"unknown contour kind {kind!r}")
     return Contour(int(side), kind, depth_val, (a, b), counts)
@@ -353,9 +331,9 @@ def _kprime_norms(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     """||K'(mu)|| at each of the 1-d array nodes (_kernels.spectral_norms).
 
     The nodes go through kprime_values in chunks of at most
-    _NORM_BATCH_ENTRIES matrix entries, which bounds the memory of a batch
-    of contours at large n; the norms are per node, so the chunking does
-    not change them.
+    _NORM_BATCH_ENTRIES matrix entries, which bounds the memory of one deep
+    rectangle at large n; the norms are per node, so the chunking does not
+    change them.
     """
     step = max(1, _NORM_BATCH_ENTRIES // model.n ** 2)
     return np.concatenate([spectral_norms(model.kprime_values(nodes[start:start + step]))
@@ -392,30 +370,14 @@ def _semicircle_variation(model: SpectralModel, contour: Contour) -> tuple:
     return v0, abs(v0 - previous) + (count + 1) * math.ulp(1.0) * v0, count + 1
 
 
-def _rectangle_variations(model: SpectralModel, side, endpoints, depths, counts) -> list:
-    """V0 of the side-l rectangle over endpoints at each depth, counts[k]
-    the segment counts of depths[k]: per group of equal counts
-    (_rectangle_rules) one _kprime_norms call and one row-wise weighted
-    sum, so a depth's value does not depend on the batch."""
-    v0s = [0.0] * len(depths)
-    for rows, nodes, weights in _rectangle_rules(*endpoints, depths, counts):
-        if side == -1:
-            nodes = np.conj(nodes)
-        norms = _kprime_norms(model, nodes.ravel()).reshape(nodes.shape)
-        for row, v0 in zip(rows, np.sum(np.abs(weights) * norms, axis=1).tolist()):
-            v0s[row] = v0
-    return v0s
-
-
 def _variation(model: SpectralModel, contour: Contour) -> tuple:
     """(V0, its error estimate or None, the number of norms taken): a
-    semicircle's by _semicircle_variation, any other contour's as the
-    one-depth batch of _rectangle_variations, which states no error."""
+    semicircle's by _semicircle_variation, any other contour's as the sum
+    of |w_k| ||K'(nu_k)|| over its own rule, which states no error."""
     if contour.kind == "semicircle":
         return _semicircle_variation(model, contour)
-    (v0,) = _rectangle_variations(model, contour.side, contour.endpoints,
-                                  [contour.depth], [contour.counts])
-    return v0, None, contour.num_nodes
+    norms = _kprime_norms(model, contour.nodes)
+    return float(np.sum(np.abs(contour.weights) * norms)), None, contour.num_nodes
 
 
 def variation(model: SpectralModel, contour: Contour) -> float:
@@ -561,22 +523,11 @@ def ensure_admissible(rep: AdmissibilityReport) -> AdmissibilityReport:
     return rep
 
 
-def _rectangle_r_min(model: SpectralModel, side: int, depths,
-                     distance: _RectangleDistance) -> list:
-    """r_min of the side-l rectangle at each depth, inf where the rectangle
-    is not admissible.
-
-    Equal bit for bit to admissibility(model, make_contour(model, side,
-    "rectangle", h)).r_min: V0 is one _rectangle_variations batch
-    (optimize_r0's scan and h* share one), and d one call of the model's
-    _RectangleDistance, built once per search.
-    """
-    endpoints = model.interval
-    length = endpoints[1] - endpoints[0]
-    counts = [_rectangle_counts(length, h) for h in depths]
-    v0s = _rectangle_variations(model, side, endpoints, depths, counts)
-    reports = (admissibility_at(v0, d) for v0, d in zip(v0s, distance(depths)))
-    return [rep.r_min if rep.admissible else math.inf for rep in reports]
+def _rectangle_r_min(model: SpectralModel, side: int, depth: float) -> float:
+    """r_min of the side-l rectangle of the depth, inf where it is not
+    admissible."""
+    rep = admissibility(model, make_contour(model, side, "rectangle", depth))
+    return rep.r_min if rep.admissible else math.inf
 
 
 # optimize_r0 scans this many evenly spaced depths of the family.
@@ -584,17 +535,18 @@ _SCAN_DEPTHS = 33
 
 
 def optimize_r0(root):
-    """(depth, r0): the least r_min among the solved root's own and one
-    batch of depths of the family around its contour.
+    """(depth, r0): the least r_min among the solved root's own and those
+    of the depths scanned in the family around its contour.
 
     A semicircle, and a rectangle with 0.5 depth >= hi - lo, have no
     family: r0 is the root's r_min. Any other rectangle's family is the
     side-l rectangles of depths (0.5 depth, min(2 depth, hi - lo)), which
-    hold its own. One _rectangle_r_min batch takes _SCAN_DEPTHS evenly
-    spaced depths of it and, when it lies strictly inside, the kink h* of
-    d(h) (_RectangleDistance): d rises up to h* and is constant after it,
+    hold its own. The scan takes _SCAN_DEPTHS evenly spaced depths of it
+    and, when it lies strictly inside, the kink h* of d(h)
+    (_RectangleDistance), each depth's r_min from one admissibility of its
+    contour (_rectangle_r_min): d rises up to h* and is constant after it,
     and r_min falls as d rises and rises with V0, so the least r_min
-    usually sits at h*. A batch with no admissible depth gives the root's.
+    usually sits at h*. A scan with no admissible depth gives the root's.
 
     r0 bounds the root: the rectangle that gives r0 has r0 <= r_min(root)
     < r_max(root), so its root, of norm at most r0, is a fixed point of the
@@ -606,9 +558,9 @@ def optimize_r0(root):
     if contour.kind == "semicircle" or 0.5 * contour.depth >= length:
         return own
     lo, hi = 0.5 * contour.depth, min(2.0 * contour.depth, length)
-    distance = _RectangleDistance(model, model.interval)
+    kink = _RectangleDistance(model, model.interval).kink
     depths = np.linspace(lo, hi, _SCAN_DEPTHS).tolist()
-    if distance.kink is not None and lo < distance.kink < hi:
-        depths.append(distance.kink)
-    values = _rectangle_r_min(model, root.side, depths, distance)
-    return min([own, *zip(depths, values)], key=lambda pair: pair[1])
+    if kink is not None and lo < kink < hi:
+        depths.append(kink)
+    scanned = [(h, _rectangle_r_min(model, root.side, h)) for h in depths]
+    return min([own, *scanned], key=lambda pair: pair[1])

@@ -12,6 +12,7 @@ on the axis holds by algebra and is measured by density_margin, the
 density row of verify.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,15 +131,17 @@ class SpectralModel:
 def build_model(interval, a1, b) -> SpectralModel:
     """Validate and assemble a model.
 
-    interval: (lo, hi) with lo < hi. a1: real symmetric (n, n). b: an (m, n)
-    MatrixPolynomial with real coefficients, or a list of coefficient
-    matrices lowest degree first. A coefficient of K' that is not finite
-    (b^* b overflows) is a ModelError; the density's identities are left to
-    density_margin.
+    interval: (lo, hi) with lo < hi and a finite length hi - lo. a1: real
+    symmetric (n, n). b: an (m, n) MatrixPolynomial with real coefficients,
+    or a list of coefficient matrices lowest degree first. A coefficient of
+    K' that is not finite (b^* b overflows) is a ModelError; the density's
+    identities are left to density_margin.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ModelError(f"interval must have lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise ModelError(f"interval ({lo}, {hi}) has a length beyond the float range")
 
     a1c = np.atleast_2d(np.asarray(a1, dtype=np.complex128))
     if np.max(np.abs(a1c.imag)) > _HERM_TOL * (1.0 + np.max(np.abs(a1c))):

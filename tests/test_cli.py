@@ -79,7 +79,7 @@ def test_solve_builds_no_gauss_legendre_rule(tmp_path, capsys, monkeypatch):
     # when read, are never built
     import schurroots.contour as contour_mod
     built = []
-    for name in ("_semicircle_rule", "_rectangle_rules"):
+    for name in ("_semicircle_rule", "_rectangle_rule"):
         original = getattr(contour_mod, name)
         monkeypatch.setattr(contour_mod, name,
                             lambda *args, _f=original: built.append(1) or _f(*args))
@@ -519,11 +519,14 @@ def test_bad_config_values_exit_4(tmp_path, capsys, command, data, named):
     assert "Traceback" not in err
 
 
-def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("contour", [{}, {"kind": "rectangle", "depth": 0.5}],
+                         ids=["semicircle", "rectangle"])
+def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch, contour):
     # a real model's second side is the conjugate of the first side's root,
     # which carries its report, and of its classification, so V0 is
     # evaluated and the spectrum classified once, for the first side
-    # requested
+    # requested; on a rectangle too, as solve makes no depth search. The
+    # coupling 0.1 keeps the depth-0.5 rectangle admissible
     import schurroots.cli as cli_mod
     import schurroots.contour as contour_mod
 
@@ -539,8 +542,9 @@ def test_solve_evaluates_variation_once_per_side(tmp_path, capsys, monkeypatch):
     for sides in ([1, -1], [-1]):
         calls.clear()
         classified.clear()
-        cfg = write_cfg(tmp_path, _with("contour", {"sides": sides}))
-        code, _ = run(capsys, ["solve", "--config", cfg])
+        data = {"model": {**BASE["model"], "b": [[[0.1]]]},
+                "contour": {**contour, "sides": sides}}
+        code, _ = run(capsys, ["solve", "--config", write_cfg(tmp_path, data)])
         assert code == 0
         assert calls == sides[:1]
         assert len(classified) == 1
@@ -668,6 +672,38 @@ def test_verify_counts_variation_and_quadratures(tmp_path, capsys, monkeypatch):
     assert variations == [1, -1]
     assert len(quads) == 8
     assert len(sandwiches) == 2
+
+
+@pytest.mark.parametrize("coupling, depth", [(1.0, 0.5), (0.5, 0.2)])
+def test_rectangle_verify_evaluates_variation_per_root_and_scanned_depth(
+        tmp_path, capsys, monkeypatch, model_zoo, coupling, depth):
+    # V0 once per root, then, for each side's localization row, once per
+    # depth that optimize_r0 scans: 33 of the family (0.5 depth, 2 depth),
+    # and h* when it lies strictly inside, as in the family (0.25, 1.0) of
+    # the first zoo model but not in its (0.1, 0.4) at half the coupling
+    import schurroots.contour as contour_mod
+
+    calls = []
+    original = contour_mod._variation
+
+    def counting(model, contour):
+        calls.append((contour.side, contour.depth))
+        return original(model, contour)
+
+    monkeypatch.setattr(contour_mod, "_variation", counting)
+    model = model_zoo[0].scaled(coupling)
+    data = {"model": {"interval": list(model.interval), "a1": model.a1.tolist(),
+                      "b": [np.real(c).tolist() for c in model.b.coefficients]},
+            "contour": {"kind": "rectangle", "depth": depth}}
+    code, _ = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    assert code == 0
+    kink = _RectangleDistance(model, model.interval).kink
+    scan = np.linspace(0.5 * depth, 2.0 * depth, 33).tolist()
+    if 0.5 * depth < kink < 2.0 * depth:
+        scan.append(kink)
+    assert calls[:2] == [(1, depth), (-1, depth)]
+    assert calls[2:] == [(1, h) for h in scan] + [(-1, h) for h in scan]
+    assert len(calls) == {0.5: 70, 0.2: 68}[depth]
 
 
 def test_verify_margin_rows_are_signed(tmp_path, capsys, model_zoo):
@@ -958,6 +994,23 @@ def test_non_finite_density_exits_4(tmp_path, capsys, command):
     assert code == 4
     assert err.startswith("config error:") and "non-finite" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+# hi - lo = 2e308 is not a float: the semicircle's V0 took NaN norms
+# (exit 2, or exit 1 with every RuntimeWarning an error)
+OVERFLOWING_INTERVAL = {"model": {"interval": [-1e308, 1e308], "a1": [[0.0]],
+                                  "b": [[[0.2]]]}}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_interval_whose_length_overflows_exits_4(tmp_path, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", write_cfg(tmp_path, OVERFLOWING_INTERVAL)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("config error:") and "interval (-1e+308, 1e+308)" in err
+    assert "Traceback" not in err
 
 
 def _localization(model, roots, radius):

@@ -17,8 +17,7 @@ import pytest
 import schurroots as sr
 from schurroots import contour as contour_module
 from schurroots._kernels import spectral_norms
-from schurroots.contour import (_rectangle_counts, _rectangle_r_min, _rectangle_rules,
-                                _RectangleDistance)
+from schurroots.contour import _rectangle_r_min, _RectangleDistance
 from schurroots.errors import AdmissibilityError, ModelError
 
 from conftest import wide_models
@@ -155,7 +154,7 @@ def test_contour_is_its_path_and_counts(monkeypatch, friedrichs_model):
     # by its path and counts, so side -1 is the mirror image of side +1,
     # and its rule, built on first read, is built once and read-only
     built = []
-    for name in ("_semicircle_rule", "_rectangle_rules"):
+    for name in ("_semicircle_rule", "_rectangle_rule"):
         original = getattr(contour_module, name)
         monkeypatch.setattr(contour_module, name,
                             lambda *args, _f=original: built.append(1) or _f(*args))
@@ -312,22 +311,10 @@ RECT_FAMILIES = [(0.25, 1.0), (0.3, 1.2), (0.1, 0.4)]
 # side, t). Friedrichs' configured rectangle is inadmissible at t = 1 on
 # each of the three depths, and at depth 0.2 so are all at t = 1 and
 # Friedrichs' at t = 0.5: they have no root. Friedrichs' family
-# (0.25, 1.0) at t = 0.5 ends at its h* = 1, which the batch does not add,
-# but the scan measures h* itself, and it is least; (0.1, 0.4) lies below
-# every kink
+# (0.25, 1.0) at t = 0.5 ends at its h* = 1, which the scan does not add
+# again, but measures as its last depth, and it is least; (0.1, 0.4) lies
+# below every kink
 SEARCH_COUNTS = {(0.25, 1.0): (82, 82), (0.3, 1.2): (82, 82), (0.1, 0.4): (40, 0)}
-
-
-def test_rect_families_cover_mixed_node_counts():
-    # at 200 nodes per half-length a vertical side deeper than 1 has more
-    # than 200 nodes, so the (0.3, 1.2) scan mixes 200-node sides with 203-
-    # to 240-node ones and the batched scan must group its depths by count
-    for family, mixed in zip(RECT_FAMILIES, (False, True, False)):
-        depths = np.linspace(*family, 33)
-        counts = [_rectangle_counts(2.0, h) for h in depths]
-        rules = _rectangle_rules(-1.0, 1.0, depths, counts)
-        assert (len(rules) > 1) == mixed
-        assert sorted(row for rows, *_ in rules for row in rows) == list(range(33))
 
 
 @pytest.mark.parametrize("family", RECT_FAMILIES)
@@ -338,9 +325,9 @@ def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
     scanned = []
     search = contour_module._rectangle_r_min
 
-    def record(model, side, hs, *args):
-        scanned.append(tuple(hs))
-        return search(model, side, hs, *args)
+    def record(model, side, h):
+        scanned.append(h)
+        return search(model, side, h)
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", record)
     at_kink = searches = 0
@@ -358,20 +345,22 @@ def test_optimize_r0_matches_per_contour_search(monkeypatch, friedrichs_model,
                 values, ref = _reference_optimize_r0(root, family)
                 _, golden = _reference_optimize_r0(root, family, kink_rule=False)
                 # every scanned depth's r_min, not only the search's outcome
-                assert search(sm, side, depths, distance) == values
+                assert [search(sm, side, h) for h in depths] == values
                 scanned.clear()
                 depth_r0 = sr.optimize_r0(root)
-                # the search is one batch that scans the family of the
-                # root's depth
-                assert len(scanned) == 1
-                assert scanned[0][:33] == tuple(depths)
+                # the search scans the family of the root's depth, each
+                # depth once, then h* when it lies strictly inside
+                assert scanned[:33] == depths.tolist()
+                kink = distance.kink
+                inside = kink is not None and family[0] < kink < family[1]
+                assert scanned[33:] == ([kink] if inside else [])
                 # the least r_min measured, bit for bit that of its depth's
                 # contour, never above the root's own
                 assert depth_r0 == ref
                 r0 = depth_r0[1]
                 assert r0 <= root.report.r_min
                 assert _reference_r_min(sm, side, depth_r0[0]) == r0
-                # the batch never does worse than the golden-section
+                # the scan never does worse than the golden-section
                 # search, and where it does not end at h*, the two agree
                 assert golden[1] - 3e-7 * golden[1] <= r0 <= golden[1]
                 if depth_r0[0] == distance.kink:
@@ -385,7 +374,7 @@ def test_search_keeps_a_scanned_depth_below_the_kink():
     # b vanishes at x +- 0.4i for x = +-0.25, +-0.75, so V0 grows steeply
     # with the depth and r_min is least short of h* = 0.35, though within
     # the scan's bracket around it: the scanned depth 0.328125 beats h*, and
-    # r0 is the least r_min of the batch
+    # r0 is the least r_min of the scan
     coeffs = np.array([1.0])
     for x in (-0.75, -0.25, 0.25, 0.75):
         coeffs = np.polynomial.polynomial.polymul(coeffs, [x * x + 0.16, -2 * x, 1.0])
@@ -394,7 +383,7 @@ def test_search_keeps_a_scanned_depth_below_the_kink():
     family = (0.3, 1.2)
     root = _rectangle_root(model, 1, 0.6)
     depths = np.linspace(*family, 33)
-    values = _rectangle_r_min(model, 1, depths, distance)
+    values = [_rectangle_r_min(model, 1, h) for h in depths]
     best = int(np.argmin(values))
     assert depths[best - 1] <= distance.kink <= depths[best + 1]
     depth, r0 = sr.optimize_r0(root)
@@ -408,16 +397,16 @@ def test_search_keeps_a_scanned_depth_below_the_kink():
     assert 3.7 * r0 < root.report.r_min
 
 
-def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
-    # the scan of a family and h* take one _rectangle_r_min call: h* lies
-    # inside every zoo model's family (0.25, 1.0) and above every (0.1, 0.4),
-    # which holds the scan alone
+def test_kink_optimal_search_scans_each_depth_once(monkeypatch, model_zoo):
+    # the scan of a family and h* take one _rectangle_r_min call per depth:
+    # h* lies inside every zoo model's family (0.25, 1.0) and above every
+    # (0.1, 0.4), which holds the scan alone
     calls = []
     search = contour_module._rectangle_r_min
 
-    def count(model, side, depths, *args):
-        calls.append(len(depths))
-        return search(model, side, depths, *args)
+    def count(model, side, depth):
+        calls.append(depth)
+        return search(model, side, depth)
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", count)
     for model in model_zoo:
@@ -426,13 +415,13 @@ def test_kink_optimal_search_is_one_batch(monkeypatch, model_zoo):
         calls.clear()
         depth, _ = sr.optimize_r0(root)
         assert depth == kink
-        assert calls == [33 + 1]
+        assert calls == [*np.linspace(0.25, 1.0, 33).tolist(), kink]
         # a depth-0.2 rectangle is admissible at half the coupling
         root = _rectangle_root(model.scaled(0.5), 1, 0.2)
         calls.clear()
         depth, _ = sr.optimize_r0(root)
         assert depth <= 0.4 < kink
-        assert calls == [33]
+        assert calls == np.linspace(0.1, 0.4, 33).tolist()
 
 
 def test_spectral_norms_n2_match_axis_sum_form():
@@ -625,25 +614,24 @@ def _edge_models():
 
 def test_rectangle_distance_matches_point_segment_loop(monkeypatch, model_zoo,
                                                        friedrichs_model):
-    # every depth of optimize_r0's batch, and every depth of the
+    # every depth of optimize_r0's scan, and every depth of the
     # golden-section search, on both sides, plus the edge models
     scanned = []
     search = contour_module._rectangle_r_min
 
-    def record(model, side, depths, *args):
-        scanned.append((model, side, [float(h) for h in depths]))
-        return search(model, side, depths, *args)
+    def record(model, side, depth):
+        scanned.append((model, side, [float(depth)]))
+        return search(model, side, depth)
 
     monkeypatch.setattr(contour_module, "_rectangle_r_min", record)
     for model in [friedrichs_model] + _edge_models() + model_zoo:
-        distance = _RectangleDistance(model, model.interval)
         for side in (1, -1):
             for family in RECT_FAMILIES:
                 root = _rectangle_root(model, side, 2.0 * family[0])
                 if root is not None:
                     sr.optimize_r0(root)
                 _reference_search(
-                    lambda *depths: record(model, side, depths, distance),
+                    lambda *depths: [record(model, side, h) for h in depths],
                     *family, None)
             scanned.append((model, side, [1e-3, 0.5, 2.0, 7.3]))
     assert len(scanned) > 28 * 2 * 3 * 20

@@ -173,6 +173,17 @@ def test_build_model_rejects_a_non_finite_density(b, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("interval", [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf)],
+                         ids=["overflowing", "infinite-lo", "infinite-hi"])
+def test_build_model_rejects_an_interval_whose_length_overflows(interval, recwarn):
+    # hi - lo = inf: the semicircle's V0 would be inf * 0 = NaN at its ends
+    with pytest.raises(ModelError, match=r"interval \(.*\) has a length beyond"):
+        sr.build_model(interval, [[0.0]], [[[0.2]]])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # the widest interval whose length is a float is accepted
+    sr.build_model((-8e307, 8e307), [[0.0]], [[[0.2]]])
+
+
 def test_density_margin_is_negative_on_the_zoo_and_the_wide_models(model_zoo):
     margins = [density_margin(m) for m in list(model_zoo) + wide_models(1, 2)]
     assert max(margins) < 0.0, max(margins)
