@@ -65,14 +65,14 @@ def _relative_gap(gap, ref) -> float:
     return float(np.max(spectral_norms(gap) / (1.0 + spectral_norms(ref))))
 
 
-# The offsets eps of _boundary_limit: three halvings from 1e-5.
+# The offsets of _boundary_limit in half-lengths: three halvings from 1e-5.
 _BOUNDARY_EPS = 1e-5 * 0.5 ** np.arange(3)
 
 
 def _boundary_limit(model, lams, approach) -> np.ndarray:
     """W1(lam + i*approach*0) at each point of lams, (P, n, n), as the
-    Richardson limit of the closed-form W1(lam + i*approach*eps) over
-    _BOUNDARY_EPS.
+    Richardson limit of the closed-form W1(lam + i*approach*eps) over eps
+    = _BOUNDARY_EPS half-lengths of the interval, whatever its scale.
 
     W1 continues analytically across the interval from either half-plane,
     so W1(lam + i*approach*eps) is a power series in eps; two Richardson
@@ -80,7 +80,8 @@ def _boundary_limit(model, lams, approach) -> np.ndarray:
     off the cut only, so it is independent of w1_boundary, the continued
     moments taken on the cut.
     """
-    zs = lams[None, :] + 1j * approach * _BOUNDARY_EPS[:, None]
+    lo, hi = model.interval
+    zs = lams[None, :] + 1j * approach * (0.5 * (hi - lo) * _BOUNDARY_EPS)[:, None]
     vals = w1_physical(model, zs.ravel()).reshape(zs.shape + (model.n, model.n))
     for j in (1, 2):
         vals = (2 ** j * vals[1:] - vals[:-1]) / (2 ** j - 1)

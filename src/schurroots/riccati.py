@@ -90,9 +90,9 @@ _CONFLUENT = 1e-6
 # the spectrum must keep from the interval.
 _QUAD_RTOL = 1e-11
 
-# An eigenvalue over the interval with |Im| * _FLOAT_MAX < 1 has no finite
+# An eigenvalue over the interval with |Im| < _TINY_IMAG has no finite
 # 1/Im: compute_Y's resolvent would overflow at the nodes graded toward it.
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+_TINY_IMAG = 1.0 / float(np.finfo(np.float64).max)
 
 
 def _confluent(xs: np.ndarray, ys: np.ndarray) -> bool:
@@ -148,7 +148,7 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
     interval = sm.interval
     a, b = interval
     eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
-    on_path = eigs[(np.abs(eigs.imag) * _FLOAT_MAX < 1.0)
+    on_path = eigs[(np.abs(eigs.imag) < _TINY_IMAG)
                    & (a <= eigs.real) & (eigs.real <= b)]
     if on_path.size:
         raise NumericsError(

@@ -12,14 +12,13 @@ K'(mu) = sum_s C_s mu^s is a polynomial, so W1(Z, Gamma) is the sum of
 primary matrix functions sum_s C_s g_s(Z), with g_s the moments of
 schur._cut_moments: the side-l ones at an eigenvalue in the lens, on the
 open interval or across it, the physical ones off the closed lens. The
-Picard map evaluates that sum in closed form (_PicardMap), in the
-eigenbasis of _kernels.eig; for n <= 2 the decomposition, the moments and
-the sum all run on Python numbers, for n >= 3 the sum is one matmul and
-V^{-1} one solve. By Cauchy's theorem it is the contour integral without
-its quadrature error. The
-contour sum (transformator), on the contour's analytic_rule, stays as the
-fallback of that map where the eigenbasis is ill-conditioned, and as the
-independent path verify checks the root against.
+Picard map evaluates that sum in closed form (_PicardMap): for n <= 2 in
+Python numbers from Z and its two eigenvalues (_kernels.small_eig), for
+n >= 3 in the eigenbasis of _kernels.eig, one matmul and one solve. By
+Cauchy's theorem it is the contour integral without its quadrature error.
+The contour sum (transformator), on the contour's analytic_rule, stays as
+the fallback of that map where the eigenbasis is ill-conditioned, and as
+the independent path verify checks the root against.
 
 For a real model the roots of the two sides are complex conjugates, so
 the opposite side's root, classification and homotopy path are one side's
@@ -53,8 +52,8 @@ _MAX_ITER = 500
 
 # Largest condition number of the eigenvector matrix V of Z for which the
 # Picard map, and every closed form downstream of a root, is evaluated in
-# the eigenbasis; the error of that evaluation grows like cond(V) times the
-# unit roundoff.
+# closed form; the error of that evaluation grows like cond(V) times the
+# unit roundoff, at n = 2 by the divided difference's cancellation.
 _COND_LIMIT = 1e2
 
 # Relative shrinking of the limit in _cond_within's certificate. The SVD
@@ -64,29 +63,17 @@ _COND_MARGIN = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _cond_within(vecs, limit: float) -> bool:
-    """Whether np.linalg.cond(vecs) <= limit, for the eigenvector matrix V
-    of _kernels.eig (unit columns), mostly without an SVD; for n <= 2 V
-    may also be given as rows of Python numbers, as small_eig returns it.
-
-    Every eigenvalue of V^H V lies within ||V^H V - I||_2 <= delta of 1,
-    delta = ||V^H V - I||_F, so for delta < 1 cond_2(V)^2 <= (1 + delta) /
-    (1 - delta). delta is widened by a bound on the rounding of the product
-    (each entry of V^H V is a length-n dot product of columns of norm about
-    1, off by at most 4 (n + 4) eps) and of its norm. When the bound is
-    within limit (1 - _COND_MARGIN) the answer is yes. For n <= 2 the
-    eigenvalues hi >= lo of V^H V are taken instead, in closed form in
-    Python scalars (_small_cond_within), and cond_2(V)^2 = hi / lo within
-    their rounding decides yes below limit (1 - _COND_MARGIN) and no above
-    limit (1 + _COND_MARGIN). Otherwise, and for any NaN, np.linalg.cond
-    decides. So every answer is that of np.linalg.cond(vecs) <= limit. The
-    caller passes the limit, read at the time of the call.
-    """
+def _cond_within(vecs: np.ndarray, limit: float) -> bool:
+    """Whether np.linalg.cond(vecs) <= limit for the unit-column V of
+    _kernels.eig, mostly without an SVD: every eigenvalue of V^H V lies
+    within delta = ||V^H V - I||_F of 1, so for delta < 1 cond_2(V)^2 <=
+    (1 + delta) / (1 - delta). delta is widened by the rounding of the
+    product (each entry a length-n dot product of columns of norm about 1,
+    off by at most 4 (n + 4) eps) and of its norm. A bound within limit
+    (1 - _COND_MARGIN) answers yes; otherwise, and for any NaN,
+    np.linalg.cond decides, so every answer is np.linalg.cond's. The
+    caller passes the limit, read at the time of the call."""
     n = len(vecs)
-    if n <= 2:
-        rows = vecs if isinstance(vecs, list) else vecs.tolist()
-        decided = _small_cond_within(rows, limit)
-        return decided if decided is not None else bool(np.linalg.cond(np.array(rows)) <= limit)
     gram = np.matmul(np.conj(vecs.T), vecs)
     gram.ravel()[::n + 1] -= 1.0
     fro = math.sqrt(np.vdot(gram, gram).real)
@@ -97,34 +84,22 @@ def _cond_within(vecs, limit: float) -> bool:
     return bool(np.linalg.cond(vecs) <= limit)
 
 
-# Bound on the error of the closed-form eigenvalues of V^H V for n <= 2
-# (_small_cond_within): each Gram entry is off by a few eps, and so, by
-# Weyl's theorem and the rounding of the closed form, is each eigenvalue.
-_GRAM_SLACK = 64.0 * _EPS
-
-
-def _small_cond_within(rows: list, limit: float) -> bool | None:
-    """Whether cond_2(V) <= limit for the unit-column V given as rows of
-    Python numbers, n <= 2, or None where the rounding leaves it open:
-    cond_2(V)^2 = hi / lo for the eigenvalues hi >= lo of the Hermitian
-    V^H V = [[g0, c], [conj(c), g1]], hi and lo = (g0 + g1)/2 +- hypot((g0 -
-    g1)/2, |c|), each within _GRAM_SLACK."""
-    if len(rows) == 1:
-        ((v,),) = rows
-        g0 = g1 = v.real * v.real + v.imag * v.imag
-        cross = 0.0
-    else:
-        (v00, v01), (v10, v11) = rows
-        g0 = v00.real * v00.real + v00.imag * v00.imag + v10.real * v10.real + v10.imag * v10.imag
-        g1 = v01.real * v01.real + v01.imag * v01.imag + v11.real * v11.real + v11.imag * v11.imag
-        cross = abs(v00.conjugate() * v01 + v10.conjugate() * v11)
-    mid, half = 0.5 * (g0 + g1), math.hypot(0.5 * (g0 - g1), cross)
-    hi, lo = mid + half, mid - half
-    if lo > _GRAM_SLACK and hi + _GRAM_SLACK <= (limit * (1.0 - _COND_MARGIN)) ** 2 * (lo - _GRAM_SLACK):
-        return True
-    if hi - _GRAM_SLACK > (limit * (1.0 + _COND_MARGIN)) ** 2 * (lo + _GRAM_SLACK):
-        return False
-    return None
+def _small_cond(shifted: tuple, gap: complex) -> float:
+    """cond_2(V) of the unit eigenvectors of a 2 x 2 Z with eigenvalues
+    lam1, lam2, from the entries of Z - lam2 I, row by row, and gap = lam1 -
+    lam2. Z - lam2 I = gap P1 for the rank-1 spectral projector P1 of lam1,
+    so rho = ||Z - lam2 I||_F / |gap| = ||P1||_2 = 1 / sin(theta) for the
+    angle theta between the eigenvectors, and cond_2(V) = rho + sqrt(rho^2
+    - 1): 1 at Z = lam I, infinity for a defective Z. rho is a ratio of
+    hypot and abs, so no square under- or overflows."""
+    p, q, r, s = shifted
+    fro = math.hypot(p.real, p.imag, q.real, q.imag, r.real, r.imag, s.real, s.imag)
+    if fro == 0.0:
+        return 1.0
+    if gap == 0:
+        return math.inf
+    rho = fro / abs(gap)
+    return rho + math.sqrt(max((rho - 1.0) * (rho + 1.0), 0.0))
 
 
 def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
@@ -283,28 +258,24 @@ def transformator(model: SpectralModel, contour: Contour, zmat,
 class _PicardMap:
     """The map Z -> t^2 W1(Z, Gamma) of one side, as t^2 sum_s C_s g_s(Z).
 
-    Z = V D V^{-1} is decomposed by _kernels.eig, and the moments are taken
-    in that eigenbasis, as (sum_s C_s V diag(g_s(D))) V^{-1}. At each
-    eigenvalue g_s is a moment that equals the contour integral there (see
-    schur._cut_moments): the side-l one where _covered, else the physical
-    one, the interval integral, off the closed lens. For n <= 2 all of it
-    runs in Python scalars: the decomposition by _kernels.small_eig, the
-    moments by schur._cut_moments_at, and in _small_map column k of the sum
-    as W(lam_k) v_k with W(lam) = sum_s g_s(lam) C_s, and V^{-1} as adj(V) /
-    det(V); n = 1 is the moment sum at the one entry of Z. For n >= 3 the
-    sum is one matmul, the coefficients stacked as rows (S n, n) times V,
-    whose S blocks have their columns scaled by g_s and are added, and
-    V^{-1} is applied by a solve. A step falls back
-    to the contour sum (transformator of the t-scaled model, self.model,
-    over the side's own contour) only when n >= 2 and cond(V) >
-    _COND_LIMIT, a test that _cond_within certifies from V^H V without the
-    SVD of np.linalg.cond on well-conditioned bases, with the same answer,
-    or when an eigenvalue lies on the contour or at an endpoint, where no
-    moment is the integral. fallbacks counts those steps. The closed form
-    has no quadrature nodes to avoid; the fallback's contour sum refuses a
-    spectrum within _SPEC_GUARD of the nodes of the rule it uses. spectrum
-    holds the (eigenvalues, eigenvectors) of the last Z mapped, as
-    small_eig's lists for n <= 2.
+    At each eigenvalue g_s is a moment that equals the contour integral
+    there (see schur._cut_moments): the side-l one where _covered, else the
+    physical one, the interval integral, off the closed lens. For n <= 2
+    all of it runs in Python scalars, with W(lam) = sum_s g_s(lam) C_s
+    (_moment_sum_at) at the eigenvalues of _kernels.small_eig: n = 1 is W
+    at the one entry of Z, n = 2 the primary function W(lam2) + W[lam1,
+    lam2] (Z - lam2 I) of _small_map, which reads no eigenvector. For n >= 3
+    Z = V D V^{-1} is decomposed by _kernels.eig, and (sum_s C_s V
+    diag(g_s(D))) V^{-1} is one matmul, of the coefficients stacked as rows
+    (S n, n) with V, and one solve. A step falls back to the contour sum
+    (transformator of the t-scaled model, self.model, over the side's own
+    contour) only when n >= 2 and cond(V) > _COND_LIMIT (_small_cond at
+    n = 2, _cond_within at n >= 3), or when an eigenvalue lies on the
+    contour or at an endpoint, where no moment is the integral. fallbacks
+    counts those steps. The closed form has no quadrature nodes to avoid;
+    the fallback's contour sum refuses a spectrum within _SPEC_GUARD of the
+    nodes of the rule it uses. spectrum holds the (eigenvalues,
+    eigenvectors) of the last Z mapped, as small_eig's lists for n <= 2.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
@@ -363,32 +334,35 @@ class _PicardMap:
             moments = _cut_moments_at(a, b, lam, degree)
         return [sum(map(operator.mul, moments, entry)) for entry in self._coeff_entries]
 
-    def _small_map(self, values: list, vectors: list) -> np.ndarray | None:
-        """The closed form for n <= 2 in Python scalars, from the values
-        and vector rows of small_eig, or None where the map falls back."""
+    def _small_map(self, rows: list, values: list) -> np.ndarray | None:
+        """W(lam2) + W[lam1, lam2] (Z - lam2 I) for n <= 2 in Python scalars,
+        from Z's rows and small_eig's eigenvalues; None where it falls back."""
         sums = [self._moment_sum_at(lam) for lam in values]
         if None in sums:
             return None
         if len(sums) == 1:
             return np.array([sums[0]], dtype=np.complex128)
-        if not _cond_within(vectors, _COND_LIMIT):
+        lam1, lam2 = values
+        (p, q), (r, s) = rows
+        p, s, gap = p - lam2, s - lam2, lam1 - lam2
+        if not _small_cond((p, q, r, s), gap) <= _COND_LIMIT:
             return None
-        (v00, v01), (v10, v11) = vectors
-        # columns W(lam_k) v_k of sum_s C_s V diag(g_s), then times adj(V) / det(V)
-        w00, w01, w10, w11 = sums[0]
-        s00, s10 = w00 * v00 + w01 * v10, w10 * v00 + w11 * v10
         w00, w01, w10, w11 = sums[1]
-        s01, s11 = w00 * v01 + w01 * v11, w10 * v01 + w11 * v11
-        det = v00 * v11 - v01 * v10
-        return np.array([[(s00 * v11 - s01 * v10) / det, (s01 * v00 - s00 * v01) / det],
-                         [(s10 * v11 - s11 * v10) / det, (s11 * v00 - s10 * v01) / det]],
+        if gap == 0:
+            # within the limit only at Z = lam2 I: no divided difference
+            return np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
+        # the divided difference W[lam1, lam2], times Z - lam2 I
+        d00, d01, d10, d11 = ((x - y) / gap for x, y in zip(sums[0], sums[1]))
+        return np.array([[w00 + d00 * p + d01 * r, w01 + d00 * q + d01 * s],
+                         [w10 + d10 * p + d11 * r, w11 + d10 * q + d11 * s]],
                         dtype=np.complex128)
 
     def __call__(self, zmat: np.ndarray) -> np.ndarray:
         if zmat.shape[0] <= 2:
-            values, vectors = small_eig(zmat.tolist())
+            rows = zmat.tolist()
+            values, vectors = small_eig(rows)
             self.spectrum = values, vectors
-            value = self._small_map(values, vectors)
+            value = self._small_map(rows, values)
             if value is not None:
                 return value
             eigs = np.array(values, dtype=np.complex128)

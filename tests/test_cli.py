@@ -182,6 +182,28 @@ def test_verify_refuses_a_pole_on_the_path(tmp_path, capsys, b):
                         r"\[-1\.0, 1\.0\]: a pole on the integration path\n", err), err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_passes_with_an_eigenvalue_far_below_the_interval(tmp_path, capsys):
+    # the root is about -2.9458i: compute_Y's test for a pole on the path
+    # must not overflow where |Im z| > 1
+    data = {"model": {"interval": [-30.0, 30.0], "a1": [[0.0]], "b": [[[1.0]]]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    rep = json.loads(out)
+    assert code == 0, [r for r in rep["identities"] if not r["passed"]]
+    (entry,) = rep["solutions"]["+1"]["eigenvalues"]
+    assert entry["eigenvalue"][1] < -1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_passes_on_a_short_interval(tmp_path, capsys):
+    # boundary-imag's Richardson offsets are half-lengths of the interval:
+    # in absolute units they reached a hundredth of [-1e-3, 1e-3], and the
+    # row read 2.5e-10 against its tolerance of 1e-10
+    data = {"model": {"interval": [-1e-3, 1e-3], "a1": [[0.0]], "b": [[[0.0025]]]}}
+    code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    assert code == 0, [r for r in rows.values() if not r["passed"]]
+    assert rows["boundary-imag"]["residual"] <= 1e-15
 @pytest.mark.parametrize("eigs", [(-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)])
 def test_verify_passes_with_spread_a1(tmp_path, capsys, eigs):
     # the eigenvalues of a1 lie further apart than d/2 allows one

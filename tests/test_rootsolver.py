@@ -19,10 +19,10 @@ from scipy.linalg import logm
 
 import schurroots as sr
 from schurroots import rootsolver
-from schurroots._kernels import spectral_norms
+from schurroots._kernels import small_eig, spectral_norms
 from schurroots.errors import AdmissibilityError
 from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
-                                   transformator)
+                                   _small_cond, transformator)
 
 from conftest import EP_B, EP_E0, RECT_DEPTH, wide_models
 
@@ -739,6 +739,64 @@ def test_cond_certificate_decides_as_the_svd(monkeypatch):
             decisions += 1
     # the certificate spared the SVD on some decisions, not on all
     assert 0 < svd_calls < decisions - 100
+
+
+def _closed_cond(z):
+    """_small_cond of the 2 x 2 z from its rows and small_eig's eigenvalues,
+    as _PicardMap._small_map takes it."""
+    rows = z.tolist()
+    (lam1, lam2), _ = small_eig(rows)
+    (p, q), (r, s) = rows
+    return _small_cond((p - lam2, q, r, s - lam2), lam1 - lam2)
+
+
+def _small_cond_cases(rng, count=200):
+    """Named (count, 2, 2) complex stacks: random; strongly non-normal, z21
+    scaled down to 1e-9; near-defective, a Jordan block perturbed by 1e-14
+    to 1e-2 of its size; Jordan blocks; and lam I."""
+    def draw(*shape):
+        return rng.normal(size=(count,) + shape) + 1j * rng.normal(size=(count,) + shape)
+
+    lam, off = draw(1, 1), draw(1, 1)
+    jordan = lam * np.eye(2) + off * np.array([[0.0, 1.0], [0.0, 0.0]])
+    non_normal = draw(2, 2)
+    non_normal[:, 1, 0] *= 1e-9
+    near = jordan + draw(2, 2) * 10.0 ** rng.uniform(-14, -2, size=(count, 1, 1))
+    return {"random": draw(2, 2), "non-normal": non_normal, "near-defective": near,
+            "jordan": jordan, "scalar": lam * np.eye(2)}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500])
+@pytest.mark.parametrize("name", list(_small_cond_cases(np.random.default_rng(0), 1)))
+def test_small_cond_matches_the_svd(name, scale):
+    # the closed form rho + sqrt(rho^2 - 1) against np.linalg.cond of
+    # LAPACK's unit eigenvectors, also where a square of an entry would
+    # over- or underflow; both lose about eps cond(V) relative, which at
+    # cond(V) ~ 1e7 reaches 1e-9
+    eps = float(np.finfo(float).eps)
+    for z in _small_cond_cases(np.random.default_rng(11))[name] * scale:
+        got, want = _closed_cond(z), np.linalg.cond(np.linalg.eig(z)[1])
+        if name == "scalar":
+            assert got == want == 1.0
+        elif name == "jordan":
+            assert got == np.inf and want > 1e8
+        else:
+            assert want < 1e8
+            assert abs(got / want - 1.0) <= 1e-9 + 4.0 * eps * want
+
+
+def test_small_map_at_a_scalar_matrix_is_the_moment_sum(model_zoo):
+    # Z = lam I: no divided difference is formed, and the map is W(lam) I
+    # with no fallback
+    model = next(m for m in model_zoo if m.n == 2)
+    step_map = _PicardMap(model, sr.make_contour(model, 1), 1.0)
+    lam = 0.1 - 0.05j
+    z = lam * np.eye(2, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = step_map(z)
+    assert step_map.fallbacks == 0
+    assert np.array_equal(got, np.reshape(step_map._moment_sum_at(lam), (2, 2)))
 
 
 class _ReferencePicardMap(_PicardMap):
