@@ -355,7 +355,7 @@ def compute_Omega(sol_l: RootSolution, sol_minus_l: RootSolution) -> OmegaOperat
     zl_h = np.conj(sol_minus_l.z_op.T)
     eigs = _sandwich_poles(sol_l, sol_minus_l)
     rule = analytic_rule(model, contour, singular=eigs)
-    _require_clear_of_nodes(eigs, rule.nodes)
+    _require_clear_of_nodes(eigs, rule)
     kv = model.kprime_values(rule.nodes)
     omega = sandwich_sum(kv, rule.nodes, rule.weights, zl_h, sol_l.z_op)
 

@@ -13,12 +13,12 @@ primary matrix functions sum_s C_s g_s(Z), with g_s the moments of
 schur._cut_moments: the side-l ones at an eigenvalue in the lens, on the
 open interval or across it, the physical ones off the closed lens. The
 Picard map evaluates that sum in closed form (_PicardMap): for n <= 2 in
-Python numbers from Z and its two eigenvalues (_kernels.small_eig), for
-n >= 3 in the eigenbasis of _kernels.eig, one matmul and one solve. By
-Cauchy's theorem it is the contour integral without its quadrature error.
-The contour sum (transformator), on the contour's analytic_rule, stays as
-the fallback of that map where the eigenbasis is ill-conditioned, and as
-the independent path verify checks the root against.
+Python numbers from Z, its eigenvalues and the moments' divided
+differences, for n >= 3 in the eigenbasis of _kernels.eig, one matmul and
+one solve. By Cauchy's theorem it is the contour integral without its
+quadrature error. The contour sum (transformator) stays as the fallback
+of that map, for an ill-conditioned n >= 3 basis or an eigenvalue on the
+contour, and as the independent path verify checks the root against.
 
 For a real model the roots of the two sides are complex conjugates, so
 the opposite side's root, classification and homotopy path are one side's
@@ -41,7 +41,7 @@ from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, analytic_rule, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
-from .schur import _cut_moments, _cut_moments_at, m1_physical
+from .schur import _cut_moments, _cut_quotients_at, m1_physical
 
 _SPEC_GUARD = 1e-6
 
@@ -51,9 +51,10 @@ _TOL = 1e-12
 _MAX_ITER = 500
 
 # Largest condition number of the eigenvector matrix V of Z for which the
-# Picard map, and every closed form downstream of a root, is evaluated in
-# closed form; the error of that evaluation grows like cond(V) times the
-# unit roundoff, at n = 2 by the divided difference's cancellation.
+# n >= 3 Picard map, and every closed form downstream of a root that reads
+# Eigensystem.basis, is evaluated in that basis; the error of a sum in a
+# basis grows like cond(V) times the unit roundoff. The n <= 2 map reads no
+# basis and no limit.
 _COND_LIMIT = 1e2
 
 # Relative shrinking of the limit in _cond_within's certificate. The SVD
@@ -84,30 +85,13 @@ def _cond_within(vecs: np.ndarray, limit: float) -> bool:
     return bool(np.linalg.cond(vecs) <= limit)
 
 
-def _small_cond(shifted: tuple, gap: complex) -> float:
-    """cond_2(V) of the unit eigenvectors of a 2 x 2 Z with eigenvalues
-    lam1, lam2, from the entries of Z - lam2 I, row by row, and gap = lam1 -
-    lam2. Z - lam2 I = gap P1 for the rank-1 spectral projector P1 of lam1,
-    so rho = ||Z - lam2 I||_F / |gap| = ||P1||_2 = 1 / sin(theta) for the
-    angle theta between the eigenvectors, and cond_2(V) = rho + sqrt(rho^2
-    - 1): 1 at Z = lam I, infinity for a defective Z. rho is a ratio of
-    hypot and abs, so no square under- or overflows."""
-    p, q, r, s = shifted
-    fro = math.hypot(p.real, p.imag, q.real, q.imag, r.real, r.imag, s.real, s.imag)
-    if fro == 0.0:
-        return 1.0
-    if gap == 0:
-        return math.inf
-    rho = fro / abs(gap)
-    return rho + math.sqrt(max((rho - 1.0) * (rho + 1.0), 0.0))
-
-
-def _require_clear_of_nodes(eigs: np.ndarray, nodes: np.ndarray) -> None:
+def _require_clear_of_nodes(eigs: np.ndarray, rule: Contour) -> None:
     """Raise NumericsError when an eigenvalue in eigs comes within
-    _SPEC_GUARD of a quadrature node, where the resolvent blows through
-    the rule."""
-    gap = np.min(np.abs(eigs[:, None] - nodes[None, :]))
-    if gap <= _SPEC_GUARD:
+    _SPEC_GUARD half-lengths of the interval of a node of rule, where the
+    resolvent blows through the rule."""
+    a, b = rule.endpoints
+    gap = np.min(np.abs(eigs[:, None] - rule.nodes[None, :]))
+    if gap <= _SPEC_GUARD * (0.5 * b - 0.5 * a):
         raise NumericsError(
             f"spectrum-on-contour violation: eigenvalue within {gap:.3e} of a node"
         )
@@ -245,12 +229,12 @@ def transformator(model: SpectralModel, contour: Contour, zmat,
     sum's analytic_rule(model, contour). The Picard iteration evaluates the same
     map in closed form (_PicardMap) and comes here only as its fallback;
     verify uses this sum as the independent path of its root-contour row.
-    The spectrum must stay clear of the rule's nodes (distance > 1e-6),
-    otherwise the resolvent blows through the rule.
+    A spectrum within _SPEC_GUARD half-lengths of a node of the rule, where
+    the resolvent blows through it, raises NumericsError.
     """
     zmat = np.asarray(zmat, dtype=np.complex128)
     rule = analytic_rule(model, contour, singular=spectrum)
-    _require_clear_of_nodes(spectrum, rule.nodes)
+    _require_clear_of_nodes(spectrum, rule)
     kvals = model.kprime_values(rule.nodes)
     return -resolvent_sum(kvals, rule.nodes, rule.weights, zmat)
 
@@ -261,21 +245,18 @@ class _PicardMap:
     At each eigenvalue g_s is a moment that equals the contour integral
     there (see schur._cut_moments): the side-l one where _covered, else the
     physical one, the interval integral, off the closed lens. For n <= 2
-    all of it runs in Python scalars, with W(lam) = sum_s g_s(lam) C_s
-    (_moment_sum_at) at the eigenvalues of _kernels.small_eig: n = 1 is W
-    at the one entry of Z, n = 2 the primary function W(lam2) + W[lam1,
-    lam2] (Z - lam2 I) of _small_map, which reads no eigenvector. For n >= 3
-    Z = V D V^{-1} is decomposed by _kernels.eig, and (sum_s C_s V
-    diag(g_s(D))) V^{-1} is one matmul, of the coefficients stacked as rows
-    (S n, n) with V, and one solve. A step falls back to the contour sum
-    (transformator of the t-scaled model, self.model, over the side's own
-    contour) only when n >= 2 and cond(V) > _COND_LIMIT (_small_cond at
-    n = 2, _cond_within at n >= 3), or when an eigenvalue lies on the
-    contour or at an endpoint, where no moment is the integral. fallbacks
-    counts those steps. The closed form has no quadrature nodes to avoid;
-    the fallback's contour sum refuses a spectrum within _SPEC_GUARD of the
-    nodes of the rule it uses. spectrum holds the (eigenvalues,
-    eigenvectors) of the last Z mapped, as small_eig's lists for n <= 2.
+    it runs in Python scalars on small_eig's eigenvalues, with W(lam) =
+    sum_s g_s(lam) C_s: n = 1 is W at the one entry of Z, n = 2 the primary
+    function W(lam2) + W[lam1, lam2] (Z - lam2 I) of _small_map, which holds
+    for every Z, defective or not. For n >= 3 Z = V D V^{-1} by
+    _kernels.eig, and (sum_s C_s V diag(g_s(D))) V^{-1} is one matmul, of
+    the coefficients stacked as rows (S n, n) with V, and one solve. A step
+    falls back to the contour sum (transformator of the t-scaled model,
+    self.model, over the side's contour) only when n >= 3 and cond(V) >
+    _COND_LIMIT (_cond_within), or when an eigenvalue lies on the contour or
+    at an endpoint, where no moment is the integral; fallbacks counts those
+    steps. spectrum holds the (eigenvalues, eigenvectors) of the last Z
+    mapped, as small_eig's lists for n <= 2.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
@@ -320,39 +301,35 @@ class _PicardMap:
         moments[~covered] = _cut_moments(a, b, eigs[~covered], degree)
         return moments
 
-    def _moment_sum_at(self, lam: complex) -> list | None:
-        """W(lam) = sum_s g_s(lam) C_s at one eigenvalue, its entries row by
-        row as Python numbers, with the moments _moments takes there; None
-        on the contour or at an endpoint."""
+    def _small_map(self, rows: list, values: list) -> np.ndarray | None:
+        """W(lam2) + W[lam1, lam2] (Z - lam2 I) for n <= 2 in Python scalars
+        from Z's rows and small_eig's eigenvalues; None on the contour or at
+        an endpoint. Both terms come from _cut_quotients_at on one branch
+        that is the integral at both eigenvalues: the side-l one where both
+        are _covered, else the physical one where both lie off the closed
+        lens. Else the two lie on opposite sides of the contour, each takes
+        its own branch, and W[lam1, lam2] is the plain quotient."""
         a, b = self.contour.endpoints
-        degree = self.coeffs.shape[0] - 1
-        if self._covered(lam):
-            moments = _cut_moments_at(a, b, lam, degree, self.contour.side)
-        elif self.contour.contains_in_lens(lam, closed=True):
+        degree, side = self.coeffs.shape[0] - 1, self.contour.side
+        lam1, lam2, lens = values[0], values[-1], self.contour.contains_in_lens
+        covered = [self._covered(lam) for lam in values]
+        if all(covered) or not any(lens(lam, closed=True) for lam in values):
+            branch = side if all(covered) else "physical"
+            moments, quotients = _cut_quotients_at(a, b, lam1, lam2, degree, branch)
+        elif any(lens(lam, closed=True) for lam, inside in zip(values, covered) if not inside):
             return None
         else:
-            moments = _cut_moments_at(a, b, lam, degree)
-        return [sum(map(operator.mul, moments, entry)) for entry in self._coeff_entries]
-
-    def _small_map(self, rows: list, values: list) -> np.ndarray | None:
-        """W(lam2) + W[lam1, lam2] (Z - lam2 I) for n <= 2 in Python scalars,
-        from Z's rows and small_eig's eigenvalues; None where it falls back."""
-        sums = [self._moment_sum_at(lam) for lam in values]
-        if None in sums:
-            return None
-        if len(sums) == 1:
-            return np.array([sums[0]], dtype=np.complex128)
-        lam1, lam2 = values
+            (moments1, _), (moments, _) = (
+                _cut_quotients_at(a, b, lam, lam, degree, side if inside else "physical")
+                for lam, inside in zip(values, covered))
+            quotients = [(x - y) / (lam1 - lam2) for x, y in zip(moments1, moments)]
+        w = [sum(map(operator.mul, moments, entry)) for entry in self._coeff_entries]
+        if len(w) == 1:
+            return np.array([w], dtype=np.complex128)
+        (w00, w01, w10, w11), (d00, d01, d10, d11) = w, (
+            sum(map(operator.mul, quotients, entry)) for entry in self._coeff_entries)
         (p, q), (r, s) = rows
-        p, s, gap = p - lam2, s - lam2, lam1 - lam2
-        if not _small_cond((p, q, r, s), gap) <= _COND_LIMIT:
-            return None
-        w00, w01, w10, w11 = sums[1]
-        if gap == 0:
-            # within the limit only at Z = lam2 I: no divided difference
-            return np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
-        # the divided difference W[lam1, lam2], times Z - lam2 I
-        d00, d01, d10, d11 = ((x - y) / gap for x, y in zip(sums[0], sums[1]))
+        p, s = p - lam2, s - lam2
         return np.array([[w00 + d00 * p + d01 * r, w01 + d00 * q + d01 * s],
                          [w10 + d10 * p + d11 * r, w11 + d10 * q + d11 * s]],
                         dtype=np.complex128)

@@ -58,24 +58,47 @@ def _cut_moments(a: float, b: float, zs, degree: int, branch="physical"):
     return out.T
 
 
-def _cut_moments_at(a: float, b: float, z: complex, degree: int, branch="physical") -> list:
-    """_cut_moments at the one point z in Python scalars: [g_0(z), ...,
-    g_degree(z)], with the same logarithm per branch and the same
-    recurrence and the same repeated multiplication for z^s. It skips
-    NumPy's per-call cost, almost all the cost at one point; the values
-    agree with _cut_moments to a few units in the last place."""
+def _log_quotient(u: complex, v: complex) -> complex:
+    """(Log u - Log v)/(u - v) for nonzero u, v, 1/u at u = v. Where |u - v|
+    < |u + v|/2, arg(u/v) is within 0.93 of 0 and Log u - Log v = 2 atanh(r)
+    + 2 pi i k, r = (u - v)/(u + v), k the whole turns between the arguments
+    (Higham, Functions of Matrices, SIAM 2008, ch. 11), which does not
+    cancel; elsewhere, u + v = 0 too, the plain quotient."""
+    diff, total = u - v, u + v
+    if diff == 0:
+        return 1.0 / u
+    if abs(diff) >= 0.5 * abs(total):
+        return (cmath.log(u) - cmath.log(v)) / diff
+    log_diff = 2.0 * cmath.atanh(diff / total)
+    turns = round((cmath.phase(u) - cmath.phase(v)) / (2.0 * math.pi))
+    # no term at no turn, which would turn a zero imaginary part's sign
+    return (log_diff + 2j * math.pi * turns if turns else log_diff) / diff
+
+
+def _cut_quotients_at(a: float, b: float, x: complex, y: complex, degree: int,
+                      branch="physical") -> tuple:
+    """([g_0(y), ..., g_degree(y)], [g_0[x, y], ..., g_degree[x, y]]): the
+    moments of _cut_moments at y by its arithmetic in Python scalars, and
+    their divided differences (derivatives at x = y) by g_s[x, y] = x
+    g_(s-1)[x, y] + g_(s-1)(y), from g_0[x, y] = -Q(b - x, b - y) - Q(x - a,
+    y - a) on a side, Q(w(x), w(y)) (b - a)/((a - x)(a - y)) with w(z) = (b -
+    z)/(a - z) on the physical sheet; Q is _log_quotient."""
     if branch == "physical":
-        log_term = cmath.log((b - z) / (a - z))
+        w = (b - y) / (a - y)
+        log_term = cmath.log(w)
+        quotient = _log_quotient((b - x) / (a - x), w) * ((b - a) / (a - x)) / (a - y)
     elif branch in (1, -1):
-        log_term = cmath.log(b - z) - cmath.log(z - a) - 1j * math.pi * branch
+        log_term = cmath.log(b - y) - cmath.log(y - a) - 1j * math.pi * branch
+        quotient = -_log_quotient(b - x, b - y) - _log_quotient(x - a, y - a)
     else:
         raise ValueError(f"unknown moment branch {branch!r}")
-    out, power, q = [log_term], z, 0.0
+    values, quotients, power, q = [log_term], [quotient], y, 0.0
     for s in range(1, degree + 1):
-        q = z * q + (b ** s - a ** s) / s
-        out.append(power * log_term + q)
-        power *= z
-    return out
+        quotients.append(x * quotients[-1] + values[-1])
+        q = y * q + (b ** s - a ** s) / s
+        values.append(power * log_term + q)
+        power *= y
+    return values, quotients
 
 
 def _moment_sum(model: SpectralModel, zs, branch) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared fixtures: the scalar reference model, the benchmark's zoo of
 random admissible models with clustered interior spectrum and strictly
-positive coupling density, and the constants of a model with an
-exceptional point."""
+positive coupling density, the constants of a model with an exceptional
+point, and the hard models built on them."""
 
 import functools
 import importlib.util
@@ -38,6 +38,24 @@ def wide_models(*seeds):
     """The benchmark's seeded n = 4, 8, 16 models (perfbench wide-sweep),
     for each seed in turn."""
     return [model for seed in seeds for model in _workloads().wide_models(sr, seed)]
+
+
+def hard_models():
+    """(name, model): a1 = diag(-e, e) at and near the exceptional point
+    e = EP_E0 (1 + delta), a1 whose eigenvalues lie further apart than d/2,
+    and the Friedrichs model at weak coupling."""
+    models = []
+    for delta in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
+        e = EP_E0 * (1.0 + delta)
+        models.append((f"ep-{delta:g}", sr.build_model((-1.0, 1.0), [[-e, 0.0], [0.0, e]],
+                                                       [EP_B.tolist()])))
+    for eigs in ((-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)):
+        n = len(eigs)
+        models.append((f"spread-{eigs}", sr.build_model(
+            (-1.0, 1.0), np.diag(eigs).tolist(), [(0.05 * np.eye(n)).tolist()])))
+    for b in (3e-3, 1e-4):
+        models.append((f"friedrichs-{b:g}", sr.build_model((-1.0, 1.0), [[0.0]], [[[b]]])))
+    return models
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ solve and sweep derive the second side of a real model from the first
 rootsolver.conjugate_path) instead of solving and classifying it. These tests solve side -1 directly and require the
 derivation to reproduce it bit for bit, on every model the benchmark runs
 (the Friedrichs model, the test zoo and the wide-sweep models of seeds 1
-and 2) and for both contour kinds.
+and 2) and on the models at and near an exceptional point, for both
+contour kinds.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 import schurroots as sr
 from schurroots.rootsolver import conjugate_path
 
-from conftest import RECT_DEPTH, wide_models
+from conftest import RECT_DEPTH, hard_models, wide_models
 
 KINDS = (("semicircle", None), ("rectangle", RECT_DEPTH))
 GRID = [k / 8 for k in range(1, 9)]
@@ -42,7 +43,8 @@ def _assert_same_solution(direct, derived):
 
 
 def test_side_minus_one_is_the_conjugate(real_models):
-    for model in real_models:
+    ep_models = [model for name, model in hard_models() if name.startswith("ep-")]
+    for model in real_models + ep_models:
         assert model.is_real
         for kind, depth in KINDS:
             plus = sr.make_contour(model, 1, kind, depth)
@@ -56,7 +58,8 @@ def test_side_minus_one_is_the_conjugate(real_models):
             rep = sr.admissibility(model, plus)
             assert sr.admissibility(model, minus) == rep
             if not rep.admissible:
-                # the Friedrichs model on the rectangle: both sides refuse
+                # the Friedrichs model and the exceptional-point models on
+                # the rectangle: both sides refuse
                 continue
 
             sol = sr.solve_basic(model, plus)

@@ -12,7 +12,7 @@ import pytest
 from schurroots import _kernels as knp
 from schurroots._kernels import backend_name
 from schurroots.rootsolver import _COND_LIMIT, _cond_within
-from schurroots.schur import _cut_moments, _cut_moments_at
+from schurroots.schur import _cut_moments, _cut_quotients_at, _log_quotient
 
 
 def _random_problem(rng, n, M=97):
@@ -376,9 +376,9 @@ def test_eig_other_sizes_and_non_finite_entries():
 
 @pytest.mark.parametrize("branch", ["physical", 1, -1])
 def test_scalar_cut_moments_match_the_batched_ones(branch):
-    # _cut_moments_at against _cut_moments at degrees 0-4, in units of the
-    # size of the two terms z^s L and q_s of each moment: different
-    # roundings of the logarithm and of z^s, no other difference
+    # the values of _cut_quotients_at against _cut_moments at degrees 0-4,
+    # in units of the size of the two terms z^s L and q_s of each moment:
+    # different roundings of the logarithm and of z^s, no other difference
     rng = np.random.default_rng(53)
     a, b = -1.0, 1.0
     zs = rng.normal(size=300) * 1.5 + 1j * rng.normal(size=300)
@@ -388,10 +388,102 @@ def test_scalar_cut_moments_match_the_batched_ones(branch):
     for degree in range(5):
         batched = _cut_moments(a, b, zs, degree, branch)
         for z, want in zip(zs, batched):
-            got = np.array(_cut_moments_at(a, b, complex(z), degree, branch))
+            got = np.array(_cut_quotients_at(a, b, complex(z), complex(z), degree, branch)[0])
             log_term, q = abs(want[0]), 0.0
             for s in range(degree + 1):
                 if s:
                     q = z * q + (b ** s - a ** s) / s
                 size = abs(z) ** s * log_term + abs(q)
                 assert abs(got[s] - want[s]) <= 4 * EPS * size
+
+
+def _log_quotient_pairs(rng, count):
+    """Named lists of (u, v): relative gaps from 1e-15 to 0.3, u = v, u =
+    -v, and pairs that straddle the negative real axis, at angles from
+    1e-15 to 0.3 off it, with moduli apart by up to 0.1 relative."""
+    def draw():
+        return complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2, 2)
+
+    gaps, straddling = [], []
+    for _ in range(count):
+        u = draw()
+        gap = 10.0 ** rng.uniform(-15, np.log10(0.3)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        gaps.append((u, u * (1.0 + gap)))
+        angles = np.pi - 10.0 ** rng.uniform(-15, np.log10(0.3), size=2)
+        spread = 1.0 + 10.0 ** rng.uniform(-15, -1) * rng.choice([-1.0, 1.0])
+        straddling.append((abs(u) * np.exp(1j * angles[0]),
+                           abs(u) * spread * np.exp(-1j * angles[1])))
+    equal = [(u, u) for u, _ in gaps]
+    opposite = [(u, -u) for u, _ in gaps]
+    return {"gaps": gaps, "equal": equal, "opposite": opposite, "straddling": straddling}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500])
+def test_log_quotient_matches_mpmath(scale):
+    # (Log u - Log v)/(u - v) against 50 digits, within 4 eps relative:
+    # close pairs, where the plain quotient cancels, and pairs across the
+    # cut of Log, where the atanh form needs its unwinding term
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(54)
+    cases = _log_quotient_pairs(rng, 300)
+    # far-apart pairs at unit scale, the plain quotient's
+    cases["far"] = [(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                    for _ in range(300)]
+    assert sum(abs(u + v) == 0.0 for u, v in cases["opposite"]) == 300
+    # every straddling pair is a whole turn apart in argument, and most are
+    # close enough for the atanh form
+    assert all(abs(np.angle(u) - np.angle(v)) > np.pi for u, v in cases["straddling"])
+    assert sum(abs(u - v) < abs(u + v) / 2 for u, v in cases["straddling"]) > 250
+    for name, pairs in cases.items():
+        if name == "far" and scale != 1.0:
+            continue
+        for u, v in pairs:
+            u, v = u * scale, v * scale
+            big_u, big_v = mpmath.mpc(u), mpmath.mpc(v)
+            want = (1 / big_u if big_u == big_v
+                    else (mpmath.log(big_u) - mpmath.log(big_v)) / (big_u - big_v))
+            got = _log_quotient(complex(u), complex(v))
+            assert abs(got - complex(want)) <= 4 * EPS * abs(complex(want)), (name, u, v)
+
+
+@pytest.mark.parametrize("branch", ["physical", 1, -1])
+def test_cut_quotients_match_mpmath(branch):
+    # the moments and their divided differences at degrees 0-4 against 50
+    # digits, at x = y (the derivative), at x within 1e-15 to 1e-1 of y
+    # and at x far from y, in units of the size of the terms of each
+    # recurrence
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    a, b = -1.0, 1.0
+    degree = 4
+
+    def moment(z, s):
+        if branch == "physical":
+            log_term = mpmath.log((b - z) / (a - z))
+        else:
+            log_term = mpmath.log(b - z) - mpmath.log(z - a) - 1j * mpmath.pi * branch
+        q = 0
+        for k in range(1, s + 1):
+            q = z * q + mpmath.mpf(b ** k - a ** k) / k
+        return z ** s * log_term + q
+
+    rng = np.random.default_rng(55)
+    for trial in range(90):
+        y = complex(*rng.normal(size=2)) * 1.5
+        x = [y, y + 10.0 ** rng.uniform(-15, -1) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+             complex(*rng.normal(size=2)) * 1.5][trial % 3]
+        values, quotients = _cut_quotients_at(a, b, complex(x), y, degree, branch)
+        big_x, big_y = mpmath.mpc(x), mpmath.mpc(y)
+        value_size, quotient_size, q = abs(values[0]), abs(quotients[0]), 0.0
+        for s in range(degree + 1):
+            if s:
+                quotient_size = abs(x) * quotient_size + value_size
+                q = y * q + (b ** s - a ** s) / s
+                value_size = abs(y) ** s * abs(values[0]) + abs(q)
+            if big_x == big_y:
+                want = mpmath.diff(lambda z: moment(z, s), big_y)
+            else:
+                want = (moment(big_x, s) - moment(big_y, s)) / (big_x - big_y)
+            assert abs(values[s] - complex(moment(big_y, s))) <= 8 * EPS * value_size
+            assert abs(quotients[s] - complex(want)) <= 8 * EPS * quotient_size

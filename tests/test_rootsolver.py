@@ -19,12 +19,13 @@ from scipy.linalg import logm
 
 import schurroots as sr
 from schurroots import rootsolver
-from schurroots._kernels import small_eig, spectral_norms
+from schurroots._kernels import spectral_norms
 from schurroots.errors import AdmissibilityError
 from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
-                                   _small_cond, transformator)
+                                   transformator)
+from schurroots.schur import _cut_quotients_at
 
-from conftest import EP_B, EP_E0, RECT_DEPTH, wide_models
+from conftest import BCOUP, EP_B, RECT_DEPTH, hard_models, wide_models
 
 Y_ORACLE = 0.11639390461355939
 
@@ -415,11 +416,32 @@ def test_solve_basic_refuses_an_inadmissible_contour(friedrichs_model):
     assert not info.value.report.admissible
 
 
-def test_transformator_gap_guard(friedrichs_model, friedrichs_contours):
-    c = friedrichs_contours[1]
-    node = complex(c.nodes[len(c.nodes) // 2])
-    with pytest.raises(sr.NumericsError):
-        _contour_sum(friedrichs_model, c, np.array([[node]]))
+def test_transformator_gap_guard():
+    # the Friedrichs model on [-1, 1] and scaled by 1e-150: an eigenvalue
+    # within _SPEC_GUARD half-lengths of a node is refused, one 1e-5
+    # half-lengths off it is summed
+    for scale in (1.0, 1e-150):
+        model = sr.build_model((-scale, scale), [[0.0]], [[[BCOUP * np.sqrt(scale)]]])
+        c = sr.make_contour(model, 1)
+        node = complex(c.nodes[len(c.nodes) // 2])
+        with pytest.raises(sr.NumericsError):
+            _contour_sum(model, c, np.array([[node]]))
+        assert np.isfinite(_contour_sum(model, c, np.array([[node * (1.0 - 1e-5)]]))).all()
+
+
+def test_contour_sums_run_at_a_root_on_a_tiny_interval():
+    # over [-1e-150, 1e-150] every eigenvalue lies within 1e-6 of every
+    # node; in half-lengths the root lies far from the contour, and its
+    # contour sums run: the map at the root, which equals the closed form,
+    # and the sandwich of compute_Omega
+    model = sr.build_model((-1e-150, 1e-150), [[0.0]], [[[2e-76]]])
+    sols = {side: sr.solve_basic(model, sr.make_contour(model, side)) for side in (1, -1)}
+    for side, sol in sols.items():
+        w = transformator(model, sol.contour, sol.z_op, sol.eigensystem.values)
+        closed = _PicardMap(model, sol.contour, 1.0)(sol.z_op)
+        assert abs(w[0, 0] - closed[0, 0]) <= 1e-13 * abs(closed[0, 0])
+        omega = sr.compute_Omega(sol, sols[-side])
+        assert np.isfinite(omega.omega).all() and omega.norm > 0.0
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -505,12 +527,11 @@ def _outside_model():
 
 @pytest.mark.parametrize("case", ["near-defective", "defective", "at-endpoint"])
 def test_map_falls_back_to_the_contour_sum(model_zoo, case):
-    # where the closed form does not apply, the map is the contour sum: an
-    # ill-conditioned eigenbasis, or an eigenvalue at an endpoint, where
-    # neither moment is the contour integral
+    # an eigenvalue at an endpoint, where neither moment is the contour
+    # integral, takes the contour sum; an eigenvector matrix with cond(V) ~
+    # 1e9, or a Jordan block, whose two eigenvectors are parallel, takes
+    # the stable divided difference and equals the contour sum
     if case != "at-endpoint":
-        # an eigenvector matrix with cond(V) ~ 1e9, and a Jordan block,
-        # whose two eigenvectors are parallel
         model = next(m for m in model_zoo if m.n == 2)
         lam = 0.1 + 0.05j
         z = np.array([[lam, 1.0], [0.0, lam + (1e-9 if case == "near-defective" else 0.0)]])
@@ -522,8 +543,47 @@ def test_map_falls_back_to_the_contour_sum(model_zoo, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = step_map(z)
-    assert step_map.fallbacks == 1
-    assert np.array_equal(got, _contour_sum(model, contour, z))
+    ref = _contour_sum(model, contour, z)
+    if case == "at-endpoint":
+        assert step_map.fallbacks == 1
+        assert np.array_equal(got, ref)
+    else:
+        assert step_map.fallbacks == 0
+        assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
+
+
+def _small_map_cases():
+    """(name, model, Z) of 2 x 2 maps the divided difference takes: lam I,
+    a Jordan block, a near-defective Z, a close pair on the open interval
+    and one in the lens, and, for sigma1 = {1.5} right of the interval,
+    the real rotations with eigenvalues 1.5 +- d i, which straddle the
+    real axis right of b for d > 0."""
+    inside = sr.build_model((-1.0, 1.0), [[0.1, 0.02], [0.02, -0.1]], [EP_B.tolist()])
+    cases = []
+    for name, lam, gap, off in (("scalar", 0.1 - 0.05j, 0.0, 0.0), ("jordan", 0.1 + 0.05j, 0.0, 1.0),
+                                ("near-defective", 0.1 + 0.05j, 1e-9, 1.0),
+                                ("interval", 0.3 + 0j, 1e-8, 0.5), ("lens", 0.2 + 0.3j, 1e-9, 0.5)):
+        cases.append((name, inside, np.array([[lam, off], [0.0, lam + gap]])))
+    outside = sr.build_model((-1.0, 1.0), [[1.5, 0.0], [0.0, 1.5]], [(0.05 * EP_B).tolist()])
+    for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 0.0):
+        cases.append((f"outside-{d:g}", outside, np.array([[1.5, d], [-d, 1.5]], dtype=complex)))
+    return cases
+
+
+@pytest.mark.parametrize("name, model, z", [pytest.param(*case, id=case[0])
+                                            for case in _small_map_cases()])
+def test_small_map_matches_the_contour_sum_without_fallback(name, model, z):
+    # one branch that is the integral at both eigenvalues: choosing each
+    # eigenvalue's branch apart loses 4e-9 at d = 1e-8 in the outside cases
+    for side in (1, -1):
+        contour = sr.make_contour(model, side)
+        step_map = _PicardMap(model, contour, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step_map(z)
+        assert step_map.fallbacks == 0
+        ref = _contour_sum(model, contour, z)
+        assert np.linalg.norm(got - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -570,8 +630,10 @@ def test_map_takes_the_physical_moments_off_the_lens(model_zoo, case):
         assert got.imag[0, 0] == 0.0
 
 
-def test_fallback_steps_are_counted(monkeypatch, model_zoo):
-    model = next(m for m in model_zoo if m.n == 2)
+def test_fallback_steps_are_counted(monkeypatch):
+    # the n >= 3 map falls back where _COND_LIMIT refuses its eigenbasis
+    model = wide_models(1)[0]
+    assert model.n == 4
     contour = sr.make_contour(model, 1)
     closed = sr.solve_basic(model, contour)
     assert closed.contour_fallbacks == 0
@@ -741,53 +803,9 @@ def test_cond_certificate_decides_as_the_svd(monkeypatch):
     assert 0 < svd_calls < decisions - 100
 
 
-def _closed_cond(z):
-    """_small_cond of the 2 x 2 z from its rows and small_eig's eigenvalues,
-    as _PicardMap._small_map takes it."""
-    rows = z.tolist()
-    (lam1, lam2), _ = small_eig(rows)
-    (p, q), (r, s) = rows
-    return _small_cond((p - lam2, q, r, s - lam2), lam1 - lam2)
-
-
-def _small_cond_cases(rng, count=200):
-    """Named (count, 2, 2) complex stacks: random; strongly non-normal, z21
-    scaled down to 1e-9; near-defective, a Jordan block perturbed by 1e-14
-    to 1e-2 of its size; Jordan blocks; and lam I."""
-    def draw(*shape):
-        return rng.normal(size=(count,) + shape) + 1j * rng.normal(size=(count,) + shape)
-
-    lam, off = draw(1, 1), draw(1, 1)
-    jordan = lam * np.eye(2) + off * np.array([[0.0, 1.0], [0.0, 0.0]])
-    non_normal = draw(2, 2)
-    non_normal[:, 1, 0] *= 1e-9
-    near = jordan + draw(2, 2) * 10.0 ** rng.uniform(-14, -2, size=(count, 1, 1))
-    return {"random": draw(2, 2), "non-normal": non_normal, "near-defective": near,
-            "jordan": jordan, "scalar": lam * np.eye(2)}
-
-
-@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500])
-@pytest.mark.parametrize("name", list(_small_cond_cases(np.random.default_rng(0), 1)))
-def test_small_cond_matches_the_svd(name, scale):
-    # the closed form rho + sqrt(rho^2 - 1) against np.linalg.cond of
-    # LAPACK's unit eigenvectors, also where a square of an entry would
-    # over- or underflow; both lose about eps cond(V) relative, which at
-    # cond(V) ~ 1e7 reaches 1e-9
-    eps = float(np.finfo(float).eps)
-    for z in _small_cond_cases(np.random.default_rng(11))[name] * scale:
-        got, want = _closed_cond(z), np.linalg.cond(np.linalg.eig(z)[1])
-        if name == "scalar":
-            assert got == want == 1.0
-        elif name == "jordan":
-            assert got == np.inf and want > 1e8
-        else:
-            assert want < 1e8
-            assert abs(got / want - 1.0) <= 1e-9 + 4.0 * eps * want
-
-
 def test_small_map_at_a_scalar_matrix_is_the_moment_sum(model_zoo):
-    # Z = lam I: no divided difference is formed, and the map is W(lam) I
-    # with no fallback
+    # Z = lam I: the divided difference is the derivative, times Z - lam I
+    # = 0, and the map is W(lam) I exactly, with no fallback
     model = next(m for m in model_zoo if m.n == 2)
     step_map = _PicardMap(model, sr.make_contour(model, 1), 1.0)
     lam = 0.1 - 0.05j
@@ -796,14 +814,20 @@ def test_small_map_at_a_scalar_matrix_is_the_moment_sum(model_zoo):
         warnings.simplefilter("error")
         got = step_map(z)
     assert step_map.fallbacks == 0
-    assert np.array_equal(got, np.reshape(step_map._moment_sum_at(lam), (2, 2)))
+    a, b = step_map.contour.endpoints
+    moments, _ = _cut_quotients_at(a, b, lam, lam, model.kprime.degree, 1)
+    want = [sum(g * c for g, c in zip(moments, entry)) for entry in step_map._coeff_entries]
+    assert np.array_equal(got, np.reshape(want, (2, 2)))
 
 
 class _ReferencePicardMap(_PicardMap):
-    """The Picard map with its eigenbasis test as np.linalg.cond(V) <=
-    _COND_LIMIT, an SVD per step, and its moments taken one eigenvalue at a
-    time: the side-l moment where _covered, the physical one off the closed
-    lens, and the contour sum when an eigenvalue is on neither."""
+    """The Picard map in LAPACK's eigenbasis, with its eigenbasis test as
+    np.linalg.cond(V) <= _COND_LIMIT, an SVD per step, at every n >= 2, and
+    its moments taken one eigenvalue at a time: the side-l moment where
+    _covered, the physical one off the closed lens, and the contour sum
+    when an eigenvalue is on neither or the test fails. fallbacks counts
+    every contour sum; the map takes one at n >= 3 on the same test, at n
+    = 2 only on the contour or at an endpoint."""
 
     def __call__(self, zmat):
         if zmat.shape[0] == 1:
@@ -851,23 +875,34 @@ def _recorded_solve(monkeypatch, map_class, model, contour):
 
 # How far the closed form may differ from the reference's arithmetic,
 # relative to the reference's value: for n <= 2 the map runs in Python
-# scalars on the eigenbasis of _kernels.eig, for n >= 3 its moment sum is
-# one matmul where the reference's is an einsum. The error of a sum in a
-# basis grows like cond(V) eps, and the map evaluates in a basis only while
+# scalars on divided differences, for n >= 3 its moment sum is one matmul
+# where the reference's is an einsum. The error of a sum in a basis grows
+# like cond(V) eps, and the reference evaluates in a basis only while
 # cond(V) <= _COND_LIMIT.
 SMALL_MAP_RTOL = 16 * _COND_LIMIT * float(np.finfo(float).eps)
+# How far the n = 2 map may differ from the reference's contour sum, where
+# cond(V) > _COND_LIMIT: the error of the sum on its analytic_rule
+CONTOUR_SUM_RTOL = 1e-14
 
 
 def _assert_matches_reference(monkeypatch, model, contour):
-    """The map's decisions and counts are the reference's, and every value
-    and the root are the reference's within SMALL_MAP_RTOL."""
+    """The map's decisions and counts are the reference's at n >= 3; at
+    n <= 2 it takes no fallback. Every value and the root are the
+    reference's within SMALL_MAP_RTOL, or within CONTOUR_SUM_RTOL where
+    the reference took the contour sum at n = 2."""
     sol, values, fell_back = _recorded_solve(monkeypatch, _PicardMap, model, contour)
     ref, ref_values, ref_fell_back = _recorded_solve(monkeypatch, _ReferencePicardMap,
                                                      model, contour)
-    assert fell_back == ref_fell_back
-    assert (sol.iterations, sol.contour_fallbacks) == (ref.iterations, ref.contour_fallbacks)
-    for got, want in zip(values + [sol.x], ref_values + [ref.x]):
-        assert np.linalg.norm(got - want, 2) <= SMALL_MAP_RTOL * np.linalg.norm(want, 2)
+    assert sol.iterations == ref.iterations
+    if model.n >= 3:
+        assert fell_back == ref_fell_back
+        assert sol.contour_fallbacks == ref.contour_fallbacks
+    else:
+        assert not any(fell_back) and sol.contour_fallbacks == 0
+    for got, want, summed in zip(values + [sol.x], ref_values + [ref.x],
+                                 ref_fell_back + [False]):
+        rtol = CONTOUR_SUM_RTOL if summed and model.n == 2 else SMALL_MAP_RTOL
+        assert np.linalg.norm(got - want, 2) <= rtol * np.linalg.norm(want, 2)
     return sol
 
 
@@ -877,34 +912,16 @@ def test_picard_iterates_match_the_svd_cond_map(monkeypatch, friedrichs_model, m
             _assert_matches_reference(monkeypatch, model, sr.make_contour(model, side))
 
 
-def _hard_models():
-    """(name, model): a1 = diag(-e, e) at and near the exceptional point
-    e = EP_E0 (1 + delta), a1 whose eigenvalues lie further apart than d/2,
-    and the Friedrichs model at weak coupling."""
-    models = []
-    for delta in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
-        e = EP_E0 * (1.0 + delta)
-        models.append((f"ep-{delta:g}", sr.build_model((-1.0, 1.0), [[-e, 0.0], [0.0, e]],
-                                                       [EP_B.tolist()])))
-    for eigs in ((-0.5, 0.5), (-0.3, 0.3), (-0.6, 0.0, 0.6)):
-        n = len(eigs)
-        models.append((f"spread-{eigs}", sr.build_model(
-            (-1.0, 1.0), np.diag(eigs).tolist(), [(0.05 * np.eye(n)).tolist()])))
-    for b in (3e-3, 1e-4):
-        models.append((f"friedrichs-{b:g}", sr.build_model((-1.0, 1.0), [[0.0]], [[[b]]])))
-    return models
-
-
-@pytest.mark.parametrize("name, model", [pytest.param(*case, id=case[0]) for case in _hard_models()])
+@pytest.mark.parametrize("name, model", [pytest.param(*case, id=case[0]) for case in hard_models()])
 def test_small_map_matches_the_reference_on_hard_models(monkeypatch, name, model):
     # near the exceptional point cond(V) crosses _COND_LIMIT during the
-    # iteration: from delta = 1e-4 on, 7 of the 11 evaluations take the
-    # contour sum, at the same steps as in the reference
+    # iteration: from delta = 1e-4 on, the reference takes the contour sum
+    # on 7 of the 11 evaluations, and the map, on its divided differences,
+    # on none
     for side in (1, -1):
         sol = _assert_matches_reference(monkeypatch, model, sr.make_contour(model, side))
         if name.startswith("ep-"):
-            assert sol.iterations == 10
-            assert sol.contour_fallbacks == (0 if name == "ep-0.01" else 7)
+            assert (sol.iterations, sol.contour_fallbacks) == (10, 0)
 
 
 def test_eigensystem_is_one_eig_per_root(monkeypatch, model_zoo):
