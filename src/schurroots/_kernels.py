@@ -14,8 +14,9 @@ Conventions: nodes and weights may be complex (contour quadrature),
 The small-matrix layer works on stacks (..., r, c) of the 1 x 1 and 2 x 2
 matrices the package mostly handles, where a LAPACK call per matrix is
 almost all overhead: solve (the batched solves behind every resolvent),
-spectral_norms and smallest_singular_values, each in closed form for
-n <= 2 and through LAPACK or eigvalsh otherwise, and eig, the
+spectral_norms, smallest_singular_values, gram_matrices and
+smallest_hermitian_eigenvalues, each in closed form for n <= 2 and
+through LAPACK, eigvalsh or matmul otherwise, and eig, the
 eigendecomposition of one matrix, in closed form on Python numbers for
 n <= 2 (small_eig) and by LAPACK otherwise. Where a closed form could
 overflow or underflow, solve hands the systems at fault to LAPACK, and
@@ -177,20 +178,29 @@ def solve(a, b):
     return x.reshape(a.shape[:-2] + (2, k))
 
 
-def _largest_closed_form(mats):
-    # (sigma_max, fro2) of each matrix of a (..., r, c) stack, c <= 2. The
-    # Gram entries are summed over the rows in order, one addition of
-    # (...) arrays per row, and no reduction runs over a short axis; for
-    # c = 2, sigma_max^2 = fro2/2 + hypot((g11 - g22)/2, |g12|)
+def _gram_entries(mats):
+    # ([g11, g22], g12) of the Gram matrix K^H K of each matrix K of a (...,
+    # r, c) stack, c <= 2 (g12 None for c = 1): the entries are summed over
+    # the rows in order, one addition of (...) arrays per row, and no
+    # reduction runs over a short axis
     r, c = mats.shape[-2:]
     sq = mats.real ** 2 + mats.imag ** 2
     g = [functools.reduce(np.add, [sq[..., i, j] for i in range(r)]) for j in range(c)]
     if c == 1:
-        return np.sqrt(g[0]), g[0]
+        return g, None
     cross = np.conj(mats[..., :, 0]) * mats[..., :, 1]
-    g12 = np.abs(functools.reduce(np.add, [cross[..., i] for i in range(r)]))
+    return g, functools.reduce(np.add, [cross[..., i] for i in range(r)])
+
+
+def _largest_closed_form(mats):
+    # (sigma_max, fro2) of each matrix of a (..., r, c) stack, c <= 2, from
+    # its Gram entries: for c = 2, sigma_max^2 = fro2/2 + hypot((g11 -
+    # g22)/2, |g12|)
+    g, g12 = _gram_entries(mats)
+    if g12 is None:
+        return np.sqrt(g[0]), g[0]
     fro2 = g[0] + g[1]
-    return np.sqrt(0.5 * fro2 + np.hypot(0.5 * (g[0] - g[1]), g12)), fro2
+    return np.sqrt(0.5 * fro2 + np.hypot(0.5 * (g[0] - g[1]), np.abs(g12))), fro2
 
 
 def _largest_by_gram(mats):
@@ -251,6 +261,51 @@ def spectral_norms(mats):
     if mats.ndim == 2:
         return _spectral_norm(mats.tolist())
     return _rescaled(_largest_closed_form, mats)
+
+
+def gram_matrices(mats):
+    """K^H K for each matrix K of a (..., r, c) stack -> (..., c, c).
+
+    c <= 2 sums its entries over the rows (_gram_entries), the (2, 1)
+    entry the conjugate of the (1, 2); c >= 3 is a batched matmul.
+    """
+    c = mats.shape[-1]
+    if c > 2:
+        return np.conj(np.swapaxes(mats, -2, -1)) @ mats
+    g, g12 = _gram_entries(mats)
+    out = np.empty(mats.shape[:-2] + (c, c), dtype=np.complex128)
+    out[..., 0, 0] = g[0]
+    if c == 2:
+        out[..., 1, 1] = g[1]
+        out[..., 0, 1] = g12
+        out[..., 1, 0] = np.conj(g12)
+    return out
+
+
+def smallest_hermitian_eigenvalues(mats):
+    """Least eigenvalue of the Hermitian part (K + K^H)/2 of each matrix K
+    of a (..., n, n) stack -> (...).
+
+    n = 1 is Re K. n = 2 is (a + d)/2 - hypot((a - d)/2, |c|) for the
+    Hermitian part [[a, c], [conj c, d]], each half taken before the sum
+    or difference, so a finite matrix gives no overflow. n >= 3 is a
+    batched eigvalsh, into which a non-finite matrix enters as zeros. A
+    non-finite entry gives NaN, or an infinite least eigenvalue where the
+    closed form reads one.
+    """
+    n = mats.shape[-1]
+    if n == 1:
+        return mats[..., 0, 0].real
+    if n == 2:
+        a, d = 0.5 * mats[..., 0, 0].real, 0.5 * mats[..., 1, 1].real
+        c = 0.5 * (mats[..., 0, 1] + np.conj(mats[..., 1, 0]))
+        return (a + d) - np.hypot(a - d, np.abs(c))
+    herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -2, -1)))
+    finite = np.isfinite(herm).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(herm)[..., 0]
+    least = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0.0))[..., 0]
+    return np.where(finite, least, np.nan)
 
 
 def _adjugate_column(p_diff, s_diff, q, r):

@@ -7,11 +7,13 @@ sum Gauss-Legendre rules per segment (a rectangle's V0 its contour's
 counts, the analytic sums contour.analytic_rule's), built from _rule.
 
 The integrand takes a 1-d array of nodes and returns its unweighted value
-at each of them. Each panel's error is estimated by comparing a 16-node
-and a 32-node Gauss-Legendre rule; the 32-node value is the one kept.
-Refinement runs in rounds: a round bisects a batch of the worst panels
-and evaluates every panel it opens, all 48 nodes of each, in a single
-integrand call, so the Python cost is per round, not per panel.
+at each of them. Each panel takes the 33-node Gauss-Kronrod extension of
+the 16-node Gauss-Legendre rule (_kronrod_rule), which holds the 16 Gauss
+nodes; the Kronrod value is the one kept, and its difference from the
+Gauss value estimates the panel's error. Refinement runs in rounds: a
+round bisects a batch of the worst panels and evaluates every panel it
+opens, all 33 nodes of each, in a single integrand call, so the Python
+cost is per round, not per panel.
 
 A caller that knows the integrand's poles passes them, and the first
 round starts from a partition graded toward them (_start_panels): a real
@@ -44,6 +46,55 @@ def _rule(n):
     if n not in _RULES:
         _RULES[n] = np.polynomial.legendre.leggauss(n)
     return _RULES[n]
+
+
+def _kronrod_rule(n):
+    """The (2n + 1)-node Gauss-Kronrod extension of _rule(n) on [-1, 1],
+    n even, built once per n: (nodes, weights), the n Gauss nodes of
+    _rule(n) first, bit for bit, then the n + 1 Kronrod nodes.
+
+    Laurie's algorithm (Math. Comp. 66 (1997)) extends the first
+    floor(3n/2) + 1 betas b of the monic Legendre recurrence (beta_0 = 2,
+    beta_k = k^2 / (4k^2 - 1)) to the 2n + 1 of the Jacobi-Kronrod matrix;
+    the weight is symmetric, so every alpha_k, the extended ones too, is 0
+    and drops out. The eigenvalues of that matrix are the nodes, and the
+    squared first components of its unit eigenvectors, times beta_0, the
+    weights. The rule is symmetric, so its nodes and weights are averaged
+    with their mirror images, which cuts the rounding of the smallest
+    weights about fivefold.
+    """
+    key = ("kronrod", n)
+    if key not in _RULES:
+        b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, 3 * n // 2 + 1)]
+        b += [0.0] * (2 * n + 1 - len(b))
+        s = [0.0] * (n // 2 + 2)
+        t = [0.0] * (n // 2 + 2)
+        t[1] = b[n + 1]
+        for m in range(n - 1):
+            u = 0.0
+            for k in range((m + 1) // 2, -1, -1):
+                u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+                s[k + 1] = u
+            s, t = t, s
+        s[1:] = s[:-1]
+        for m in range(n - 1, 2 * n - 2):
+            u = 0.0
+            for k in range(m + 1 - n, (m - 1) // 2 + 1):
+                j = n - 1 - (m - k)
+                u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+                s[j + 1] = u
+            if m % 2:
+                b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+            s, t = t, s
+        off = np.sqrt(b[1:])
+        nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        weights = b[0] * vecs[0] ** 2
+        nodes = 0.5 * (nodes - nodes[::-1])
+        weights = 0.5 * (weights + weights[::-1])
+        # the Kronrod nodes interlace the Gauss nodes, which sit at odd places
+        _RULES[key] = (np.concatenate([_rule(n)[0], nodes[0::2]]),
+                       np.concatenate([weights[1::2], weights[0::2]]))
+    return _RULES[key]
 
 
 # Bernstein parameter every complex pole must clear on every start panel.
@@ -96,14 +147,15 @@ def _start_panels(a, b, poles=(), max_panels=4000):
 
 
 def _evaluate_panels(f, lo, hi):
-    """(fine, err) for the panels [lo_p, hi_p] from one call of f.
+    """(fine, err) for the panels [lo_p, hi_p] from one call of f on the
+    33 nodes of _kronrod_rule(16) in each.
 
-    fine is the 32-node value of each panel, shape (P, *shape); err is
-    the norm of its difference from the 16-node value, shape (P,).
+    fine is the Kronrod value of each panel, shape (P, *shape); err is the
+    norm of its difference from the 16-node Gauss value, shape (P,), which
+    estimates the Gauss value's error.
     """
-    x16, w16 = _rule(16)
-    x32, w32 = _rule(32)
-    x = np.concatenate([x16, x32])
+    x, w = _kronrod_rule(16)
+    w16 = _rule(16)[1]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -113,10 +165,11 @@ def _evaluate_panels(f, lo, hi):
             f"integrand returned shape {vals.shape} for {nodes.shape[0]} nodes; "
             "it must return one unweighted value per node")
     shape = vals.shape[1:]
-    # one small product per panel: (16,) @ (16, S) and (32,) @ (32, S)
+    # one small product per panel: (16,) @ (16, S) on the Gauss nodes and
+    # (33,) @ (33, S) on all of them
     vals = vals.reshape(lo.shape[0], x.shape[0], -1)
     coarse = half[:, None] * (w16 @ vals[:, :16])
-    fine = half[:, None] * (w32 @ vals[:, 16:])
+    fine = half[:, None] * (w @ vals)
     err = np.linalg.norm(fine - coarse, axis=1)
     return fine.reshape((lo.shape[0],) + shape), err
 
@@ -132,9 +185,12 @@ def adaptive_quad(f, a, b, rtol=1e-11, poles=(), max_panels=4000):
     so a real point inside (a, b), such as a kink, is never straddled by a
     panel and a complex pole starts graded.
 
-    Returns (value, info): info["panels"] counts the panels evaluated,
-    info["rounds"] the calls of f and info["error"] is the final error
-    estimate. Raises NumericsError, before evaluating it, when the graded
+    Returns (value, info): value is the sum of the panels' Gauss-Kronrod
+    values (_evaluate_panels, 33 nodes each), info["panels"] counts the
+    panels evaluated, info["rounds"] the calls of f and info["error"] is
+    the final error estimate, the sum of the panels' differences between
+    their Kronrod and 16-node Gauss values. Raises NumericsError, before
+    evaluating it, when the graded
     start or a later round would take the panel count past max_panels
     (a later round: with the estimate still above rtol * max(1, ||value||)).
     """

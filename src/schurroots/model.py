@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import polyval_matrix
+from ._kernels import gram_matrices, polyval_matrix, smallest_hermitian_eigenvalues
 from .errors import ModelError
 
 _HERM_TOL = 1e-12
@@ -197,19 +197,20 @@ def density_margin(model: SpectralModel) -> float:
     1 + max ||b(mu)||_F^2: K' agrees with b(mu)^* b(mu), K' is Hermitian,
     and its Hermitian part has no eigenvalue below -_HERM_TOL * scale.
     Returns (max(gap, skew, -min eigenvalue) - _HERM_TOL * scale) / scale,
-    negative when every criterion has room. Where K' is not finite on the
-    grid it is NaN, or eigvalsh raises LinAlgError.
+    negative when every criterion has room. b^* b and the least
+    eigenvalue come from the small-matrix kernels (gram_matrices and
+    smallest_hermitian_eigenvalues), in closed form for n <= 2. Where K'
+    or b is not finite on the grid the margin is NaN.
     """
     lo, hi = model.interval
     mus = np.linspace(lo, hi, 1000)
     kvals = model.kprime_values(mus)
-    bvals = model.b(mus)
-    direct = np.conj(np.swapaxes(bvals, 1, 2)) @ bvals
-    scale = 1.0 + np.max(np.einsum("mij,mij->m", np.conj(bvals), bvals).real)
+    direct = gram_matrices(model.b(mus))
+    scale = 1.0 + np.max(np.einsum("mii->m", direct).real)
     adjoint = np.conj(np.swapaxes(kvals, 1, 2))
     gap = np.max(np.abs(kvals - direct))
     skew = np.max(np.abs(kvals - adjoint))
-    min_eig = np.min(np.linalg.eigvalsh(0.5 * (kvals + adjoint)))
+    min_eig = np.min(smallest_hermitian_eigenvalues(kvals))
     worst = np.max([gap, skew, -min_eig])
     return float((worst - _HERM_TOL * scale) / scale)
 

@@ -15,7 +15,9 @@ where that basis is ill-conditioned or a divided difference is
 (near-)confluent they fall back to adaptive quadrature. Every other
 derived quantity (B^*Y, Y^* x0, the deformed Omega and the norm-ceiling
 integral) is an adaptive quadrature whose first round is graded toward
-those poles, so each row of verify still compares two independent paths.
+those poles (the norm ceiling's also toward the branch point of smin(Z -
+mu), for n = 2), so each row of verify still compares two independent
+paths.
 """
 
 import functools
@@ -402,14 +404,67 @@ def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     return spectral_norms(kv) / smin / smin
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _smin_branch_points(z: np.ndarray) -> list:
+    """The branch point of smin(Z - mu) in the closed upper half plane for
+    a 2 x 2 Z, as a pole list for the graded start: [mu* + i delta], or
+    [mu*] where delta is within the rounding of its cross product (a real
+    kink), or [] where there is none; [] for n != 2.
+
+    With tau = tr Z / 2, N = Z - tau I, S = N + N^H and T0 = conj(tau) N +
+    tau N^H + N^H N - tr(N^H N) I / 2, the traceless part of (Z - mu)^H
+    (Z - mu) at real mu is T0 - mu S, so (s1^2 - s2^2)^2 = 4 |p - mu q|^2
+    for the vectors p = (T0_11, Re T0_12, Im T0_12) and q = (S_11, Re S_12,
+    Im S_12) of R^3. Its continuation vanishes at mu* +- i delta, mu* = p.q
+    / |q|^2 and delta = |p x q| / |q|^2; q = 0 gives no point. Z is taken
+    divided by a power of two near its largest real or imaginary part
+    (exact, as in _kernels._scales), so that no product overflows or
+    underflows, and the point is multiplied back.
+    """
+    if z.shape[0] != 2:
+        return []
+    (p, q), (r, s) = z.tolist()
+    big = max(abs(e.real) for e in (p, q, r, s)) + max(abs(e.imag) for e in (p, q, r, s))
+    exponent = max(math.frexp(big)[1], -1021)
+    inverse = math.ldexp(1.0, -exponent)
+    p, q, r, s = p * inverse, q * inverse, r * inverse, s * inverse
+    # N = [[h, q], [r, -h]]; T0_11 in the form that keeps its relative
+    # accuracy where Z is close to tau I, and T0_12 = (Z^H Z)_12
+    tau, h = 0.5 * (p + s), 0.5 * (p - s)
+    t11 = 2.0 * (tau.conjugate() * h).real + 0.5 * (abs(r) ** 2 - abs(q) ** 2)
+    t12 = p.conjugate() * q + s * r.conjugate()
+    s12 = q + r.conjugate()
+    pv = (t11, t12.real, t12.imag)
+    qv = (2.0 * h.real, s12.real, s12.imag)
+    size = math.hypot(*qv)
+    if size == 0.0:
+        return []
+    u = [c / size for c in qv]
+    cross = math.hypot(pv[1] * u[2] - pv[2] * u[1], pv[2] * u[0] - pv[0] * u[2],
+                       pv[0] * u[1] - pv[1] * u[0])
+    scale = math.ldexp(1.0, exponent) / size
+    mu = scale * (pv[0] * u[0] + pv[1] * u[1] + pv[2] * u[2])
+    # the terms of p are at most about 1 in modulus, so each component of
+    # the cross product is rounded by a few eps (1 + |p|)
+    if cross <= 8.0 * _EPS * (1.0 + math.hypot(*pv)):
+        return [mu]
+    return [complex(mu, scale * cross)]
+
+
 def ysn_integral(ric: RiccatiSolution) -> float:
     """The norm-ceiling integral of ||K'(mu)|| ||(Z - mu)^{-1}||^2 dmu, an
-    adaptive quadrature to rtol 1e-9."""
+    adaptive quadrature to rtol 1e-9, started graded toward spec Z and,
+    for n = 2, toward the branch point of smin(Z - mu)
+    (_smin_branch_points). The crossings of the eigenvalues of K' are
+    kinks that no pole marks."""
     root = ric.root
     a, b = root.model.interval
+    poles = list(root.eigensystem.values) + _smin_branch_points(root.z_op)
 
     val, _ = adaptive_quad(lambda nodes: _ysn_integrand(root.model.b, root.z_op, nodes),
-                           a, b, rtol=1e-9, poles=root.eigensystem.values)
+                           a, b, rtol=1e-9, poles=poles)
     return float(np.real(val))
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: the scalar reference model, the benchmark's zoo of
 random admissible models with clustered interior spectrum and strictly
 positive coupling density, the constants of a model with an exceptional
-point, and the hard models built on them."""
+point, the hard models built on them, and the points where the two
+eigenvalues of a 2 x 2 K' meet."""
 
 import functools
 import importlib.util
@@ -56,6 +57,21 @@ def hard_models():
     for b in (3e-3, 1e-4):
         models.append((f"friedrichs-{b:g}", sr.build_model((-1.0, 1.0), [[0.0]], [[[b]]])))
     return models
+
+
+def kprime_crossings(model):
+    """The roots of the discriminant (k11 - k22)^2 + 4 k12 k21 of K'(mu)
+    for n = 2, where its two eigenvalues meet: a real root is a crossing
+    (a double root, which polyroots splits by up to about 1e-8), a complex
+    one a branch point of ||K'||; none for n != 2 or a constant gap."""
+    if model.n != 2:
+        return np.array([])
+    poly = np.polynomial.polynomial
+    c = model.kprime.coefficients
+    diff = c[:, 0, 0] - c[:, 1, 1]
+    disc = poly.polyadd(poly.polymul(diff, diff),
+                        4.0 * poly.polymul(c[:, 0, 1], c[:, 1, 0])).real
+    return poly.polyroots(poly.polytrim(disc)) if np.any(disc) else np.array([])
 
 
 @pytest.fixture(scope="session")

@@ -257,6 +257,47 @@ def test_spectral_norms_of_zeros_and_nan(r, c):
     assert np.array_equal(knp.spectral_norms(np.zeros((3, r, c))), np.zeros(3))
 
 
+@pytest.mark.parametrize("r", SIZES)
+@pytest.mark.parametrize("c", SIZES)
+def test_gram_matrices_match_matmul(r, c):
+    rng = np.random.default_rng(300 + 10 * r + c)
+    mats = _stack(rng, 40, r, c)
+    ref = np.conj(np.swapaxes(mats, 1, 2)) @ mats
+    got = knp.gram_matrices(mats)
+    assert got.shape == (40, c, c)
+    size = np.max(np.abs(ref), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got - ref) <= 1e-15 * r * size)
+    # the closed form is Hermitian to the bit; the one-matrix shape
+    assert c > 2 or np.array_equal(got, np.conj(np.swapaxes(got, 1, 2)))
+    assert np.array_equal(knp.gram_matrices(mats[3]), got[3])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_smallest_hermitian_eigenvalues_match_eigvalsh(n):
+    rng = np.random.default_rng(500 + n)
+    mats = _stack(rng, 40, n, n)
+    # a Hermitian part that is indefinite, definite, scalar and near a
+    # double eigenvalue, and per matrix scales from 1e-300 to 1e300
+    mats[1] = np.eye(n)
+    mats[2] = 3.0 * np.eye(n) + 1e-9j * np.eye(n)
+    mats[3] = np.diag(np.linspace(1.0, 1.0 + 1e-12, n)) + 1e-13 * mats[3]
+    extreme = mats * 10.0 ** rng.uniform(-300, 300, size=(40, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stack in (mats, extreme):
+            herm = 0.5 * (stack + np.conj(np.swapaxes(stack, 1, 2)))
+            ref = np.linalg.eigvalsh(herm)[:, 0]
+            got = knp.smallest_hermitian_eigenvalues(stack)
+            assert got.shape == (40,)
+            size = np.linalg.norm(herm, 2, axis=(1, 2))
+            assert np.all(np.abs(got - ref) <= 4e-16 * n * size)
+        assert np.all(knp.smallest_hermitian_eigenvalues(mats[1:3]) == [1.0, 3.0])
+        # a NaN entry gives NaN and nothing else, where eigvalsh could raise
+        mats[5, n - 1, 0] = np.nan
+        got = knp.smallest_hermitian_eigenvalues(mats)
+    assert np.isnan(got[5]) and np.isfinite(np.delete(got, 5)).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smallest_singular_values_and_condition_match_svd(n):
     rng = np.random.default_rng(40 + n)

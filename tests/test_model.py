@@ -6,7 +6,7 @@ whose integral over [-1, 1] is 8/3. For constant scalar b the density is
 b^2 everywhere.
 """
 
-import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ import schurroots as sr
 from schurroots.errors import ModelError
 from schurroots.model import _HERM_TOL, MatrixPolynomial, density_margin
 
-from conftest import wide_models
+from conftest import hard_models, wide_models
 
 def test_kprime_scalar_constant(friedrichs_model):
     dens = sr.kprime_of(friedrichs_model)
@@ -156,13 +156,53 @@ def test_density_psd_check_is_tied_to_the_tolerance(depth, passes):
 
 
 def test_density_margin_fails_a_non_finite_kprime():
-    # NaN, or a LinAlgError where eigvalsh refuses the grid: never a pass
+    # NaN, never a pass and never a LinAlgError: for n <= 2 the closed
+    # forms carry the NaN, and for n = 3 eigvalsh takes the non-finite
+    # matrices as zeros
     model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, -1.0]]])
-    coeffs = model.kprime.coefficients.copy()
-    coeffs[0, 0, 1] = np.nan
-    model.__dict__["kprime"] = MatrixPolynomial(coeffs)
-    with contextlib.suppress(np.linalg.LinAlgError):
-        assert np.isnan(density_margin(model))
+    models = [model] + [sr.build_model((-1.0, 1.0), 0.1 * np.eye(n), [0.2 * np.eye(n)])
+                        for n in (1, 3)]
+    for model in models:
+        coeffs = model.kprime.coefficients.copy()
+        coeffs[0, 0, model.n - 1] = np.nan
+        model.__dict__["kprime"] = MatrixPolynomial(coeffs)
+        assert np.isnan(density_margin(model)), model.n
+
+
+def _density_margin_reference(model):
+    """density_margin by a batched matmul for b^* b and a batched eigvalsh
+    for the least eigenvalue, the path that the n <= 2 closed forms
+    replaced."""
+    mus = np.linspace(*model.interval, 1000)
+    kvals = model.kprime_values(mus)
+    bvals = model.b(mus)
+    direct = np.conj(np.swapaxes(bvals, 1, 2)) @ bvals
+    scale = 1.0 + np.max(np.einsum("mij,mij->m", np.conj(bvals), bvals).real)
+    adjoint = np.conj(np.swapaxes(kvals, 1, 2))
+    gap = np.max(np.abs(kvals - direct))
+    skew = np.max(np.abs(kvals - adjoint))
+    min_eig = np.min(np.linalg.eigvalsh(0.5 * (kvals + adjoint)))
+    return float((max(gap, skew, -min_eig) - _HERM_TOL * scale) / scale)
+
+
+def test_density_margin_matches_the_matmul_and_eigvalsh_path(friedrichs_model, model_zoo):
+    # the margin is relative to scale, so 1e-15 here is 1e-15 * scale in
+    # the gap, the skew and the least eigenvalue
+    models = [friedrichs_model] + list(model_zoo) + [model for _, model in hard_models()]
+    assert {model.n for model in models} == {1, 2, 3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model in models:
+            assert abs(density_margin(model) - _density_margin_reference(model)) <= 1e-15
+        # an indefinite K' (b^* b plus diag(0, -1)) fails by its most
+        # negative eigenvalue, about -1 + tol, in both paths
+        model = sr.build_model((-1.0, 1.0), 0.1 * np.eye(2), [[[1.0, 0.0]]])
+        coeffs = model.kprime.coefficients.copy()
+        coeffs[0, 1, 1] = -1.0
+        model.__dict__["kprime"] = MatrixPolynomial(coeffs)
+        margin = density_margin(model)
+        assert margin > 0.0
+        assert abs(margin - _density_margin_reference(model)) <= 1e-15
 
 
 @pytest.mark.parametrize("b", [[[[1e200]]], [[[np.inf]]], [[[0.1]], [[np.nan]]]],

@@ -6,6 +6,7 @@ the closed form (or its quadrature fallback) under test.
 """
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +17,10 @@ from schurroots.errors import NumericsError
 from schurroots._quad import adaptive_quad
 from schurroots import riccati
 from schurroots.riccati import (RiccatiSolution, _j_pairings, _ring_converged,
-                                _trial_l2_norms, _ysn_integrand, factor_F1,
-                                rational_trials, ysn_integral)
+                                _smin_branch_points, _trial_l2_norms, _ysn_integrand,
+                                factor_F1, rational_trials, ysn_integral)
 
-from conftest import EP_B, EP_E0, wide_models
+from conftest import EP_B, EP_E0, hard_models, kprime_crossings, wide_models
 
 
 def dense_gram(ric, nodes=1_000_001):
@@ -513,6 +514,105 @@ def test_ysn_integrand_matches_svd_form(friedrichs_model, zoo_solutions):
             got = _ysn_integrand(model.b, sol.z_op, nodes)
             worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
     assert worst <= 1e-12, worst
+
+
+def _quartic_roots(z):
+    """The roots of F^2 - 4 |det|^2 of Z - mu, continued from real mu:
+    F(mu) = ||Z - mu||_F^2 = 2 mu^2 - 2 Re(tr Z) mu + ||Z||_F^2, and |det|^2
+    = d(mu) dbar(mu) with d(mu) = det(Z - mu) and dbar its coefficients
+    conjugated. Its leading two coefficients cancel exactly, and np.roots
+    drops them."""
+    tr, det = np.trace(z), np.linalg.det(z)
+    f = np.array([2.0, -2.0 * tr.real, np.sum(np.abs(z) ** 2)])
+    d = np.array([1.0, -tr, det])
+    return np.roots((np.polymul(f, f) - 4.0 * np.polymul(d, np.conj(d))).real)
+
+
+def _branch_point_cases(zoo_solutions):
+    """(name, Z): every 2 x 2 zoo root on both sides, lam I, a real and a
+    complex diagonal, a Jordan block and a conjugate pair on the diagonal."""
+    cases = [(f"zoo[{k}]{side:+d}", sol.z_op) for k, (model, _, sols) in enumerate(zoo_solutions)
+             for side, sol in sols.items() if model.n == 2]
+    cases += [("scalar", (0.3 - 0.2j) * np.eye(2)),
+              ("real-diagonal", np.diag([-0.25, 0.75]).astype(np.complex128)),
+              ("complex-diagonal", np.diag([0.1 + 0.3j, -0.4 - 0.05j])),
+              ("jordan", np.array([[0.2 + 0.1j, 1.0], [0.0, 0.2 + 0.1j]])),
+              ("conjugate-pair", np.diag([0.2 + 0.1j, 0.2 - 0.1j]))]
+    return cases
+
+
+def test_smin_branch_points_against_the_quartic_and_the_svd(zoo_solutions):
+    # mu* + i delta against np.roots of F^2 - 4|det|^2, and against the
+    # singular values of Z - mu on the real axis: s1^2 - s2^2 = (s1 - s2)(s1
+    # + s2) is 2|q| sqrt((mu - mu*)^2 + delta^2), so its minimum over a fine
+    # grid sits at mu*, s1 - s2 vanishes there where delta = 0, and its
+    # value at mu* +- delta is sqrt(2) times the value at mu*
+    kinds = set()
+    for name, z in _branch_point_cases(zoo_solutions):
+        points = _smin_branch_points(z)
+        if name in ("scalar", "conjugate-pair"):
+            # s1 = s2 at every real mu (q = 0): no point
+            assert points == [], name
+            continue
+        (point,) = points
+        mu, delta = complex(point).real, complex(point).imag
+        kinds.add(isinstance(point, complex))
+        size = np.linalg.norm(z, 2)
+        roots = _quartic_roots(z)
+        for target in (complex(mu, delta), complex(mu, -delta)):
+            assert np.min(np.abs(roots - target)) <= 1e-7 * size, (name, roots, point)
+        width = max(delta, 1e-3 * size)
+        grid = mu + width * np.linspace(-20.0, 20.0, 40001)
+        sv = np.linalg.svd(z[None] - grid[:, None, None] * np.eye(2), compute_uv=False)
+        assert abs(grid[np.argmin(sv[:, 0] ** 2 - sv[:, 1] ** 2)] - mu) <= 1e-3 * width, name
+        at = np.linalg.svd(z[None] - np.array([mu, mu - delta, mu + delta])[:, None, None]
+                           * np.eye(2), compute_uv=False)
+        split = at[:, 0] ** 2 - at[:, 1] ** 2
+        if isinstance(point, complex):
+            assert np.allclose(split[1:] / split[0], np.sqrt(2.0), rtol=1e-6), name
+        else:
+            assert at[0, 0] - at[0, 1] <= 1e-7 * size, name
+        if name == "real-diagonal":
+            assert point == 0.25  # the bisector of the two eigenvalues
+        if name == "jordan":
+            assert abs(point - complex(0.2, np.hypot(0.1, 0.5))) <= 1e-15
+    # the zoo's real kinks (zoo[3] and zoo[12]) and its complex points
+    assert kinds == {True, False}
+    # n = 1 has no point
+    assert all(_smin_branch_points(sol.z_op) == [] for model, _, sols in zoo_solutions
+               for sol in sols.values() if model.n == 1)
+
+
+@pytest.mark.parametrize("exponent", [-500, 500])
+def test_smin_branch_points_scale_exactly(zoo_solutions, exponent):
+    # Z is divided by a power of two first, so 2^k Z gives 2^k times the
+    # point, bit for bit, with no overflow or underflow
+    factor = 2.0 ** exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, z in _branch_point_cases(zoo_solutions):
+            scaled = _smin_branch_points(factor * z)
+            assert scaled == [factor * p for p in _smin_branch_points(z)], name
+
+
+def test_ceiling_matches_a_reference_with_every_kink_marked(friedrichs_model, zoo_solutions):
+    # the ceiling at rtol 1e-9 against one at rtol 1e-13 started graded
+    # toward np.roots of the quartic and the crossings of the eigenvalues
+    # of K' as well, the kinks the ceiling leaves unmarked, over both sides
+    # of Friedrichs, the zoo and hard_models()
+    models = [friedrichs_model] + [model for model, _, _ in zoo_solutions]
+    models += [model for _, model in hard_models()]
+    worst = 0.0
+    for model in models:
+        for side in (1, -1):
+            ric = sr.compute_Y(sr.solve_basic(model, sr.make_contour(model, side)))
+            z = ric.root.z_op
+            poles = list(ric.root.eigensystem.values) + list(kprime_crossings(model))
+            poles += list(_quartic_roots(z)) if model.n == 2 else []
+            ref, _ = adaptive_quad(lambda nodes: _ysn_integrand(model.b, z, nodes),
+                                   *model.interval, rtol=1e-13, poles=poles)
+            worst = max(worst, abs(ysn_integral(ric) - ref.real) / abs(ref.real))
+    assert worst <= 1e-9, worst
 
 
 def test_riccati_reads_the_roots_eigensystem(monkeypatch, matrix_case):
