@@ -4,8 +4,10 @@ polyval_matrix evaluates a matrix polynomial at M nodes. Every other
 quadrature kernel receives precomputed density values `kvals` of shape
 (M, r, c) together with the M quadrature nodes and weights, and reduces
 them to a single matrix, or to one matrix per point of a 1-d array of
-evaluation points (cauchy_sum_many, resolvent_cauchy_sum). These kernels
-are the hot path of the whole package.
+evaluation points (cauchy_sum_many, resolvent_cauchy_sum). Each such sum
+is one matrix product (weighted_sums): the weights, or the (P, M) matrix
+of the Cauchy factors w_k / (mu_k - z), times the (M, r*c) entries. These
+kernels are the hot path of the whole package.
 
 Conventions: nodes and weights may be complex (contour quadrature),
 `zmat` arguments are square complex matrices, resolvents are taken of
@@ -18,7 +20,10 @@ spectral_norms, smallest_singular_values, gram_matrices and
 smallest_hermitian_eigenvalues, each in closed form for n <= 2 and
 through LAPACK, eigvalsh or matmul otherwise, and eig, the
 eigendecomposition of one matrix, in closed form on Python numbers for
-n <= 2 (small_eig) and by LAPACK otherwise. Where a closed form could
+n <= 2 (small_eig) and by LAPACK otherwise. solve sends a stack of fewer
+than _CRAMER_MIN_STACK (64) 2 x 2 matrices to LAPACK too: below that
+measured crossover one batched LAPACK call is faster than the array
+operations of the closed form. Where a closed form could
 overflow or underflow, solve hands the systems at fault to LAPACK, and
 the norms and eig run on each matrix divided by a power of two near its
 largest entry (_scales); that division is exact, so it is skipped where
@@ -35,6 +40,13 @@ import numpy as np
 # n = 2 on 800 nodes that layout takes about 2/3 of the time; from 5 x 5
 # on, the transpose back makes it slower than the (M, r, c) loop.
 _NODE_MAJOR_ENTRIES = 16
+
+# Fewest 2 x 2 systems in a stack that solve takes by Cramer's rule. A
+# smaller stack goes to LAPACK, whose per-call cost is then below that of
+# Cramer's dozen array operations: on a 2-vCPU x86-64 VM with one BLAS
+# thread the two cross at about 64 matrices, for one or two right-hand
+# sides.
+_CRAMER_MIN_STACK = 64
 
 
 def backend_name() -> str:
@@ -71,16 +83,22 @@ def polyval_matrix(coeffs, mus):
     return out.reshape(m, r, c)
 
 
+def weighted_sums(factors, mats):
+    """sum_k factors[..., k] mats[k] for a stack mats (M, r, c) and factors
+    (..., M) -> (..., r, c): one matrix product of the factors with the
+    (M, r*c) entries of the stack."""
+    m, r, c = mats.shape
+    return (factors @ mats.reshape(m, r * c)).reshape(factors.shape[:-1] + (r, c))
+
+
 def cauchy_sum(kvals, nodes, weights, z):
     """sum_k w_k K_k / (mu_k - z) -> (r, c)."""
-    factors = weights / (nodes - z)
-    return np.einsum("m,mij->ij", factors, kvals)
+    return weighted_sums(weights / (nodes - z), kvals)
 
 
 def cauchy_sum_many(kvals, nodes, weights, zs):
     """Vectorized cauchy_sum over a batch of points zs: (P,) -> (P, r, c)."""
-    factors = weights[None, :] / (nodes[None, :] - zs[:, None])
-    return np.einsum("pm,mij->pij", factors, kvals)
+    return weighted_sums(weights / (nodes - zs[:, None]), kvals)
 
 
 # A Frobenius norm squared (_rescaled) or a 2 x 2 determinant (solve)
@@ -158,12 +176,13 @@ def solve(a, b):
     singularity) is solved again by np.linalg.solve, which raises
     LinAlgError on an exactly singular matrix. The entries are taken
     entry-major, so that every operation runs along the matrices of the
-    stack rather than along a short axis. n >= 3 is np.linalg.solve.
+    stack rather than along a short axis. n >= 3, and a stack of fewer
+    than _CRAMER_MIN_STACK 2 x 2 matrices, is np.linalg.solve.
     """
     n, k = b.shape[-2:]
     if n == 1:
         return b / a
-    if n > 2:
+    if n > 2 or a.size < n * n * _CRAMER_MIN_STACK:
         return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + (k,)))
     with np.errstate(all="ignore"):
         det, x = _cramer(np.copy(_entry_major(a), order="C"),
@@ -441,17 +460,19 @@ def _right_resolvent_products(kvals, nodes, zmat):
 
 def resolvent_sum(kvals, nodes, weights, zmat):
     """sum_k w_k K_k @ inv(zmat - mu_k) -> (r, n)."""
-    t = _right_resolvent_products(kvals, nodes, zmat)
-    return np.einsum("m,mij->ij", weights, t)
+    return weighted_sums(weights, _right_resolvent_products(kvals, nodes, zmat))
 
 
 def resolvent_cauchy_sum(kvals, nodes, weights, zmat, zs):
-    """sum_k w_k K_k @ inv(zmat - mu_k) / (mu_k - z) at each point z of the
-    1-d array zs -> (P, r, n); the resolvent products do not depend on z,
-    so they are solved once for all points."""
-    t = _right_resolvent_products(kvals, nodes, zmat)
-    factors = weights / (nodes - zs[:, None])
-    return np.einsum("pm,mij->pij", factors, t)
+    """(sum_k w_k K_k / (mu_k - z), sum_k w_k K_k @ inv(zmat - mu_k) /
+    (mu_k - z)) at each point z of the 1-d array zs -> two (P, r, n)
+    stacks: the cauchy_sum_many of K and of its resolvent products, from
+    one matrix of Cauchy factors and one matrix product. The resolvent
+    products do not depend on z, so they are solved once for all points."""
+    n = zmat.shape[0]
+    both = np.concatenate([kvals, _right_resolvent_products(kvals, nodes, zmat)], axis=2)
+    sums = weighted_sums(weights / (nodes - zs[:, None]), both)
+    return sums[..., :n], sums[..., n:]
 
 
 def _sandwich_products(kvals, nodes, zleft, zright):
@@ -462,5 +483,4 @@ def _sandwich_products(kvals, nodes, zleft, zright):
 
 def sandwich_sum(kvals, nodes, weights, zleft, zright):
     """sum_k w_k inv(zleft - mu_k) @ K_k @ inv(zright - mu_k)."""
-    t = _sandwich_products(kvals, nodes, zleft, zright)
-    return np.einsum("m,mij->ij", weights, t)
+    return weighted_sums(weights, _sandwich_products(kvals, nodes, zleft, zright))

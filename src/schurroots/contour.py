@@ -291,39 +291,42 @@ def analytic_rule(model: SpectralModel, contour: Contour, points=(),
 
     points are the evaluation points of the sum and singular its other
     singularities (such as the spectrum of Z), each one point or a 1-d
-    array. Per segment, each of them asks for the count _wanted_counts
-    gives its Bernstein parameter and the degree of K' (Trefethen, SIAM
-    Rev. 50 (2008)); the segment takes the largest, and at least
-    _MIN_ANALYTIC_NODES. An evaluation point that asks for more than
-    MAX_SEGMENT_NODES on some segment raises ValueError naming the first
-    such point. A singular point only raises the count, and no further
-    than the segment's count in the contour passed in (contour.counts), so
-    a root near the path is summed on that rule as before. The result is
-    the contour with these counts; its rule is built when first read, from
-    the per-count rules of _rule.
+    array. A segment's count is the one _wanted_counts gives, for the
+    degree of K' (Trefethen, SIAM Rev. 50 (2008)), the Bernstein parameter
+    of its nearest evaluation point and that of its nearest singular
+    point, whichever is larger, and at least _MIN_ANALYTIC_NODES: the
+    count falls as the parameter grows, so the nearest point asks for the
+    most. Where a segment's nearest evaluation point asks for more than
+    MAX_SEGMENT_NODES, the points are searched and ValueError names the
+    first that does on some segment. A singular point only raises the
+    count, and no further than the segment's count in the contour passed
+    in (contour.counts), so a root near the path is summed on that rule as
+    before. The result is the contour with these counts; its rule is built
+    when first read, from the per-count rules of _rule.
     """
     points = np.ravel(np.asarray(points, dtype=np.complex128))
     singular = np.ravel(np.asarray(singular, dtype=np.complex128))
     log_rho = _log_rho(contour, np.concatenate([points, singular]))
     degree = model.kprime.degree
 
-    at_points, at_singular = log_rho[:, :points.size], log_rho[:, points.size:]
-    # a point asks for the most nodes on the segment where its rho is least
-    too_many = (_wanted_counts(contour.kind, degree, np.min(at_points, axis=0))
-                > MAX_SEGMENT_NODES)
-    if np.any(too_many):
-        z = complex(points[np.argmax(too_many)])
-        raise ValueError(f"z={z} too close to the contour for quadrature")
-
-    def per_segment(part):
-        nearest = np.min(part, axis=1, initial=np.inf)
-        return np.ceil(_wanted_counts(contour.kind, degree, nearest)).tolist()
+    at_points = log_rho[:, :points.size]
+    # row 0 from the nearest evaluation point of each segment, row 1 from
+    # its nearest singular point
+    nearest = np.empty((2, log_rho.shape[0]))
+    at_points.min(axis=1, initial=np.inf, out=nearest[0])
+    log_rho[:, points.size:].min(axis=1, initial=np.inf, out=nearest[1])
+    from_points, from_singular = np.ceil(_wanted_counts(contour.kind, degree, nearest)).tolist()
+    if max(from_points) > MAX_SEGMENT_NODES:
+        # a point asks for the most nodes on the segment where its rho is least
+        too_many = (_wanted_counts(contour.kind, degree, at_points.min(axis=0))
+                    > MAX_SEGMENT_NODES)
+        if np.any(too_many):
+            z = complex(points[np.argmax(too_many)])
+            raise ValueError(f"z={z} too close to the contour for quadrature")
 
     counts = tuple(
-        int(min(MAX_SEGMENT_NODES,
-                max(_MIN_ANALYTIC_NODES, from_points, min(cap, from_singular))))
-        for from_points, from_singular, cap in zip(
-            per_segment(at_points), per_segment(at_singular), contour.counts))
+        int(min(MAX_SEGMENT_NODES, max(_MIN_ANALYTIC_NODES, point, min(cap, singular))))
+        for point, singular, cap in zip(from_points, from_singular, contour.counts))
     return replace(contour, counts=counts)
 
 

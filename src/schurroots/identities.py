@@ -4,12 +4,14 @@ checked on the two roots Z(+1), Z(-1) by two independent paths.
 identity_table(roots, seed) returns the rows in a fixed order, each with
 its residual, tolerance and verdict, plus each side's Riccati data and
 classification. The model is the one the roots carry. Every sample point
-is drawn from np.random.default_rng(seed), and the J-orthogonality trials
-from rational_trials(..., seed), so a table is a function of the roots and
-the seed. A row is a function of one side, and its residual is the largest
-of its per-side values (_worst); the side-free rows (boundary-imag,
-density) are evaluated once. Each side's Omega is computed once; the
-omega-adjoint row reads Omega(-l), Omega(l)^*.
+is drawn from np.random.default_rng(seed), and the J-orthogonality trials,
+once for both sides, from rational_trials(..., seed), so a table is a
+function of the roots and the seed. A row is a function of one side, and
+its residual is the largest of its per-side values (_worst); the
+side-free rows (boundary-imag, density) are evaluated once. Each side's
+Omega is computed once; the omega-adjoint row reads Omega(-l),
+Omega(l)^*. The factorization row takes both of its sides from one
+factor_F1 call, F1 and M1 on one rule.
 """
 
 import functools
@@ -169,8 +171,7 @@ def identity_table(roots, seed: int) -> tuple:
     def factorization(side):
         sol = roots[side]
         zs = _near_sigma_points(rng, model, d, _FACTOR_POINTS)
-        f1 = factor_F1(sol, zs)
-        mc = m1_continued_many(sol.model, sol.contour, zs)
+        f1, mc = factor_F1(sol, zs)
         prod = f1 @ (sol.z_op - zs[:, None, None] * np.eye(model.n))
         return _relative_gap(mc - prod, mc)
 
@@ -178,7 +179,7 @@ def identity_table(roots, seed: int) -> tuple:
 
     def conditioning(side):
         zs = _near_sigma_points(rng, model, d, _FACTOR_POINTS)
-        f1 = factor_F1(roots[side], zs)
+        f1 = factor_F1(roots[side], zs)[0]
         return np.max(spectral_norms(f1) / smallest_singular_values(f1))
 
     add_row("factor-conditioning", 1e8, over_sides(conditioning))
@@ -253,8 +254,11 @@ def identity_table(roots, seed: int) -> tuple:
     add_row("riccati-adjoint", 1e-8, over_sides(
         lambda s: riccati_residual(rics[s], samples, adjoint=True) / b_scale))
 
+    # the trials read the model and a fresh rng of the seed alone, so both
+    # sides take the same ones
+    trials = rational_trials(rics[1], _TRIAL_COUNT, seed)
+
     def jorth(side):
-        trials = rational_trials(rics[side], _TRIAL_COUNT, seed)
         return j_orthogonality(rics[side], trials) / (1.0 + rics[side].y_norm)
 
     add_row("j-orthogonality", 1e-10, over_sides(jorth))

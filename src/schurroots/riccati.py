@@ -27,14 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (_right_resolvent_products, _sandwich_products,
-                       _shifted_solve, resolvent_cauchy_sum, sandwich_sum,
-                       smallest_singular_values, solve, spectral_norms)
+                       _shifted_solve, gram_matrices, resolvent_cauchy_sum,
+                       sandwich_sum, smallest_singular_values, solve,
+                       spectral_norms, weighted_sums)
 from ._quad import adaptive_quad
 from .contour import analytic_rule
 from .errors import NumericsError
 from .model import MatrixPolynomial
 from .rootsolver import RootSolution, _require_clear_of_nodes
-from .schur import _cut_moments, _m1_on_rule
+from .schur import _cut_moments, _m1_from_w1, _m1_on_rule
 
 
 @dataclass(frozen=True)
@@ -396,8 +397,7 @@ def _ysn_integrand(b: MatrixPolynomial, z: np.ndarray, nodes) -> np.ndarray:
     node, both from the small-matrix kernels (_kernels), without an SVD
     for n <= 2. It divides by smin twice: near a pole at very weak
     coupling smin^2 underflows where the quotient does not."""
-    bv = b(nodes)
-    kv = np.einsum("mij,mik->mjk", np.conj(bv), bv)
+    kv = gram_matrices(b(nodes))
     eye = np.eye(z.shape[0])
     shifted = z[None] - nodes[:, None, None] * eye[None]
     smin = smallest_singular_values(shifted)
@@ -468,21 +468,25 @@ def ysn_integral(ric: RiccatiSolution) -> float:
     return float(np.real(val))
 
 
-def factor_F1(sol: RootSolution, zs) -> np.ndarray:
-    """F1(z, Gamma) = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1} dmu
-    at each point of the 1-d array zs -> (P, n, n).
+def factor_F1(sol: RootSolution, zs) -> tuple:
+    """(F1(z, Gamma), M1(z, Gamma)) at each point of the 1-d array zs, two
+    (P, n, n) stacks: F1 = I + integral of K'(mu)(Z - mu)^{-1}(mu - z)^{-1}
+    dmu and M1 = a1 - z + integral of K'(mu)(mu - z)^{-1} dmu.
 
     The factorization M1(z, Gamma) = F1(z, Gamma)(Z - z) holds wherever
     both sides are defined; F1 is invertible on the d/2-neighborhood of
-    sigma1. The resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved once
-    for all the points, on the analytic_rule of the root's contour sized
-    by the points and the spectrum of Z.
+    sigma1. F1 and M1 share one rule, the analytic_rule of the root's
+    contour sized by the points and the spectrum of Z, one evaluation of
+    K' on it and one matrix of Cauchy factors (resolvent_cauchy_sum); the
+    resolvent products K'(mu_k)(Z - mu_k)^{-1} are solved once for all the
+    points.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    rule = analytic_rule(sol.model, sol.contour, zs, sol.eigensystem.values)
-    kv = sol.model.kprime_values(rule.nodes)
-    acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)
-    return np.eye(sol.model.n, dtype=np.complex128) + acc
+    model = sol.model
+    rule = analytic_rule(model, sol.contour, zs, sol.eigensystem.values)
+    kv = model.kprime_values(rule.nodes)
+    w1, acc = resolvent_cauchy_sum(kv, rule.nodes, rule.weights, sol.z_op, zs)
+    return np.eye(model.n, dtype=np.complex128) + acc, _m1_from_w1(model, zs, w1)
 
 
 # The reconstruction ring starts at _RING_START points and doubles until two
@@ -586,9 +590,7 @@ def reconstruct_from_contour(sol: RootSolution):
             minv = solve(_m1_on_rule(model, rule, kvals, ring[points]), np.eye(model.n))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"singular continued value on the circle: {exc}") from exc
-        weighted = phase[points, None, None] * minv
-        return np.stack([np.sum(weighted, axis=0),
-                         np.einsum("p,pij->ij", ring[points], weighted)])
+        return weighted_sums(np.stack([phase[points], phase[points] * ring[points]]), minv)
 
     per_circle = []
     for ring, (_, radius) in zip(rings, circles):

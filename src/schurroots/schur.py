@@ -142,8 +142,13 @@ def m1_physical(model: SpectralModel, zs) -> np.ndarray:
     """M1(z) = a1 - z + W1(z) on the physical sheet, at each point of the
     1-d array zs -> (P, n, n)."""
     zs = np.asarray(zs, dtype=np.complex128)
-    eye = np.eye(model.n)
-    return model.a1[None] - zs[:, None, None] * eye[None] + w1_physical(model, zs)
+    return _m1_from_w1(model, zs, w1_physical(model, zs))
+
+
+def _m1_from_w1(model: SpectralModel, zs: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """M1 = a1 - z + W1 at each point of the 1-d array zs, from the values
+    w1 (P, n, n) of W1 there."""
+    return model.a1[None] - zs[:, None, None] * np.eye(model.n)[None] + w1
 
 
 def m1_continued(model: SpectralModel, contour: Contour, z: complex) -> np.ndarray:
@@ -157,9 +162,7 @@ def _m1_on_rule(model: SpectralModel, rule: Contour, kvals: np.ndarray,
                 zs: np.ndarray) -> np.ndarray:
     # M1(z, Gamma) at each point of the 1-d array zs by the sum over rule,
     # kvals the values of K' at its nodes
-    w1 = cauchy_sum_many(kvals, rule.nodes, rule.weights, zs)
-    eye = np.eye(model.n)
-    return model.a1[None] - zs[:, None, None] * eye[None] + w1
+    return _m1_from_w1(model, zs, cauchy_sum_many(kvals, rule.nodes, rule.weights, zs))
 
 
 def m1_continued_many(model: SpectralModel, contour: Contour, zs) -> np.ndarray:

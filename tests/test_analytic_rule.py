@@ -135,8 +135,11 @@ def test_contour_sums_match_the_configured_rule(monkeypatch, friedrichs_model, m
                        + cauchy_sum_many(kv, nodes, weights, zs))
                 check("m1", sr.m1_continued_many(model, contour, zs), ref)
             check("m1", sr.m1_continued(model, contour, lens[0]), ref[0])
-            check("F1", sr.factor_F1(sol, near),
-                  np.eye(model.n) + resolvent_cauchy_sum(kv, nodes, weights, sol.z_op, near))
+            # F1 and M1 of the factorization row, from one rule
+            f1, m1 = sr.factor_F1(sol, near)
+            w1_ref, acc_ref = resolvent_cauchy_sum(kv, nodes, weights, sol.z_op, near)
+            check("F1", f1, np.eye(model.n) + acc_ref)
+            check("m1", m1, model.a1[None] - near[:, None, None] * np.eye(model.n) + w1_ref)
             check("transformator", sr.transformator(model, contour, sol.z_op,
                                                     sol.eigensystem.values),
                   -resolvent_sum(kv, nodes, weights, sol.z_op))

@@ -948,6 +948,32 @@ def test_verify_calls_transformator_once_per_side(tmp_path, capsys, monkeypatch,
         assert len(calls) == 2
 
 
+def test_verify_builds_twelve_analytic_rules(tmp_path, capsys, monkeypatch, model_zoo):
+    # six contour sums per side, each on its own rule: sheets-crosspath,
+    # factorization (F1 and M1 on one rule), factor-conditioning, Omega, the
+    # reconstruction rings and root-contour
+    import schurroots.contour as contour_mod
+    import schurroots.riccati as riccati_mod
+    import schurroots.rootsolver as rootsolver_mod
+    import schurroots.schur as schur_mod
+
+    calls = []
+    original = contour_mod.analytic_rule
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (contour_mod, riccati_mod, rootsolver_mod, schur_mod):
+        monkeypatch.setattr(module, "analytic_rule", counting)
+    for data in (BASE, _zoo_config(model_zoo)):
+        calls.clear()
+        code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
+        assert code == 0
+        assert all(r["passed"] for r in json.loads(out)["identities"])
+        assert len(calls) == 12
+
+
 def _run_report(tmp_path, capsys, command, data, name):
     """The report and CSV text of one command run, with the wall time
     dropped."""

@@ -29,16 +29,24 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_kernels_match_naive_loop(n):
-    rng = np.random.default_rng(100 + n)
-    kv, mus, w, zm, zl = _random_problem(rng, n)
+# (m, n, nodes, points, seed): K_k is m x n. The first four are the square
+# cases; then one node, one point, and m != n, the shape of the (m, n)
+# products of B^*Y
+@pytest.mark.parametrize("m, n, nodes, points, seed", [
+    (1, 1, 97, 7, 101), (2, 2, 97, 7, 102), (3, 3, 97, 7, 103), (4, 4, 97, 7, 104),
+    (2, 2, 1, 7, 105), (2, 2, 97, 1, 106), (3, 2, 97, 7, 107)],
+    ids=["1", "2", "3", "4", "one-node", "one-point", "m3-n2"])
+def test_kernels_match_naive_loop(m, n, nodes, points, seed):
+    rng = np.random.default_rng(seed)
+    kv, mus, w, zm, zl = _random_problem(rng, n, nodes)
+    if m != n:
+        kv = rng.normal(size=(nodes, m, n)) + 1j * rng.normal(size=(nodes, m, n))
+        zl = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) - 5j * np.eye(m)
     z = 0.3 + 2.5j
-    zs = rng.normal(size=7) + 1j * (2.0 + rng.uniform(size=7))
-    coeffs = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
-    eye = np.eye(n)
-    inv_r = [np.linalg.inv(zm - mu * eye) for mu in mus]
-    inv_l = [np.linalg.inv(zl - mu * eye) for mu in mus]
+    zs = rng.normal(size=points) + 1j * (2.0 + rng.uniform(size=points))
+    coeffs = rng.normal(size=(4, m, n)) + 1j * rng.normal(size=(4, m, n))
+    inv_r = [np.linalg.inv(zm - mu * np.eye(n)) for mu in mus]
+    inv_l = [np.linalg.inv(zl - mu * np.eye(m)) for mu in mus]
 
     poly = np.array([sum(c * mu ** k for k, c in enumerate(coeffs)) for mu in mus])
     cauchy = sum(wk * k / (mu - z) for wk, k, mu in zip(w, kv, mus))
@@ -57,17 +65,18 @@ def test_kernels_match_naive_loop(n):
     assert _rel(cauchy_many, knp.cauchy_sum_many(kv, mus, w, zs)) < 1e-13
     assert _rel(resolvent, knp.resolvent_sum(kv, mus, w, zm)) < 1e-12
     assert _rel(resolvent_cauchy,
-                knp.resolvent_cauchy_sum(kv, mus, w, zm, np.array([z]))[0]) < 1e-12
+                knp.resolvent_cauchy_sum(kv, mus, w, zm, np.array([z]))[1][0]) < 1e-12
     assert _rel(sandwich, knp.sandwich_sum(kv, mus, w, zl, zm)) < 1e-12
 
     # a 1-d array of points: one batched call agrees with the naive loop
-    # and with one one-point batch per point
-    batched = knp.resolvent_cauchy_sum(kv, mus, w, zm, zs)
-    per_point = np.concatenate([knp.resolvent_cauchy_sum(kv, mus, w, zm, zs[k:k + 1])
-                                for k in range(len(zs))])
-    assert batched.shape == (len(zs), n, n)
+    # and with one one-point batch per point, for both of its sums
+    plain, batched = knp.resolvent_cauchy_sum(kv, mus, w, zm, zs)
+    per_point = [knp.resolvent_cauchy_sum(kv, mus, w, zm, zs[k:k + 1]) for k in range(len(zs))]
+    assert plain.shape == batched.shape == (len(zs), m, n)
+    assert _rel(cauchy_many, plain) < 1e-13
     assert _rel(resolvent_cauchy_many, batched) < 1e-12
-    assert _rel(per_point, batched) < 1e-14
+    for part, got in enumerate((plain, batched)):
+        assert _rel(np.concatenate([pair[part] for pair in per_point]), got) < 1e-14
 
 
 def _horner_by_node(coeffs, mus):
@@ -183,20 +192,37 @@ def test_solve_other_sizes_match_lapack(n):
     assert np.allclose(knp.solve(a, np.eye(n)), np.linalg.inv(a), rtol=1e-13, atol=0)
 
 
+# Stacks of fewer than _CRAMER_MIN_STACK 2 x 2 matrices go to LAPACK
+# whole, so the tests of Cramer's rule and its fallback run on stacks at
+# and above that size.
+CRAMER_STACKS = [knp._CRAMER_MIN_STACK, 2 * knp._CRAMER_MIN_STACK + 1]
+
+
 def test_solve_falls_back_to_lapack_where_cramer_fails():
     # the determinant 1e150 is in range, but 1e200 * 1e150 overflows in
     # Cramer's rule; with b = (1, 1e150) the entries also span more than the
     # safe range, so dividing the matrix by its largest modulus would
     # underflow 1e-50 to 0 and give x0 = 0. Both systems come from LAPACK,
-    # and the well-scaled system between them keeps Cramer's rule
-    a = np.array([[[1e200, 0.0], [0.0, 1e-50]], [[2.0, 1.0], [1.0, 3.0]],
-                  [[1e200, 0.0], [0.0, 1e-50]]], dtype=complex)
-    b = np.array([[[1e150], [1e150]], [[1.0], [2.0]], [[1.0], [1e150]]], dtype=complex)
-    got = knp.solve(a, b)
-    assert np.allclose(got[0, :, 0], [1e-50, 1e200], rtol=1e-15, atol=0)
-    assert np.allclose(got[2, :, 0], [1e-200, 1e200], rtol=1e-15, atol=0)
-    assert np.array_equal(got[::2], np.linalg.solve(a[::2], b[::2]))
-    assert np.array_equal(got[1], knp.solve(a[1:2], b[1:2])[0])
+    # and the well-scaled systems around them keep Cramer's rule
+    for count in CRAMER_STACKS:
+        rng = np.random.default_rng(count)
+        a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)) + 3 * np.eye(2)
+        b = rng.normal(size=(count, 2, 1)) + 1j * rng.normal(size=(count, 2, 1))
+        bad = [0, count // 2]
+        a[bad] = [[1e200, 0.0], [0.0, 1e-50]]
+        b[bad] = [[[1e150], [1e150]], [[1.0], [1e150]]]
+        got = knp.solve(a, b)
+        assert np.allclose(got[0, :, 0], [1e-50, 1e200], rtol=1e-15, atol=0)
+        assert np.allclose(got[count // 2, :, 0], [1e-200, 1e200], rtol=1e-15, atol=0)
+        assert np.array_equal(got[bad], np.linalg.solve(a[bad], b[bad]))
+        # Cramer's rule, x = adj(a) b / det, in _cramer's operations
+        good = np.ones(count, dtype=bool)
+        good[bad] = False
+        (p, q), (r, t) = a[good].transpose(1, 2, 0)
+        b0, b1 = b[good, :, 0].T
+        det = p * t - q * r
+        cramer = np.stack([(t * b0 - q * b1) / det, (p * b1 - r * b0) / det], axis=1)
+        assert np.array_equal(got[good, :, 0], cramer)
 
 
 @pytest.mark.parametrize("singular", [
@@ -205,12 +231,32 @@ def test_solve_falls_back_to_lapack_where_cramer_fails():
     [[0.0, 1.0], [0.0, 3.0]],
 ])
 def test_solve_exactly_singular_raises(singular):
-    a = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
-    a[3] = singular
+    for count in CRAMER_STACKS:
+        a = np.tile(np.eye(2, dtype=complex), (count, 1, 1))
+        a[3] = singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                knp.solve(a, np.ones((count, 2, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("count", [knp._CRAMER_MIN_STACK - 1, knp._CRAMER_MIN_STACK])
+@pytest.mark.parametrize("name", ["random", "ill-conditioned", "scaled"])
+def test_solve_either_side_of_the_crossover_matches_lapack(name, count):
+    # one stack below the crossover (LAPACK) and one at it (Cramer's rule):
+    # both within 10 cond(a) eps of LAPACK, and a singular matrix in the
+    # stack raises LinAlgError on both sides, without a RuntimeWarning
+    rng = np.random.default_rng(count)
+    a = _two_by_two_stacks(rng, count)[name]
+    b = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    got = knp.solve(a, b)
+    assert np.all(_max_rel_err(got, np.linalg.solve(a, b)) <= 10 * np.linalg.cond(a) * EPS)
+    a = a.copy()
+    a[count // 2] = [[1.0, 2.0], [2.0, 4.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
-            knp.solve(a, np.ones((5, 2, 1), dtype=complex))
+            knp.solve(a, b)
 
 
 def _stack(rng, count, r, c):

@@ -461,10 +461,12 @@ def test_factorization(matrix_case):
         for _ in range(10):
             lam = float(rng.choice(model.sigma1))
             z = lam + rng.uniform(0.05, 0.45) * d * np.exp(2j * np.pi * rng.uniform())
-            f1 = factor_F1(sol, np.array([z]))[0]
+            f1, m1_shared = (part[0] for part in factor_F1(sol, np.array([z])))
             m1 = sr.m1_continued(model, contours[side], complex(z))
             prod = f1 @ (sol.z_op - z * np.eye(model.n))
             assert np.linalg.norm(m1 - prod, 2) < 1e-9 * (1 + np.linalg.norm(m1, 2))
+            # the M1 summed on F1's rule is M1 on its own rule
+            assert np.linalg.norm(m1 - m1_shared, 2) < 1e-13 * (1 + np.linalg.norm(m1, 2))
             assert np.isfinite(np.linalg.cond(f1))
 
 
@@ -491,9 +493,12 @@ def test_factor_F1_batched_matches_per_point(n):
         zs = lam + rng.uniform(0.05, 0.45, size=9) * rep.distance * np.exp(
             2j * np.pi * rng.uniform(size=9))
         batched = factor_F1(sol, zs)
-        single = np.concatenate([factor_F1(sol, zs[k:k + 1]) for k in range(9)])
-        assert batched.shape == (9, n, n)
-        assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
+        per_point = [factor_F1(sol, zs[k:k + 1]) for k in range(9)]
+        # F1, then M1
+        for part, got in enumerate(batched):
+            single = np.concatenate([pair[part] for pair in per_point])
+            assert got.shape == (9, n, n)
+            assert np.max(np.abs(got - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def test_ysn_integrand_matches_svd_form(friedrichs_model, zoo_solutions):
