@@ -56,7 +56,11 @@ def _pair_rows(obj, inner: str):
     search finds it. Either way the list takes the general path, which
     writes or refuses each item on its own.
     """
-    if not set(map(type, obj)) <= _SEQUENCES:
+    first = obj[0]
+    # a matrix, a list of rows, is refused at its first row
+    if (type(first) not in _SEQUENCES or len(first) != 2
+            or not isinstance(first[0], float)
+            or not set(map(type, obj)) <= _SEQUENCES):
         return None
     deeper = inner + "  "
     try:
@@ -70,7 +74,22 @@ def _pair_rows(obj, inner: str):
 
 def _encode(obj, newline: str) -> str:
     """The text of obj at the indent of newline ("\\n" plus two spaces per
-    level): a container's items go on lines indented one level deeper."""
+    level): a container's items go on lines indented one level deeper.
+
+    The exact types of a report's and a config's values are tested first,
+    by identity; bool, None, tuples, subclasses and numpy scalars take the
+    isinstance chain below them."""
+    kind = type(obj)
+    if kind is float:
+        return _float(obj)
+    if kind is dict:
+        return _dict(obj, newline)
+    if kind is list:
+        return _list(obj, newline)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return _int_repr(obj)
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -84,26 +103,11 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, float):
         return _float(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        text = _pair_rows(obj, inner)
-        if text is None:
-            items = [_encode(v, inner) for v in obj]
-            text = ("," + inner).join(items)
-        return "[" + inner + text + newline + "]"
+        return _list(obj, newline)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            items.append(_quote(key) + ": " + _encode(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dict(obj, newline)
     if isinstance(obj, complex):
-        return _encode([obj.real, obj.imag], newline)
+        return _list([obj.real, obj.imag], newline)
     if isinstance(obj, np.integer):
         return _int_repr(int(obj))
     if isinstance(obj, np.floating):
@@ -111,3 +115,25 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, np.bool_):
         return "true" if obj else "false"
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _list(obj, newline: str) -> str:
+    if not obj:
+        return "[]"
+    inner = newline + "  "
+    text = _pair_rows(obj, inner)
+    if text is None:
+        text = ("," + inner).join([_encode(v, inner) for v in obj])
+    return "[" + inner + text + newline + "]"
+
+
+def _dict(obj, newline: str) -> str:
+    if not obj:
+        return "{}"
+    inner = newline + "  "
+    items = []
+    for key, value in sorted(obj.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+        items.append(_quote(key) + ": " + _encode(value, inner))
+    return "{" + inner + ("," + inner).join(items) + newline + "}"

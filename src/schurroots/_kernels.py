@@ -238,20 +238,48 @@ def _largest_by_gram(mats):
     return np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), fro2
 
 
-def _spectral_norm(rows):
-    # the spectral norm of one matrix with at most two columns, given as
-    # lists of Python numbers: the closed forms of spectral_norms on the
-    # matrix divided by a power of two near its largest real or imaginary
-    # part, in scalar arithmetic, which skips NumPy's per-call cost
-    # (almost all the cost of one small matrix)
+def _scaled_columns(rows):
+    # (scale, columns) of one matrix given as rows of Python numbers: the
+    # power of two scale = 2^(e-1), 2^e the least power of two above its
+    # largest real or imaginary part (0.5 for a zero matrix), and its
+    # columns divided by scale, exactly, as lists
     big = max(max(abs(e.real), abs(e.imag)) for row in rows for e in row)
     scale = math.ldexp(0.5, math.frexp(big)[1])
-    cols = [[e / scale for e in col] for col in zip(*rows)]
+    return scale, [[e / scale for e in col] for col in zip(*rows)]
+
+
+def _column_norm(cols):
+    # the spectral norm of a matrix with at most two columns, given as
+    # columns of _scaled_columns: the closed forms of spectral_norms in
+    # scalar arithmetic
     g = [sum(e.real * e.real + e.imag * e.imag for e in col) for col in cols]
     if len(cols) == 1:
-        return scale * math.sqrt(g[0])
+        return math.sqrt(g[0])
     g12 = abs(sum(x.conjugate() * y for x, y in zip(*cols)))
-    return scale * math.sqrt(0.5 * (g[0] + g[1]) + math.hypot(0.5 * (g[0] - g[1]), g12))
+    return math.sqrt(0.5 * (g[0] + g[1]) + math.hypot(0.5 * (g[0] - g[1]), g12))
+
+
+def _spectral_norm(rows):
+    # the spectral norm of one matrix with at most two columns, given as
+    # lists of Python numbers: _column_norm of the matrix scaled by
+    # _scaled_columns, in scalar arithmetic, which skips NumPy's per-call
+    # cost (almost all the cost of one small matrix)
+    scale, cols = _scaled_columns(rows)
+    return scale * _column_norm(cols)
+
+
+def _smallest_singular_value(rows):
+    # the smallest singular value of one matrix with n <= 2, given as rows
+    # of Python numbers: the modulus for n = 1, and for n = 2 |det| /
+    # sigma_max (the two singular values multiply to |det|) on the columns
+    # of _scaled_columns, so that the determinant neither overflows nor
+    # underflows; 0 for a zero matrix
+    if len(rows) == 1:
+        return abs(rows[0][0])
+    scale, cols = _scaled_columns(rows)
+    top = _column_norm(cols)
+    (p, r), (q, s) = cols
+    return scale * (abs(p * s - q * r) / top) if top > 0.0 else 0.0
 
 
 def spectral_norms(mats):

@@ -3,12 +3,14 @@
 Reports are JSON with sorted keys and two-space indentation; complex
 values are [re, im] pairs. Identical configs produce byte-identical
 reports except for the wall-time entry. All file writes go through a
-temp file plus atomic rename.
+temp file plus atomic rename (atomic_write): the text is written as UTF-8
+bytes, line ends untranslated, and the file takes the mode 0o666 less the
+umask, as a file opened for writing does.
 """
 
+import contextlib
 import hashlib
 import os
-import tempfile
 
 import numpy as np
 
@@ -88,17 +90,54 @@ def render_report(report: dict) -> str:
     return dumps(report) + "\n"
 
 
+# Flags of a temp file: created here or not at all (O_EXCL, which also
+# refuses a symlink at the name instead of following it), not inherited by
+# a child process, and never translating line ends (O_BINARY, Windows only).
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+               | getattr(os, "O_BINARY", 0))
+
+# Names atomic_write tries for its temp file before it gives up.
+_TEMP_NAMES = 100
+
+
+def _temp_path(directory: str, attempt: int) -> str:
+    # the temp name of this process's attempt-th try in directory
+    return os.path.join(directory, f".tmp-{os.getpid()}-{attempt}")
+
+
 def atomic_write(path: str, text: str) -> None:
-    """Write text to path, line ends untranslated, through a temp file in
-    the same directory and an atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write text to path as UTF-8 bytes, line ends untranslated, through a
+    temp file in the same directory and an atomic rename (os.replace).
+
+    The temp file is created with os.open, O_EXCL and mode 0o666, so the
+    result takes the umask's mode; its name is unique to the process
+    (_temp_path), and a name already taken, by a file or a symlink, is
+    skipped, neither followed nor truncated, for the next of _TEMP_NAMES.
+    Every byte goes out by os.write, looping on short writes. On any
+    failure the temp file is removed and the error re-raised; an OSError
+    leaves path as it was.
+    """
+    data = text.encode("utf-8")
+    directory = os.path.dirname(os.path.abspath(path))
+    for attempt in range(_TEMP_NAMES):
+        tmp = _temp_path(directory, attempt)
+        try:
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temp name in {directory}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 

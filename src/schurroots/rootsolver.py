@@ -35,13 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import (eig, resolvent_sum, small_eig, smallest_singular_values,
-                       spectral_norms)
+from ._kernels import (_smallest_singular_value, eig, resolvent_sum, small_eig,
+                       smallest_singular_values, spectral_norms)
 from .contour import (AdmissibilityReport, Contour, admissibility,
                       admissibility_at, analytic_rule, ensure_admissible)
 from .errors import NumericsError
 from .model import SpectralModel
-from .schur import _cut_moments, _cut_quotients_at, m1_physical
+from .schur import _cut_moments, _cut_quotients_at, _m1_physical_at, m1_physical
 
 _SPEC_GUARD = 1e-6
 
@@ -468,16 +468,33 @@ def _label_for(lam: complex, side: int, tau: float) -> str:
 
 def _physical_residuals(sol: RootSolution, lams, labels) -> list:
     """Per eigenvalue, the smallest singular value of the physical-sheet
-    M1(lam) of the root's model when labelled physical-complex, else None;
-    all of them from one batched M1 evaluation and one call of
-    _kernels.smallest_singular_values."""
+    M1(lam) of the root's model when labelled physical-complex, else None.
+
+    For n <= 2 each one is taken in Python numbers: M1 at the point from
+    the moments of schur._cut_quotients_at (_m1_physical_at), its
+    modulus for n = 1 and |det| / sigma_max for n = 2
+    (_kernels._smallest_singular_value). For n >= 3 all of them come from
+    one batched M1 evaluation (m1_physical) and one call of
+    _kernels.smallest_singular_values.
+    """
     hits = [k for k, label in enumerate(labels) if label == "physical-complex"]
     out = [None] * len(lams)
-    if hits:
+    if sol.model.n <= 2:
+        for k in hits:
+            out[k] = _smallest_singular_value(_m1_physical_at(sol.model, lams[k]))
+    elif hits:
         mats = m1_physical(sol.model, np.array([lams[k] for k in hits]))
         for k, sval in zip(hits, smallest_singular_values(mats)):
             out[k] = float(sval)
     return out
+
+
+def _mean(group: list) -> complex:
+    # the mean of a cluster of at most two Python complex numbers as
+    # np.mean takes it, bit for bit: the sum from zero, then the complex
+    # division by the count (as a complex number, so that no mixed-mode
+    # division keeps a zero's sign that NumPy's does not)
+    return sum(group) / complex(len(group))
 
 
 def classify(sol: RootSolution) -> SpectrumClassification:
@@ -485,23 +502,34 @@ def classify(sol: RootSolution) -> SpectrumClassification:
 
     An eigenvalue within _real_band of the real axis is real; any other is
     a resonance when it lies on the root's side, else physical-complex.
-    Eigenvalues within 1e-8 (1 + max |lam|) of each other are grouped into
-    one entry with the corresponding multiplicity. Each physical-complex entry
-    records the smallest singular value of the physical-sheet Schur
-    complement at the eigenvalue; genuine eigenvalues make it vanish.
+    Eigenvalues are sorted by real, then imaginary part, and one within
+    1e-8 (1 + max |lam|) of the mean of the cluster before it joins that
+    cluster, which becomes one entry with the corresponding multiplicity.
+    Each physical-complex entry records the smallest singular value of the
+    physical-sheet Schur complement at the eigenvalue
+    (_physical_residuals); genuine eigenvalues make it vanish. For n <= 2
+    the sort, the cluster means and the residuals run in Python numbers,
+    with the order, the means and the labels of np.sort_complex and
+    np.mean to the bit.
     """
     tau = _real_band(sol.model)
-    eigs = np.sort_complex(sol.eigensystem.values)
-    radius = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
+    values = sol.eigensystem.values
+    # NumPy's vectorised abs, which can differ from Python's in the last
+    # bit: the same radius for every n
+    radius = 1e-8 * (1.0 + float(np.abs(values).max()))
+    if values.size <= 2:
+        eigs, mean = sorted(values.tolist(), key=lambda lam: (lam.real, lam.imag)), _mean
+    else:
+        eigs, mean = np.sort_complex(values), np.mean
 
     clusters: list[list[complex]] = []
     for lam in eigs:
-        if clusters and abs(lam - np.mean(clusters[-1])) <= radius:
+        if clusters and abs(lam - mean(clusters[-1])) <= radius:
             clusters[-1].append(lam)
         else:
             clusters.append([lam])
 
-    lams = [complex(np.mean(group)) for group in clusters]
+    lams = [complex(mean(group)) for group in clusters]
     labels = [_label_for(lam, sol.side, tau) for lam in lams]
     resids = _physical_residuals(sol, lams, labels)
     return SpectrumClassification(tuple(

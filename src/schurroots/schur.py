@@ -9,6 +9,7 @@ the lens between the interval and the contour.
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -99,6 +100,20 @@ def _cut_quotients_at(a: float, b: float, x: complex, y: complex, degree: int,
         values.append(power * log_term + q)
         power *= y
     return values, quotients
+
+
+def _m1_physical_at(model: SpectralModel, z: complex) -> list:
+    """M1(z) = a1 - z + W1(z) on the physical sheet at one point z of a
+    model with n <= 2, as rows of Python numbers: W1(z) = sum_s g_s(z) C_s
+    with the moments g_s(z) of _cut_quotients_at."""
+    a, b = model.interval
+    coeffs = model.kprime.coefficients
+    k, n, _ = coeffs.shape
+    moments, _ = _cut_quotients_at(a, b, z, z, k - 1)
+    w1 = [sum(map(operator.mul, moments, entry))
+          for entry in coeffs.reshape(k, n * n).T.tolist()]
+    return [[entry - z + w1[i * n + j] if i == j else entry + w1[i * n + j]
+             for j, entry in enumerate(row)] for i, row in enumerate(model.a1.tolist())]
 
 
 def _moment_sum(model: SpectralModel, zs, branch) -> np.ndarray:

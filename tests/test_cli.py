@@ -333,7 +333,7 @@ def test_sweep_from_zero_coupling(tmp_path, capsys, monkeypatch):
     # of the one solved path
     import schurroots.rootsolver as rootsolver_mod
 
-    residuals = _count_calls(monkeypatch, rootsolver_mod, "m1_physical")
+    residuals = _count_calls(monkeypatch, rootsolver_mod, "_physical_residuals")
     cfg = write_cfg(tmp_path, _with("sweep", {"t_grid": [0.0, 0.5, 1.0]}))
     csv_path = tmp_path / "rows.csv"
     code, out = run(capsys, ["sweep", "--config", cfg, "--out-csv", str(csv_path)])
@@ -1477,3 +1477,45 @@ def test_verify_decomposes_each_root_once(tmp_path, capsys, monkeypatch, model_z
         code, _ = run(capsys, argv)
         assert code == 0
         assert calls == [], (command, calls)
+
+
+# The solve regression corpus: tests/data/solve holds the configs of the
+# Friedrichs model and zoo[0..4] (n = 1 and 2; perfbench's model_zoo) and
+# the reports `schurroots solve --config NAME.config.json --out
+# NAME.solve.json` wrote for them. A rerun must give the same keys at every
+# level and the same strings, flags, labels, multiplicities, iteration
+# counts and contour fallbacks; every other number within CORPUS_RTOL (1 +
+# |value|), physical_residual, which is rounding noise at a true
+# eigenvalue, within CORPUS_RESIDUAL_ATOL; wall_time_s is not compared.
+CORPUS = pathlib.Path(__file__).resolve().parent / "data" / "solve"
+CORPUS_RTOL = 1e-12
+CORPUS_RESIDUAL_ATOL = 1e-13
+_CORPUS_EXACT = {"label", "multiplicity", "iterations", "contour_fallbacks"}
+
+
+def _assert_report_close(got, ref, key, where):
+    assert type(got) is type(ref), where
+    if isinstance(ref, dict):
+        assert sorted(got) == sorted(ref), where
+        for k in ref:
+            if k != "wall_time_s":
+                _assert_report_close(got[k], ref[k], k, f"{where}/{k}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), where
+        for k, (g, r) in enumerate(zip(got, ref)):
+            _assert_report_close(g, r, key, f"{where}[{k}]")
+    elif isinstance(ref, float) and key not in _CORPUS_EXACT:
+        bound = (CORPUS_RESIDUAL_ATOL if key == "physical_residual"
+                 else CORPUS_RTOL * (1.0 + abs(ref)))
+        assert abs(got - ref) <= bound, (where, got, ref)
+    else:
+        assert got == ref, where
+
+
+@pytest.mark.parametrize("name", ["friedrichs"] + [f"zoo-{k}" for k in range(5)])
+def test_solve_reports_match_the_corpus(tmp_path, name):
+    out = tmp_path / "solve.json"
+    assert main(["solve", "--config", str(CORPUS / f"{name}.config.json"),
+                 "--out", str(out)]) == 0
+    ref = json.loads((CORPUS / f"{name}.solve.json").read_text())
+    _assert_report_close(json.loads(out.read_text()), ref, None, name)

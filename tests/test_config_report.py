@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from schurroots._json import dumps
 from schurroots import config as config_module
 from schurroots.config import (RunConfig, build_model_from_config, matrix_from_lists,
                                matrix_to_lists, pair_to_complex)
+from schurroots import report as report_module
 from schurroots.errors import ConfigError
 from schurroots.report import (atomic_write, config_sha256, identity_row,
                                render_report, write_csv)
@@ -196,6 +198,67 @@ def test_atomic_write(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_takes_the_umask_mode(tmp_path, umask, mode):
+    # a report and a sweep CSV get the mode open(path, "w") would give,
+    # 0o666 less the umask, with their bytes as given
+    report, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+    previous = os.umask(umask)
+    try:
+        atomic_write(str(report), "a\r\n\u00e9\n")
+        write_csv(str(rows), [(0.5, 0, 0.1, -0.2, "physical-complex")])
+    finally:
+        os.umask(previous)
+    for path in (report, rows):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert report.read_bytes() == "a\r\n\u00e9\n".encode("utf-8")
+    assert rows.read_bytes().endswith(b"physical-complex\r\n")
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "rows.csv"]
+
+
+def test_atomic_write_skips_taken_temp_names(tmp_path, monkeypatch):
+    # a file or a symlink, dangling or not, at a temp name is neither
+    # followed nor truncated: the write takes the next free name
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep")
+    taken = [report_module._temp_path(str(tmp_path), k) for k in range(3)]
+    with open(taken[0], "w") as fh:
+        fh.write("old")
+    os.symlink(victim, taken[1])
+    os.symlink(tmp_path / "nowhere", taken[2])
+    target = tmp_path / "report.json"
+    atomic_write(str(target), "new\n")
+    assert target.read_text() == "new\n"
+    assert open(taken[0]).read() == "old" and victim.read_text() == "keep"
+    assert os.readlink(taken[1]) == str(victim) and not (tmp_path / "nowhere").exists()
+    names = sorted(os.listdir(tmp_path))
+    assert names == sorted(["report.json", "victim.txt"] + [os.path.basename(t) for t in taken])
+    # with every name taken the write refuses and leaves the target as it was
+    monkeypatch.setattr(report_module, "_TEMP_NAMES", 3)
+    with pytest.raises(FileExistsError):
+        atomic_write(str(target), "newer\n")
+    assert target.read_text() == "new\n" and sorted(os.listdir(tmp_path)) == names
+
+
+def test_atomic_write_loops_on_short_writes_and_cleans_up(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    text = "".join(f"{k!r},\u00e9\r\n" for k in range(200))
+    write = os.write
+    # at most 7 bytes per call, which splits the two-byte characters too
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    atomic_write(str(target), text)
+    assert target.read_bytes() == text.encode("utf-8")
+
+    def failing(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(OSError, match="No space left"):
+        atomic_write(str(target), "lost\n")
+    assert target.read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 def test_write_csv(tmp_path):
     p = tmp_path / "rows.csv"
     write_csv(str(p), [(0.5, 0, 0.1, -0.2, "physical-complex")])
@@ -240,18 +303,43 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-
                                 1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16])
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 def _values(floats, extra=st.nothing()):
     """JSON-like values: nested dicts, lists and tuples of the scalars,
     floats drawn from floats, [re, im] pairs and lists of them, and the
-    scalars of extra."""
-    pairs = st.lists(floats, min_size=2, max_size=2) | st.tuples(floats, floats)
+    scalars of extra; subclasses of float, int, str, list and dict among
+    them, which the writer takes by isinstance, as json does."""
+    pairs = (st.lists(floats, min_size=2, max_size=2) | st.tuples(floats, floats)
+             | st.lists(floats.map(_Float), min_size=2, max_size=2).map(_List))
     scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
-               | floats | floats.map(np.float64) | _KEYS | pairs
+               | floats | floats.map(np.float64) | floats.map(_Float)
+               | st.integers().map(_Int) | _KEYS | _KEYS.map(_Str) | pairs
                | st.lists(pairs, max_size=4) | extra)
     return st.recursive(
         scalars,
         lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                       | st.dictionaries(_KEYS, inner, max_size=4)),
+                       | st.lists(inner, max_size=4).map(_List)
+                       | st.dictionaries(_KEYS, inner, max_size=4)
+                       | st.dictionaries(_KEYS, inner, max_size=4).map(_Dict)),
         max_leaves=24)
 
 
@@ -317,6 +405,27 @@ def test_render_report_writes_non_finite_as_strings(bad):
                            ([[[0.0, 1.0], [bad, 2.0]]], [[[0.0, 1.0], [text, 2.0]]]),
                            ({"z": complex(bad, 1.0)}, {"z": [text, 1.0]})):
         assert json.loads(render_report(report)) == parsed
+
+
+def test_writer_on_matrices_subclasses_and_report_scalars():
+    # a matrix of matrix_to_lists is written row by row, each row of pairs
+    # in one pass; the exact-type dispatch and the isinstance chain below
+    # it give json's text for subclasses, and the report's own form for
+    # numpy scalars, complex numbers and non-finite floats
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        mat = matrix_to_lists(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for value in (mat, {"x": mat, "z": mat}, [mat, mat[0]]):
+            assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    sub = _Dict(a=_List([_Float(0.1), _Int(3), _Str("\u00e9")]), b=[_Float(-0.0), 2.5])
+    assert dumps(sub) == json.dumps(sub, sort_keys=True, indent=2)
+    nan, inf = float("nan"), float("inf")
+    for value, ref in ((np.float64(1.5), "1.5"), (np.int64(-7), "-7"), (np.bool_(True), "true"),
+                       (np.bool_(False), "false"), (complex(1.5, -0.0), "[\n  1.5,\n  -0.0\n]"),
+                       (nan, '"nan"'), (inf, '"inf"'), (-inf, '"-inf"'),
+                       ([[1.0, inf]], '[\n  [\n    1.0,\n    "inf"\n  ]\n]'),
+                       ([(nan, 0.5)], '[\n  [\n    "nan",\n    0.5\n  ]\n]')):
+        assert dumps(value) == ref
 
 
 def test_writer_refuses_what_json_refuses():

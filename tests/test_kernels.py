@@ -359,8 +359,17 @@ def test_smallest_singular_values_and_condition_match_svd(n):
         ref_cond = svals[:, 0] / svals[:, -1]
         cond = knp.spectral_norms(mats) / smin
         assert np.all(np.abs(cond - ref_cond) <= 10 * ref_cond * ref_cond * EPS)
+        if n <= 2:
+            # the scalar form of one matrix, scaled by a power of two
+            scalar = np.array([knp._smallest_singular_value(m.tolist()) for m in mats])
+            assert np.all(np.abs(scalar - svals[:, -1]) <= 4 * EPS * svals[:, 0])
     zeros = np.zeros((2, n, n), dtype=complex)
     assert np.array_equal(knp.smallest_singular_values(zeros), np.zeros(2))
+    if n <= 2:
+        # a zero matrix, whose sigma_max is 0, and a rank-one one: exactly 0
+        assert knp._smallest_singular_value(zeros[0].tolist()) == 0.0
+        rank_one = np.outer([1.0, 2.0j], [3.0, -1.0])[:n, :n]
+        assert knp._smallest_singular_value(rank_one.tolist()) == (0.0 if n == 2 else 3.0)
 
 
 # eig: the n <= 2 closed form against LAPACK, with bounds fixed here. For

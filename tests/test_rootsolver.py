@@ -28,6 +28,7 @@ from schurroots.schur import _cut_quotients_at
 from conftest import BCOUP, EP_B, RECT_DEPTH, hard_models, wide_models
 
 Y_ORACLE = 0.11639390461355939
+EPS = np.finfo(np.float64).eps
 
 
 def bisect_y(alpha, b, lo=1e-12, hi=None, steps=200):
@@ -177,20 +178,139 @@ def test_classify_multiplicity(friedrichs_model, friedrichs_contours):
     assert sum(e.multiplicity for e in cls.entries) == 3
 
 
-def test_classify_residuals_follow_their_labels(friedrichs_model,
-                                                friedrichs_contours):
-    # one batched M1 evaluation serves every physical-complex entry, each
-    # with its own point's residual, and the other entries get None
+def test_classify_residuals_follow_their_labels():
+    # for n >= 3 one batched M1 evaluation serves every physical-complex
+    # entry, each with its own point's residual, and the other entries get
+    # None
+    model = sr.build_model((-1.0, 1.0), np.diag([-0.6, 0.0, 0.6]).tolist(),
+                           [(0.05 * np.eye(3)).tolist()])
     z = np.diag([0.1 - 0.05j, 0.2 + 0.1j, -0.3 - 0.2j])
-    cls = sr.classify(_fake_solution(z, friedrichs_model, friedrichs_contours[1]))
+    cls = sr.classify(_fake_solution(z, model, sr.make_contour(model, 1)))
     labels = [e.label for e in cls.entries]
     assert labels.count("physical-complex") == 2 and labels.count("resonance") == 1
     for e in cls.entries:
         if e.label == "physical-complex":
-            m1 = sr.m1_physical(friedrichs_model, np.array([e.eigenvalue]))[0]
+            m1 = sr.m1_physical(model, np.array([e.eigenvalue]))[0]
             assert e.physical_residual == np.linalg.svd(m1, compute_uv=False)[-1]
         else:
             assert e.physical_residual is None
+
+
+def _mp_m1_singular_values(model, lam):
+    """(sigma_min, sigma_max) of the physical-sheet M1(lam) = a1 - lam +
+    sum_s g_s(lam) C_s in 50-digit arithmetic, from the model's floats and
+    the point, with the moments g_s(z) = z^s Log((b - z)/(a - z)) + sum_{j=1
+    .. s} z^(s-j) (b^j - a^j)/j."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = (mpmath.mpf(v) for v in model.interval)
+        z = mpmath.mpc(lam.real, lam.imag)
+        log = mpmath.log((b - z) / (a - z))
+        coeffs = model.kprime.coefficients
+        moments = [z ** s * log + sum(z ** (s - j) * (b ** j - a ** j) / j
+                                      for j in range(1, s + 1))
+                   for s in range(coeffs.shape[0])]
+        n = model.n
+        m1 = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                m1[i, j] = (mpmath.mpc(complex(model.a1[i, j])) - (z if i == j else 0)
+                            + sum(g * mpmath.mpc(complex(c))
+                                  for g, c in zip(moments, coeffs[:, i, j])))
+        svals = mpmath.svd_c(m1, compute_uv=False)
+        svals = [svals[k] for k in range(n)]
+        return float(min(svals)), float(max(svals))
+
+
+def _small_models(friedrichs_model, model_zoo):
+    return ([friedrichs_model] + model_zoo
+            + [model for _, model in hard_models() if model.n <= 2])
+
+
+def test_small_physical_residual_against_mpmath(friedrichs_model, model_zoo):
+    # for n <= 2 the residual is sigma_min of M1 at the point in Python
+    # numbers; against 50 digits it is within 8 eps (1 + ||M1||), at the
+    # physical-complex eigenvalues of every root (Friedrichs, the zoo, the
+    # hard models with the exceptional-point family) and at points off the
+    # spectrum, where sigma_min is of order one
+    off_spectrum = [1.5 + 1.0j, -2.0 - 0.5j, 0.5 - 2.0j, 0.25 + 0.75j]
+    eigen_points = 0
+    for model in _small_models(friedrichs_model, model_zoo):
+        for side in (1, -1):
+            sol = sr.solve_basic(model, sr.make_contour(model, side))
+            cases = [(e.eigenvalue, e.physical_residual) for e in sr.classify(sol).entries
+                     if e.label == "physical-complex"]
+            eigen_points += len(cases)
+            resids = rootsolver._physical_residuals(
+                sol, off_spectrum, ["physical-complex"] * len(off_spectrum))
+            for k, (lam, resid) in enumerate(cases + list(zip(off_spectrum, resids))):
+                smin, smax = _mp_m1_singular_values(sol.model, lam)
+                assert abs(resid - smin) <= 8 * EPS * (1.0 + smax), (model, side, lam)
+                assert (smin >= 0.1) if k >= len(cases) else (smin <= 1e-12)
+    assert eigen_points >= 2 * len(model_zoo)
+
+
+def _reference_classify(sol):
+    """(eigenvalue, multiplicity, label) per entry of classify by the
+    NumPy algorithm that runs for n >= 3: np.sort_complex, clusters
+    grown against np.mean of the cluster so far, each entry at its
+    np.mean."""
+    tau = 1e-8 * (1.0 + float(spectral_norms(sol.model.a1)))
+    eigs = np.sort_complex(sol.eigensystem.values)
+    radius = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
+    clusters = []
+    for lam in eigs:
+        if clusters and abs(lam - np.mean(clusters[-1])) <= radius:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    out = []
+    for group in clusters:
+        lam = complex(np.mean(group))
+        if abs(lam.imag) <= tau:
+            label = "real"
+        else:
+            label = "resonance" if (lam.imag > 0) == (sol.side > 0) else "physical-complex"
+        out.append((lam, len(group), label))
+    return out
+
+
+def _bits(z):
+    return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+
+
+def test_small_classify_matches_the_numpy_algorithm(friedrichs_model, model_zoo):
+    # for n <= 2 the sort, the clusters and their means run in Python
+    # numbers and give NumPy's entries to the bit: on every root, and on
+    # diagonal Z with a pair that merges within the radius and one just
+    # outside it, equal real parts in both orders, a double eigenvalue,
+    # real eigenvalues and zeros of both signs
+    sols = [sr.solve_basic(model, sr.make_contour(model, side))
+            for model in _small_models(friedrichs_model, model_zoo) for side in (1, -1)]
+    pair_model = next(m for m in model_zoo if m.n == 2)
+    radius = 1e-8 * (1.0 + abs(0.1 + 0.2j))
+    diagonals = [
+        (0.1 + 0.2j, 0.1 + 0.2j + 1e-13), (0.1 + 0.2j + 1e-13j, 0.1 + 0.2j),
+        (0.1 - 0.2j, 0.1 - 0.2j + 0.999 * radius), (0.1 - 0.2j, 0.1 - 0.2j + 1.5 * radius),
+        (0.1 - 0.3j, 0.1 + 0.2j), (0.1 + 0.2j, 0.1 - 0.3j), (0.1 - 0.2j, 0.1 - 0.2j),
+        (0.3, -0.3), (complex(-0.0, -0.2), complex(0.0, 0.3)),
+        (complex(0.0, -0.0), complex(-0.0, 0.0)), (complex(-0.0, -0.1), complex(-0.5, -0.0)),
+    ]
+    for side in (1, -1):
+        contour = sr.make_contour(pair_model, side)
+        sols += [_fake_solution(np.diag(d), pair_model, contour) for d in diagonals]
+        contour = sr.make_contour(friedrichs_model, side)
+        sols += [_fake_solution([[z]], friedrichs_model, contour)
+                 for z in (complex(-0.0, -0.1), complex(0.2, -0.0))]
+    merged = 0
+    for sol in sols:
+        got = [(_bits(e.eigenvalue), e.multiplicity, e.label) for e in sr.classify(sol).entries]
+        ref = [(_bits(lam), mult, label) for lam, mult, label in _reference_classify(sol)]
+        assert got == ref, sol.z_op
+        merged += any(mult == 2 for _, mult, _ in got)
+    # per side: the two near pairs, the pair within the radius, the double
+    # eigenvalue and the two zeros
+    assert merged == 2 * 5
 
 
 def test_homotopy_trajectories(friedrichs_model, friedrichs_contours):
@@ -322,16 +442,16 @@ def test_homotopy_starts_inside_the_r_max_ball(monkeypatch, model_zoo,
 
 def test_homotopy_physical_residuals_at_the_last_t(monkeypatch, model_zoo,
                                                    friedrichs_model):
-    # one batched M1 evaluation per path, for the entries of its last t;
+    # one residual evaluation per path, for the entries of its last t;
     # they are classify's residuals of that root
     calls = []
-    original = rootsolver.m1_physical
+    original = rootsolver._physical_residuals
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(rootsolver, "m1_physical", counting)
+    monkeypatch.setattr(rootsolver, "_physical_residuals", counting)
     for model in [friedrichs_model] + model_zoo[:4] + wide_models(1):
         calls.clear()
         path = sr.homotopy_path(model, sr.make_contour(model, 1),
