@@ -443,16 +443,16 @@ class _RectangleDistance:
 def distance_to_sigma1(model: SpectralModel, contour: Contour) -> float:
     """dist(sigma1, contour) by exact per-kind geometry.
 
-    Semicircle: | |lam - center| - radius |. Rectangle: minimum over the
-    three segments of the point-segment distance.
+    Semicircle: min(|lam - a|, |lam - b|), the arc's nearest point to a
+    real lam being an endpoint. Rectangle: minimum over the three segments
+    of the point-segment distance.
     """
     if contour.kind == "rectangle":
         return _RectangleDistance(model, contour.endpoints)([contour.depth])[0]
     if contour.kind != "semicircle":
         raise ValueError(f"unknown contour kind {contour.kind!r}")
     a, b = contour.endpoints
-    c = 0.5 * (a + b)
-    return float(min(abs(abs(float(lam) - c) - contour.depth) for lam in model.sigma1))
+    return float(min(min(abs(lam - a), abs(lam - b)) for lam in model.sigma1.tolist()))
 
 
 @dataclass(frozen=True)

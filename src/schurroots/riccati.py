@@ -10,14 +10,15 @@ here discretizes the function space.
 Its interval integrals have known poles: spec Z and, in the J-pairings,
 the trial poles. The Gram matrix Y^*Y and the pairing <x0, Y x1> are
 summed in closed form, as Loewner divided differences of the cut moments
-g_s in the eigenbasis of Z (Higham, Functions of Matrices, SIAM 2008);
-where that basis is ill-conditioned or a divided difference is
-(near-)confluent they fall back to adaptive quadrature. Every other
-derived quantity (B^*Y, Y^* x0, the deformed Omega and the norm-ceiling
-integral) is an adaptive quadrature whose first round is graded toward
-those poles (the norm ceiling's also toward the branch point of smin(Z -
-mu), for n = 2), so each row of verify still compares two independent
-paths.
+g_s in the eigenbasis of Z (Higham, Functions of Matrices, SIAM 2008),
+taken by the stable schur._cut_quotients_at, confluent and across the cut
+alike; where Z has no well-conditioned eigenbasis or the closed form is
+not finite (a pole within about 1e-308 of the interval) they are adaptive
+quadratures. Every other derived quantity (B^*Y, Y^* x0, the deformed
+Omega and the norm-ceiling integral) is an adaptive quadrature whose first
+round is graded toward those poles (the norm ceiling's also toward the
+branch point of smin(Z - mu), for n = 2), so each row of verify still
+compares two independent paths.
 """
 
 import functools
@@ -35,7 +36,7 @@ from .contour import analytic_rule
 from .errors import NumericsError
 from .model import MatrixPolynomial
 from .rootsolver import RootSolution, _require_clear_of_nodes
-from .schur import _cut_moments, _m1_from_w1, _m1_on_rule
+from .schur import _cut_quotients_at, _m1_from_w1, _m1_on_rule
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,6 @@ class OneInSpectrumVerdict:
     min_distance: float
 
 
-# Pairs (x, y) with |x - y| <= _CONFLUENT * (1 + |x|) make a divided
-# difference (g(x) - g(y)) / (x - y) confluent or nearly so; a closed form
-# that would need one is not used.
-_CONFLUENT = 1e-6
-
 # The rtol of the interval quadratures of compute_Y and omega_by_deformation.
 # Their first round is graded toward the poles, so it sets no distance that
 # the spectrum must keep from the interval.
@@ -98,33 +94,31 @@ _QUAD_RTOL = 1e-11
 _TINY_IMAG = 1.0 / float(np.finfo(np.float64).max)
 
 
-def _confluent(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether some pair of xs and ys is (near-)confluent."""
-    gap = np.abs(xs[:, None] - ys[None, :])
-    return bool(np.any(gap <= _CONFLUENT * (1.0 + np.abs(xs))[:, None]))
-
-
-def _divided_differences(interval, xs, ys, degree: int) -> np.ndarray:
-    """(g_s(x) - g_s(y)) / (x - y) for every x in xs and y in ys, s =
-    0..degree -> (degree + 1, len(xs), len(ys)), g_s the physical cut
-    moments of schur._cut_moments: the integral of mu^s / ((mu - x)(mu - y))
-    over the interval."""
+def _quotient_table(interval, xs: np.ndarray, ys: np.ndarray, degree: int) -> np.ndarray:
+    """g_s[x, y] = integral of mu^s / ((mu - x)(mu - y)) over the interval,
+    x in xs, y in ys, s = 0..degree -> (degree + 1, len(xs), len(ys)), by
+    schur._cut_quotients_at on the physical sheet, once per y."""
     a, b = interval
-    g = _cut_moments(a, b, np.concatenate([xs, ys]), degree).T
-    gx, gy = g[:, :xs.shape[0]], g[:, xs.shape[0]:]
-    return (gx[:, :, None] - gy[:, None, :]) / (xs[:, None] - ys[None, :])
+    xs = xs.tolist()
+    rows = [_cut_quotients_at(a, b, y, degree, xs)[1] for y in ys.tolist()]
+    return np.array(rows, dtype=np.complex128).transpose(2, 1, 0)
 
 
-def _gram_closed_form(kcoeffs: np.ndarray, interval, eigs: np.ndarray,
-                      basis: tuple) -> np.ndarray:
+def _gram_closed_form(sol: RootSolution) -> np.ndarray | None:
     """G = integral of (Z^* - mu)^{-1} K'(mu) (Z - mu)^{-1} dmu in closed
     form: V^{-H} [sum_s (V^H C_s V) o H_s] V^{-1} with H_s[i, j] =
-    (g_s(d_j) - g_s(conj d_i)) / (d_j - conj d_i), C_s the coefficients
-    of K'."""
-    vecs, inv = basis
-    h = _divided_differences(interval, np.conj(eigs), eigs, kcoeffs.shape[0] - 1)
-    inner = np.sum((np.conj(vecs.T) @ kcoeffs @ vecs) * h, axis=0)
-    return np.conj(inv.T) @ inner @ inv
+    g_s[conj d_i, d_j] (_quotient_table), C_s the coefficients of K'; None
+    where the root's eigensystem has no basis or the form is not finite."""
+    spec, kcoeffs = sol.eigensystem, sol.model.kprime.coefficients
+    if spec.basis is None:
+        return None
+    vecs, inv = spec.basis
+    h = _quotient_table(sol.model.interval, np.conj(spec.values), spec.values,
+                        kcoeffs.shape[0] - 1)
+    with np.errstate(all="ignore"):
+        inner = np.sum((np.conj(vecs.T) @ kcoeffs @ vecs) * h, axis=0)
+        gram = np.conj(inv.T) @ inner @ inv
+    return gram if np.isfinite(gram).all() else None
 
 
 def compute_Y(sol: RootSolution) -> RiccatiSolution:
@@ -133,24 +127,22 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
     The Gram matrix G = integral of y(mu)^* y(mu) over the interval is
     summed in closed form (_gram_closed_form, gram_route "closed-form")
     unless the root's eigensystem has no basis (cond(V) above the limit
-    of rootsolver) or some pair of spec Z and its conjugate
-    is (near-)confluent; then it is an adaptive quadrature (gram_route
-    "quadrature"). bstar_y = integral of b#(mu) y(mu) is always an
-    adaptive quadrature, started graded toward spec Z, so root-equation
-    compares it with the closed-form root. An eigenvalue of Z over the
-    interval whose imaginary part has no finite reciprocal, a real one
-    included, is a pole on the integration path and raises NumericsError;
-    any other is a pole the graded start takes in. The zero-coupling model
-    short-circuits to exact zeros.
+    of rootsolver) or that form is not finite; then it is an adaptive
+    quadrature (gram_route "quadrature"). bstar_y = integral of b#(mu)
+    y(mu) is always an adaptive quadrature, started graded toward spec Z,
+    so root-equation compares it with the closed-form root. An eigenvalue
+    of Z over the interval whose imaginary part has no finite reciprocal,
+    a real one included, is a pole on the integration path and raises
+    NumericsError; any other is a pole the graded start takes in. The
+    zero-coupling model short-circuits to exact zeros.
     """
     sm, z = sol.model, sol.z_op
     if sm.b.is_zero:
         zeros = np.zeros((sm.n, sm.n), dtype=np.complex128)
         return RiccatiSolution(sol, zeros, np.zeros(sm.n), zeros, "closed-form")
 
-    interval = sm.interval
-    a, b = interval
-    eigs, basis = sol.eigensystem.values, sol.eigensystem.basis
+    a, b = sm.interval
+    eigs = sol.eigensystem.values
     on_path = eigs[(np.abs(eigs.imag) < _TINY_IMAG)
                    & (a <= eigs.real) & (eigs.real <= b)]
     if on_path.size:
@@ -158,10 +150,9 @@ def compute_Y(sol: RootSolution) -> RiccatiSolution:
             f"eigenvalue {complex(on_path[0])!r} of Z lies on the interval "
             f"[{a!r}, {b!r}]: a pole on the integration path")
 
-    if basis is not None and not _confluent(eigs, np.conj(eigs)):
-        gram = _gram_closed_form(sm.kprime.coefficients, interval, eigs, basis)
-        route = "closed-form"
-    else:
+    gram = _gram_closed_form(sol)
+    route = "closed-form"
+    if gram is None:
         zh = np.conj(z.T)
 
         def gram_values(nodes):
@@ -250,18 +241,22 @@ def rational_trials(ric: RiccatiSolution, count: int, seed: int = 0) -> tuple:
 _JORTH_RTOL = 1e-11
 
 
-def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray:
-    """lhs_t = <x0_t, Y x1_t> in closed form: sum_s c_t^H B_s V
-    diag((g_s(q_t) - g_s(d)) / (d - q_t)) V^{-1} x1_t with q_t = conj
-    pole_t, B_s the coefficients of b."""
+def _lhs_closed_form(ric: RiccatiSolution, poles, cs, x1s) -> np.ndarray | None:
+    """lhs_t = <x0_t, Y x1_t> in closed form: -sum_s c_t^H B_s V diag(g_s[q_t,
+    d]) V^{-1} x1_t (_quotient_table) with q_t = conj pole_t, B_s the
+    coefficients of b; None as for _gram_closed_form."""
     spec = ric.root.eigensystem
+    if spec.basis is None:
+        return None
     vecs, inv = spec.basis
     bcoeffs = ric.root.model.b.coefficients
-    h = _divided_differences(ric.root.model.interval, np.conj(poles), spec.values,
-                             bcoeffs.shape[0] - 1)
-    left = np.conj(cs) @ bcoeffs @ vecs  # (S, T, n)
-    right = inv @ x1s.T  # (n, T)
-    return -np.sum(np.sum(left * h, axis=0) * right.T, axis=1)
+    h = _quotient_table(ric.root.model.interval, np.conj(poles), spec.values,
+                        bcoeffs.shape[0] - 1)
+    with np.errstate(all="ignore"):
+        left = np.conj(cs) @ bcoeffs @ vecs  # (S, T, n)
+        right = inv @ x1s.T  # (n, T)
+        lhs = -np.sum(np.sum(left * h, axis=0) * right.T, axis=1)
+    return lhs if np.isfinite(lhs).all() else None
 
 
 def _j_pairings(ric: RiccatiSolution, trials) -> tuple:
@@ -269,11 +264,11 @@ def _j_pairings(ric: RiccatiSolution, trials) -> tuple:
     over the trials (poles, cs, x1s) of rational_trials.
 
     lhs is summed in closed form (_lhs_closed_form) in the eigenbasis of
-    the root, unless it has none or some conj(pole_t) is
-    (near-)confluent with spec Z; then it is a stacked adaptive quadrature
-    through y(mu). rhs is always a stacked adaptive quadrature of
-    Y^* x0_t through ytilde(mu), started graded toward spec Z and the
-    trial poles, so the two sides of the pairing share no path.
+    the root, unless it has none or that form is not finite; then it is a
+    stacked adaptive quadrature through y(mu). rhs is always a stacked
+    adaptive quadrature of Y^* x0_t through ytilde(mu), started graded
+    toward spec Z and the trial poles, so the two sides of the pairing
+    share no path.
 
     A stacked quadrature stops when the summed panel error of the whole
     stack, which bounds each trial's own, is at most
@@ -289,12 +284,10 @@ def _j_pairings(ric: RiccatiSolution, trials) -> tuple:
     x1_norms = np.maximum(1.0, np.linalg.norm(x1s, axis=1))
     bound = ric.y_norm * float(np.linalg.norm(x0_norms * x1_norms))
     rtol = _JORTH_RTOL / max(1.0, bound)
-    spec = ric.root.eigensystem
-    all_poles = np.concatenate([spec.values, poles])
+    all_poles = np.concatenate([ric.root.eigensystem.values, poles])
 
-    if spec.basis is not None and not _confluent(spec.values, np.conj(poles)):
-        lhs = _lhs_closed_form(ric, poles, cs, x1s)
-    else:
+    lhs = _lhs_closed_form(ric, poles, cs, x1s)
+    if lhs is None:
         def lhs_values(nodes):
             x0 = cs[None] / (nodes.astype(np.complex128)[:, None, None]
                              - poles[None, :, None])  # (M, T, m)

@@ -16,9 +16,10 @@ Picard map evaluates that sum in closed form (_PicardMap): for n <= 2 in
 Python numbers from Z, its eigenvalues and the moments' divided
 differences, for n >= 3 in the eigenbasis of _kernels.eig, one matmul and
 one solve. By Cauchy's theorem it is the contour integral without its
-quadrature error. The contour sum (transformator) stays as the fallback
-of that map, for an ill-conditioned n >= 3 basis or an eigenvalue on the
-contour, and as the independent path verify checks the root against.
+quadrature error. An eigenvalue on the contour, which an admissible run
+keeps sqrt(V0) - 1e-9 away (Bauer-Fike), raises NumericsError. The contour
+sum (transformator) serves an ill-conditioned n >= 3 basis, and verify as
+the root's independent path.
 
 For a real model the roots of the two sides are complex conjugates, so
 the opposite side's root, classification and homotopy path are one side's
@@ -136,8 +137,8 @@ class RootSolution:
     iterations: int
     final_step_norm: float
     residual: float
-    # evaluations of the Picard map (steps and the residual check) that
-    # took the contour-sum fallback of _PicardMap
+    # evaluations of the Picard map (steps and the residual check) that took
+    # the contour sum of _PicardMap: n >= 3 steps whose basis failed _COND_LIMIT
     contour_fallbacks: int = 0
 
     @property
@@ -227,8 +228,8 @@ def transformator(model: SpectralModel, contour: Contour, zmat,
     spectrum is the spectrum of zmat as a 1-d array, which the caller
     already holds; it is the integrand's only singularities and sizes the
     sum's analytic_rule(model, contour). The Picard iteration evaluates the same
-    map in closed form (_PicardMap) and comes here only as its fallback;
-    verify uses this sum as the independent path of its root-contour row.
+    map in closed form (_PicardMap), here only for an ill-conditioned n >= 3
+    basis; verify uses this sum as the independent path of its root-contour row.
     A spectrum within _SPEC_GUARD half-lengths of a node of the rule, where
     the resolvent blows through it, raises NumericsError.
     """
@@ -250,19 +251,20 @@ class _PicardMap:
     function W(lam2) + W[lam1, lam2] (Z - lam2 I) of _small_map, which holds
     for every Z, defective or not. For n >= 3 Z = V D V^{-1} by
     _kernels.eig, and (sum_s C_s V diag(g_s(D))) V^{-1} is one matmul, of
-    the coefficients stacked as rows (S n, n) with V, and one solve. A step
-    falls back to the contour sum (transformator of the t-scaled model,
-    self.model, over the side's contour) only when n >= 3 and cond(V) >
-    _COND_LIMIT (_cond_within), or when an eigenvalue lies on the contour or
-    at an endpoint, where no moment is the integral; fallbacks counts those
-    steps. spectrum holds the (eigenvalues, eigenvectors) of the last Z
-    mapped, as small_eig's lists for n <= 2.
+    the coefficients stacked as rows (S n, n) with V, and one solve, or
+    where cond(V) > _COND_LIMIT (_cond_within) the contour sum (transformator
+    of self.model, the t-scaled model); fallbacks counts those steps. An
+    eigenvalue on the contour or at an endpoint, where no moment is the
+    integral, raises NumericsError; zero coefficients (b = 0 or t = 0) map
+    to zero before any moment. spectrum holds the (eigenvalues,
+    eigenvectors) of the last Z mapped, as small_eig's lists for n <= 2.
     """
 
     def __init__(self, model: SpectralModel, contour: Contour, t: float):
         self.model = model.scaled(t)
         self.contour = contour
         self.coeffs = model.kprime.coefficients * (t * t)
+        self.zero = not self.coeffs.any()
         self.fallbacks = 0
 
     @cached_property
@@ -283,9 +285,9 @@ class _PicardMap:
                 | ((y == 0.0) & (a < x) & (x < b))
                 | contour.contains_in_lens(eigs))
 
-    def _moments(self, eigs: np.ndarray) -> np.ndarray | None:
-        """g_s at each eigenvalue -> (P, degree + 1); None when one lies on
-        the contour or at an endpoint."""
+    def _moments(self, eigs: np.ndarray) -> np.ndarray:
+        """g_s at each eigenvalue -> (P, degree + 1); NumericsError when one
+        lies on the contour or at an endpoint."""
         a, b = self.contour.endpoints
         degree, side = self.coeffs.shape[0] - 1, self.contour.side
         # the half-plane of sign -l is covered: no lens test is needed there
@@ -294,40 +296,42 @@ class _PicardMap:
         covered = self._covered(eigs)
         if covered.all():
             return _cut_moments(a, b, eigs, degree, side)
-        if self.contour.contains_in_lens(eigs[~covered], closed=True).any():
-            return None
+        on = eigs[~covered][self.contour.contains_in_lens(eigs[~covered], closed=True)]
+        if on.size:
+            raise NumericsError(
+                f"eigenvalue {complex(on[0])!r} of Z lies on the side {side:+d} contour "
+                "or at an endpoint, where no moment is the contour integral")
         moments = np.empty((eigs.size, degree + 1), dtype=np.complex128)
         moments[covered] = _cut_moments(a, b, eigs[covered], degree, side)
         moments[~covered] = _cut_moments(a, b, eigs[~covered], degree)
         return moments
 
-    def _small_map(self, rows: list, values: list) -> np.ndarray | None:
+    def _small_map(self, rows: list, values: list) -> np.ndarray:
         """W(lam2) + W[lam1, lam2] (Z - lam2 I) for n <= 2 in Python scalars
-        from Z's rows and small_eig's eigenvalues; None on the contour or at
-        an endpoint. Both terms come from _cut_quotients_at on one branch
-        that is the integral at both eigenvalues: the side-l one where both
-        are _covered, else the physical one where both lie off the closed
-        lens. Else the two lie on opposite sides of the contour, each takes
-        its own branch, and W[lam1, lam2] is the plain quotient."""
+        from Z's rows and small_eig's eigenvalues; NumericsError on the
+        contour or at an endpoint. Both terms come from _cut_quotients_at on
+        one branch that is the integral at both eigenvalues: the side-l one
+        where both are _covered, else the physical one where both lie off
+        the closed lens. Else the two lie on opposite sides of the contour,
+        each takes its own branch (_moments), and W[lam1, lam2] is the plain
+        quotient."""
         a, b = self.contour.endpoints
         degree, side = self.coeffs.shape[0] - 1, self.contour.side
         lam1, lam2, lens = values[0], values[-1], self.contour.contains_in_lens
         covered = [self._covered(lam) for lam in values]
         if all(covered) or not any(lens(lam, closed=True) for lam in values):
             branch = side if all(covered) else "physical"
-            moments, quotients = _cut_quotients_at(a, b, lam1, lam2, degree, branch)
-        elif any(lens(lam, closed=True) for lam, inside in zip(values, covered) if not inside):
-            return None
+            # the quotient with lam1 for n = 2; none for n = 1
+            moments, quotients = _cut_quotients_at(a, b, lam2, degree, values[:-1], branch)
         else:
-            (moments1, _), (moments, _) = (
-                _cut_quotients_at(a, b, lam, lam, degree, side if inside else "physical")
-                for lam, inside in zip(values, covered))
-            quotients = [(x - y) / (lam1 - lam2) for x, y in zip(moments1, moments)]
+            # raises for an eigenvalue on the contour, the one of any n = 1 Z here
+            moments1, moments = self._moments(np.array(values)).tolist()
+            quotients = [[(x - y) / (lam1 - lam2) for x, y in zip(moments1, moments)]]
         w = [sum(map(operator.mul, moments, entry)) for entry in self._coeff_entries]
         if len(w) == 1:
             return np.array([w], dtype=np.complex128)
         (w00, w01, w10, w11), (d00, d01, d10, d11) = w, (
-            sum(map(operator.mul, quotients, entry)) for entry in self._coeff_entries)
+            sum(map(operator.mul, quotients[0], entry)) for entry in self._coeff_entries)
         (p, q), (r, s) = rows
         p, s = p - lam2, s - lam2
         return np.array([[w00 + d00 * p + d01 * r, w01 + d00 * q + d01 * s],
@@ -335,24 +339,20 @@ class _PicardMap:
                         dtype=np.complex128)
 
     def __call__(self, zmat: np.ndarray) -> np.ndarray:
-        if zmat.shape[0] <= 2:
-            rows = zmat.tolist()
-            values, vectors = small_eig(rows)
-            self.spectrum = values, vectors
-            value = self._small_map(rows, values)
-            if value is not None:
-                return value
-            eigs = np.array(values, dtype=np.complex128)
-        else:
-            eigs, vecs = eig(zmat)
-            self.spectrum = eigs, vecs
-            moments = self._moments(eigs)
-            if moments is not None and _cond_within(vecs, _COND_LIMIT):
-                n = vecs.shape[0]
-                # (sum_s C_s V diag(g_s)) from the coefficients as rows (S n, n)
-                blocks = np.matmul(self.coeffs.reshape(-1, n), vecs).reshape(-1, n, n)
-                blocks *= moments.T[:, None, :]
-                return np.linalg.solve(vecs.T, blocks.sum(axis=0).T).T
+        n = zmat.shape[0]
+        rows = zmat.tolist() if n <= 2 else None
+        self.spectrum = eig(zmat) if rows is None else small_eig(rows)
+        if self.zero:
+            return np.zeros((n, n), dtype=np.complex128)
+        if rows is not None:
+            return self._small_map(rows, self.spectrum[0])
+        eigs, vecs = self.spectrum
+        moments = self._moments(eigs)
+        if _cond_within(vecs, _COND_LIMIT):
+            # (sum_s C_s V diag(g_s)) from the coefficients as rows (S n, n)
+            blocks = np.matmul(self.coeffs.reshape(-1, n), vecs).reshape(-1, n, n)
+            blocks *= moments.T[:, None, :]
+            return np.linalg.solve(vecs.T, blocks.sum(axis=0).T).T
         self.fallbacks += 1
         return transformator(self.model, self.contour, zmat, eigs)
 
@@ -438,9 +438,9 @@ def solve_basic(model: SpectralModel, contour: Contour, t: float = 1.0) -> RootS
     """Solve X = t^2 W1(A1 + X, Gamma) by Picard iteration from X = 0.
 
     Each step evaluates W1 in closed form as sum_s C_s g_s(Z) (see
-    _PicardMap), falling back to the contour sum over Gamma only where
-    that form does not apply; RootSolution.contour_fallbacks counts those
-    steps. Evaluates admissibility(model, contour, t) once: an
+    _PicardMap), or, for an n >= 3 Z whose eigenbasis fails _COND_LIMIT,
+    as the contour sum over Gamma; RootSolution.contour_fallbacks counts
+    those steps. Evaluates admissibility(model, contour, t) once: an
     inadmissible contour raises AdmissibilityError carrying that report,
     and otherwise the root carries it. Convergence is geometric, to the
     program's _TOL within _MAX_ITER steps (_picard); the result is

@@ -76,30 +76,36 @@ def _log_quotient(u: complex, v: complex) -> complex:
     return (log_diff + 2j * math.pi * turns if turns else log_diff) / diff
 
 
-def _cut_quotients_at(a: float, b: float, x: complex, y: complex, degree: int,
+def _cut_quotients_at(a: float, b: float, y: complex, degree: int, xs=(),
                       branch="physical") -> tuple:
-    """([g_0(y), ..., g_degree(y)], [g_0[x, y], ..., g_degree[x, y]]): the
-    moments of _cut_moments at y by its arithmetic in Python scalars, and
-    their divided differences (derivatives at x = y) by g_s[x, y] = x
-    g_(s-1)[x, y] + g_(s-1)(y), from g_0[x, y] = -Q(b - x, b - y) - Q(x - a,
-    y - a) on a side, Q(w(x), w(y)) (b - a)/((a - x)(a - y)) with w(z) = (b -
-    z)/(a - z) on the physical sheet; Q is _log_quotient."""
+    """([g_0(y), ..., g_degree(y)], [[g_0[x, y], ..., g_degree[x, y]] for x in
+    xs]): the moments of _cut_moments at y by its arithmetic in Python
+    scalars, taken once, and their divided differences (derivatives at
+    x = y) by g_s[x, y] = x g_(s-1)[x, y] + g_(s-1)(y), from g_0[x, y] =
+    -Q(b - x, b - y) - Q(x - a, y - a) on a side and Q(w(x), w(y)) (b -
+    a)/((a - x)(a - y)), w(z) = (b - z)/(a - z), on the physical sheet; Q
+    is _log_quotient."""
     if branch == "physical":
         w = (b - y) / (a - y)
         log_term = cmath.log(w)
-        quotient = _log_quotient((b - x) / (a - x), w) * ((b - a) / (a - x)) / (a - y)
     elif branch in (1, -1):
         log_term = cmath.log(b - y) - cmath.log(y - a) - 1j * math.pi * branch
-        quotient = -_log_quotient(b - x, b - y) - _log_quotient(x - a, y - a)
     else:
         raise ValueError(f"unknown moment branch {branch!r}")
-    values, quotients, power, q = [log_term], [quotient], y, 0.0
+    values, power, q = [log_term], y, 0.0
     for s in range(1, degree + 1):
-        quotients.append(x * quotients[-1] + values[-1])
         q = y * q + (b ** s - a ** s) / s
         values.append(power * log_term + q)
         power *= y
-    return values, quotients
+    tables = []
+    for x in xs:
+        row = [_log_quotient((b - x) / (a - x), w) * ((b - a) / (a - x)) / (a - y)
+               if branch == "physical"
+               else -_log_quotient(b - x, b - y) - _log_quotient(x - a, y - a)]
+        for value in values[:-1]:
+            row.append(x * row[-1] + value)
+        tables.append(row)
+    return values, tables
 
 
 def _m1_physical_at(model: SpectralModel, z: complex) -> list:
@@ -109,7 +115,7 @@ def _m1_physical_at(model: SpectralModel, z: complex) -> list:
     a, b = model.interval
     coeffs = model.kprime.coefficients
     k, n, _ = coeffs.shape
-    moments, _ = _cut_quotients_at(a, b, z, z, k - 1)
+    moments, _ = _cut_quotients_at(a, b, z, k - 1)
     w1 = [sum(map(operator.mul, moments, entry))
           for entry in coeffs.reshape(k, n * n).T.tolist()]
     return [[entry - z + w1[i * n + j] if i == j else entry + w1[i * n + j]

@@ -17,16 +17,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import schurroots as sr
+from schurroots import rootsolver
 from schurroots._json import dumps
 from schurroots.cli import main
 from schurroots.config import RunConfig, build_model_from_config
 from schurroots.contour import _RectangleDistance
-from schurroots.errors import NumericsError
+from schurroots.errors import ConfigError, ModelError, NumericsError
 from schurroots.identities import identity_table
 from schurroots.model import SpectralModel
 from schurroots.report import admissibility_block
 
-from conftest import EP_B, EP_E0
+from conftest import EP_B, EP_E0, hard_models, wide_models
 
 BASE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]], "b": [[[0.2]]]}}
 INADMISSIBLE = {"model": {"interval": [-1.0, 1.0], "a1": [[0.0]],
@@ -1279,12 +1280,17 @@ HUGE_INTERVALS = [{"model": {"interval": [-half, half], "a1": [[0.0]], "b": [[[0
 # and a coupling too strong for the semicircle, whose message squared d
 HUGE_RECTANGLE = {**HUGE_INTERVALS[1], "contour": {"kind": "rectangle", "depth": 1e199}}
 HUGE_COUPLING = {"model": {**HUGE_INTERVALS[1]["model"], "b": [[[1e100]]]}}
-# an eigenvalue at the endpoint a, which the rounded centre of the
-# semicircle puts a unit in the last place outside it: the physical moment
-# there divided by zero (exit 1)
+# an eigenvalue of a1 at the endpoint a, which the rounded centre of the
+# semicircle puts a unit in the last place outside it: d is 0, so the run is
+# inadmissible (exit 2)
 ENDPOINT_OFF_THE_ROUNDED_CIRCLE = {
     "model": {"interval": [-2.0, -1.4371961158354563], "a1": [[-2.0]], "b": [[[0.0]]]},
     "contour": {"kind": "semicircle", "sides": [1]}, "sweep": {"t_grid": [1.0]}}
+# the same with a tiny coupling: were d that rounding above 0, the run would
+# be admissible and its Picard map would meet the eigenvalue at the endpoint
+ENDPOINT_WITH_A_TINY_COUPLING = {
+    **ENDPOINT_OFF_THE_ROUNDED_CIRCLE,
+    "model": {**ENDPOINT_OFF_THE_ROUNDED_CIRCLE["model"], "b": [[[1e-30]]]}}
 
 
 @settings(max_examples=60, deadline=None,
@@ -1297,6 +1303,7 @@ ENDPOINT_OFF_THE_ROUNDED_CIRCLE = {
 @example("solve", HUGE_INTERVALS[0])
 @example("solve", HUGE_INTERVALS[1])
 @example("solve", ENDPOINT_OFF_THE_ROUNDED_CIRCLE)
+@example("solve", ENDPOINT_WITH_A_TINY_COUPLING)
 def test_exit_code_contract_on_small_configs(command, data):
     # every input ends in 0, 2, 3 or 4: main raises nothing, so nothing
     # prints a traceback
@@ -1323,6 +1330,106 @@ def test_verify_of_huge_intervals_warns_of_nothing(data):
     assert code in (0, 3)
     rows = {row["name"]: row for row in report["identities"]}
     assert rows["j-orthogonality"]["passed"]
+
+
+def test_sigma1_at_an_endpoint_is_at_distance_zero(tmp_path, capsys):
+    # the arc's nearest point to a real lam is an endpoint, so d = |lam - a|
+    # = 0 exactly, where | |lam - c| - r | with the rounded centre c reads
+    # 1.1e-16; with zero or a tiny coupling, solve exits 2 instead of mapping
+    # an eigenvalue at the endpoint
+    model = build_model_from_config(RunConfig.from_dict(ENDPOINT_OFF_THE_ROUNDED_CIRCLE))
+    contour = sr.make_contour(model, 1)
+    a, b = model.interval
+    assert abs(abs(a - 0.5 * (a + b)) - contour.depth) > 0.0
+    assert sr.distance_to_sigma1(model, contour) == 0.0
+    for data in (ENDPOINT_OFF_THE_ROUNDED_CIRCLE, ENDPOINT_WITH_A_TINY_COUPLING):
+        code, out = run(capsys, ["solve", "--config", write_cfg(tmp_path, data)])
+        assert code == 2
+        assert json.loads(out)["admissibility"]["distance"] == 0.0
+
+
+def _contour_distance(contour, lam: complex) -> float:
+    """dist(lam, contour) for a semicircle or a rectangle of side l."""
+    a, b = contour.endpoints
+    side, depth = contour.side, contour.depth
+    if contour.kind == "semicircle":
+        # the nearest point of the circle is on the arc in the arc's closed
+        # half-plane; from the other one, the nearest point is an endpoint
+        if side * lam.imag >= 0.0:
+            return abs(abs(lam - 0.5 * (a + b)) - depth)
+        return min(abs(lam - a), abs(lam - b))
+    corners = [complex(a), complex(a, side * depth), complex(b, side * depth), complex(b)]
+    gaps = []
+    for p, q in zip(corners, corners[1:]):
+        along = min(max(((lam - p) * (q - p).conjugate()).real / abs(q - p) ** 2, 0.0), 1.0)
+        gaps.append(abs(lam - (p + along * (q - p))))
+    return min(gaps)
+
+
+def _assert_mapped_eigenvalues_keep_off(model, contour, t_grid):
+    """solve_basic at the last t of t_grid and homotopy_path over it: every Z
+    the Picard map takes keeps its eigenvalues t sqrt(V0) - 1e-9 from the
+    contour (V0 at t = 1), and no NumericsError is the map's on-contour one."""
+    v0 = sr.admissibility(model, contour).variation
+    margins = []
+
+    class Recording(rootsolver._PicardMap):
+        def __init__(self, model, contour, t):
+            super().__init__(model, contour, t)
+            self.t = t
+
+        def __call__(self, zmat):
+            value = super().__call__(zmat)
+            margins.append((self.t, min(_contour_distance(self.contour, complex(lam))
+                                        for lam in self.spectrum[0])))
+            return value
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        # the sweep's pairing warnings are part of its contract
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mp.setattr(rootsolver, "_PicardMap", Recording)
+        for run_path in (lambda: sr.solve_basic(model, contour, t_grid[-1]),
+                         lambda: sr.homotopy_path(model, contour, t_grid)):
+            try:
+                run_path()
+            except NumericsError as exc:
+                assert "contour or at an endpoint" not in str(exc), exc
+    assert margins
+    for t, gap in margins:
+        assert gap >= t * math.sqrt(v0) - 1e-9, (t, gap, v0)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+@example(ENDPOINT_WITH_A_TINY_COUPLING)
+def test_admissible_runs_map_no_eigenvalue_onto_the_contour(data):
+    # Bauer-Fike: A1 is Hermitian and every X the Picard loop maps has ||X||
+    # <= r_max + 1e-9 = d - sqrt(V0) + 1e-9, so each eigenvalue of Z = A1 + X
+    # lies sqrt(V0) - 1e-9 or more from the contour, and the map's
+    # on-contour NumericsError cannot fire on an admissible solve or sweep
+    try:
+        cfg = RunConfig.from_dict(data)
+        model = build_model_from_config(cfg)
+        contours = [sr.make_contour(model, side, cfg.contour_kind, cfg.depth)
+                    for side in cfg.sides]
+    except (ConfigError, ModelError):
+        return
+    t_grid = cfg.t_grid or (1.0,)
+    for contour in contours:
+        if sr.admissibility(model, contour, t_grid[-1]).admissible:
+            _assert_mapped_eigenvalues_keep_off(model, contour, t_grid)
+
+
+def test_hard_and_wide_models_map_no_eigenvalue_onto_the_contour():
+    # the margin of test_admissible_runs_map_no_eigenvalue_onto_the_contour
+    # on the models near the exceptional point, the spread and weak-coupling
+    # ones and the seed-1 wide models (n = 4, 8, 16), both sides
+    models = [model for _, model in hard_models()] + wide_models(1)
+    for model in models:
+        for side in (1, -1):
+            _assert_mapped_eigenvalues_keep_off(model, sr.make_contour(model, side),
+                                                [0.25, 0.5, 0.75, 1.0])
 
 
 def _main_on(command, data):
@@ -1425,12 +1532,30 @@ def test_verify_passes_at_zero_coupling(tmp_path, capsys, data):
     assert all(row["passed"] for row in report["identities"]), report["identities"]
 
 
+def test_sweep_at_zero_coupling_from_t_zero(tmp_path, capsys):
+    # b = 0: the Picard map is zero before it takes any moment, so every
+    # root of the path from t = 0 is X = 0 exactly, for n = 1 and 2 (the
+    # map in Python numbers) and n = 3 (the map in the eigenbasis)
+    for n in (1, 2, 3):
+        a1 = np.diag(np.linspace(-0.5, 0.5, n)).tolist()
+        data = {"model": {"interval": [-1.0, 1.0], "a1": a1, "b": [[[0.0] * n]]},
+                "sweep": {"t_grid": [0.0, 0.5, 1.0]}}
+        code, out = run(capsys, ["sweep", "--config", write_cfg(tmp_path, data),
+                                 "--out-csv", str(tmp_path / "rows.csv")])
+        assert code == 0
+        for block in json.loads(out)["solutions"].values():
+            assert block["x"] == [[[0.0, 0.0]] * n] * n and block["x_norm"] == 0.0
+        model = build_model_from_config(RunConfig.from_dict(data))
+        for _, sol, _ in sr.homotopy_path(model, sr.make_contour(model, 1), [0.0, 0.5, 1.0]):
+            assert not sol.x.any()
+
+
 def test_verify_passes_on_a_non_feshbach_model(tmp_path, capsys):
     # sigma1 = {1.5} lies outside the interval and off the lens: every
     # Picard step, the residual check included, takes the closed form with
     # the physical moment there, so root-contour compares it with the
-    # contour sum; the root is exactly real and the Gram matrix is a
-    # quadrature
+    # contour sum; the root is exactly real, and the Gram matrix is the
+    # closed form at the confluent pair (conj lam, lam) = (lam, lam)
     data = {"model": {"interval": [-1.0, 1.0], "a1": [[1.5]], "b": [[[0.1]]]}}
     code, out = run(capsys, ["verify", "--config", write_cfg(tmp_path, data)])
     assert code == 0
@@ -1438,7 +1563,7 @@ def test_verify_passes_on_a_non_feshbach_model(tmp_path, capsys):
     assert report["feshbach"] is False
     assert [b["contour_fallbacks"] for b in report["solutions"].values()] == [0, 0]
     assert [b["z"][0][0][1] for b in report["solutions"].values()] == [0.0, 0.0]
-    assert [b["gram_route"] for b in report["riccati"].values()] == ["quadrature"] * 2
+    assert [b["gram_route"] for b in report["riccati"].values()] == ["closed-form"] * 2
     assert len(report["identities"]) == 19
     assert all(row["passed"] for row in report["identities"]), report["identities"]
 

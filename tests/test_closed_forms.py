@@ -114,16 +114,17 @@ def test_closed_forms_match_their_quadratures(monkeypatch, solved_cases):
     assert worst_lhs <= _AGREE, worst_lhs
 
 
-def test_confluent_gram_falls_back_to_quadrature():
+def test_confluent_gram_takes_the_closed_form():
     # sigma1 = {1.5} right of the interval: the root has a real eigenvalue,
-    # which pairs with its own conjugate exactly
+    # which pairs with its own conjugate exactly, and the divided difference
+    # there is the derivative
     model = sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
     for side in (1, -1):
         sol = sr.solve_basic(model, sr.make_contour(model, side))
         eig = complex(sol.z_op[0, 0])
         assert eig.imag == 0.0 and eig.real > 1.0
         ric = sr.compute_Y(sol)
-        assert ric.gram_route == "quadrature"
+        assert ric.gram_route == "closed-form"
         assert gram_gap(ric, gram_reference(model, sol)) <= _AGREE
 
 
@@ -145,15 +146,16 @@ def test_ill_conditioned_basis_falls_back_to_quadrature(monkeypatch, model_zoo):
     assert np.max(np.abs(rhs - closed_rhs)) <= _AGREE * (1.0 + ric.y_norm)
 
 
-def test_confluent_trial_pole_falls_back_to_quadrature(monkeypatch, friedrichs_model,
-                                                       friedrichs_contours):
-    # a trial pole at conj(d) makes (g(q) - g(d)) / (d - q) confluent
+def test_confluent_trial_pole_takes_the_closed_form(monkeypatch, friedrichs_model,
+                                                    friedrichs_contours):
+    # a trial pole at conj(d) makes g[q, d] confluent: the derivative
     sol = sr.solve_basic(friedrichs_model, friedrichs_contours[1])
     ric = sr.compute_Y(sol)
     trials = rational_trials(ric, 4, seed=2)
     trials[0][0] = np.conj(complex(sol.z_op[0, 0]))
     lhs, _, quads = counted_pairings(monkeypatch, ric, trials)
-    assert quads == 2
+    # only Y^* x0 was a quadrature
+    assert quads == 1
     assert lhs_gap(ric, lhs, lhs_reference(ric, trials)) <= _AGREE
 
 

@@ -484,7 +484,7 @@ def test_scalar_cut_moments_match_the_batched_ones(branch):
     for degree in range(5):
         batched = _cut_moments(a, b, zs, degree, branch)
         for z, want in zip(zs, batched):
-            got = np.array(_cut_quotients_at(a, b, complex(z), complex(z), degree, branch)[0])
+            got = np.array(_cut_quotients_at(a, b, complex(z), degree, branch=branch)[0])
             log_term, q = abs(want[0]), 0.0
             for s in range(degree + 1):
                 if s:
@@ -543,17 +543,10 @@ def test_log_quotient_matches_mpmath(scale):
             assert abs(got - complex(want)) <= 4 * EPS * abs(complex(want)), (name, u, v)
 
 
-@pytest.mark.parametrize("branch", ["physical", 1, -1])
-def test_cut_quotients_match_mpmath(branch):
-    # the moments and their divided differences at degrees 0-4 against 50
-    # digits, at x = y (the derivative), at x within 1e-15 to 1e-1 of y
-    # and at x far from y, in units of the size of the terms of each
-    # recurrence
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-    a, b = -1.0, 1.0
-    degree = 4
-
+def _assert_cut_quotients_match_mpmath(mpmath, y, xs, branch, a=-1.0, b=1.0, degree=4):
+    """_cut_quotients_at(a, b, y, degree, xs, branch) against 50 digits: the
+    moments at y and each divided difference (the derivative at x = y), in
+    units of the size of the terms of each recurrence."""
     def moment(z, s):
         if branch == "physical":
             log_term = mpmath.log((b - z) / (a - z))
@@ -564,13 +557,11 @@ def test_cut_quotients_match_mpmath(branch):
             q = z * q + mpmath.mpf(b ** k - a ** k) / k
         return z ** s * log_term + q
 
-    rng = np.random.default_rng(55)
-    for trial in range(90):
-        y = complex(*rng.normal(size=2)) * 1.5
-        x = [y, y + 10.0 ** rng.uniform(-15, -1) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-             complex(*rng.normal(size=2)) * 1.5][trial % 3]
-        values, quotients = _cut_quotients_at(a, b, complex(x), y, degree, branch)
-        big_x, big_y = mpmath.mpc(x), mpmath.mpc(y)
+    values, tables = _cut_quotients_at(a, b, y, degree, xs, branch)
+    assert len(values) == degree + 1 and len(tables) == len(xs)
+    big_y = mpmath.mpc(y)
+    for x, quotients in zip(xs, tables):
+        big_x = mpmath.mpc(x)
         value_size, quotient_size, q = abs(values[0]), abs(quotients[0]), 0.0
         for s in range(degree + 1):
             if s:
@@ -582,4 +573,47 @@ def test_cut_quotients_match_mpmath(branch):
             else:
                 want = (moment(big_x, s) - moment(big_y, s)) / (big_x - big_y)
             assert abs(values[s] - complex(moment(big_y, s))) <= 8 * EPS * value_size
-            assert abs(quotients[s] - complex(want)) <= 8 * EPS * quotient_size
+            assert abs(quotients[s] - complex(want)) <= 8 * EPS * quotient_size, (x, y, s)
+
+
+@pytest.mark.parametrize("branch", ["physical", 1, -1])
+def test_cut_quotients_match_mpmath(branch):
+    # the moments and their divided differences at degrees 0-4 against 50
+    # digits, each y with three x: x = y (the derivative), x within 1e-15 to
+    # 1e-1 of y and x far from y; and y with no x, the moments alone
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(55)
+    for _ in range(30):
+        y = complex(*rng.normal(size=2)) * 1.5
+        xs = [y, y + 10.0 ** rng.uniform(-15, -1) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+              complex(*rng.normal(size=2)) * 1.5]
+        _assert_cut_quotients_match_mpmath(mpmath, y, xs, branch)
+        _assert_cut_quotients_match_mpmath(mpmath, y, [], branch)
+
+
+def test_cut_quotients_match_mpmath_at_riccati_pairs():
+    # the pairs riccati's closed forms take on the physical sheet, at the
+    # tolerance of test_cut_quotients_match_mpmath: (conj lam, lam) with lam
+    # over the interval and |Im lam| from 1e-1 down to 1e-300, where the
+    # quotient takes the jump of Log across the cut, about pi / |Im lam|; a
+    # real lam off the interval paired with itself (the Gram matrix of a
+    # non-Feshbach root); the Gram columns of a 2 x 2 root, one y with
+    # several x; and the trial poles of a J-pairing, one conjugated onto the
+    # eigenvalue
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for re in (-0.7, 0.3, 0.55):
+        for exponent in (1, 5, 20, 100, 200, 300):
+            for sign in (1.0, -1.0):
+                lam = complex(re, sign * 10.0 ** -exponent)
+                _assert_cut_quotients_match_mpmath(mpmath, lam, [lam.conjugate()], "physical")
+    for lam in (1.5 + 0j, 3.0 + 0j, -1.2 + 0j):
+        _assert_cut_quotients_match_mpmath(mpmath, lam, [lam.conjugate()], "physical")
+    eigs = [0.1 - 0.05j, -0.3 - 0.2j]
+    for lam in eigs:
+        _assert_cut_quotients_match_mpmath(mpmath, lam, [e.conjugate() for e in eigs],
+                                           "physical")
+    root = complex(0.0, -0.11639390461355939)
+    poles = [0.4 + 0.6j, -0.2 - 0.9j, root.conjugate()]
+    _assert_cut_quotients_match_mpmath(mpmath, root, [p.conjugate() for p in poles], "physical")

@@ -20,7 +20,7 @@ from scipy.linalg import logm
 import schurroots as sr
 from schurroots import rootsolver
 from schurroots._kernels import spectral_norms
-from schurroots.errors import AdmissibilityError
+from schurroots.errors import AdmissibilityError, NumericsError
 from schurroots.rootsolver import (_COND_LIMIT, RootSolution, _cond_within, _PicardMap,
                                    transformator)
 from schurroots.schur import _cut_quotients_at
@@ -645,12 +645,17 @@ def _outside_model():
     return sr.build_model((-1.0, 1.0), [[1.5]], [[[0.05]]])
 
 
+# the map's message for an eigenvalue on the contour or at an endpoint
+ON_THE_CONTOUR = r"of Z lies on the side \+1 contour or at an endpoint"
+
+
 @pytest.mark.parametrize("case", ["near-defective", "defective", "at-endpoint"])
-def test_map_falls_back_to_the_contour_sum(model_zoo, case):
+def test_map_at_an_endpoint_and_at_a_defective_z(model_zoo, case):
     # an eigenvalue at an endpoint, where neither moment is the contour
-    # integral, takes the contour sum; an eigenvector matrix with cond(V) ~
-    # 1e9, or a Jordan block, whose two eigenvectors are parallel, takes
-    # the stable divided difference and equals the contour sum
+    # integral, raises NumericsError naming it; an eigenvector matrix with
+    # cond(V) ~ 1e9, or a Jordan block, whose two eigenvectors are
+    # parallel, takes the stable divided difference and equals the contour
+    # sum
     if case != "at-endpoint":
         model = next(m for m in model_zoo if m.n == 2)
         lam = 0.1 + 0.05j
@@ -660,16 +665,16 @@ def test_map_falls_back_to_the_contour_sum(model_zoo, case):
         z = np.array([[1.0 + 0j]])
     contour = sr.make_contour(model, 1)
     step_map = _PicardMap(model, contour, 1.0)
+    if case == "at-endpoint":
+        with pytest.raises(NumericsError, match=r"eigenvalue \(1\+0j\) " + ON_THE_CONTOUR):
+            step_map(z)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = step_map(z)
     ref = _contour_sum(model, contour, z)
-    if case == "at-endpoint":
-        assert step_map.fallbacks == 1
-        assert np.array_equal(got, ref)
-    else:
-        assert step_map.fallbacks == 0
-        assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
+    assert step_map.fallbacks == 0
+    assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
 
 
 def _small_map_cases():
@@ -707,22 +712,23 @@ def test_small_map_matches_the_contour_sum_without_fallback(name, model, z):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_an_endpoint_off_the_rounded_circle_falls_back(n):
+def test_an_endpoint_off_the_rounded_circle_raises(n):
     # over this interval the rounded centre puts the endpoint a a unit in
     # the last place outside the semicircle; the closed lens still holds
-    # it, so an eigenvalue there takes the contour sum, not the physical
-    # moment, whose logarithm divides by zero
+    # it, so an eigenvalue there raises NumericsError naming it, where the
+    # physical moment's logarithm would divide by zero. At t = 0 the
+    # coefficients are zero, and the map is exactly zero before any moment
     a, b = -2.0, -1.4371961158354563
     z = np.diag(np.linspace(a, 0.5 * (a + b), n)).astype(complex)
     model = sr.build_model((a, b), z.real.tolist(), [(0.05 * np.eye(n)).tolist()])
     contour = sr.make_contour(model, 1)
     assert abs(a - 0.5 * (a + b)) > contour.depth
-    step_map = _PicardMap(model, contour, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = step_map(z)
-    assert step_map.fallbacks == 1
-    assert np.array_equal(got, _contour_sum(model, contour, z))
+        with pytest.raises(NumericsError, match=r"eigenvalue \(-2\+0j\) " + ON_THE_CONTOUR):
+            _PicardMap(model, contour, 1.0)(z)
+        zero = _PicardMap(model, contour, 0.0)(z)
+    assert np.array_equal(zero, np.zeros((n, n))) and not np.signbit(zero.view(float)).any()
 
 
 @pytest.mark.parametrize("case", ["outside-lens", "real-off-interval",
@@ -935,7 +941,7 @@ def test_small_map_at_a_scalar_matrix_is_the_moment_sum(model_zoo):
         got = step_map(z)
     assert step_map.fallbacks == 0
     a, b = step_map.contour.endpoints
-    moments, _ = _cut_quotients_at(a, b, lam, lam, model.kprime.degree, 1)
+    moments, _ = _cut_quotients_at(a, b, lam, model.kprime.degree, branch=1)
     want = [sum(g * c for g, c in zip(moments, entry)) for entry in step_map._coeff_entries]
     assert np.array_equal(got, np.reshape(want, (2, 2)))
 
